@@ -13,7 +13,7 @@ BENCH_RAW  ?= /tmp/barter-bench-raw.txt
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full swarm-smoke shard-smoke soak fuzz-smoke bench bench-json bench-check fmt vet doccheck bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full swarm-smoke shard-smoke soak fuzz-smoke bench bench-json bench-check bench-compare fmt vet doccheck bartervet docs-check lint print-staticcheck-version check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -66,10 +66,13 @@ soak:
 	$(GO) run -race ./cmd/exchswarm -scenario reshard -nodes 96 -reshards 12 -quick -v
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -quick -v
 
-## fuzz-smoke: a short native-fuzzing pass over the wire codec; CI runs it
-## in the short job so every push hammers Decode with fresh mutated frames.
+## fuzz-smoke: a short native-fuzzing pass over the wire codec and over the
+## event queue's lane-vs-heap differential; CI runs it in the short job so
+## every push hammers Decode with fresh mutated frames and the queue with
+## fresh schedule/cancel/run interleavings.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/eventq
 
 ## bench: one iteration of every benchmark as a smoke pass.
 bench:
@@ -101,6 +104,15 @@ bench-check:
 		-bench BenchmarkMediatorVerify/shards=4 -metric verifies/s -tolerance 0.15
 	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \
 		-bench BenchmarkMediatorVerify/pipelined=8 -metric verifies/s -tolerance 0.15
+
+## bench-compare: paired runs of one BENCHMARK.json workload on BASE and on
+## the working tree (scripts/bench-compare.sh), e.g.
+## `make bench-compare BASE=HEAD~1 WORKLOAD=sim-fig4-rings PAIRS=10`.
+BASE     ?= HEAD
+WORKLOAD ?= sim-fig4-rings
+SEED     ?= 1
+bench-compare:
+	./scripts/bench-compare.sh $(BASE) $(WORKLOAD) $(SEED)
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

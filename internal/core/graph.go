@@ -80,8 +80,12 @@ type bfsNode struct {
 type Graph struct {
 	// Adj returns the in-edges of a peer: who has a live (unserved) request
 	// registered with it, and for which object. The order must be
-	// deterministic; it defines traversal tie-breaking.
-	Adj func(PeerID) []Edge
+	// deterministic; it defines traversal tie-breaking. limit is the
+	// search's Fanout: when positive, only the first limit edges of that
+	// order will be explored, so an implementation that has to filter a long
+	// queue may stop as soon as it has produced them (returning more is
+	// harmless — the surplus is ignored).
+	Adj func(p PeerID, limit int) []Edge
 	// Budget caps visited nodes per search (0 means DefaultSearchBudget).
 	Budget int
 	// Fanout caps how many in-edges are explored per node (0 = unlimited).
@@ -99,7 +103,7 @@ func (g Graph) budget() int {
 }
 
 func (g Graph) edges(p PeerID) []Edge {
-	es := g.Adj(p)
+	es := g.Adj(p, g.Fanout)
 	if g.Fanout > 0 && len(es) > g.Fanout {
 		es = es[:g.Fanout]
 	}
@@ -247,26 +251,28 @@ func (g Graph) searchDeepFirst(sc *SearchScratch, root PeerID, first *Edge, want
 		stats.NodesVisited++
 		path = append(path, e)
 		sc.mark(e.Peer)
-		defer func() {
-			sc.unmark(e.Peer)
-			path = path[:len(path)-1]
-		}()
+		abort := false
 		if w := match(e.Peer, wants, stats); w >= 0 {
 			stats.Candidates++
 			if bestWant < 0 || len(path) > len(best) {
 				best = append(best[:0], path...)
 				bestWant = w
 			}
-			if depth == limit {
-				return true
+			abort = depth == limit
+		}
+		// A node at the depth limit has no explorable children: skip
+		// materializing its adjacency altogether.
+		if depth < limit {
+			for _, c := range g.edges(e.Peer) {
+				if walk(c, depth+1) {
+					abort = true
+					break
+				}
 			}
 		}
-		for _, c := range g.edges(e.Peer) {
-			if walk(c, depth+1) {
-				return true
-			}
-		}
-		return false
+		sc.unmark(e.Peer)
+		path = path[:len(path)-1]
+		return abort
 	}
 
 	for _, e := range g.frontier(sc, root, first) {

@@ -9,7 +9,7 @@ import (
 
 // graphOf adapts an explicit adjacency map to a Graph.
 func graphOf(adj map[PeerID][]Edge) Graph {
-	return Graph{Adj: func(p PeerID) []Edge { return adj[p] }}
+	return Graph{Adj: func(p PeerID, _ int) []Edge { return adj[p] }}
 }
 
 func TestGraphPairwise(t *testing.T) {
@@ -79,7 +79,7 @@ func TestGraphRespectsBudget(t *testing.T) {
 		adj[1] = append(adj[1], Edge{Peer: i, Object: catalog.ObjectID(i)})
 	}
 	adj[1] = append(adj[1], Edge{Peer: 200, Object: 200})
-	g := Graph{Adj: func(p PeerID) []Edge { return adj[p] }, Budget: 10}
+	g := Graph{Adj: func(p PeerID, _ int) []Edge { return adj[p] }, Budget: 10}
 	if _, _, stats, ok := g.FindRing(1, []Want{wantOf(99, 200)}, Policy2N); ok {
 		t.Fatal("found ring beyond budget")
 	} else if stats.NodesVisited > 10 {
@@ -91,7 +91,7 @@ func TestGraphRespectsFanout(t *testing.T) {
 	adj := map[PeerID][]Edge{
 		1: {{Peer: 2, Object: 2}, {Peer: 3, Object: 3}, {Peer: 4, Object: 4}},
 	}
-	g := Graph{Adj: func(p PeerID) []Edge { return adj[p] }, Fanout: 2}
+	g := Graph{Adj: func(p PeerID, _ int) []Edge { return adj[p] }, Fanout: 2}
 	// Peer 4 is beyond the fanout cap.
 	if _, _, _, ok := g.FindRing(1, []Want{wantOf(99, 4)}, Policy2N); ok {
 		t.Fatal("fanout cap ignored")
@@ -177,7 +177,7 @@ func TestPropertyGraphMatchesTreeSearch(t *testing.T) {
 	r := rng.New(99)
 	for iter := 0; iter < 400; iter++ {
 		w := randomWorld(r, 12)
-		g := Graph{Adj: func(p PeerID) []Edge { return w.adj[p] }}
+		g := Graph{Adj: func(p PeerID, _ int) []Edge { return w.adj[p] }}
 		root := PeerID(r.Intn(12))
 		tree := w.tree(root, 5)
 		wants := []Want{{
@@ -220,7 +220,7 @@ func TestPropertyLongFirstAtLeastShortFirst(t *testing.T) {
 	r := rng.New(123)
 	for iter := 0; iter < 300; iter++ {
 		w := randomWorld(r, 10)
-		g := Graph{Adj: func(p PeerID) []Edge { return w.adj[p] }}
+		g := Graph{Adj: func(p PeerID, _ int) []Edge { return w.adj[p] }}
 		root := PeerID(r.Intn(10))
 		wants := []Want{{
 			Object:    500,
@@ -243,7 +243,7 @@ func TestPropertyLongFirstAtLeastShortFirst(t *testing.T) {
 func BenchmarkGraphFindRing(b *testing.B) {
 	r := rng.New(5)
 	w := randomWorld(r, 100)
-	g := Graph{Adj: func(p PeerID) []Edge { return w.adj[p] }}
+	g := Graph{Adj: func(p PeerID, _ int) []Edge { return w.adj[p] }}
 	wants := []Want{wantOf(500, 42), wantOf(501, 77)}
 	b.ReportAllocs()
 	b.ResetTimer()

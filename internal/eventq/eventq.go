@@ -1,5 +1,6 @@
 // Package eventq implements the future event list of a discrete-event
-// simulation: a 4-ary min-heap of timestamped events plus a virtual clock.
+// simulation: a 4-ary min-heap of timestamped events, an O(1) FIFO lane for
+// events that all share one constant delay, and a virtual clock.
 //
 // Determinism is a design requirement for the reproduction study: two runs
 // with the same seed must execute the same event sequence. Events scheduled
@@ -14,11 +15,16 @@
 // Handle carries the item pointer plus its scheduling sequence so Cancel
 // needs no lookup map. The 4-ary layout halves sift-down depth relative to a
 // binary heap, which is where a pop-heavy workload spends its time.
+//
+// A simulation whose dominant event is scheduled at one constant delay (the
+// block arrival of a fixed-rate, fixed-block-size transfer model) does not
+// need the heap for it at all: see Lane.
 package eventq
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Event is a unit of scheduled work. Fire is invoked by Queue.Run when the
@@ -73,6 +79,15 @@ type Queue struct {
 	nextSeq uint64
 	fired   uint64
 	pending int // scheduled and not yet fired or cancelled
+
+	// The fixed-delay lane (see Lane; nil until NewLane): a power-of-two ring
+	// buffer holding laneLen items from laneHead on, already in strict
+	// (at, seq) order.
+	lane      []*item
+	laneHead  int
+	laneLen   int
+	laneDelay float64
+	laneFired uint64
 }
 
 // New returns an empty queue with the clock at zero.
@@ -89,6 +104,10 @@ func (q *Queue) Len() int { return q.pending }
 // Fired returns the total number of events executed so far.
 func (q *Queue) Fired() uint64 { return q.fired }
 
+// LaneFired returns how many of the Fired events came off the fixed-delay
+// lane; the rest took the heap.
+func (q *Queue) LaneFired() uint64 { return q.laneFired }
+
 // At schedules ev to fire at absolute virtual time at. It returns a Handle
 // that can be passed to Cancel. Scheduling at the current instant is allowed;
 // scheduling in the past returns ErrPast.
@@ -96,6 +115,14 @@ func (q *Queue) At(at float64, ev Event) (Handle, error) {
 	if at < q.clock {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPast, at, q.clock)
 	}
+	it := q.newItem(at, ev)
+	q.push(it)
+	return Handle{it: it, seq: it.seq}, nil
+}
+
+// newItem takes an item off the free list (or allocates one), stamps it with
+// the next sequence number, and counts it pending.
+func (q *Queue) newItem(at float64, ev Event) *item {
 	q.nextSeq++
 	var it *item
 	if n := len(q.free); n > 0 {
@@ -106,9 +133,8 @@ func (q *Queue) At(at float64, ev Event) (Handle, error) {
 		it = &item{}
 	}
 	it.at, it.seq, it.ev, it.cancelled = at, q.nextSeq, ev, false
-	q.push(it)
 	q.pending++
-	return Handle{it: it, seq: it.seq}, nil
+	return it
 }
 
 // After schedules ev to fire delay time units after the current clock.
@@ -144,24 +170,32 @@ func (q *Queue) recycle(it *item) {
 
 // Step pops and fires the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired (false when the queue is
-// empty). The popped item is recycled before Fire runs: the event may freely
-// schedule new work, and any handle to the fired event is already dead.
+// empty).
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		it := q.pop()
-		if it.cancelled {
-			q.recycle(it)
-			continue
-		}
-		at, ev := it.at, it.ev
-		q.recycle(it)
-		q.pending--
-		q.clock = at
-		q.fired++
-		ev.Fire(q.clock)
-		return true
+	it, fromLane := q.peek()
+	if it == nil {
+		return false
 	}
-	return false
+	q.fire(it, fromLane)
+	return true
+}
+
+// fire removes the live head it (as returned by peek) and executes it. The
+// item is recycled before Fire runs: the event may freely schedule new work,
+// and any handle to the fired event is already dead.
+func (q *Queue) fire(it *item, fromLane bool) {
+	if fromLane {
+		q.popLane()
+		q.laneFired++
+	} else {
+		q.pop()
+	}
+	at, ev := it.at, it.ev
+	q.recycle(it)
+	q.pending--
+	q.clock = at
+	q.fired++
+	ev.Fire(at)
 }
 
 // RunUntil fires events in timestamp order until the queue is empty or the
@@ -171,13 +205,12 @@ func (q *Queue) Step() bool {
 func (q *Queue) RunUntil(horizon float64) uint64 {
 	var n uint64
 	for {
-		it := q.peek()
+		it, fromLane := q.peek()
 		if it == nil || it.at > horizon {
 			break
 		}
-		if q.Step() {
-			n++
-		}
+		q.fire(it, fromLane)
+		n++
 	}
 	if horizon > q.clock {
 		q.clock = horizon
@@ -191,24 +224,39 @@ func (q *Queue) RunUntil(horizon float64) uint64 {
 // domain has work: the jump is a pure function of queue state, so skipping
 // empty windows cannot perturb the event sequence.
 func (q *Queue) NextAt() (float64, bool) {
-	it := q.peek()
+	it, _ := q.peek()
 	if it == nil {
 		return 0, false
 	}
 	return it.at, true
 }
 
-// peek returns the earliest pending item without removing it, skipping over
-// lazily cancelled entries.
-func (q *Queue) peek() *item {
-	for len(q.heap) > 0 {
-		it := q.heap[0]
-		if !it.cancelled {
-			return it
+// peek returns the earliest pending item without removing it — the
+// less-smaller of the lane head and the heap root — and whether it sits on
+// the lane. Lazily cancelled entries met on the way are discarded, in the
+// same (at, seq) order a heap-only queue would discard them.
+func (q *Queue) peek() (*item, bool) {
+	for {
+		var it *item
+		fromLane := false
+		if len(q.heap) > 0 {
+			it = q.heap[0]
 		}
-		q.recycle(q.pop())
+		if q.laneLen > 0 {
+			if l := q.lane[q.laneHead]; it == nil || less(l, it) {
+				it, fromLane = l, true
+			}
+		}
+		if it == nil || !it.cancelled {
+			return it, fromLane
+		}
+		if fromLane {
+			q.popLane()
+		} else {
+			q.pop()
+		}
+		q.recycle(it)
 	}
-	return nil
 }
 
 // less orders items by timestamp, breaking ties by schedule order so that the
@@ -276,4 +324,63 @@ func (q *Queue) down(it *item) {
 		i = smallest
 	}
 	q.heap[i] = it
+}
+
+// Lane is the queue's O(1) path for events that are all scheduled at one
+// constant delay. The clock never runs backwards and floating-point addition
+// is monotone, so clock+delay is non-decreasing from one Schedule call to the
+// next, and sequence numbers strictly increase: entries appended to a FIFO
+// are already in strict (at, seq) order, and no sift is ever needed. The
+// queue merges the lane with the heap by taking the less-smaller head, so a
+// queue with a lane fires exactly the (at, seq) sequence a heap-only queue
+// would — scheduling through the lane is an optimization, never a semantic
+// choice. Handles, lazy cancellation, item recycling, Len and Fired all
+// behave as for heap events.
+type Lane struct {
+	q *Queue
+}
+
+// NewLane creates the queue's fixed-delay lane. A queue has at most one lane
+// (a second constant delay would need a second FIFO and a three-way merge;
+// nothing needs it), and the delay must be a non-negative number.
+func (q *Queue) NewLane(delay float64) (*Lane, error) {
+	if q.lane != nil {
+		return nil, errors.New("eventq: queue already has a lane")
+	}
+	if math.IsNaN(delay) || delay < 0 {
+		return nil, fmt.Errorf("%w: lane delay %v", ErrPast, delay)
+	}
+	q.lane = make([]*item, 64)
+	q.laneDelay = delay
+	return &Lane{q: q}, nil
+}
+
+// Schedule arms ev to fire the lane's delay after the current clock, exactly
+// like Queue.After with that delay but in O(1). It cannot fail: the delay was
+// validated when the lane was created.
+func (l *Lane) Schedule(ev Event) Handle {
+	q := l.q
+	it := q.newItem(q.clock+q.laneDelay, ev)
+	if q.laneLen == len(q.lane) {
+		q.growLane()
+	}
+	q.lane[(q.laneHead+q.laneLen)&(len(q.lane)-1)] = it
+	q.laneLen++
+	return Handle{it: it, seq: it.seq}
+}
+
+// growLane doubles the ring buffer, unrolling it so the head lands on index
+// zero.
+func (q *Queue) growLane() {
+	ring := make([]*item, 2*len(q.lane))
+	k := copy(ring, q.lane[q.laneHead:])
+	copy(ring[k:], q.lane[:q.laneHead])
+	q.lane, q.laneHead = ring, 0
+}
+
+// popLane removes the lane head.
+func (q *Queue) popLane() {
+	q.lane[q.laneHead] = nil
+	q.laneHead = (q.laneHead + 1) & (len(q.lane) - 1)
+	q.laneLen--
 }

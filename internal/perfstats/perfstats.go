@@ -21,8 +21,12 @@ import (
 type Snapshot struct {
 	// Runs counts completed simulation runs.
 	Runs uint64
-	// Events counts discrete events executed.
-	Events uint64
+	// Events counts discrete events executed. LaneEvents of them came off
+	// the event queue's O(1) fixed-delay lane (block arrivals) and HeapEvents
+	// off its heap; the two sum to Events.
+	Events     uint64
+	LaneEvents uint64
+	HeapEvents uint64
 	// RingSearches counts ring searches; SearchNodesVisited and
 	// SearchWantsChecked aggregate their traversal cost.
 	RingSearches       uint64
@@ -56,6 +60,8 @@ var global struct {
 
 	medRPCs, medInflight, medPeak atomic.Uint64
 	stripesGranted, stripesReass  atomic.Uint64
+
+	laneEvents, heapEvents atomic.Uint64
 }
 
 // MedRPCStart records a mediator RPC entering flight, maintaining the peak
@@ -87,6 +93,8 @@ func AddStripeReassigned() { global.stripesReass.Add(1) }
 func AddRun(s Snapshot) {
 	global.runs.Add(s.Runs)
 	global.events.Add(s.Events)
+	global.laneEvents.Add(s.LaneEvents)
+	global.heapEvents.Add(s.HeapEvents)
 	global.searches.Add(s.RingSearches)
 	global.nodes.Add(s.SearchNodesVisited)
 	global.wants.Add(s.SearchWantsChecked)
@@ -101,6 +109,8 @@ func Current() Snapshot {
 	return Snapshot{
 		Runs:               global.runs.Load(),
 		Events:             global.events.Load(),
+		LaneEvents:         global.laneEvents.Load(),
+		HeapEvents:         global.heapEvents.Load(),
 		RingSearches:       global.searches.Load(),
 		SearchNodesVisited: global.nodes.Load(),
 		SearchWantsChecked: global.wants.Load(),
@@ -120,6 +130,8 @@ func Current() Snapshot {
 func Reset() {
 	global.runs.Store(0)
 	global.events.Store(0)
+	global.laneEvents.Store(0)
+	global.heapEvents.Store(0)
 	global.searches.Store(0)
 	global.nodes.Store(0)
 	global.wants.Store(0)
@@ -139,6 +151,8 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{
 		Runs:               s.Runs - t.Runs,
 		Events:             s.Events - t.Events,
+		LaneEvents:         s.LaneEvents - t.LaneEvents,
+		HeapEvents:         s.HeapEvents - t.HeapEvents,
 		RingSearches:       s.RingSearches - t.RingSearches,
 		SearchNodesVisited: s.SearchNodesVisited - t.SearchNodesVisited,
 		SearchWantsChecked: s.SearchWantsChecked - t.SearchWantsChecked,
@@ -181,6 +195,10 @@ func (t *Timer) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf: %d run(s) in %.2fs wall\n", s.Runs, wall)
 	fmt.Fprintf(&b, "perf: events     %d (%.0f events/s)\n", s.Events, rate(s.Events, wall))
+	if s.Events > 0 {
+		fmt.Fprintf(&b, "perf: eventq     %d lane (%.1f%%), %d heap\n",
+			s.LaneEvents, 100*float64(s.LaneEvents)/float64(s.Events), s.HeapEvents)
+	}
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
 	if s.Domains > 0 {

@@ -9,10 +9,10 @@ import (
 
 func TestAddRunAndCurrent(t *testing.T) {
 	Reset()
-	AddRun(Snapshot{Runs: 1, Events: 100, RingSearches: 5, SearchNodesVisited: 50, SearchWantsChecked: 20, RingsStarted: 2})
-	AddRun(Snapshot{Runs: 1, Events: 900, RingSearches: 5, SearchNodesVisited: 10, SearchWantsChecked: 30, RingsStarted: 1})
+	AddRun(Snapshot{Runs: 1, Events: 100, LaneEvents: 90, HeapEvents: 10, RingSearches: 5, SearchNodesVisited: 50, SearchWantsChecked: 20, RingsStarted: 2})
+	AddRun(Snapshot{Runs: 1, Events: 900, LaneEvents: 800, HeapEvents: 100, RingSearches: 5, SearchNodesVisited: 10, SearchWantsChecked: 30, RingsStarted: 1})
 	got := Current()
-	want := Snapshot{Runs: 2, Events: 1000, RingSearches: 10, SearchNodesVisited: 60, SearchWantsChecked: 50, RingsStarted: 3}
+	want := Snapshot{Runs: 2, Events: 1000, LaneEvents: 890, HeapEvents: 110, RingSearches: 10, SearchNodesVisited: 60, SearchWantsChecked: 50, RingsStarted: 3}
 	if got != want {
 		t.Fatalf("Current() = %+v, want %+v", got, want)
 	}
@@ -23,10 +23,10 @@ func TestAddRunAndCurrent(t *testing.T) {
 }
 
 func TestSub(t *testing.T) {
-	a := Snapshot{Runs: 5, Events: 500, RingSearches: 50, SearchNodesVisited: 40, SearchWantsChecked: 30, RingsStarted: 20}
-	b := Snapshot{Runs: 2, Events: 100, RingSearches: 10, SearchNodesVisited: 10, SearchWantsChecked: 10, RingsStarted: 5}
+	a := Snapshot{Runs: 5, Events: 500, LaneEvents: 450, HeapEvents: 50, RingSearches: 50, SearchNodesVisited: 40, SearchWantsChecked: 30, RingsStarted: 20}
+	b := Snapshot{Runs: 2, Events: 100, LaneEvents: 80, HeapEvents: 20, RingSearches: 10, SearchNodesVisited: 10, SearchWantsChecked: 10, RingsStarted: 5}
 	got := a.Sub(b)
-	want := Snapshot{Runs: 3, Events: 400, RingSearches: 40, SearchNodesVisited: 30, SearchWantsChecked: 20, RingsStarted: 15}
+	want := Snapshot{Runs: 3, Events: 400, LaneEvents: 370, HeapEvents: 30, RingSearches: 40, SearchNodesVisited: 30, SearchWantsChecked: 20, RingsStarted: 15}
 	if got != want {
 		t.Fatalf("Sub = %+v, want %+v", got, want)
 	}
@@ -38,9 +38,9 @@ func TestTimerScopesInterval(t *testing.T) {
 	Reset()
 	AddRun(Snapshot{Runs: 1, Events: 11111})
 	timer := StartTimer()
-	AddRun(Snapshot{Runs: 1, Events: 42, RingSearches: 7, RingsStarted: 3})
+	AddRun(Snapshot{Runs: 1, Events: 42, LaneEvents: 21, HeapEvents: 21, RingSearches: 7, RingsStarted: 3})
 	rep := timer.Report()
-	for _, want := range []string{"1 run(s)", "events     42", "searches   7", "3 rings started", "alloc"} {
+	for _, want := range []string{"1 run(s)", "events     42", "eventq     21 lane (50.0%), 21 heap", "searches   7", "3 rings started", "alloc"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}

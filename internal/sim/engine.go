@@ -33,11 +33,15 @@ import (
 // order, pointer values, or wall-clock time. Performance work must preserve
 // all three properties; see the package tests that pin them.
 type Sim struct {
-	cfg   Config
-	q     *eventq.Queue
-	r     *rng.RNG
-	cat   *catalog.Catalog
-	peers []*peerState
+	cfg Config
+	q   *eventq.Queue
+	// blocks is the queue's fixed-delay lane: every block arrival is exactly
+	// one block service time away (fixed slot rate, fixed block size), so
+	// the run's dominant event never touches the heap.
+	blocks *eventq.Lane
+	r      *rng.RNG
+	cat    *catalog.Catalog
+	peers  []*peerState
 	// holders indexes object -> online sharing peers storing it; wanters
 	// indexes object -> peers with a pending download for it, so evictions
 	// can scrub stale provider sets. Both iterate in ascending peer-id order,
@@ -45,7 +49,21 @@ type Sim struct {
 	holders *index.Multimap[catalog.ObjectID, core.PeerID]
 	wanters *index.Multimap[catalog.ObjectID, core.PeerID]
 	graph   core.Graph
-	col     *collector
+	// demandGen is the generation every peer's cached in-edge list is
+	// checked against (peerState.adj); advancing it invalidates them all. It
+	// advances when a requester's side of an edge changes with no server-side
+	// mutation to mark the affected servers: a peer going online or offline,
+	// and — once orphaned is set — any pending download added or removed.
+	demandGen uint64
+	// orphaned records that this engine abandoned a download without
+	// withdrawing its registered requests (a sharded domain's remote stall
+	// timeout does). Until then every IRQ entry's requester has a pending
+	// download for the entry's object — entries are created under one and
+	// withdrawn with it (CheckInvariants asserts this) — so adding or
+	// removing a pending download cannot flip an existing entry's liveness.
+	// Afterwards it can, from servers nobody can enumerate.
+	orphaned bool
+	col      *collector
 
 	ulSlots, dlSlots int
 	// mix is the run's population mix (peers hold pointers into it) and
@@ -132,9 +150,15 @@ func New(cfg Config) (*Sim, error) {
 // order — interest, initial store, storage capacity per peer, then the burst
 // stagger and whitewash jitter — is exactly the order New has always used.
 func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix, classOf []int, sc *shardCtx) (*Sim, error) {
+	q := eventq.New()
+	blocks, err := q.NewLane(cfg.BlockKbits / cfg.SlotKbps)
+	if err != nil {
+		return nil, fmt.Errorf("sim: block lane: %w", err)
+	}
 	s := &Sim{
 		cfg:     cfg,
-		q:       eventq.New(),
+		q:       q,
+		blocks:  blocks,
 		r:       engRNG,
 		cat:     cat,
 		holders: index.NewMultimap[catalog.ObjectID, core.PeerID](),
@@ -144,6 +168,8 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
 		sc:      sc,
+
+		demandGen: 1, // peers start at adjGen 0: nothing cached
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -171,15 +197,13 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 			online:   true,
 			ulSlots:  st.SlotCap(s.ulSlots),
 			interest: cat.NewInterest(engRNG),
-			store:    make(map[catalog.ObjectID]bool),
-			pending:  make(map[catalog.ObjectID]*download),
 			irqIndex: make(map[irqKey]*request),
 			storeCap: engRNG.IntRange(cfg.StorageMinObjects, cfg.StorageMaxObjects),
 		}
 		// Replay seeds stores exclusively from the trace's hold events.
 		if cfg.Trace == nil {
 			for _, o := range cat.InitialStore(p.interest, p.storeCap, engRNG) {
-				p.store[o] = true
+				p.addObject(o)
 				if p.sharing {
 					s.addHolder(o, p.id)
 				}
@@ -267,6 +291,8 @@ func (s *Sim) Run() (*Result, error) {
 	perfstats.AddRun(perfstats.Snapshot{
 		Runs:               1,
 		Events:             res.Events,
+		LaneEvents:         s.q.LaneFired(),
+		HeapEvents:         s.q.Fired() - s.q.LaneFired(),
 		RingSearches:       uint64(res.RingSearches),
 		SearchNodesVisited: uint64(res.SearchNodesVisited),
 		SearchWantsChecked: uint64(res.SearchWantsChecked),
@@ -333,25 +359,84 @@ func (s *Sim) after(delay float64, fn func(now float64)) {
 	}
 }
 
-// adjacency returns the live, unserved in-edges of a peer for ring searches.
-func (s *Sim) adjacency(pid core.PeerID) []core.Edge {
+// adjacency is the ring search's view of a peer's in-edges (core.Graph.Adj).
+// limit is always the graph's Fanout, so one cached list per peer serves
+// every call: a depth-first search revisits the same peers over many paths,
+// and consecutive searches mostly run between mutations, so the list is
+// rebuilt only when its generation stamp says something it reads changed.
+func (s *Sim) adjacency(pid core.PeerID, limit int) []core.Edge {
 	p := s.peers[pid]
-	es := p.adjScratch[:0]
+	if p.adjGen != s.demandGen {
+		p.adj = s.liveEdges(p, limit, p.adj[:0])
+		p.adjGen = s.demandGen
+	}
+	return p.adj
+}
+
+// liveEdges appends to dst the live, unserved in-edges of p in IRQ order. A
+// positive limit stops the scan at the limit-th live edge: the search
+// explores no more than its fanout per node, and the queue behind that point
+// (up to IRQCapacity entries) is never looked at.
+func (s *Sim) liveEdges(p *peerState, limit int, dst []core.Edge) []core.Edge {
 	for _, e := range p.irq {
 		if e.session != nil {
 			continue
 		}
-		if !p.store[e.object] {
+		if !p.has(e.object) {
 			continue // evicted since registration; cannot anchor a ring
 		}
 		q := s.peers[e.requester]
-		if !q.online || q.pending[e.object] == nil {
+		if !q.online || q.pendingFor(e.object) == nil {
 			continue
 		}
-		es = append(es, core.Edge{Peer: e.requester, Object: e.object})
+		dst = append(dst, core.Edge{Peer: e.requester, Object: e.object})
+		if len(dst) == limit {
+			break
+		}
 	}
-	p.adjScratch = es
-	return es
+	return dst
+}
+
+// addPending registers a new download at p and in the wanters index.
+func (s *Sim) addPending(p *peerState, dl *download) {
+	p.pending = append(p.pending, dl)
+	s.wanters.Add(dl.object, p.id)
+	if s.orphaned {
+		s.demandGen++
+	}
+}
+
+// removePending unregisters p's download of obj (completed or abandoned).
+func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
+	for i, dl := range p.pending {
+		if dl.object == obj {
+			p.pending = slices.Delete(p.pending, i, i+1)
+			break
+		}
+	}
+	s.wanters.Remove(obj, p.id)
+	if s.orphaned {
+		s.demandGen++
+	}
+}
+
+// setOnline flips p's presence. Its queued requests elsewhere turn dead or
+// live with it, so every cached in-edge list is invalidated.
+func (s *Sim) setOnline(p *peerState, online bool) {
+	p.online = online
+	s.demandGen++
+}
+
+// dropQueue discards p's whole incoming request queue; requesters will be
+// served elsewhere or retry.
+func (s *Sim) dropQueue(p *peerState) {
+	for i, e := range p.irq {
+		s.retireRequest(e)
+		p.irq[i] = nil
+	}
+	p.irq = p.irq[:0]
+	clear(p.irqIndex)
+	p.adjGen = 0
 }
 
 // --- holder index -----------------------------------------------------
@@ -382,7 +467,7 @@ func (s *Sim) issueRequests(p *peerState) {
 func (s *Sim) attemptRequest(p *peerState) bool {
 	const sampleTries = 8
 	excluded := func(o catalog.ObjectID) bool {
-		return p.store[o] || p.pending[o] != nil
+		return p.has(o) || p.pendingFor(o) != nil
 	}
 	for t := 0; t < sampleTries; t++ {
 		obj, ok := s.cat.SampleMiss(p.interest, s.r, excluded, 64)
@@ -443,12 +528,11 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	// p's IRQ that holds obj qualifies even if the lookup missed it.
 	for _, e := range p.irq {
 		q := s.peers[e.requester]
-		if q.sharing && q.online && q.store[obj] {
+		if q.sharing && q.online && q.has(obj) {
 			dl.providers[e.requester] = true
 		}
 	}
-	p.addPending(dl)
-	s.wanters.Add(obj, p.id)
+	s.addPending(p, dl)
 	if p.strat.Adaptive {
 		// Adaptive free-riders contribute only while refused: arm a starvation
 		// check that flips the peer to contributing if this download is still
@@ -503,9 +587,9 @@ func (s *Sim) sendRequest(p, server *peerState, dl *download) {
 	dl.requestedFrom = append(dl.requestedFrom, server.id)
 	// The new requester may directly hold objects the server wants.
 	if p.sharing {
-		for _, obj := range server.pendingOrder {
-			if p.store[obj] {
-				server.pending[obj].providers[p.id] = true
+		for _, sdl := range server.pending {
+			if p.has(sdl.object) {
+				sdl.providers[p.id] = true
 			}
 		}
 	}
@@ -578,9 +662,9 @@ func (s *Sim) validateRing(ring *core.Ring) string {
 			return "member-offline"
 		case !pm.sharing:
 			return "member-not-sharing"
-		case !pm.store[m.Gives]:
+		case !pm.has(m.Gives):
 			return "object-gone"
-		case np.pending[m.Gives] == nil:
+		case np.pendingFor(m.Gives) == nil:
 			return "successor-lost-interest"
 		}
 		if !pm.hasFreeUploadSlot() {
@@ -641,9 +725,9 @@ func (s *Sim) startRing(ring *core.Ring) {
 			// a request to; register the implicit request now (it is served
 			// immediately, bypassing queue capacity).
 			entry = s.newRequest(dst.id, m.Gives, now)
-			src.irq = append(src.irq, entry)
-			src.irqIndex[irqKey{requester: dst.id, object: m.Gives}] = entry
-			dst.pending[m.Gives].requestedFrom = append(dst.pending[m.Gives].requestedFrom, src.id)
+			src.pushIRQ(entry)
+			dl := dst.pendingFor(m.Gives)
+			dl.requestedFrom = append(dl.requestedFrom, src.id)
 		}
 		sess := s.startSession(src, dst, m.Gives, n, rs, entry)
 		rs.sessions = append(rs.sessions, sess)
@@ -675,9 +759,10 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.ringSize = ringSize
 	sess.ring = rs
 	sess.entry = entry
-	sess.dl = dst.pending[obj]
+	sess.dl = dst.pendingFor(obj)
 	sess.startAt = s.q.Now()
 	entry.session = sess
+	src.adjGen = 0
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
@@ -685,14 +770,11 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	return sess
 }
 
-// scheduleBlock arms the session's next block-arrival event. The session is
-// its own eventq.Event, so the per-block hot path allocates nothing.
+// scheduleBlock arms the session's next block-arrival event on the
+// fixed-delay lane. The session is its own eventq.Event, so the per-block
+// hot path neither allocates nor sifts a heap.
 func (s *Sim) scheduleBlock(sess *session) {
-	h, err := s.q.After(s.cfg.BlockKbits/s.cfg.SlotKbps, sess)
-	if err != nil {
-		panic(fmt.Sprintf("sim: internal scheduling error: %v", err))
-	}
-	sess.blockEv = h
+	sess.blockEv = s.blocks.Schedule(sess)
 }
 
 func (s *Sim) onBlock(sess *session) {
@@ -745,6 +827,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 		sess.dl.sessions = removeSession(sess.dl.sessions, sess)
 		if sess.entry != nil && sess.entry.session == sess {
 			sess.entry.session = nil
+			src.adjGen = 0
 		}
 	}
 	s.col.sessionDone(s.q.Now(), sess)
@@ -783,10 +866,11 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 
 	// Ordering matters: clear the pending state and register the new
 	// holding first, so any scheduling triggered by the teardown below sees
-	// a consistent world in which this download is finished.
-	p.removePending(dl.object)
-	s.wanters.Remove(dl.object, p.id)
-	p.store[dl.object] = true
+	// a consistent world in which this download is finished. Nothing may
+	// search between removePending and the withdrawal loop: until the
+	// entries are dropped, servers' cached in-edges still list them.
+	s.removePending(p, dl.object)
+	p.addObject(dl.object)
 	if p.sharing {
 		s.addHolder(dl.object, p.id)
 	}
@@ -823,28 +907,24 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 // regularly examines its incoming request queue" in the paper; here the
 // examination is event-driven).
 //
-// Iterating pendingOrder and requestedFrom directly is safe: the exchange
+// Iterating pending and requestedFrom directly is safe: the exchange
 // attempts below can append to requestedFrom (ring-implicit requests) but
 // nothing on their call path removes a pending download or an entry of
 // requestedFrom, and range evaluates each slice once — appends land beyond
 // the captured length, exactly as with the defensive copies this replaced.
 func (s *Sim) announceNewHolding(p *peerState, obj catalog.ObjectID) {
-	for _, po := range p.pendingOrder {
-		dl := p.pending[po]
-		if dl == nil {
-			continue
-		}
+	for _, dl := range p.pending {
 		for _, srvID := range dl.requestedFrom {
 			srv := s.peers[srvID]
 			if !srv.online {
 				continue
 			}
-			srvDl := srv.pending[obj]
+			srvDl := srv.pendingFor(obj)
 			if srvDl == nil {
 				continue
 			}
 			srvDl.providers[p.id] = true
-			s.tryExchange(srv, srv.wantFor(srvDl), &core.Edge{Peer: p.id, Object: po})
+			s.tryExchange(srv, srv.wantFor(srvDl), &core.Edge{Peer: p.id, Object: dl.object})
 		}
 	}
 }
@@ -890,10 +970,10 @@ func (s *Sim) pickWaiting(p *peerState) *request {
 			continue
 		}
 		dst := s.peers[e.requester]
-		if !dst.online || dst.pending[e.object] == nil {
+		if !dst.online || dst.pendingFor(e.object) == nil {
 			continue
 		}
-		if !p.store[e.object] {
+		if !p.has(e.object) {
 			continue // evicted since registration
 		}
 		if !dst.hasFreeDownloadSlot(s.dlSlots) {
@@ -919,10 +999,10 @@ func (s *Sim) pickWaiting(p *peerState) *request {
 // exchange; deleting an object terminates its non-exchange uploads.
 func (s *Sim) evictionSweep(float64) {
 	for _, p := range s.peers {
-		if !p.online || len(p.store) <= p.storeCap {
+		if !p.online || p.store.Len() <= p.storeCap {
 			continue
 		}
-		s.evictFrom(p, len(p.store)-p.storeCap)
+		s.evictFrom(p, p.store.Len()-p.storeCap)
 	}
 	s.after(s.cfg.EvictionInterval, s.evictionSweep)
 }
@@ -930,17 +1010,17 @@ func (s *Sim) evictionSweep(float64) {
 func (s *Sim) evictFrom(p *peerState, excess int) {
 	// Candidates are every stored object not currently given away in an
 	// exchange; the uploads slice is bounded by the slot count, so scanning
-	// it per object beats building a lookup set.
+	// it per object beats building a lookup set. The store iterates in
+	// ascending id order, which is the deterministic candidate order the
+	// shuffle's RNG draws depend on.
 	cands := s.objScratch[:0]
-	for o := range p.store {
+	p.store.ForEach(func(o catalog.ObjectID) bool {
 		if !p.uploadsInExchange(o) {
 			cands = append(cands, o)
 		}
-	}
+		return true
+	})
 	s.objScratch = cands
-	// Map iteration order is nondeterministic; sorting before the shuffle
-	// restores the deterministic candidate order the RNG draw depends on.
-	slices.Sort(cands)
 	s.r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	if excess > len(cands) {
 		excess = len(cands)
@@ -957,14 +1037,14 @@ func (s *Sim) evictFrom(p *peerState, excess int) {
 		if p.uploadsInExchange(o) {
 			continue
 		}
-		delete(p.store, o)
+		p.removeObject(o)
 		if p.sharing {
 			s.removeHolder(o, p.id)
 			// Scrub stale provider knowledge so ring searches stop closing
 			// through a holder that no longer exists.
 			if ws := s.wanters.Get(o); ws != nil {
 				ws.ForEach(func(w core.PeerID) bool {
-					if dl := s.peers[w].pending[o]; dl != nil {
+					if dl := s.peers[w].pendingFor(o); dl != nil {
 						delete(dl.providers, p.id)
 					}
 					return true
@@ -994,7 +1074,7 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 	if !p.online {
 		return
 	}
-	p.online = false
+	s.setOnline(p, false)
 	// Snapshot both transfer lists: terminations mutate them underneath us,
 	// and a ring dissolution can terminate several of p's sessions at once.
 	ups := append(s.sessScratch[:0], p.uploads...)
@@ -1007,34 +1087,26 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 	for _, sess := range downs {
 		s.terminateSession(sess, true)
 	}
-	// Withdraw our registered requests from other peers' queues. The
-	// snapshot is required: removePending mutates pendingOrder in place.
-	objs := append(s.objScratch[:0], p.pendingOrder...)
-	s.objScratch = objs
-	for _, obj := range objs {
-		dl := p.pending[obj]
+	// Withdraw our registered requests from other peers' queues, oldest
+	// download first.
+	for len(p.pending) > 0 {
+		dl := p.pending[0]
 		for _, srv := range dl.requestedFrom {
-			if req := s.peers[srv].dropIRQ(p.id, obj); req != nil {
+			if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
 				s.retireRequest(req)
 			}
 		}
 		if s.sc != nil {
 			s.cancelRemoteFeeds(p, dl)
 		}
-		p.removePending(obj)
-		s.wanters.Remove(obj, p.id)
+		s.removePending(p, dl.object)
 	}
 	// Queued cross-domain demand dies with the peer; the far-side requesters
 	// recover via their stall timeout.
 	p.remoteQ = p.remoteQ[:0]
-	// Drop our queue; requesters will be served elsewhere or retry. Every
-	// entry is unserved by now (the upload terminations above released them).
-	for i, e := range p.irq {
-		s.retireRequest(e)
-		p.irq[i] = nil
-	}
-	p.irq = p.irq[:0]
-	clear(p.irqIndex)
+	// Every entry is unserved by now (the upload terminations above released
+	// them).
+	s.dropQueue(p)
 	if p.sharing {
 		s.unindexStoredObjects(p)
 	}
@@ -1050,7 +1122,7 @@ func (s *Sim) RejoinPeer(id core.PeerID) {
 	if p.online {
 		return
 	}
-	p.online = true
+	s.setOnline(p, true)
 	if p.sharing {
 		s.indexStoredObjects(p)
 	}
@@ -1060,20 +1132,18 @@ func (s *Sim) RejoinPeer(id core.PeerID) {
 // indexStoredObjects enters every object in p's store into the holder
 // index, and unindexStoredObjects removes them — the shared step of going
 // online/offline and of flipping between contributing and free-riding.
-// Bitset add/remove is commutative and the loop body draws nothing from the
-// RNG, so the map's randomized visit order cannot leak into behavior.
 func (s *Sim) indexStoredObjects(p *peerState) {
-	//barter:allow maprange holder-bitset adds are commutative; no RNG draw or output sees the visit order
-	for o := range p.store {
+	p.store.ForEach(func(o catalog.ObjectID) bool {
 		s.addHolder(o, p.id)
-	}
+		return true
+	})
 }
 
 func (s *Sim) unindexStoredObjects(p *peerState) {
-	//barter:allow maprange holder-bitset removes are commutative; no RNG draw or output sees the visit order
-	for o := range p.store {
+	p.store.ForEach(func(o catalog.ObjectID) bool {
 		s.removeHolder(o, p.id)
-	}
+		return true
+	})
 }
 
 // --- strategy machinery ------------------------------------------------------
@@ -1085,7 +1155,7 @@ func (s *Sim) adaptiveCheck(p *peerState, dl *download) {
 	if !p.online || p.sharing {
 		return
 	}
-	if p.pending[dl.object] != dl {
+	if p.pendingFor(dl.object) != dl {
 		return // completed or abandoned in the meantime
 	}
 	s.startContributing(p)
@@ -1095,8 +1165,8 @@ func (s *Sim) adaptiveCheck(p *peerState, dl *download) {
 // been waiting longer than the patience window.
 func (s *Sim) anyStarvedPending(p *peerState, now float64) bool {
 	patience := s.cfg.adaptivePatience()
-	for _, obj := range p.pendingOrder {
-		if now-p.pending[obj].requestedAt >= patience {
+	for _, dl := range p.pending {
+		if now-dl.requestedAt >= patience {
 			return true
 		}
 	}
@@ -1133,12 +1203,7 @@ func (s *Sim) stopContributing(p *peerState) {
 	for _, up := range ups {
 		s.terminateSession(up, true)
 	}
-	for i, e := range p.irq {
-		s.retireRequest(e)
-		p.irq[i] = nil
-	}
-	p.irq = p.irq[:0]
-	clear(p.irqIndex)
+	s.dropQueue(p)
 	// A free-rider serves no one, cross-domain requesters included.
 	p.remoteQ = p.remoteQ[:0]
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -37,16 +38,13 @@ func (s *Sim) checkPeer(p *peerState) error {
 	if len(p.pending) > s.cfg.MaxPending {
 		return fmt.Errorf("%d pending downloads exceed max %d", len(p.pending), s.cfg.MaxPending)
 	}
-	if len(p.pending) != len(p.pendingOrder) {
-		return fmt.Errorf("pending map (%d) and order (%d) diverged", len(p.pending), len(p.pendingOrder))
-	}
 	if !p.online && (len(p.pending) != 0 || len(p.irq) != 0 || len(p.uploads) != 0 || len(p.downloads) != 0) {
 		return fmt.Errorf("offline peer retains transfer state")
 	}
-	for _, obj := range p.pendingOrder {
-		dl := p.pending[obj]
-		if dl == nil {
-			return fmt.Errorf("pendingOrder lists %d but map lacks it", obj)
+	for _, dl := range p.pending {
+		obj := dl.object
+		if p.pendingFor(obj) != dl {
+			return fmt.Errorf("pending lists object %d twice", obj)
 		}
 		if dl.receivedKbits >= s.cfg.ObjectKbits {
 			return fmt.Errorf("download %d complete (%v kbits) but still pending", obj, dl.receivedKbits)
@@ -68,7 +66,7 @@ func (s *Sim) checkPeer(p *peerState) error {
 		if sess.src != p.id {
 			return fmt.Errorf("upload session src %d != peer", sess.src)
 		}
-		if !p.store[sess.object] {
+		if !p.has(sess.object) {
 			return fmt.Errorf("uploading object %d not in store", sess.object)
 		}
 		if !p.sharing {
@@ -88,7 +86,7 @@ func (s *Sim) checkPeer(p *peerState) error {
 		if sess.dst != p.id {
 			return fmt.Errorf("download session dst %d != peer", sess.dst)
 		}
-		if p.pending[sess.object] == nil {
+		if p.pendingFor(sess.object) == nil {
 			return fmt.Errorf("download session for non-pending object %d", sess.object)
 		}
 	}
@@ -103,11 +101,41 @@ func (s *Sim) checkPeer(p *peerState) error {
 		if e.session != nil && e.session.closed {
 			return fmt.Errorf("irq entry linked to closed session")
 		}
+		if q := s.peers[e.requester]; !s.orphaned && (!q.online || q.pendingFor(e.object) == nil) {
+			return fmt.Errorf("irq entry (%d, %d) outlived its download", e.requester, e.object)
+		}
 	}
 	// Implicit ring entries may exceed queue capacity by at most the number
 	// of upload slots.
 	if len(p.irq) > s.cfg.IRQCapacity+s.ulSlots {
 		return fmt.Errorf("irq length %d exceeds capacity %d plus slots", len(p.irq), s.cfg.IRQCapacity)
+	}
+	bits := 0
+	p.store.ForEach(func(catalog.ObjectID) bool { bits++; return true })
+	if bits != p.store.Len() {
+		return fmt.Errorf("store counts %d objects but has %d bits set", p.store.Len(), bits)
+	}
+	return s.checkAdjacency(p)
+}
+
+// checkAdjacency verifies the two shortcuts ring searches take against the
+// plain full scan of the IRQ: stopping at the fanout must yield exactly a
+// prefix of the full list (never a reordering or a different selection), and
+// a cached list whose generation stamp claims validity must equal a rebuild
+// — a mutation site that forgot to invalidate shows up here.
+func (s *Sim) checkAdjacency(p *peerState) error {
+	full := s.liveEdges(p, 0, nil)
+	for _, limit := range []int{1, s.cfg.SearchFanout, len(full), len(full) + 1} {
+		if limit <= 0 {
+			continue
+		}
+		got := s.liveEdges(p, limit, nil)
+		if !slices.Equal(got, full[:min(limit, len(full))]) {
+			return fmt.Errorf("in-edges with limit %d are not a prefix of the %d-edge list", limit, len(full))
+		}
+	}
+	if p.adjGen == s.demandGen && !slices.Equal(p.adj, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
+		return fmt.Errorf("cached in-edge list is stale: %v", p.adj)
 	}
 	return nil
 }
@@ -127,7 +155,7 @@ func (s *Sim) checkHolders() error {
 				err = fmt.Errorf("non-sharing peer %d indexed as holder of %d", id, obj)
 			case !p.online:
 				err = fmt.Errorf("offline peer %d indexed as holder of %d", id, obj)
-			case !p.store[obj]:
+			case !p.has(obj):
 				err = fmt.Errorf("peer %d indexed as holder of %d it does not store", id, obj)
 			}
 			return err == nil
@@ -141,11 +169,14 @@ func (s *Sim) checkHolders() error {
 		if !p.sharing || !p.online {
 			continue
 		}
-		//barter:allow maprange validation sweep: visits every entry, mutates nothing; order only picks which of several violations reports first
-		for obj := range p.store {
+		p.store.ForEach(func(obj catalog.ObjectID) bool {
 			if !s.holders.Contains(obj, p.id) {
-				return fmt.Errorf("sharing peer %d stores %d but is not indexed", p.id, obj)
+				err = fmt.Errorf("sharing peer %d stores %d but is not indexed", p.id, obj)
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -158,7 +189,7 @@ func (s *Sim) checkWanters() error {
 	var err error
 	s.wanters.ForEachKey(func(obj catalog.ObjectID, ws *index.Set[core.PeerID]) bool {
 		ws.ForEach(func(id core.PeerID) bool {
-			if s.peers[id].pending[obj] == nil {
+			if s.peers[id].pendingFor(obj) == nil {
 				err = fmt.Errorf("peer %d indexed as wanter of %d without a pending download", id, obj)
 			}
 			return err == nil
@@ -169,9 +200,9 @@ func (s *Sim) checkWanters() error {
 		return err
 	}
 	for _, p := range s.peers {
-		for _, obj := range p.pendingOrder {
-			if !s.wanters.Contains(obj, p.id) {
-				return fmt.Errorf("peer %d pending download of %d not in wanters index", p.id, obj)
+		for _, dl := range p.pending {
+			if !s.wanters.Contains(dl.object, p.id) {
+				return fmt.Errorf("peer %d pending download of %d not in wanters index", p.id, dl.object)
 			}
 		}
 	}

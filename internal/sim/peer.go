@@ -4,6 +4,7 @@ import (
 	"barter/internal/catalog"
 	"barter/internal/core"
 	"barter/internal/eventq"
+	"barter/internal/index"
 	"barter/internal/strategy"
 )
 
@@ -112,15 +113,33 @@ type peerState struct {
 	ulSlots int
 
 	interest *catalog.Interest
-	store    map[catalog.ObjectID]bool
+	// store is the set of objects the peer holds: a bitset over the
+	// catalog's dense object ids, so membership is a shift and a mask on the
+	// ring-search hot path and iteration is in ascending id order. Mutate it
+	// through addObject/removeObject only (they invalidate adj).
+	store    index.Set[catalog.ObjectID]
 	storeCap int
 
-	// pending downloads; pendingOrder keeps deterministic want ordering.
-	pending      map[catalog.ObjectID]*download
-	pendingOrder []catalog.ObjectID
+	// pending lists the outstanding downloads in issue order, which is the
+	// deterministic want order of ring searches. It never exceeds MaxPending
+	// entries, so a linear scan beats any keyed structure. Mutate it through
+	// Sim.addPending/removePending only.
+	pending []*download
 
+	// irq is the incoming request queue in arrival order, irqIndex its
+	// (requester, object) lookup. Mutate them through pushIRQ/dropIRQ/
+	// Sim.dropQueue only (they invalidate adj).
 	irq      []*request
 	irqIndex map[irqKey]*request
+
+	// adj caches the peer's live in-edge list as ring searches see it (see
+	// Sim.adjacency): valid while adjGen equals the engine's demandGen.
+	// Anything that changes this peer's own side of the list — its IRQ, an
+	// entry's session link, its store — zeroes adjGen; a change on a
+	// requester's side that no server-side mutation accompanies advances
+	// Sim.demandGen instead and so invalidates every peer.
+	adj    []core.Edge
+	adjGen uint64
 
 	uploads   []*session
 	downloads []*session
@@ -132,8 +151,6 @@ type peerState struct {
 
 	// retryEv is the pending lookup-retry event, if any.
 	retryEv eventq.Handle
-	// adjacency scratch reused across ring searches.
-	adjScratch []core.Edge
 	// wantScratch and want1 back wants()/wantFor(); see those methods for
 	// why reuse is safe.
 	wantScratch []core.Want
@@ -179,21 +196,29 @@ func removeSession(ss []*session, s *session) []*session {
 	return ss
 }
 
-// addPending registers a new download.
-func (p *peerState) addPending(dl *download) {
-	p.pending[dl.object] = dl
-	p.pendingOrder = append(p.pendingOrder, dl.object)
-}
-
-// removePending unregisters a download (completed or abandoned).
-func (p *peerState) removePending(obj catalog.ObjectID) {
-	delete(p.pending, obj)
-	for i, o := range p.pendingOrder {
-		if o == obj {
-			p.pendingOrder = append(p.pendingOrder[:i], p.pendingOrder[i+1:]...)
-			return
+// pendingFor returns the peer's outstanding download of obj, or nil.
+func (p *peerState) pendingFor(obj catalog.ObjectID) *download {
+	for _, dl := range p.pending {
+		if dl.object == obj {
+			return dl
 		}
 	}
+	return nil
+}
+
+// has reports whether the peer stores obj.
+func (p *peerState) has(obj catalog.ObjectID) bool { return p.store.Contains(obj) }
+
+// addObject stores obj and reports whether it was absent.
+func (p *peerState) addObject(obj catalog.ObjectID) bool {
+	p.adjGen = 0
+	return p.store.Add(obj)
+}
+
+// removeObject deletes obj from the store.
+func (p *peerState) removeObject(obj catalog.ObjectID) {
+	p.adjGen = 0
+	p.store.Remove(obj)
 }
 
 // wants materializes the peer's current wants for a ring search, in
@@ -203,9 +228,8 @@ func (p *peerState) removePending(obj catalog.ObjectID) {
 // peer while one is in use.
 func (p *peerState) wants() []core.Want {
 	out := p.wantScratch[:0]
-	for _, obj := range p.pendingOrder {
-		dl := p.pending[obj]
-		out = append(out, core.Want{Object: obj, Providers: dl.providers})
+	for _, dl := range p.pending {
+		out = append(out, core.Want{Object: dl.object, Providers: dl.providers})
 	}
 	p.wantScratch = out
 	return out
@@ -229,9 +253,16 @@ func (p *peerState) addIRQ(req *request, capacity int) *request {
 	if len(p.irq) >= capacity {
 		return nil
 	}
-	p.irq = append(p.irq, req)
-	p.irqIndex[k] = req
+	p.pushIRQ(req)
 	return req
+}
+
+// pushIRQ appends an entry unconditionally (ring-implicit requests bypass
+// queue capacity).
+func (p *peerState) pushIRQ(req *request) {
+	p.irq = append(p.irq, req)
+	p.irqIndex[irqKey{requester: req.requester, object: req.object}] = req
+	p.adjGen = 0
 }
 
 // dropIRQ removes the entry for (requester, object), if present.
@@ -242,6 +273,7 @@ func (p *peerState) dropIRQ(requester core.PeerID, object catalog.ObjectID) *req
 		return nil
 	}
 	delete(p.irqIndex, k)
+	p.adjGen = 0
 	for i, e := range p.irq {
 		if e == req {
 			p.irq = append(p.irq[:i], p.irq[i+1:]...)

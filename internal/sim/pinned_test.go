@@ -1,0 +1,91 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"barter/internal/core"
+	"barter/internal/credit"
+	"barter/internal/strategy"
+)
+
+// pinnedCounts renders the traversal fingerprint of one run: the event count,
+// the ring-search effort counters, rings started, and per-class completions.
+// Any change to event order, adjacency order, search traversal, or RNG draw
+// sequence moves at least one of them.
+func pinnedCounts(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "events=%d searches=%d nodes=%d wants=%d rings=%d completed=",
+		r.Events, r.RingSearches, r.SearchNodesVisited, r.SearchWantsChecked,
+		r.RingAttempts-r.RingValidationFailures)
+	for i, c := range r.Classes {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s:%d", c.Label, c.Completed)
+	}
+	return b.String()
+}
+
+// TestPinnedCounts is the in-suite form of "the traversal did not change":
+// the counts below were captured on the commit before the event queue gained
+// its fixed-delay lane and peer membership became dense, and every later
+// engine optimization must reproduce them exactly. A deliberate behavior
+// change re-captures them in the same commit and says why.
+func TestPinnedCounts(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func() Config
+		want string
+	}{
+		{"5-2-way", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.PolicyN2
+			return cfg
+		}, "events=62924 searches=29003 nodes=1465825 wants=5582294 rings=3428 completed=non-sharing:1158,sharing:1688"},
+		{"2-5-way", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.Policy2N
+			return cfg
+		}, "events=67074 searches=28085 nodes=183583 wants=664258 rings=4491 completed=non-sharing:926,sharing:2084"},
+		{"no-exchange", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.PolicyNoExchange
+			return cfg
+		}, "events=66293 searches=0 nodes=0 wants=0 rings=0 completed=non-sharing:1445,sharing:1458"},
+		{"kazaa-whitewasher", func() Config {
+			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
+			cfg.Policy = core.PolicyNoExchange
+			cfg.Ranker = credit.NewKaZaA(nil)
+			return cfg
+		}, "events=56569 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:512,non-sharing:545,sharing:1404"},
+		{"shards-4", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.Policy2N
+			cfg.Shards = 4
+			return cfg
+		}, "events=72738 searches=15450 nodes=24890 wants=96838 rings=1947 completed=non-sharing:557,sharing:2337"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.Seed = 1
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pinnedCounts(res); got != tc.want {
+				t.Errorf("counts moved:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}

@@ -312,14 +312,18 @@ func (ss *Sharded) Run() (*Result, error) {
 	// for why the order is part of the determinism contract).
 	col := ss.domains[0].col
 	events := ss.domains[0].q.Fired()
+	laneEvents := ss.domains[0].q.LaneFired()
 	for _, dom := range ss.domains[1:] {
 		col.merge(dom.col)
 		events += dom.q.Fired()
+		laneEvents += dom.q.LaneFired()
 	}
 	res := col.result(ss.cfg.Policy.String(), ss.cfg.Duration, events, ss.classCounts)
 	perfstats.AddRun(perfstats.Snapshot{
 		Runs:               1,
 		Events:             res.Events,
+		LaneEvents:         laneEvents,
+		HeapEvents:         events - laneEvents,
 		RingSearches:       uint64(res.RingSearches),
 		SearchNodesVisited: uint64(res.SearchNodesVisited),
 		SearchWantsChecked: uint64(res.SearchWantsChecked),
@@ -452,8 +456,7 @@ func (s *Sim) startRemoteDownload(p *peerState, obj catalog.ObjectID) bool {
 		requestedAt: now,
 		providers:   make(map[core.PeerID]bool),
 	}
-	p.addPending(dl)
-	s.wanters.Add(obj, p.id)
+	s.addPending(p, dl)
 	if p.strat.Adaptive {
 		adl := dl
 		s.after(s.cfg.adaptivePatience(), func(float64) { s.adaptiveCheck(p, adl) })
@@ -486,7 +489,7 @@ func (s *Sim) armRemoteStall(p *peerState, dl *download) {
 // download that progressed — or picked up a local feed through an exchange
 // ring — keeps its watch.
 func (s *Sim) remoteStallCheck(p *peerState, dl *download) {
-	if p.pending[dl.object] != dl {
+	if p.pendingFor(dl.object) != dl {
 		return // completed or abandoned in the meantime
 	}
 	if dl.receivedKbits > dl.remoteProgress || len(dl.sessions) > 0 {
@@ -494,8 +497,11 @@ func (s *Sim) remoteStallCheck(p *peerState, dl *download) {
 		return
 	}
 	s.cancelRemoteFeeds(p, dl)
-	p.removePending(dl.object)
-	s.wanters.Remove(dl.object, p.id)
+	// Requests registered with local servers (a ring may have fed this
+	// download) stay queued: from here on an IRQ entry no longer implies a
+	// pending download.
+	s.orphaned = true
+	s.removePending(p, dl.object)
 	s.col.remoteAborts++
 	s.issueRequests(p)
 }
@@ -521,7 +527,7 @@ func (s *Sim) serveRemoteQueue(p *peerState) {
 		served := false
 		for len(p.remoteQ) > 0 {
 			d := p.remoteQ[0]
-			if !p.store[d.object] {
+			if !p.has(d.object) {
 				p.remoteQ = p.remoteQ[1:]
 				continue
 			}
@@ -611,7 +617,7 @@ func (s *Sim) applyRemote(m *xmsg) {
 // stall timeout recovers.
 func (s *Sim) applyRemoteRequest(m *xmsg) {
 	q := s.peers[localOf(m.server, s.sc.shards)]
-	if !q.online || !q.sharing || !q.store[m.object] {
+	if !q.online || !q.sharing || !q.has(m.object) {
 		return
 	}
 	if s.cfg.Policy.SearchesExchanges() {
@@ -635,9 +641,9 @@ func (s *Sim) applyRemoteRequest(m *xmsg) {
 // to what the directory digest proves the requester holds.
 func (s *Sim) remotePairObject(q *peerState, requester core.PeerID) (catalog.ObjectID, bool) {
 	rdir := s.sc.dirs[domainOf(requester, s.sc.shards)]
-	for _, o := range q.pendingOrder {
-		if exp, ok := rdir.Get(int(o)); ok && exp == requester {
-			return o, true
+	for _, dl := range q.pending {
+		if exp, ok := rdir.Get(int(dl.object)); ok && exp == requester {
+			return dl.object, true
 		}
 	}
 	return 0, false
@@ -650,7 +656,7 @@ func (s *Sim) remotePairObject(q *peerState, requester core.PeerID) (catalog.Obj
 // cross-domain case.
 func (s *Sim) applyRemotePair(m *xmsg) {
 	p := s.peers[localOf(m.requester, s.sc.shards)]
-	if p.online && p.sharing && p.store[m.aux] &&
+	if p.online && p.sharing && p.has(m.aux) &&
 		s.startRemoteSession(p, m.server, m.aux, true, s.q.Now()) {
 		return
 	}
@@ -664,7 +670,7 @@ func (s *Sim) applyRemotePair(m *xmsg) {
 // via another source, abandoned, departed) bounce back as xcancel.
 func (s *Sim) applyRemoteBlock(m *xmsg) {
 	p := s.peers[localOf(m.requester, s.sc.shards)]
-	dl := p.pending[m.object]
+	dl := p.pendingFor(m.object)
 	if dl == nil {
 		s.sc.emit(domainOf(m.server, s.sc.shards), xmsg{
 			kind: xcancel, requester: m.requester, server: m.server, object: m.object,

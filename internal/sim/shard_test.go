@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"barter/internal/workload"
@@ -205,5 +206,74 @@ func TestShardedWindowOverride(t *testing.T) {
 	a := runEngine(t, cfg)
 	if b := runEngine(t, cfg); !reflect.DeepEqual(a, b) {
 		t.Fatal("runs with a custom window diverged")
+	}
+}
+
+// TestShardedInEdgeCacheSurvivesOrphans: a domain's remote stall timeout
+// abandons downloads without withdrawing their queued requests, which is the
+// one way an IRQ entry can outlive its download. The in-edge caches must
+// stay equal to a rebuild through that (every demand change then invalidates
+// them all), so the run has to produce orphans and end with clean caches.
+func TestShardedInEdgeCacheSurvivesOrphans(t *testing.T) {
+	cfg := shardConfig()
+	cfg.UploadKbps = 40
+	ss, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Run(); err != nil {
+		t.Fatal(err)
+	}
+	orphaned := false
+	for d, dom := range ss.domains {
+		orphaned = orphaned || dom.orphaned
+		for _, p := range dom.peers {
+			if err := dom.checkAdjacency(p); err != nil {
+				t.Errorf("domain %d peer %d: %v", d, p.id, err)
+			}
+		}
+	}
+	if !orphaned {
+		t.Error("no domain abandoned a remote download; the test no longer covers the orphan path")
+	}
+}
+
+// TestOrphanedDemandChangeInvalidatesInEdges stages the orphan case directly,
+// because a run reaches it too rarely to pin: once a download has been
+// abandoned with its requests left queued, removing or re-adding a pending
+// download flips an existing entry's liveness at a server nothing marks, so
+// the change itself must invalidate every cached in-edge list.
+func TestOrphanedDemandChangeInvalidatesInEdges(t *testing.T) {
+	cfg := testConfig()
+	cfg.UploadKbps = 40
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanout := cfg.SearchFanout
+	var srv *peerState
+	for srv == nil && s.Step() {
+		for _, p := range s.peers {
+			if len(s.adjacency(p.id, fanout)) > 0 {
+				srv = p
+				break
+			}
+		}
+	}
+	if srv == nil {
+		t.Fatal("no peer ever had a live in-edge")
+	}
+	edge := s.adjacency(srv.id, fanout)[0]
+	q := s.peers[edge.Peer]
+	dl := q.pendingFor(edge.Object)
+
+	s.orphaned = true
+	s.removePending(q, edge.Object) // abandoned: the entry at srv stays queued
+	if got := s.adjacency(srv.id, fanout); slices.Contains(got, edge) {
+		t.Fatalf("in-edges of %d still list %v after its download was abandoned", srv.id, edge)
+	}
+	s.addPending(q, dl) // re-requested: the orphaned entry is live again
+	if got := s.adjacency(srv.id, fanout); !slices.Contains(got, edge) {
+		t.Fatalf("in-edges of %d miss %v after its download was re-requested", srv.id, edge)
 	}
 }

@@ -134,7 +134,7 @@ func (s *Sim) sampleWorkloadObject(p *peerState, st *rng.RNG, now float64) (cata
 	const sampleTries = 8
 	for t := 0; t < sampleTries; t++ {
 		obj := catalog.ObjectID(s.sched.SampleObject(now, st))
-		if !p.store[obj] && p.pending[obj] == nil {
+		if !p.has(obj) && p.pendingFor(obj) == nil {
 			return obj, true
 		}
 	}
@@ -157,11 +157,8 @@ func (s *Sim) setupReplay() {
 		switch ev.Kind {
 		case workload.KindHold:
 			obj := catalog.ObjectID(ev.Obj)
-			if !p.store[obj] {
-				p.store[obj] = true
-				if p.sharing && p.online {
-					s.addHolder(obj, p.id)
-				}
+			if p.addObject(obj) && p.sharing && p.online {
+				s.addHolder(obj, p.id)
 			}
 		case workload.KindRequest:
 			obj := catalog.ObjectID(ev.Obj)
@@ -181,7 +178,7 @@ func (s *Sim) setupReplay() {
 // provider arrives later, say), the request retries at RetryInterval
 // instead of being dropped, mirroring the live node's own retry loop.
 func (s *Sim) replayRequest(p *peerState, obj catalog.ObjectID) {
-	if !p.online || p.store[obj] || p.pending[obj] != nil {
+	if !p.online || p.has(obj) || p.pendingFor(obj) != nil {
 		return
 	}
 	cands := s.holderCands(p, obj)
@@ -200,7 +197,7 @@ func (s *Sim) initialOffline(p *peerState) {
 	if !p.online {
 		return
 	}
-	p.online = false
+	s.setOnline(p, false)
 	if p.sharing {
 		s.unindexStoredObjects(p)
 	}

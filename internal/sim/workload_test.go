@@ -162,7 +162,7 @@ func TestTraceReplayCompletesRecordedDemand(t *testing.T) {
 	if got := res.CompletedSharing + res.CompletedNonSharing; got != 3 {
 		t.Errorf("replay completed %d downloads, want 3", got)
 	}
-	if !s.peers[1].store[1] || !s.peers[1].store[2] || !s.peers[2].store[1] {
+	if !s.peers[1].has(1) || !s.peers[1].has(2) || !s.peers[2].has(1) {
 		t.Error("replayed peers missing recorded objects")
 	}
 	if s.peers[2].online {
