@@ -13,7 +13,7 @@ BENCH_RAW  ?= /tmp/barter-bench-raw.txt
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full swarm-smoke shard-smoke soak fuzz-smoke bench bench-json bench-check bench-compare fmt vet doccheck bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full swarm-smoke soak fuzz-smoke bench bench-json bench-check bench-compare fmt vet doccheck bartervet docs-check lint print-staticcheck-version check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -51,13 +51,6 @@ swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
 
-## shard-smoke: a race-enabled sharded-engine run CI includes in the short
-## suite — four event-loop domains on the worker pool, so the epoch
-## barriers and cross-partition mailboxes run under the race detector on
-## every push.
-shard-smoke:
-	$(GO) run -race ./cmd/exchsim -experiment fig4 -quick -shards 4 > /dev/null
-
 ## soak: the scheduled long-haul lane (.github/workflows/soak.yml) — a
 ## race-enabled reshard run (durable shards churned by kills, restarts, and
 ## live grow/shrink reshapes under a cheater mix; exits nonzero if any flag
@@ -91,15 +84,12 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in $(BENCH_RAW) -out $(BENCH_JSON)
 
 ## bench-check: regenerate the trajectory point and fail if the engine
-## event rate (single-threaded or sharded) — or the mediator tier's audit
-## throughput, serialized or pipelined — regressed >15% against the
-## committed baseline.
+## event rate — or the mediator tier's audit throughput, serialized or
+## pipelined — regressed >15% against the committed baseline.
 bench-check:
 	$(MAKE) bench-json BENCH_JSON=/tmp/barter-bench-head.json
 	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \
-		-bench BenchmarkSimulationEventRate/shards=1 -metric events/s -tolerance 0.15
-	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \
-		-bench BenchmarkSimulationEventRate/shards=4 -metric events/s -tolerance 0.15
+		-bench BenchmarkSimulationEventRate -metric events/s -tolerance 0.15
 	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \
 		-bench BenchmarkMediatorVerify/shards=4 -metric verifies/s -tolerance 0.15
 	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \

@@ -202,33 +202,25 @@ func BenchmarkRunnerSequentialVsParallel(b *testing.B) {
 }
 
 // BenchmarkSimulationEventRate measures raw engine throughput at paper
-// scale: events executed per second of wall time, per shard count.
-// shards=1 is the single-threaded engine; shards=4 runs four event-loop
-// domains on the worker pool, so the ratio of the two events/s metrics is
-// the parallel speedup BENCH_2.json tracks.
+// scale: events executed per second of wall time.
 func BenchmarkSimulationEventRate(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := experiment.FullBase()
-			cfg.Duration = 50_000
-			cfg.Shards = shards
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = uint64(i + 1)
-				s, err := sim.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
+	cfg := experiment.FullBase()
+	cfg.Duration = 50_000
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i + 1)
+		s, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkChurnEventRate measures engine throughput under continuous

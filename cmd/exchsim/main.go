@@ -3,7 +3,7 @@
 // Usage:
 //
 //	exchsim -list
-//	exchsim -experiment fig4 [-quick] [-seed 7] [-parallel 8] [-replicas 5] [-shards 4] [-v] [-perf]
+//	exchsim -experiment fig4 [-quick] [-seed 7] [-parallel 8] [-replicas 5] [-v] [-perf]
 //	exchsim -all [-quick]
 //	exchsim -workload flash [-quick] [-replicas 5]
 //	exchsim -trace run.trace [-quick] [-parallel 8]
@@ -19,12 +19,7 @@
 // parallel over -parallel workers (default: one per CPU); output is
 // byte-identical at any worker count for the same seed. -replicas N runs
 // every point N times under distinct derived seeds and adds mean ± 95% CI
-// columns to the swept figures. -shards N partitions every run's peers
-// across N parallel event-loop domains (see docs/DETERMINISM.md): output
-// depends on the shard count but, for a fixed count, on nothing else.
-// Runs whose config is fundamentally single-loop (credit rankers, trace
-// replay) fall back to the single-threaded engine, so -shards composes
-// with -all and the credit-baseline figures.
+// columns to the swept figures.
 //
 // -perf appends an engine performance report to stderr after the runs:
 // events/sec of wall time, ring-search traversal effort, and allocation
@@ -65,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "random seed")
 		parallel = fs.Int("parallel", 0, "worker pool size for grid points (0 = one per CPU)")
 		replicas = fs.Int("replicas", 1, "replications per grid point (adds mean ± 95% CI columns)")
-		shards   = fs.Int("shards", 0, "event-loop domains per run (0 or 1 = single-threaded engine)")
 		verbose  = fs.Bool("v", false, "print per-run progress to stderr")
 		perf     = fs.Bool("perf", false, "print an engine performance report to stderr after the runs")
 		wl       = fs.String("workload", "", "run an open-loop workload spec: a builtin name or a JSON spec file")
@@ -90,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Quick:    *quick,
 		Parallel: *parallel,
 		Replicas: *replicas,
-		Shards:   *shards,
 	}
 	if *verbose {
 		opts.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }

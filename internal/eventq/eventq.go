@@ -218,19 +218,6 @@ func (q *Queue) RunUntil(horizon float64) uint64 {
 	return n
 }
 
-// NextAt returns the timestamp of the earliest pending event and true, or
-// (0, false) when the queue is empty. It does not advance the clock. The
-// sharded coordinator uses it to fast-forward over epoch windows in which no
-// domain has work: the jump is a pure function of queue state, so skipping
-// empty windows cannot perturb the event sequence.
-func (q *Queue) NextAt() (float64, bool) {
-	it, _ := q.peek()
-	if it == nil {
-		return 0, false
-	}
-	return it.at, true
-}
-
 // peek returns the earliest pending item without removing it — the
 // less-smaller of the lane head and the heap root — and whether it sits on
 // the lane. Lazily cancelled entries met on the way are discarded, in the

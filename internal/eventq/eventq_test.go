@@ -393,29 +393,3 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 		}
 	}
 }
-
-func TestNextAt(t *testing.T) {
-	q := New()
-	if _, ok := q.NextAt(); ok {
-		t.Fatal("empty queue reported a pending event")
-	}
-	if _, err := q.At(7, Func(func(float64) {})); err != nil {
-		t.Fatal(err)
-	}
-	h, err := q.At(3, Func(func(float64) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, ok := q.NextAt(); !ok || at != 3 {
-		t.Fatalf("NextAt = %v, %v; want 3, true", at, ok)
-	}
-	// NextAt must see through lazily-cancelled heap heads.
-	q.Cancel(h)
-	if at, ok := q.NextAt(); !ok || at != 7 {
-		t.Fatalf("NextAt after cancel = %v, %v; want 7, true", at, ok)
-	}
-	q.RunUntil(10)
-	if _, ok := q.NextAt(); ok {
-		t.Fatal("drained queue reported a pending event")
-	}
-}

@@ -76,8 +76,8 @@ func (h *harness) arbitrary(delay float64) {
 }
 
 // step interprets one scripted operation; arg parameterizes it.
-func (h *harness) step(op, arg byte) (peekAt float64, peekOK, cancelled bool) {
-	switch op % 7 {
+func (h *harness) step(op, arg byte) (cancelled bool) {
+	switch op % 6 {
 	case 0:
 		h.fixed(0)
 	case 1:
@@ -92,10 +92,8 @@ func (h *harness) step(op, arg byte) (peekAt float64, peekOK, cancelled bool) {
 		h.q.Step()
 	case 5:
 		h.q.RunUntil(h.q.Now() + float64(arg%8)*laneDelay/2)
-	case 6:
-		peekAt, peekOK = h.q.NextAt()
 	}
-	return peekAt, peekOK, cancelled
+	return cancelled
 }
 
 // runDifferential feeds one script to a lane-enabled and a heap-only queue
@@ -115,11 +113,10 @@ func runDifferential(t testing.TB, script []byte) {
 		compared = len(a.fired)
 	}
 	for i := 0; i+1 < len(script); i += 2 {
-		aAt, aOK, aC := a.step(script[i], script[i+1])
-		bAt, bOK, bC := b.step(script[i], script[i+1])
-		if aAt != bAt || aOK != bOK || aC != bC {
-			t.Fatalf("op %d: lane queue answered (%v, %v, %v), heap queue (%v, %v, %v)",
-				i/2, aAt, aOK, aC, bAt, bOK, bC)
+		aC := a.step(script[i], script[i+1])
+		bC := b.step(script[i], script[i+1])
+		if aC != bC {
+			t.Fatalf("op %d: lane queue cancel answered %v, heap queue %v", i/2, aC, bC)
 		}
 		check(i / 2)
 	}
@@ -142,7 +139,7 @@ func runDifferential(t testing.TB, script []byte) {
 // TestLaneMatchesHeapOnly is the seeded property test: random interleavings
 // of fixed-delay and arbitrary-delay schedules (ties included), events that
 // schedule from inside Fire, cancels of live, stale and already-cancelled
-// handles, Step, RunUntil horizons and NextAt peeks must be indistinguishable
+// handles, Step and RunUntil horizons must be indistinguishable
 // between a queue with a lane and one without.
 func TestLaneMatchesHeapOnly(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -164,9 +161,9 @@ func TestLaneMatchesHeapOnly(t *testing.T) {
 }
 
 func FuzzQueueOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 4, 4, 0, 4, 0})                   // lane and heap tie at the same instant
-	f.Add([]byte{0, 0, 3, 0, 3, 0, 5, 7, 0, 0, 3, 0})       // cancel, double cancel, stale cancel after recycling
-	f.Add([]byte{1, 3, 2, 0, 6, 0, 5, 2, 6, 0, 5, 7, 6, 0}) // chains, same-instant event, peeks around horizons
+	f.Add([]byte{0, 0, 2, 4, 4, 0, 4, 0})             // lane and heap tie at the same instant
+	f.Add([]byte{0, 0, 3, 0, 3, 0, 5, 7, 0, 0, 3, 0}) // cancel, double cancel, stale cancel after recycling
+	f.Add([]byte{1, 3, 2, 0, 5, 2, 5, 7})             // chains, same-instant event, horizons
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runDifferential(t, script)
 	})
@@ -188,8 +185,8 @@ func TestLaneCancelRecyclesItem(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after cancelling the only event", q.Len())
 	}
-	if _, ok := q.NextAt(); ok {
-		t.Fatal("NextAt saw through to a cancelled lane entry")
+	if q.Step() {
+		t.Fatal("Step fired a cancelled lane entry")
 	}
 	if q.laneLen != 0 || len(q.free) != 1 {
 		t.Fatalf("cancelled entry not recycled: lane holds %d, free list %d", q.laneLen, len(q.free))

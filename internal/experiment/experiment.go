@@ -44,11 +44,6 @@ type Options struct {
 	// as runs finish, so ordering varies with Parallel) and one deterministic
 	// per-point summary line once the grid completes.
 	Progress func(msg string)
-	// Shards partitions every run's peers across this many parallel event-loop
-	// domains (<= 1 means the single-threaded engine). Output depends on the
-	// shard count but, for a fixed count, on nothing else: the same tables at
-	// any Parallel or worker schedule.
-	Shards int
 }
 
 func (o Options) seed() uint64 {
@@ -150,7 +145,6 @@ func base(opts Options) sim.Config {
 		cfg = FullBase()
 	}
 	cfg.Seed = opts.seed()
-	cfg.Shards = opts.Shards
 	return cfg
 }
 

@@ -463,55 +463,3 @@ func TestGridReplication(t *testing.T) {
 		t.Fatalf("replica mean %v out of range", m)
 	}
 }
-
-// TestShardsOneMatchesLegacyEngine pins the sharded engine's compatibility
-// contract at the figure level: Shards=1 selects the single-threaded engine,
-// so its TSV must be byte-identical to the default path on the figures the
-// paper's headline claims rest on.
-func TestShardsOneMatchesLegacyEngine(t *testing.T) {
-	skipShort(t)
-	for _, id := range []string{"fig4", "fig12"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		legacy, err := e.Run(quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := quickOpts()
-		opts.Shards = 1
-		sharded, err := e.Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.TSV() != sharded.TSV() {
-			t.Errorf("%s: Shards=1 TSV differs from the legacy engine:\n%s\nvs\n%s",
-				id, legacy.TSV(), sharded.TSV())
-		}
-	}
-}
-
-// TestShardedFigureDeterministicAcrossParallelism: a sharded figure emits
-// identical TSV at any grid worker count and across repeated runs.
-func TestShardedFigureDeterministicAcrossParallelism(t *testing.T) {
-	skipShort(t)
-	e, ok := ByID("fig4")
-	if !ok {
-		t.Fatal("fig4 not registered")
-	}
-	run := func(parallel int) string {
-		opts := quickOpts()
-		opts.Shards = 4
-		opts.Parallel = parallel
-		rep, err := e.Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.TSV()
-	}
-	seq := run(1)
-	if par := run(8); seq != par {
-		t.Fatalf("sharded fig4 TSV diverges across parallelism:\n%s\nvs\n%s", seq, par)
-	}
-}

@@ -174,73 +174,6 @@ func (m *Multimap[K, V]) Len(key K) int {
 // Keys returns the number of keys that currently hold at least one id.
 func (m *Multimap[K, V]) Keys() int { return len(m.m) }
 
-// Directory is a dense object -> exporter table: for every object a shard
-// domain exports, the single peer it advertises as that object's
-// cross-domain source (by convention the lowest-id online sharing holder, so
-// the advertisement is a pure function of domain state). Each domain
-// publishes one Directory at every epoch barrier; other domains read it —
-// never write it — during the following epoch, which is what makes the
-// snapshot safe to share across the worker pool without locks.
-//
-// The zero value is not usable; call NewDirectory.
-type Directory[T ID] struct {
-	exporter []int64 // widened so any T fits; -1 marks "no exporter"
-}
-
-// NewDirectory returns a directory over objects [0, objects) with every
-// entry empty.
-func NewDirectory[T ID](objects int) *Directory[T] {
-	d := &Directory[T]{exporter: make([]int64, objects)}
-	d.Clear()
-	return d
-}
-
-// Clear empties every entry, retaining capacity.
-func (d *Directory[T]) Clear() {
-	for i := range d.exporter {
-		d.exporter[i] = -1
-	}
-}
-
-// Set advertises id as the exporter of obj.
-func (d *Directory[T]) Set(obj int, id T) { d.exporter[obj] = int64(id) }
-
-// Get returns the exporter of obj and whether one is advertised.
-func (d *Directory[T]) Get(obj int) (T, bool) {
-	e := d.exporter[obj]
-	if e < 0 {
-		return 0, false
-	}
-	return T(e), true
-}
-
-// MergeCandidates appends to dst the exporters advertised for obj across
-// dirs, in ascending id order, and returns the extended slice. Nil
-// directories are skipped. Ascending global peer-id order is the
-// cross-domain extension of Set's iteration contract: candidate order feeds
-// the engine's RNG draws, so it must be a pure function of state, not of
-// domain numbering or map iteration.
-func MergeCandidates[T ID](dst []T, obj int, dirs []*Directory[T]) []T {
-	start := len(dst)
-	for _, d := range dirs {
-		if d == nil {
-			continue
-		}
-		if id, ok := d.Get(obj); ok {
-			// Insertion sort into the tail: one candidate per directory, so
-			// the tail is at most len(dirs) long and almost always tiny.
-			i := len(dst)
-			dst = append(dst, id)
-			for i > start && dst[i-1] > id {
-				dst[i] = dst[i-1]
-				i--
-			}
-			dst[i] = id
-		}
-	}
-	return dst
-}
-
 // ForEachKey calls fn for every key with at least one id, in unspecified
 // order. Callers needing determinism must sort or otherwise canonicalize.
 func (m *Multimap[K, V]) ForEachKey(fn func(key K, s *Set[V]) bool) {

@@ -232,50 +232,3 @@ func BenchmarkSetAppendTo(b *testing.B) {
 	}
 	_ = buf
 }
-
-func TestDirectoryBasics(t *testing.T) {
-	d := NewDirectory[int32](4)
-	if _, ok := d.Get(2); ok {
-		t.Fatal("fresh directory has an exporter")
-	}
-	d.Set(2, 9)
-	if id, ok := d.Get(2); !ok || id != 9 {
-		t.Fatalf("Get(2) = %v, %v; want 9, true", id, ok)
-	}
-	d.Set(2, 4) // republish overwrites
-	if id, _ := d.Get(2); id != 4 {
-		t.Fatalf("Get(2) after overwrite = %v; want 4", id)
-	}
-	d.Clear()
-	if _, ok := d.Get(2); ok {
-		t.Fatal("Clear left an exporter")
-	}
-}
-
-func TestMergeCandidatesAscending(t *testing.T) {
-	mk := func(obj int, id int32) *Directory[int32] {
-		d := NewDirectory[int32](4)
-		d.Set(obj, id)
-		return d
-	}
-	dirs := []*Directory[int32]{mk(1, 7), nil, mk(1, 2), mk(3, 5), mk(1, 4)}
-	got := MergeCandidates(nil, 1, dirs)
-	want := []int32{2, 4, 7}
-	if len(got) != len(want) {
-		t.Fatalf("MergeCandidates = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MergeCandidates = %v, want %v (ascending peer id)", got, want)
-		}
-	}
-	// Appending to a non-empty dst must leave the prefix untouched and sort
-	// only the appended region.
-	pre := MergeCandidates([]int32{99}, 1, dirs)
-	if pre[0] != 99 || pre[1] != 2 || pre[3] != 7 {
-		t.Fatalf("MergeCandidates with prefix = %v", pre)
-	}
-	if out := MergeCandidates(nil, 2, dirs); len(out) != 0 {
-		t.Fatalf("object with no exporters yielded %v", out)
-	}
-}

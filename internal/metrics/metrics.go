@@ -126,19 +126,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// Merge appends every observation of o (in insertion order) to s. The
-// sharded engine uses it to combine per-domain samples: merging domains in
-// ascending domain order keeps the combined sample — and therefore every
-// quantile and CDF derived from it — a pure function of (config, seed,
-// shards).
-func (s *Sample) Merge(o *Sample) {
-	if o == nil || len(o.xs) == 0 {
-		return
-	}
-	s.xs = append(s.xs, o.xs...)
-	s.sorted = false
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -240,24 +227,6 @@ func (g *Grouped) Add(key string, x float64) {
 		g.order = append(g.order, key)
 	}
 	s.Add(x)
-}
-
-// Merge folds every group of o into g, appending observations in o's
-// first-seen key order. Keys new to g are appended to g's order, so merging
-// a fixed sequence of Grouped values yields a fixed key order.
-func (g *Grouped) Merge(o *Grouped) {
-	if o == nil {
-		return
-	}
-	for _, k := range o.order {
-		s, ok := g.groups[k]
-		if !ok {
-			s = &Sample{}
-			g.groups[k] = s
-			g.order = append(g.order, k)
-		}
-		s.Merge(o.groups[k])
-	}
 }
 
 // Keys returns the keys in first-seen order.

@@ -266,46 +266,3 @@ func TestMeanCI95(t *testing.T) {
 		t.Fatalf("normal-regime half-width = %v, want %v", h, want)
 	}
 }
-
-func TestSampleMerge(t *testing.T) {
-	var a, b Sample
-	for _, x := range []float64{3, 1} {
-		a.Add(x)
-	}
-	for _, x := range []float64{2, 4} {
-		b.Add(x)
-	}
-	a.sort() // force the cached order so Merge must invalidate it
-	a.Merge(&b)
-	if a.N() != 4 {
-		t.Fatalf("merged N = %d, want 4", a.N())
-	}
-	// Nearest-rank median of {1,2,3,4} is 2 — and seeing 2 (not 3) proves
-	// Merge invalidated the stale sorted cache of [1,3].
-	if got := a.Quantile(0.5); got != 2 {
-		t.Fatalf("merged median = %v, want 2", got)
-	}
-	if lo, hi := a.Quantile(0), a.Quantile(1); lo != 1 || hi != 4 {
-		t.Fatalf("merged extremes = %v, %v; want 1, 4", lo, hi)
-	}
-	if b.N() != 2 {
-		t.Fatal("Merge mutated the source sample")
-	}
-}
-
-func TestGroupedMerge(t *testing.T) {
-	a, b := NewGrouped(), NewGrouped()
-	a.Add("x", 1)
-	b.Add("y", 2)
-	b.Add("x", 3)
-	a.Merge(b)
-	if got := a.Keys(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("merged keys = %v, want [x y] (first-seen order)", got)
-	}
-	if n := a.Get("x").N(); n != 2 {
-		t.Fatalf("merged group x has %d samples, want 2", n)
-	}
-	if n := a.Get("y").N(); n != 1 {
-		t.Fatalf("merged group y has %d samples, want 1", n)
-	}
-}

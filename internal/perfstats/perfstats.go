@@ -34,12 +34,6 @@ type Snapshot struct {
 	SearchWantsChecked uint64
 	// RingsStarted counts rings that passed validation and started.
 	RingsStarted uint64
-	// Domains, Barriers, and CrossMsgs describe sharded runs: event-loop
-	// domains driven, epoch barriers crossed, and cross-partition mailbox
-	// messages applied. All three stay zero for single-threaded runs.
-	Domains   uint64
-	Barriers  uint64
-	CrossMsgs uint64
 	// MedRPCs counts mediator RPCs issued through the pipelined client;
 	// MedRPCPeak is the peak number concurrently in flight (the achieved
 	// pipeline depth). StripesGranted and StripesReassigned count mediated
@@ -53,10 +47,9 @@ type Snapshot struct {
 }
 
 var global struct {
-	runs, events             atomic.Uint64
-	searches, nodes, wants   atomic.Uint64
-	rings                    atomic.Uint64
-	domains, barriers, xmsgs atomic.Uint64
+	runs, events           atomic.Uint64
+	searches, nodes, wants atomic.Uint64
+	rings                  atomic.Uint64
 
 	medRPCs, medInflight, medPeak atomic.Uint64
 	stripesGranted, stripesReass  atomic.Uint64
@@ -99,9 +92,6 @@ func AddRun(s Snapshot) {
 	global.nodes.Add(s.SearchNodesVisited)
 	global.wants.Add(s.SearchWantsChecked)
 	global.rings.Add(s.RingsStarted)
-	global.domains.Add(s.Domains)
-	global.barriers.Add(s.Barriers)
-	global.xmsgs.Add(s.CrossMsgs)
 }
 
 // Current returns the aggregate since process start (or the last Reset).
@@ -115,9 +105,6 @@ func Current() Snapshot {
 		SearchNodesVisited: global.nodes.Load(),
 		SearchWantsChecked: global.wants.Load(),
 		RingsStarted:       global.rings.Load(),
-		Domains:            global.domains.Load(),
-		Barriers:           global.barriers.Load(),
-		CrossMsgs:          global.xmsgs.Load(),
 		MedRPCs:            global.medRPCs.Load(),
 		MedRPCPeak:         global.medPeak.Load(),
 		StripesGranted:     global.stripesGranted.Load(),
@@ -136,9 +123,6 @@ func Reset() {
 	global.nodes.Store(0)
 	global.wants.Store(0)
 	global.rings.Store(0)
-	global.domains.Store(0)
-	global.barriers.Store(0)
-	global.xmsgs.Store(0)
 	global.medRPCs.Store(0)
 	global.medInflight.Store(0)
 	global.medPeak.Store(0)
@@ -157,9 +141,6 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		SearchNodesVisited: s.SearchNodesVisited - t.SearchNodesVisited,
 		SearchWantsChecked: s.SearchWantsChecked - t.SearchWantsChecked,
 		RingsStarted:       s.RingsStarted - t.RingsStarted,
-		Domains:            s.Domains - t.Domains,
-		Barriers:           s.Barriers - t.Barriers,
-		CrossMsgs:          s.CrossMsgs - t.CrossMsgs,
 		MedRPCs:            s.MedRPCs - t.MedRPCs,
 		MedRPCPeak:         s.MedRPCPeak, // a peak is not a delta; report the interval's high-water mark
 		StripesGranted:     s.StripesGranted - t.StripesGranted,
@@ -201,10 +182,6 @@ func (t *Timer) Report() string {
 	}
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
-	if s.Domains > 0 {
-		fmt.Fprintf(&b, "perf: shards     %d domain(s), %d barrier(s), %d cross-partition msg(s)\n",
-			s.Domains, s.Barriers, s.CrossMsgs)
-	}
 	if s.MedRPCs > 0 {
 		fmt.Fprintf(&b, "perf: mediator   %d RPC(s), pipeline depth peak %d\n", s.MedRPCs, s.MedRPCPeak)
 	}

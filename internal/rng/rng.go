@@ -49,12 +49,10 @@ func DeriveSeed(base uint64, labels ...uint64) uint64 {
 	return r.state
 }
 
-// Stream returns a generator seeded with DeriveSeed(base, labels...). It is
-// the constructor the sharded engine uses to hand every partition its own
-// stream: Stream(seed, labelDomain, d) for domain d depends only on the run
-// seed and the domain index, never on how many draws other domains made, so
-// a world partitioned P ways draws the same per-domain sequences no matter
-// which worker executes which domain.
+// Stream returns a generator seeded with DeriveSeed(base, labels...): a keyed
+// stream that depends only on the base seed and its labels, never on how
+// many draws any other stream made, so independent consumers of one seed
+// (per object, per role) draw the same sequences in whatever order they run.
 func Stream(base uint64, labels ...uint64) *RNG {
 	return New(DeriveSeed(base, labels...))
 }

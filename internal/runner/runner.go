@@ -192,7 +192,7 @@ func label(j Job) string {
 }
 
 func runOne(cfg sim.Config) (*sim.Result, error) {
-	s, err := sim.NewEngine(cfg)
+	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -116,16 +116,6 @@ type Result struct {
 	RingSearches       int
 	SearchNodesVisited int
 	SearchWantsChecked int
-
-	// Cross-partition activity of a sharded run (all zero at Shards <= 1):
-	// RemoteFetches counts downloads started against another domain's
-	// directory, RemoteAborts those abandoned by the stall timeout,
-	// RemotePairs cross-domain exchange pairs formed, and RemoteBlocks the
-	// blocks shipped across a partition boundary.
-	RemoteFetches int
-	RemoteAborts  int
-	RemotePairs   int
-	RemoteBlocks  int
 }
 
 // Class returns the result entry for the given strategy-class label, or nil
@@ -274,11 +264,6 @@ type collector struct {
 	ringSearches int
 	searchNodes  int
 	searchWants  int
-
-	remoteFetches int
-	remoteAborts  int
-	remotePairs   int
-	remoteBlocks  int
 }
 
 func newCollector(warmupAt float64, mix strategy.Mix) *collector {
@@ -334,13 +319,7 @@ func (c *collector) sessionDone(now float64, s *session) {
 		c.exchSessions++
 	}
 	c.volume.Add(label, s.sent/8) // kbits -> kB
-	// A remote upload has no local download; the remote demand's arrival at
-	// this domain stands in for the request time.
-	reqAt := s.rArrival
-	if !s.remote {
-		reqAt = s.dl.requestedAt
-	}
-	c.waiting.Add(label, (s.startAt-reqAt)/60)
+	c.waiting.Add(label, (s.startAt-s.dl.requestedAt)/60)
 }
 
 func (c *collector) ringStarted(now float64, size int) {
@@ -348,61 +327,6 @@ func (c *collector) ringStarted(now float64, size int) {
 		return
 	}
 	c.ringsStarted[size]++
-}
-
-// merge folds src into c. The sharded coordinator merges its domains in
-// ascending domain order, so every float accumulation and every sample
-// concatenation happens in one fixed sequence — the merged result is a pure
-// function of (config, seed, shards). Map-valued counters are folded over
-// sorted keys: the sums are order-independent anyway, but the deterministic
-// packages ban raw map ranging outright (docs/DETERMINISM.md).
-func (c *collector) merge(src *collector) {
-	for i := range src.classes {
-		c.classes[i].dt.Merge(&src.classes[i].dt)
-		c.classes[i].recvKbits += src.classes[i].recvKbits
-		c.whitewashes[i] += src.whitewashes[i]
-		c.classFlips[i] += src.classFlips[i]
-	}
-	c.dtSharing.Merge(&src.dtSharing)
-	c.dtNon.Merge(&src.dtNon)
-	c.volume.Merge(src.volume)
-	c.waiting.Merge(src.waiting)
-	for _, k := range sortedKeys(src.sessionCount) {
-		c.sessionCount[k] += src.sessionCount[k]
-	}
-	c.exchSessions += src.exchSessions
-	c.allSessions += src.allSessions
-	c.recvSharingKbits += src.recvSharingKbits
-	c.recvNonKbits += src.recvNonKbits
-	for _, k := range sortedKeys(src.ringsStarted) {
-		c.ringsStarted[k] += src.ringsStarted[k]
-	}
-	c.ringAttempts += src.ringAttempts
-	c.ringFailures += src.ringFailures
-	for _, k := range sortedKeys(src.failReasons) {
-		c.failReasons[k] += src.failReasons[k]
-	}
-	c.preemptions += src.preemptions
-	c.irqRejected += src.irqRejected
-	c.lookupFails += src.lookupFails
-	c.wlDropped += src.wlDropped
-	c.ringSearches += src.ringSearches
-	c.searchNodes += src.searchNodes
-	c.searchWants += src.searchWants
-	c.remoteFetches += src.remoteFetches
-	c.remoteAborts += src.remoteAborts
-	c.remotePairs += src.remotePairs
-	c.remoteBlocks += src.remoteBlocks
-}
-
-// sortedKeys canonicalizes a counter map's key order for merge.
-func sortedKeys[K int | string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 func (c *collector) result(policy string, horizon float64, events uint64, classCounts []int) *Result {
@@ -436,10 +360,6 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 		RingSearches:           c.ringSearches,
 		SearchNodesVisited:     c.searchNodes,
 		SearchWantsChecked:     c.searchWants,
-		RemoteFetches:          c.remoteFetches,
-		RemoteAborts:           c.remoteAborts,
-		RemotePairs:            c.remotePairs,
-		RemoteBlocks:           c.remoteBlocks,
 	}
 	if c.allSessions > 0 {
 		res.ExchangeFraction = float64(c.exchSessions) / float64(c.allSessions)

@@ -147,21 +147,6 @@ type Config struct {
 	// DisablePreemption turns off reclaiming non-exchange slots for newly
 	// feasible exchanges (ablation; the paper's mechanism preempts).
 	DisablePreemption bool
-
-	// Shards partitions the peer population across that many event-loop
-	// domains (peer id modulo Shards) run in parallel under conservative
-	// epoch barriers; see NewSharded and docs/ARCHITECTURE.md. 0 or 1 runs
-	// the single-threaded engine. Results are a pure function of (Config,
-	// Seed, Shards); Shards > 1 requires NumPeers >= 2*Shards and is
-	// incompatible with Trace replay and stateful Rankers.
-	Shards int
-	// ShardWindowSec overrides the epoch barrier window (the conservative
-	// cross-partition latency) in simulated seconds; 0 means one block
-	// service time (BlockKbits/SlotKbps). Only meaningful with Shards > 1.
-	ShardWindowSec float64
-	// ShardWorkers bounds the worker pool driving the domains; 0 means
-	// min(Shards, GOMAXPROCS). Output never depends on it.
-	ShardWorkers int
 }
 
 // DefaultConfig returns the paper's Table II parameters with engine knobs at
@@ -258,19 +243,6 @@ func (c Config) Validate() error {
 	if c.Trace != nil {
 		if err := c.Trace.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
-		}
-	}
-	if c.Shards < 0 || c.ShardWindowSec < 0 || c.ShardWorkers < 0 {
-		return fmt.Errorf("sim: Shards, ShardWindowSec, and ShardWorkers must be non-negative")
-	}
-	if c.Shards > 1 {
-		switch {
-		case c.NumPeers < 2*c.Shards:
-			return fmt.Errorf("sim: Shards = %d needs NumPeers >= %d (got %d): every domain must hold at least two peers", c.Shards, 2*c.Shards, c.NumPeers)
-		case c.Trace != nil:
-			return fmt.Errorf("sim: Trace replay requires Shards <= 1 (a recorded trace is a single global event order)")
-		case c.Ranker != nil:
-			return fmt.Errorf("sim: Ranker requires Shards <= 1 (rankers are shared mutable state across the whole population)")
 		}
 	}
 	if err := c.Policy.Validate(); err != nil {

@@ -52,25 +52,18 @@ type Sim struct {
 	// demandGen is the generation every peer's cached in-edge list is
 	// checked against (peerState.adj); advancing it invalidates them all. It
 	// advances when a requester's side of an edge changes with no server-side
-	// mutation to mark the affected servers: a peer going online or offline,
-	// and — once orphaned is set — any pending download added or removed.
-	demandGen uint64
-	// orphaned records that this engine abandoned a download without
-	// withdrawing its registered requests (a sharded domain's remote stall
-	// timeout does). Until then every IRQ entry's requester has a pending
+	// mutation to mark the affected servers, which only a peer going online
+	// or offline does. Adding or removing a pending download cannot flip an
+	// existing entry's liveness: every IRQ entry's requester has a pending
 	// download for the entry's object — entries are created under one and
-	// withdrawn with it (CheckInvariants asserts this) — so adding or
-	// removing a pending download cannot flip an existing entry's liveness.
-	// Afterwards it can, from servers nobody can enumerate.
-	orphaned bool
-	col      *collector
+	// withdrawn with it (CheckInvariants asserts this).
+	demandGen uint64
+	col       *collector
 
 	ulSlots, dlSlots int
-	// mix is the run's population mix (peers hold pointers into it) and
-	// classCounts the per-class population sizes in mix order.
-	mix         strategy.Mix
-	classCounts []int
-	ran         bool
+	// mix is the run's population mix (peers hold pointers into it).
+	mix strategy.Mix
+	ran bool
 
 	// Open-loop demand state (see workload.go): sched and the per-peer
 	// arrival streams drive Config.Workload runs; replay marks a
@@ -94,22 +87,12 @@ type Sim struct {
 	freeReq  []*request
 	deadSess []*session
 	deadReq  []*request
-
-	// sc is non-nil when this Sim is one domain of a sharded run (see
-	// shard.go). Every cross-partition hook in the engine is guarded by it,
-	// so a nil sc leaves the single-threaded engine's behavior — including
-	// its RNG draw sequence — untouched.
-	sc *shardCtx
 }
 
 // New constructs a run, places initial content, and schedules the initial
 // request burst. The same Config (including Seed) always produces the same
-// run. New builds the single-threaded engine only; configs with Shards > 1
-// must go through NewEngine (or NewSharded directly).
+// run.
 func New(cfg Config) (*Sim, error) {
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("sim: New builds the single-threaded engine; use NewEngine for Shards = %d", cfg.Shards)
-	}
 	if cfg.Trace != nil {
 		if cfg.Workload != nil {
 			return nil, fmt.Errorf("sim: Workload and Trace are mutually exclusive")
@@ -139,17 +122,7 @@ func New(cfg Config) (*Sim, error) {
 	// historical free-rider draw did.
 	mix := cfg.effectiveMix()
 	classOf := classAssignment(engRNG, mix, cfg.NumPeers)
-	return newSim(cfg, cat, engRNG, mix, classOf, nil)
-}
 
-// newSim is the shared constructor body of the single-threaded engine and of
-// each domain of a sharded run. cfg is already validated (and, for a domain,
-// already cut down to the domain's local population); classOf maps each
-// local peer index to its class in mix; engRNG is the engine stream (for a
-// domain, a rng.Stream keyed by the domain index). The construction draw
-// order — interest, initial store, storage capacity per peer, then the burst
-// stagger and whitewash jitter — is exactly the order New has always used.
-func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix, classOf []int, sc *shardCtx) (*Sim, error) {
 	q := eventq.New()
 	blocks, err := q.NewLane(cfg.BlockKbits / cfg.SlotKbps)
 	if err != nil {
@@ -167,7 +140,6 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 		ulSlots: cfg.UploadSlots(),
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
-		sc:      sc,
 
 		demandGen: 1, // peers start at adjGen 0: nothing cached
 	}
@@ -178,14 +150,6 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 		Scratch: core.NewSearchScratch(cfg.NumPeers),
 	}
 
-	// classCounts tallies classOf rather than re-deriving mix.Counts: for
-	// the single-threaded engine the two are identical (Assign apportions by
-	// Counts), and for a sharded domain only the tally reflects how the
-	// global assignment happened to land on this domain's peers.
-	s.classCounts = make([]int, len(mix))
-	for _, c := range classOf {
-		s.classCounts[c]++
-	}
 	s.peers = make([]*peerState, cfg.NumPeers)
 	for i := range s.peers {
 		st := &s.mix[classOf[i]].Strategy
@@ -287,7 +251,7 @@ func (s *Sim) Run() (*Result, error) {
 			}
 		}
 	}
-	res := s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.classCounts)
+	res := s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.mix.Counts(len(s.peers)))
 	perfstats.AddRun(perfstats.Snapshot{
 		Runs:               1,
 		Events:             res.Events,
@@ -401,9 +365,6 @@ func (s *Sim) liveEdges(p *peerState, limit int, dst []core.Edge) []core.Edge {
 func (s *Sim) addPending(p *peerState, dl *download) {
 	p.pending = append(p.pending, dl)
 	s.wanters.Add(dl.object, p.id)
-	if s.orphaned {
-		s.demandGen++
-	}
 }
 
 // removePending unregisters p's download of obj (completed or abandoned).
@@ -415,9 +376,6 @@ func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
 		}
 	}
 	s.wanters.Remove(obj, p.id)
-	if s.orphaned {
-		s.demandGen++
-	}
 }
 
 // setOnline flips p's presence. Its queued requests elsewhere turn dead or
@@ -479,11 +437,6 @@ func (s *Sim) attemptRequest(p *peerState) bool {
 		// complete from block events, never synchronously).
 		cands := s.holderCands(p, obj)
 		if len(cands) == 0 {
-			// No local holder; in a sharded run, fall back to the
-			// cross-domain directories before declaring a lookup miss.
-			if s.sc != nil && s.startRemoteDownload(p, obj) {
-				return true
-			}
 			s.col.lookupFails++
 			continue
 		}
@@ -783,18 +736,6 @@ func (s *Sim) onBlock(sess *session) {
 	}
 	now := s.q.Now()
 	sess.sent += s.cfg.BlockKbits
-	if sess.remote {
-		// The receiving peer lives in another domain: export the block as a
-		// mailbox message (applied at the next barrier) and keep pumping
-		// until the whole object has been shipped.
-		s.exportBlock(sess)
-		if sess.sent >= s.cfg.ObjectKbits {
-			s.terminateSession(sess, true)
-			return
-		}
-		s.scheduleBlock(sess)
-		return
-	}
 	dst := s.peers[sess.dst]
 	dl := sess.dl
 	dl.receivedKbits += s.cfg.BlockKbits
@@ -821,14 +762,12 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	s.q.Cancel(sess.blockEv)
 	src := s.peers[sess.src]
 	src.uploads = removeSession(src.uploads, sess)
-	if !sess.remote {
-		dst := s.peers[sess.dst]
-		dst.downloads = removeSession(dst.downloads, sess)
-		sess.dl.sessions = removeSession(sess.dl.sessions, sess)
-		if sess.entry != nil && sess.entry.session == sess {
-			sess.entry.session = nil
-			src.adjGen = 0
-		}
+	dst := s.peers[sess.dst]
+	dst.downloads = removeSession(dst.downloads, sess)
+	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
+	if sess.entry != nil && sess.entry.session == sess {
+		sess.entry.session = nil
+		src.adjGen = 0
 	}
 	s.col.sessionDone(s.q.Now(), sess)
 	s.deadSess = append(s.deadSess, sess)
@@ -878,9 +817,6 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 		if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
 			s.retireRequest(req)
 		}
-	}
-	if s.sc != nil {
-		s.cancelRemoteFeeds(p, dl)
 	}
 	// Snapshot the feeding sessions before termination mutates dl.sessions
 	// underneath us. sessScratch is free here: its other users (evictFrom,
@@ -952,12 +888,6 @@ func (s *Sim) tryServe(p *peerState) {
 			break
 		}
 		s.startSession(p, s.peers[e.requester], e.object, 1, nil, e)
-	}
-	// Cross-domain demand is served strictly after local demand: the local
-	// IRQ has full visibility (rankers, exchanges), the remote queue only
-	// FIFO fairness.
-	if s.sc != nil {
-		s.serveRemoteQueue(p)
 	}
 }
 
@@ -1096,14 +1026,8 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 				s.retireRequest(req)
 			}
 		}
-		if s.sc != nil {
-			s.cancelRemoteFeeds(p, dl)
-		}
 		s.removePending(p, dl.object)
 	}
-	// Queued cross-domain demand dies with the peer; the far-side requesters
-	// recover via their stall timeout.
-	p.remoteQ = p.remoteQ[:0]
 	// Every entry is unserved by now (the upload terminations above released
 	// them).
 	s.dropQueue(p)
@@ -1204,8 +1128,6 @@ func (s *Sim) stopContributing(p *peerState) {
 		s.terminateSession(up, true)
 	}
 	s.dropQueue(p)
-	// A free-rider serves no one, cross-domain requesters included.
-	p.remoteQ = p.remoteQ[:0]
 }
 
 // whitewash executes one identity churn for a whitewashing peer: it departs

@@ -101,7 +101,7 @@ func (s *Sim) checkPeer(p *peerState) error {
 		if e.session != nil && e.session.closed {
 			return fmt.Errorf("irq entry linked to closed session")
 		}
-		if q := s.peers[e.requester]; !s.orphaned && (!q.online || q.pendingFor(e.object) == nil) {
+		if q := s.peers[e.requester]; !q.online || q.pendingFor(e.object) == nil {
 			return fmt.Errorf("irq entry (%d, %d) outlived its download", e.requester, e.object)
 		}
 	}

@@ -23,15 +23,6 @@ type download struct {
 	requestedFrom []core.PeerID
 	// sessions currently feeding this download.
 	sessions []*session
-
-	// remoteSrcs lists the cross-domain exporters this download requested
-	// from (global peer ids; sharded runs only). remoteProgress snapshots
-	// receivedKbits at the last stall check: a remote fetch that makes no
-	// progress for a full stall window is abandoned, which is how the
-	// requester recovers from a server that departed, evicted the object, or
-	// dropped the queued demand on the far side of the partition boundary.
-	remoteSrcs     []core.PeerID
-	remoteProgress float64
 }
 
 // request is one incoming-request-queue entry at a serving peer.
@@ -70,16 +61,6 @@ type session struct {
 	sent     float64 // kbits delivered so far
 	blockEv  eventq.Handle
 	closed   bool
-
-	// remote marks a cross-domain upload (sharded runs only): dst is -1 and
-	// unused, entry/dl/ring are nil, and each block is exported as an xblock
-	// mailbox message to domain rdom for global peer rdst instead of being
-	// delivered locally. rArrival is when the remote demand reached this
-	// domain (it stands in for dl.requestedAt in waiting-time stats).
-	remote   bool
-	rdst     core.PeerID
-	rdom     int
-	rArrival float64
 }
 
 // Fire implements eventq.Event: one block of the transfer arrives.
@@ -135,19 +116,14 @@ type peerState struct {
 	// adj caches the peer's live in-edge list as ring searches see it (see
 	// Sim.adjacency): valid while adjGen equals the engine's demandGen.
 	// Anything that changes this peer's own side of the list — its IRQ, an
-	// entry's session link, its store — zeroes adjGen; a change on a
-	// requester's side that no server-side mutation accompanies advances
-	// Sim.demandGen instead and so invalidates every peer.
+	// entry's session link, its store — zeroes adjGen; the one change on a
+	// requester's side that no server-side mutation accompanies, going
+	// online or offline, advances Sim.demandGen and so invalidates every peer.
 	adj    []core.Edge
 	adjGen uint64
 
 	uploads   []*session
 	downloads []*session
-
-	// remoteQ is queued cross-domain demand at a serving peer (sharded runs
-	// only), in barrier-application order; tryServe drains it after the
-	// local IRQ.
-	remoteQ []xdemand
 
 	// retryEv is the pending lookup-retry event, if any.
 	retryEv eventq.Handle

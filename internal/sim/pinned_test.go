@@ -63,19 +63,12 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
 		}, "events=56569 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:512,non-sharing:545,sharing:1404"},
-		{"shards-4", func() Config {
-			cfg := testConfig()
-			cfg.UploadKbps = 40
-			cfg.Policy = core.Policy2N
-			cfg.Shards = 4
-			return cfg
-		}, "events=72738 searches=15450 nodes=24890 wants=96838 rings=1947 completed=non-sharing:557,sharing:2337"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg()
 			cfg.Seed = 1
-			eng, err := NewEngine(cfg)
+			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

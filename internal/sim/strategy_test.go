@@ -268,5 +268,5 @@ func (s *Sim) colResultForTest() (*Result, error) {
 			}
 		}
 	}
-	return s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.classCounts), nil
+	return s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.mix.Counts(len(s.peers))), nil
 }

@@ -53,27 +53,15 @@ func traceConfig(cfg Config) Config {
 // setupWorkload compiles the spec against this run and schedules the
 // open-loop machinery: per-peer arrival chains and cohort session edges.
 func (s *Sim) setupWorkload() error {
-	// A sharded domain compiles the spec against the GLOBAL population and
-	// addresses per-peer streams and session edges by global peer id: every
-	// domain then sees exactly the slice of the one global workload that its
-	// peers would have received in the single-threaded engine.
-	peers := s.cfg.NumPeers
-	if s.sc != nil {
-		peers = s.sc.globalPeers
-	}
-	sched, err := s.cfg.Workload.Compile(s.cfg.Duration, peers, s.cat.NumObjects(), s.cfg.Seed)
+	sched, err := s.cfg.Workload.Compile(s.cfg.Duration, s.cfg.NumPeers, s.cat.NumObjects(), s.cfg.Seed)
 	if err != nil {
 		return err
 	}
 	s.sched = sched
 	s.wstreams = make([]*rng.RNG, len(s.peers))
 	for i, p := range s.peers {
-		gid := i
-		if s.sc != nil {
-			gid = int(s.sc.global(core.PeerID(i)))
-		}
-		s.wstreams[i] = sched.PeerStream(gid)
-		arrive, depart := sched.Session(gid)
+		s.wstreams[i] = sched.PeerStream(i)
+		arrive, depart := sched.Session(i)
 		if arrive > 0 {
 			s.initialOffline(p)
 			id := p.id
@@ -115,12 +103,9 @@ func (s *Sim) workloadArrival(p *peerState, now float64) {
 		s.col.wlDropped++
 	default:
 		if obj, ok := s.sampleWorkloadObject(p, st, now); ok {
-			switch cands := s.holderCands(p, obj); {
-			case len(cands) > 0:
+			if cands := s.holderCands(p, obj); len(cands) > 0 {
 				s.startDownload(p, obj, cands)
-			case s.sc != nil && s.startRemoteDownload(p, obj):
-				// Served across the partition boundary.
-			default:
+			} else {
 				s.col.lookupFails++
 			}
 		}

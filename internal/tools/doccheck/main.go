@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -28,24 +29,34 @@ import (
 )
 
 func main() {
-	exported := flag.Bool("exported", false, "also require doc comments on every exported symbol")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-exported] dir [dir...]")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process exit: it lists violations on stdout and
+// returns the exit status (0 clean, 1 violations, 2 usage or I/O error).
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("doccheck", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	exported := flags.Bool("exported", false, "also require doc comments on every exported symbol")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	if flags.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: doccheck [-exported] dir [dir...]")
+		return 2
 	}
 	var problems []string
-	for _, root := range flag.Args() {
+	for _, root := range flags.Args() {
 		dirs, err := goDirs(root)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "doccheck:", err)
+			return 2
 		}
 		for _, dir := range dirs {
 			ps, err := checkDir(dir, *exported)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "doccheck:", err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, "doccheck:", err)
+				return 2
 			}
 			problems = append(problems, ps...)
 		}
@@ -53,11 +64,12 @@ func main() {
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
-			fmt.Println(p)
+			fmt.Fprintln(stdout, p)
 		}
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented declarations\n", len(problems))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "doccheck: %d undocumented declarations\n", len(problems))
+		return 1
 	}
+	return 0
 }
 
 // goDirs returns every directory under root that contains non-test Go

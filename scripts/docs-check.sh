@@ -1,7 +1,9 @@
 #!/bin/sh
 # docs-check: the ROADMAP quickstart must not drift ahead of the CLIs.
 # Every `go run ./cmd/...` line it advertises is smoke-run — `-h` for each
-# distinct command, plus every `-list` line verbatim — and must exit 0.
+# distinct command, plus every `-list` line verbatim — and must exit 0;
+# every -flag such a line passes must be one the command's -h defines; and
+# every program under examples/ must run to completion.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,12 +14,24 @@ if [ -z "$cmds" ]; then
 	exit 1
 fi
 for c in $cmds; do
-	if go run "$c" -h >/dev/null 2>&1; then
+	if usage=$(go run "$c" -h 2>&1); then
 		echo "ok   $c -h"
 	else
 		echo "FAIL $c -h (quickstart advertises a command that rejects -h)"
 		status=1
+		continue
 	fi
+	# A quickstart line naming a removed flag would still pass -h and -list;
+	# the flag package prints each defined flag as "  -name ..." in -h.
+	flags=$(grep "^go run $c " ROADMAP.md | sed 's/#.*//' | tr ' ' '\n' | grep '^-[a-z]' | sort -u)
+	for f in $flags; do
+		if printf '%s\n' "$usage" | grep -q "^  $f\([[:space:]]\|\$\)"; then
+			echo "ok   $c $f"
+		else
+			echo "FAIL $c $f (quickstart passes a flag that $c -h does not define)"
+			status=1
+		fi
+	done
 done
 
 # -list lines are cheap and their output is what the docs tell users to
@@ -28,6 +42,16 @@ for c in $lists; do
 		echo "ok   $c -list"
 	else
 		echo "FAIL $c -list"
+		status=1
+	fi
+done
+
+# The examples are documentation too, and nothing else executes them.
+for d in examples/*/; do
+	if go run "./$d" >/dev/null 2>&1; then
+		echo "ok   ./$d"
+	else
+		echo "FAIL ./$d (example exits nonzero)"
 		status=1
 	fi
 done
