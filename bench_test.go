@@ -1,20 +1,14 @@
 package barter
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"barter/internal/core"
 	"barter/internal/experiment"
-	"barter/internal/mediator"
 	"barter/internal/metrics"
-	"barter/internal/protocol"
 	"barter/internal/runner"
 	"barter/internal/sim"
 	"barter/internal/workload"
@@ -269,197 +263,6 @@ func BenchmarkRingSearchPolicies(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.SearchOnce(core.PeerID(i%cfg.NumPeers), pol)
 			}
-		})
-	}
-}
-
-// verifyBenchLatency is the simulated one-way network latency under the
-// mediator verify benchmark: audits are RPC round trips, so the benchmark
-// runs them over a latency-bearing link where serialized and pipelined
-// clients genuinely differ, as they do on a real network.
-const verifyBenchLatency = 250 * time.Microsecond
-
-// newVerifyBench builds a deposit-primed mediator tier and returns a
-// shard-aware client plus one sealed audit sample per object (1-indexed).
-func newVerifyBench(b *testing.B, shards, objects int) (*MedClient, []protocol.Block) {
-	b.Helper()
-	tr := NewMemLatencyTransport(verifyBenchLatency)
-	content := make([][]byte, objects+1)
-	digests := make([][32]byte, objects+1)
-	for o := 1; o <= objects; o++ {
-		content[o] = []byte(fmt.Sprintf("bench-object-%d-payload", o))
-		digests[o] = sha256.Sum256(content[o])
-	}
-	oracle := func(o ObjectID) ([][32]byte, bool) {
-		if o < 1 || int(o) > objects {
-			return nil, false
-		}
-		return [][32]byte{digests[o]}, true
-	}
-	addrs := make([]string, shards)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("mem://bench-med-%d", i)
-	}
-	cluster, err := NewMediatorCluster(tr, addrs, oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(cluster.Close)
-	client, err := NewMedClient(MedClientConfig{Transport: tr, Seeds: cluster.Addrs()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(client.Close)
-
-	const sender, receiver = PeerID(1), PeerID(2)
-	samples := make([]protocol.Block, objects+1)
-	for o := 1; o <= objects; o++ {
-		obj := ObjectID(o)
-		var key [16]byte
-		key[0] = byte(o)
-		if err := client.Deposit(uint64(o), sender, obj, key); err != nil {
-			b.Fatal(err)
-		}
-		sealed, err := mediator.Seal(key, sender, receiver, obj, 0, content[o])
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples[o] = protocol.Block{Object: obj, Index: 0, Origin: sender, Recipient: receiver, Encrypted: true, Payload: sealed}
-	}
-	return client, samples
-}
-
-// BenchmarkMediatorVerify measures the live mediator tier's audit
-// round-trip — deposit-backed verifies through the shard-aware client over
-// the in-memory transport — for a single shard, a 4-shard cluster, and the
-// same 4-shard cluster driven by 8 concurrent callers so the enveloped wire
-// protocol keeps 8 RPCs in flight per demultiplexed connection.
-// BENCH_2.json tracks both the serialized and pipelined numbers.
-func BenchmarkMediatorVerify(b *testing.B) {
-	const objects = 64
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			client, samples := newVerifyBench(b, shards, objects)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o := i%objects + 1
-				if _, err := client.Verify(uint64(o), PeerID(2), PeerID(1), ObjectID(o), samples[o:o+1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "verifies/s")
-		})
-	}
-	b.Run("pipelined=8", func(b *testing.B) {
-		const workers = 8
-		client, samples := newVerifyBench(b, 4, objects)
-		b.ResetTimer()
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := atomic.AddInt64(&next, 1) - 1
-					if i >= int64(b.N) {
-						return
-					}
-					o := int(i%int64(objects)) + 1
-					if _, err := client.Verify(uint64(o), PeerID(2), PeerID(1), ObjectID(o), samples[o:o+1]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "verifies/s")
-	})
-}
-
-// BenchmarkStripedDownload measures a whole mediated download on the live
-// stack — sealed blocks, per-origin escrow, stripe audits, decrypt — from
-// three bandwidth-limited origins, single-sender versus striped across all
-// three. Each iteration is one fresh receiver completing one object, so
-// downloads/s compares end-to-end transfer time directly.
-func BenchmarkStripedDownload(b *testing.B) {
-	const (
-		blockSize = 1024
-		objSize   = 64 * blockSize
-		origins   = 3
-	)
-	for _, stripe := range []int{1, 3} {
-		b.Run(fmt.Sprintf("stripe=%d", stripe), func(b *testing.B) {
-			tr := NewMemTransport()
-			obj := ObjectID(1)
-			data := make([]byte, objSize)
-			for i := range data {
-				data[i] = byte(i * 31)
-			}
-			var digs [][32]byte
-			for off := 0; off < len(data); off += blockSize {
-				digs = append(digs, sha256.Sum256(data[off:off+blockSize]))
-			}
-			oracle := func(o ObjectID) ([][32]byte, bool) {
-				if o != obj {
-					return nil, false
-				}
-				return digs, true
-			}
-			cluster, err := NewMediatorCluster(tr, []string{"mem://sd-med-0", "mem://sd-med-1"}, oracle)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(cluster.Close)
-			newClient := func() *MedClient {
-				c, err := NewMedClient(MedClientConfig{Transport: tr, Seeds: cluster.Addrs()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return c
-			}
-			providers := make(map[PeerID]string)
-			for id := PeerID(1); id <= origins; id++ {
-				mc := newClient()
-				b.Cleanup(mc.Close)
-				n, err := NewNode(NodeConfig{
-					ID:         id,
-					Addr:       fmt.Sprintf("mem://sd-origin-%d", id),
-					Transport:  tr,
-					Mediator:   mc,
-					Share:      true,
-					BlockSize:  blockSize,
-					BlockDelay: 200 * time.Microsecond, // a finite per-origin uplink
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(n.Close)
-				n.AddObject(obj, data)
-				providers[id] = n.Addr()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mc := newClient()
-				r, err := NewNode(NodeConfig{
-					ID:        PeerID(100 + i),
-					Addr:      fmt.Sprintf("mem://sd-recv-%d", i),
-					Transport: tr,
-					Mediator:  mc,
-					Stripe:    stripe,
-					BlockSize: blockSize,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := WaitDownload(r.Download(obj, providers), time.Minute); err != nil {
-					b.Fatal(err)
-				}
-				r.Close()
-				mc.Close()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "downloads/s")
 		})
 	}
 }

@@ -28,11 +28,12 @@
 //
 // -mediators shards the mediator tier (consistent hashing over object id)
 // for any scenario; medfail additionally kills and restarts shards mid-run
-// while nodes speak the mediated block path natively. -stripe N switches
-// any scenario onto the mediated path with each download striped across up
-// to N origins — interleaved sealed blocks, per-origin escrow and audits —
-// so a cheater scenario flags every corrupt origin organically while honest
-// stripes complete in parallel. reshard runs the
+// while nodes speak the mediated block path natively. -stripe N stripes
+// each download across up to N origins and (the harness's choice; nodes
+// stripe either way) switches the scenario onto the mediated path —
+// interleaved sealed blocks, per-origin escrow and audits — so a cheater
+// scenario flags every corrupt origin organically while honest stripes
+// complete in parallel. reshard runs the
 // medfail mix over a durable tier (write-ahead logs under -meddata, or a
 // temporary dir) while live AddShard/RemoveShard reshapes churn the ring;
 // the run fails if any reshape — or the final full-tier restart — loses a
@@ -88,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		medkills = fs.Int("medkills", 0, "mediator shard kill/restart cycles (medfail scenario)")
 		reshards = fs.Int("reshards", 0, "elastic tier reshape cycles (reshard scenario)")
 		meddata  = fs.String("meddata", "", "mediator write-ahead-log directory (reshard scenario; empty = temp dir)")
-		stripe   = fs.Int("stripe", 0, "stripe mediated downloads across up to N origins (enables the mediated path; 0/1 = single sender)")
+		stripe   = fs.Int("stripe", 0, "stripe downloads across up to N origins (N > 1 also enables the mediated path; 0/1 = single origin)")
 		objSize  = fs.Int("objsize", 0, "object size in bytes (0 = scenario default)")
 		block    = fs.Int("block", 0, "block size in bytes (0 = scenario default)")
 		slots    = fs.Int("slots", 0, "upload slots per sharer (0 = scenario default)")

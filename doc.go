@@ -77,9 +77,11 @@
 // reach it exclusively through the shard-aware client layer
 // (internal/medclient) — shard-map caching, pooled per-shard connections,
 // retry with backoff, write-through replica deposits, and failover to the
-// replica shard when a mediator dies mid-verify. With Config.Mediator set,
-// nodes speak the mediated block path natively: blocks travel sealed under
-// an escrowed per-exchange key and a transfer completes only after the
+// replica shard when a mediator dies mid-verify. Every node download runs
+// through one lane scheduler (Config.Stripe lanes, each granted to one
+// origin's session; see docs/ARCHITECTURE.md) and the mediator changes only
+// how a lane is verified: with Config.Mediator set blocks travel sealed
+// under an escrowed per-session key and a lane completes only after the
 // mediator audits sample blocks and releases the key, so cheaters are
 // flagged tier-wide rather than just blacklisted locally. Durability is
 // layered: without a data directory a shard restart loses its in-memory

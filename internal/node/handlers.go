@@ -1,8 +1,6 @@
 package node
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"time"
 
 	"barter/internal/catalog"
@@ -69,11 +67,15 @@ func (n *Node) dropConnIf(peer core.PeerID, conn transport.Conn) {
 			}
 		}
 	}
+	// Lanes it was filling for us go back to the remaining providers.
+	n.dropOrigin(peer)
 	n.trySchedule()
 }
 
 // getConn returns a live connection to peer, dialing if needed. addrHint, if
-// non-empty, bypasses the lookup service.
+// non-empty, is tried before the lookup service; a hint that no longer
+// answers (the peer restarted at a new address) falls back to it, so a
+// download's re-requests reach a provider that moved.
 func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 	if pc, ok := n.conns[peer]; ok {
 		return pc
@@ -86,6 +88,12 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 		return nil
 	}
 	conn, err := n.cfg.Transport.Dial(addr)
+	if err != nil && addrHint != "" {
+		if fresh, ok := n.cfg.Lookup(peer); ok && fresh != addrHint {
+			addr = fresh
+			conn, err = n.cfg.Transport.Dial(addr)
+		}
+	}
 	if err != nil {
 		n.logf("dial %d at %s: %v", peer, addr, err)
 		return nil
@@ -145,218 +153,6 @@ func (n *Node) handle(from core.PeerID, msg protocol.Message) {
 	default:
 		n.logf("unhandled %T from %d", msg, from)
 	}
-}
-
-// --- downloads ---------------------------------------------------------------
-
-func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]string, ch chan error) {
-	if _, have := n.store[obj]; have {
-		ch <- nil
-		return
-	}
-	dl, ok := n.downloads[obj]
-	if !ok {
-		dl = &download{
-			object:    obj,
-			providers: make(map[core.PeerID]string, len(providers)),
-			senders:   make(map[core.PeerID]bool),
-		}
-		n.downloads[obj] = dl
-	}
-	dl.waiters = append(dl.waiters, ch)
-	for p, addr := range providers {
-		if p != n.cfg.ID {
-			dl.providers[p] = addr
-		}
-	}
-	// "Prior to transmission of a request, the peer inspects the entire
-	// request tree" — a ring may satisfy this want without any new request.
-	n.tryExchange()
-	n.sendRequests(dl)
-}
-
-func (n *Node) sendRequests(dl *download) {
-	tree := protocol.FromCoreTree(n.myTree().Prune(n.cfg.TreeDepth))
-	for p, addr := range dl.providers {
-		if pc := n.getConn(p, addr); pc != nil {
-			pc.send(&protocol.Request{Object: dl.object, Tree: tree})
-		}
-	}
-}
-
-func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
-	dl := n.downloads[m.Object]
-	if dl == nil || dl.completed {
-		return
-	}
-	// Validate the manifest before any state changes: a garbage manifest
-	// must not win the mediated sender lock (cancelling every honest
-	// provider) or register its sender.
-	if m.Blocks == 0 || int(m.Blocks) != len(m.Digests) {
-		return // malformed
-	}
-	digs := m.Digests
-	if n.cfg.TrustedDigests != nil {
-		if trusted, ok := n.cfg.TrustedDigests(m.Object); ok {
-			if len(trusted) != int(m.Blocks) {
-				n.logf("manifest for %d contradicts trusted digests", m.Object)
-				return
-			}
-			digs = trusted
-		}
-	}
-	if n.mediated() {
-		if _, ok := dl.providers[from]; !ok {
-			return // not a provider we asked, or one we already flagged
-		}
-		if dl.blocks == nil {
-			// The first valid manifest fixes the geometry: block count,
-			// digests, and the stripe interleave. Later manifests must
-			// agree on the count; their digests are ignored (first writer
-			// wins — the audit plus the post-decrypt checks, or
-			// TrustedDigests, catch liars).
-			k := n.cfg.Stripe
-			if k > len(dl.providers) {
-				k = len(dl.providers)
-			}
-			if k > int(m.Blocks) {
-				k = int(m.Blocks)
-			}
-			if k < 1 {
-				k = 1
-			}
-			dl.blocks = make([][]byte, m.Blocks)
-			dl.digests = digs
-			dl.total = int(m.Blocks)
-			dl.stripes = make([]*stripeState, k)
-			for i := range dl.stripes {
-				dl.stripes[i] = &stripeState{}
-			}
-		} else if int(m.Blocks) != dl.total {
-			return // contradicts the fixed geometry
-		}
-		dl.senders[from] = true
-		idx, s := dl.stripeOf(from)
-		if s == nil {
-			idx, s = dl.freeStripe()
-			if s == nil {
-				// Every stripe is carried; withdraw the request so the
-				// surplus provider does not hold an upload slot for us.
-				if pc, ok := n.conns[from]; ok {
-					pc.send(&protocol.Cancel{Object: m.Object})
-				}
-				return
-			}
-		} else {
-			if s.verifying || s.verified {
-				return // nothing may move underneath an audit or a done stripe
-			}
-			if m.Session == s.session {
-				return // duplicate manifest for the live session
-			}
-			// The origin opened a new session: its old one is dead (a
-			// sender only restarts after the previous session ended) and
-			// blocks sealed under the dead session's key can never be
-			// verified. Start this stripe over on the new session.
-			n.clearStripe(dl, idx)
-			s.origin = 0
-		}
-		n.grantStripe(dl, idx, from, m.Session)
-		return
-	}
-	dl.senders[from] = true
-	if dl.blocks != nil {
-		return // already allocated
-	}
-	dl.blocks = make([][]byte, m.Blocks)
-	dl.digests = digs
-	dl.total = int(m.Blocks)
-}
-
-func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
-	dl := n.downloads[b.Object]
-	if dl == nil || dl.completed || dl.blocks == nil {
-		return
-	}
-	if int(b.Index) >= dl.total {
-		return
-	}
-	pc := n.conns[from]
-	if b.Encrypted || n.mediated() {
-		// Sealed blocks are positionally accepted and validated after the
-		// audit; plaintext blocks inside a mediated deployment (or sealed
-		// ones outside it) are a protocol mismatch and are refused.
-		if b.Encrypted && n.mediated() {
-			n.onSealedBlock(dl, from, b)
-			return
-		}
-		n.stats.BlocksRejected++
-		if pc != nil {
-			pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, Session: b.Session, OK: false})
-		}
-		return
-	}
-	if sha256.Sum256(b.Payload) != dl.digests[b.Index] {
-		// Junk block (even a duplicate): reject it and stop trusting the
-		// sender (local blacklisting, Section III-B).
-		n.stats.BlocksRejected++
-		delete(dl.providers, from)
-		delete(dl.senders, from)
-		if pc != nil {
-			pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, OK: false})
-		}
-		return
-	}
-	if dl.blocks[b.Index] != nil {
-		if pc != nil { // duplicate from a second source: ack so it moves on
-			pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, OK: true})
-		}
-		return
-	}
-	dl.blocks[b.Index] = append([]byte(nil), b.Payload...)
-	dl.have++
-	dl.senders[from] = true
-	n.stats.BlocksReceived++
-	if pc != nil {
-		pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, OK: true})
-	}
-	if dl.have == dl.total {
-		n.finishDownload(dl)
-	}
-}
-
-func (n *Node) finishDownload(dl *download) {
-	dl.completed = true
-	data := make([]byte, 0)
-	for _, blk := range dl.blocks {
-		data = append(data, blk...)
-	}
-	n.store[dl.object] = data
-	digs := make([][32]byte, len(dl.blocks))
-	for i, blk := range dl.blocks {
-		digs[i] = sha256.Sum256(blk)
-	}
-	n.digests[dl.object] = digs
-	n.stats.ObjectsCompleted++
-	delete(n.downloads, dl.object)
-	for _, ch := range dl.waiters {
-		ch <- nil
-	}
-	// Withdraw outstanding requests.
-	for p := range dl.providers {
-		if pc, ok := n.conns[p]; ok {
-			pc.send(&protocol.Cancel{Object: dl.object})
-		}
-	}
-	// Rings feeding this download dissolve (the paper's common case: "one
-	// side terminates first, when it completes its own download").
-	for id, ring := range n.rings {
-		if ring.committed && ring.gets() == dl.object {
-			n.quitRing(id, "download complete")
-		}
-	}
-	n.tryExchange()
-	n.trySchedule()
 }
 
 // --- serving ------------------------------------------------------------------
@@ -434,6 +230,17 @@ func (n *Node) ringFed(obj catalog.ObjectID) bool {
 	return false
 }
 
+// ringPredecessor reports whether peer is the member delivering obj to us in
+// a committed ring.
+func (n *Node) ringPredecessor(obj catalog.ObjectID, peer core.PeerID) bool {
+	for _, r := range n.rings {
+		if r.committed && r.gets() == obj && r.predecessor().Peer == peer {
+			return true
+		}
+	}
+	return false
+}
+
 // trySchedule grants spare upload capacity to waiting non-exchange requests,
 // oldest first (exchange uploads are created by ring commits and preempt).
 func (n *Node) trySchedule() {
@@ -463,8 +270,9 @@ func (n *Node) trySchedule() {
 	}
 }
 
-// startUpload begins a transfer session and pushes the manifest plus the
-// first block. ringID 0 marks non-exchange.
+// startUpload begins a transfer session and pushes its manifest; the first
+// block follows once the receiver grants the session a lane (and, with a
+// mediator, the session key is in escrow). ringID 0 marks non-exchange.
 func (n *Node) startUpload(to core.PeerID, obj catalog.ObjectID, ringID uint64, addrHint string) bool {
 	if existing, ok := n.uploads[upKey{to: to, object: obj}]; ok {
 		// A session for this link already runs; adopt it into the ring
@@ -486,29 +294,55 @@ func (n *Node) startUpload(to core.PeerID, obj catalog.ObjectID, ringID uint64, 
 	if total == 0 {
 		return false
 	}
-	u := &upload{to: to, object: obj, ringID: ringID, total: total, stripes: 1}
-	if n.mediated() {
-		// Escrow a fresh session key first; blocks follow once the
-		// mediator acknowledges the deposit.
-		sealKey, session, ok := medSealKey()
-		if !ok {
-			return false
-		}
-		u.mediated = true
-		u.sealKey = sealKey
-		u.session = session
+	session, sealKey, ok := newSession()
+	if !ok {
+		return false
 	}
+	u := &upload{to: to, object: obj, ringID: ringID, total: total, session: session, sealKey: sealKey, escrowed: !n.mediated()}
 	n.uploads[upKey{to: to, object: obj}] = u
-	pc.send(&protocol.Manifest{Object: obj, Size: uint64(len(data)), Blocks: total, Session: u.session, Digests: digs})
-	if u.mediated {
+	pc.send(&protocol.Manifest{Object: obj, Size: uint64(len(data)), Blocks: total, Session: session, Digests: digs})
+	if n.mediated() {
 		n.startEscrow(u)
-	} else {
-		n.sendNextBlock(u, pc)
 	}
 	if ringID == 0 {
 		n.stats.RequestsServed++
 	}
 	return true
+}
+
+// onStripeGrant places an upload in the receiver's interleave: the session
+// serves block indices congruent to Stripe modulo Stripes, starting at
+// Stripe.
+func (n *Node) onStripeGrant(from core.PeerID, g *protocol.StripeGrant) {
+	u, ok := n.uploads[upKey{to: from, object: g.Object}]
+	if !ok || g.Session != u.session {
+		return // no such session (or a stale grant for a dead one)
+	}
+	if g.Stripes == 0 || g.Stripe >= g.Stripes || u.granted {
+		return
+	}
+	u.granted = true
+	u.next, u.stride = g.Stripe, g.Stripes
+	n.maybeStartSend(u)
+}
+
+// maybeStartSend releases an upload's first block once its gates are open:
+// the receiver has granted a lane and, with a mediator, the escrow deposit
+// is acknowledged. The two acks race; whichever lands second triggers the
+// send.
+func (n *Node) maybeStartSend(u *upload) {
+	if !u.escrowed || !u.granted || u.inFlight {
+		return
+	}
+	if u.next >= u.total {
+		// An empty lane (more lanes than blocks); nothing to send.
+		delete(n.uploads, upKey{to: u.to, object: u.object})
+		n.trySchedule()
+		return
+	}
+	if pc, ok := n.conns[u.to]; ok {
+		n.sendNextBlock(u, pc)
+	}
 }
 
 func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
@@ -527,7 +361,7 @@ func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
 		payload = junk
 	}
 	encrypted := false
-	if u.mediated {
+	if n.mediated() {
 		sealed, ok := n.sealPayload(u, payload)
 		if !ok {
 			delete(n.uploads, upKey{to: u.to, object: u.object})
@@ -556,11 +390,8 @@ func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
 func (n *Node) onBlockAck(from core.PeerID, a *protocol.BlockAck) {
 	key := upKey{to: from, object: a.Object}
 	u, ok := n.uploads[key]
-	if !ok || a.Index != u.next {
-		return
-	}
-	if u.mediated && a.Session != u.session {
-		return // addressed to a dead session of ours; never advance on it
+	if !ok || a.Index != u.next || a.Session != u.session {
+		return // stale, or addressed to a dead session of ours; never advance on it
 	}
 	u.inFlight = false
 	if !a.OK {
@@ -570,7 +401,7 @@ func (n *Node) onBlockAck(from core.PeerID, a *protocol.BlockAck) {
 		n.trySchedule()
 		return
 	}
-	u.next += u.stripes // interleave stride; 1 unless a stripe was granted
+	u.next += u.stride
 	if u.next >= u.total {
 		delete(n.uploads, key)
 		n.removeIRQ(func(e *irqEntry) bool { return e.peer == from && e.object == a.Object })
@@ -675,11 +506,13 @@ func (n *Node) initiateRing(r *core.Ring) {
 	n.logf("probing ring %d: %v", id, members)
 }
 
-// gets returns the object this member receives in the ring.
-func (r *ringInfo) gets() catalog.ObjectID {
-	prev := (r.myIdx - 1 + len(r.members)) % len(r.members)
-	return r.members[prev].Gives
+// predecessor is the member that uploads to this one in the ring.
+func (r *ringInfo) predecessor() protocol.RingMember {
+	return r.members[(r.myIdx-1+len(r.members))%len(r.members)]
 }
+
+// gets returns the object this member receives in the ring.
+func (r *ringInfo) gets() catalog.ObjectID { return r.predecessor().Gives }
 
 func (n *Node) onRingProbe(from core.PeerID, m *protocol.RingProbe) {
 	reply := func(ok bool, reason string) {
@@ -706,8 +539,7 @@ func (n *Node) onRingProbe(from core.PeerID, m *protocol.RingProbe) {
 		reply(false, "object gone")
 		return
 	}
-	dl := n.downloads[info.gets()]
-	if dl == nil || dl.completed {
+	if n.downloads[info.gets()] == nil {
 		reply(false, "no longer wanted")
 		return
 	}
@@ -837,49 +669,7 @@ func (n *Node) onTick() {
 			}
 		}
 	}
-	// Stalled downloads re-issue their requests (sources may have
-	// preempted us for an exchange, or vanished); after MaxRetries rounds
-	// with zero progress the download fails.
-	for _, dl := range n.downloads {
-		if dl.completed {
-			continue
-		}
-		if n.mediated() && dl.stripes != nil {
-			n.tickStripes(dl)
-		}
-		if dl.auditing() {
-			// An in-flight audit is progress; its own bounded retries and
-			// failover decide the outcome, not the stall counter.
-			continue
-		}
-		if dl.have == dl.lastHave {
-			dl.stalled++
-		} else {
-			dl.stalled = 0
-			dl.retries = 0
-			dl.lastHave = dl.have
-		}
-		if dl.stalled >= n.cfg.StallTicks {
-			dl.stalled = 0
-			dl.retries++
-			if len(dl.providers) == 0 || dl.retries > n.cfg.MaxRetries {
-				for _, ch := range dl.waiters {
-					ch <- fmt.Errorf("%w: object %d", ErrNoSource, dl.object)
-				}
-				dl.waiters = nil
-				delete(n.downloads, dl.object)
-				continue
-			}
-			if n.mediated() && dl.stripes != nil {
-				// Every stripe went quiet at once (or none was ever
-				// granted); partial sealed blocks are unverifiable without
-				// their origins, so start over and let the manifest race
-				// re-fix the geometry with whoever is still alive.
-				n.resetMediatedDownload(dl)
-			}
-			n.sendRequests(dl)
-		}
-	}
+	n.tickDownloads()
 	n.tryExchange()
 	n.trySchedule()
 }

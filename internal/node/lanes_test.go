@@ -1,0 +1,283 @@
+package node
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"barter/internal/catalog"
+	"barter/internal/core"
+)
+
+// The lane scheduler is one code path; a mediator only changes how a full
+// lane is verified. Its tests therefore run one body over both deployments.
+func forEachDeployment(t *testing.T, objSize int, body func(t *testing.T, mn *medNet)) {
+	t.Run("unmediated", func(t *testing.T) { body(t, &medNet{testNet: newTestNet(t)}) })
+	t.Run("mediated", func(t *testing.T) {
+		mn := newMedNet(t, 2, objSize)
+		body(t, mn)
+		mn.assertHonestUnflagged()
+	})
+}
+
+// waitUntil polls cond (which reads node state through the event loop) until
+// it holds; tests use it to establish a premise before acting on it.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// quiet makes an origin send the first block of a granted lane and then
+// nothing: the lane is carried, but never progresses.
+func quiet(cfg *Config) { cfg.BlockDelay = time.Hour }
+
+// TestStripedDownloadAcrossOrigins: three honest origins each carry one
+// lane of the same object; the receiver verifies each lane against its own
+// origin and lands the exact bytes.
+func TestStripedDownloadAcrossOrigins(t *testing.T) {
+	const size = 12 * 1024 // 12 blocks at the 1 KiB test block size
+	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
+		obj := catalog.ObjectID(4)
+		data := payload(obj, size)
+		providers := make(map[core.PeerID]string)
+		for id := core.PeerID(1); id <= 3; id++ {
+			srv := mn.spawnMediated(id, nil)
+			srv.AddObject(obj, data)
+			providers[id] = srv.Addr()
+		}
+		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.Stripe = 3 })
+
+		ch := receiver.Download(obj, providers)
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if got := receiver.Object(obj); !bytes.Equal(got, data) {
+			t.Fatalf("downloaded %d bytes, content mismatch", len(got))
+		}
+		st := receiver.Stats()
+		if st.StripesGranted < 3 {
+			t.Fatalf("granted %d stripes, want >= 3", st.StripesGranted)
+		}
+		if mn.cluster != nil && st.MedVerifies < 3 {
+			t.Fatalf("submitted %d audits, want one per stripe (>= 3)", st.MedVerifies)
+		}
+		if st.MedRejects != 0 || st.BlocksRejected != 0 {
+			t.Fatalf("honest striped transfer produced %d audit rejects, %d block rejects", st.MedRejects, st.BlocksRejected)
+		}
+	})
+}
+
+// TestStripedCheaterReassigned: one corrupt origin among three; its lane
+// fails verification (the audit rejects and the tier flags it, or its first
+// plaintext block fails the digest), only its lane is taken back, and an
+// honest origin that finished its own lane re-manifests to fill the freed
+// one — the download still lands the exact bytes.
+func TestStripedCheaterReassigned(t *testing.T) {
+	const size = 12 * 1024
+	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
+		obj := catalog.ObjectID(6)
+		data := payload(obj, size)
+		cheater := mn.spawnMediated(1, func(cfg *Config) { cfg.Corrupt = true })
+		cheater.AddObject(obj, data)
+		providers := map[core.PeerID]string{1: cheater.Addr()}
+		var honest []*Node
+		for id := core.PeerID(2); id <= 3; id++ {
+			srv := mn.spawnMediated(id, nil)
+			honest = append(honest, srv)
+			providers[id] = srv.Addr()
+		}
+		receiver := mn.spawnMediated(9, func(cfg *Config) {
+			cfg.Stripe = 3
+			cfg.StallTicks = 5
+		})
+
+		ch := receiver.Download(obj, providers)
+		// The premise: the cheater carries a lane. The honest origins only
+		// come to hold the object once it does, so they can never fill
+		// every lane between them first and get the cheater cancelled as
+		// surplus; the receiver's re-requests for its unclaimed lanes find
+		// them afterwards.
+		waitUntil(t, "the cheater is granted a lane", func() bool { return receiver.Stats().StripesGranted >= 1 })
+		for _, srv := range honest {
+			srv.AddObject(obj, data)
+		}
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if got := receiver.Object(obj); !bytes.Equal(got, data) {
+			t.Fatal("content mismatch after recovering from the striped cheater")
+		}
+		st := receiver.Stats()
+		if mn.cluster != nil {
+			if mn.cluster.Flagged(1) == 0 {
+				t.Fatal("mediator tier never flagged the corrupt origin")
+			}
+			if st.MedRejects == 0 {
+				t.Fatal("receiver recorded no audit rejection")
+			}
+		} else if st.BlocksRejected == 0 {
+			t.Fatal("receiver rejected no junk block")
+		}
+		if st.StripesReassigned == 0 {
+			t.Fatal("the cheater's stripe was never reassigned")
+		}
+	})
+}
+
+// TestStripedStallRecovery: an origin goes quiet mid-lane without
+// disconnecting. The receiver's per-lane stall timer takes the dead lane
+// back within the stall timeout and the surviving origin completes it,
+// without the surviving lane being disturbed.
+func TestStripedStallRecovery(t *testing.T) {
+	const size = 16 * 1024
+	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
+		obj := catalog.ObjectID(8)
+		data := payload(obj, size)
+		casualty := mn.spawnMediated(1, quiet)
+		casualty.AddObject(obj, data)
+		survivor := mn.spawnMediated(2, nil)
+		receiver := mn.spawnMediated(9, func(cfg *Config) {
+			cfg.Stripe = 2
+			cfg.StallTicks = 5
+		})
+
+		ch := receiver.Download(obj, map[core.PeerID]string{1: casualty.Addr(), 2: survivor.Addr()})
+		// The premise: the casualty carries a lane. The survivor only comes
+		// to hold the object once it does (see TestStripedCheaterReassigned).
+		waitUntil(t, "the casualty is granted a lane", func() bool { return receiver.Stats().StripesGranted >= 1 })
+		survivor.AddObject(obj, data)
+		// Taken back while still connected, so by the stall timer. Then the
+		// casualty leaves: it would otherwise keep answering the re-requests
+		// and could win its lane back, quiet as ever, any number of times.
+		waitUntil(t, "the stalled lane is taken back", func() bool { return receiver.Stats().StripesReassigned >= 1 })
+		casualty.Close()
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatalf("download did not recover from the mid-stripe stall: %v", err)
+		}
+		if got := receiver.Object(obj); !bytes.Equal(got, data) {
+			t.Fatal("content mismatch after stall recovery")
+		}
+		if st := receiver.Stats(); st.StripesReassigned == 0 {
+			t.Fatal("the quiet origin's stripe was never reassigned")
+		}
+	})
+}
+
+// TestDepartedOriginLaneReassignedOnDrop: when the origin carrying a lane
+// disconnects, the lane goes back to the remaining providers at once — the
+// recovery does not wait out the stall timer.
+func TestDepartedOriginLaneReassignedOnDrop(t *testing.T) {
+	const size = 8 * 1024
+	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
+		obj := catalog.ObjectID(11)
+		data := payload(obj, size)
+		casualty := mn.spawnMediated(1, quiet)
+		casualty.AddObject(obj, data)
+		survivor := mn.spawnMediated(2, nil)
+		survivor.AddObject(obj, data)
+		// A stall timeout of 50 s: only the drop can explain a recovery
+		// inside the test's patience.
+		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })
+
+		// The casualty takes the single lane; the survivor, asked second, is
+		// surplus and gets cancelled.
+		ch := receiver.Download(obj, map[core.PeerID]string{1: casualty.Addr()})
+		waitUntil(t, "the casualty is granted the lane", func() bool { return receiver.Stats().StripesGranted == 1 })
+		receiver.Download(obj, map[core.PeerID]string{2: survivor.Addr()})
+		waitUntil(t, "the survivor answered", func() bool { return survivor.Stats().RequestsServed == 1 })
+
+		casualty.Close()
+		if err := WaitFor(ch, 10*time.Second); err != nil {
+			t.Fatalf("download did not recover from the departure: %v", err)
+		}
+		if got := receiver.Object(obj); !bytes.Equal(got, data) {
+			t.Fatal("content mismatch after the departure")
+		}
+		if st := receiver.Stats(); st.StripesReassigned != 1 {
+			t.Fatalf("lanes reassigned = %d, want exactly the departed origin's", st.StripesReassigned)
+		}
+	})
+}
+
+// TestNoRedundantBlocks: a default (single-lane) download asked of four
+// holders moves each block exactly once — the three holders that lose the
+// manifest race are cancelled before they send anything.
+func TestNoRedundantBlocks(t *testing.T) {
+	const size = 16 * 1024
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(12)
+	data := payload(obj, size)
+	providers := make(map[core.PeerID]string)
+	var holders []*Node
+	for id := core.PeerID(1); id <= 4; id++ {
+		h := tn.spawn(id, nil)
+		h.AddObject(obj, data)
+		holders = append(holders, h)
+		providers[id] = h.Addr()
+	}
+	receiver := tn.spawn(9, nil)
+	if err := WaitFor(receiver.Download(obj, providers), testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if got := receiver.Object(obj); !bytes.Equal(got, data) {
+		t.Fatal("content mismatch")
+	}
+	sent := 0
+	for _, h := range holders {
+		sent += h.Stats().BlocksSent
+	}
+	st := receiver.Stats()
+	if blocks := size / 1024; sent != blocks || st.BlocksReceived != blocks || st.BlocksRejected != 0 {
+		t.Fatalf("%d blocks: holders sent %d, receiver took %d and rejected %d", blocks, sent, st.BlocksReceived, st.BlocksRejected)
+	}
+}
+
+// TestRingPredecessorTakesLane: every lane of a download is carried by a
+// plain origin when a ring feeding that download commits. The ring
+// predecessor's session is not turned away as surplus: it takes the lane
+// over, so the exchange — not the plain transfer — delivers the object
+// (exchange priority, seen from the receiving side).
+func TestRingPredecessorTakesLane(t *testing.T) {
+	tn := newTestNet(t)
+	ox, oy := catalog.ObjectID(100), catalog.ObjectID(200)
+	dataX, dataY := payload(ox, 10_000), payload(oy, 20_000)
+	// The receiver's stall timers are out of the picture: only the ring can
+	// move the lane. Its own upload is paced, so the partner's want outlives
+	// the receiver's and the ring is not dissolved under it ("one side
+	// terminates first, when it completes its own download").
+	receiver := tn.spawn(1, func(c *Config) { c.StallTicks = 10_000; c.BlockDelay = 5 * time.Millisecond })
+	plain := tn.spawn(2, quiet)
+	partner := tn.spawn(3, nil)
+	receiver.AddObject(oy, dataY)
+	plain.AddObject(ox, dataX)
+
+	// The plain origin takes the single lane; the partner is a known
+	// provider but does not hold the object yet, so it stays silent.
+	chX := receiver.Download(ox, map[core.PeerID]string{2: tn.addrOf(2), 3: tn.addrOf(3)})
+	waitUntil(t, "the plain origin is granted the lane", func() bool { return receiver.Stats().StripesGranted == 1 })
+	// Mutual wants: the partner now holds X and asks the receiver for Y.
+	partner.AddObject(ox, dataX)
+	chY := partner.Download(oy, map[core.PeerID]string{1: tn.addrOf(1)})
+
+	if err := WaitFor(chX, testTimeout); err != nil {
+		t.Fatalf("receiver's download: %v", err)
+	}
+	if err := WaitFor(chY, testTimeout); err != nil {
+		t.Fatalf("partner's download: %v", err)
+	}
+	if !bytes.Equal(receiver.Object(ox), dataX) || !bytes.Equal(partner.Object(oy), dataY) {
+		t.Fatal("exchanged objects corrupted")
+	}
+	if st := receiver.Stats(); st.StripesReassigned != 1 || st.StripesGranted != 2 {
+		t.Fatalf("the ring predecessor did not take the plain origin's lane over: %+v", st)
+	}
+	if partner.Stats().ExchangeBlocksSent == 0 {
+		t.Fatalf("no exchange blocks flowed from the ring predecessor: %+v", partner.Stats())
+	}
+}

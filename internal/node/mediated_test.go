@@ -14,11 +14,13 @@ import (
 )
 
 // medNet extends testNet with a mediator tier: every spawned node gets its
-// own shard-aware client, as live deployments would.
+// own shard-aware client, as live deployments would. A nil cluster is the
+// unmediated deployment — spawnMediated then spawns plain nodes — so the lane
+// scheduler's tests can run one body over both.
 type medNet struct {
 	*testNet
 	cluster *mediator.Cluster
-	clients []*medclient.Client
+	honest  []core.PeerID // every spawned origin that is not Corrupt
 }
 
 // newMedNet builds a testNet plus an n-shard mediator cluster whose oracle
@@ -51,28 +53,51 @@ func newMedNet(t *testing.T, shards, objSize int) *medNet {
 	return &medNet{testNet: tn, cluster: cluster}
 }
 
-// spawnMediated starts a node wired to the mediator tier.
+// spawnMediated starts a node wired to the mediator tier (if there is one).
 func (mn *medNet) spawnMediated(id core.PeerID, mutate func(*Config)) *Node {
 	mn.t.Helper()
-	mc, err := medclient.New(medclient.Config{
-		Transport: mn.tr,
-		Seeds:     mn.cluster.Addrs(),
-		Backoff:   5 * time.Millisecond,
-	})
-	if err != nil {
-		mn.t.Fatal(err)
+	var mc *medclient.Client
+	if mn.cluster != nil {
+		var err error
+		mc, err = medclient.New(medclient.Config{
+			Transport: mn.tr,
+			Seeds:     mn.cluster.Addrs(),
+			Backoff:   5 * time.Millisecond,
+		})
+		if err != nil {
+			mn.t.Fatal(err)
+		}
 	}
 	n := mn.spawn(id, func(cfg *Config) {
 		cfg.Mediator = mc
 		if mutate != nil {
 			mutate(cfg)
 		}
+		if !cfg.Corrupt {
+			mn.honest = append(mn.honest, id)
+		}
 	})
-	// The node must be closed before its client; testNet's cleanup closes
-	// the node, and cleanups run LIFO, so register the client after.
-	mn.t.Cleanup(mc.Close)
-	mn.clients = append(mn.clients, mc)
+	if mc != nil {
+		// The node must be closed before its client; testNet's cleanup
+		// closes the node, and cleanups run LIFO, so register the client
+		// after.
+		mn.t.Cleanup(mc.Close)
+	}
 	return n
+}
+
+// assertHonestUnflagged is the second half of paper invariant (iii): the
+// tier never brands an honest peer. Every mediated test ends with it.
+func (mn *medNet) assertHonestUnflagged() {
+	mn.t.Helper()
+	if mn.cluster == nil {
+		return
+	}
+	for _, id := range mn.honest {
+		if f := mn.cluster.Flagged(id); f != 0 {
+			mn.t.Errorf("honest peer %d carries %d flags", id, f)
+		}
+	}
 }
 
 // TestMediatedTransferCompletes is the happy path: blocks travel sealed,
@@ -100,6 +125,7 @@ func TestMediatedTransferCompletes(t *testing.T) {
 	if st.MedRejects != 0 {
 		t.Fatalf("honest transfer produced %d rejects", st.MedRejects)
 	}
+	mn.assertHonestUnflagged()
 }
 
 // TestMediatedCheaterFlagged: with only a corrupt provider, the transfer
@@ -131,6 +157,7 @@ func TestMediatedCheaterFlagged(t *testing.T) {
 	if victim.Has(obj) {
 		t.Fatal("junk object landed in the store")
 	}
+	mn.assertHonestUnflagged()
 }
 
 // TestMediatedRecoversFromCheater: a corrupt and an honest provider; even
@@ -157,116 +184,7 @@ func TestMediatedRecoversFromCheater(t *testing.T) {
 	if got := victim.Object(obj); !bytes.Equal(got, data) {
 		t.Fatal("content mismatch after recovering from the cheater")
 	}
-}
-
-// TestStripedDownloadAcrossOrigins: three honest origins each carry one
-// stripe of the same object; the receiver escrows and audits each stripe
-// against its own origin and lands the exact bytes.
-func TestStripedDownloadAcrossOrigins(t *testing.T) {
-	const size = 12 * 1024 // 12 blocks at the 1 KiB test block size
-	mn := newMedNet(t, 2, size)
-	obj := catalog.ObjectID(4)
-	data := payload(obj, size)
-	providers := make(map[core.PeerID]string)
-	for id := core.PeerID(1); id <= 3; id++ {
-		srv := mn.spawnMediated(id, nil)
-		srv.AddObject(obj, data)
-		providers[id] = srv.Addr()
-	}
-	receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.Stripe = 3 })
-
-	ch := receiver.Download(obj, providers)
-	if err := WaitFor(ch, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if got := receiver.Object(obj); !bytes.Equal(got, data) {
-		t.Fatalf("downloaded %d bytes, content mismatch", len(got))
-	}
-	st := receiver.Stats()
-	if st.StripesGranted < 3 {
-		t.Fatalf("granted %d stripes, want >= 3", st.StripesGranted)
-	}
-	if st.MedVerifies < 3 {
-		t.Fatalf("submitted %d audits, want one per stripe (>= 3)", st.MedVerifies)
-	}
-	if st.MedRejects != 0 {
-		t.Fatalf("honest striped transfer produced %d rejects", st.MedRejects)
-	}
-}
-
-// TestStripedCheaterReassigned: one corrupt origin among three; its
-// stripe's audit rejects, the tier flags it, only its stripe is taken
-// back, and an honest origin that finished its own lane re-manifests to
-// fill the freed one — the download still lands the exact bytes.
-func TestStripedCheaterReassigned(t *testing.T) {
-	const size = 12 * 1024
-	mn := newMedNet(t, 2, size)
-	obj := catalog.ObjectID(6)
-	data := payload(obj, size)
-	cheater := mn.spawnMediated(1, func(cfg *Config) { cfg.Corrupt = true })
-	cheater.AddObject(obj, data)
-	providers := map[core.PeerID]string{1: cheater.Addr()}
-	for id := core.PeerID(2); id <= 3; id++ {
-		srv := mn.spawnMediated(id, nil)
-		srv.AddObject(obj, data)
-		providers[id] = srv.Addr()
-	}
-	receiver := mn.spawnMediated(9, func(cfg *Config) {
-		cfg.Stripe = 3
-		cfg.StallTicks = 5
-	})
-
-	ch := receiver.Download(obj, providers)
-	if err := WaitFor(ch, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if got := receiver.Object(obj); !bytes.Equal(got, data) {
-		t.Fatal("content mismatch after recovering from the striped cheater")
-	}
-	if mn.cluster.Flagged(1) == 0 {
-		t.Fatal("mediator tier never flagged the corrupt origin")
-	}
-	st := receiver.Stats()
-	if st.MedRejects == 0 {
-		t.Fatal("receiver recorded no audit rejection")
-	}
-	if st.StripesReassigned == 0 {
-		t.Fatal("the cheater's stripe was never reassigned")
-	}
-}
-
-// TestStripedStallRecovery: an origin departs mid-stripe. The receiver's
-// per-stripe stall timer takes the dead lane back within the stall timeout
-// and the surviving origin re-escrows and completes it, without the
-// surviving stripe being disturbed.
-func TestStripedStallRecovery(t *testing.T) {
-	const size = 16 * 1024
-	mn := newMedNet(t, 2, size)
-	obj := catalog.ObjectID(8)
-	data := payload(obj, size)
-	casualty := mn.spawnMediated(1, func(cfg *Config) {
-		cfg.BlockDelay = 5 * time.Millisecond // stretch the stripe so the departure lands mid-transfer
-	})
-	casualty.AddObject(obj, data)
-	survivor := mn.spawnMediated(2, nil)
-	survivor.AddObject(obj, data)
-	receiver := mn.spawnMediated(9, func(cfg *Config) {
-		cfg.Stripe = 2
-		cfg.StallTicks = 5
-	})
-
-	ch := receiver.Download(obj, map[core.PeerID]string{1: casualty.Addr(), 2: survivor.Addr()})
-	time.Sleep(10 * time.Millisecond) // let the stripes get going
-	casualty.Close()
-	if err := WaitFor(ch, testTimeout); err != nil {
-		t.Fatalf("download did not recover from the mid-stripe departure: %v", err)
-	}
-	if got := receiver.Object(obj); !bytes.Equal(got, data) {
-		t.Fatal("content mismatch after stall recovery")
-	}
-	if st := receiver.Stats(); st.StripesReassigned == 0 {
-		t.Fatal("the departed origin's stripe was never reassigned")
-	}
+	mn.assertHonestUnflagged()
 }
 
 // TestMediatedRidesThroughShardRestart restarts every mediator shard while
@@ -300,4 +218,5 @@ func TestMediatedRidesThroughShardRestart(t *testing.T) {
 	if mn.cluster.Flagged(1) != 0 {
 		t.Fatal("honest sender was flagged after escrow loss")
 	}
+	mn.assertHonestUnflagged()
 }

@@ -4,11 +4,18 @@
 // protocol state is race-free by construction while transfers proceed
 // concurrently across the network.
 //
-// Transfers are synchronous block-for-block with per-block validation, as
-// Section III-B prescribes: the receiver checks each block's digest against
-// the manifest (or a trusted digest oracle) and acknowledges it before the
-// sender releases the next one. Exchange rings are negotiated with a
-// probe/accept/commit token and dissolve on the first RingQuit.
+// Transfers are synchronous block-for-block, as Section III-B prescribes:
+// the receiver acknowledges each block before the sender releases the next
+// one. Every download runs through one lane scheduler (lanes.go): it is cut
+// into k = min(Config.Stripe, providers, blocks) lanes, lane i of k being the
+// block indices congruent to i modulo k, and each lane is granted to one
+// origin's upload session. The only thing a mediator changes is how a lane
+// is verified: without one each block is checked against its SHA-256 digest
+// (the manifest's, or a trusted digest oracle's) as it arrives; with one
+// blocks travel sealed under an escrowed key and the full lane is audited by
+// the mediator tier, unsealed, and then digest-checked (mediated.go).
+// Exchange rings are negotiated with a probe/accept/commit token and
+// dissolve on the first RingQuit.
 package node
 
 import (
@@ -87,11 +94,12 @@ type Config struct {
 	// is flagged by the tier, not just locally blacklisted. The client is
 	// shared infrastructure owned by the caller; Close it after the node.
 	Mediator *medclient.Client
-	// Stripe caps how many origins a mediated download stripes across
-	// (receiver side). Each origin is granted an interleaved residue class
-	// of block indices and escrowed, audited, and decrypted independently,
-	// so a slow or cheating origin costs only its own stripe. Values <= 1
-	// keep the historical single-sender transfer. Ignored without Mediator.
+	// Stripe caps how many origins a download is striped across (receiver
+	// side), with or without a Mediator. Each origin is granted one lane —
+	// an interleaved residue class of block indices — and verified
+	// independently, so a slow, departed, or cheating origin costs only its
+	// own lane. The default of 1 is a single-origin transfer: one lane, the
+	// first provider to answer carries it, the rest are cancelled.
 	Stripe int
 	// Corrupt makes this node a cheater that serves junk payloads. Used by
 	// tests and the middleman example to exercise the defenses.
@@ -157,9 +165,10 @@ type Stats struct {
 	// MedRejects counts those that came back as cheating verdicts.
 	MedVerifies int
 	MedRejects  int
-	// StripesGranted counts stripe assignments this node handed to
-	// mediated-download origins; StripesReassigned counts stripes taken
-	// back from a stalled, departed, or cheating origin.
+	// StripesGranted counts lane assignments this node handed to download
+	// origins (one per single-origin download, more when striped or after a
+	// recovery); StripesReassigned counts lanes taken back from a stalled,
+	// departed, preempted, or cheating origin.
 	StripesGranted    int
 	StripesReassigned int
 }
@@ -209,10 +218,9 @@ type upKey struct {
 }
 
 type irqEntry struct {
-	peer    core.PeerID
-	object  catalog.ObjectID
-	tree    *core.Tree
-	serving bool
+	peer   core.PeerID
+	object catalog.ObjectID
+	tree   *core.Tree
 }
 
 type download struct {
@@ -226,15 +234,11 @@ type download struct {
 	stalled   int
 	lastHave  int
 	retries   int
-	completed bool
-	senders   map[core.PeerID]bool
-	// Mediated transfers stripe across up to Config.Stripe origins. Stripe
-	// s of k covers the block indices congruent to s modulo k; each stripe
-	// sticks to one origin and that origin's current session (the audit is
-	// per-origin, and blocks from a dead session were sealed under a key
-	// the audit will never release). nil until the first manifest fixes
-	// the geometry; nil forever for non-mediated downloads.
-	stripes []*stripeState
+	// lanes is the download's interleave: lane i of k covers the block
+	// indices congruent to i modulo k and sticks to one origin and that
+	// origin's current session. nil until the first valid manifest fixes
+	// the geometry.
+	lanes []*lane
 }
 
 type upload struct {
@@ -244,17 +248,16 @@ type upload struct {
 	next     uint32
 	total    uint32
 	inFlight bool
-	// Mediated uploads seal every block under sealKey and tag traffic with
-	// the session id. The first block waits for two acknowledgements in
-	// either order: the escrow deposit (escrowed) and the receiver's
-	// StripeGrant (granted), which places the session in the receiver's
-	// interleave — next starts at stripe and advances by stripes.
-	mediated bool
-	sealKey  [16]byte
+	// Every session tags its traffic with a fresh session id. The first
+	// block waits for the receiver's StripeGrant (granted), which places
+	// the session in the receiver's interleave — next starts at the granted
+	// lane and advances by stride. With a mediator it also waits, in either
+	// order, for the deposit of sealKey (escrowed), under which every block
+	// is sealed; without one escrowed is true from the start.
 	session  uint64
-	stripe   uint32
-	stripes  uint32
+	stride   uint32
 	granted  bool
+	sealKey  [16]byte
 	escrowed bool
 }
 

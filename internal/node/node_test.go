@@ -132,6 +132,25 @@ func TestPlainDownload(t *testing.T) {
 	}
 }
 
+// TestStaleProviderAddress: the address a download was handed for a provider
+// no longer answers (the provider restarted elsewhere); the lookup service
+// knows the new one and the download still completes.
+func TestStaleProviderAddress(t *testing.T) {
+	tn := newTestNet(t)
+	server := tn.spawn(1, nil)
+	client := tn.spawn(2, nil)
+	data := payload(10, 4000)
+	server.AddObject(10, data)
+
+	ch := client.Download(10, map[core.PeerID]string{1: "mem://moved-away"})
+	if err := WaitFor(ch, testTimeout); err != nil {
+		t.Fatalf("download: %v", err)
+	}
+	if !bytes.Equal(client.Object(10), data) {
+		t.Fatal("downloaded bytes differ")
+	}
+}
+
 func TestDownloadAlreadyHeld(t *testing.T) {
 	tn := newTestNet(t)
 	n := tn.spawn(1, nil)
@@ -162,8 +181,11 @@ func TestFreeriderServesNobody(t *testing.T) {
 // mutual wants form a 2-ring and serve each other with exchange priority.
 func TestPairwiseExchange(t *testing.T) {
 	tn := newTestNet(t)
-	a := tn.spawn(1, nil)
-	b := tn.spawn(2, nil)
+	// Paced, so neither transfer can finish before the other side has even
+	// issued its want: the wants must overlap for a ring to exist.
+	paced := func(c *Config) { c.BlockDelay = time.Millisecond }
+	a := tn.spawn(1, paced)
+	b := tn.spawn(2, paced)
 	oa, ob := catalog.ObjectID(100), catalog.ObjectID(200)
 	dataA, dataB := payload(oa, 20_000), payload(ob, 20_000)
 	a.AddObject(oa, dataA)
@@ -279,9 +301,9 @@ func TestExchangePreemptsFreerider(t *testing.T) {
 	}
 }
 
-// TestCheaterBlocksRejected: a corrupt peer serves junk; the receiver
-// validates digests block-by-block, rejects, and completes from an honest
-// source instead.
+// TestCheaterBlocksRejected: a corrupt peer serves junk in the lane it was
+// granted; the receiver validates digests block-by-block, rejects, and
+// completes from an honest source instead.
 func TestCheaterBlocksRejected(t *testing.T) {
 	tn := newTestNet(t)
 	obj := catalog.ObjectID(10)
@@ -289,10 +311,10 @@ func TestCheaterBlocksRejected(t *testing.T) {
 	digs := trueDigests(data, 1024)
 
 	cheater := tn.spawn(1, func(c *Config) { c.Corrupt = true })
-	// The honest source is paced so the cheater's junk is guaranteed to
-	// arrive while the download is still in progress.
-	honest := tn.spawn(2, func(c *Config) { c.BlockDelay = 2 * time.Millisecond })
+	honest := tn.spawn(2, nil)
 	client := tn.spawn(3, func(c *Config) {
+		c.Stripe = 2
+		c.StallTicks = 5
 		c.TrustedDigests = func(o catalog.ObjectID) ([][32]byte, bool) {
 			if o == obj {
 				return digs, true
@@ -301,12 +323,15 @@ func TestCheaterBlocksRejected(t *testing.T) {
 		}
 	})
 	cheater.AddObject(obj, data) // serves junk regardless
-	honest.AddObject(obj, data)
 
 	ch := client.Download(obj, map[core.PeerID]string{
 		1: tn.addrOf(1),
 		2: tn.addrOf(2),
 	})
+	// The honest source comes to hold the object only once the cheater
+	// carries a lane, so the cheater's junk is guaranteed to be probed.
+	waitUntil(t, "the cheater is granted a lane", func() bool { return client.Stats().StripesGranted >= 1 })
+	honest.AddObject(obj, data)
 	if err := WaitFor(ch, testTimeout); err != nil {
 		t.Fatalf("download despite cheater: %v", err)
 	}

@@ -120,10 +120,9 @@ type RingQuit struct {
 
 // Manifest announces an object's block layout and digests so the receiver
 // can validate each block before requesting the next one (Section III-B).
-// Session identifies the transfer session that is sending (mediated
-// transfers seal blocks under a per-session key, so the receiver must
-// never mix blocks across a sender's sessions); zero for unmediated
-// transfers.
+// Session identifies the upload session that is sending: the receiver
+// grants a lane to a session and must never mix blocks across a sender's
+// sessions (mediated transfers seal blocks under a per-session key).
 type Manifest struct {
 	Object  catalog.ObjectID
 	Size    uint64
@@ -134,8 +133,9 @@ type Manifest struct {
 
 // Block carries one fixed-size block. RingID 0 marks a non-exchange
 // transfer. Origin and Recipient form the control header of the mediated
-// scheme; they travel encrypted when Encrypted is set, in which case
-// Session names the upload session whose key sealed the payload.
+// scheme; they travel encrypted when Encrypted is set. Session names the
+// upload session the block belongs to (and whose key sealed the payload,
+// when sealed).
 type Block struct {
 	Object    catalog.ObjectID
 	Index     uint32
@@ -285,11 +285,10 @@ type Envelope struct {
 	Msg   Message
 }
 
-// StripeGrant assigns a mediated sender its stripe of a striped download:
-// the receiver grants the upload session leave to send block indices
-// congruent to Stripe modulo Stripes. Stripes is 1 for an unstriped
-// mediated transfer; the sender must not send sealed blocks before the
-// grant arrives.
+// StripeGrant assigns an upload session its lane of a download: the
+// receiver grants the session leave to send block indices congruent to
+// Stripe modulo Stripes. Stripes is 1 for a single-origin transfer; the
+// sender must not send blocks before the grant arrives.
 type StripeGrant struct {
 	Object  catalog.ObjectID
 	Session uint64

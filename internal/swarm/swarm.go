@@ -194,13 +194,14 @@ type Config struct {
 	// in-memory shards — except on the reshard scenario, which needs
 	// durability and creates (and removes) a temporary directory.
 	MedDataDir string
-	// Stripe caps how many origins each mediated download stripes across
-	// (node.Config.Stripe). Values above 1 switch the whole scenario onto
-	// the mediated block path — sealed blocks, per-origin escrow and
-	// audits — since striping is a property of mediated transfers. On the
-	// cheater scenario this means every corrupt origin is flagged
-	// organically by the stripe audits of its own victims. <= 1 keeps
-	// single-sender transfers.
+	// Stripe caps how many origins each download stripes across
+	// (node.Config.Stripe). A node stripes with or without a mediator; the
+	// harness additionally switches the whole scenario onto the mediated
+	// block path — sealed blocks, per-origin escrow and audits — for values
+	// above 1, because that is the combination its scenarios exist to
+	// exercise: on the cheater scenario every corrupt origin is then
+	// flagged organically by the lane audits of its own victims. <= 1
+	// keeps single-origin transfers on the scenario's own path.
 	Stripe int
 	// Workload is the wave scenario's demand spec; nil means the "flash"
 	// builtin anchored at WantsPerNode requests per downloader. Rejected on
@@ -698,8 +699,8 @@ func (s *swarmRun) mediatorAddrs() []string {
 
 // mediated reports whether nodes in this scenario speak the mediated block
 // path natively: the mediator-tier torture scenarios always do, and any
-// scenario does once downloads stripe across origins (striping is a
-// property of mediated transfers — the tier is up in every run anyway).
+// scenario does once downloads stripe across origins (the harness's choice,
+// not the node's — the tier is up in every run anyway).
 func (s *swarmRun) mediated() bool {
 	return s.cfg.Scenario == Medfail || s.cfg.Scenario == Reshard || s.cfg.Stripe > 1
 }

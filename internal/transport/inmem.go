@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"barter/internal/protocol"
 )
@@ -15,7 +14,6 @@ type Mem struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
 	nextAuto  int
-	latency   time.Duration
 }
 
 var _ Transport = (*Mem)(nil)
@@ -23,17 +21,6 @@ var _ Transport = (*Mem)(nil)
 // NewMem returns an empty in-memory network.
 func NewMem() *Mem {
 	return &Mem{listeners: make(map[string]*memListener)}
-}
-
-// NewMemLatency returns an in-memory network that delays every message by
-// the given one-way latency. Delivery is timestamped at send, so messages
-// in flight overlap: two frames sent back-to-back arrive one latency after
-// their sends, not two. That makes round-trip-bound behavior (RPC
-// pipelining, stall timers) measurable without a real network.
-func NewMemLatency(oneWay time.Duration) *Mem {
-	m := NewMem()
-	m.latency = oneWay
-	return m
 }
 
 // Listen implements Transport.
@@ -65,7 +52,7 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
-	client, server := pipe(addr, "mem://dialer", m.latency)
+	client, server := pipe(addr, "mem://dialer")
 	select {
 	case l.backlog <- server:
 		return client, nil
@@ -107,19 +94,11 @@ func (l *memListener) Close() error {
 
 func (l *memListener) Addr() string { return l.addr }
 
-// memMsg is one in-flight message; due is when the simulated network
-// delivers it (zero when the network adds no latency).
-type memMsg struct {
-	msg protocol.Message
-	due time.Time
-}
-
 // memConn is one endpoint of a paired in-memory connection.
 type memConn struct {
-	remote  string
-	out     chan<- memMsg
-	in      <-chan memMsg
-	latency time.Duration
+	remote string
+	out    chan<- protocol.Message
+	in     <-chan protocol.Message
 	// closed is shared between both endpoints: closing either side tears
 	// down the pair, like a TCP reset.
 	closed chan struct{}
@@ -127,13 +106,13 @@ type memConn struct {
 }
 
 // pipe builds a connected pair; a's sends arrive at b's Recv and vice versa.
-func pipe(aRemote, bRemote string, latency time.Duration) (a, b *memConn) {
-	ab := make(chan memMsg, 64)
-	ba := make(chan memMsg, 64)
+func pipe(aRemote, bRemote string) (a, b *memConn) {
+	ab := make(chan protocol.Message, 64)
+	ba := make(chan protocol.Message, 64)
 	closed := make(chan struct{})
 	once := &sync.Once{}
-	a = &memConn{remote: aRemote, out: ab, in: ba, latency: latency, closed: closed, once: once}
-	b = &memConn{remote: bRemote, out: ba, in: ab, latency: latency, closed: closed, once: once}
+	a = &memConn{remote: aRemote, out: ab, in: ba, closed: closed, once: once}
+	b = &memConn{remote: bRemote, out: ba, in: ab, closed: closed, once: once}
 	return a, b
 }
 
@@ -143,40 +122,24 @@ func (c *memConn) Send(msg protocol.Message) error {
 		return ErrClosed
 	default:
 	}
-	m := memMsg{msg: msg}
-	if c.latency > 0 {
-		m.due = time.Now().Add(c.latency)
-	}
 	select {
-	case c.out <- m:
+	case c.out <- msg:
 		return nil
 	case <-c.closed:
 		return ErrClosed
 	}
 }
 
-// deliver holds a received message until its delivery time. Messages queued
-// behind it carry their own send-stamped deadlines, so a burst pays the
-// latency once, not per frame.
-func (c *memConn) deliver(m memMsg) protocol.Message {
-	if !m.due.IsZero() {
-		if d := time.Until(m.due); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	return m.msg
-}
-
 func (c *memConn) Recv() (protocol.Message, error) {
 	select {
 	case m := <-c.in:
-		return c.deliver(m), nil
+		return m, nil
 	case <-c.closed:
 		// Drain anything already queued before reporting closure, so an
 		// orderly shutdown does not drop in-flight messages.
 		select {
 		case m := <-c.in:
-			return c.deliver(m), nil
+			return m, nil
 		default:
 			return nil, ErrClosed
 		}

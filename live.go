@@ -97,14 +97,6 @@ func WaitDownload(ch <-chan error, timeout time.Duration) error {
 // single-machine demos.
 func NewMemTransport() Transport { return transport.NewMem() }
 
-// NewMemLatencyTransport returns an in-process transport that delays every
-// message by the given one-way latency, timestamped at send so in-flight
-// messages overlap. It makes round-trip-bound behavior — RPC pipelining,
-// stall recovery — measurable without a real network.
-func NewMemLatencyTransport(oneWay time.Duration) Transport {
-	return transport.NewMemLatency(oneWay)
-}
-
 // NewTCPTransport returns the production TCP transport.
 func NewTCPTransport() Transport { return transport.TCP{} }
 
