@@ -3,17 +3,12 @@
 
 GO ?= go
 
-# bench-json output path; CI regenerates into the default and compares it
-# against the committed baseline copied aside beforehand.
-BENCH_JSON ?= BENCH_2.json
-BENCH_RAW  ?= /tmp/barter-bench-raw.txt
-
 # The staticcheck version CI pins; the lint workflow installs exactly this
 # (via `make -s print-staticcheck-version`) so the Makefile is the single
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full flake-check swarm-smoke soak fuzz-smoke bench bench-json bench-check bench-compare fmt vet doccheck bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full flake-check swarm-smoke soak fuzz-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -74,33 +69,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/eventq
 
-## bench: one iteration of every benchmark as a smoke pass.
+## bench: the repository's one benchmark (BENCHMARK.json, bench/README.md) —
+## all six workloads in interleaved rounds, then the traced round and the
+## layer probes; results land in bench/out/latest.json. A PR's trajectory
+## point BENCH_<pr>.json is a copy of that file.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) run ./bench -seed 1
 
-## bench-json: run the benchmark suite and emit the machine-readable
-## trajectory point (BENCH_2.json at the repo root). The headline
-## BenchmarkSimulationEventRate gets extra repetitions so the recorded
-## number is the least-noise observation. The live stack and the mediator
-## tier are measured by the BENCHMARK.json workloads (go run ./bench), not
-## here.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > $(BENCH_RAW)
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulationEventRate$$' -benchtime 2x -count 3 . >> $(BENCH_RAW)
-	$(GO) run ./cmd/benchjson -in $(BENCH_RAW) -out $(BENCH_JSON)
-
-## bench-check: regenerate the trajectory point and fail if the engine
-## event rate regressed >15% against the committed baseline.
-bench-check:
-	$(MAKE) bench-json BENCH_JSON=/tmp/barter-bench-head.json
-	$(GO) run ./cmd/benchjson -compare BENCH_2.json -new /tmp/barter-bench-head.json \
-		-bench BenchmarkSimulationEventRate -metric events/s -tolerance 0.15
-
-## bench-compare: paired runs of one BENCHMARK.json workload on BASE and on
-## the working tree (scripts/bench-compare.sh), e.g.
+## bench-compare: the regression gate CI's bench-track job runs — paired
+## runs of BASE and of the working tree, alternating order, failing only on
+## a (workload, metric) that regressed in a majority of the pairs
+## (scripts/bench-compare.sh), e.g.
 ## `make bench-compare BASE=HEAD~1 WORKLOAD=sim-fig4-rings PAIRS=10`.
 BASE     ?= HEAD
-WORKLOAD ?= sim-fig4-rings
+WORKLOAD ?= all
 SEED     ?= 1
 bench-compare:
 	./scripts/bench-compare.sh $(BASE) $(WORKLOAD) $(SEED)
@@ -122,6 +104,11 @@ doccheck:
 	$(GO) run ./internal/tools/doccheck ./internal ./cmd ./examples .
 	$(GO) run ./internal/tools/doccheck -exported ./internal/workload ./internal/mediator ./internal/strategy
 
+## unimported: fail on a package under internal/ (internal/tools excepted)
+## that no other package of the module imports; test imports count.
+unimported:
+	./scripts/unimported.sh
+
 ## bartervet: the determinism-contract analyzers (docs/DETERMINISM.md).
 ## Map-order, wall-clock/global-rand, and pointer-identity dependence are
 ## errors in the deterministic packages; swallowed Write/Sync/Close errors
@@ -133,17 +120,18 @@ bartervet:
 
 ## docs-check: smoke-run every `go run ./cmd/...` line the ROADMAP
 ## quickstart advertises (-h per command, -list lines verbatim) so the
-## docs cannot drift ahead of the CLIs.
+## docs cannot drift ahead of the CLIs, and read every committed
+## BENCH_*.json trajectory point back through `go run ./bench -compare`.
 docs-check:
 	./scripts/docs-check.sh
 
-## lint: gofmt + vet + doccheck + bartervet (all hard failures), plus
-## staticcheck's correctness analyses (SA*) when the binary is available.
-## Locally a missing staticcheck only warns, so the target works in
-## hermetic environments without network access; CI runs with
+## lint: gofmt + vet + doccheck + unimported + bartervet (all hard
+## failures), plus staticcheck's correctness analyses (SA*) when the binary
+## is available. Locally a missing staticcheck only warns, so the target
+## works in hermetic environments without network access; CI runs with
 ## LINT_STRICT=1, where a missing binary is a hard failure — the lint job
 ## must never silently skip its own linter.
-lint: fmt vet doccheck bartervet
+lint: fmt vet doccheck unimported bartervet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck -checks 'SA*' ./...; \
 	elif [ "$(LINT_STRICT)" = "1" ]; then \

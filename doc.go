@@ -64,11 +64,13 @@
 //
 // Performance is tracked continuously: exchsim -perf appends an engine
 // report (events/sec, ring-search traversal effort, allocation load) to
-// stderr without touching the hot path, and `make bench-json` runs the
-// benchmark suite through cmd/benchjson into the machine-readable trajectory
-// point BENCH_2.json at the repo root, which CI's bench-track job
-// regenerates, gates (>15% event-rate regression fails), and archives on
-// every push.
+// stderr without touching the hot path, and `make bench` runs the
+// repository's one benchmark (BENCHMARK.json, bench/): six fixed-work
+// workloads in interleaved rounds, median and spread per metric, written to
+// bench/out/latest.json. Each PR commits a copy as BENCH_<pr>.json, and CI's
+// bench-track job runs parent-vs-head pairs of the same workloads
+// (scripts/bench-compare.sh), failing on a metric that regressed in a
+// majority of the pairs.
 //
 // The trusted mediator is a horizontally scalable service tier, not a
 // single process: a MediatorCluster partitions escrow and flagged-peer

@@ -171,8 +171,8 @@ func (r *Ring) Validate() error {
 	return nil
 }
 
-// SearchStats reports the cost of one ring search; the Bloom-filter ablation
-// compares these numbers against the compact-tree variant.
+// SearchStats reports the cost of one ring search; the simulator sums these
+// into its Result and perfstats (Section V's search effort concern).
 type SearchStats struct {
 	NodesVisited int // tree nodes inspected
 	WantsChecked int // (node, want) membership probes

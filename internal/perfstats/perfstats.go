@@ -5,8 +5,8 @@
 // and the engine publishes once per completed run — the hot path itself is
 // never touched, so enabling the report cannot perturb deterministic output.
 //
-// cmd/exchsim surfaces a report through its -perf flag; cmd/benchjson feeds
-// the benchmark trajectory (BENCH_*.json) from the same numbers.
+// cmd/exchsim surfaces a report through its -perf flag; the benchmark harness
+// (bench/) reads the same numbers into the trajectory points (BENCH_*.json).
 package perfstats
 
 import (

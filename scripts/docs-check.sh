@@ -2,8 +2,9 @@
 # docs-check: the ROADMAP quickstart must not drift ahead of the CLIs.
 # Every `go run ./cmd/...` line it advertises is smoke-run — `-h` for each
 # distinct command, plus every `-list` line verbatim — and must exit 0;
-# every -flag such a line passes must be one the command's -h defines; and
-# every program under examples/ must run to completion.
+# every -flag such a line passes must be one the command's -h defines;
+# every program under examples/ must run to completion; and every committed
+# BENCH_*.json trajectory point must still be readable by the harness.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -52,6 +53,17 @@ for d in examples/*/; do
 		echo "ok   ./$d"
 	else
 		echo "FAIL ./$d (example exits nonzero)"
+		status=1
+	fi
+done
+
+# A trajectory point the harness cannot read is not a point. Comparing a
+# file with itself exits 0 exactly when it parses and names a workload.
+for f in BENCH_*.json; do
+	if go run ./bench -compare "$f" "$f" >/dev/null 2>&1; then
+		echo "ok   ./bench -compare $f $f"
+	else
+		echo "FAIL ./bench -compare $f $f (hand-edited or truncated trajectory point?)"
 		status=1
 	fi
 done
