@@ -33,12 +33,15 @@ test:
 test-full:
 	$(GO) test -count=1 ./...
 
-## flake-check: "green" means 100 runs out of 100 under -race, not "usually"
-## (ROADMAP aim 3). The node suite is where the live stack's scheduling races
-## surface first — lane grants, stall recovery, audits, ring commits — so CI
-## runs it a hundred times on every push, next to swarm-smoke.
+## flake-check: "green" means every run out of every run under -race, not
+## "usually" (ROADMAP aim 3). The node suite is where the live stack's
+## scheduling races surface first — lane grants, stall recovery, audits, ring
+## commits — so CI runs it a hundred times on every push, next to swarm-smoke;
+## transport, mediator and medclient — the packages whose buffers a block now
+## passes through without being copied — run fifty times each (seconds apiece).
 flake-check:
 	$(GO) test -race -short -count=100 ./internal/node
+	$(GO) test -race -short -count=50 ./internal/transport ./internal/mediator ./internal/medclient
 
 ## swarm-smoke: race-enabled live-network scenarios CI runs on every push —
 ## a 120-node flash crowd, a 100-node churn run (60 close/restart cycles),

@@ -69,7 +69,8 @@ const (
 
 // Seal encrypts one block payload with its control header using AES-CTR
 // under key. The nonce is derived from (object, index) so blocks are
-// independently decryptable.
+// independently decryptable. The result is a new buffer; payload is only
+// read.
 func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, index uint32, payload []byte) ([]byte, error) {
 	buf := make([]byte, headerLen+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(origin))
@@ -77,17 +78,23 @@ func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, ind
 	binary.BigEndian.PutUint32(buf[8:12], uint32(obj))
 	binary.BigEndian.PutUint32(buf[12:16], index)
 	copy(buf[headerLen:], payload)
-	return crypt(key, obj, index, buf)
+	if err := crypt(key, obj, index, buf, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Open decrypts a sealed block, returning the control header fields and the
-// plaintext payload.
+// plaintext payload. sealed is left untouched and the plaintext is a fresh
+// buffer: a receiver's audit samples are the very slices it still holds
+// sealed (over the in-memory transport nothing copies them on the way here),
+// so decrypting in place would corrupt the lane under audit.
 func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (origin, recipient core.PeerID, payload []byte, err error) {
 	if len(sealed) < headerLen {
 		return 0, 0, nil, errors.New("mediator: sealed block too short")
 	}
-	plain, err := crypt(key, obj, index, sealed)
-	if err != nil {
+	plain := make([]byte, len(sealed))
+	if err := crypt(key, obj, index, plain, sealed); err != nil {
 		return 0, 0, nil, err
 	}
 	origin = core.PeerID(binary.BigEndian.Uint32(plain[0:4]))
@@ -100,19 +107,18 @@ func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (orig
 	return origin, recipient, plain[headerLen:], nil
 }
 
-// crypt applies AES-CTR with a per-(object, index) nonce; it is its own
-// inverse.
-func crypt(key [16]byte, obj catalog.ObjectID, index uint32, data []byte) ([]byte, error) {
+// crypt applies AES-CTR with a per-(object, index) nonce from src into dst,
+// which may be the same slice; it is its own inverse.
+func crypt(key [16]byte, obj catalog.ObjectID, index uint32, dst, src []byte) error {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var iv [16]byte
 	binary.BigEndian.PutUint32(iv[0:4], uint32(obj))
 	binary.BigEndian.PutUint32(iv[4:8], index)
-	out := make([]byte, len(data))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, data)
-	return out, nil
+	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
+	return nil
 }
 
 // DigestOracle supplies the mediator's trustworthy source of valid block

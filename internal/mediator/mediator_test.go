@@ -3,6 +3,7 @@ package mediator_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -37,6 +38,11 @@ func expectClosed(nc net.Conn, timeout time.Duration) error {
 	return nil
 }
 
+// TestSealOpenRoundTrip also pins who may write where. Seal builds its
+// result in place but in a buffer of its own, and the sealed bytes for a
+// fixed key and position are the ones every earlier version put on the wire.
+// Open must not decrypt in place: over the in-memory transport the samples
+// the mediator opens are the receiver's own sealed slices.
 func TestSealOpenRoundTrip(t *testing.T) {
 	key := [16]byte{1, 2, 3}
 	payload := []byte("the quick brown fox")
@@ -47,12 +53,22 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if bytes.Contains(sealed, payload) {
 		t.Fatal("sealed block leaks plaintext")
 	}
+	if string(payload) != "the quick brown fox" {
+		t.Fatalf("Seal wrote into its input: %q", payload)
+	}
+	const want = "67cf4e7671a1af0f3354471e34733cb89f040cc7b6e6649cf58101247f05e1eff206dd"
+	if got := hex.EncodeToString(sealed); got != want {
+		t.Fatalf("sealed bytes changed:\n got %s\nwant %s", got, want)
+	}
 	origin, recipient, got, err := mediator.Open(key, 42, 3, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if origin != 7 || recipient != 9 || !bytes.Equal(got, payload) {
 		t.Fatalf("Open = (%d, %d, %q)", origin, recipient, got)
+	}
+	if hex.EncodeToString(sealed) != want {
+		t.Fatal("Open wrote into the sealed block")
 	}
 }
 

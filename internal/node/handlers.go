@@ -288,7 +288,6 @@ func (n *Node) startUpload(to core.PeerID, obj catalog.ObjectID, ringID uint64, 
 	if pc == nil {
 		return false
 	}
-	data := n.store[obj]
 	digs := n.digests[obj]
 	total := uint32(len(digs))
 	if total == 0 {
@@ -300,7 +299,7 @@ func (n *Node) startUpload(to core.PeerID, obj catalog.ObjectID, ringID uint64, 
 	}
 	u := &upload{to: to, object: obj, ringID: ringID, total: total, session: session, sealKey: sealKey, escrowed: !n.mediated()}
 	n.uploads[upKey{to: to, object: obj}] = u
-	pc.send(&protocol.Manifest{Object: obj, Size: uint64(len(data)), Blocks: total, Session: session, Digests: digs})
+	pc.send(&protocol.Manifest{Object: obj, Size: uint64(objectSize(n.store[obj])), Blocks: total, Session: session, Digests: digs})
 	if n.mediated() {
 		n.startEscrow(u)
 	}
@@ -346,13 +345,7 @@ func (n *Node) maybeStartSend(u *upload) {
 }
 
 func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
-	data := n.store[u.object]
-	start := int(u.next) * n.cfg.BlockSize
-	end := start + n.cfg.BlockSize
-	if end > len(data) {
-		end = len(data)
-	}
-	payload := data[start:end]
+	payload := n.store[u.object][u.next]
 	if n.cfg.Corrupt {
 		junk := make([]byte, len(payload))
 		for i := range junk {

@@ -291,7 +291,10 @@ func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
 		return
 	}
 	if dl.blocks[b.Index] == nil {
-		dl.blocks[b.Index] = append([]byte(nil), b.Payload...)
+		// The message owns its payload (the codec read it into a buffer of
+		// its own; in memory it is the sender's immutable stored block), so
+		// the download keeps the slice itself.
+		dl.blocks[b.Index] = b.Payload
 		dl.have++
 		l.have++
 		n.stats.BlocksReceived++
@@ -349,12 +352,9 @@ func (n *Node) laneVerified(dl *download, idx int) {
 }
 
 func (n *Node) finishDownload(dl *download) {
-	data := make([]byte, 0, len(dl.blocks)*len(dl.blocks[0]))
-	for _, blk := range dl.blocks {
-		data = append(data, blk...)
-	}
-	n.store[dl.object] = data
-	// Every block was checked against these digests on its way in.
+	// The verified blocks become the stored object as they are, and every
+	// one was checked against these digests on its way in.
+	n.store[dl.object] = dl.blocks
 	n.digests[dl.object] = dl.digests
 	n.stats.ObjectsCompleted++
 	delete(n.downloads, dl.object)

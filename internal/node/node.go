@@ -200,8 +200,12 @@ type Node struct {
 	tracked map[transport.Conn]struct{}
 	closing bool
 
-	// Everything below is owned by the event loop.
-	store     map[catalog.ObjectID][]byte
+	// Everything below is owned by the event loop. store holds each object
+	// as its blocks, in the very slices they arrived in (or AddObject was
+	// handed): a stored block is immutable and may be shared — with the
+	// caller, with blocks in flight, and over the in-memory transport with
+	// every node that downloaded it. Nothing here ever writes into one.
+	store     map[catalog.ObjectID][][]byte
 	digests   map[catalog.ObjectID][][32]byte
 	downloads map[catalog.ObjectID]*download
 	irq       []*irqEntry
@@ -295,7 +299,7 @@ func New(cfg Config) (*Node, error) {
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		tracked:   make(map[transport.Conn]struct{}),
-		store:     make(map[catalog.ObjectID][]byte),
+		store:     make(map[catalog.ObjectID][][]byte),
 		digests:   make(map[catalog.ObjectID][][32]byte),
 		downloads: make(map[catalog.ObjectID]*download),
 		uploads:   make(map[upKey]*upload),
@@ -424,7 +428,10 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// AddObject stores a fully available object (with its block digests).
+// AddObject stores a fully available object (with its block digests). The
+// node retains data without copying it and serves blocks straight out of it,
+// so the caller must treat the bytes as immutable from here on. Handing one
+// slice to any number of nodes is fine: they share it.
 func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 	blocks := splitBlocks(data, n.cfg.BlockSize)
 	digs := make([][32]byte, len(blocks))
@@ -432,7 +439,7 @@ func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 		digs[i] = sha256.Sum256(b)
 	}
 	n.call(func() {
-		n.store[obj] = append([]byte(nil), data...)
+		n.store[obj] = blocks
 		n.digests[obj] = digs
 	})
 }
@@ -444,14 +451,19 @@ func (n *Node) Has(obj catalog.ObjectID) bool {
 	return ok
 }
 
-// Object returns a copy of a completed object's bytes, or nil.
+// Object returns a completed object's bytes, or nil. The result is a private
+// copy assembled from the stored blocks — the one place an object is copied —
+// so the caller may do anything with it.
 func (n *Node) Object(obj catalog.ObjectID) []byte {
-	var out []byte
-	n.call(func() {
-		if d, ok := n.store[obj]; ok {
-			out = append([]byte(nil), d...)
-		}
-	})
+	var blocks [][]byte
+	if !n.call(func() { blocks = n.store[obj] }) || len(blocks) == 0 {
+		return nil
+	}
+	// Stored blocks are immutable, so the copy needs no turn on the loop.
+	out := make([]byte, 0, objectSize(blocks))
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
 	return out
 }
 
@@ -488,6 +500,16 @@ func WaitFor(ch <-chan error, timeout time.Duration) error {
 	}
 }
 
+// objectSize is the byte length of an object held as blocks.
+func objectSize(blocks [][]byte) int {
+	size := 0
+	for _, b := range blocks {
+		size += len(b)
+	}
+	return size
+}
+
+// splitBlocks cuts data into size-byte blocks that alias it (no copy).
 func splitBlocks(data []byte, size int) [][]byte {
 	if len(data) == 0 {
 		return nil

@@ -398,13 +398,17 @@ func TestNodeOverTCP(t *testing.T) {
 
 func TestPeerDepartureMidTransfer(t *testing.T) {
 	tn := newTestNet(t)
-	server := tn.spawn(1, nil)
+	// The source is quiet — one block, then nothing — so the transfer is
+	// still under way when it departs however the goroutines are scheduled
+	// (an unpaced 500 KB transfer won the race against Close once or twice
+	// in a hundred -race runs).
+	server := tn.spawn(1, quiet)
 	client := tn.spawn(2, func(c *Config) { c.StallTicks = 10; c.MaxRetries = 3 })
 	obj := catalog.ObjectID(10)
 	server.AddObject(obj, payload(obj, 500_000))
 
 	ch := client.Download(obj, map[core.PeerID]string{1: tn.addrOf(1)})
-	server.Close() // depart immediately; whatever blocks flowed, the rest never will
+	server.Close() // depart; whatever blocks flowed, the rest never will
 	select {
 	case err := <-ch:
 		if err == nil {

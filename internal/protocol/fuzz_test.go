@@ -3,6 +3,9 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
 	"testing"
 
 	"barter/internal/core"
@@ -61,10 +64,72 @@ func corpusMessages() []Message {
 	}
 }
 
+// refDecode is the copy-everything reader that DecodeBuf's Block path is
+// checked against: the whole frame body goes into a fresh buffer and every
+// field, payload included, is copied out of it by the message's own decode.
+// The one rule it shares with readBlock is that a Block fills its frame to
+// the byte.
+func refDecode(data []byte) (Message, error) {
+	r := bytes.NewReader(data)
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size == 0 || size > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	msg, err := New(Type(hdr[4]))
+	if err != nil {
+		return nil, err
+	}
+	if int(size-1) > r.Len() {
+		return nil, io.ErrUnexpectedEOF
+	}
+	body := make([]byte, size-1)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	rd := &reader{buf: body}
+	if err := msg.decode(rd); err != nil {
+		return nil, err
+	}
+	if msg.Type() == TypeBlock && rd.off != len(body) {
+		return nil, ErrTruncated
+	}
+	return msg, nil
+}
+
+// errClass buckets a codec error by the sentinel it wraps; anything else is
+// the stream ending early.
+func errClass(err error) string {
+	for _, class := range []error{ErrFrameTooLarge, ErrUnknownType, ErrTruncated} {
+		if errors.Is(err, class) {
+			return class.Error()
+		}
+	}
+	if err != nil {
+		return "short stream"
+	}
+	return "ok"
+}
+
+// blockFrame builds a Block frame by hand: the fixed fields claim a payload
+// of claimed bytes, the frame carries the bytes of carried.
+func blockFrame(claimed uint32, carried []byte) []byte {
+	w := writer{}
+	(&Block{Object: 5, Index: 2, RingID: 9, Session: 11, Origin: 1, Recipient: 2}).encodeFixed(&w)
+	body := binary.BigEndian.AppendUint32(w.buf[:blockFixed-4], claimed)
+	return frameFor(TypeBlock, append(body, carried...))
+}
+
 // FuzzDecode feeds arbitrary frames to Decode. The invariants: Decode never
-// panics; a frame that decodes re-encodes into a frame that decodes to the
-// same bytes (a stable round-trip); and a tree that decodes converts to a
-// core tree without panicking.
+// panics; it agrees with refDecode on the message, or on the class of error
+// when the input holds the whole frame its header declares (on a shorter
+// input both must fail, but DecodeBuf may refuse a malformed Block before it
+// reaches the end of the stream); a frame that decodes re-encodes into a
+// frame that decodes to the same bytes (a stable round-trip); and a tree that
+// decodes converts to a core tree without panicking.
 func FuzzDecode(f *testing.F) {
 	for _, m := range corpusMessages() {
 		frame, err := Encode(m)
@@ -90,9 +155,27 @@ func FuzzDecode(f *testing.F) {
 	nested = append(nested, byte(TypeCancel))
 	nested = binary.BigEndian.AppendUint32(nested, 1)
 	f.Add(frameFor(TypeEnvelope, nested))
+	// Block edges, where the payload bypasses the scratch: a payload length
+	// that claims more than the frame carries, one that leaves bytes over, a
+	// stream and a frame that end inside the fixed fields, an empty payload,
+	// and a bare header claiming a MaxFrame body.
+	f.Add(blockFrame(9, []byte("payload")))
+	f.Add(blockFrame(3, []byte("payload")))
+	f.Add(blockFrame(7, []byte("payload"))[:5+blockFixed-6])
+	f.Add(frameFor(TypeBlock, make([]byte, blockFixed-1)))
+	f.Add(blockFrame(0, nil))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, MaxFrame), byte(TypeBlock)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(bytes.NewReader(data))
+		ref, refErr := refDecode(data)
+		whole := len(data) >= 4 && uint64(len(data)) >= 4+uint64(binary.BigEndian.Uint32(data))
+		switch {
+		case (err == nil) != (refErr == nil), whole && errClass(err) != errClass(refErr):
+			t.Fatalf("Decode err = %v, reference err = %v", err, refErr)
+		case err == nil && !reflect.DeepEqual(msg, ref):
+			t.Fatalf("Decode = %+v, reference = %+v", msg, ref)
+		}
 		if err != nil {
 			return // malformed input must error, never panic
 		}

@@ -475,32 +475,60 @@ func AppendEncode(dst []byte, msg Message) ([]byte, error) {
 	return dst, nil
 }
 
+// AppendBlockHead appends the part of b's frame that precedes the payload
+// bytes — frame header and fixed fields — so that the result followed by
+// b.Payload is byte for byte AppendEncode(dst, b). A sender that writes the
+// two pieces in one gathered write never copies the payload.
+func AppendBlockHead(dst []byte, b *Block) ([]byte, error) {
+	size := 1 + blockFixed + len(b.Payload)
+	if size > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	w := writer{buf: append(dst, byte(TypeBlock))}
+	b.encodeFixed(&w)
+	return w.buf, nil
+}
+
 // Decode parses one frame from r (blocking until a full frame arrives).
 func Decode(r io.Reader) (Message, error) {
 	msg, _, err := DecodeBuf(r, nil)
 	return msg, err
 }
 
-// DecodeBuf parses one frame from r like Decode but reads the payload into
+// DecodeBuf parses one frame from r like Decode but reads the frame body into
 // scratch (grown as needed) instead of allocating per frame, and returns the
 // possibly-grown scratch for reuse. Receivers on a hot path keep a retained
 // per-connection scratch — the AppendEncode mirror for the decode side.
-// Decoded messages never alias the scratch (variable-length fields copy out),
-// so the same buffer is safe to reuse for the next frame immediately.
+// Decoded messages never alias the scratch, so the same buffer is safe to
+// reuse for the next frame immediately: variable-length fields copy out of
+// it, and a Block frame's payload never enters it — only the blockFixed bytes
+// ahead of the payload do, and the payload is read from r straight into an
+// exact-size buffer the message owns.
 func DecodeBuf(r io.Reader, scratch []byte) (Message, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(scratch) < blockFixed {
+		scratch = make([]byte, blockFixed)
+	}
+	hdr := scratch[:5]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, scratch, err
 	}
 	size := binary.BigEndian.Uint32(hdr[:4])
 	if size == 0 || size > MaxFrame {
 		return nil, scratch, ErrFrameTooLarge
 	}
-	msg, err := New(Type(hdr[4]))
+	typ, n := Type(hdr[4]), int(size-1)
+	if typ == TypeBlock {
+		blk, err := readBlock(r, scratch[:blockFixed], n)
+		if err != nil {
+			return nil, scratch, err
+		}
+		return blk, scratch, nil
+	}
+	msg, err := New(typ)
 	if err != nil {
 		return nil, scratch, err
 	}
-	n := int(size - 1)
 	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
@@ -513,6 +541,31 @@ func DecodeBuf(r io.Reader, scratch []byte) (Message, []byte, error) {
 		return nil, scratch, err
 	}
 	return msg, scratch, nil
+}
+
+// readBlock decodes the n body bytes of a Block frame: the fixed fields
+// through fixed (blockFixed bytes of the caller's scratch), then the payload
+// from r into a buffer of exactly its length. The payload length must account
+// for the rest of the frame to the byte, which is checked before anything is
+// allocated for it — a few-byte frame cannot claim a MaxFrame buffer, and a
+// frame with bytes after its payload is refused rather than half-read.
+func readBlock(r io.Reader, fixed []byte, n int) (*Block, error) {
+	if n < blockFixed {
+		return nil, ErrTruncated
+	}
+	if _, err := io.ReadFull(r, fixed); err != nil {
+		return nil, err
+	}
+	m := &Block{}
+	rd := reader{buf: fixed}
+	if size := m.decodeFixed(&rd); size != n-blockFixed {
+		return nil, fmt.Errorf("%w: block claims %d payload bytes, frame carries %d", ErrTruncated, size, n-blockFixed)
+	}
+	m.Payload = make([]byte, n-blockFixed)
+	if _, err := io.ReadFull(r, m.Payload); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // --- primitive codec -------------------------------------------------------
@@ -539,8 +592,7 @@ func (w *writer) str(s string) {
 	w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(len(s)))
 	w.buf = append(w.buf, s...)
 }
-func (w *writer) bytes(p []byte) { w.u32(uint32(len(p))); w.buf = append(w.buf, p...) }
-func (w *writer) raw(p []byte)   { w.buf = append(w.buf, p...) }
+func (w *writer) raw(p []byte) { w.buf = append(w.buf, p...) }
 
 type reader struct {
 	buf []byte
@@ -610,9 +662,10 @@ func (r *reader) str() string {
 	n := int(binary.BigEndian.Uint16(b))
 	return string(r.take(n))
 }
-func (r *reader) byteSlice() []byte {
-	n := int(r.u32())
-	if r.err != nil || n > MaxFrame {
+
+// copyOut takes the next n bytes as a copy the decoded message may keep.
+func (r *reader) copyOut(n int) []byte {
+	if r.err != nil || n < 0 || n > MaxFrame {
 		r.err = ErrTruncated
 		return nil
 	}
@@ -775,7 +828,11 @@ func (m *Manifest) decode(r *reader) error {
 	return r.err
 }
 
-func (m *Block) encode(w *writer) {
+// blockFixed is how many encoded bytes of a Block precede its payload bytes:
+// the fields of encodeFixed, the payload's length prefix included.
+const blockFixed = 4 + 4 + 8 + 8 + 4 + 4 + 1 + 4
+
+func (m *Block) encodeFixed(w *writer) {
 	w.i32(int32(m.Object))
 	w.u32(m.Index)
 	w.u64(m.RingID)
@@ -783,9 +840,11 @@ func (m *Block) encode(w *writer) {
 	w.i32(int32(m.Origin))
 	w.i32(int32(m.Recipient))
 	w.boolean(m.Encrypted)
-	w.bytes(m.Payload)
+	w.u32(uint32(len(m.Payload)))
 }
-func (m *Block) decode(r *reader) error {
+
+// decodeFixed is encodeFixed's inverse; it returns the payload length.
+func (m *Block) decodeFixed(r *reader) int {
 	m.Object = catalog.ObjectID(r.i32())
 	m.Index = r.u32()
 	m.RingID = r.u64()
@@ -793,7 +852,18 @@ func (m *Block) decode(r *reader) error {
 	m.Origin = core.PeerID(r.i32())
 	m.Recipient = core.PeerID(r.i32())
 	m.Encrypted = r.boolean()
-	m.Payload = r.byteSlice()
+	return int(r.u32())
+}
+
+func (m *Block) encode(w *writer) {
+	m.encodeFixed(w)
+	w.raw(m.Payload)
+}
+
+// decode is the copy-out path for a Block nested in another message (an audit
+// sample, an envelope); a Block frame of its own goes through readBlock.
+func (m *Block) decode(r *reader) error {
+	m.Payload = r.copyOut(m.decodeFixed(r))
 	return r.err
 }
 
@@ -844,7 +914,7 @@ func (m *MedVerify) decode(r *reader) error {
 	m.Requester = core.PeerID(r.i32())
 	m.Sender = core.PeerID(r.i32())
 	m.Object = catalog.ObjectID(r.i32())
-	n := r.count(int(r.u32()), 4096, 37) // 4+4+8+8+4+4+1+4 header bytes per block
+	n := r.count(int(r.u32()), 4096, blockFixed)
 	if r.err != nil {
 		return r.err
 	}

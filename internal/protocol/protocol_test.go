@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +146,55 @@ func TestDecodeCorruptInnerLength(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockLengthMismatch: a Block's payload length must account for
+// the rest of its frame to the byte, in both directions.
+func TestDecodeBlockLengthMismatch(t *testing.T) {
+	cases := map[string][]byte{
+		"claims more than the frame carries": blockFrame(9, []byte("payload")),
+		"leaves bytes after the payload":     blockFrame(3, []byte("payload")),
+		"frame ends inside the fixed fields": frameFor(TypeBlock, make([]byte, blockFixed-1)),
+	}
+	for name, frame := range cases {
+		if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
+		}
+	}
+}
+
+// TestDecodeBlockAllocations pins the receive path's budget for a block: the
+// message and its exact-size payload, nothing else — and nothing at all for a
+// payload the stream does not back: a bare header claiming a MaxFrame body
+// fails before any buffer is sized by the claim.
+func TestDecodeBlockAllocations(t *testing.T) {
+	frame, err := Encode(&Block{Object: 7, Index: 3, Session: 99, Origin: 1, Recipient: 2, Payload: make([]byte, 16<<10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd bytes.Reader
+	var scratch []byte
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(frame)
+		if _, scratch, err = DecodeBuf(&rd, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("DecodeBuf of a 16 KiB block: %v allocations, want at most 2", allocs)
+	}
+
+	huge := append(binary.BigEndian.AppendUint32(nil, MaxFrame), byte(TypeBlock))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = Decode(bytes.NewReader(huge))
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("bare header decoded")
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 4<<10 {
+		t.Errorf("bare header claiming a MaxFrame block allocated %d bytes", got)
+	}
+}
+
 func TestDecodeEOF(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want EOF", err)
@@ -224,6 +275,12 @@ func TestPropertyBlockRoundTrip(t *testing.T) {
 		}
 		frame, err := Encode(in)
 		if err != nil {
+			return false
+		}
+		// The gathered send (head, then the payload where it lies) must put
+		// the same bytes on the wire as the one-buffer encode.
+		head, err := AppendBlockHead(nil, in)
+		if err != nil || !bytes.Equal(append(head, payload...), frame) {
 			return false
 		}
 		out, err := Decode(bytes.NewReader(frame))

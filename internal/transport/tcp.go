@@ -66,18 +66,23 @@ type tcpConn struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 
-	// sendMu serializes writers; bufio.Writer is flushed per message so a
-	// frame is never interleaved or half-buffered across Sends. sendBuf is
-	// the connection's encode scratch, guarded by the same lock: steady-state
-	// sends (block transfers above all) re-encode into it without allocating.
+	// sendMu serializes writers: every Send hands the socket one whole frame
+	// in one write, so frames never interleave and nothing waits in a
+	// user-space buffer. It also guards the two send-side scratches. sendBuf
+	// is the encode scratch, re-encoded into without allocating at steady
+	// state; of a Block it holds only the head, never the payload. iov backs
+	// bufs, the gather list a Block goes out through — head from sendBuf, then
+	// the message's own payload slice, which is never copied here.
 	sendMu  sync.Mutex
-	bw      *bufio.Writer
 	sendBuf []byte
+	iov     [2][]byte
+	bufs    net.Buffers
 
 	// recvBuf is the decode-side scratch, the mirror of sendBuf: Recv is
 	// single-reader by the Conn contract, so no lock guards it. Decoded
 	// messages never alias it (protocol.DecodeBuf copies variable-length
-	// fields out), making it safe to reuse on the very next Recv.
+	// fields out of it and reads a Block's payload past it, into a buffer the
+	// message owns), making it safe to reuse on the very next Recv.
 	recvBuf []byte
 }
 
@@ -85,29 +90,43 @@ func newTCPConn(nc net.Conn, readTimeout, writeTimeout time.Duration) *tcpConn {
 	return &tcpConn{
 		nc:           nc,
 		br:           bufio.NewReaderSize(nc, 64<<10),
-		bw:           bufio.NewWriterSize(nc, 64<<10),
 		readTimeout:  readTimeout,
 		writeTimeout: writeTimeout,
 	}
 }
 
+// Send writes msg as one frame. The caller must not modify a Block's Payload
+// until Send returns; the bytes go to the socket from where they lie.
 func (c *tcpConn) Send(msg protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	frame, err := protocol.AppendEncode(c.sendBuf[:0], msg)
+	blk, isBlock := msg.(*protocol.Block)
+	var err error
+	if isBlock {
+		c.sendBuf, err = protocol.AppendBlockHead(c.sendBuf[:0], blk)
+	} else {
+		c.sendBuf, err = protocol.AppendEncode(c.sendBuf[:0], msg)
+	}
 	if err != nil {
 		return err
 	}
-	c.sendBuf = frame
 	if c.writeTimeout > 0 {
 		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
 			return err
 		}
 	}
-	if _, err := c.bw.Write(frame); err != nil {
+	if !isBlock {
+		// No payload part, so no gather list: a one-entry writev measured
+		// ~5 % slower than a plain write on the mediator's small RPCs.
+		_, err = c.nc.Write(c.sendBuf)
 		return err
 	}
-	return c.bw.Flush()
+	// One writev. WriteTo consumes bufs, which also drops its reference to
+	// the payload.
+	c.iov = [2][]byte{c.sendBuf, blk.Payload}
+	c.bufs = c.iov[:]
+	_, err = c.bufs.WriteTo(c.nc)
+	return err
 }
 
 func (c *tcpConn) Recv() (protocol.Message, error) {

@@ -1,12 +1,18 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"barter/internal/catalog"
+	"barter/internal/core"
 	"barter/internal/protocol"
 )
 
@@ -464,4 +470,83 @@ func TestTCPLargeMessage(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("large message never arrived")
 	}
+}
+
+// TestTCPBlockWireBytes pins the gathered block send from both sides. What
+// tcpConn.Send puts on the socket — head from its scratch, then the payload
+// from where it lies — is byte for byte protocol.AppendEncode's one-buffer
+// frame, so a peer on either side of this change reads the other. And a
+// steady-state Send of a block allocates nothing that grows with the payload:
+// at most one small allocation, against the 16 KiB it carries.
+func TestTCPBlockWireBytes(t *testing.T) {
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close() //nolint:errcheck // test cleanup
+	c, err := TCP{}.Dial(nl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck // test cleanup
+	raw, err := nl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close() //nolint:errcheck // test cleanup
+
+	rnd := rand.New(rand.NewSource(19))
+	got := make([]byte, 0, 64<<10)
+	for _, size := range []int{0, 1, 37, 4096, 16 << 10, 40_000} {
+		blk := &protocol.Block{
+			Object: catalog.ObjectID(rnd.Int31()), Index: rnd.Uint32(), RingID: rnd.Uint64(), Session: rnd.Uint64(),
+			Origin: core.PeerID(rnd.Int31()), Recipient: core.PeerID(rnd.Int31()), Encrypted: size%2 == 1,
+			Payload: make([]byte, size),
+		}
+		rnd.Read(blk.Payload)
+		want, err := protocol.AppendEncode(nil, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(blk); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:len(want)]
+		if _, err := io.ReadFull(raw, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte block: wire bytes differ from AppendEncode", size)
+		}
+	}
+
+	// The drain reads into one retained buffer, so the only allocations the
+	// process makes while Send runs are Send's own.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			if _, err := raw.Read(got[:cap(got)]); err != nil {
+				return
+			}
+		}
+	}()
+	blk := &protocol.Block{Object: 7, Index: 3, Session: 99, Origin: 1, Recipient: 2, Payload: make([]byte, 16<<10)}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := c.Send(blk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	if allocs > 1 {
+		t.Errorf("Send of a 16 KiB block: %v allocations, want at most 1", allocs)
+	}
+	if perSend := (m1.TotalAlloc - m0.TotalAlloc) / runs; perSend > 1<<10 {
+		t.Errorf("Send of a 16 KiB block allocated %d bytes per call", perSend)
+	}
+	c.Close() //nolint:errcheck // unblocks the drain
+	<-drained
 }
