@@ -8,7 +8,7 @@ GO ?= go
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full flake-check swarm-smoke soak fuzz-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -32,6 +32,18 @@ test:
 ## test-full: full suite exactly as CI's long job runs it.
 test-full:
 	$(GO) test -count=1 ./...
+
+## golden-check: the byte-identity oracle (ROADMAP Open item 3). Regenerates
+## `exchsim -all -quick -seed 1` and paper-scale `exchsim -experiment fig4
+## -seed 1` at -parallel 1 and -parallel 8 and cmps all four outputs against
+## testdata/golden/; a step of CI's full-tests job (~15 s).
+golden-check:
+	./scripts/golden.sh check
+
+## golden-update: the only way the goldens move. The commit that runs it
+## names in CHANGES.md which series moved and why.
+golden-update:
+	./scripts/golden.sh update
 
 ## flake-check: "green" means every run out of every run under -race, not
 ## "usually" (ROADMAP aim 3). The node suite is where the live stack's

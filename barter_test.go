@@ -51,7 +51,7 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 
 func TestRingSearchThroughFacade(t *testing.T) {
 	tree := BuildTree(1, []IRQEntry{{Requester: 2, Object: 10}}, MaxRingDefault)
-	wants := []Want{{Object: 20, Providers: map[PeerID]bool{2: true}}}
+	wants := []Want{{Object: 20, Providers: []PeerID{2}}}
 	ring, wi, _, ok := FindRing(tree, wants, PolicyPairwise)
 	if !ok || wi != 0 || ring.Size() != 2 {
 		t.Fatalf("facade ring search: ok=%v wi=%d ring=%v", ok, wi, ring)

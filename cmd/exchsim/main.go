@@ -3,7 +3,7 @@
 // Usage:
 //
 //	exchsim -list
-//	exchsim -experiment fig4 [-quick] [-seed 7] [-parallel 8] [-replicas 5] [-v] [-perf]
+//	exchsim -experiment fig4 [-quick] [-seed 7] [-parallel 8] [-replicas 5] [-v] [-perf] [-cpuprofile cpu.prof]
 //	exchsim -all [-quick]
 //	exchsim -workload flash [-quick] [-replicas 5]
 //	exchsim -trace run.trace [-quick] [-parallel 8]
@@ -25,6 +25,10 @@
 // events/sec of wall time, ring-search traversal effort, and allocation
 // load. The counters are published once per completed run, outside the hot
 // path, so the report never perturbs the deterministic TSV output.
+//
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the runs to FILE
+// (read it with `go tool pprof -top FILE`); stdout is unaffected. It is how
+// the layer table of docs/PERF.md is regenerated.
 package main
 
 import (
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"barter"
 	"barter/internal/perfstats"
@@ -64,6 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		perf     = fs.Bool("perf", false, "print an engine performance report to stderr after the runs")
 		wl       = fs.String("workload", "", "run an open-loop workload spec: a builtin name or a JSON spec file")
 		trace    = fs.String("trace", "", "replay a recorded JSON-lines trace file (e.g. from exchswarm -record)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the runs to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -91,6 +97,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *perf {
 		timer := perfstats.StartTimer()
 		defer func() { fmt.Fprint(stderr, timer.Report()) }()
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(stderr, "exchsim: -cpuprofile:", err)
+			}
+		}()
 	}
 
 	switch {

@@ -185,3 +185,29 @@ func TestMissingTraceFileErrors(t *testing.T) {
 		t.Fatal("missing trace file accepted")
 	}
 }
+
+// TestCPUProfileLeavesStdoutAlone: -cpuprofile writes a profile beside the
+// run and changes nothing the run prints; a path that cannot be created is an
+// error before anything runs.
+func TestCPUProfileLeavesStdoutAlone(t *testing.T) {
+	args := []string{"-experiment", "ablation-search", "-quick", "-parallel", "1"}
+	plain, _, err := runCmd(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	profiled, _, err := runCmd(t, append(args, "-cpuprofile", prof)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != plain {
+		t.Fatalf("-cpuprofile changed stdout:\n%s\nvs\n%s", profiled, plain)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Fatalf("no profile written: %v", err)
+	}
+	out, _, err := runCmd(t, append(args, "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.prof"))...)
+	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") || out != "" {
+		t.Fatalf("uncreatable profile path: err=%v stdout=%q", err, out)
+	}
+}

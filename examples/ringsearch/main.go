@@ -32,8 +32,8 @@ func main() {
 	// A wants o100, provided by P9 (depth 3), and o200, provided by P3
 	// (depth 2, a pairwise alternative).
 	wants := []barter.Want{
-		{Object: 100, Providers: map[barter.PeerID]bool{9: true}},
-		{Object: 200, Providers: map[barter.PeerID]bool{3: true}},
+		{Object: 100, Providers: []barter.PeerID{9}},
+		{Object: 200, Providers: []barter.PeerID{3}},
 	}
 	fmt.Println("A wants o100 (provided by P9, depth 3) and o200 (provided by P3, depth 2).")
 	fmt.Println()

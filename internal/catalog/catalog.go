@@ -72,8 +72,8 @@ type Catalog struct {
 	objects    [][]ObjectID // objects[c] lists category c's objects by rank (rank 1 first)
 	categoryOf []CategoryID // indexed by ObjectID
 	catPop     *rng.PowerLaw
-	objPop     map[int]*rng.PowerLaw // keyed by category size
-	catRank    []CategoryID          // catRank[i] = category with popularity rank i+1
+	objPop     []*rng.PowerLaw // objPop[c] ranks category c's objects; equal-sized categories share one
+	catRank    []CategoryID    // catRank[i] = category with popularity rank i+1
 }
 
 // New builds a catalog: category sizes are drawn from cfg's uniform range,
@@ -87,12 +87,13 @@ func New(cfg Config, r *rng.RNG) (*Catalog, error) {
 		cfg:     cfg,
 		objects: make([][]ObjectID, cfg.Categories),
 		catPop:  rng.NewPowerLaw(cfg.Categories, cfg.CategoryFactor),
-		objPop:  make(map[int]*rng.PowerLaw),
+		objPop:  make([]*rng.PowerLaw, cfg.Categories),
 		catRank: make([]CategoryID, cfg.Categories),
 	}
 	for i, p := range r.Perm(cfg.Categories) {
 		c.catRank[i] = CategoryID(p)
 	}
+	bySize := make(map[int]*rng.PowerLaw) // one sampler per distinct category size
 	var next ObjectID
 	for cat := 0; cat < cfg.Categories; cat++ {
 		n := r.IntRange(cfg.ObjectsPerCategoryMin, cfg.ObjectsPerCategoryMax)
@@ -103,9 +104,10 @@ func New(cfg Config, r *rng.RNG) (*Catalog, error) {
 			next++
 		}
 		c.objects[cat] = objs
-		if _, ok := c.objPop[n]; !ok {
-			c.objPop[n] = rng.NewPowerLaw(n, cfg.ObjectFactor)
+		if bySize[n] == nil {
+			bySize[n] = rng.NewPowerLaw(n, cfg.ObjectFactor)
 		}
+		c.objPop[cat] = bySize[n]
 	}
 	return c, nil
 }
@@ -178,9 +180,7 @@ func (c *Catalog) NewInterestK(k int, r *rng.RNG) *Interest {
 // category by local preference, object by within-category popularity rank.
 func (c *Catalog) SampleObject(in *Interest, r *rng.RNG) ObjectID {
 	cat := in.categories[in.pref.Index(r)]
-	objs := c.objects[cat]
-	rank := c.objPop[len(objs)].Rank(r)
-	return objs[rank-1]
+	return c.objects[cat][c.objPop[cat].Rank(r)-1]
 }
 
 // SampleMiss draws requests until one is not excluded (not already stored or

@@ -166,6 +166,29 @@ func TestSampleObjectStaysInInterest(t *testing.T) {
 	}
 }
 
+// TestSampleObjectPinnedDraws pins the draw -> object mapping: the first 64
+// requests of one seeded catalog and interest (4 categories of different
+// sizes), captured before the per-category sampler table and rng.PowerLaw's
+// guide table replaced the size-keyed map and the binary search. Every figure
+// is a function of this sequence, so a sampler change that shifts it must fail
+// here, next to its cause, rather than in a golden TSV.
+func TestSampleObjectPinnedDraws(t *testing.T) {
+	want := []ObjectID{
+		109, 655, 498, 131, 123, 491, 70, 132, 640, 132, 135, 71, 121, 109, 642, 71,
+		645, 70, 121, 497, 491, 109, 122, 120, 122, 480, 131, 119, 129, 503, 645, 71,
+		124, 642, 120, 489, 128, 108, 71, 130, 134, 71, 650, 109, 656, 652, 70, 134,
+		490, 494, 650, 71, 501, 645, 645, 121, 476, 489, 72, 488, 135, 477, 493, 70,
+	}
+	c := mustNew(t, testConfig(), 7)
+	r := rng.New(7)
+	in := c.NewInterest(r)
+	for i, w := range want {
+		if got := c.SampleObject(in, r); got != w {
+			t.Fatalf("draw %d = object %d, pinned %d: the sampler's draw -> rank mapping moved", i, got, w)
+		}
+	}
+}
+
 func TestSampleObjectPrefersPopularRanks(t *testing.T) {
 	cfg := testConfig()
 	cfg.Categories = 1

@@ -16,34 +16,68 @@ type Edge struct {
 const DefaultSearchBudget = 4096
 
 // SearchScratch holds the reusable working memory of ring searches: the
-// visited set as an epoch-stamped dense array (cleared in O(1) by bumping the
-// generation), the BFS node pool, and the DFS path buffers. One scratch
-// serves any number of sequential searches; it is not safe for concurrent
-// use. A nil scratch on Graph falls back to a fresh allocation per search.
+// visited set and the provider -> want table as epoch-stamped dense arrays
+// (cleared in O(1) by bumping the generation), the BFS node pool, and the DFS
+// path buffers. One scratch serves any number of sequential searches; it is
+// not safe for concurrent use. A nil scratch on Graph allocates one per search.
 type SearchScratch struct {
-	visited []uint32 // epoch stamps indexed by PeerID
-	gen     uint32
-	nodes   []bfsNode
-	path    []Edge
-	best    []Edge
-	first1  [1]Edge
+	visited  []uint32    // epoch stamps indexed by PeerID
+	provides []wantStamp // indexed by PeerID; see begin
+	gen      uint32
+	nodes    []bfsNode
+	path     []Edge
+	best     []Edge
+	first1   [1]Edge
+}
+
+// wantStamp says wants[want] is the first want the peer provides in epoch gen.
+type wantStamp struct {
+	gen  uint32
+	want int32
 }
 
 // NewSearchScratch returns a scratch pre-sized for peer ids below numPeers;
 // it grows transparently if larger ids appear.
 func NewSearchScratch(numPeers int) *SearchScratch {
-	return &SearchScratch{visited: make([]uint32, numPeers)}
+	return &SearchScratch{visited: make([]uint32, numPeers), provides: make([]wantStamp, numPeers)}
 }
 
-// begin starts a new search epoch, invalidating all marks in O(1).
-func (sc *SearchScratch) begin() {
+// grown returns s extended with zero values so that index i is valid.
+func grown[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// begin starts a new search epoch, invalidating all marks in O(1), and stamps
+// every provider with the first want it provides: "which want does this peer
+// close?" is then one array read per visited node, however many wants.
+func (sc *SearchScratch) begin(wants []Want) {
 	sc.gen++
 	if sc.gen == 0 { // wrapped: stale stamps could alias; hard-reset once
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+		clear(sc.visited)
+		clear(sc.provides)
 		sc.gen = 1
 	}
+	for i := len(wants) - 1; i >= 0; i-- { // backwards: the earlier want wins
+		for _, p := range wants[i].Providers {
+			sc.provides = grown(sc.provides, int(p))
+			sc.provides[p] = wantStamp{gen: sc.gen, want: int32(i)}
+		}
+	}
+}
+
+// match returns the first of the search's nwants wants that p provides, or
+// -1, and charges stats what a want-by-want scan would (SearchStats.WantsChecked).
+func (sc *SearchScratch) match(p PeerID, nwants int, stats *SearchStats) int {
+	if int(p) < len(sc.provides) && sc.provides[p].gen == sc.gen {
+		w := int(sc.provides[p].want)
+		stats.WantsChecked += w + 1
+		return w
+	}
+	stats.WantsChecked += nwants
+	return -1
 }
 
 func (sc *SearchScratch) marked(p PeerID) bool {
@@ -51,11 +85,7 @@ func (sc *SearchScratch) marked(p PeerID) bool {
 }
 
 func (sc *SearchScratch) mark(p PeerID) {
-	if int(p) >= len(sc.visited) {
-		nv := make([]uint32, int(p)+1, 2*(int(p)+1))
-		copy(nv, sc.visited)
-		sc.visited = nv
-	}
+	sc.visited = grown(sc.visited, int(p))
 	sc.visited[p] = sc.gen
 }
 
@@ -133,22 +163,11 @@ func (g Graph) search(root PeerID, first *Edge, wants []Want, pol Policy) (*Ring
 	if sc == nil {
 		sc = NewSearchScratch(0)
 	}
-	sc.begin()
+	sc.begin(wants)
 	if pol.Kind == LongFirst {
 		return g.searchDeepFirst(sc, root, first, wants, pol, &stats)
 	}
 	return g.searchShallowFirst(sc, root, first, wants, pol, &stats)
-}
-
-// match returns the index of the first want provided by p, or -1.
-func match(p PeerID, wants []Want, stats *SearchStats) int {
-	for i, w := range wants {
-		stats.WantsChecked++
-		if w.Providers[p] {
-			return i
-		}
-	}
-	return -1
 }
 
 // frontier returns the depth-2 seed edges: the single via edge, or the
@@ -204,7 +223,7 @@ func (g Graph) searchShallowFirst(sc *SearchScratch, root PeerID, first *Edge, w
 		if !ok {
 			continue
 		}
-		if w := match(e.Peer, wants, stats); w >= 0 {
+		if w := sc.match(e.Peer, len(wants), stats); w >= 0 {
 			return build(idx, w)
 		}
 	}
@@ -220,7 +239,7 @@ func (g Graph) searchShallowFirst(sc *SearchScratch, root PeerID, first *Edge, w
 			if !ok {
 				continue
 			}
-			if w := match(e.Peer, wants, stats); w >= 0 {
+			if w := sc.match(e.Peer, len(wants), stats); w >= 0 {
 				return build(idx, w)
 			}
 		}
@@ -252,7 +271,7 @@ func (g Graph) searchDeepFirst(sc *SearchScratch, root PeerID, first *Edge, want
 		path = append(path, e)
 		sc.mark(e.Peer)
 		abort := false
-		if w := match(e.Peer, wants, stats); w >= 0 {
+		if w := sc.match(e.Peer, len(wants), stats); w >= 0 {
 			stats.Candidates++
 			if bestWant < 0 || len(path) > len(best) {
 				best = append(best[:0], path...)

@@ -182,9 +182,9 @@ func TestPropertyGraphMatchesTreeSearch(t *testing.T) {
 		tree := w.tree(root, 5)
 		wants := []Want{{
 			Object:    500,
-			Providers: map[PeerID]bool{PeerID(r.Intn(12)): true, PeerID(r.Intn(12)): true},
+			Providers: []PeerID{PeerID(r.Intn(12)), PeerID(r.Intn(12))},
 		}}
-		delete(wants[0].Providers, root) // the root cannot close its own ring
+		wants[0].Providers = withoutPeer(wants[0].Providers, root) // the root cannot close its own ring
 		for _, pol := range []Policy{PolicyPairwise, Policy2N} {
 			gr, _, _, gok := g.FindRing(root, wants, pol)
 			tr, _, _, tok := FindRing(tree, wants, pol)
@@ -224,9 +224,9 @@ func TestPropertyLongFirstAtLeastShortFirst(t *testing.T) {
 		root := PeerID(r.Intn(10))
 		wants := []Want{{
 			Object:    500,
-			Providers: map[PeerID]bool{PeerID(r.Intn(10)): true},
+			Providers: []PeerID{PeerID(r.Intn(10))},
 		}}
-		delete(wants[0].Providers, root)
+		wants[0].Providers = withoutPeer(wants[0].Providers, root)
 		rs, _, _, okS := g.FindRing(root, wants, Policy2N)
 		rl, _, _, okL := g.FindRing(root, wants, PolicyN2)
 		// DFS and BFS can disagree on reachability only via budget; with the

@@ -166,6 +166,15 @@ func FindRing(t *Tree, wants []Want, pol Policy) (*Ring, int, SearchStats, bool)
 		return c.order < b.order
 	}
 
+	// firstWant resolves each provider to the first want it provides, once per
+	// call; live peer ids are not dense, hence a map where Graph stamps an array.
+	firstWant := make(map[PeerID]int)
+	for wi := len(wants) - 1; wi >= 0; wi-- { // backwards: the earlier want wins
+		for _, p := range wants[wi].Providers {
+			firstWant[p] = wi
+		}
+	}
+
 	// onPath tracks peers along the current DFS path (including the root) so
 	// rings never contain a repeated peer.
 	onPath := map[PeerID]bool{t.Root: true}
@@ -181,16 +190,15 @@ func FindRing(t *Tree, wants []Want, pol Policy) (*Ring, int, SearchStats, bool)
 		order++
 		path = append(path, n)
 		onPath[n.Peer] = true
-		for wi, w := range wants {
-			stats.WantsChecked++
-			if w.Providers[n.Peer] {
-				stats.Candidates++
-				c := &candidate{path: append([]*TreeNode(nil), path...), want: wi, order: order}
-				if better(c, best) {
-					best = c
-				}
-				break
+		if wi, ok := firstWant[n.Peer]; ok {
+			stats.WantsChecked += wi + 1
+			stats.Candidates++
+			c := &candidate{path: append([]*TreeNode(nil), path...), want: wi, order: order}
+			if better(c, best) {
+				best = c
 			}
+		} else {
+			stats.WantsChecked += len(wants)
 		}
 		// Early exit: a pairwise ring found under ShortFirst/PairwiseOnly
 		// cannot be beaten, and tie-breaking favors earlier traversal.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,11 +10,7 @@ import (
 )
 
 func wantOf(obj catalog.ObjectID, providers ...PeerID) Want {
-	m := make(map[PeerID]bool, len(providers))
-	for _, p := range providers {
-		m[p] = true
-	}
-	return Want{Object: obj, Providers: m}
+	return Want{Object: obj, Providers: providers}
 }
 
 func TestPolicyValidate(t *testing.T) {
@@ -389,9 +386,9 @@ func TestPropertyRingsAreTrueCycles(t *testing.T) {
 		// Random providers: a handful of peers that exist in or out of tree.
 		wants := make([]Want, 1+r.Intn(3))
 		for i := range wants {
-			prov := make(map[PeerID]bool)
+			var prov []PeerID
 			for j := 0; j < r.Intn(4); j++ {
-				prov[PeerID(r.Intn(70))] = true
+				prov = append(prov, PeerID(r.Intn(70)))
 			}
 			wants[i] = Want{Object: catalog.ObjectID(1000 + i), Providers: prov}
 		}
@@ -422,7 +419,7 @@ func TestPropertyRingsAreTrueCycles(t *testing.T) {
 				}
 			}
 			last := ring.Members[ring.Size()-1]
-			if !wants[wi].Providers[last.Peer] {
+			if !slices.Contains(wants[wi].Providers, last.Peer) {
 				t.Fatalf("iter %d: closing peer %d is not a provider of want %d", iter, last.Peer, wi)
 			}
 			if last.Gives != wants[wi].Object {
@@ -436,7 +433,7 @@ func TestPropertyPolicyOrdering(t *testing.T) {
 	r := rng.New(77)
 	for iter := 0; iter < 300; iter++ {
 		tree, _, _ := randomTree(r, 6)
-		wants := []Want{{Object: 999, Providers: map[PeerID]bool{PeerID(r.Intn(60)): true, PeerID(r.Intn(60)): true}}}
+		wants := []Want{{Object: 999, Providers: []PeerID{PeerID(r.Intn(60)), PeerID(r.Intn(60))}}}
 		rs, _, _, okS := FindRing(tree, wants, Policy2N)
 		rl, _, _, okL := FindRing(tree, wants, PolicyN2)
 		if okS != okL {
@@ -453,8 +450,8 @@ func BenchmarkFindRing(b *testing.B) {
 	r := rng.New(5)
 	tree, _, _ := randomTree(r, 6)
 	wants := []Want{
-		{Object: 999, Providers: map[PeerID]bool{40: true}},
-		{Object: 998, Providers: map[PeerID]bool{55: true}},
+		{Object: 999, Providers: []PeerID{40}},
+		{Object: 998, Providers: []PeerID{55}},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -110,9 +110,13 @@ func (p Policy) String() string {
 // providers it discovered at lookup time. The paper notes the searcher "can
 // use the original provider list to compute a cycle containing a peer P even
 // if it did not originally transmit a request to P".
+//
+// Providers is a set held as a slice: the order of ids within a want is
+// irrelevant (a duplicate is harmless); the order of the wants is the
+// tie-break — a peer that provides two closes the ring on the earlier one.
 type Want struct {
 	Object    catalog.ObjectID
-	Providers map[PeerID]bool
+	Providers []PeerID
 }
 
 // Member is one position in an exchange ring: Peer uploads Gives to the next
@@ -175,6 +179,10 @@ func (r *Ring) Validate() error {
 // into its Result and perfstats (Section V's search effort concern).
 type SearchStats struct {
 	NodesVisited int // tree nodes inspected
-	WantsChecked int // (node, want) membership probes
+	// WantsChecked is the number of membership tests a want-by-want scan
+	// makes: i+1 for a visited node matched at want i, len(wants) for one that
+	// provides none. Searches resolve provider -> first want once and compute
+	// the figure, so it compares with counts recorded when the scan still ran.
+	WantsChecked int
 	Candidates   int // ring-closing nodes found before policy selection
 }

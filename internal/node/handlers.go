@@ -1,6 +1,8 @@
 package node
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"barter/internal/catalog"
@@ -449,11 +451,7 @@ func (n *Node) tryExchange() {
 		if n.ringFed(obj) {
 			continue // an exchange is already feeding this want
 		}
-		prov := make(map[core.PeerID]bool, len(dl.providers))
-		for p := range dl.providers {
-			prov[p] = true
-		}
-		wants = append(wants, core.Want{Object: obj, Providers: prov})
+		wants = append(wants, core.Want{Object: obj, Providers: slices.Collect(maps.Keys(dl.providers))})
 	}
 	if len(wants) == 0 {
 		return

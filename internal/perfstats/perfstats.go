@@ -28,7 +28,8 @@ type Snapshot struct {
 	LaneEvents uint64
 	HeapEvents uint64
 	// RingSearches counts ring searches; SearchNodesVisited and
-	// SearchWantsChecked aggregate their traversal cost.
+	// SearchWantsChecked aggregate their traversal cost; the latter is
+	// computed, not performed (see core.SearchStats.WantsChecked).
 	RingSearches       uint64
 	SearchNodesVisited uint64
 	SearchWantsChecked uint64

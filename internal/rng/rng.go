@@ -154,8 +154,11 @@ func (r *RNG) Exp(mean float64) float64 {
 // uniform; with f = 1 it is zipf-like.
 type PowerLaw struct {
 	cdf []float64 // cdf[i] = P(rank <= i+1)
-	n   int
-	f   float64
+	// guide[k] is the first i with int(cdf[i]*n) >= k, for k in [0, n]: where
+	// Rank starts its scan for a draw u with int(u*n) == k.
+	guide []int32
+	n     int
+	f     float64
 }
 
 // NewPowerLaw builds a sampler over ranks 1..n with exponent f. It panics if
@@ -177,7 +180,14 @@ func NewPowerLaw(n int, f float64) *PowerLaw {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &PowerLaw{cdf: cdf, n: n, f: f}
+	guide := make([]int32, n+1)
+	for k, i := 0, 0; k <= n; k++ {
+		for int(cdf[i]*float64(n)) < k { // stops at n-1 at the latest: int(1*n) == n
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &PowerLaw{cdf: cdf, guide: guide, n: n, f: f}
 }
 
 // N returns the number of ranks.
@@ -198,19 +208,18 @@ func (p *PowerLaw) Prob(i int) float64 {
 }
 
 // Rank draws a rank in [1, n] using r.
-func (p *PowerLaw) Rank(r *RNG) int {
-	u := r.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, p.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (p *PowerLaw) Rank(r *RNG) int { return p.rank(r.Float64()) }
+
+// rank maps a draw u in [0, 1) to the first cdf entry >= u, by guide table.
+// x -> int(x*n) is monotone, so every entry before guide[int(u*n)] is below u
+// and the scan forward finds exactly the entry a binary search of the whole
+// cdf would, in a comparison or two: n guide cells against n cdf steps.
+func (p *PowerLaw) rank(u float64) int {
+	i := int(p.guide[int(u*float64(p.n))])
+	for p.cdf[i] < u { // ends at n-1 at the latest: cdf[n-1] == 1 > u
+		i++
 	}
-	return lo + 1
+	return i + 1
 }
 
 // Weighted samples indices 0..len(weights)-1 with probability proportional

@@ -202,6 +202,59 @@ func TestPowerLawRankInBounds(t *testing.T) {
 	}
 }
 
+// searchRank is the reference for PowerLaw.rank: the binary search for the
+// first cdf entry >= u that the guide table replaced.
+func searchRank(p *PowerLaw, u float64) int {
+	lo, hi := 0, p.n-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if p.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo + 1
+}
+
+// TestPowerLawGuideEqualsBinarySearch holds the guide lookup to the draw ->
+// rank mapping of the binary search, exactly: every figure is a function of
+// that mapping. The draws that could tell the two apart sit on the cdf steps
+// and on the guide-cell boundaries k/n, so each of those is tried with its
+// float64 neighbour on either side, next to both ends of [0, 1) and a random
+// sample.
+func TestPowerLawGuideEqualsBinarySearch(t *testing.T) {
+	r := New(33)
+	below1 := math.Nextafter(1, 0)
+	for _, f := range []float64{0, 0.2, 1, 2.5} {
+		for n := 1; n <= 300; n++ {
+			p := NewPowerLaw(n, f)
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := p.rank(u), searchRank(p, u); got != want {
+					t.Fatalf("f=%v n=%d u=%v: guide lookup gives rank %d, binary search %d", f, n, u, got, want)
+				}
+			}
+			around := func(x float64) {
+				check(math.Nextafter(x, 0))
+				check(x)
+				check(math.Nextafter(x, 2))
+			}
+			check(0)
+			check(below1)
+			for i := 0; i < n; i++ {
+				around(p.cdf[i])
+				around(float64(i) / float64(n))
+			}
+			for i := 0; i < 2000; i++ {
+				check(r.Float64())
+			}
+		}
+	}
+}
+
 func TestPowerLawEmpiricalMatchesAnalytic(t *testing.T) {
 	r := New(10)
 	p := NewPowerLaw(20, 0.8)

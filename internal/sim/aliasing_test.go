@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
+
+	"barter/internal/core"
 )
 
 // The engine removes elements from session/request/pending slices with the
@@ -179,5 +182,49 @@ func TestAnnounceAppendsAreInvisibleToIteration(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("range visited %d elements, want the captured 3", seen)
+	}
+}
+
+// TestInvariantsCatchBrokenProviderSet corrupts a pending download's provider
+// list both ways the slice representation allows — a repeated id, an id no
+// peer has — and expects CheckInvariants to refuse each.
+func TestInvariantsCatchBrokenProviderSet(t *testing.T) {
+	cfg := testConfig()
+	cfg.Seed = 24
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dl *download
+	for steps := 0; dl == nil && steps < 100_000 && s.Step(); steps++ {
+		for _, p := range s.peers {
+			for _, d := range p.pending {
+				if len(d.providers) > 0 {
+					dl = d
+				}
+			}
+		}
+	}
+	if dl == nil {
+		t.Fatal("no pending download with a provider; config no longer exercises the path")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	sound := dl.providers
+	for name, broken := range map[string][]core.PeerID{
+		"duplicate":    append(slices.Clone(sound), sound[0]),
+		"id too large": append(slices.Clone(sound), core.PeerID(cfg.NumPeers)),
+		"negative id":  append(slices.Clone(sound), -1),
+	} {
+		dl.providers = broken
+		if err := s.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants accepted providers %v", name, broken)
+		}
+	}
+	dl.providers = sound
+	dl.addProvider(sound[0])
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("addProvider of a known id broke the set: %v", err)
 	}
 }

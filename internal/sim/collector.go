@@ -112,7 +112,8 @@ type Result struct {
 
 	// RingSearches counts ring searches executed; SearchNodesVisited and
 	// SearchWantsChecked aggregate their traversal cost (Section V's search
-	// effort concern, surfaced through exchsim -perf).
+	// effort concern, surfaced through exchsim -perf). The second is computed,
+	// not performed: see core.SearchStats.WantsChecked.
 	RingSearches       int
 	SearchNodesVisited int
 	SearchWantsChecked int

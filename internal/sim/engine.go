@@ -472,17 +472,14 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	dl := &download{
 		object:      obj,
 		requestedAt: now,
-		providers:   make(map[core.PeerID]bool, len(discovered)),
-	}
-	for _, h := range discovered {
-		dl.providers[h] = true
+		providers:   slices.Clone(discovered), // distinct holders; discovered is the caller's scratch
 	}
 	// Pairwise opportunities with peers already queued here: a requester in
 	// p's IRQ that holds obj qualifies even if the lookup missed it.
 	for _, e := range p.irq {
 		q := s.peers[e.requester]
 		if q.sharing && q.online && q.has(obj) {
-			dl.providers[e.requester] = true
+			dl.addProvider(e.requester)
 		}
 	}
 	s.addPending(p, dl)
@@ -542,7 +539,7 @@ func (s *Sim) sendRequest(p, server *peerState, dl *download) {
 	if p.sharing {
 		for _, sdl := range server.pending {
 			if p.has(sdl.object) {
-				sdl.providers[p.id] = true
+				sdl.addProvider(p.id)
 			}
 		}
 	}
@@ -859,7 +856,7 @@ func (s *Sim) announceNewHolding(p *peerState, obj catalog.ObjectID) {
 			if srvDl == nil {
 				continue
 			}
-			srvDl.providers[p.id] = true
+			srvDl.addProvider(p.id)
 			s.tryExchange(srv, srv.wantFor(srvDl), &core.Edge{Peer: p.id, Object: dl.object})
 		}
 	}
@@ -975,7 +972,7 @@ func (s *Sim) evictFrom(p *peerState, excess int) {
 			if ws := s.wanters.Get(o); ws != nil {
 				ws.ForEach(func(w core.PeerID) bool {
 					if dl := s.peers[w].pendingFor(o); dl != nil {
-						delete(dl.providers, p.id)
+						dl.providers = slices.DeleteFunc(dl.providers, func(q core.PeerID) bool { return q == p.id })
 					}
 					return true
 				})

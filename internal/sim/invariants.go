@@ -49,6 +49,11 @@ func (s *Sim) checkPeer(p *peerState) error {
 		if dl.receivedKbits >= s.cfg.ObjectKbits {
 			return fmt.Errorf("download %d complete (%v kbits) but still pending", obj, dl.receivedKbits)
 		}
+		for i, id := range dl.providers { // a set held as a slice: the set rule is checked, not given
+			if id < 0 || int(id) >= s.cfg.NumPeers || slices.Contains(dl.providers[:i], id) {
+				return fmt.Errorf("download %d: providers %v repeat an id or leave [0, %d)", obj, dl.providers, s.cfg.NumPeers)
+			}
+		}
 		for _, sess := range dl.sessions {
 			if sess.closed {
 				return fmt.Errorf("download %d lists closed session", obj)

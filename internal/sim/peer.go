@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"barter/internal/catalog"
 	"barter/internal/core"
 	"barter/internal/eventq"
@@ -16,13 +18,21 @@ type download struct {
 	requestedAt   float64
 	receivedKbits float64
 	// providers is the lookup result plus any later-learned holders; it is
-	// the set a ring search may close through.
-	providers map[core.PeerID]bool
+	// the set a ring search may close through: about LookupMax distinct ids
+	// (CheckInvariants), so add through addProvider.
+	providers []core.PeerID
 	// requestedFrom lists the servers holding a registered request for this
 	// download, in registration order.
 	requestedFrom []core.PeerID
 	// sessions currently feeding this download.
 	sessions []*session
+}
+
+// addProvider records p as a known holder of the download's object.
+func (dl *download) addProvider(p core.PeerID) {
+	if !slices.Contains(dl.providers, p) {
+		dl.providers = append(dl.providers, p)
+	}
 }
 
 // request is one incoming-request-queue entry at a serving peer.
