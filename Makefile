@@ -58,23 +58,28 @@ flake-check:
 ## swarm-smoke: race-enabled live-network scenarios CI runs on every push —
 ## a 120-node flash crowd, a 100-node churn run (60 close/restart cycles),
 ## a 120-node cheater run against a 4-shard mediator tier, the same cheater
-## mix with downloads striped across 3 origins, and a medfail run that
-## kills mediator shards mid-run, so shutdown, backpressure, striping, and
-## mediator-failover paths stay exercised outside the unit suite too.
+## mix with downloads striped across 3 origins, a medfail run that kills
+## mediator shards mid-run, and the same over a durable tier (-meddata: WAL
+## replay on every restart, then a restart of the whole tier from its logs),
+## so shutdown, backpressure, striping, failover and durability stay
+## exercised outside the unit suite too. exchswarm's exit status is the
+## verdict (swarm.Result.Err): a failed download, an unflagged cheater, a
+## lost flag or a flagged honest peer fails the target.
 swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario churn -nodes 100 -restarts 60 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata "$$(mktemp -d)" -quick
 
 ## soak: the scheduled long-haul lane (.github/workflows/soak.yml) — a
-## race-enabled reshard run (durable shards churned by kills, restarts, and
-## live grow/shrink reshapes under a cheater mix; exits nonzero if any flag
-## is lost) plus a longer medfail failover run than the per-push smoke.
+## longer race-enabled medfail failover run than the per-push smoke, once
+## over in-memory shards (restarts forget; detection must re-converge) and
+## once over a durable tier (restarts must forget nothing).
 soak:
-	$(GO) run -race ./cmd/exchswarm -scenario reshard -nodes 96 -reshards 12 -quick -v
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -quick -v
+	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -meddata "$$(mktemp -d)" -quick -v
 
 ## fuzz-smoke: a short native-fuzzing pass over the wire codec and over the
 ## event queue's lane-vs-heap differential; CI runs it in the short job so
@@ -135,7 +140,8 @@ bartervet:
 
 ## docs-check: smoke-run every `go run ./cmd/...` line the ROADMAP
 ## quickstart advertises (-h per command, -list lines verbatim) so the
-## docs cannot drift ahead of the CLIs, and read every committed
+## docs cannot drift ahead of the CLIs, compare `exchswarm -list` with the
+## scenario set docs/ARCHITECTURE.md names, and read every committed
 ## BENCH_*.json trajectory point back through `go run ./bench -compare`.
 docs-check:
 	./scripts/docs-check.sh

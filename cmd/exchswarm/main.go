@@ -15,7 +15,7 @@
 //	exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
 //	exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 //	exchswarm -scenario medfail -nodes 80 -mediators 4 -medkills 6 -quick -v
-//	exchswarm -scenario reshard -nodes 80 -reshards 9 -quick -v
+//	exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata /tmp/medwal -quick -v
 //	exchswarm -scenario wave -nodes 60 -workload flash -quick -record run.trace
 //
 // The wave scenario schedules downloader demand from a temporal workload
@@ -33,11 +33,12 @@
 // stripe either way) switches the scenario onto the mediated path —
 // interleaved sealed blocks, per-origin escrow and audits — so a cheater
 // scenario flags every corrupt origin organically while honest stripes
-// complete in parallel. reshard runs the
-// medfail mix over a durable tier (write-ahead logs under -meddata, or a
-// temporary dir) while live AddShard/RemoveShard reshapes churn the ring;
-// the run fails if any reshape — or the final full-tier restart — loses a
-// detection-history flag.
+// complete in parallel. -meddata DIR gives every shard a write-ahead log
+// under DIR; medfail then also checks that no shard restart — nor a final
+// restart of the whole tier from its logs — forgets a flagged cheater.
+//
+// The exit status is the run's verdict: nonzero when a download failed, a
+// cheater went unflagged, a flag was lost, or an honest peer was flagged.
 //
 // The aggregate TSV mirrors Figure 12's axes (mean download time per peer
 // class vs. fraction of non-sharing peers); -peers appends one row per node
@@ -87,8 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		restarts = fs.Int("restarts", 0, "node restarts mid-run (churn scenario)")
 		medshard = fs.Int("mediators", 0, "mediator tier size in shards (0 = scenario default)")
 		medkills = fs.Int("medkills", 0, "mediator shard kill/restart cycles (medfail scenario)")
-		reshards = fs.Int("reshards", 0, "elastic tier reshape cycles (reshard scenario)")
-		meddata  = fs.String("meddata", "", "mediator write-ahead-log directory (reshard scenario; empty = temp dir)")
+		meddata  = fs.String("meddata", "", "mediator write-ahead-log directory (empty = in-memory shards); with it medfail also asserts no restart loses a flag")
 		stripe   = fs.Int("stripe", 0, "stripe downloads across up to N origins (N > 1 also enables the mediated path; 0/1 = single origin)")
 		objSize  = fs.Int("objsize", 0, "object size in bytes (0 = scenario default)")
 		block    = fs.Int("block", 0, "block size in bytes (0 = scenario default)")
@@ -132,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Restarts:      *restarts,
 		Mediators:     *medshard,
 		MedKills:      *medkills,
-		Reshards:      *reshards,
 		MedDataDir:    *meddata,
 		Stripe:        *stripe,
 		ObjectSize:    *objSize,
@@ -183,11 +182,5 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "swarm: %s with %d nodes finished in %s (wall %s)\n",
 			res.Scenario, res.Nodes, res.Elapsed.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 	}
-	if res.Failed > 0 {
-		return fmt.Errorf("%d of %d downloads failed", res.Failed, res.Wanted)
-	}
-	if res.FlagsLost > 0 {
-		return fmt.Errorf("%d detection-history flags lost across tier reshapes", res.FlagsLost)
-	}
-	return nil
+	return res.Err()
 }

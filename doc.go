@@ -93,10 +93,9 @@
 // each shard appends every deposit and flag to a per-shard write-ahead log
 // and replays it at startup, so restarts forget neither escrow nor
 // detection history, and flags replicate to the object's replica shard the
-// way deposits already write through. The tier is also elastic:
-// Cluster.AddShard and RemoveShard grow or shrink the ring live, migrating
-// only the consistent-hash arcs that moved (via handoff messages between
-// members) and bumping the shard-map epoch so clients refetch mid-run.
+// way deposits already write through. The tier's size is fixed when it
+// starts; a shard restart is the only topology change, and it bumps the
+// shard-map epoch so clients refetch the map mid-run.
 //
 // The live stack scales past unit scenarios through the swarm harness
 // (internal/swarm): RunSwarm launches N real nodes plus a mediator tier
@@ -104,10 +103,11 @@
 // (with configurable per-I/O deadlines) and drives a declarative scenario —
 // flash crowd, steady mixed workload, free-rider fraction, mediator-audited
 // cheaters, churn that closes and restarts nodes mid-run hundreds of times,
-// medfail, which kills and restarts mediator shards while mediated
-// transfers are in flight and asserts cheater detection still converges, or
-// reshard, which churns a durable tier with kills, restarts, and live
-// grow/shrink reshapes and asserts zero detection history is lost.
+// or medfail, which kills and restarts mediator shards while mediated
+// transfers are in flight and asserts cheater detection still converges
+// (and, over a durable tier, that no restart loses a flag). A run's verdict
+// is SwarmResult.Err: every download completed, every cheater flagged, no
+// flag lost, no honest peer flagged.
 // Results aggregate every node's Stats into the simulator's figure-shaped
 // TSV (mean download seconds per "live/<class>" series keyed by the
 // free-rider fraction), so the live network reproduces Figure 12's sharing

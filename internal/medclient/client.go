@@ -290,9 +290,9 @@ func (c *Client) dropConn(addr string, sc *shardConn) {
 }
 
 // applyMap installs a fetched shard map unless a newer epoch is cached, and
-// prunes pooled connections to addresses that left the tier — an elastic
-// shrink retires shards for good, and a pooled conn to one would otherwise
-// linger until its next (failing) use.
+// prunes pooled connections to addresses that left the tier — a shard that
+// restarted on a fresh port — which would otherwise linger until their next
+// (failing) use.
 func (c *Client) applyMap(epoch uint64, addrs []string) {
 	c.mu.Lock()
 	if epoch < c.epoch && c.shards != nil {
@@ -321,8 +321,8 @@ func (c *Client) applyMap(epoch uint64, addrs []string) {
 }
 
 // Epoch returns the topology epoch of the cached shard map — zero before
-// the first fetch. Swarm drivers compare it against the cluster's epoch to
-// confirm a client noticed a reshape.
+// the first fetch. Tests compare it against the cluster's epoch to confirm a
+// client noticed a restart.
 func (c *Client) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

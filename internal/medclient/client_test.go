@@ -506,17 +506,23 @@ func TestPipelinedFailover(t *testing.T) {
 	}
 }
 
-// TestElasticReshapeRefreshesMapMidRun resizes the tier under a running
-// client: the epoch-invalidation path must pick up each new map (redirects
-// carry the fresh epoch), operations must keep landing on the owning
-// shards, and a shrink must also prune the pooled connection to the
-// retired shard.
-func TestElasticReshapeRefreshesMapMidRun(t *testing.T) {
-	tr := transport.NewMem()
-	content := []byte("elastic-content")
+// TestRestartRefreshesMapAndPrunesPool restarts shards of a TCP tier under a
+// running client. A ":0" listen comes back on a fresh port, so the restart
+// moves the shard: the client must refetch the map (its epoch catches up
+// with the cluster's) and prune every pooled connection to an address that
+// left it — including the one to a moved shard no operation has touched
+// since, which only the map refresh can find.
+func TestRestartRefreshesMapAndPrunesPool(t *testing.T) {
+	const shards = 4
+	tr := transport.TCP{}
+	content := []byte("restart-content")
 	digest := sha256.Sum256(content)
 	oracle := func(o catalog.ObjectID) ([][32]byte, bool) { return [][32]byte{digest}, true }
-	cl, err := mediator.NewCluster(tr, []string{"mem://el-0", "mem://el-1"}, oracle)
+	listen := make([]string, shards)
+	for i := range listen {
+		listen[i] = "127.0.0.1:0"
+	}
+	cl, err := mediator.NewCluster(tr, listen, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,53 +533,67 @@ func TestElasticReshapeRefreshesMapMidRun(t *testing.T) {
 	}
 	defer c.Close()
 
-	run := func(base int) {
+	audit := func(obj catalog.ObjectID) {
 		t.Helper()
-		for i := 0; i < 16; i++ {
-			obj := catalog.ObjectID(base + i)
-			ex := uint64(base + i)
-			sender := coreid(base + i)
-			var key [16]byte
-			key[0], key[1] = byte(base), byte(i)
-			if err := c.Deposit(ex, sender, obj, key); err != nil {
-				t.Fatalf("deposit %d: %v", obj, err)
-			}
-			sealed, err := mediator.Seal(key, sender, sender+1, obj, 0, content)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Verify(ex, sender+1, sender, obj, []protocol.Block{{Object: obj, Index: 0, Payload: sealed}})
-			if err != nil {
-				t.Fatalf("verify %d: %v", obj, err)
-			}
-			if got != key {
-				t.Fatalf("verify %d released the wrong key", obj)
-			}
+		ex, sender := uint64(obj), coreid(int(obj))
+		key := [16]byte{byte(obj), byte(obj >> 8)}
+		if err := c.Deposit(ex, sender, obj, key); err != nil {
+			t.Fatalf("deposit %d: %v", obj, err)
+		}
+		sealed, err := mediator.Seal(key, sender, sender+1, obj, 0, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Verify(ex, sender+1, sender, obj, []protocol.Block{{Object: obj, Index: 0, Payload: sealed}})
+		if err != nil {
+			t.Fatalf("verify %d: %v", obj, err)
+		}
+		if got != key {
+			t.Fatalf("verify %d released the wrong key", obj)
 		}
 	}
-
-	run(100) // prime the map and the conn pool at 2 shards
-
-	if err := cl.AddShard("mem://el-2"); err != nil {
-		t.Fatal(err)
+	pooled := func() map[string]bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		out := make(map[string]bool, len(c.conns))
+		for a := range c.conns {
+			out[a] = true
+		}
+		return out
 	}
-	run(200) // new arcs exist only on shard 2; stale-map redirects must heal
+
+	// Prime the map and a pooled connection to every shard.
+	for obj := catalog.ObjectID(100); obj < 132; obj++ {
+		audit(obj)
+	}
+	if n := len(pooled()); n != shards {
+		t.Fatalf("%d pooled connections after priming, want one per shard (%d)", n, shards)
+	}
+
+	// Move two shards: one owner of obj, and one obj's audit never dials.
+	obj := catalog.ObjectID(200)
+	primary, replica := mediator.ShardFor(obj, shards)
+	bystander := 0
+	for bystander == primary || bystander == replica {
+		bystander++
+	}
+	for _, i := range []int{primary, bystander} {
+		if err := cl.RestartShard(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	audit(obj)
+
 	if got, want := c.Epoch(), cl.Epoch(); got != want {
-		t.Fatalf("client epoch %d after grow, cluster at %d", got, want)
+		t.Fatalf("client epoch %d after the restarts, cluster at %d", got, want)
 	}
-
-	removed := cl.Addrs()[2]
-	if err := cl.RemoveShard(); err != nil {
-		t.Fatal(err)
+	current := make(map[string]bool, shards)
+	for _, a := range cl.Addrs() {
+		current[a] = true
 	}
-	run(300)
-	if got, want := c.Epoch(), cl.Epoch(); got != want {
-		t.Fatalf("client epoch %d after shrink, cluster at %d", got, want)
-	}
-	c.mu.Lock()
-	_, pooled := c.conns[removed]
-	c.mu.Unlock()
-	if pooled {
-		t.Fatalf("pooled connection to retired shard %s not pruned", removed)
+	for a := range pooled() {
+		if !current[a] {
+			t.Fatalf("pooled connection to %s survived the map refresh; the tier is at %v", a, cl.Addrs())
+		}
 	}
 }

@@ -3,11 +3,9 @@ package mediator
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"barter/internal/core"
-	"barter/internal/protocol"
 	"barter/internal/transport"
 )
 
@@ -18,21 +16,21 @@ import (
 // hold their escrow and flagged-peer state in memory only — killing a shard
 // loses it, exactly the failure the node-side client layer must absorb by
 // retrying and failing over. With a DataDir every shard keeps a write-ahead
-// log instead, so RestartShard recovers the full detection history; and the
-// tier is elastic — AddShard and RemoveShard resize the ring at runtime,
-// bumping the epoch and migrating only the consistent-hash arcs that moved.
+// log instead, so RestartShard recovers the full detection history. The tier
+// is static: its size is fixed at construction, and a restart is the only
+// topology change.
 type Cluster struct {
 	tr      transport.Transport
 	oracle  DigestOracle
 	dataDir string
+	addrs   []string // requested listen addrs by index (mem name or host:0)
 
-	// reshapeMu serializes topology changes — restarts, grows, shrinks —
-	// so two reshapes never interleave their state migrations.
-	reshapeMu sync.Mutex
+	// restartMu serializes restarts, so two never race to start the same
+	// shard.
+	restartMu sync.Mutex
 
 	mu     sync.Mutex
 	epoch  uint64
-	addrs  []string    // requested listen addrs by index (mem name or host:0)
 	live   []string    // current dialable addrs by index
 	shards []*Mediator // nil while a shard is down
 }
@@ -45,8 +43,7 @@ type ClusterOpts struct {
 }
 
 // NewCluster starts one mediator shard per listen address, all sharing the
-// oracle. Restarts keep each shard's index; AddShard and RemoveShard resize
-// the tier at runtime.
+// oracle. Restarts keep each shard's index.
 func NewCluster(tr transport.Transport, addrs []string, oracle DigestOracle) (*Cluster, error) {
 	return NewClusterOpts(tr, addrs, oracle, ClusterOpts{})
 }
@@ -85,17 +82,9 @@ func (c *Cluster) snapshot() (uint64, []string) {
 }
 
 func (c *Cluster) startShard(i int) error {
-	c.mu.Lock()
-	if i < 0 || i >= len(c.addrs) {
-		c.mu.Unlock()
-		return fmt.Errorf("mediator: shard %d out of range", i)
-	}
-	addr := c.addrs[i]
-	count := len(c.addrs)
-	c.mu.Unlock()
-	med, err := NewShard(c.tr, addr, c.oracle, ShardOpts{
+	med, err := NewShard(c.tr, c.addrs[i], c.oracle, ShardOpts{
 		Index:   i,
-		Count:   count,
+		Count:   len(c.addrs),
 		Map:     c.snapshot,
 		DataDir: c.dataDir,
 	})
@@ -103,12 +92,6 @@ func (c *Cluster) startShard(i int) error {
 		return err
 	}
 	c.mu.Lock()
-	if i >= len(c.shards) {
-		// The tier shrank past this index while the shard was starting.
-		c.mu.Unlock()
-		med.Close()
-		return fmt.Errorf("mediator: shard %d removed during start", i)
-	}
 	c.shards[i] = med
 	c.live[i] = med.Addr()
 	c.epoch++
@@ -116,15 +99,10 @@ func (c *Cluster) startShard(i int) error {
 	return nil
 }
 
-// Shards returns the current tier size.
-func (c *Cluster) Shards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.addrs)
-}
+// Shards returns the tier size.
+func (c *Cluster) Shards() int { return len(c.addrs) }
 
-// Epoch returns the topology version; it bumps on every shard (re)start and
-// every resize.
+// Epoch returns the topology version; it bumps on every shard (re)start.
 func (c *Cluster) Epoch() uint64 {
 	e, _ := c.snapshot()
 	return e
@@ -137,8 +115,7 @@ func (c *Cluster) Addrs() []string {
 	return a
 }
 
-// Shard returns the live mediator at index i, or nil while it is down or
-// after the tier shrank past it.
+// Shard returns the live mediator at index i, or nil while it is down.
 func (c *Cluster) Shard(i int) *Mediator {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -172,230 +149,13 @@ func (c *Cluster) KillShard(i int) {
 // clients notice the topology changed. With a DataDir the shard replays its
 // log and remembers every deposit and flag it held.
 func (c *Cluster) RestartShard(i int) error {
-	c.reshapeMu.Lock()
-	defer c.reshapeMu.Unlock()
-	c.mu.Lock()
-	n := len(c.addrs)
-	c.mu.Unlock()
-	if i < 0 || i >= n {
+	c.restartMu.Lock()
+	defer c.restartMu.Unlock()
+	if i < 0 || i >= len(c.addrs) {
 		return fmt.Errorf("mediator: shard %d out of range", i)
 	}
 	c.KillShard(i)
 	return c.startShard(i)
-}
-
-// AddShard grows the tier by one shard listening on addr: the epoch bumps so
-// clients refetch the map, and every deposit whose consistent-hash arc the
-// new shard now owns is handed off from the members that held it. Sources
-// keep their copies — stale entries are unreachable once ownership moves,
-// and harmless. Flags stay where they are: Flagged sums the whole tier.
-func (c *Cluster) AddShard(addr string) error {
-	c.reshapeMu.Lock()
-	defer c.reshapeMu.Unlock()
-
-	c.mu.Lock()
-	newIdx := len(c.addrs)
-	c.mu.Unlock()
-
-	// A shard previously removed at this index must not resurrect its log.
-	if c.dataDir != "" {
-		_ = os.Remove(walPath(c.dataDir, newIdx))
-	}
-	med, err := NewShard(c.tr, addr, c.oracle, ShardOpts{
-		Index:   newIdx,
-		Count:   newIdx + 1,
-		Map:     c.snapshot,
-		DataDir: c.dataDir,
-	})
-	if err != nil {
-		return fmt.Errorf("mediator: add shard %d: %w", newIdx, err)
-	}
-
-	c.mu.Lock()
-	c.addrs = append(c.addrs, addr)
-	c.live = append(c.live, med.Addr())
-	c.shards = append(c.shards, med)
-	c.epoch++
-	count := len(c.addrs)
-	sources := append([]*Mediator(nil), c.shards[:newIdx]...)
-	c.mu.Unlock()
-
-	// Migrate the arcs that moved. A down source contributes from its log,
-	// if there is one; otherwise its entries rely on re-escrow convergence,
-	// same as before the handoff existed.
-	var moved []protocol.MedDepositRecord
-	for i, src := range sources {
-		for _, d := range c.sourceDeposits(i, src) {
-			p, r := ShardFor(d.Object, count)
-			if p == newIdx || r == newIdx {
-				moved = append(moved, d)
-			}
-		}
-	}
-	return c.deliver(uint32(newIdx), newIdx, moved, nil)
-}
-
-// RemoveShard shrinks the tier by retiring its last shard, migrating every
-// deposit it held to the owners under the shrunk ring and its flags to a
-// surviving member. Only the highest index can leave: survivors' ring points
-// are a pure function of (index, count), so retiring the tail moves only the
-// departing shard's arcs.
-func (c *Cluster) RemoveShard() error {
-	c.reshapeMu.Lock()
-	defer c.reshapeMu.Unlock()
-
-	c.mu.Lock()
-	if len(c.addrs) <= 1 {
-		c.mu.Unlock()
-		return errors.New("mediator: cannot remove the last shard")
-	}
-	idx := len(c.addrs) - 1
-	med := c.shards[idx]
-	c.addrs = c.addrs[:idx]
-	c.live = c.live[:idx]
-	c.shards = c.shards[:idx]
-	c.epoch++
-	count := len(c.addrs)
-	c.mu.Unlock()
-
-	// Extract the departing shard's state — live export, or log replay if
-	// it is down — then retire both the shard and its log.
-	deposits, flags := c.sourceState(idx, med)
-	if med != nil {
-		med.Close()
-	}
-	if c.dataDir != "" {
-		_ = os.Remove(walPath(c.dataDir, idx))
-	}
-
-	// Deposits go to both owners under the shrunk ring; flags go to the
-	// first member that takes them — which shard holds a flag is
-	// irrelevant, Flagged sums the tier.
-	perTarget := make(map[int][]protocol.MedDepositRecord)
-	for _, d := range deposits {
-		p, r := ShardFor(d.Object, count)
-		perTarget[p] = append(perTarget[p], d)
-		if r != p {
-			perTarget[r] = append(perTarget[r], d)
-		}
-	}
-	var firstErr error
-	flagsSent := len(flags) == 0
-	for t := 0; t < count; t++ {
-		var fl []protocol.MedFlagRecord
-		if !flagsSent {
-			fl = flags
-		}
-		if len(perTarget[t]) == 0 && len(fl) == 0 {
-			continue
-		}
-		if err := c.deliver(uint32(idx), t, perTarget[t], fl); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		flagsSent = true
-	}
-	if !flagsSent && firstErr == nil {
-		firstErr = errors.New("mediator: no member accepted the retired shard's flags")
-	}
-	return firstErr
-}
-
-// sourceDeposits snapshots shard i's deposits for migration: from the live
-// mediator, or from its log when it is down.
-func (c *Cluster) sourceDeposits(i int, med *Mediator) []protocol.MedDepositRecord {
-	deposits, _ := c.sourceState(i, med)
-	return deposits
-}
-
-func (c *Cluster) sourceState(i int, med *Mediator) ([]protocol.MedDepositRecord, []protocol.MedFlagRecord) {
-	if med != nil {
-		return med.exportState()
-	}
-	if c.dataDir == "" {
-		return nil, nil
-	}
-	walDeps, walFlags, err := readWALState(walPath(c.dataDir, i))
-	if err != nil {
-		return nil, nil
-	}
-	deposits := make([]protocol.MedDepositRecord, 0, len(walDeps))
-	for _, d := range walDeps {
-		deposits = append(deposits, protocol.MedDepositRecord{
-			ExchangeID: d.exchange, Sender: d.sender, Object: d.object, Key: d.key,
-		})
-	}
-	flags := make([]protocol.MedFlagRecord, 0, len(walFlags))
-	for p, n := range walFlags {
-		if n > 0 {
-			flags = append(flags, protocol.MedFlagRecord{Peer: p, Count: n})
-		}
-	}
-	return deposits, flags
-}
-
-// deliver hands records to shard t: over the wire when it is live, straight
-// into its log when it is down (reshapeMu holds restarts off meanwhile, so
-// the shard replays the records on its next start).
-func (c *Cluster) deliver(from uint32, t int, deposits []protocol.MedDepositRecord, flags []protocol.MedFlagRecord) error {
-	if len(deposits) == 0 && len(flags) == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	var med *Mediator
-	var addr string
-	if t >= 0 && t < len(c.shards) {
-		med = c.shards[t]
-		addr = c.live[t]
-	}
-	c.mu.Unlock()
-	if med != nil {
-		return c.sendHandoff(from, addr, deposits, flags)
-	}
-	if c.dataDir == "" {
-		return fmt.Errorf("mediator: shard %d is down, migrated state dropped", t)
-	}
-	w, err := openWAL(walPath(c.dataDir, t), nil, nil)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	for _, d := range deposits {
-		w.appendDeposit(walDeposit{exchange: d.ExchangeID, sender: d.Sender, object: d.Object, key: d.Key})
-	}
-	for _, f := range flags {
-		w.appendFlag(f.Peer, f.Count)
-	}
-	return nil
-}
-
-// sendHandoff pushes records to addr in bounded chunks, waiting for each
-// acknowledgement so the handoff is durable on the receiver before the
-// reshape returns.
-func (c *Cluster) sendHandoff(from uint32, addr string, deposits []protocol.MedDepositRecord, flags []protocol.MedFlagRecord) error {
-	conn, err := c.tr.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close() //barter:allow unchecked-io teardown: the peer sees the drop; nothing durable rides on this close
-	epoch, _ := c.snapshot()
-	const chunk = 1024
-	for len(deposits) > 0 || len(flags) > 0 {
-		msg := &protocol.MedHandoff{From: from, Epoch: epoch}
-		n := min(len(deposits), chunk)
-		msg.Deposits, deposits = deposits[:n], deposits[n:]
-		n = min(len(flags), chunk)
-		msg.Flags, flags = flags[:n], flags[n:]
-		if err := conn.Send(msg); err != nil {
-			return err
-		}
-		if _, err := conn.Recv(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Flagged sums how many times the tier's live shards caught peer cheating.
@@ -416,10 +176,7 @@ func (c *Cluster) Flagged(p core.PeerID) int {
 
 // Close stops every shard.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	n := len(c.shards)
-	c.mu.Unlock()
-	for i := 0; i < n; i++ {
+	for i := range c.addrs {
 		c.KillShard(i)
 	}
 }

@@ -107,13 +107,7 @@ func TestClusterRedirectsMisroutedTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.Send(&protocol.MedDeposit{ExchangeID: uint64(obj), Sender: 1, Object: obj, Key: [16]byte{1}}); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
+		msg := rpc(t, conn, &protocol.MedDeposit{ExchangeID: uint64(obj), Sender: 1, Object: obj, Key: [16]byte{1}})
 		conn.Close()
 		r, ok := msg.(*protocol.MedRedirect)
 		if !ok {

@@ -22,14 +22,14 @@
 // deposits already write through, so losing the auditing shard does not
 // lose the only copy of who cheated.
 //
-// # Elasticity
+// # The tier
 //
-// Cluster.AddShard and Cluster.RemoveShard grow and shrink the ring live.
-// Consistent hashing keeps survivor arcs stable (vnodes of the remaining
-// shards never move), so a reshape migrates only the arcs adjacent to the
-// joining or leaving member, carried by MedHandoff/MedHandoffAck messages
-// between shards. Each reshape bumps the shard-map epoch; medclient's
-// existing epoch invalidation makes every client refetch the map mid-run.
+// A tier is a fixed set of shards (Cluster in-process, `mediatord -shard i/N`
+// over TCP): ShardFor places every object on a primary and a replica, a
+// shard redirects what it does not own, and a restart — the only topology
+// change there is — bumps the shard-map epoch so medclient refetches the
+// map. Every request, a client's or a sibling shard's, arrives in a
+// protocol.Envelope; a connection that sends a bare one is closed.
 package mediator
 
 import (
@@ -129,10 +129,7 @@ type DigestOracle func(catalog.ObjectID) ([][32]byte, bool)
 // ShardOpts position a mediator as one member of a sharded tier.
 type ShardOpts struct {
 	// Index and Count place this mediator on the consistent-hash ring;
-	// Count <= 1 means a standalone mediator that owns every object. Count
-	// is only the boot-time size: when Map is set, the tier size is read
-	// from it on every ownership decision, so an elastic cluster can grow
-	// or shrink under a running shard.
+	// Count <= 1 means a standalone mediator that owns every object.
 	Index, Count int
 	// Map supplies the current cluster topology — epoch plus the dialable
 	// address of every shard by index — for MedShardMapReq replies and
@@ -175,8 +172,7 @@ type depositKey struct {
 	sender   core.PeerID
 }
 
-// escrow is one deposited key plus the object it unlocks — the object is
-// what routes the entry during arc migration and flag replication.
+// escrow is one deposited key plus the object it unlocks.
 type escrow struct {
 	key    [16]byte
 	object catalog.ObjectID
@@ -235,35 +231,13 @@ func NewShard(tr transport.Transport, addr string, oracle DigestOracle, shard Sh
 	return m, nil
 }
 
-// tierCount is the current tier size: read from the topology Map when one
-// is wired (elastic clusters resize under running shards), the boot-time
-// Count otherwise.
-func (m *Mediator) tierCount() int {
-	n := m.shard.Count
-	if m.shard.Map != nil {
-		if _, addrs := m.shard.Map(); len(addrs) > 0 {
-			n = len(addrs)
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // owns reports whether this shard's partition covers obj, either as its
-// primary or as the replica clients fail over to. A shard whose index has
-// fallen off the tier (removed by an elastic shrink) owns nothing and
-// redirects everything.
+// primary or as the replica clients fail over to.
 func (m *Mediator) owns(obj catalog.ObjectID) bool {
-	count := m.tierCount()
-	if m.shard.Index >= count {
-		return false
-	}
-	if count <= 1 {
+	if m.shard.Count <= 1 {
 		return true
 	}
-	primary, replica := ShardFor(obj, count)
+	primary, replica := ShardFor(obj, m.shard.Count)
 	return primary == m.shard.Index || replica == m.shard.Index
 }
 
@@ -278,7 +252,7 @@ func (m *Mediator) shardMap() (uint64, []string) {
 
 // redirect answers a misrouted request with the owning shard's coordinates.
 func (m *Mediator) redirect(send func(protocol.Message) error, obj catalog.ObjectID) {
-	primary, _ := ShardFor(obj, m.tierCount())
+	primary, _ := ShardFor(obj, m.shard.Count)
 	epoch, addrs := m.shardMap()
 	addr := ""
 	if primary < len(addrs) {
@@ -381,9 +355,8 @@ func (m *Mediator) serve(conn transport.Conn) {
 	defer m.wg.Done()
 	defer m.untrack(conn)
 	defer conn.Close() //barter:allow unchecked-io teardown: the peer sees the drop; nothing durable rides on this close
-	// reqs tracks the per-request goroutines spawned for enveloped
-	// (pipelined) RPCs; serve waits for them before returning so Close's
-	// wg.Wait still covers every in-flight audit.
+	// reqs tracks the per-request goroutines; serve waits for them before
+	// returning so Close's wg.Wait still covers every in-flight audit.
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
 	for {
@@ -391,43 +364,35 @@ func (m *Mediator) serve(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		if env, ok := msg.(*protocol.Envelope); ok {
-			// Pipelined RPC: serve it concurrently and echo the request id
-			// on every reply so the client's read loop can demultiplex.
-			// Conn.Send is safe for concurrent use by contract.
-			reqID, inner := env.ReqID, env.Msg
-			send := func(reply protocol.Message) error {
-				return conn.Send(&protocol.Envelope{ReqID: reqID, Msg: reply})
+		env, ok := msg.(*protocol.Envelope)
+		if !ok {
+			return // a bare request: not this tier's wire, drop the connection
+		}
+		// Serve every request concurrently and echo its id on every reply
+		// so the client's read loop can demultiplex. Conn.Send is safe for
+		// concurrent use by contract.
+		send := func(reply protocol.Message) error {
+			return conn.Send(&protocol.Envelope{ReqID: env.ReqID, Msg: reply})
+		}
+		reqs.Add(1)
+		go func() {
+			defer reqs.Done()
+			if m.handleRPC(send, env.Msg) {
+				// A limit-violating request forfeits the connection; closing
+				// unblocks the Recv loop, which then waits out the sibling
+				// requests.
+				_ = conn.Close()
 			}
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if m.handleRPC(send, inner) {
-					// A limit-violating request forfeits the connection even
-					// under pipelining; closing unblocks the Recv loop, which
-					// then waits out the sibling requests.
-					_ = conn.Close()
-				}
-			}()
-			continue
-		}
-		// Legacy unenveloped traffic keeps the strict sequential,
-		// unenveloped-reply handling so old clients interoperate unchanged.
-		if m.handleRPC(conn.Send, msg) {
-			return
-		}
+		}()
 	}
 }
 
 // handleRPC serves one mediator request, routing any replies through send
-// (which wraps them in the request's envelope when the request was
-// enveloped). It returns true when the connection should be dropped — a
-// client that violates the audit limits forfeits the connection, pipelined
-// or not.
+// (which wraps them in the request's envelope). It returns true when the
+// connection should be dropped — a client that violates the audit limits
+// forfeits the connection.
 func (m *Mediator) handleRPC(send func(protocol.Message) error, msg protocol.Message) bool {
 	switch req := msg.(type) {
-	case *protocol.Hello:
-		// Accepted for compatibility with node connections; no reply.
 	case *protocol.MedShardMapReq:
 		epoch, addrs := m.shardMap()
 		reply := &protocol.MedShardMap{Version: protocol.ShardMapVersion, Epoch: epoch}
@@ -449,8 +414,12 @@ func (m *Mediator) handleRPC(send func(protocol.Message) error, msg protocol.Mes
 		// Echo as the deposit acknowledgement so clients can treat
 		// escrow as synchronous.
 		_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: req.Key})
-	case *protocol.MedHandoff:
-		m.handleHandoff(send, req)
+	case *protocol.MedFlag:
+		// A verdict written through by the object's other owner. It goes
+		// to the WAL like a native one and never re-replicates — that
+		// would bounce between the two owners forever.
+		m.flag(req.Peer)
+		_ = send(&protocol.MedFlagAck{})
 	case *protocol.MedVerify:
 		if !m.owns(req.Object) {
 			m.redirect(send, req.Object)
@@ -485,12 +454,7 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 	// paper's evidence standard for flagging (deposits and audits are
 	// assumed to travel over the peers' secure channels to the mediator).
 	reject := func(reason string) {
-		m.mu.Lock()
-		m.flagged[req.Sender]++
-		if m.wal != nil {
-			m.wal.appendFlag(req.Sender, 1)
-		}
-		m.mu.Unlock()
+		m.flag(req.Sender)
 		// Replicate the verdict to the object's other owner the way
 		// deposits write through, so losing this shard loses no history.
 		m.replicateFlag(req.Object, req.Sender)
@@ -550,38 +514,14 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: key})
 }
 
-// handleHandoff merges state pushed by a sibling shard — arc migration
-// during an elastic reshape, or a single flag written through by the
-// object's other owner. Deposits insert only if absent (the receiver may
-// already hold a write-through copy); flag counts add. Merged state goes to
-// the WAL like native state, and never re-replicates — that would bounce
-// between the two owners forever.
-func (m *Mediator) handleHandoff(send func(protocol.Message) error, req *protocol.MedHandoff) {
-	var nd, nf uint32
+// flag records one verdict against p, in memory and in the log.
+func (m *Mediator) flag(p core.PeerID) {
 	m.mu.Lock()
-	for _, d := range req.Deposits {
-		k := depositKey{exchange: d.ExchangeID, sender: d.Sender}
-		if _, ok := m.deposits[k]; ok {
-			continue
-		}
-		m.deposits[k] = escrow{key: d.Key, object: d.Object}
-		if m.wal != nil {
-			m.wal.appendDeposit(walDeposit{exchange: d.ExchangeID, sender: d.Sender, object: d.Object, key: d.Key})
-		}
-		nd++
-	}
-	for _, f := range req.Flags {
-		if f.Count == 0 {
-			continue
-		}
-		m.flagged[f.Peer] += int(f.Count)
-		if m.wal != nil {
-			m.wal.appendFlag(f.Peer, f.Count)
-		}
-		nf++
+	m.flagged[p]++
+	if m.wal != nil {
+		m.wal.appendFlag(p, 1)
 	}
 	m.mu.Unlock()
-	_ = send(&protocol.MedHandoffAck{Deposits: nd, Flags: nf})
 }
 
 // replicateFlag pushes one flag verdict to obj's other owner (the replica if
@@ -590,27 +530,15 @@ func (m *Mediator) handleHandoff(send func(protocol.Message) error, req *protoco
 // asynchronous: the audit reply never waits on a sibling, and double counts
 // are harmless — consumers only ask whether a peer was flagged at all.
 func (m *Mediator) replicateFlag(obj catalog.ObjectID, peer core.PeerID) {
-	if m.shard.Map == nil {
-		return
-	}
-	count := m.tierCount()
-	if count <= 1 {
-		return
-	}
-	primary, replica := ShardFor(obj, count)
+	primary, replica := ShardFor(obj, m.shard.Count)
 	if primary == replica {
-		return
+		return // a tier of one: there is no other owner
 	}
-	var target int
-	switch m.shard.Index {
-	case primary:
-		target = replica
-	case replica:
+	target := replica
+	if m.shard.Index == replica {
 		target = primary
-	default:
-		return
 	}
-	epoch, addrs := m.shard.Map()
+	_, addrs := m.shard.Map()
 	if target >= len(addrs) || addrs[target] == "" {
 		return
 	}
@@ -630,35 +558,11 @@ func (m *Mediator) replicateFlag(obj catalog.ObjectID, peer core.PeerID) {
 		}
 		defer m.untrack(conn)
 		defer conn.Close() //barter:allow unchecked-io teardown: the peer sees the drop; nothing durable rides on this close
-		if err := conn.Send(&protocol.MedHandoff{
-			From:  uint32(m.shard.Index),
-			Epoch: epoch,
-			Flags: []protocol.MedFlagRecord{{Peer: peer, Count: 1}},
-		}); err != nil {
+		if err := conn.Send(&protocol.Envelope{Msg: &protocol.MedFlag{Peer: peer}}); err != nil {
 			return
 		}
 		_, _ = conn.Recv() // best-effort ack
 	}()
-}
-
-// exportState snapshots every deposit and flag this shard holds, in the wire
-// form arc migration hands between shards.
-func (m *Mediator) exportState() ([]protocol.MedDepositRecord, []protocol.MedFlagRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	deposits := make([]protocol.MedDepositRecord, 0, len(m.deposits))
-	for k, e := range m.deposits {
-		deposits = append(deposits, protocol.MedDepositRecord{
-			ExchangeID: k.exchange, Sender: k.sender, Object: e.object, Key: e.key,
-		})
-	}
-	flags := make([]protocol.MedFlagRecord, 0, len(m.flagged))
-	for p, n := range m.flagged {
-		if n > 0 {
-			flags = append(flags, protocol.MedFlagRecord{Peer: p, Count: uint32(n)})
-		}
-	}
-	return deposits, flags
 }
 
 // oversizedVerify applies the audit limits at the read path, before any

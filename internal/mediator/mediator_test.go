@@ -141,6 +141,26 @@ func client(t *testing.T, tr transport.Transport) *medclient.Client {
 	return c
 }
 
+// rpc speaks the tier's wire by hand, for tests that need to see the raw
+// reply: req goes out in an Envelope and the enveloped answer comes back
+// unwrapped.
+func rpc(t *testing.T, conn transport.Conn, req protocol.Message) protocol.Message {
+	t.Helper()
+	const reqID = 7
+	if err := conn.Send(&protocol.Envelope{ReqID: reqID, Msg: req}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, ok := msg.(*protocol.Envelope)
+	if !ok || env.ReqID != reqID {
+		t.Fatalf("request %T answered with %T %+v, want an envelope echoing id %d", req, msg, msg, reqID)
+	}
+	return env.Msg
+}
+
 func sealAll(t *testing.T, key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, blocks [][]byte) []protocol.Block {
 	t.Helper()
 	out := make([]protocol.Block, len(blocks))
@@ -359,13 +379,7 @@ func TestVerifyOversizedRejected(t *testing.T) {
 	for i := range samples {
 		samples[i] = protocol.Block{Object: obj, Index: uint32(i), Payload: []byte("x")}
 	}
-	if err := conn.Send(&protocol.MedVerify{ExchangeID: 800, Requester: 2, Sender: 1, Object: obj, Samples: samples}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := rpc(t, conn, &protocol.MedVerify{ExchangeID: 800, Requester: 2, Sender: 1, Object: obj, Samples: samples})
 	rej, ok := msg.(*protocol.MedReject)
 	if !ok || rej.Code != protocol.MedRejectOversize {
 		t.Fatalf("oversized verify answered with %T %+v", msg, msg)
@@ -398,15 +412,31 @@ func TestVerifyOversizedPayloadRejected(t *testing.T) {
 		{Object: obj, Index: 0, Payload: big},
 		{Object: obj, Index: 1, Payload: big},
 	}
-	if err := conn.Send(&protocol.MedVerify{ExchangeID: 810, Requester: 2, Sender: 1, Object: obj, Samples: samples}); err != nil {
-		t.Fatal(err)
+	msg := rpc(t, conn, &protocol.MedVerify{ExchangeID: 810, Requester: 2, Sender: 1, Object: obj, Samples: samples})
+	if rej, ok := msg.(*protocol.MedReject); !ok || rej.Code != protocol.MedRejectOversize {
+		t.Fatalf("oversized payload answered with %T %+v", msg, msg)
 	}
-	msg, err := conn.Recv()
+}
+
+// TestBareRequestClosesConnection pins the one wire: a request outside an
+// Envelope gets no reply and no service — the mediator stores nothing and
+// drops the connection — while enveloped clients are served as before.
+func TestBareRequestClosesConnection(t *testing.T) {
+	tr, _, obj, _ := fixture(t)
+	conn, err := tr.Dial("mem://mediator")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rej, ok := msg.(*protocol.MedReject); !ok || rej.Code != protocol.MedRejectOversize {
-		t.Fatalf("oversized payload answered with %T %+v", msg, msg)
+	defer conn.Close()
+	if err := conn.Send(&protocol.MedDeposit{ExchangeID: 820, Sender: 1, Object: obj, Key: [16]byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := conn.Recv(); err == nil {
+		t.Fatalf("bare deposit answered with %T, want the connection closed", msg)
+	}
+	cl := client(t, tr)
+	if _, err := cl.Verify(820, 2, 1, obj, nil); !errors.Is(err, medclient.ErrNoKey) {
+		t.Fatalf("verify of the bare deposit: %v, want ErrNoKey (nothing was escrowed)", err)
 	}
 }
 

@@ -190,22 +190,3 @@ func (w *wal) Close() {
 		_ = w.f.Close()
 	}
 }
-
-// readWALState replays a shard's log without starting the shard — how
-// RemoveShard extracts a dead member's state for migration. A missing file
-// yields empty state, not an error.
-func readWALState(path string) (deposits []walDeposit, flags map[core.PeerID]uint32, err error) {
-	if _, statErr := os.Stat(path); os.IsNotExist(statErr) {
-		return nil, nil, nil
-	}
-	flags = make(map[core.PeerID]uint32)
-	w, err := openWAL(path,
-		func(d walDeposit) { deposits = append(deposits, d) },
-		func(p core.PeerID, n uint32) { flags[p] += n },
-	)
-	if err != nil {
-		return nil, nil, err
-	}
-	w.Close()
-	return deposits, flags, nil
-}

@@ -148,13 +148,3 @@ func TestWALAppendFailureSurfaces(t *testing.T) {
 		t.Fatal("nil wal reported an error")
 	}
 }
-
-func TestReadWALStateMissingFile(t *testing.T) {
-	deps, flags, err := readWALState(filepath.Join(t.TempDir(), "absent.wal"))
-	if err != nil {
-		t.Fatalf("missing file: %v", err)
-	}
-	if len(deps) != 0 || len(flags) != 0 {
-		t.Fatalf("missing file yielded state: %v %v", deps, flags)
-	}
-}

@@ -49,17 +49,13 @@ func corpusMessages() []Message {
 			{Index: 1, Addr: "mem://med-1"},
 		}},
 		&MedRedirect{Object: 5, Shard: 1, Addr: "mem://med-1", Epoch: 4},
-		&MedHandoff{From: 1, Epoch: 5, Deposits: []MedDepositRecord{
-			{ExchangeID: 3, Sender: 1, Object: 5, Key: [16]byte{9}},
-			{ExchangeID: 4, Sender: 2, Object: 6, Key: [16]byte{8, 7}},
-		}, Flags: []MedFlagRecord{
-			{Peer: 2, Count: 3},
-		}},
-		&MedHandoffAck{Deposits: 2, Flags: 1},
+		&MedFlag{Peer: 2},
+		&MedFlagAck{},
 		&Envelope{ReqID: 6, Msg: &MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Samples: []Block{
 			{Object: 5, Index: 0, Origin: 1, Recipient: 2, Encrypted: true, Payload: []byte("x")},
 		}}},
 		&Envelope{ReqID: 7, Msg: &MedKey{ExchangeID: 3, Key: [16]byte{9}}},
+		&Envelope{ReqID: 8, Msg: &MedFlag{Peer: 2}},
 		&StripeGrant{Object: 5, Session: 11, Stripe: 2, Stripes: 3},
 	}
 }
@@ -155,6 +151,8 @@ func FuzzDecode(f *testing.F) {
 	nested = append(nested, byte(TypeCancel))
 	nested = binary.BigEndian.AppendUint32(nested, 1)
 	f.Add(frameFor(TypeEnvelope, nested))
+	// The one shard-to-shard message, cut off inside its only field.
+	f.Add(frameFor(TypeMedFlag, []byte{0, 0, 2}))
 	// Block edges, where the payload bypasses the scratch: a payload length
 	// that claims more than the frame carries, one that leaves bytes over, a
 	// stream and a frame that end inside the fixed fields, an empty payload,

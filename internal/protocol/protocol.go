@@ -43,8 +43,8 @@ const (
 	TypeMedShardMapReq
 	TypeMedShardMap
 	TypeMedRedirect
-	TypeMedHandoff
-	TypeMedHandoffAck
+	TypeMedFlag
+	TypeMedFlagAck
 	TypeEnvelope
 	TypeStripeGrant
 )
@@ -238,48 +238,24 @@ type MedRedirect struct {
 	Epoch  uint64
 }
 
-// MedDepositRecord is one escrow entry inside a MedHandoff: the same fields
-// a MedDeposit carries, batched for shard-to-shard state transfer.
-type MedDepositRecord struct {
-	ExchangeID uint64
-	Sender     core.PeerID
-	Object     catalog.ObjectID
-	Key        [16]byte
+// MedFlag writes one audit verdict through to the object's other owner: the
+// shard that flagged Peer sends it, enveloped, so losing the auditing shard
+// does not lose the only record of who cheated. The receiver adds one to
+// Peer's flag count and answers MedFlagAck.
+type MedFlag struct {
+	Peer core.PeerID
 }
 
-// MedFlagRecord is one flagged-peer entry inside a MedHandoff.
-type MedFlagRecord struct {
-	Peer  core.PeerID
-	Count uint32
-}
-
-// MedHandoff transfers mediator state between shards: escrowed deposits and
-// flagged-peer counts. It is sent when the tier reshards (the arcs adjacent
-// to an added or removed shard migrate to their new owners) and when a shard
-// replicates a fresh flag to the object's other owner. From names the
-// sending shard; Epoch is the topology version the transfer belongs to.
-// Receivers merge: deposits insert if absent, flag counts add.
-type MedHandoff struct {
-	From     uint32
-	Epoch    uint64
-	Deposits []MedDepositRecord
-	Flags    []MedFlagRecord
-}
-
-// MedHandoffAck confirms a MedHandoff, echoing how many records of each kind
-// the receiver merged (already-present deposits count as merged).
-type MedHandoffAck struct {
-	Deposits uint32
-	Flags    uint32
-}
+// MedFlagAck confirms a MedFlag was recorded.
+type MedFlagAck struct{}
 
 // Envelope wraps an RPC-shaped message with a request identifier so many
 // requests can share one connection concurrently: the responder echoes the
 // ReqID on its reply and the requester's demultiplexing read loop routes it
-// back to the in-flight call. Envelopes never nest, and a legacy
-// (unenveloped) frame still decodes as before, so mixed-version tiers
-// interoperate — an old client simply never sends envelopes and an old
-// mediator never sees one. Msg must be non-nil when encoding.
+// back to the in-flight call. Every mediator request travels in one — a
+// mediator closes a connection that sends it a bare request — while node to
+// node traffic stays unenveloped. Envelopes never nest. Msg must be non-nil
+// when encoding.
 type Envelope struct {
 	ReqID uint64
 	Msg   Message
@@ -368,8 +344,8 @@ var (
 	_ Message = (*MedShardMapReq)(nil)
 	_ Message = (*MedShardMap)(nil)
 	_ Message = (*MedRedirect)(nil)
-	_ Message = (*MedHandoff)(nil)
-	_ Message = (*MedHandoffAck)(nil)
+	_ Message = (*MedFlag)(nil)
+	_ Message = (*MedFlagAck)(nil)
 	_ Message = (*Envelope)(nil)
 	_ Message = (*StripeGrant)(nil)
 )
@@ -393,8 +369,8 @@ func (*MedReject) Type() Type      { return TypeMedReject }
 func (*MedShardMapReq) Type() Type { return TypeMedShardMapReq }
 func (*MedShardMap) Type() Type    { return TypeMedShardMap }
 func (*MedRedirect) Type() Type    { return TypeMedRedirect }
-func (*MedHandoff) Type() Type     { return TypeMedHandoff }
-func (*MedHandoffAck) Type() Type  { return TypeMedHandoffAck }
+func (*MedFlag) Type() Type        { return TypeMedFlag }
+func (*MedFlagAck) Type() Type     { return TypeMedFlagAck }
 func (*Envelope) Type() Type       { return TypeEnvelope }
 func (*StripeGrant) Type() Type    { return TypeStripeGrant }
 
@@ -437,10 +413,10 @@ func New(t Type) (Message, error) {
 		return &MedShardMap{}, nil
 	case TypeMedRedirect:
 		return &MedRedirect{}, nil
-	case TypeMedHandoff:
-		return &MedHandoff{}, nil
-	case TypeMedHandoffAck:
-		return &MedHandoffAck{}, nil
+	case TypeMedFlag:
+		return &MedFlag{}, nil
+	case TypeMedFlagAck:
+		return &MedFlagAck{}, nil
 	case TypeEnvelope:
 		return &Envelope{}, nil
 	case TypeStripeGrant:
@@ -982,64 +958,14 @@ func (m *MedShardMap) decode(r *reader) error {
 	return r.err
 }
 
-func (m *MedHandoff) encode(w *writer) {
-	w.u32(m.From)
-	w.u64(m.Epoch)
-	w.u32(uint32(len(m.Deposits)))
-	for _, d := range m.Deposits {
-		w.u64(d.ExchangeID)
-		w.i32(int32(d.Sender))
-		w.i32(int32(d.Object))
-		w.raw(d.Key[:])
-	}
-	w.u32(uint32(len(m.Flags)))
-	for _, f := range m.Flags {
-		w.i32(int32(f.Peer))
-		w.u32(f.Count)
-	}
-}
-func (m *MedHandoff) decode(r *reader) error {
-	m.From = r.u32()
-	m.Epoch = r.u64()
-	nd := r.count(int(r.u32()), MaxFrame/32, 32) // 8+4+4+16 bytes per deposit
-	if r.err != nil {
-		return r.err
-	}
-	m.Deposits = make([]MedDepositRecord, 0, nd)
-	for i := 0; i < nd && r.err == nil; i++ {
-		d := MedDepositRecord{
-			ExchangeID: r.u64(),
-			Sender:     core.PeerID(r.i32()),
-			Object:     catalog.ObjectID(r.i32()),
-		}
-		if b := r.take(16); b != nil {
-			copy(d.Key[:], b)
-		}
-		m.Deposits = append(m.Deposits, d)
-	}
-	if r.err != nil {
-		return r.err
-	}
-	nf := r.count(int(r.u32()), MaxFrame/8, 8) // 4+4 bytes per flag
-	if r.err != nil {
-		return r.err
-	}
-	m.Flags = make([]MedFlagRecord, 0, nf)
-	for i := 0; i < nf && r.err == nil; i++ {
-		m.Flags = append(m.Flags, MedFlagRecord{Peer: core.PeerID(r.i32()), Count: r.u32()})
-	}
+func (m *MedFlag) encode(w *writer) { w.i32(int32(m.Peer)) }
+func (m *MedFlag) decode(r *reader) error {
+	m.Peer = core.PeerID(r.i32())
 	return r.err
 }
 
-func (m *MedHandoffAck) encode(w *writer) {
-	w.u32(m.Deposits)
-	w.u32(m.Flags)
-}
-func (m *MedHandoffAck) decode(r *reader) error {
-	m.Deposits = r.u32()
-	m.Flags = r.u32()
-	return r.err
-}
+func (*MedFlagAck) encode(*writer)         {}
+func (*MedFlagAck) decode(r *reader) error { return r.err }
 
 func (m *Envelope) encode(w *writer) {
 	w.u64(m.ReqID)

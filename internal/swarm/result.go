@@ -44,29 +44,47 @@ type Result struct {
 	Elapsed       time.Duration
 	Peers         []PeerResult
 	// Wanted/Completed/Failed total the per-peer counts; Restarts totals
-	// churn cycles; Flagged counts cheaters the mediator tier caught;
-	// Flips and Whitewashes total the adversary scenario's adaptive
-	// transitions and identity churns.
+	// churn cycles; Flips and Whitewashes total the adversary scenario's
+	// adaptive transitions and identity churns.
 	Wanted      int
 	Completed   int
 	Failed      int
 	Restarts    int
-	Flagged     int
 	Flips       int
 	Whitewashes int
+	// Cheaters counts the corrupt peers in the world and Flagged how many
+	// of them the mediator tier caught; HonestFlagged counts every other
+	// peer the tier holds a flag against, which must be none.
+	Cheaters      int
+	Flagged       int
+	HonestFlagged int
 	// Mediators is the mediator tier size; ShardKills counts the shard
-	// kill/restart cycles the medfail scenario performed.
+	// kill/restart cycles the medfail scenario performed, and FlagsLost the
+	// flagged cheaters a restart of a durable tier (Config.MedDataDir) —
+	// mid-run, or the final one of every shard — forgot.
 	Mediators  int
 	ShardKills int
-	// Reshards counts completed elastic tier reshapes (restart/add/remove
-	// cycles) and FlagsLost the detection-history entries any reshape — or
-	// the final full-tier restart — forgot; the reshard scenario asserts
-	// FlagsLost stays zero.
-	Reshards  int
-	FlagsLost int
+	FlagsLost  int
 	// TraceEvents counts the events recorded into Config.Record (zero when
 	// the run was not recorded).
 	TraceEvents int
+}
+
+// Err is the run's verdict: nil when every download completed and the
+// mediator tier flagged every cheater, lost no flag, and flagged nobody
+// else — the paper's Section III-B claim, both halves.
+func (r *Result) Err() error {
+	switch {
+	case r.Failed > 0:
+		return fmt.Errorf("%d of %d downloads failed", r.Failed, r.Wanted)
+	case r.Flagged < r.Cheaters:
+		return fmt.Errorf("mediator tier flagged %d of %d cheaters", r.Flagged, r.Cheaters)
+	case r.FlagsLost > 0:
+		return fmt.Errorf("%d flagged cheaters forgotten across mediator restarts", r.FlagsLost)
+	case r.HonestFlagged > 0:
+		return fmt.Errorf("mediator tier flagged %d honest peers", r.HonestFlagged)
+	}
+	return nil
 }
 
 // ClassMean returns the mean completion time over every finished download
@@ -120,12 +138,9 @@ func (r *Result) TSV() string {
 	if r.Restarts > 0 {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
-	if r.Flagged > 0 || r.ShardKills > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d flagged=%d cheaters shard_kills=%d\n",
-			r.Mediators, r.Flagged, r.ShardKills)
-	}
-	if r.Reshards > 0 || r.FlagsLost > 0 {
-		fmt.Fprintf(&b, "# reshard: reshapes=%d flags_lost=%d\n", r.Reshards, r.FlagsLost)
+	if r.Cheaters > 0 || r.HonestFlagged > 0 {
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)
@@ -176,7 +191,6 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		Flagged:       flagged,
 		Mediators:     s.cfg.Mediators,
 		ShardKills:    s.kills,
-		Reshards:      s.reshards,
 		FlagsLost:     s.flagsLost,
 	}
 	for _, p := range s.peers {
@@ -206,6 +220,11 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		}
 		if nd != nil {
 			pr.Stats = nd.Stats()
+		}
+		if p.strat.Corrupt {
+			res.Cheaters++
+		} else if s.cluster.Flagged(pr.ID) > 0 {
+			res.HonestFlagged++
 		}
 		res.Peers = append(res.Peers, pr)
 		res.Wanted += pr.Wanted

@@ -18,9 +18,9 @@ func (s *swarmRun) buildWorld() error {
 	switch s.cfg.Scenario {
 	case FlashCrowd:
 		s.buildFlashCrowd(strategy.Sharing(), 0)
-	case Cheater, Medfail, Reshard:
-		// Medfail and reshard are the cheater world run over the mediated
-		// block path; spawn wires each node to the mediator tier.
+	case Cheater, Medfail:
+		// Medfail is the cheater world run over the mediated block path;
+		// spawn wires each node to the mediator tier.
 		s.buildFlashCrowd(strategy.Corrupt(), s.cfg.CorruptFrac)
 	case Mixed, Churn:
 		s.buildMixed()

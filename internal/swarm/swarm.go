@@ -29,12 +29,10 @@
 //   - medfail: the cheater world with every node speaking the mediated
 //     block path natively (sealed blocks, escrowed keys, end-of-transfer
 //     audits via internal/medclient) while mediator shards are killed and
-//     restarted mid-run; cheater detection must still converge.
-//   - reshard: medfail plus a durable, elastic tier — every shard keeps a
-//     write-ahead log, and the driver composes kills/restarts with live
-//     AddShard/RemoveShard reshapes under the cheater mix, asserting after
-//     every reshape (and a final full-tier restart) that no detection
-//     history was lost.
+//     restarted mid-run; cheater detection must still converge. With
+//     Config.MedDataDir every shard keeps a write-ahead log and the run also
+//     demands that no restart — nor a final restart of the whole tier —
+//     forgets a flagged cheater.
 //   - wave: the temporal workload scenario — a few seeds hold the catalog
 //     while everyone else's demand is scheduled by a workload.Spec (see
 //     internal/workload) compiled over Config.WaveWindow: request times
@@ -59,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -90,15 +87,10 @@ const (
 	// nodes speaking the mediated block path natively (sealed blocks,
 	// escrowed keys, end-of-transfer audits through the shard-aware
 	// client), while mediator shards are killed and restarted mid-run.
-	// Cheater detection must still converge.
+	// Cheater detection must still converge. Over a durable tier
+	// (Config.MedDataDir) the flagged-cheater set must also survive every
+	// restart, and a final restart of the whole tier from its logs alone.
 	Medfail Scenario = "medfail"
-	// Reshard is medfail over a durable, elastic tier: every shard keeps a
-	// write-ahead log, and the driver interleaves shard restarts with live
-	// AddShard/RemoveShard reshapes, checking after every operation — and
-	// after a final restart of the whole tier — that no flagged cheater
-	// was forgotten. The zero-lost-flags criterion is the tentpole promise
-	// of the durability layer.
-	Reshard Scenario = "reshard"
 	// Wave is the temporal workload scenario: downloader demand is scheduled
 	// by a workload.Spec compiled over Config.WaveWindow — flash-crowd and
 	// diurnal curves, Zipf popularity, cohort session churn — instead of the
@@ -110,7 +102,7 @@ const (
 
 // Scenarios lists every built-in scenario in presentation order.
 func Scenarios() []Scenario {
-	return []Scenario{FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Reshard, Wave}
+	return []Scenario{FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Wave}
 }
 
 // Peer class labels, shared with the simulator through internal/strategy so
@@ -185,14 +177,9 @@ type Config struct {
 	// between them.
 	MedKills        int
 	MedKillInterval time.Duration
-	// Reshards is how many tier reshapes the reshard scenario performs
-	// (cycling restart, grow, shrink); ReshardInterval is the pause
-	// between them.
-	Reshards        int
-	ReshardInterval time.Duration
-	// MedDataDir roots the mediator shards' write-ahead logs. Empty means
-	// in-memory shards — except on the reshard scenario, which needs
-	// durability and creates (and removes) a temporary directory.
+	// MedDataDir roots the mediator shards' write-ahead logs; empty means
+	// in-memory shards, which a restart wipes. On medfail it also arms the
+	// zero-flags-lost checks.
 	MedDataDir string
 	// Stripe caps how many origins each download stripes across
 	// (node.Config.Stripe). A node stripes with or without a mediator; the
@@ -224,7 +211,7 @@ type Config struct {
 
 func (c *Config) fillDefaults() error {
 	switch c.Scenario {
-	case FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Reshard, Wave:
+	case FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Wave:
 	case "":
 		return errors.New("swarm: Scenario is required")
 	default:
@@ -252,13 +239,9 @@ func (c *Config) fillDefaults() error {
 		c.Seed = 1
 	}
 	if c.Mediators <= 0 {
-		switch c.Scenario {
-		case Medfail:
+		c.Mediators = 1
+		if c.Scenario == Medfail {
 			c.Mediators = 4 // killing shards needs a tier to fail over within
-		case Reshard:
-			c.Mediators = 3 // reshapes need room to shrink without hitting one
-		default:
-			c.Mediators = 1
 		}
 	}
 	if c.Mediators > 64 {
@@ -275,17 +258,9 @@ func (c *Config) fillDefaults() error {
 			c.MedKillInterval = 150 * time.Millisecond
 		}
 	}
-	if c.Scenario == Reshard {
-		if c.Reshards <= 0 {
-			c.Reshards = 6
-		}
-		if c.ReshardInterval <= 0 {
-			c.ReshardInterval = 150 * time.Millisecond
-		}
-	}
 	if c.Objects <= 0 {
 		switch c.Scenario {
-		case FlashCrowd, Cheater, Medfail, Reshard:
+		case FlashCrowd, Cheater, Medfail:
 			c.Objects = 1
 		default:
 			c.Objects = max(4, c.Nodes/8)
@@ -311,7 +286,7 @@ func (c *Config) fillDefaults() error {
 			c.UploadSlots = 4
 		}
 	}
-	if c.BlockDelay <= 0 && (c.Scenario == Freerider || c.Scenario == Adversary || c.Scenario == Medfail || c.Scenario == Reshard) {
+	if c.BlockDelay <= 0 && (c.Scenario == Freerider || c.Scenario == Adversary || c.Scenario == Medfail) {
 		// Paced slots give ring negotiation time to preempt, as in the
 		// paper's fixed-rate transfer model — and stretch medfail
 		// transfers so shard kills land while blocks are in flight.
@@ -329,7 +304,7 @@ func (c *Config) fillDefaults() error {
 	if c.FreeriderFrac < 0 || c.FreeriderFrac > 0.9 {
 		return fmt.Errorf("swarm: FreeriderFrac %g out of range [0, 0.9]", c.FreeriderFrac)
 	}
-	if c.CorruptFrac == 0 && (c.Scenario == Cheater || c.Scenario == Medfail || c.Scenario == Reshard) {
+	if c.CorruptFrac == 0 && (c.Scenario == Cheater || c.Scenario == Medfail) {
 		c.CorruptFrac = 0.3
 	}
 	if c.CorruptFrac < 0 || c.CorruptFrac > 0.9 {
@@ -478,18 +453,13 @@ type swarmRun struct {
 	oracle  map[catalog.ObjectID][][32]byte
 	peers   []*peerState
 	cluster *mediator.Cluster
-	kills   int // shard kill/restart cycles performed (medfail, reshard)
-	// reshards counts elastic reshapes performed; flagsLost counts flagged
-	// cheaters a reshape or the final durability check forgot — the reshard
-	// scenario's acceptance criterion is that this stays zero. Both are
-	// written by the single resharder goroutine (joined via monitors) and
+	// kills counts medfail's shard kill/restart cycles; flagsLost counts
+	// flagged cheaters a restart of the durable tier forgot, which must stay
+	// zero. Both are written by the shard killer (joined via monitors) and
 	// the post-run durability check, so collect reads them race-free.
-	reshards  int
+	kills     int
 	flagsLost int
-	// medAddrSeq names fresh mediator listen addresses for AddShard; only
-	// the resharder goroutine touches it.
-	medAddrSeq int
-	rng        *rng.RNG
+	rng       *rng.RNG
 	// rec accumulates the run's replayable trace when cfg.Record is set; nil
 	// otherwise. Safe for the waiter goroutines' concurrent use.
 	rec     *workload.Recorder
@@ -574,25 +544,12 @@ func Run(cfg Config) (*Result, error) {
 		s.oracle[id] = blockDigests(objData(id, cfg.ObjectSize), cfg.BlockSize)
 	}
 
-	// The reshard scenario needs durable shards; without a caller-supplied
-	// data dir it runs over a temporary one. Removal is deferred before the
-	// cluster's own deferred Close so the logs outlive every shard.
-	dataDir := cfg.MedDataDir
-	if cfg.Scenario == Reshard && dataDir == "" {
-		tmp, err := os.MkdirTemp("", "swarm-med-")
-		if err != nil {
-			return nil, fmt.Errorf("swarm: mediator data dir: %w", err)
-		}
-		dataDir = tmp
-		defer os.RemoveAll(tmp) //nolint:errcheck // teardown
-	}
-
 	// The mediator tier comes up before the world: mediated nodes need
 	// bootstrap seeds at spawn time.
 	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), func(o catalog.ObjectID) ([][32]byte, bool) {
 		d, ok := s.oracle[o]
 		return d, ok
-	}, mediator.ClusterOpts{DataDir: dataDir})
+	}, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
 	if err != nil {
 		return nil, fmt.Errorf("swarm: mediator tier: %w", err)
 	}
@@ -627,10 +584,6 @@ func Run(cfg Config) (*Result, error) {
 		s.monitors.Add(1)
 		go s.shardKiller(killerDone)
 	}
-	if cfg.Scenario == Reshard {
-		s.monitors.Add(1)
-		go s.resharder(killerDone)
-	}
 	if cfg.Scenario == Churn {
 		s.churn()
 	}
@@ -655,11 +608,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	case Medfail:
 		flagged = s.convergeCheaterFlags()
-	case Reshard:
-		flagged = s.convergeCheaterFlags()
-		// The final durability check: restart the whole tier and demand
-		// every flag come back from the logs alone.
-		s.verifyFlagDurability()
+		if cfg.MedDataDir != "" {
+			// The final durability check: restart the whole tier and demand
+			// every flag come back from the logs alone.
+			s.verifyFlagDurability()
+		}
 	}
 	elapsed := time.Since(s.start)
 
@@ -702,7 +655,7 @@ func (s *swarmRun) mediatorAddrs() []string {
 // scenario does once downloads stripe across origins (the harness's choice,
 // not the node's — the tier is up in every run anyway).
 func (s *swarmRun) mediated() bool {
-	return s.cfg.Scenario == Medfail || s.cfg.Scenario == Reshard || s.cfg.Stripe > 1
+	return s.cfg.Scenario == Medfail || s.cfg.Stripe > 1
 }
 
 // shardKiller kills and restarts mediator shards round-robin until its
@@ -726,26 +679,34 @@ func (s *swarmRun) shardKiller(done <-chan struct{}) {
 		}
 		shard := i % s.cluster.Shards()
 		s.logf("killing mediator shard %d (cycle %d/%d)", shard, i+1, s.cfg.MedKills)
-		if err := s.cluster.RestartShard(shard); err != nil {
-			s.logf("restart of mediator shard %d failed: %v", shard, err)
-			continue
-		}
-		s.kills++
+		s.restartShard(shard)
 	}
 }
 
-// nextMediatorAddr names a fresh listen address for a shard joining via
-// AddShard; resharder-goroutine only.
-func (s *swarmRun) nextMediatorAddr() string {
-	if s.cfg.TCP {
-		return "127.0.0.1:0"
+// restartShard kills and restarts one mediator shard. Over a durable tier
+// every cheater flagged before must still be flagged after, and each one the
+// tier forgot is counted in flagsLost; in-memory shards are allowed to
+// forget.
+func (s *swarmRun) restartShard(shard int) {
+	var before []core.PeerID
+	if s.cfg.MedDataDir != "" {
+		before = s.flaggedCheaters()
 	}
-	s.medAddrSeq++
-	return fmt.Sprintf("mem://swarm-mediator-grow-%d", s.medAddrSeq)
+	if err := s.cluster.RestartShard(shard); err != nil {
+		s.logf("restart of mediator shard %d failed: %v", shard, err)
+		return
+	}
+	s.kills++
+	for _, id := range before {
+		if s.cluster.Flagged(id) == 0 {
+			s.flagsLost++
+			s.logf("restart of mediator shard %d lost the flag for peer %d", shard, id)
+		}
+	}
 }
 
 // flaggedCheaters snapshots every corrupt peer the tier currently has
-// flagged — the detection history a reshape must not lose.
+// flagged — the detection history a durable tier must not lose.
 func (s *swarmRun) flaggedCheaters() []core.PeerID {
 	var out []core.PeerID
 	for _, p := range s.peers {
@@ -759,85 +720,14 @@ func (s *swarmRun) flaggedCheaters() []core.PeerID {
 	return out
 }
 
-// checkFlagsKept verifies every peer in before is still flagged after a
-// reshape, counting (and logging) any the tier forgot.
-func (s *swarmRun) checkFlagsKept(op string, before []core.PeerID) {
-	for _, id := range before {
-		if s.cluster.Flagged(id) == 0 {
-			s.flagsLost++
-			s.logf("reshape %q lost the flag for peer %d", op, id)
-		}
-	}
-}
-
-// resharder drives the reshard scenario's tier churn: it cycles shard
-// restarts, live grows, and live shrinks until its budget is spent or the
-// run settles, snapshotting the flagged-cheater set before each operation
-// and asserting it intact after — the zero-lost-flags criterion. Like the
-// shard killer, the first operation lands immediately.
-func (s *swarmRun) resharder(done <-chan struct{}) {
-	defer s.monitors.Done()
-	for i := 0; i < s.cfg.Reshards; i++ {
-		if i > 0 {
-			t := time.NewTimer(s.cfg.ReshardInterval)
-			select {
-			case <-t.C:
-			case <-done:
-				t.Stop()
-				return
-			case <-s.giveUp:
-				t.Stop()
-				return
-			}
-		}
-		before := s.flaggedCheaters()
-		var err error
-		op := ""
-		switch i % 3 {
-		case 0:
-			shard := (i / 3) % s.cluster.Shards()
-			op = fmt.Sprintf("restart shard %d", shard)
-			if err = s.cluster.RestartShard(shard); err == nil {
-				s.kills++
-			}
-		case 1:
-			op = "add shard"
-			err = s.cluster.AddShard(s.nextMediatorAddr())
-		case 2:
-			op = "remove shard"
-			if s.cluster.Shards() <= 2 {
-				// Keep a tier to fail over within; restart instead.
-				op = "restart shard 0"
-				if err = s.cluster.RestartShard(0); err == nil {
-					s.kills++
-				}
-			} else {
-				err = s.cluster.RemoveShard()
-			}
-		}
-		if err != nil {
-			s.logf("reshape %q failed: %v", op, err)
-			continue
-		}
-		s.reshards++
-		s.logf("reshape %q done (cycle %d/%d, %d shards)", op, i+1, s.cfg.Reshards, s.cluster.Shards())
-		s.checkFlagsKept(op, before)
-	}
-}
-
-// verifyFlagDurability restarts every shard after detection has converged:
-// with the in-memory state wiped tier-wide, any flag that does not come back
-// from the write-ahead logs counts as lost history.
+// verifyFlagDurability restarts every shard after detection has converged.
+// A shard's state after its restart comes from its write-ahead log alone
+// (flags replicate only when a verdict is reached), so any flag that does
+// not survive the sweep is lost history.
 func (s *swarmRun) verifyFlagDurability() {
-	before := s.flaggedCheaters()
 	for i := 0; i < s.cluster.Shards(); i++ {
-		if err := s.cluster.RestartShard(i); err != nil {
-			s.logf("durability restart of shard %d failed: %v", i, err)
-		} else {
-			s.kills++
-		}
+		s.restartShard(i)
 	}
-	s.checkFlagsKept("final full-tier restart", before)
 }
 
 func (s *swarmRun) nodeAddr() string {

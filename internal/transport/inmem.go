@@ -55,9 +55,17 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 	client, server := pipe(addr, "mem://dialer")
 	select {
 	case l.backlog <- server:
-		return client, nil
 	case <-l.done:
 		return nil, ErrClosed
+	}
+	// The listener may have closed as the connection was queued, after its
+	// Close drained the backlog: nobody will ever accept this one.
+	select {
+	case <-l.done:
+		_ = client.Close()
+		return nil, ErrClosed
+	default:
+		return client, nil
 	}
 }
 
@@ -84,10 +92,21 @@ func (l *memListener) Accept() (Conn, error) {
 	}
 }
 
+// Close stops the listener and resets every connection still waiting in the
+// backlog, as a kernel would: a dialer whose connection nobody will accept
+// must see it closed, not block on it forever.
 func (l *memListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.net.drop(l.addr)
+		for {
+			select {
+			case c := <-l.backlog:
+				_ = c.Close()
+			default:
+				return
+			}
+		}
 	})
 	return nil
 }

@@ -184,6 +184,62 @@ func TestMemListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
+// TestMemListenerCloseResetsBacklog: a connection dialled into a listener
+// that closes before accepting it must fail its I/O, as a TCP reset would —
+// not leave the dialer blocked in Recv, or in Send once the pipe fills, on a
+// peer half nobody holds. A Dial that finds the listener already closing
+// (the other way the race can fall) is refused outright.
+func TestMemListenerCloseResetsBacklog(t *testing.T) {
+	m := NewMem()
+	l, err := m.Listen("mem://orphan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Dial("mem://orphan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	go func() {
+		_, err := c.Recv()
+		done <- err
+	}()
+	go func() {
+		// More sends than the pipe buffers: the last ones would block.
+		var err error
+		for i := 0; i < 200 && err == nil; i++ {
+			err = c.Send(&protocol.RingQuit{RingID: 1})
+		}
+		done <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("I/O on an orphaned connection: err = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("I/O on a connection orphaned in a closed listener's backlog blocked")
+		}
+	}
+
+	// The closing side of the race: the dialer holds the listener, Close
+	// runs, then the connection is queued. Dial must notice and refuse.
+	m2 := NewMem()
+	l2, err := m2.Listen("mem://orphan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := l2.(*memListener)
+	close(ml.done) // Close's first step, with the registry entry still there
+	if c, err := m2.Dial("mem://orphan"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Dial into a closing listener = %v, %v; want ErrClosed", c, err)
+	}
+}
+
 func TestMemSendAfterCloseFails(t *testing.T) {
 	m := NewMem()
 	l, err := m.Listen("mem://x")

@@ -62,7 +62,6 @@ const (
 	SwarmChurn      = swarm.Churn
 	SwarmAdversary  = swarm.Adversary
 	SwarmMedfail    = swarm.Medfail
-	SwarmReshard    = swarm.Reshard
 	SwarmWave       = swarm.Wave
 )
 

@@ -3,8 +3,10 @@
 # Every `go run ./cmd/...` line it advertises is smoke-run — `-h` for each
 # distinct command, plus every `-list` line verbatim — and must exit 0;
 # every -flag such a line passes must be one the command's -h defines;
-# every program under examples/ must run to completion; and every committed
-# BENCH_*.json trajectory point must still be readable by the harness.
+# the scenarios docs/ARCHITECTURE.md lists must be the ones `exchswarm -list`
+# prints; every program under examples/ must run to completion; and every
+# committed BENCH_*.json trajectory point must still be readable by the
+# harness.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,6 +48,17 @@ for c in $lists; do
 		status=1
 	fi
 done
+
+# The package map names every swarm scenario; a scenario added or retired
+# without the row following is the drift this script exists to catch.
+listed=$(go run ./cmd/exchswarm -list | sort | tr '\n' ' ')
+documented=$(grep '^| `internal/swarm` |' docs/ARCHITECTURE.md | sed 's/.*scenarios (\([^)]*\)).*/\1/' | tr -d ' ' | tr ',' '\n' | sort | tr '\n' ' ')
+if [ "$listed" = "$documented" ]; then
+	echo "ok   docs/ARCHITECTURE.md scenario list = exchswarm -list"
+else
+	echo "FAIL docs/ARCHITECTURE.md lists scenarios [ $documented] but exchswarm -list prints [ $listed]"
+	status=1
+fi
 
 # The examples are documentation too, and nothing else executes them.
 for d in examples/*/; do
