@@ -4,6 +4,13 @@
 // into the simulator's non-exchange service order (sim.Ranker), so the
 // ablation experiments can quantify how much weaker their incentives are
 // than exchange priority.
+//
+// Both mechanisms keep their books in tables indexed by core.PeerID and grown
+// on demand: OnTransfer runs once per delivered block, so it has to be an
+// indexed add rather than a hash. The contract the tables rely on is that peer
+// ids are small, dense and non-negative, as the simulator's 0..N-1 are — a
+// table is as large as the largest id it has seen (eMule's up to its square), and
+// a negative id panics.
 package credit
 
 import (
@@ -12,8 +19,12 @@ import (
 	"barter/internal/core"
 )
 
-type pair struct {
-	src, dst core.PeerID
+// grown returns s extended with zero values until index i is valid.
+func grown[T any](s []T, i core.PeerID) []T {
+	if int(i) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(i)+1-len(s))...)
 }
 
 // EMule reproduces the eMule upload-queue rank: a request's score is its
@@ -24,18 +35,20 @@ type pair struct {
 // serving peer. With no download history the modifier is 10 when the
 // requester has uploaded anything, else 1.
 type EMule struct {
-	kbits map[pair]float64
+	// kbits[src][dst] is what src has uploaded to dst. Rows grow on first
+	// use, so a missing row or a short one reads as no history.
+	kbits [][]float64
 }
 
 // NewEMule returns an empty credit book.
 func NewEMule() *EMule {
-	return &EMule{kbits: make(map[pair]float64)}
+	return &EMule{}
 }
 
 // Score implements sim.Ranker.
 func (e *EMule) Score(server, requester core.PeerID, waited float64) float64 {
-	up := e.kbits[pair{src: requester, dst: server}]   // requester -> server
-	down := e.kbits[pair{src: server, dst: requester}] // server -> requester
+	up := e.Credit(requester, server)   // requester -> server
+	down := e.Credit(server, requester) // server -> requester
 	modifier := 1.0
 	switch {
 	case up == 0:
@@ -58,22 +71,32 @@ func (e *EMule) Score(server, requester core.PeerID, waited float64) float64 {
 
 // OnTransfer implements sim.Ranker.
 func (e *EMule) OnTransfer(src, dst core.PeerID, kbits float64) {
-	e.kbits[pair{src: src, dst: dst}] += kbits
+	e.kbits = grown(e.kbits, src)
+	row := grown(e.kbits[src], dst)
+	row[dst] += kbits
+	e.kbits[src] = row
 }
 
 // Credit returns the kbits src has uploaded to dst (exported for tests and
 // the creditcompare example).
 func (e *EMule) Credit(src, dst core.PeerID) float64 {
-	return e.kbits[pair{src: src, dst: dst}]
+	if int(src) < len(e.kbits) {
+		if row := e.kbits[src]; int(dst) < len(row) {
+			return row[dst]
+		}
+	}
+	return 0
 }
 
 // OnWhitewash implements sim.WhitewashResetter: a peer that rejoined under a
 // fresh identity carries no pairwise history in either direction.
 func (e *EMule) OnWhitewash(p core.PeerID) {
-	//barter:allow maprange deletes every matching entry; set subtraction is order-insensitive and no draw or output sees the sweep
-	for k := range e.kbits {
-		if k.src == p || k.dst == p {
-			delete(e.kbits, k)
+	if int(p) < len(e.kbits) {
+		clear(e.kbits[p]) // row p: everything p uploaded
+	}
+	for _, row := range e.kbits {
+		if int(p) < len(row) {
+			row[p] = 0 // column p: everything p downloaded
 		}
 	}
 }
@@ -85,10 +108,13 @@ func (e *EMule) OnWhitewash(p core.PeerID) {
 // that do so (the paper cites exactly this hack as the reason the scheme
 // fails).
 type KaZaA struct {
-	uploaded   map[core.PeerID]float64
-	downloaded map[core.PeerID]float64
-	cheater    func(core.PeerID) bool
+	// volumes[p] is what p has uploaded and downloaded, in kbits; a peer
+	// beyond the table has no history.
+	volumes []volume
+	cheater func(core.PeerID) bool
 }
+
+type volume struct{ up, down float64 }
 
 // MaxLevel is the cap of the participation level scale (KaZaA used 0-1000).
 const MaxLevel = 1000.0
@@ -99,11 +125,7 @@ func NewKaZaA(cheater func(core.PeerID) bool) *KaZaA {
 	if cheater == nil {
 		cheater = func(core.PeerID) bool { return false }
 	}
-	return &KaZaA{
-		uploaded:   make(map[core.PeerID]float64),
-		downloaded: make(map[core.PeerID]float64),
-		cheater:    cheater,
-	}
+	return &KaZaA{cheater: cheater}
 }
 
 // Level returns the participation level a peer announces: honest peers
@@ -113,7 +135,11 @@ func (k *KaZaA) Level(p core.PeerID) float64 {
 	if k.cheater(p) {
 		return MaxLevel
 	}
-	up, down := k.uploaded[p], k.downloaded[p]
+	var v volume
+	if int(p) < len(k.volumes) {
+		v = k.volumes[p]
+	}
+	up, down := v.up, v.down
 	if down == 0 {
 		if up > 0 {
 			return MaxLevel
@@ -135,14 +161,16 @@ func (k *KaZaA) Score(_, requester core.PeerID, waited float64) float64 {
 
 // OnTransfer implements sim.Ranker.
 func (k *KaZaA) OnTransfer(src, dst core.PeerID, kbits float64) {
-	k.uploaded[src] += kbits
-	k.downloaded[dst] += kbits
+	k.volumes = grown(k.volumes, max(src, dst))
+	k.volumes[src].up += kbits
+	k.volumes[dst].down += kbits
 }
 
 // OnWhitewash implements sim.WhitewashResetter: a whitewashed peer's
 // participation history vanishes, restoring the newcomer's default level —
 // exactly the escape hatch self-reported schemes cannot close.
 func (k *KaZaA) OnWhitewash(p core.PeerID) {
-	delete(k.uploaded, p)
-	delete(k.downloaded, p)
+	if int(p) < len(k.volumes) {
+		k.volumes[p] = volume{}
+	}
 }

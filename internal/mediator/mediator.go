@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"os"
 	"sync"
 
@@ -91,20 +92,37 @@ func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, ind
 // so decrypting in place would corrupt the lane under audit.
 func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (origin, recipient core.PeerID, payload []byte, err error) {
 	if len(sealed) < headerLen {
-		return 0, 0, nil, errors.New("mediator: sealed block too short")
+		return 0, 0, nil, errShortBlock
 	}
 	plain := make([]byte, len(sealed))
 	if err := crypt(key, obj, index, plain, sealed); err != nil {
 		return 0, 0, nil, err
 	}
+	origin, recipient, err = openHeader(plain, obj, index)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return origin, recipient, plain[headerLen:], nil
+}
+
+// The two ways a sealed block fails to open; Open and the mediator's audit
+// report them in the same words.
+var (
+	errShortBlock     = errors.New("mediator: sealed block too short")
+	errHeaderPosition = errors.New("mediator: control header does not match block position")
+)
+
+// openHeader reads a decrypted control header and checks that it names the
+// position the block was presented at.
+func openHeader(plain []byte, obj catalog.ObjectID, index uint32) (origin, recipient core.PeerID, err error) {
 	origin = core.PeerID(binary.BigEndian.Uint32(plain[0:4]))
 	recipient = core.PeerID(binary.BigEndian.Uint32(plain[4:8]))
 	gotObj := catalog.ObjectID(binary.BigEndian.Uint32(plain[8:12]))
 	gotIdx := binary.BigEndian.Uint32(plain[12:16])
 	if gotObj != obj || gotIdx != index {
-		return 0, 0, nil, errors.New("mediator: control header does not match block position")
+		return 0, 0, errHeaderPosition
 	}
-	return origin, recipient, plain[headerLen:], nil
+	return origin, recipient, nil
 }
 
 // crypt applies AES-CTR with a per-(object, index) nonce from src into dst,
@@ -114,11 +132,16 @@ func crypt(key [16]byte, obj catalog.ObjectID, index uint32, dst, src []byte) er
 	if err != nil {
 		return err
 	}
+	blockStream(block, obj, index).XORKeyStream(dst, src)
+	return nil
+}
+
+// blockStream is the AES-CTR keystream of the block at (object, index).
+func blockStream(block cipher.Block, obj catalog.ObjectID, index uint32) cipher.Stream {
 	var iv [16]byte
 	binary.BigEndian.PutUint32(iv[0:4], uint32(obj))
 	binary.BigEndian.PutUint32(iv[4:8], index)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
-	return nil
+	return cipher.NewCTR(block, iv[:])
 }
 
 // DigestOracle supplies the mediator's trustworthy source of valid block
@@ -469,7 +492,6 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 	m.mu.Lock()
 	dep, ok := m.deposits[depositKey{exchange: req.ExchangeID, sender: req.Sender}]
 	m.mu.Unlock()
-	key := dep.key
 	if !ok {
 		// Not proof of cheating: the deposit may simply not have arrived
 		// yet, or this shard restarted and lost its escrow. Refuse without
@@ -486,32 +508,81 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 		refuse(protocol.MedRejectBadRequest, "no samples supplied")
 		return
 	}
-	for _, sample := range req.Samples {
+	a, err := newAuditor(dep.key)
+	if err != nil {
+		refuse(protocol.MedRejectBadRequest, err.Error())
+		return
+	}
+	for i := range req.Samples {
+		sample := &req.Samples[i]
 		if sample.Object != req.Object {
 			refuse(protocol.MedRejectBadRequest, "sample from a different object")
 			return
 		}
-		origin, recipient, payload, err := Open(key, sample.Object, sample.Index, sample.Payload)
-		if err != nil {
-			reject(fmt.Sprintf("sample %d: %v", sample.Index, err))
-			return
-		}
-		if origin != req.Sender {
-			// The claimed sender did not author these blocks: the classic
-			// middleman peddling someone else's transfer.
-			reject(fmt.Sprintf("sample %d authored by %d, not %d", sample.Index, origin, req.Sender))
-			return
-		}
-		if recipient != req.Requester {
-			reject(fmt.Sprintf("sample %d addressed to %d, not %d", sample.Index, recipient, req.Requester))
-			return
-		}
-		if int(sample.Index) >= len(digests) || sha256.Sum256(payload) != digests[sample.Index] {
-			reject(fmt.Sprintf("sample %d fails content audit", sample.Index))
+		if reason := a.auditSample(sample, req.Sender, req.Requester, digests); reason != "" {
+			reject(reason)
 			return
 		}
 	}
-	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: key})
+	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: dep.key})
+}
+
+// auditor is what the samples of one audit request share: the sender's
+// escrowed key expanded once, one SHA-256 state, and the scratch a sample is
+// decrypted through on its way into the hash.
+type auditor struct {
+	block   cipher.Block
+	digest  hash.Hash
+	scratch [4096]byte
+}
+
+func newAuditor(key [16]byte) (*auditor, error) {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, err
+	}
+	return &auditor{block: block, digest: sha256.New()}, nil
+}
+
+// auditSample reaches the verdict Open followed by a SHA-256 of the payload
+// would, without materialising the plaintext: the control header is decrypted
+// and checked first, then the payload streams through the scratch into the
+// hash. It returns the reason the sample convicts sender, or "" when the
+// sample holds up. The sample is only read — over the in-memory transport it
+// is the very slice the requester still holds sealed.
+func (a *auditor) auditSample(sample *protocol.Block, sender, requester core.PeerID, digests [][32]byte) string {
+	sealed := sample.Payload
+	if len(sealed) < headerLen {
+		return fmt.Sprintf("sample %d: %v", sample.Index, errShortBlock)
+	}
+	stream := blockStream(a.block, sample.Object, sample.Index)
+	header := a.scratch[:headerLen]
+	stream.XORKeyStream(header, sealed[:headerLen])
+	origin, recipient, err := openHeader(header, sample.Object, sample.Index)
+	if err != nil {
+		return fmt.Sprintf("sample %d: %v", sample.Index, err)
+	}
+	if origin != sender {
+		// The claimed sender did not author these blocks: the classic
+		// middleman peddling someone else's transfer.
+		return fmt.Sprintf("sample %d authored by %d, not %d", sample.Index, origin, sender)
+	}
+	if recipient != requester {
+		return fmt.Sprintf("sample %d addressed to %d, not %d", sample.Index, recipient, requester)
+	}
+	if int(sample.Index) < len(digests) {
+		a.digest.Reset()
+		for rest := sealed[headerLen:]; len(rest) > 0; {
+			n := min(len(rest), len(a.scratch))
+			stream.XORKeyStream(a.scratch[:n], rest[:n])
+			a.digest.Write(a.scratch[:n]) //barter:allow unchecked-io hash.Hash documents that Write never returns an error
+			rest = rest[n:]
+		}
+		if [32]byte(a.digest.Sum(a.scratch[:0])) == digests[sample.Index] {
+			return ""
+		}
+	}
+	return fmt.Sprintf("sample %d fails content audit", sample.Index)
 }
 
 // flag records one verdict against p, in memory and in the log.

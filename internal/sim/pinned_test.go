@@ -31,8 +31,9 @@ func pinnedCounts(r *Result) string {
 // TestPinnedCounts is the in-suite form of "the traversal did not change":
 // the counts below were captured on the commit before the event queue gained
 // its fixed-delay lane and peer membership became dense, and every later
-// engine optimization must reproduce them exactly. A deliberate behavior
-// change re-captures them in the same commit and says why.
+// engine optimization must reproduce them exactly (the emule row was captured
+// on the commit before the credit books became dense tables). A deliberate
+// behavior change re-captures them in the same commit and says why.
 func TestPinnedCounts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,6 +64,12 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
 		}, "events=56569 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:512,non-sharing:545,sharing:1404"},
+		{"emule", func() Config {
+			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
+			cfg.Policy = core.PolicyNoExchange
+			cfg.Ranker = credit.NewEMule()
+			return cfg
+		}, "events=56999 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:895,non-sharing:623,sharing:953"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,12 @@
 #!/bin/sh
 # golden: the figure TSVs committed under testdata/golden are the
 # byte-identity oracle for engine work (ROADMAP Open item 3) — the quick
-# sweep of every experiment and paper-scale fig4, both at seed 1.
+# sweep of every experiment and paper-scale fig4, figw and ablation-credit,
+# all at seed 1. The last two are the ranked runs: the quick world's 30
+# peers never make a credit table grow, paper scale's 200 do.
 #
 #   scripts/golden.sh check    regenerate each at -parallel 1 and -parallel 8
-#                              and cmp all four outputs against the files
+#                              and cmp all eight outputs against the files
 #   scripts/golden.sh update   rewrite the files from the working tree
 #
 # `make golden-check` is the CI gate; `make golden-update` is the only way
@@ -29,12 +31,12 @@ go build -o "$tmp/exchsim" ./cmd/exchsim
 gen() {
 	case $1 in
 	all-quick) "$tmp/exchsim" -all -quick -seed 1 -parallel "$2" ;;
-	fig4) "$tmp/exchsim" -experiment fig4 -seed 1 -parallel "$2" ;;
+	*) "$tmp/exchsim" -experiment "$1" -seed 1 -parallel "$2" ;;
 	esac
 }
 
 status=0
-for name in all-quick fig4; do
+for name in all-quick fig4 figw ablation-credit; do
 	file=$dir/$name.seed1.tsv
 	case $mode in
 	update)
