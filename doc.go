@@ -78,8 +78,12 @@
 // serves the tier's topology (and redirects misrouted traffic), and nodes
 // reach it exclusively through the shard-aware client layer
 // (internal/medclient) — shard-map caching, pooled per-shard connections,
-// retry with backoff, write-through replica deposits, and failover to the
-// replica shard when a mediator dies mid-verify. Every node download runs
+// retry with backoff, and failover to the replica shard when a mediator dies
+// mid-verify. The replica's copy is the tier's own work: the primary shard
+// writes every deposit, and either owner every flag, through to the object's
+// other owner on one one-way shard-to-shard connection, so a deposit is one
+// client RPC and its acknowledgement means "held, logged and queued for the
+// replica", not "already on the replica". Every node download runs
 // through one lane scheduler (Config.Stripe lanes, each granted to one
 // origin's session; see docs/ARCHITECTURE.md) and the mediator changes only
 // how a lane is verified: with Config.Mediator set blocks travel sealed
@@ -92,8 +96,8 @@
 // detection converges through failures; with MediatorShardOpts.DataDir set
 // each shard appends every deposit and flag to a per-shard write-ahead log
 // and replays it at startup, so restarts forget neither escrow nor
-// detection history, and flags replicate to the object's replica shard the
-// way deposits already write through. The tier's size is fixed when it
+// detection history (the replica logs its written-through copies the same
+// way). The tier's size is fixed when it
 // starts; a shard restart is the only topology change, and it bumps the
 // shard-map epoch so clients refetch the map mid-run.
 //

@@ -1,13 +1,10 @@
-// Package medclient is the node-side client layer of the mediator tier.
-// Peers used to dial a single mediator and speak the escrow protocol
-// inline; this package replaces that with a proper client: it bootstraps
-// from any shard address, fetches and caches the tier's shard map, pools
-// one connection per shard, routes every escrow and audit to the owning
+// Package medclient is the node-side client layer of the mediator tier. It
+// bootstraps from any shard address, fetches and caches the tier's shard map,
+// pools one connection per shard, routes every escrow and audit to the owning
 // shard by the same consistent hashing the shards use (redirects correct a
 // stale map), retries with exponential backoff, and fails over to the
-// replica shard when a mediator dies mid-verify. Deposits are written
-// through to the replica as well, so a verify that fails over after the
-// primary crashes still finds the escrowed key.
+// replica shard when a mediator dies mid-verify — where it finds the copy of
+// the escrowed key that the primary shard wrote through.
 //
 // RPCs are pipelined: every request travels in a protocol.Envelope carrying
 // a client-unique ReqID, each pooled connection runs a demultiplexing read
@@ -429,7 +426,7 @@ func (c *Client) rpc(sc *shardConn, req protocol.Message) (protocol.Message, err
 // each reply: it returns done once the terminal reply arrived, along with
 // the operation's verdict. Redirects update routing mid-operation (followed
 // immediately, no backoff), and a no-key verdict from the primary is given
-// one shot at the replica — the write-through deposit copy may have
+// one shot at the replica — the copy the primary wrote through may have
 // survived a primary restart.
 func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(protocol.Message) (bool, error)) error {
 	var lastErr error = ErrUnavailable
@@ -471,7 +468,16 @@ func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(prot
 			lastErr = err
 			continue
 		}
-		done, redirect, opErr := c.roundTrip(sc, req, handle)
+		// ReqIDs match replies unambiguously, so one that is neither a redirect
+		// nor claimed by handle is a protocol violation: drop the conn and retry.
+		reply, opErr := c.rpc(sc, req)
+		redirect, _ := reply.(*protocol.MedRedirect)
+		done := false
+		if opErr == nil && redirect == nil {
+			if done, opErr = handle(reply); !done {
+				opErr = fmt.Errorf("medclient: unexpected reply %T", reply)
+			}
+		}
 		switch {
 		case done:
 			// Attribute a no-key verdict to the shard actually dialed — a
@@ -487,7 +493,7 @@ func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(prot
 			}
 			if errors.Is(opErr, ErrNoKey) && replica != primary && side >= 0 {
 				// This shard holds no escrow — it may have restarted and
-				// lost it. Deposits are written through to both owners, so
+				// lost it. The tier keeps deposits on both owners, so
 				// consult the other one before giving the verdict back.
 				noKeyFrom[side] = true
 				if !noKeyFrom[1-side] {
@@ -555,72 +561,18 @@ func (c *Client) markMapStale() {
 	c.mu.Unlock()
 }
 
-// roundTrip performs one pipelined RPC on sc. It returns done when handle
-// accepted the reply (err is then the verdict), a redirect if the shard
-// refused ownership, or neither on a transport error. ReqID matching makes
-// the reply unambiguous, so a reply handle cannot claim is a protocol
-// violation surfaced like a transport error — the op loop drops the
-// connection and retries.
-func (c *Client) roundTrip(sc *shardConn, req protocol.Message, handle func(protocol.Message) (bool, error)) (done bool, redirect *protocol.MedRedirect, err error) {
-	reply, err := c.rpc(sc, req)
-	if err != nil {
-		return false, nil, err
-	}
-	if r, ok := reply.(*protocol.MedRedirect); ok {
-		return false, r, nil
-	}
-	ok, verdict := handle(reply)
-	if !ok {
-		return false, nil, fmt.Errorf("medclient: unexpected reply %T", reply)
-	}
-	return true, nil, verdict
-}
-
-// Deposit escrows a sender's key for one exchange with the owning shard,
-// waiting for the acknowledgement so a subsequent audit is guaranteed to
-// see it, then writes the key through to the replica shard (best effort) so
-// an audit that fails over after a primary crash still finds it.
+// Deposit escrows a sender's key for one exchange with the owning shard, in
+// one RPC. Nil means the primary holds, has logged and has queued for the
+// replica shard its copy of the key — not that the replica has it yet: an
+// audit that fails over inside that window gets ErrNoKey, the transient answer.
 func (c *Client) Deposit(exchangeID uint64, sender core.PeerID, obj catalog.ObjectID, key [16]byte) error {
 	req := &protocol.MedDeposit{ExchangeID: exchangeID, Sender: sender, Object: obj, Key: key}
-	err := c.op(obj, req, func(msg protocol.Message) (bool, error) {
+	return c.op(obj, req, func(msg protocol.Message) (bool, error) {
 		if ack, ok := msg.(*protocol.MedKey); ok && ack.ExchangeID == exchangeID && ack.Key == key {
 			return true, nil
 		}
 		return false, nil
 	})
-	if err != nil {
-		return err
-	}
-	c.replicate(obj, req)
-	return nil
-}
-
-// replicate writes a deposit to the replica shard, one attempt, errors
-// tolerated: the replica copy only matters if the primary later dies, and
-// the sender re-deposits on every new transfer session anyway.
-func (c *Client) replicate(obj catalog.ObjectID, req *protocol.MedDeposit) {
-	shards, err := c.shardMap()
-	if err != nil {
-		return
-	}
-	primary, replica := mediator.ShardFor(obj, len(shards))
-	if replica == primary || replica >= len(shards) || shards[replica] == "" {
-		return
-	}
-	sc, err := c.getConn(shards[replica])
-	if err != nil {
-		return
-	}
-	done, _, err := c.roundTrip(sc, req, func(msg protocol.Message) (bool, error) {
-		if ack, ok := msg.(*protocol.MedKey); ok && ack.ExchangeID == req.ExchangeID {
-			return true, nil
-		}
-		return false, nil
-	})
-	if !done || err != nil {
-		c.dropConn(shards[replica], sc)
-		c.logf("replica deposit for object %d failed: %v", obj, err)
-	}
 }
 
 // Verify submits received sample blocks for audit and returns the sender's

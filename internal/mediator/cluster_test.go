@@ -177,8 +177,9 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // TestClusterFailoverMidVerify kills the primary shard between deposit and
-// verify: the deposit was written through to the replica, so the client's
-// failover must still obtain the key without ever reaching the corpse.
+// verify: the primary wrote the deposit through to the replica, so the
+// client's failover must still obtain the key without ever reaching the
+// corpse.
 func TestClusterFailoverMidVerify(t *testing.T) {
 	tr, cl, content := clusterFixture(t, 4)
 	c, err := medclient.New(medclient.Config{Transport: tr, Seeds: cl.Addrs()})
@@ -188,7 +189,7 @@ func TestClusterFailoverMidVerify(t *testing.T) {
 	defer c.Close()
 
 	obj := catalog.ObjectID(9)
-	primary, _ := mediator.ShardFor(obj, 4)
+	primary, replica := mediator.ShardFor(obj, 4)
 	const sender, receiver core.PeerID = 1, 2
 	var key [16]byte
 	copy(key[:], "failover-key-...")
@@ -196,6 +197,7 @@ func TestClusterFailoverMidVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waitUntil(t, "the replica holds the deposit", func() bool { return cl.HoldsEscrow(replica, 123, sender) })
 	cl.KillShard(primary)
 
 	sealed, err := mediator.Seal(key, sender, receiver, obj, 0, content(obj))
@@ -237,13 +239,14 @@ func TestClusterPrimaryRestartUsesReplicaEscrow(t *testing.T) {
 	defer c.Close()
 
 	obj := catalog.ObjectID(9)
-	primary, _ := mediator.ShardFor(obj, 4)
+	primary, replica := mediator.ShardFor(obj, 4)
 	const sender, receiver core.PeerID = 1, 2
 	var key [16]byte
 	copy(key[:], "restart-key-....")
 	if err := c.Deposit(456, sender, obj, key); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, "the replica holds the deposit", func() bool { return cl.HoldsEscrow(replica, 456, sender) })
 	// Restart (not kill): the primary answers again, remembering nothing.
 	if err := cl.RestartShard(primary); err != nil {
 		t.Fatal(err)

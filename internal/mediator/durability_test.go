@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"testing"
-	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -150,15 +149,11 @@ func TestFlagReplicationSurvivesAuditorLoss(t *testing.T) {
 	obj := catalog.ObjectID(5)
 	flagCheater(t, c, cheater, obj, 999)
 
-	// Replication is asynchronous: wait for the replica's copy.
+	// Replication is asynchronous: wait for the replica's copies.
 	primary, replica := mediator.ShardFor(obj, 4)
-	deadline := time.Now().Add(2 * time.Second)
-	for cl.Shard(replica).Flagged(cheater) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flag never replicated to the replica shard")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(t, "the replica holds the deposit and the flag", func() bool {
+		return cl.HoldsEscrow(replica, 999, cheater) && cl.Shard(replica).Flagged(cheater) > 0
+	})
 	cl.KillShard(primary)
 	if cl.Flagged(cheater) == 0 {
 		t.Fatal("killing the auditing shard erased the only flag copy")

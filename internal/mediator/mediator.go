@@ -18,9 +18,6 @@
 // restart — of one shard or the whole tier — recovers both in-flight
 // escrow and the full detection history. Writes are buffered through the
 // OS without fsync: the log targets process restarts, not power loss.
-// Flags additionally replicate to the object's replica shard the way
-// deposits already write through, so losing the auditing shard does not
-// lose the only copy of who cheated.
 //
 // # The tier
 //
@@ -29,7 +26,16 @@
 // shard redirects what it does not own, and a restart — the only topology
 // change there is — bumps the shard-map epoch so medclient refetches the
 // map. Every request, a client's or a sibling shard's, arrives in a
-// protocol.Envelope; a connection that sends a bare one is closed.
+// protocol.Envelope; a connection that sends a bare one is closed. ReqID 0 is
+// the one-way form: applied in arrival order, never answered.
+//
+// The tier keeps its own second copy: the primary that applies a deposit, and
+// either owner that reaches a verdict, logs the record, queues it for the
+// object's other owner on one persistent one-way connection per sibling
+// (replLink), and answers the client. A deposit acknowledgement so promises
+// that the primary holds, has logged and has queued the key, not that the
+// replica has it yet; an audit that fails over inside that window is refused
+// with the transient no-key code, which flags nobody.
 package mediator
 
 import (
@@ -66,6 +72,8 @@ const (
 	MaxVerifySamples = 64
 	// MaxVerifyBytes bounds the total sealed payload across those samples.
 	MaxVerifyBytes = 1 << 20
+	// maxInflight bounds the requests one connection has running at once.
+	maxInflight = 64
 )
 
 // Seal encrypts one block payload with its control header using AES-CTR
@@ -178,6 +186,7 @@ type Mediator struct {
 	deposits map[depositKey]escrow
 	flagged  map[core.PeerID]int // peers caught cheating, with counts
 	wal      *wal                // nil without a DataDir
+	links    []*replLink         // by sibling index; nil at this shard's own
 
 	// connMu guards the open-connection set so Close can tear down every
 	// serve goroutine: a blocked Recv on an idle client would otherwise keep
@@ -249,6 +258,14 @@ func NewShard(tr transport.Transport, addr string, oracle DigestOracle, shard Sh
 		return nil, err
 	}
 	m.ln = ln
+	for i := 0; shard.Count > 1 && i < shard.Count; i++ {
+		m.links = append(m.links, nil)
+		if i != shard.Index {
+			m.links[i] = &replLink{m: m, target: i, queue: make(chan protocol.Message, replQueue)}
+			m.wg.Add(1)
+			go m.links[i].run()
+		}
+	}
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
@@ -380,8 +397,10 @@ func (m *Mediator) serve(conn transport.Conn) {
 	defer conn.Close() //barter:allow unchecked-io teardown: the peer sees the drop; nothing durable rides on this close
 	// reqs tracks the per-request goroutines; serve waits for them before
 	// returning so Close's wg.Wait still covers every in-flight audit.
+	// inflight caps them: past it the read loop waits — backpressure.
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
+	inflight := make(chan struct{}, maxInflight)
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -391,16 +410,26 @@ func (m *Mediator) serve(conn transport.Conn) {
 		if !ok {
 			return // a bare request: not this tier's wire, drop the connection
 		}
-		// Serve every request concurrently and echo its id on every reply
-		// so the client's read loop can demultiplex. Conn.Send is safe for
-		// concurrent use by contract.
+		if env.ReqID == 0 {
+			// One-way, a sibling's write-through: applied here, in arrival
+			// order, with no goroutine, no reply and no forwarding on.
+			if m.handleRPC(func(protocol.Message) error { return nil }, env) {
+				return
+			}
+			continue
+		}
+		// Serve every other request concurrently and echo its id on every
+		// reply so the client's read loop can demultiplex. Conn.Send is safe
+		// for concurrent use by contract.
 		send := func(reply protocol.Message) error {
 			return conn.Send(&protocol.Envelope{ReqID: env.ReqID, Msg: reply})
 		}
+		inflight <- struct{}{}
 		reqs.Add(1)
 		go func() {
 			defer reqs.Done()
-			if m.handleRPC(send, env.Msg) {
+			defer func() { <-inflight }()
+			if m.handleRPC(send, env) {
 				// A limit-violating request forfeits the connection; closing
 				// unblocks the Recv loop, which then waits out the sibling
 				// requests.
@@ -414,8 +443,8 @@ func (m *Mediator) serve(conn transport.Conn) {
 // (which wraps them in the request's envelope). It returns true when the
 // connection should be dropped — a client that violates the audit limits
 // forfeits the connection.
-func (m *Mediator) handleRPC(send func(protocol.Message) error, msg protocol.Message) bool {
-	switch req := msg.(type) {
+func (m *Mediator) handleRPC(send func(protocol.Message) error, env *protocol.Envelope) bool {
+	switch req := env.Msg.(type) {
 	case *protocol.MedShardMapReq:
 		epoch, addrs := m.shardMap()
 		reply := &protocol.MedShardMap{Version: protocol.ShardMapVersion, Epoch: epoch}
@@ -434,12 +463,17 @@ func (m *Mediator) handleRPC(send func(protocol.Message) error, msg protocol.Mes
 			m.wal.appendDeposit(walDeposit{exchange: req.ExchangeID, sender: req.Sender, object: req.Object, key: req.Key})
 		}
 		m.mu.Unlock()
+		// A client's deposit at the primary writes through; the copy that
+		// arrives (one-way) at the replica stops there.
+		if primary, _ := ShardFor(req.Object, m.shard.Count); env.ReqID != 0 && primary == m.shard.Index {
+			m.replicate(req.Object, req)
+		}
 		// Echo as the deposit acknowledgement so clients can treat
 		// escrow as synchronous.
 		_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: req.Key})
 	case *protocol.MedFlag:
 		// A verdict written through by the object's other owner. It goes
-		// to the WAL like a native one and never re-replicates — that
+		// to the WAL like a native one and never replicates on — that
 		// would bounce between the two owners forever.
 		m.flag(req.Peer)
 		_ = send(&protocol.MedFlagAck{})
@@ -478,9 +512,10 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 	// assumed to travel over the peers' secure channels to the mediator).
 	reject := func(reason string) {
 		m.flag(req.Sender)
-		// Replicate the verdict to the object's other owner the way
-		// deposits write through, so losing this shard loses no history.
-		m.replicateFlag(req.Object, req.Sender)
+		// The verdict writes through to the object's other owner, so losing
+		// this shard loses no history; a double count is harmless, consumers
+		// only ask whether a peer was flagged at all.
+		m.replicate(req.Object, &protocol.MedFlag{Peer: req.Sender})
 		_ = send(&protocol.MedReject{ExchangeID: req.ExchangeID, Code: protocol.MedRejectAudit, Reason: reason})
 	}
 	// refuse is for faults attributable to the requester or to this
@@ -593,47 +628,6 @@ func (m *Mediator) flag(p core.PeerID) {
 		m.wal.appendFlag(p, 1)
 	}
 	m.mu.Unlock()
-}
-
-// replicateFlag pushes one flag verdict to obj's other owner (the replica if
-// this shard is the primary, the primary if this shard is the replica), so a
-// single shard loss cannot erase detection history. Best-effort and
-// asynchronous: the audit reply never waits on a sibling, and double counts
-// are harmless — consumers only ask whether a peer was flagged at all.
-func (m *Mediator) replicateFlag(obj catalog.ObjectID, peer core.PeerID) {
-	primary, replica := ShardFor(obj, m.shard.Count)
-	if primary == replica {
-		return // a tier of one: there is no other owner
-	}
-	target := replica
-	if m.shard.Index == replica {
-		target = primary
-	}
-	_, addrs := m.shard.Map()
-	if target >= len(addrs) || addrs[target] == "" {
-		return
-	}
-	addr := addrs[target]
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		conn, err := m.tr.Dial(addr)
-		if err != nil {
-			return
-		}
-		// Track the outbound conn like an inbound one so Close can unblock
-		// the ack read during teardown.
-		if !m.track(conn) {
-			_ = conn.Close()
-			return
-		}
-		defer m.untrack(conn)
-		defer conn.Close() //barter:allow unchecked-io teardown: the peer sees the drop; nothing durable rides on this close
-		if err := conn.Send(&protocol.Envelope{Msg: &protocol.MedFlag{Peer: peer}}); err != nil {
-			return
-		}
-		_, _ = conn.Recv() // best-effort ack
-	}()
 }
 
 // oversizedVerify applies the audit limits at the read path, before any

@@ -39,12 +39,17 @@ type Snapshot struct {
 	// MedRPCPeak is the peak number concurrently in flight (the achieved
 	// pipeline depth). StripesGranted and StripesReassigned count mediated
 	// download stripes assigned to origins and reassigned after a stall or
-	// failed audit. These four are live-stack counters published as they
+	// failed audit. MedReplicated counts the records (deposits, flags) the
+	// mediator tier's shard-to-shard links sent to an object's other owner,
+	// MedReplDropped those they could not: queue full, sibling unreachable,
+	// or a send error. These six are live-stack counters published as they
 	// happen rather than folded in per run.
 	MedRPCs           uint64
 	MedRPCPeak        uint64
 	StripesGranted    uint64
 	StripesReassigned uint64
+	MedReplicated     uint64
+	MedReplDropped    uint64
 }
 
 var global struct {
@@ -54,6 +59,7 @@ var global struct {
 
 	medRPCs, medInflight, medPeak atomic.Uint64
 	stripesGranted, stripesReass  atomic.Uint64
+	medReplicated, medReplDropped atomic.Uint64
 
 	laneEvents, heapEvents atomic.Uint64
 }
@@ -83,6 +89,12 @@ func AddStripeGranted() { global.stripesGranted.Add(1) }
 // and offered for reassignment.
 func AddStripeReassigned() { global.stripesReass.Add(1) }
 
+// AddMedReplicated counts a record a mediator shard sent to its sibling.
+func AddMedReplicated() { global.medReplicated.Add(1) }
+
+// AddMedReplDropped counts a record a mediator shard could not replicate.
+func AddMedReplDropped() { global.medReplDropped.Add(1) }
+
 // AddRun folds one run's counters into the global aggregate.
 func AddRun(s Snapshot) {
 	global.runs.Add(s.Runs)
@@ -110,6 +122,8 @@ func Current() Snapshot {
 		MedRPCPeak:         global.medPeak.Load(),
 		StripesGranted:     global.stripesGranted.Load(),
 		StripesReassigned:  global.stripesReass.Load(),
+		MedReplicated:      global.medReplicated.Load(),
+		MedReplDropped:     global.medReplDropped.Load(),
 	}
 }
 
@@ -129,6 +143,8 @@ func Reset() {
 	global.medPeak.Store(0)
 	global.stripesGranted.Store(0)
 	global.stripesReass.Store(0)
+	global.medReplicated.Store(0)
+	global.medReplDropped.Store(0)
 }
 
 // Sub returns s - t field-wise; use it to scope a Snapshot to an interval.
@@ -146,6 +162,8 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		MedRPCPeak:         s.MedRPCPeak, // a peak is not a delta; report the interval's high-water mark
 		StripesGranted:     s.StripesGranted - t.StripesGranted,
 		StripesReassigned:  s.StripesReassigned - t.StripesReassigned,
+		MedReplicated:      s.MedReplicated - t.MedReplicated,
+		MedReplDropped:     s.MedReplDropped - t.MedReplDropped,
 	}
 }
 
@@ -184,7 +202,8 @@ func (t *Timer) Report() string {
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
 	if s.MedRPCs > 0 {
-		fmt.Fprintf(&b, "perf: mediator   %d RPC(s), pipeline depth peak %d\n", s.MedRPCs, s.MedRPCPeak)
+		fmt.Fprintf(&b, "perf: mediator   %d RPC(s), pipeline depth peak %d, %d record(s) replicated, %d dropped\n",
+			s.MedRPCs, s.MedRPCPeak, s.MedReplicated, s.MedReplDropped)
 	}
 	if s.StripesGranted > 0 {
 		fmt.Fprintf(&b, "perf: stripes    %d granted, %d reassigned\n", s.StripesGranted, s.StripesReassigned)

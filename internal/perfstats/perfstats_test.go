@@ -22,6 +22,23 @@ func TestAddRunAndCurrent(t *testing.T) {
 	}
 }
 
+// TestLiveCountersScopeWithSub: the counters published as they happen show in
+// Current, subtract like the rest, and clear on Reset.
+func TestLiveCountersScopeWithSub(t *testing.T) {
+	Reset()
+	AddMedReplicated()
+	base := Current()
+	AddMedReplicated()
+	AddMedReplDropped()
+	if d := Current().Sub(base); d.MedReplicated != 1 || d.MedReplDropped != 1 || Current().MedReplicated != 2 {
+		t.Fatalf("delta %+v of %+v", d, Current())
+	}
+	Reset()
+	if got := Current(); got != (Snapshot{}) {
+		t.Fatalf("Current() after Reset = %+v", got)
+	}
+}
+
 func TestSub(t *testing.T) {
 	a := Snapshot{Runs: 5, Events: 500, LaneEvents: 450, HeapEvents: 50, RingSearches: 50, SearchNodesVisited: 40, SearchWantsChecked: 30, RingsStarted: 20}
 	b := Snapshot{Runs: 2, Events: 100, LaneEvents: 80, HeapEvents: 20, RingSearches: 10, SearchNodesVisited: 10, SearchWantsChecked: 10, RingsStarted: 5}

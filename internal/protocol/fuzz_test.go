@@ -56,6 +56,8 @@ func corpusMessages() []Message {
 		}}},
 		&Envelope{ReqID: 7, Msg: &MedKey{ExchangeID: 3, Key: [16]byte{9}}},
 		&Envelope{ReqID: 8, Msg: &MedFlag{Peer: 2}},
+		// ReqID 0, the one-way form a shard writes records through in.
+		&Envelope{Msg: &MedDeposit{ExchangeID: 3, Sender: 1, Object: 5, Key: [16]byte{9}}},
 		&StripeGrant{Object: 5, Session: 11, Stripe: 2, Stripes: 3},
 	}
 }

@@ -239,9 +239,10 @@ type MedRedirect struct {
 }
 
 // MedFlag writes one audit verdict through to the object's other owner: the
-// shard that flagged Peer sends it, enveloped, so losing the auditing shard
-// does not lose the only record of who cheated. The receiver adds one to
-// Peer's flag count and answers MedFlagAck.
+// shard that flagged Peer sends it, in a one-way Envelope, so losing the
+// auditing shard does not lose the only record of who cheated. The receiver
+// adds one to Peer's flag count, and answers MedFlagAck if the envelope asked
+// for a reply.
 type MedFlag struct {
 	Peer core.PeerID
 }
@@ -254,8 +255,11 @@ type MedFlagAck struct{}
 // ReqID on its reply and the requester's demultiplexing read loop routes it
 // back to the in-flight call. Every mediator request travels in one — a
 // mediator closes a connection that sends it a bare request — while node to
-// node traffic stays unenveloped. Envelopes never nest. Msg must be non-nil
-// when encoding.
+// node traffic stays unenveloped. ReqID 0 is the one-way form: the mediator
+// applies the request in arrival order and sends no reply, which is how a
+// shard writes a deposit or a flag through to the object's other owner;
+// requesters that want an answer number from 1. Envelopes never nest. Msg must
+// be non-nil when encoding.
 type Envelope struct {
 	ReqID uint64
 	Msg   Message

@@ -8,6 +8,7 @@ import (
 	"barter/internal/core"
 	"barter/internal/metrics"
 	"barter/internal/node"
+	"barter/internal/perfstats"
 	"barter/internal/strategy"
 )
 
@@ -61,10 +62,14 @@ type Result struct {
 	// Mediators is the mediator tier size; ShardKills counts the shard
 	// kill/restart cycles the medfail scenario performed, and FlagsLost the
 	// flagged cheaters a restart of a durable tier (Config.MedDataDir) —
-	// mid-run, or the final one of every shard — forgot.
-	Mediators  int
-	ShardKills int
-	FlagsLost  int
+	// mid-run, or the final one of every shard — forgot. ReplDropped counts
+	// the deposits and flags a shard could not copy to an object's other
+	// owner (its sibling was down, or its link's queue was full): expected
+	// around a shard kill, and what the failover paths above absorb.
+	Mediators   int
+	ShardKills  int
+	FlagsLost   int
+	ReplDropped int
 	// TraceEvents counts the events recorded into Config.Record (zero when
 	// the run was not recorded).
 	TraceEvents int
@@ -139,8 +144,8 @@ func (r *Result) TSV() string {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
 	if r.Cheaters > 0 || r.HonestFlagged > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d\n",
-			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost)
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)
@@ -192,6 +197,7 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		Mediators:     s.cfg.Mediators,
 		ShardKills:    s.kills,
 		FlagsLost:     s.flagsLost,
+		ReplDropped:   int(perfstats.Current().MedReplDropped - s.replBase),
 	}
 	for _, p := range s.peers {
 		pr := PeerResult{Class: p.class()}

@@ -65,6 +65,7 @@ import (
 	"barter/internal/medclient"
 	"barter/internal/mediator"
 	"barter/internal/node"
+	"barter/internal/perfstats"
 	"barter/internal/protocol"
 	"barter/internal/rng"
 	"barter/internal/strategy"
@@ -460,6 +461,9 @@ type swarmRun struct {
 	kills     int
 	flagsLost int
 	rng       *rng.RNG
+	// replBase is the process-wide count of replication records mediator
+	// links had dropped before this run's tier came up.
+	replBase uint64
 	// rec accumulates the run's replayable trace when cfg.Record is set; nil
 	// otherwise. Safe for the waiter goroutines' concurrent use.
 	rec     *workload.Recorder
@@ -546,6 +550,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// The mediator tier comes up before the world: mediated nodes need
 	// bootstrap seeds at spawn time.
+	s.replBase = perfstats.Current().MedReplDropped
 	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), func(o catalog.ObjectID) ([][32]byte, bool) {
 		d, ok := s.oracle[o]
 		return d, ok

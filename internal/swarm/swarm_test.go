@@ -233,7 +233,7 @@ func TestMedfailDurable(t *testing.T) {
 	if res.ShardKills < 1+shards || res.ShardKills > kills+shards {
 		t.Fatalf("%d shard restarts, want 1..%d mid-run plus the full-tier restart's %d", res.ShardKills, kills, shards)
 	}
-	if tsv := res.TSV(); !strings.Contains(tsv, "flags_lost=0") || !strings.Contains(tsv, "honest_flagged=0") {
+	if tsv := res.TSV(); !strings.Contains(tsv, "flags_lost=0") || !strings.Contains(tsv, "honest_flagged=0") || !strings.Contains(tsv, "repl_dropped=") {
 		t.Fatalf("TSV missing the durability counters:\n%s", tsv)
 	}
 }

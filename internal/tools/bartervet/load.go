@@ -70,6 +70,7 @@ func (l *loader) load(dir string) ([]*unit, error) {
 	}
 	sort.Strings(names)
 	var units []*unit
+	var self *types.Package
 	for _, name := range names {
 		fileNames := make([]string, 0, len(pkgs[name].Files))
 		for fname := range pkgs[name].Files {
@@ -80,17 +81,44 @@ func (l *loader) load(dir string) ([]*unit, error) {
 		for _, fname := range fileNames {
 			files = append(files, pkgs[name].Files[fname])
 		}
-		u, err := l.check(dir, name, files)
+		// The external test package sees its own package as the go tool
+		// builds it for tests — in-package _test.go files included — so what
+		// an export_test.go adds is there.
+		imp := l.imp
+		if self != nil && name == self.Name()+"_test" {
+			if abs, err := filepath.Abs(dir); err == nil {
+				imp = selfImporter{Importer: l.imp, dir: abs, self: self}
+			}
+		}
+		u, err := l.check(dir, name, files, imp)
 		if err != nil {
 			return nil, err
 		}
+		self = u.pkg
 		units = append(units, u)
 	}
 	return units, nil
 }
 
+// selfImporter resolves the import path of the package in dir to an already
+// checked package, and everything else through the shared importer.
+type selfImporter struct {
+	types.Importer
+	dir  string
+	self *types.Package
+}
+
+func (s selfImporter) Import(path string) (*types.Package, error) {
+	if filepath.Base(path) == filepath.Base(s.dir) {
+		if bp, err := build.Import(path, s.dir, build.FindOnly); err == nil && bp.Dir == s.dir {
+			return s.self, nil
+		}
+	}
+	return s.Importer.Import(path)
+}
+
 // check type-checks one file set as a package.
-func (l *loader) check(dir, name string, files []*ast.File) (*unit, error) {
+func (l *loader) check(dir, name string, files []*ast.File, imp types.Importer) (*unit, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -99,7 +127,7 @@ func (l *loader) check(dir, name string, files []*ast.File) (*unit, error) {
 	}
 	var typeErr error
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error: func(err error) {
 			if typeErr == nil {
 				typeErr = err
