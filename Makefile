@@ -52,9 +52,13 @@ golden-update:
 ## commits — so CI runs it a hundred times on every push, next to swarm-smoke;
 ## transport, mediator and medclient — the packages whose buffers a block now
 ## passes through without being copied — run fifty times each (seconds apiece).
+## The swarm suite runs ten times (~60 s on 2 cores): the send window (PR 25)
+## sets the timing of every unpaced scenario it drives (flashcrowd, mixed,
+## churn, cheater, wave).
 flake-check:
 	$(GO) test -race -short -count=100 ./internal/node
 	$(GO) test -race -short -count=50 ./internal/transport ./internal/mediator ./internal/medclient
+	$(GO) test -race -short -count=10 ./internal/swarm
 
 ## swarm-smoke: race-enabled live-network scenarios CI runs on every push —
 ## a 120-node flash crowd, a 100-node churn run (60 close/restart cycles),

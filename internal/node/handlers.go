@@ -323,16 +323,38 @@ func (n *Node) onStripeGrant(from core.PeerID, g *protocol.StripeGrant) {
 		return
 	}
 	u.granted = true
-	u.next, u.stride = g.Stripe, g.Stripes
-	n.maybeStartSend(u)
+	u.next, u.sent, u.stride = g.Stripe, g.Stripe, g.Stripes
+	n.fill(u)
 }
 
-// maybeStartSend releases an upload's first block once its gates are open:
-// the receiver has granted a lane and, with a mediator, the escrow deposit
-// is acknowledged. The two acks race; whichever lands second triggers the
-// send.
-func (n *Node) maybeStartSend(u *upload) {
-	if !u.escrowed || !u.granted || u.inFlight {
+// sendWindow is how many blocks a plain upload session may have sent and not
+// yet had acknowledged. 8 is where the send-window sweep of docs/PERF.md
+// (PR 25) stops paying on both live workloads: 4 leaves half the ack round
+// trips exposed; 16 buys a few percent more on whole-object downloads,
+// nothing on striped lanes of 5–6 blocks, and doubles the blocks a dropped
+// cheater's session wastes.
+const sendWindow = 8
+
+// window is the one place an upload's in-flight limit is decided. Exchange
+// sessions keep Section III-B's lock-step — one block per acknowledgement,
+// so a cheating partner gains at most one block — and a plain session
+// adopted into a ring shrinks to it before its next send. Paced nodes keep
+// one block in flight too: there the modelled slot rate sets the pace, not
+// the ack round trip. Every other session may run sendWindow ahead.
+func (n *Node) window(u *upload) int {
+	if u.ringID != 0 || n.cfg.BlockDelay > 0 {
+		return 1
+	}
+	return sendWindow
+}
+
+// fill is the one send path: it releases an upload's blocks while its window
+// has room and blocks remain, once its gates are open — the receiver has
+// granted a lane and, with a mediator, the escrow deposit is acknowledged.
+// The grant, the escrow ack and every block ack call it; whichever gate
+// opens second releases the first blocks.
+func (n *Node) fill(u *upload) {
+	if !u.escrowed || !u.granted {
 		return
 	}
 	if u.next >= u.total {
@@ -341,13 +363,15 @@ func (n *Node) maybeStartSend(u *upload) {
 		n.trySchedule()
 		return
 	}
-	if pc, ok := n.conns[u.to]; ok {
-		n.sendNextBlock(u, pc)
+	pc, ok := n.conns[u.to]
+	for ok && u.inFlight < n.window(u) && u.sent < u.total {
+		ok = n.sendNextBlock(u, pc)
 	}
 }
 
-func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
-	payload := n.store[u.object][u.next]
+// sendNextBlock sends block u.sent; false means the session was dropped.
+func (n *Node) sendNextBlock(u *upload, pc *peerConn) bool {
+	payload := n.store[u.object][u.sent]
 	if n.cfg.Corrupt {
 		junk := make([]byte, len(payload))
 		for i := range junk {
@@ -361,13 +385,13 @@ func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
 		if !ok {
 			delete(n.uploads, upKey{to: u.to, object: u.object})
 			n.trySchedule()
-			return
+			return false
 		}
 		payload, encrypted = sealed, true
 	}
 	pc.send(&protocol.Block{
 		Object:    u.object,
-		Index:     u.next,
+		Index:     u.sent,
 		RingID:    u.ringID,
 		Session:   u.session,
 		Origin:    n.cfg.ID,
@@ -375,20 +399,24 @@ func (n *Node) sendNextBlock(u *upload, pc *peerConn) {
 		Encrypted: encrypted,
 		Payload:   payload,
 	})
-	u.inFlight = true
+	u.sent += u.stride
+	u.inFlight++
 	n.stats.BlocksSent++
 	if u.ringID != 0 {
 		n.stats.ExchangeBlocksSent++
 	}
+	return true
 }
 
+// onBlockAck retires the oldest unacknowledged block. Acks come back in send
+// order (one connection, one receiver loop), so anything but u.next is stale.
 func (n *Node) onBlockAck(from core.PeerID, a *protocol.BlockAck) {
 	key := upKey{to: from, object: a.Object}
 	u, ok := n.uploads[key]
 	if !ok || a.Index != u.next || a.Session != u.session {
 		return // stale, or addressed to a dead session of ours; never advance on it
 	}
-	u.inFlight = false
+	u.inFlight--
 	if !a.OK {
 		// The receiver rejected our block (it thinks we cheat, or its
 		// digest source disagrees); stop the session.
@@ -404,21 +432,15 @@ func (n *Node) onBlockAck(from core.PeerID, a *protocol.BlockAck) {
 		return
 	}
 	if n.cfg.BlockDelay <= 0 {
-		if pc, ok := n.conns[from]; ok {
-			n.sendNextBlock(u, pc)
-		}
+		n.fill(u)
 		return
 	}
 	// Paced slot: release the next block after the configured delay,
 	// re-checking that the session still exists when the timer fires.
 	time.AfterFunc(n.cfg.BlockDelay, func() {
 		n.post(func() {
-			cur, ok := n.uploads[key]
-			if !ok || cur != u || u.inFlight {
-				return
-			}
-			if pc, ok := n.conns[from]; ok {
-				n.sendNextBlock(u, pc)
+			if cur, ok := n.uploads[key]; ok && cur == u {
+				n.fill(u)
 			}
 		})
 	})

@@ -272,20 +272,27 @@ func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
 		return
 	}
 	ack := func(ok bool) {
-		if !ok {
-			n.stats.BlocksRejected++
-		}
 		if pc := n.conns[from]; pc != nil {
 			pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, Session: b.Session, OK: ok})
 		}
 	}
 	idx, l := dl.laneForSession(from, b.Session)
-	if l == nil || l.verifying || l.verified || int(b.Index)%len(dl.lanes) != idx {
+	if l == nil || l.verifying || l.verified {
+		// A straggler: its session no longer fills a lane (it was dropped or
+		// reassigned with up to a send window of blocks still on the wire).
+		// Nacked, but no evidence against anyone.
+		n.stats.BlocksStale++
+		ack(false)
+		return
+	}
+	if int(b.Index)%len(dl.lanes) != idx {
+		n.stats.BlocksRejected++ // outside the granted lane
 		ack(false)
 		return
 	}
 	if !n.blockAcceptable(dl, b) {
 		// Junk: nack it and drop the sender, exactly as a failed audit does.
+		n.stats.BlocksRejected++
 		ack(false)
 		n.dropCheater(dl, idx)
 		return

@@ -92,16 +92,16 @@ func (n *Node) startEscrow(u *upload) {
 				return
 			}
 			u.escrowed = true
-			n.maybeStartSend(u)
+			n.fill(u)
 		})
 	}()
 }
 
-// sealPayload wraps one outgoing block for a mediated upload.
+// sealPayload wraps block u.sent of a mediated upload.
 func (n *Node) sealPayload(u *upload, payload []byte) ([]byte, bool) {
-	sealed, err := mediator.Seal(u.sealKey, n.cfg.ID, u.to, u.object, u.next, payload)
+	sealed, err := mediator.Seal(u.sealKey, n.cfg.ID, u.to, u.object, u.sent, payload)
 	if err != nil {
-		n.logf("seal block %d of %d: %v", u.next, u.object, err)
+		n.logf("seal block %d of %d: %v", u.sent, u.object, err)
 		return nil, false
 	}
 	return sealed, true

@@ -4,16 +4,20 @@
 // protocol state is race-free by construction while transfers proceed
 // concurrently across the network.
 //
-// Transfers are synchronous block-for-block, as Section III-B prescribes:
-// the receiver acknowledges each block before the sender releases the next
-// one. Every download runs through one lane scheduler (lanes.go): it is cut
-// into k = min(Config.Stripe, providers, blocks) lanes, lane i of k being the
-// block indices congruent to i modulo k, and each lane is granted to one
-// origin's upload session. The only thing a mediator changes is how a lane
-// is verified: without one each block is checked against its SHA-256 digest
-// (the manifest's, or a trusted digest oracle's) as it arrives; with one
-// blocks travel sealed under an escrowed key and the full lane is audited by
-// the mediator tier, unsealed, and then digest-checked (mediated.go).
+// The receiver acknowledges every block. An exchange session is synchronous
+// block-for-block, as Section III-B prescribes: the sender releases the next
+// block only once the last one is acknowledged, so a cheating partner gains
+// at most one block. A plain session has no partner to reciprocate and keeps
+// up to sendWindow blocks unacknowledged instead, unless Config.BlockDelay
+// paces the node (handlers.go, window). Every download runs through one lane
+// scheduler (lanes.go): it is cut into k = min(Config.Stripe, providers,
+// blocks) lanes, lane i of k being the block indices congruent to i modulo
+// k, and each lane is granted to one origin's upload session. The only
+// thing a mediator changes is how a lane is verified: without one each block
+// is checked against its SHA-256 digest (the manifest's, or a trusted digest
+// oracle's) as it arrives; with one blocks travel sealed under an escrowed
+// key and the full lane is audited by the mediator tier, unsealed, and then
+// digest-checked (mediated.go).
 // Exchange rings are negotiated with a probe/accept/commit token and
 // dissolve on the first RingQuit.
 package node
@@ -74,8 +78,9 @@ type Config struct {
 	// download fails with ErrNoSource (default 4).
 	MaxRetries int
 	// BlockDelay paces uploads: the gap between acknowledging one block
-	// and sending the next. Zero sends immediately. It models the paper's
-	// fixed-rate transfer slots in wall-clock time.
+	// and sending the next. It models the paper's fixed-rate transfer slots
+	// in wall-clock time, so a paced upload keeps one block in flight. Zero
+	// sends immediately, up to the send window.
 	BlockDelay time.Duration
 	// SendQueue bounds each connection's outbound message queue (default
 	// 1024). The writer goroutine drains it against the transport's own
@@ -150,9 +155,13 @@ func (c *Config) fillDefaults() error {
 
 // Stats is a snapshot of a node's counters.
 type Stats struct {
-	BlocksSent         int
-	BlocksReceived     int
+	BlocksSent     int
+	BlocksReceived int
+	// BlocksRejected counts blocks that failed verification in their live
+	// lane; BlocksStale counts blocks nacked because their session no
+	// longer fills a lane (the window of a dropped or reassigned session).
 	BlocksRejected     int
+	BlocksStale        int
 	ExchangeBlocksSent int
 	RingsJoined        int
 	RingsInitiated     int
@@ -246,18 +255,21 @@ type download struct {
 }
 
 type upload struct {
-	to       core.PeerID
-	object   catalog.ObjectID
-	ringID   uint64
+	to     core.PeerID
+	object catalog.ObjectID
+	ringID uint64
+	total  uint32
+	// next is the oldest unacknowledged block index, sent the next one to
+	// send; inFlight counts the blocks between them (at most window).
 	next     uint32
-	total    uint32
-	inFlight bool
+	sent     uint32
+	inFlight int
 	// Every session tags its traffic with a fresh session id. The first
 	// block waits for the receiver's StripeGrant (granted), which places
-	// the session in the receiver's interleave — next starts at the granted
-	// lane and advances by stride. With a mediator it also waits, in either
-	// order, for the deposit of sealKey (escrowed), under which every block
-	// is sealed; without one escrowed is true from the start.
+	// the session in the receiver's interleave — next and sent start at the
+	// granted lane and advance by stride. With a mediator it also waits, in
+	// either order, for the deposit of sealKey (escrowed), under which every
+	// block is sealed; without one escrowed is true from the start.
 	session  uint64
 	stride   uint32
 	granted  bool

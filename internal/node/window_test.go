@@ -1,0 +1,251 @@
+package node
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"barter/internal/catalog"
+	"barter/internal/core"
+	"barter/internal/protocol"
+	"barter/internal/transport"
+)
+
+// rawPeer is a hand-driven receiver: it speaks the wire protocol to one
+// holder over the in-memory transport, so a test decides exactly when each
+// grant and ack goes out. The window tests read the holder's counters only
+// after receiving a block that the message they just sent released; the read
+// goes through the holder's event loop behind that handler, so the count is
+// exact without sleeping.
+type rawPeer struct {
+	t    *testing.T
+	id   core.PeerID
+	conn transport.Conn
+}
+
+func dialRaw(tn *testNet, id core.PeerID, holder *Node) *rawPeer {
+	tn.t.Helper()
+	conn, err := tn.tr.Dial(holder.Addr())
+	if err != nil {
+		tn.t.Fatal(err)
+	}
+	// A holder that never answers fails the test instead of hanging it.
+	watchdog := time.AfterFunc(testTimeout, func() { _ = conn.Close() })
+	tn.t.Cleanup(func() {
+		watchdog.Stop()
+		_ = conn.Close()
+	})
+	r := &rawPeer{t: tn.t, id: id, conn: conn}
+	r.send(&protocol.Hello{Peer: id, Sharing: true})
+	return r
+}
+
+func (r *rawPeer) send(msg protocol.Message) {
+	r.t.Helper()
+	if err := r.conn.Send(msg); err != nil {
+		r.t.Fatalf("raw peer sending %T: %v", msg, err)
+	}
+}
+
+// recvRaw returns the next message of type M the holder sends, skipping any
+// other traffic (its own requests, for one).
+func recvRaw[M protocol.Message](r *rawPeer) M {
+	r.t.Helper()
+	for {
+		msg, err := r.conn.Recv()
+		if err != nil {
+			var want M
+			r.t.Fatalf("raw peer waiting for %T: %v", want, err)
+		}
+		if m, ok := msg.(M); ok {
+			return m
+		}
+	}
+}
+
+// grant waits for the holder's manifest and grants its session lane stripe
+// of stripes.
+func (r *rawPeer) grant(stripe, stripes uint32) {
+	r.t.Helper()
+	m := recvRaw[*protocol.Manifest](r)
+	r.send(&protocol.StripeGrant{Object: m.Object, Session: m.Session, Stripe: stripe, Stripes: stripes})
+}
+
+func (r *rawPeer) ack(b *protocol.Block) {
+	r.t.Helper()
+	r.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, Session: b.Session, OK: true})
+}
+
+// TestSendWindowBound: a plain session releases exactly sendWindow blocks on
+// its grant and, with none acknowledged, nothing more; from then on each ack
+// releases exactly one block, the next index of the granted lane.
+func TestSendWindowBound(t *testing.T) {
+	const stripe, stripes, span = 1, 2, 12 // lane 1 of 2 over 24 blocks: 1, 3, ..., 23
+	tn := newTestNet(t)
+	holder := tn.spawn(1, nil)
+	obj := catalog.ObjectID(3)
+	holder.AddObject(obj, payload(obj, stripes*span*1024))
+	r := dialRaw(tn, 9, holder)
+	r.send(&protocol.Request{Object: obj, Tree: protocol.Tree{Root: r.id}})
+	r.grant(stripe, stripes)
+
+	lane := make([]*protocol.Block, 0, span)
+	recv := func() {
+		t.Helper()
+		b := recvRaw[*protocol.Block](r)
+		if want := uint32(stripe + len(lane)*stripes); b.Index != want {
+			t.Fatalf("block %d of the lane has index %d, want %d", len(lane), b.Index, want)
+		}
+		lane = append(lane, b)
+	}
+	for range sendWindow {
+		recv()
+	}
+	if got := holder.Stats().BlocksSent; got != sendWindow {
+		t.Fatalf("the grant released %d blocks with none acknowledged, want the window of %d", got, sendWindow)
+	}
+	for i := 0; len(lane) < span; i++ {
+		r.ack(lane[i])
+		recv()
+		if got := holder.Stats().BlocksSent; got != len(lane) {
+			t.Fatalf("ack %d: holder has sent %d blocks, want exactly one more (%d)", i, got, len(lane))
+		}
+	}
+}
+
+// TestLockStepSessions: the window's two exceptions keep Section III-B's
+// block-for-block pace — a paced node, a committed ring session, and a plain
+// session adopted into a ring mid-window each have one block in flight.
+func TestLockStepSessions(t *testing.T) {
+	const ringID = 77
+	ox, oy := catalog.ObjectID(100), catalog.ObjectID(200)
+
+	// lockStep acks n blocks one at a time and checks that each ack (after
+	// the first block, which the grant released) released exactly one.
+	lockStep := func(t *testing.T, holder *Node, r *rawPeer, sentBefore, n int, ring uint64) {
+		t.Helper()
+		for i := 1; i <= n; i++ {
+			b := recvRaw[*protocol.Block](r)
+			if b.RingID != ring {
+				t.Fatalf("block %d carries ring %d, want %d", b.Index, b.RingID, ring)
+			}
+			if got := holder.Stats().BlocksSent; got != sentBefore+i {
+				t.Fatalf("%d blocks sent with one in flight, want %d", got, sentBefore+i)
+			}
+			r.ack(b)
+		}
+	}
+	// ringHolder holds ox and wants oy from the raw peer, so it accepts a
+	// 2-ring in which it gives ox and gets oy.
+	ringHolder := func(t *testing.T) (*Node, *rawPeer) {
+		tn := newTestNet(t)
+		holder := tn.spawn(1, func(c *Config) { c.StallTicks = 10_000 })
+		holder.AddObject(ox, payload(ox, 16*1024))
+		holder.Download(oy, map[core.PeerID]string{9: ""})
+		return holder, dialRaw(tn, 9, holder)
+	}
+	commit := func(t *testing.T, holder *Node, r *rawPeer) {
+		t.Helper()
+		r.send(&protocol.RingProbe{RingID: ringID, Members: []protocol.RingMember{
+			{Peer: r.id, Gives: oy, Addr: "mem://raw"},
+			{Peer: holder.ID(), Gives: ox, Addr: holder.Addr()},
+		}})
+		if a := recvRaw[*protocol.RingAccept](r); !a.OK {
+			t.Fatalf("holder refused the ring: %s", a.Reason)
+		}
+		r.send(&protocol.RingCommit{RingID: ringID})
+	}
+
+	t.Run("paced", func(t *testing.T) {
+		tn := newTestNet(t)
+		holder := tn.spawn(1, func(c *Config) { c.BlockDelay = time.Millisecond })
+		holder.AddObject(ox, payload(ox, 16*1024))
+		r := dialRaw(tn, 9, holder)
+		r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+		r.grant(0, 1)
+		lockStep(t, holder, r, 0, 4, 0)
+	})
+	t.Run("ring", func(t *testing.T) {
+		holder, r := ringHolder(t)
+		commit(t, holder, r)
+		r.grant(0, 1)
+		lockStep(t, holder, r, 0, 4, ringID)
+	})
+	t.Run("adopted", func(t *testing.T) {
+		holder, r := ringHolder(t)
+		r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+		r.grant(0, 1)
+		window := make([]*protocol.Block, sendWindow)
+		for i := range window {
+			window[i] = recvRaw[*protocol.Block](r)
+		}
+		// The ring adopts the running session; its window drains before the
+		// next block, which is the first exchange block.
+		commit(t, holder, r)
+		for _, b := range window {
+			r.ack(b)
+		}
+		lockStep(t, holder, r, sendWindow, 4, ringID)
+		// One snapshot: the holder may already have answered the last ack.
+		if st := holder.Stats(); st.ExchangeBlocksSent != st.BlocksSent-sendWindow {
+			t.Fatalf("%d exchange blocks of %d sent, want every block after the plain window", st.ExchangeBlocksSent, st.BlocksSent)
+		}
+	})
+}
+
+// TestCheaterStragglers: a corrupt origin gets a full window out before the
+// receiver judges any of it. Unmediated, its first block fails the digest and
+// drops it: that one block counts as rejected, the sendWindow-1 behind it as
+// stale — nacked, never stored. Mediated, the sealed lane fills and the audit
+// rejects it. Either way an honest origin refills the lane and the bytes
+// match.
+func TestCheaterStragglers(t *testing.T) {
+	const size = 16 * 1024 // one lane of 16 blocks, twice the window
+	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
+		obj := catalog.ObjectID(13)
+		data := payload(obj, size)
+		cheater := mn.spawnMediated(1, func(cfg *Config) { cfg.Corrupt = true })
+		cheater.AddObject(obj, data)
+		honest := mn.spawnMediated(2, nil)
+		// No stall timer: only the cheater's verdict can move the lane.
+		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })
+
+		ch := receiver.Download(obj, map[core.PeerID]string{1: cheater.Addr()})
+		waitUntil(t, "the cheater is dropped and its window drained", func() bool {
+			st := receiver.Stats()
+			if mn.cluster != nil {
+				return st.MedRejects == 1
+			}
+			return st.BlocksStale == sendWindow-1
+		})
+		honest.AddObject(obj, data)
+		receiver.Download(obj, map[core.PeerID]string{2: honest.Addr()})
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if got := receiver.Object(obj); !bytes.Equal(got, data) {
+			t.Fatal("content mismatch after the cheater's lane was refilled")
+		}
+		st := receiver.Stats()
+		if st.StripesGranted != 2 || st.StripesReassigned != 1 {
+			t.Fatalf("lane granted %d times and reassigned %d, want the cheater's then the honest origin's", st.StripesGranted, st.StripesReassigned)
+		}
+		if mn.cluster != nil {
+			if mn.cluster.Flagged(1) == 0 {
+				t.Fatal("mediator tier never flagged the corrupt origin")
+			}
+			// Sealed blocks are judged by the audit, and all of them were
+			// inside the lane when it ran.
+			if st.BlocksRejected != 0 || st.BlocksStale != 0 {
+				t.Fatalf("mediated: %d blocks rejected, %d stale, want 0 and 0", st.BlocksRejected, st.BlocksStale)
+			}
+			return
+		}
+		if got := cheater.Stats().BlocksSent; got != sendWindow {
+			t.Fatalf("cheater sent %d blocks, want one window of %d", got, sendWindow)
+		}
+		if st.BlocksRejected != 1 || st.BlocksStale != sendWindow-1 || st.BlocksReceived != size/1024 {
+			t.Fatalf("rejected %d, stale %d, stored %d; want 1, %d, %d", st.BlocksRejected, st.BlocksStale, st.BlocksReceived, sendWindow-1, size/1024)
+		}
+	})
+}

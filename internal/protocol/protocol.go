@@ -119,7 +119,7 @@ type RingQuit struct {
 }
 
 // Manifest announces an object's block layout and digests so the receiver
-// can validate each block before requesting the next one (Section III-B).
+// can validate each block as it arrives (Section III-B).
 // Session identifies the upload session that is sending: the receiver
 // grants a lane to a session and must never mix blocks across a sender's
 // sessions (mediated transfers seal blocks under a per-session key).
@@ -147,10 +147,12 @@ type Block struct {
 	Payload   []byte
 }
 
-// BlockAck acknowledges a validated block and grants the sender credit to
-// continue (the synchronous block-for-block window of Section III-B).
-// Session echoes the block's session so a sender never advances a live
-// session on an ack addressed to a dead one.
+// BlockAck answers every block: OK acknowledges it as valid, !OK rejects it.
+// Either frees one block of the sender's send window — one block for an
+// exchange session (the synchronous block-for-block exchange of Section
+// III-B) or a paced one, a few for a plain transfer. Session echoes the
+// block's session so a sender never advances a live session on an ack
+// addressed to a dead one.
 type BlockAck struct {
 	Object  catalog.ObjectID
 	Index   uint32

@@ -160,13 +160,13 @@ func (r *Result) TSV() string {
 // counters, for digging into a run beyond the aggregate.
 func (r *Result) PeersTSV() string {
 	var b strings.Builder
-	b.WriteString("peer\tclass\twanted\tcompleted\tfailed\tattempts\tmean_s\trestarts\tflips\twhitewash\tblocks_sent\tblocks_recv\tblocks_rej\texch_blocks\trings\tpreempt\tserved\toverflows\taudits\taudit_rej\tstripes\tstripe_reassign\n")
+	b.WriteString("peer\tclass\twanted\tcompleted\tfailed\tattempts\tmean_s\trestarts\tflips\twhitewash\tblocks_sent\tblocks_recv\tblocks_rej\tblocks_stale\texch_blocks\trings\tpreempt\tserved\toverflows\taudits\taudit_rej\tstripes\tstripe_reassign\n")
 	for i := range r.Peers {
 		p := &r.Peers[i]
-		fmt.Fprintf(&b, "%d\t%s\t%d\t%d\t%d\t%d\t%.3f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(&b, "%d\t%s\t%d\t%d\t%d\t%d\t%.3f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			p.ID, p.Class, p.Wanted, p.Completed, p.Failed, p.Attempts, p.MeanCompletion.Seconds(),
 			p.Restarts, p.Flips, p.Whitewashes,
-			p.Stats.BlocksSent, p.Stats.BlocksReceived, p.Stats.BlocksRejected,
+			p.Stats.BlocksSent, p.Stats.BlocksReceived, p.Stats.BlocksRejected, p.Stats.BlocksStale,
 			p.Stats.ExchangeBlocksSent, p.Stats.RingsJoined, p.Stats.Preemptions,
 			p.Stats.RequestsServed, p.Stats.SendOverflows,
 			p.Stats.MedVerifies, p.Stats.MedRejects,
