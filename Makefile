@@ -64,12 +64,15 @@ flake-check:
 ## a 120-node flash crowd, a 100-node churn run (60 close/restart cycles),
 ## a 120-node cheater run against a 4-shard mediator tier, the same cheater
 ## mix with downloads striped across 3 origins, a medfail run that kills
-## mediator shards mid-run, and the same over a durable tier (-meddata: WAL
+## mediator shards mid-run, the same over a durable tier (-meddata: WAL
 ## replay on every restart, then a restart of the whole tier from its logs),
-## so shutdown, backpressure, striping, failover and durability stay
-## exercised outside the unit suite too. exchswarm's exit status is the
-## verdict (swarm.Result.Err): a failed download, an unflagged cheater, a
-## lost flag or a flagged honest peer fails the target.
+## an 80-node adversary run (adaptive flips, whitewash identity churns) and
+## a 60-node wave run whose "waves" spec has an early cohort depart, so
+## shutdown, backpressure, striping, failover, durability and every kind of
+## event the fault schedule plays stay exercised outside the unit suite too.
+## exchswarm's exit status is the verdict (swarm.Result.Err): a failed
+## download, an unflagged cheater, a lost flag or a flagged honest peer
+## fails the target.
 swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario churn -nodes 100 -restarts 60 -quick
@@ -77,6 +80,8 @@ swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata "$$(mktemp -d)" -quick
+	$(GO) run -race ./cmd/exchswarm -scenario adversary -nodes 80 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario wave -nodes 60 -workload waves -quick
 
 ## soak: the scheduled long-haul lane (.github/workflows/soak.yml) — a
 ## longer race-enabled medfail failover run than the per-push smoke, once

@@ -186,9 +186,20 @@ func TestReplicationQueueBound(t *testing.T) {
 	// The in-memory pipe buffers 64 messages and the sender holds one; past
 	// that and the queue, nothing more fits.
 	const extra = 100
+	var sibling transport.Conn
 	for ex := uint64(1); ex <= mediator.ReplQueue+64+1+extra; ex++ {
 		if _, ok := rpc(t, conn, &protocol.MedDeposit{ExchangeID: ex, Sender: 1, Object: obj, Key: [16]byte{1}}).(*protocol.MedKey); !ok {
 			t.Fatalf("deposit %d not acknowledged behind a stalled sibling", ex)
+		}
+		if ex == 1 {
+			// The link dials on its first record. Wait for that: a sender
+			// starved until Close would never dial, and there would be no
+			// stalled sibling to test against.
+			select {
+			case sibling = <-accepted:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the link never dialed its sibling")
+			}
 		}
 	}
 	if d := perfstats.Current().Sub(before); d.MedReplDropped < extra || d.MedReplicated > 64 {
@@ -204,7 +215,7 @@ func TestReplicationQueueBound(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close hung behind a sibling that never reads")
 	}
-	(<-accepted).Close()
+	sibling.Close()
 }
 
 // TestReplicationLinkRedials restarts the sibling onto a new TCP port. Nothing

@@ -179,7 +179,7 @@ func (r *Result) PeersTSV() string {
 // settled and before teardown, so node Stats are still reachable.
 func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 	frac := s.cfg.FreeriderFrac
-	if s.cfg.Scenario == Adversary {
+	if s.def.adversaryFrac > 0 {
 		// The adversary scenario's x key is the total fraction of peers not
 		// contributing faithfully (free-riders plus every adversary class):
 		// without folding those in, a sweep over -adaptive/-whitewash/
@@ -190,7 +190,7 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 	res := &Result{
 		Scenario:      s.cfg.Scenario,
 		Nodes:         len(s.peers),
-		Objects:       s.cfg.Objects,
+		Objects:       s.objects,
 		FreeriderFrac: frac,
 		Elapsed:       elapsed,
 		Flagged:       flagged,
@@ -200,7 +200,7 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		ReplDropped:   int(perfstats.Current().MedReplDropped - s.replBase),
 	}
 	for _, p := range s.peers {
-		pr := PeerResult{Class: p.class()}
+		pr := PeerResult{Class: p.strat.Name}
 		p.mu.Lock()
 		pr.ID = p.id
 		pr.Restarts = p.restarts

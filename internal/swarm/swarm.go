@@ -1,55 +1,18 @@
 // Package swarm is the live-network counterpart of the simulator's
 // experiment harness: it launches hundreds of real peers (internal/node)
-// plus a trusted mediator over the in-memory transport — or TCP loopback —
-// drives a declarative scenario against them, and aggregates every node's
-// Stats into the same figure-shaped TSV the simulator emits, so live results
-// are directly comparable with exchsim output.
+// plus a sharded trusted mediator tier over the in-memory transport — or
+// TCP loopback — drives a scenario against them, and aggregates every
+// node's Stats into the same figure-shaped TSV the simulator emits, so live
+// results are directly comparable with exchsim output.
 //
-// Scenarios:
-//
-//   - flashcrowd: one object, a few seed holders, everyone else downloads it
-//     at once; completed sharers join the provider set (epidemic spread).
-//   - mixed: a steady workload — many objects spread across the population,
-//     every node wants a few it lacks.
-//   - freerider: sharers hold content and form mutual-want pairs (live
-//     exchange rings); a configurable fraction of peers contributes nothing.
-//     The output mirrors Figure 12: mean completion time for the "sharing"
-//     vs "non-sharing" class.
-//   - cheater: a fraction of the seeds serve junk; receivers validate every
-//     block and complete from honest holders, and the mediator audits each
-//     cheater's output, flagging them all.
-//   - churn: the mixed workload while nodes are closed and restarted
-//     mid-run, hundreds of times; every shutdown path in node, transport,
-//     and mediator is exercised under load.
-//   - adversary: the freerider pairing substrate plus the richer strategic
-//     classes of internal/strategy — adaptive free-riders that start
-//     contributing once starved, whitewashers that periodically rejoin
-//     under fresh identities, and partial sharers with throttled upload
-//     slots — each reported as its own live/<class> series.
-//   - medfail: the cheater world with every node speaking the mediated
-//     block path natively (sealed blocks, escrowed keys, end-of-transfer
-//     audits via internal/medclient) while mediator shards are killed and
-//     restarted mid-run; cheater detection must still converge. With
-//     Config.MedDataDir every shard keeps a write-ahead log and the run also
-//     demands that no restart — nor a final restart of the whole tier —
-//     forgets a flagged cheater.
-//   - wave: the temporal workload scenario — a few seeds hold the catalog
-//     while everyone else's demand is scheduled by a workload.Spec (see
-//     internal/workload) compiled over Config.WaveWindow: request times
-//     follow the spec's demand curve, objects its popularity model, and
-//     cohort peers arrive late or depart early as live session churn. With
-//     Config.Record set, any scenario emits a replayable JSON-lines trace
-//     (docs/WORKLOADS.md) the simulator re-runs via sim.Config.Trace.
-//
-// Peer behavior classes come from internal/strategy — the same declarative
-// definitions the simulator consumes — so exchswarm TSV and exchsim figures
-// report identical class labels from one source of truth.
-//
-// The orchestrator owns a shared address directory (the lookup service the
-// paper treats as external), a digest oracle covering the whole catalog,
-// and the mediator tier: Config.Mediators shards partitioned by consistent
-// hashing over object id (every scenario runs against it; 1 shard
-// reproduces the historical single mediator).
+// A run is a world builder, a table and a fault schedule. The builders
+// (scenario.go) assign strategy classes — the definitions internal/sim
+// consumes, so both stacks report identical class labels — place content
+// and derive wants from the run's seeded RNG. The scenario table holds one
+// row per scenario, next to its one description: its builder, its defaults
+// and the harness switches it turns. The fault schedule (schedule.go)
+// compiles every timed action into events on one eventq.Queue that one
+// driver goroutine plays against the wall clock.
 package swarm
 
 import (
@@ -76,7 +39,7 @@ import (
 // Scenario names a declarative swarm workload.
 type Scenario string
 
-// The built-in scenarios.
+// The built-in scenarios, each described at its row of the scenario table.
 const (
 	FlashCrowd Scenario = "flashcrowd"
 	Mixed      Scenario = "mixed"
@@ -84,26 +47,17 @@ const (
 	Cheater    Scenario = "cheater"
 	Churn      Scenario = "churn"
 	Adversary  Scenario = "adversary"
-	// Medfail is the mediator-tier torture test: the cheater world with
-	// nodes speaking the mediated block path natively (sealed blocks,
-	// escrowed keys, end-of-transfer audits through the shard-aware
-	// client), while mediator shards are killed and restarted mid-run.
-	// Cheater detection must still converge. Over a durable tier
-	// (Config.MedDataDir) the flagged-cheater set must also survive every
-	// restart, and a final restart of the whole tier from its logs alone.
-	Medfail Scenario = "medfail"
-	// Wave is the temporal workload scenario: downloader demand is scheduled
-	// by a workload.Spec compiled over Config.WaveWindow — flash-crowd and
-	// diurnal curves, Zipf popularity, cohort session churn — instead of the
-	// other scenarios' static want lists. The same spec drives
-	// sim.Config.Workload, so live and simulated runs share one demand
-	// definition.
-	Wave Scenario = "wave"
+	Medfail    Scenario = "medfail"
+	Wave       Scenario = "wave"
 )
 
 // Scenarios lists every built-in scenario in presentation order.
 func Scenarios() []Scenario {
-	return []Scenario{FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Wave}
+	out := make([]Scenario, len(scenarios))
+	for i := range scenarios {
+		out[i] = scenarios[i].name
+	}
+	return out
 }
 
 // Peer class labels, shared with the simulator through internal/strategy so
@@ -117,9 +71,18 @@ const (
 	ClassPartial     = strategy.LabelPartial
 )
 
+// Every scenario shares these: a downloader's want count (where wants are
+// not structural), the provider fan-out handed to each Download, and the
+// spacing of churn's node restarts.
+const (
+	wantsPerNode     = 2
+	providersPerWant = 6
+	churnInterval    = 5 * time.Millisecond
+)
+
 // Config parameterizes one swarm run. The zero value is not runnable; at
-// minimum set Scenario and Nodes, then fillDefaults sizes the rest per
-// scenario (Quick shrinks objects so a run takes seconds).
+// minimum set Scenario and Nodes, then fillDefaults sizes the rest from the
+// scenario's table row (Quick shrinks objects so a run takes seconds).
 type Config struct {
 	// Scenario selects the workload; Nodes is the population size.
 	Scenario Scenario
@@ -129,25 +92,16 @@ type Config struct {
 	// Seed drives every structural random choice (placement, wants, churn
 	// victims). Wall-clock timing still varies run to run.
 	Seed uint64
-	// Transport overrides the wire; nil uses a fresh in-memory network.
-	// TCP selects loopback TCP (with read/write deadlines) instead.
-	Transport transport.Transport
-	TCP       bool
+	// TCP selects loopback TCP (with read/write deadlines) instead of a
+	// fresh in-memory network.
+	TCP bool
 
-	// Objects is the catalog size; ObjectSize and BlockSize shape each
-	// transfer; BlockDelay paces upload slots in wall-clock time.
-	Objects    int
+	// ObjectSize and BlockSize shape each transfer.
 	ObjectSize int
 	BlockSize  int
-	BlockDelay time.Duration
 	// UploadSlots bounds each sharer's concurrent uploads; scarcity is what
 	// makes exchange priority visible.
 	UploadSlots int
-	// WantsPerNode is how many objects each downloader requests (scenarios
-	// with structured wants ignore it). ProvidersPerWant caps the provider
-	// fan-out handed to each Download.
-	WantsPerNode     int
-	ProvidersPerWant int
 	// FreeriderFrac is the fraction of peers that share nothing;
 	// CorruptFrac is the fraction of flashcrowd seeds that serve junk.
 	FreeriderFrac float64
@@ -165,9 +119,8 @@ type Config struct {
 	AdaptivePatience  time.Duration
 	WhitewashInterval time.Duration
 	// Restarts is how many node close/restart cycles the churn scenario
-	// performs; ChurnInterval is the pause between them.
-	Restarts      int
-	ChurnInterval time.Duration
+	// performs, 5 ms apart.
+	Restarts int
 	// Mediators sizes the mediator tier: N shards partitioned by
 	// consistent hashing over object id, each owning its slice of escrow
 	// and flagged-peer state. 0 means a single shard — the historical
@@ -192,8 +145,8 @@ type Config struct {
 	// keeps single-origin transfers on the scenario's own path.
 	Stripe int
 	// Workload is the wave scenario's demand spec; nil means the "flash"
-	// builtin anchored at WantsPerNode requests per downloader. Rejected on
-	// other scenarios (their wants are structural, not temporal).
+	// builtin anchored at two requests per downloader. Rejected on other
+	// scenarios (their wants are structural, not temporal).
 	Workload *workload.Spec
 	// WaveWindow is the wall-clock horizon the wave scenario compiles its
 	// spec over: all of the spec's normalized times map onto this window.
@@ -210,28 +163,32 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// pick returns quick under Quick, full otherwise.
+func pick[T any](quick bool, full, q T) T {
+	if quick {
+		return q
+	}
+	return full
+}
+
 func (c *Config) fillDefaults() error {
-	switch c.Scenario {
-	case FlashCrowd, Mixed, Freerider, Cheater, Churn, Adversary, Medfail, Wave:
-	case "":
+	if c.Scenario == "" {
 		return errors.New("swarm: Scenario is required")
-	default:
+	}
+	d := lookup(c.Scenario)
+	if d == nil {
 		return fmt.Errorf("swarm: unknown scenario %q", c.Scenario)
 	}
 	if c.Workload != nil {
-		if c.Scenario != Wave {
+		if d.window == 0 {
 			return fmt.Errorf("swarm: a Workload spec only drives the wave scenario, not %q", c.Scenario)
 		}
 		if err := c.Workload.Validate(); err != nil {
 			return fmt.Errorf("swarm: %w", err)
 		}
 	}
-	if c.Scenario == Wave && c.WaveWindow <= 0 {
-		if c.Quick {
-			c.WaveWindow = 2 * time.Second
-		} else {
-			c.WaveWindow = 6 * time.Second
-		}
+	if c.WaveWindow <= 0 {
+		c.WaveWindow = pick(c.Quick, d.window, d.window/3)
 	}
 	if c.Nodes < 4 {
 		return fmt.Errorf("swarm: need at least 4 nodes, got %d", c.Nodes)
@@ -240,10 +197,7 @@ func (c *Config) fillDefaults() error {
 		c.Seed = 1
 	}
 	if c.Mediators <= 0 {
-		c.Mediators = 1
-		if c.Scenario == Medfail {
-			c.Mediators = 4 // killing shards needs a tier to fail over within
-		}
+		c.Mediators = max(1, d.mediators)
 	}
 	if c.Mediators > 64 {
 		return fmt.Errorf("swarm: %d mediator shards is beyond any sane tier", c.Mediators)
@@ -251,131 +205,64 @@ func (c *Config) fillDefaults() error {
 	if c.Stripe < 0 || c.Stripe > 16 {
 		return fmt.Errorf("swarm: Stripe %d out of range [0, 16]", c.Stripe)
 	}
-	if c.Scenario == Medfail {
-		if c.MedKills <= 0 {
-			c.MedKills = 6
-		}
-		if c.MedKillInterval <= 0 {
-			c.MedKillInterval = 150 * time.Millisecond
-		}
+	// A scenario whose row plays no shard kills or node restarts, or has no
+	// corrupt class (below), ignores those knobs.
+	if d.kills == 0 {
+		c.MedKills = 0
+	} else if c.MedKills <= 0 {
+		c.MedKills = d.kills
 	}
-	if c.Objects <= 0 {
-		switch c.Scenario {
-		case FlashCrowd, Cheater, Medfail:
-			c.Objects = 1
-		default:
-			c.Objects = max(4, c.Nodes/8)
-		}
+	if c.MedKillInterval <= 0 {
+		c.MedKillInterval = 150 * time.Millisecond
+	}
+	if d.restarts == 0 {
+		c.Restarts = 0
+	} else if c.Restarts <= 0 {
+		c.Restarts = pick(c.Quick, d.restarts, d.quickRestarts)
 	}
 	if c.ObjectSize <= 0 {
-		if c.Quick {
-			c.ObjectSize = 32 << 10
-		} else {
-			c.ObjectSize = 256 << 10
-		}
+		c.ObjectSize = pick(c.Quick, 256<<10, 32<<10)
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 4 << 10
 	}
 	if c.UploadSlots <= 0 {
-		switch c.Scenario {
-		case Freerider:
-			c.UploadSlots = 1 // scarcity: exchange priority must matter
-		case Adversary:
-			c.UploadSlots = 2 // scarce, but with headroom for partial throttling
-		default:
-			c.UploadSlots = 4
-		}
+		c.UploadSlots = d.slots
 	}
-	if c.BlockDelay <= 0 && (c.Scenario == Freerider || c.Scenario == Adversary || c.Scenario == Medfail) {
-		// Paced slots give ring negotiation time to preempt, as in the
-		// paper's fixed-rate transfer model — and stretch medfail
-		// transfers so shard kills land while blocks are in flight.
-		c.BlockDelay = time.Millisecond
+	if c.FreeriderFrac == 0 {
+		c.FreeriderFrac = d.freeriderFrac
 	}
-	if c.WantsPerNode <= 0 {
-		c.WantsPerNode = 2
+	if c.CorruptFrac == 0 {
+		c.CorruptFrac = d.corruptFrac
 	}
-	if c.ProvidersPerWant <= 0 {
-		c.ProvidersPerWant = 6
-	}
-	if c.FreeriderFrac == 0 && c.Scenario == Freerider {
-		c.FreeriderFrac = 0.3
-	}
-	if c.FreeriderFrac < 0 || c.FreeriderFrac > 0.9 {
-		return fmt.Errorf("swarm: FreeriderFrac %g out of range [0, 0.9]", c.FreeriderFrac)
-	}
-	if c.CorruptFrac == 0 && (c.Scenario == Cheater || c.Scenario == Medfail) {
-		c.CorruptFrac = 0.3
-	}
-	if c.CorruptFrac < 0 || c.CorruptFrac > 0.9 {
-		return fmt.Errorf("swarm: CorruptFrac %g out of range [0, 0.9]", c.CorruptFrac)
-	}
-	if c.Scenario == Adversary && c.AdaptiveFrac == 0 && c.WhitewashFrac == 0 && c.PartialFrac == 0 {
+	if c.AdaptiveFrac == 0 && c.WhitewashFrac == 0 && c.PartialFrac == 0 {
 		// Default adversary classes, shrunk to whatever room an already-set
 		// FreeriderFrac leaves under the 0.9 cap: a command naming only
 		// -frac must not be rejected over fractions it never specified.
-		d := min(0.15, max(0, (0.9-c.FreeriderFrac)/3))
-		c.AdaptiveFrac, c.WhitewashFrac, c.PartialFrac = d, d, d
+		f := min(d.adversaryFrac, max(0, (0.9-c.FreeriderFrac)/3))
+		c.AdaptiveFrac, c.WhitewashFrac, c.PartialFrac = f, f, f
 	}
-	for _, f := range []float64{c.AdaptiveFrac, c.WhitewashFrac, c.PartialFrac} {
+	for _, f := range []float64{c.FreeriderFrac, c.CorruptFrac, c.AdaptiveFrac, c.WhitewashFrac, c.PartialFrac} {
 		if f < 0 || f > 0.9 {
-			return fmt.Errorf("swarm: adversary fraction %g out of range [0, 0.9]", f)
+			return fmt.Errorf("swarm: class fraction %g out of range [0, 0.9]", f)
 		}
 	}
 	if sum := c.AdaptiveFrac + c.WhitewashFrac + c.PartialFrac + c.FreeriderFrac; sum > 0.9 {
 		return fmt.Errorf("swarm: adversary fractions sum to %g, want <= 0.9 (sharers must remain)", sum)
 	}
+	if d.corruptFrac == 0 {
+		c.CorruptFrac = 0
+	}
 	if c.AdaptivePatience <= 0 {
-		c.AdaptivePatience = 500 * time.Millisecond
-		if c.Quick {
-			c.AdaptivePatience = 200 * time.Millisecond
-		}
+		c.AdaptivePatience = pick(c.Quick, 500*time.Millisecond, 200*time.Millisecond)
 	}
 	if c.WhitewashInterval <= 0 {
-		c.WhitewashInterval = 200 * time.Millisecond
-		if c.Quick {
-			c.WhitewashInterval = 80 * time.Millisecond
-		}
-	}
-	if c.Restarts <= 0 && c.Scenario == Churn {
-		if c.Quick {
-			c.Restarts = 60
-		} else {
-			c.Restarts = 200
-		}
-	}
-	if c.ChurnInterval <= 0 {
-		c.ChurnInterval = 5 * time.Millisecond
+		c.WhitewashInterval = pick(c.Quick, 200*time.Millisecond, 80*time.Millisecond)
 	}
 	if c.Timeout <= 0 {
-		if c.Quick {
-			c.Timeout = 60 * time.Second
-		} else {
-			c.Timeout = 5 * time.Minute
-		}
+		c.Timeout = pick(c.Quick, 5*time.Minute, 60*time.Second)
 	}
 	return nil
-}
-
-// directory is the shared peer-id -> address lookup service; restarts
-// re-register under fresh addresses.
-type directory struct {
-	mu    sync.Mutex
-	addrs map[core.PeerID]string
-}
-
-func (d *directory) set(id core.PeerID, addr string) {
-	d.mu.Lock()
-	d.addrs[id] = addr
-	d.mu.Unlock()
-}
-
-func (d *directory) lookup(id core.PeerID) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	a, ok := d.addrs[id]
-	return a, ok
 }
 
 // wantState tracks one (node, object) download across retries and restarts.
@@ -415,9 +302,8 @@ type peerState struct {
 
 	holds []catalog.ObjectID // objects held from the start
 	wants []*wantState
-	// departAt schedules the wave scenario's session end: once it passes and
-	// the peer's own wants have settled, a monitor closes the node for good.
-	// Zero means the peer stays to the end.
+	// departAt schedules the wave scenario's session end, after which the
+	// fault schedule closes the node for good; zero means it stays.
 	departAt time.Duration
 }
 
@@ -426,17 +312,6 @@ func (p *peerState) current() *node.Node {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.node
-}
-
-// class returns the peer's strategy-class label.
-func (p *peerState) class() string { return p.strat.Name }
-
-// shareNow reports whether the peer's next node should serve others:
-// its strategy's standing policy, or an adaptive flip.
-func (p *peerState) shareNow() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.strat.Share || p.forcedShare
 }
 
 // currentID returns the peer's current identity.
@@ -448,15 +323,21 @@ func (p *peerState) currentID() core.PeerID {
 
 // swarmRun is the orchestrator state for one Run.
 type swarmRun struct {
-	cfg     Config
-	tr      transport.Transport
-	dir     *directory
+	cfg Config
+	def *scenarioDef // the scenario's table row
+	tr  transport.Transport
+	// dir is the shared peer-id -> address lookup service (the one the
+	// paper treats as external); restarts re-register under fresh addresses.
+	dir sync.Map
+	// objects is the world's catalog size, fixed by its builder; oracle
+	// holds every object's block digests.
+	objects int
 	oracle  map[catalog.ObjectID][][32]byte
 	peers   []*peerState
 	cluster *mediator.Cluster
 	// kills counts medfail's shard kill/restart cycles; flagsLost counts
 	// flagged cheaters a restart of the durable tier forgot, which must stay
-	// zero. Both are written by the shard killer (joined via monitors) and
+	// zero. Both are written by the fault driver (joined before collect) and
 	// the post-run durability check, so collect reads them race-free.
 	kills     int
 	flagsLost int
@@ -469,38 +350,22 @@ type swarmRun struct {
 	rec     *workload.Recorder
 	start   time.Time
 	giveUp  chan struct{} // closed when the run deadline expires
+	settled chan struct{} // closed once every waiter has returned
 	waiters sync.WaitGroup
-	// monitors tracks the adversary supervision goroutines (adaptive flips,
-	// whitewash churns); they exit once their peer's wants settle, and Run
-	// joins them before collecting so no respawn races teardown.
-	monitors sync.WaitGroup
 	// idMu guards idSeq, the allocator for fresh whitewash identities.
 	idMu  sync.Mutex
 	idSeq int
 }
 
 // freshID allocates an identity no initial peer ever held, for a
-// whitewasher rejoining under a new name. idSeq is seeded past the highest
-// id buildWorld assigned (see seedIDAllocator), so fresh identities can
-// never collide with a live peer.
+// whitewasher rejoining under a new name. idSeq starts past the highest id
+// the world builder assigned, so fresh identities can never collide with a
+// live peer.
 func (s *swarmRun) freshID() core.PeerID {
 	s.idMu.Lock()
 	defer s.idMu.Unlock()
 	s.idSeq++
 	return core.PeerID(s.idSeq)
-}
-
-// seedIDAllocator starts the fresh-identity sequence past every initial id.
-func (s *swarmRun) seedIDAllocator() {
-	maxID := s.cfg.Nodes
-	for _, p := range s.peers {
-		if int(p.id) > maxID {
-			maxID = int(p.id)
-		}
-	}
-	s.idMu.Lock()
-	s.idSeq = maxID
-	s.idMu.Unlock()
 }
 
 func (s *swarmRun) logf(format string, args ...any) {
@@ -520,56 +385,71 @@ func objData(obj catalog.ObjectID, size int) []byte {
 	return out
 }
 
-// Run executes one swarm scenario and aggregates the outcome.
-func Run(cfg Config) (*Result, error) {
+// newRun validates cfg and builds the run's world — classes, content, wants
+// and digests, every random draw but churn's — without starting anything.
+func newRun(cfg Config) (*swarmRun, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	s := &swarmRun{
-		cfg:    cfg,
-		tr:     cfg.Transport,
-		dir:    &directory{addrs: make(map[core.PeerID]string)},
-		oracle: make(map[catalog.ObjectID][][32]byte),
-		rng:    rng.New(cfg.Seed),
-		giveUp: make(chan struct{}),
+		cfg:     cfg,
+		def:     lookup(cfg.Scenario),
+		oracle:  make(map[catalog.ObjectID][][32]byte),
+		rng:     rng.New(cfg.Seed),
+		giveUp:  make(chan struct{}),
+		settled: make(chan struct{}),
 	}
 	if cfg.Record != nil {
 		s.rec = workload.NewRecorder()
 	}
-	if s.tr == nil {
-		if cfg.TCP {
-			s.tr = transport.TCP{ReadTimeout: 30 * time.Second, WriteTimeout: 30 * time.Second}
-		} else {
-			s.tr = transport.NewMem()
-		}
+	if err := s.def.build(s); err != nil {
+		return nil, err
 	}
-	for obj := 1; obj <= cfg.Objects; obj++ {
+	for obj := 1; obj <= s.objects; obj++ {
 		id := catalog.ObjectID(obj)
 		s.oracle[id] = blockDigests(objData(id, cfg.ObjectSize), cfg.BlockSize)
 	}
+	s.idSeq = cfg.Nodes
+	for _, p := range s.peers {
+		s.idSeq = max(s.idSeq, int(p.id))
+	}
+	return s, nil
+}
 
-	// The mediator tier comes up before the world: mediated nodes need
+// Run executes one swarm scenario and aggregates the outcome.
+func Run(cfg Config) (*Result, error) {
+	s, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = s.cfg
+	faults := s.schedule()
+	if cfg.TCP {
+		s.tr = transport.TCP{ReadTimeout: 30 * time.Second, WriteTimeout: 30 * time.Second}
+	} else {
+		s.tr = transport.NewMem()
+	}
+
+	// The mediator tier comes up before the nodes: mediated nodes need
 	// bootstrap seeds at spawn time.
 	s.replBase = perfstats.Current().MedReplDropped
-	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), func(o catalog.ObjectID) ([][32]byte, bool) {
-		d, ok := s.oracle[o]
-		return d, ok
-	}, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
+	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), s.digests, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
 	if err != nil {
 		return nil, fmt.Errorf("swarm: mediator tier: %w", err)
 	}
 	s.cluster = cluster
 	defer cluster.Close()
 
-	if err := s.buildWorld(); err != nil {
-		s.teardown()
-		return nil, err
+	for _, p := range s.peers {
+		if err := s.spawn(p); err != nil {
+			s.teardown()
+			return nil, err
+		}
 	}
-	s.seedIDAllocator()
 	s.logf("world: %s", s.describe())
 	if s.rec != nil {
 		// Initial holdings are t=0 facts; demand and session edges are
-		// recorded as they happen by the waiters and departure monitors.
+		// recorded as they happen by the waiters and departure events.
 		for _, p := range s.peers {
 			for _, o := range p.holds {
 				s.rec.Hold(int(p.currentID()), int(o))
@@ -582,41 +462,24 @@ func Run(cfg Config) (*Result, error) {
 	defer deadline.Stop()
 
 	s.launchWants()
-	s.launchDepartures()
-	s.superviseAdversaries()
-	killerDone := make(chan struct{})
-	if cfg.Scenario == Medfail {
-		s.monitors.Add(1)
-		go s.shardKiller(killerDone)
-	}
-	if cfg.Scenario == Churn {
-		s.churn()
-	}
+	played := make(chan struct{})
+	go func() {
+		defer close(played)
+		s.play(faults)
+	}()
 	s.waiters.Wait()
-	// Stop the shard killer before auditing, then join the adversary
-	// monitors before touching nodes: a mid-respawn whitewasher must not
-	// race teardown.
-	close(killerDone)
-	s.monitors.Wait()
+	// Join the fault driver before auditing and before touching nodes: a
+	// shard kill must not race convergence, nor a respawn teardown.
+	close(s.settled)
+	<-played
 
-	flagged := 0
-	switch cfg.Scenario {
-	case Cheater:
-		if s.mediated() {
-			// Striped cheater runs flag organically: every corrupt origin's
-			// stripe audits reject at the tier. Converge instead of running
-			// the orchestrator's synthetic audits, so the count proves the
-			// live detection path worked.
-			flagged = s.convergeCheaterFlags()
-		} else {
-			flagged = s.auditCheaters()
-		}
-	case Medfail:
-		flagged = s.convergeCheaterFlags()
-		if cfg.MedDataDir != "" {
-			// The final durability check: restart the whole tier and demand
-			// every flag come back from the logs alone.
-			s.verifyFlagDurability()
+	flagged := s.convergeCheaterFlags()
+	if s.def.kills > 0 && cfg.MedDataDir != "" {
+		// The final durability check: restart every shard and demand each
+		// flag come back from the logs alone (flags replicate only when a
+		// verdict is reached, so a lost one is lost history).
+		for i := 0; i < s.cluster.Shards(); i++ {
+			s.restartShard(i)
 		}
 	}
 	elapsed := time.Since(s.start)
@@ -627,7 +490,7 @@ func Run(cfg Config) (*Result, error) {
 		trace := s.rec.Trace(workload.Header{
 			Scenario:    string(s.cfg.Scenario),
 			Nodes:       s.cfg.Nodes,
-			Objects:     s.cfg.Objects,
+			Objects:     s.objects,
 			ObjectKbits: float64(s.cfg.ObjectSize) * 8 / 1000,
 			BlockKbits:  float64(s.cfg.BlockSize) * 8 / 1000,
 			Horizon:     elapsed.Seconds(),
@@ -655,47 +518,18 @@ func (s *swarmRun) mediatorAddrs() []string {
 	return addrs
 }
 
-// mediated reports whether nodes in this scenario speak the mediated block
-// path natively: the mediator-tier torture scenarios always do, and any
-// scenario does once downloads stripe across origins (the harness's choice,
-// not the node's — the tier is up in every run anyway).
-func (s *swarmRun) mediated() bool {
-	return s.cfg.Scenario == Medfail || s.cfg.Stripe > 1
-}
-
-// shardKiller kills and restarts mediator shards round-robin until its
-// budget is spent, the run deadline hits, or the workload settles. The
-// first kill lands immediately — a quick world can finish inside one kill
-// interval, and a medfail run that never lost a shard proves nothing.
-func (s *swarmRun) shardKiller(done <-chan struct{}) {
-	defer s.monitors.Done()
-	for i := 0; i < s.cfg.MedKills; i++ {
-		if i > 0 {
-			t := time.NewTimer(s.cfg.MedKillInterval)
-			select {
-			case <-t.C:
-			case <-done:
-				t.Stop()
-				return
-			case <-s.giveUp:
-				t.Stop()
-				return
-			}
-		}
-		shard := i % s.cluster.Shards()
-		s.logf("killing mediator shard %d (cycle %d/%d)", shard, i+1, s.cfg.MedKills)
-		s.restartShard(shard)
-	}
-}
-
 // restartShard kills and restarts one mediator shard. Over a durable tier
 // every cheater flagged before must still be flagged after, and each one the
 // tier forgot is counted in flagsLost; in-memory shards are allowed to
 // forget.
 func (s *swarmRun) restartShard(shard int) {
-	var before []core.PeerID
+	var before []core.PeerID // the detection history a durable tier must keep
 	if s.cfg.MedDataDir != "" {
-		before = s.flaggedCheaters()
+		for _, p := range s.peers {
+			if id := p.currentID(); p.strat.Corrupt && s.cluster.Flagged(id) > 0 {
+				before = append(before, id)
+			}
+		}
 	}
 	if err := s.cluster.RestartShard(shard); err != nil {
 		s.logf("restart of mediator shard %d failed: %v", shard, err)
@@ -710,29 +544,17 @@ func (s *swarmRun) restartShard(shard int) {
 	}
 }
 
-// flaggedCheaters snapshots every corrupt peer the tier currently has
-// flagged — the detection history a durable tier must not lose.
-func (s *swarmRun) flaggedCheaters() []core.PeerID {
-	var out []core.PeerID
-	for _, p := range s.peers {
-		if !p.strat.Corrupt {
-			continue
-		}
-		if id := p.currentID(); s.cluster.Flagged(id) > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
+// addrOf looks a peer's current address up in the directory.
+func (s *swarmRun) addrOf(id core.PeerID) (string, bool) {
+	a, _ := s.dir.Load(id)
+	addr, ok := a.(string)
+	return addr, ok
 }
 
-// verifyFlagDurability restarts every shard after detection has converged.
-// A shard's state after its restart comes from its write-ahead log alone
-// (flags replicate only when a verdict is reached), so any flag that does
-// not survive the sweep is lost history.
-func (s *swarmRun) verifyFlagDurability() {
-	for i := 0; i < s.cluster.Shards(); i++ {
-		s.restartShard(i)
-	}
+// digests is the run's digest oracle: every object's trusted block digests.
+func (s *swarmRun) digests(o catalog.ObjectID) ([][32]byte, bool) {
+	d, ok := s.oracle[o]
+	return d, ok
 }
 
 func (s *swarmRun) nodeAddr() string {
@@ -756,35 +578,34 @@ func blockDigests(data []byte, blockSize int) [][32]byte {
 // The node's behavior — whether it serves, how many upload slots it grants,
 // whether it corrupts payloads — derives from the peer's strategy.
 func (s *swarmRun) spawn(p *peerState) error {
-	id := p.currentID()
+	p.mu.Lock()
+	id, share := p.id, p.strat.Share || p.forcedShare // an adaptive flip shares too
+	p.mu.Unlock()
 	cfg := node.Config{
 		ID:           id,
 		Addr:         s.nodeAddr(),
 		Transport:    s.tr,
-		Lookup:       s.dir.lookup,
-		Share:        p.shareNow(),
+		Lookup:       s.addrOf,
+		Share:        share,
 		Corrupt:      p.strat.Corrupt,
 		UploadSlots:  p.strat.SlotCap(s.cfg.UploadSlots),
 		BlockSize:    s.cfg.BlockSize,
-		BlockDelay:   s.cfg.BlockDelay,
 		TickInterval: 5 * time.Millisecond,
 		StallTicks:   10,
 		MaxRetries:   1 << 20, // the harness owns giving up, via Timeout
 	}
-	if s.cfg.Scenario == Cheater {
-		cfg.TrustedDigests = func(o catalog.ObjectID) ([][32]byte, bool) {
-			d, ok := s.oracle[o]
-			return d, ok
-		}
+	if s.def.paced {
+		cfg.BlockDelay = time.Millisecond
 	}
-	if s.mediated() {
+	if s.def.trusted {
+		cfg.TrustedDigests = s.digests
+	}
+	// Striping across origins also switches the run onto the mediated path
+	// (the harness's choice, not the node's — the tier is up in every run).
+	if s.def.mediated || s.cfg.Stripe > 1 {
 		cfg.Stripe = s.cfg.Stripe
 		if p.medc == nil {
-			mc, err := medclient.New(medclient.Config{
-				Transport: s.tr,
-				Seeds:     s.cluster.Addrs(),
-				Backoff:   10 * time.Millisecond,
-			})
+			mc, err := s.medClient(nil)
 			if err != nil {
 				return fmt.Errorf("swarm: medclient for %d: %w", id, err)
 			}
@@ -811,7 +632,7 @@ func (s *swarmRun) spawn(p *peerState) error {
 	p.mu.Lock()
 	p.node = n
 	p.mu.Unlock()
-	s.dir.set(id, n.Addr())
+	s.dir.Store(id, n.Addr())
 	return nil
 }
 
@@ -845,316 +666,83 @@ func (s *swarmRun) launchWants() {
 	}
 }
 
-// await drives one want to completion or the run deadline. Wave wants wait
-// out their scheduled arrival first; a deadline expiring before then fails
-// the want like any other unfinished download.
+// await drives one want to completion or the run deadline and records the
+// outcome.
 func (s *swarmRun) await(p *peerState, w *wantState) {
 	defer s.waiters.Done()
-	if w.startAt > 0 {
-		t := time.NewTimer(w.startAt)
-		select {
-		case <-t.C:
-		case <-s.giveUp:
-			t.Stop()
-			s.fail(w)
-			return
-		}
+	done := s.fetch(p, w)
+	w.mu.Lock()
+	w.done, w.failed, w.elapsed = done, !done, time.Since(s.start)
+	w.mu.Unlock()
+}
+
+// fetch reports whether w completed before the run deadline. A wave want
+// waits out its scheduled arrival first; a failed download (closed
+// mid-churn, or sources exhausted) is retried with backoff against the
+// peer's current node.
+func (s *swarmRun) fetch(p *peerState, w *wantState) bool {
+	if w.startAt > 0 && !s.sleep(w.startAt, nil) {
+		return false
 	}
 	if s.rec != nil {
 		s.rec.Request(time.Since(s.start).Seconds(), int(p.currentID()), int(w.obj))
 	}
-	backoff := 2 * time.Millisecond
-	for {
-		nd := p.current()
+	for backoff := 2 * time.Millisecond; ; backoff = min(2*backoff, 64*time.Millisecond) {
 		providers := make(map[core.PeerID]string, len(w.providers))
 		for _, pid := range w.providers {
-			if addr, ok := s.dir.lookup(pid); ok {
+			if addr, ok := s.addrOf(pid); ok {
 				providers[pid] = addr
 			}
 		}
 		w.mu.Lock()
 		w.attempts++
 		w.mu.Unlock()
-		ch := nd.Download(w.obj, providers)
 		select {
-		case err := <-ch:
+		case err := <-p.current().Download(w.obj, providers):
 			if err == nil {
-				w.mu.Lock()
-				w.done = true
-				w.elapsed = time.Since(s.start)
-				w.mu.Unlock()
-				return
-			}
-			// Closed mid-churn, or sources exhausted: back off and retry
-			// against the current node until the run deadline.
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-s.giveUp:
-				t.Stop()
-				s.fail(w)
-				return
-			}
-			if backoff < 50*time.Millisecond {
-				backoff *= 2
+				return true
 			}
 		case <-s.giveUp:
-			s.fail(w)
-			return
+			return false
+		}
+		if !s.sleep(backoff, nil) {
+			return false
 		}
 	}
 }
 
-func (s *swarmRun) fail(w *wantState) {
-	w.mu.Lock()
-	w.failed = true
-	w.mu.Unlock()
+// sleep waits d; it reports false when the run deadline, or stop (nil:
+// never), comes first.
+func (s *swarmRun) sleep(d time.Duration, stop <-chan struct{}) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-stop:
+	case <-s.giveUp:
+	}
+	return false
 }
 
-// allSettled reports whether every want in ws has finished, either way.
-func allSettled(ws []*wantState) bool {
+// allDone reports whether every want in ws has completed or, with
+// orFailed, finished either way.
+func allDone(ws []*wantState, orFailed bool) bool {
 	for _, w := range ws {
 		w.mu.Lock()
-		settled := w.done || w.failed
+		over := w.done || (orFailed && w.failed)
 		w.mu.Unlock()
-		if !settled {
+		if !over {
 			return false
 		}
 	}
 	return true
 }
 
-// launchDepartures arms one monitor per peer with a scheduled session end
-// (wave cohorts). Monitors join via s.monitors, like the adversary ones.
-func (s *swarmRun) launchDepartures() {
-	for _, p := range s.peers {
-		if p.departAt <= 0 {
-			continue
-		}
-		s.monitors.Add(1)
-		go s.waveDeparture(p)
-	}
-}
-
-// waveDeparture takes a cohort peer offline for good: once its scheduled
-// session end passes and its own wants have settled, the node closes and the
-// departure is recorded. Waiting for the wants matters twice over — a run
-// with failed wants is a failed run (exchswarm exits nonzero), and the
-// recorded trace must not demand downloads the recorded session never left
-// room for.
-func (s *swarmRun) waveDeparture(p *peerState) {
-	defer s.monitors.Done()
-	t := time.NewTimer(p.departAt)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.giveUp:
-		return
-	}
-	for !allSettled(p.wants) {
-		poll := time.NewTimer(10 * time.Millisecond)
-		select {
-		case <-poll.C:
-		case <-s.giveUp:
-			poll.Stop()
-			return
-		}
-	}
-	p.current().Close()
-	if s.rec != nil {
-		s.rec.Depart(time.Since(s.start).Seconds(), int(p.currentID()))
-	}
-}
-
-// churn repeatedly closes a random peer and restarts it under the same
-// identity with a fresh address: in-flight transfers die, waiters re-issue,
-// and every shutdown path runs hundreds of times per scenario.
-func (s *swarmRun) churn() {
-	for i := 0; i < s.cfg.Restarts; i++ {
-		select {
-		case <-s.giveUp:
-			s.logf("churn: deadline hit after %d restarts", i)
-			return
-		default:
-		}
-		p := s.peers[s.rng.Intn(len(s.peers))]
-		old := p.current()
-		old.Close()
-		if err := s.spawn(p); err != nil {
-			// Transport refused (e.g. exhausted ports); count and move on —
-			// the waiters keep retrying against the last known address.
-			s.logf("churn: restart %d failed: %v", p.currentID(), err)
-			continue
-		}
-		p.mu.Lock()
-		p.restarts++
-		p.mu.Unlock()
-		t := time.NewTimer(s.cfg.ChurnInterval)
-		select {
-		case <-t.C:
-		case <-s.giveUp:
-			t.Stop()
-			s.logf("churn: deadline hit after %d restarts", i+1)
-			return
-		}
-	}
-}
-
-// superviseAdversaries arms one monitor per adaptive and whitewashing peer.
-// Monitors exit once their peer's wants settle (or the run deadline hits),
-// so Run can join them before teardown.
-func (s *swarmRun) superviseAdversaries() {
-	var deps map[*peerState][]*wantState
-	for _, p := range s.peers {
-		switch {
-		case p.strat.Adaptive:
-			if deps == nil {
-				deps = s.dependentWants()
-			}
-			s.monitors.Add(1)
-			go s.adaptiveMonitor(p, deps[p])
-		case p.strat.Whitewash:
-			s.monitors.Add(1)
-			go s.whitewashMonitor(p)
-		}
-	}
-}
-
-// dependentWants maps each peer to the wants (across the whole swarm) that
-// target an object it holds — the demand an adaptive peer is refusing.
-func (s *swarmRun) dependentWants() map[*peerState][]*wantState {
-	holder := make(map[catalog.ObjectID]*peerState)
-	for _, p := range s.peers {
-		for _, o := range p.holds {
-			holder[o] = p
-		}
-	}
-	deps := make(map[*peerState][]*wantState)
-	for _, p := range s.peers {
-		for _, w := range p.wants {
-			if h := holder[w.obj]; h != nil {
-				deps[h] = append(deps[h], w)
-			}
-		}
-	}
-	return deps
-}
-
-// allDone reports whether every want in ws has completed.
-func allDone(ws []*wantState) bool {
-	for _, w := range ws {
-		w.mu.Lock()
-		done := w.done
-		w.mu.Unlock()
-		if !done {
-			return false
-		}
-	}
-	return true
-}
-
-// respawnUntil retries spawning p until it succeeds or the run deadline
-// hits. A transient transport refusal (the port exhaustion churn() also
-// anticipates) must not strand a closed adversary node: its held objects
-// may be the only source for other peers' wants.
-func (s *swarmRun) respawnUntil(p *peerState, retry time.Duration) bool {
-	for {
-		err := s.spawn(p)
-		if err == nil {
-			return true
-		}
-		s.logf("respawn %d failed (retrying): %v", p.currentID(), err)
-		t := time.NewTimer(retry)
-		select {
-		case <-t.C:
-		case <-s.giveUp:
-			t.Stop()
-			return false
-		}
-	}
-}
-
-// adaptiveMonitor implements "contributes only while refused" live: after
-// the patience window the peer restarts its node with sharing enabled
-// unless, within its patience, its own downloads were served and nobody is
-// still waiting on an object it holds. Checking the dependents matters:
-// whoever flips first can serve its partner before the partner's own
-// monitor fires, and a pure self-check would then strand the early server.
-// Once coerced it keeps serving — withdrawing service mid-transfer would
-// strand the peer it is exchanging with.
-func (s *swarmRun) adaptiveMonitor(p *peerState, dependents []*wantState) {
-	defer s.monitors.Done()
-	t := time.NewTimer(s.cfg.AdaptivePatience)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.giveUp:
-		return
-	}
-	if allDone(p.wants) && allDone(dependents) {
-		return // served, and nothing demands it: it never contributes
-	}
-	p.current().Close()
-	p.mu.Lock()
-	p.forcedShare = true
-	p.flips++
-	p.restarts++
-	p.mu.Unlock()
-	s.respawnUntil(p, s.cfg.AdaptivePatience)
-}
-
-// whitewashMonitor periodically sheds the peer's identity: it closes the
-// node and respawns it under a fresh PeerID, dropping its queue positions
-// and download progress — exactly the state a whitewasher launders away.
-// The churn period doubles after every churn so a loaded swarm always
-// leaves the peer a window wide enough to finish its downloads (without the
-// back-off a slow run could reset the same transfer forever), while
-// completion is still polled at the base interval so the monitor — and with
-// it Run's teardown — exits promptly once the wants settle.
-func (s *swarmRun) whitewashMonitor(p *peerState) {
-	defer s.monitors.Done()
-	poll := s.cfg.WhitewashInterval
-	churnEvery := s.cfg.WhitewashInterval
-	nextChurn := time.Now().Add(churnEvery)
-	t := time.NewTimer(poll)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-		case <-s.giveUp:
-			return
-		}
-		if allDone(p.wants) {
-			return
-		}
-		if time.Now().Before(nextChurn) {
-			t.Reset(poll)
-			continue
-		}
-		p.current().Close()
-		p.mu.Lock()
-		p.id = s.freshID()
-		p.whitewashes++
-		p.restarts++
-		p.mu.Unlock()
-		if !s.respawnUntil(p, poll) {
-			return // run deadline hit while the transport kept refusing
-		}
-		churnEvery *= 2
-		nextChurn = time.Now().Add(churnEvery)
-		t.Reset(poll)
-	}
-}
-
-// auditClient builds a shard-aware client for the orchestrator's own
-// audits, bootstrapped at the tier's current addresses.
-func (s *swarmRun) auditClient() (*medclient.Client, error) {
-	return medclient.New(medclient.Config{
-		Transport: s.tr,
-		Seeds:     s.cluster.Addrs(),
-		Backoff:   10 * time.Millisecond,
-		Logf:      s.cfg.Logf,
-	})
+// medClient builds a shard-aware mediator client bootstrapped at the tier's
+// current addresses.
+func (s *swarmRun) medClient(logf func(string, ...any)) (*medclient.Client, error) {
+	return medclient.New(medclient.Config{Transport: s.tr, Seeds: s.cluster.Addrs(), Backoff: 10 * time.Millisecond, Logf: logf})
 }
 
 // auditOne plays the receiving peer's role of the Section III-B protocol
@@ -1193,45 +781,15 @@ func (s *swarmRun) auditOne(cl *medclient.Client, id core.PeerID) bool {
 	return false
 }
 
-// auditCheaters audits every corrupt node concurrently through the
-// shard-aware client; each audit routes to whichever shard owns the
-// object's partition.
-func (s *swarmRun) auditCheaters() int {
-	cl, err := s.auditClient()
-	if err != nil {
-		s.logf("audit client: %v", err)
-		return 0
-	}
-	defer cl.Close()
-	var wg sync.WaitGroup
-	flagged := make([]bool, len(s.peers))
-	for i, p := range s.peers {
-		if p.strat.Corrupt {
-			wg.Add(1)
-			go func(i int, id core.PeerID) {
-				defer wg.Done()
-				flagged[i] = s.auditOne(cl, id)
-			}(i, p.currentID())
-		}
-	}
-	wg.Wait()
-	n := 0
-	for _, f := range flagged {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// convergeCheaterFlags drives medfail's acceptance criterion: after the
-// shard killer stops, every corrupt seed must end up flagged on the
-// (surviving) tier. Organic flags from the mediated block path count; any
-// cheater still unflagged — it never won a manifest race, or its flag died
-// with a killed shard — is re-audited until the tier-wide count converges
-// or the run deadline hits.
+// convergeCheaterFlags is the one cheater-flagging path: once the workload
+// has settled (and the shard kills with it), every corrupt peer must end up
+// flagged on the tier. Organic flags from the mediated block path count; any
+// cheater still unflagged — the run never audited it, it never won a
+// manifest race, or its flag died with a killed shard — is re-audited until
+// the tier-wide count converges or the run deadline hits. Without kills the
+// first pass flags every cheater.
 func (s *swarmRun) convergeCheaterFlags() int {
-	corrupt := make([]core.PeerID, 0)
+	var corrupt []core.PeerID
 	for _, p := range s.peers {
 		if p.strat.Corrupt {
 			corrupt = append(corrupt, p.currentID())
@@ -1240,42 +798,27 @@ func (s *swarmRun) convergeCheaterFlags() int {
 	if len(corrupt) == 0 {
 		return 0
 	}
-	cl, err := s.auditClient()
+	cl, err := s.medClient(s.cfg.Logf)
 	if err != nil {
 		s.logf("audit client: %v", err)
 		return 0
 	}
 	defer cl.Close()
 	for {
-		missing := 0
+		flagged := 0
 		for _, id := range corrupt {
-			if s.cluster.Flagged(id) > 0 {
-				continue
-			}
-			if !s.auditOne(cl, id) {
-				missing++
+			if s.cluster.Flagged(id) > 0 || s.auditOne(cl, id) {
+				flagged++
 			}
 		}
-		if missing == 0 {
-			break
+		if flagged == len(corrupt) {
+			return flagged
 		}
-		s.logf("cheater flags not yet converged: %d missing", missing)
-		t := time.NewTimer(20 * time.Millisecond)
-		select {
-		case <-t.C:
-		case <-s.giveUp:
-			t.Stop()
-			s.logf("deadline hit with %d cheater flags missing", missing)
-			flaggedNow := 0
-			for _, id := range corrupt {
-				if s.cluster.Flagged(id) > 0 {
-					flaggedNow++
-				}
-			}
-			return flaggedNow
+		s.logf("cheater flags not yet converged: %d missing", len(corrupt)-flagged)
+		if !s.sleep(20*time.Millisecond, nil) {
+			return flagged
 		}
 	}
-	return len(corrupt)
 }
 
 // teardown closes every live node, then the mediator clients they used
