@@ -93,7 +93,7 @@ soak:
 
 ## fuzz-smoke: a short native-fuzzing pass over the wire codec and over the
 ## event queue's lane-vs-heap differential; CI runs it in the short job so
-## every push hammers Decode with fresh mutated frames and the queue with
+## every push hammers DecodeBuf with fresh mutated frames and the queue with
 ## fresh schedule/cancel/run interleavings.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/protocol
@@ -142,11 +142,15 @@ unimported:
 ## bartervet: the determinism-contract analyzers (docs/DETERMINISM.md).
 ## Map-order, wall-clock/global-rand, and pointer-identity dependence are
 ## errors in the deterministic packages; swallowed Write/Sync/Close errors
-## are errors on the mediator durability and codec paths. Exceptions carry
-## a `//barter:allow <check> <reason>` waiver; stale waivers fail too.
+## are errors on the mediator durability and codec paths. An exported
+## internal/ symbol that no non-test file of the module uses is an error
+## (deadcode; it needs every package loaded, so it runs over the whole
+## module). Exceptions carry a `//barter:allow <check> <reason>` waiver;
+## stale waivers fail too.
 bartervet:
 	$(GO) run ./internal/tools/bartervet -checks maprange,walltime,ptrorder $(DETERMINISTIC_PKGS)
 	$(GO) run ./internal/tools/bartervet -checks unchecked-io ./internal/mediator ./internal/protocol
+	$(GO) run ./internal/tools/bartervet -checks deadcode ./internal ./cmd ./examples ./bench
 
 ## docs-check: smoke-run every `go run ./cmd/...` line the ROADMAP
 ## quickstart advertises (-h per command, -list lines verbatim) so the

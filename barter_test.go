@@ -1,36 +1,42 @@
 package barter
 
+// End-to-end smoke tests across the packages the commands wire together:
+// one quick simulation, the experiment registry, a ring search, a live
+// two-node download and a mediator start/stop.
+
 import (
 	"math"
 	"testing"
 	"time"
+
+	"barter/internal/catalog"
+	"barter/internal/core"
+	"barter/internal/experiment"
+	"barter/internal/mediator"
+	"barter/internal/node"
+	"barter/internal/sim"
+	"barter/internal/transport"
 )
 
-func TestConfigsValid(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"default": DefaultConfig(),
-		"paper":   PaperConfig(),
-		"quick":   QuickConfig(),
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s config invalid: %v", name, err)
+func TestSimulationThroughFacade(t *testing.T) {
+	cfg := experiment.QuickBase()
+	cfg.Duration = 10_000
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	completedSharing := 0
+	for _, c := range res.Classes {
+		if c.Share {
+			completedSharing += c.Completed
 		}
 	}
-}
-
-func TestSimulationThroughFacade(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Duration = 10_000
-	sim, err := NewSimulation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompletedSharing == 0 {
-		t.Fatal("facade run completed nothing")
+	if completedSharing == 0 {
+		t.Fatal("quick run completed nothing")
 	}
 	if math.IsNaN(res.MeanDownloadMin(true)) {
 		t.Fatal("no sharing download time")
@@ -38,35 +44,35 @@ func TestSimulationThroughFacade(t *testing.T) {
 }
 
 func TestExperimentRegistryThroughFacade(t *testing.T) {
-	if len(Experiments()) != 15 {
-		t.Fatalf("got %d experiments, want 15", len(Experiments()))
+	if len(experiment.All()) != 15 {
+		t.Fatalf("got %d experiments, want 15", len(experiment.All()))
 	}
-	if _, ok := ExperimentByID("fig4"); !ok {
+	if _, ok := experiment.ByID("fig4"); !ok {
 		t.Fatal("fig4 missing")
 	}
-	if _, ok := ExperimentByID("bogus"); ok {
+	if _, ok := experiment.ByID("bogus"); ok {
 		t.Fatal("bogus experiment found")
 	}
 }
 
 func TestRingSearchThroughFacade(t *testing.T) {
-	tree := BuildTree(1, []IRQEntry{{Requester: 2, Object: 10}}, MaxRingDefault)
-	wants := []Want{{Object: 20, Providers: []PeerID{2}}}
-	ring, wi, _, ok := FindRing(tree, wants, PolicyPairwise)
+	tree := core.BuildTree(1, []core.IRQEntry{{Requester: 2, Object: 10}}, core.DefaultMaxRing)
+	wants := []core.Want{{Object: 20, Providers: []core.PeerID{2}}}
+	ring, wi, _, ok := core.FindRing(tree, wants, core.PolicyPairwise)
 	if !ok || wi != 0 || ring.Size() != 2 {
-		t.Fatalf("facade ring search: ok=%v wi=%d ring=%v", ok, wi, ring)
+		t.Fatalf("ring search: ok=%v wi=%d ring=%v", ok, wi, ring)
 	}
 }
 
 func TestLiveNodeThroughFacade(t *testing.T) {
-	tr := NewMemTransport()
-	server, err := NewNode(NodeConfig{ID: 1, Transport: tr, Share: true, BlockSize: 512,
+	tr := transport.NewMem()
+	server, err := node.New(node.Config{ID: 1, Transport: tr, Share: true, BlockSize: 512,
 		TickInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client, err := NewNode(NodeConfig{ID: 2, Transport: tr, Share: true, BlockSize: 512,
+	client, err := node.New(node.Config{ID: 2, Transport: tr, Share: true, BlockSize: 512,
 		TickInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +84,8 @@ func TestLiveNodeThroughFacade(t *testing.T) {
 		data[i] = byte(i)
 	}
 	server.AddObject(7, data)
-	ch := client.Download(7, map[PeerID]string{1: server.Addr()})
-	if err := WaitDownload(ch, 30*time.Second); err != nil {
+	ch := client.Download(7, map[core.PeerID]string{1: server.Addr()})
+	if err := node.WaitFor(ch, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := client.Object(7); len(got) != len(data) {
@@ -88,8 +94,8 @@ func TestLiveNodeThroughFacade(t *testing.T) {
 }
 
 func TestMediatorThroughFacade(t *testing.T) {
-	tr := NewMemTransport()
-	med, err := NewMediator(tr, "mem://facade-mediator", func(ObjectID) ([][32]byte, bool) {
+	tr := transport.NewMem()
+	med, err := mediator.New(tr, "mem://facade-mediator", func(catalog.ObjectID) ([][32]byte, bool) {
 		return nil, false
 	})
 	if err != nil {

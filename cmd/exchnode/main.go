@@ -23,7 +23,10 @@ import (
 	"strings"
 	"time"
 
-	"barter"
+	"barter/internal/catalog"
+	"barter/internal/core"
+	"barter/internal/node"
+	"barter/internal/transport"
 )
 
 // errUsage signals a flag-parsing failure whose specifics the FlagSet has
@@ -38,8 +41,8 @@ func main() {
 }
 
 // parseDirectory decodes an "id=addr,id=addr" peer directory.
-func parseDirectory(spec string) (map[barter.PeerID]string, error) {
-	dir := make(map[barter.PeerID]string)
+func parseDirectory(spec string) (map[core.PeerID]string, error) {
+	dir := make(map[core.PeerID]string)
 	if spec == "" {
 		return dir, nil
 	}
@@ -52,7 +55,7 @@ func parseDirectory(spec string) (map[barter.PeerID]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad peer id %q: %w", k, err)
 		}
-		dir[barter.PeerID(pid)] = v
+		dir[core.PeerID(pid)] = v
 	}
 	return dir, nil
 }
@@ -86,14 +89,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	cfg := barter.NodeConfig{
-		ID:          barter.PeerID(*id),
+	cfg := node.Config{
+		ID:          core.PeerID(*id),
 		Addr:        *listen,
-		Transport:   barter.NewTCPTransportDeadlines(*deadline, *deadline),
+		Transport:   transport.TCP{ReadTimeout: *deadline, WriteTimeout: *deadline},
 		Share:       *share,
 		UploadSlots: *slots,
 		BlockSize:   *block,
-		Lookup: func(p barter.PeerID) (string, bool) {
+		Lookup: func(p core.PeerID) (string, bool) {
 			a, ok := dir[p]
 			return a, ok
 		},
@@ -103,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-	n, err := barter.NewNode(cfg)
+	n, err := node.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -124,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			n.AddObject(barter.ObjectID(objID), data)
+			n.AddObject(catalog.ObjectID(objID), data)
 			fmt.Fprintf(stdout, "serving object %d (%d bytes) from %s\n", objID, len(data), path)
 		}
 	}
@@ -138,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		select {}
 	}
 	type pending struct {
-		obj barter.ObjectID
+		obj catalog.ObjectID
 		ch  <-chan error
 	}
 	var fetches []pending
@@ -155,15 +158,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bad provider id %q: %w", v, err)
 		}
-		addr, ok := dir[barter.PeerID(pid)]
+		addr, ok := dir[core.PeerID(pid)]
 		if !ok {
 			return fmt.Errorf("provider %d not in -peers directory", pid)
 		}
-		ch := n.Download(barter.ObjectID(objID), map[barter.PeerID]string{barter.PeerID(pid): addr})
-		fetches = append(fetches, pending{obj: barter.ObjectID(objID), ch: ch})
+		ch := n.Download(catalog.ObjectID(objID), map[core.PeerID]string{core.PeerID(pid): addr})
+		fetches = append(fetches, pending{obj: catalog.ObjectID(objID), ch: ch})
 	}
 	for _, f := range fetches {
-		if err := barter.WaitDownload(f.ch, *timeout); err != nil {
+		if err := node.WaitFor(f.ch, *timeout); err != nil {
 			return fmt.Errorf("fetch %d: %w", f.obj, err)
 		}
 		fmt.Fprintf(stdout, "fetched object %d (%d bytes)\n", f.obj, len(n.Object(f.obj)))

@@ -6,7 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"barter"
+	"barter/internal/node"
+	"barter/internal/transport"
 )
 
 func TestBadFlagErrors(t *testing.T) {
@@ -74,10 +75,10 @@ func TestServeOnlyDuration(t *testing.T) {
 // TestFetchOverTCP drives the full fetch path: a library node serves over
 // real sockets, and exchnode's run() downloads from it and exits.
 func TestFetchOverTCP(t *testing.T) {
-	server, err := barter.NewNode(barter.NodeConfig{
+	server, err := node.New(node.Config{
 		ID:        1,
 		Addr:      "127.0.0.1:0",
-		Transport: barter.NewTCPTransport(),
+		Transport: transport.TCP{},
 		Share:     true,
 		BlockSize: 1024,
 	})

@@ -39,8 +39,9 @@ import (
 	"os"
 	"runtime/pprof"
 
-	"barter"
+	"barter/internal/experiment"
 	"barter/internal/perfstats"
+	"barter/internal/workload"
 )
 
 // errUsage signals a flag-parsing failure whose specifics the FlagSet has
@@ -79,13 +80,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		for _, e := range barter.Experiments() {
+		for _, e := range experiment.All() {
 			fmt.Fprintf(stdout, "%-20s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
 
-	opts := barter.ExperimentOptions{
+	opts := experiment.Options{
 		Seed:     *seed,
 		Quick:    *quick,
 		Parallel: *parallel,
@@ -119,11 +120,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *wl != "" && *trace != "":
 		return fmt.Errorf("-workload and -trace are mutually exclusive")
 	case *wl != "":
-		spec, err := barter.LoadWorkload(*wl)
+		spec, err := workload.Load(*wl)
 		if err != nil {
 			return err
 		}
-		rep, err := barter.RunWorkload(spec, opts)
+		rep, err := experiment.WorkloadRun(spec, opts)
 		if err != nil {
 			return err
 		}
@@ -134,19 +135,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tr, err := barter.ReadWorkloadTrace(f)
+		tr, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		rep, err := barter.ReplayTrace(tr, opts)
+		rep, err := experiment.ReplayTrace(tr, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(stdout, rep.TSV())
 		return nil
 	case *all:
-		for _, e := range barter.Experiments() {
+		for _, e := range experiment.All() {
 			fmt.Fprintf(stdout, "==== %s: %s ====\n", e.ID, e.Title)
 			rep, err := e.Run(opts)
 			if err != nil {
@@ -156,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	case *expID != "":
-		e, ok := barter.ExperimentByID(*expID)
+		e, ok := experiment.ByID(*expID)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", *expID)
 		}

@@ -56,7 +56,8 @@ import (
 	"os"
 	"time"
 
-	"barter"
+	"barter/internal/swarm"
+	"barter/internal/workload"
 )
 
 // errUsage signals a flag-parsing failure whose specifics the FlagSet has
@@ -108,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		for _, sc := range barter.SwarmScenarios() {
+		for _, sc := range swarm.Scenarios() {
 			fmt.Fprintln(stdout, sc)
 		}
 		return nil
@@ -118,8 +119,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("nothing to do: pass -list or -scenario")
 	}
 
-	cfg := barter.SwarmConfig{
-		Scenario:      barter.SwarmScenario(*scenario),
+	cfg := swarm.Config{
+		Scenario:      swarm.Scenario(*scenario),
 		Nodes:         *nodes,
 		Quick:         *quick,
 		Seed:          *seed,
@@ -141,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		WaveWindow:    *window,
 	}
 	if *wl != "" {
-		spec, err := barter.LoadWorkload(*wl)
+		spec, err := workload.Load(*wl)
 		if err != nil {
 			return err
 		}
@@ -163,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	res, err := barter.RunSwarm(cfg)
+	res, err := swarm.Run(cfg)
 	if recFile != nil {
 		// The trace was (or failed to be) written by Run; surface close
 		// errors so a truncated recording never passes silently.

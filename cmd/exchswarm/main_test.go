@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"barter"
+	"barter/internal/workload"
 )
 
 func TestListScenarios(t *testing.T) {
@@ -162,7 +162,7 @@ func TestWaveRecordsReplayableTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := barter.ReadWorkloadTrace(f)
+	tr, err := workload.ReadTrace(f)
 	if err != nil {
 		t.Fatalf("recorded file is not a valid trace: %v", err)
 	}

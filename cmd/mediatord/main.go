@@ -42,7 +42,9 @@ import (
 	"syscall"
 	"time"
 
-	"barter"
+	"barter/internal/catalog"
+	"barter/internal/mediator"
+	"barter/internal/transport"
 )
 
 // errUsage signals a flag-parsing failure whose specifics the FlagSet has
@@ -84,11 +86,11 @@ func parseShard(s string) (index, count int, err error) {
 
 // loadRegistry digests every <objectID>.bin file in dir at the given block
 // size; other files are ignored.
-func loadRegistry(dir string, block int) (map[barter.ObjectID][][32]byte, error) {
+func loadRegistry(dir string, block int) (map[catalog.ObjectID][][32]byte, error) {
 	if block <= 0 {
 		return nil, fmt.Errorf("block size must be positive, got %d", block)
 	}
-	digests := make(map[barter.ObjectID][][32]byte)
+	digests := make(map[catalog.ObjectID][][32]byte)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -111,7 +113,7 @@ func loadRegistry(dir string, block int) (map[barter.ObjectID][][32]byte, error)
 			end := min(off+block, len(data))
 			digs = append(digs, sha256.Sum256(data[off:end]))
 		}
-		digests[barter.ObjectID(objID)] = digs
+		digests[catalog.ObjectID(objID)] = digs
 	}
 	return digests, nil
 }
@@ -138,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-registry is required (the mediator needs a trusted digest source)")
 	}
 
-	var opts barter.MediatorShardOpts
+	var opts mediator.ShardOpts
 	opts.DataDir = *dataDir
 	// selfAddr carries this shard's bound address into the topology map: a
 	// ":0" listen would otherwise advertise an undialable port 0 as its own
@@ -185,11 +187,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "registered object %d: %d blocks\n", objID, len(digs))
 	}
 
-	oracle := func(o barter.ObjectID) ([][32]byte, bool) {
+	oracle := func(o catalog.ObjectID) ([][32]byte, bool) {
 		d, ok := digests[o]
 		return d, ok
 	}
-	med, err := barter.NewMediatorShard(barter.NewTCPTransport(), *listen, oracle, opts)
+	med, err := mediator.NewShard(transport.TCP{}, *listen, oracle, opts)
 	if err != nil {
 		return err
 	}

@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"barter"
+	"barter/internal/catalog"
+	"barter/internal/core"
+	"barter/internal/medclient"
 	"barter/internal/mediator"
 	"barter/internal/protocol"
+	"barter/internal/transport"
 )
 
 func TestBadFlagErrors(t *testing.T) {
@@ -224,7 +227,7 @@ func TestShardMapAdvertisesBoundAddr(t *testing.T) {
 	if addr == "" || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("no bound address printed: %q", out.String())
 	}
-	cl, err := barter.NewMedClient(barter.MedClientConfig{Transport: barter.NewTCPTransport(), Seeds: []string{addr}})
+	cl, err := medclient.New(medclient.Config{Transport: transport.TCP{}, Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,14 +297,14 @@ func TestRestartRecoversEscrow(t *testing.T) {
 		}
 	}
 
-	const sender, receiver barter.PeerID = 2, 3
-	const obj barter.ObjectID = 1
+	const sender, receiver core.PeerID = 2, 3
+	const obj catalog.ObjectID = 1
 	var key [16]byte
 	copy(key[:], "restart-key-....")
 
 	var out1 syncBuf
 	addr, done := bootDaemon(t, args, &out1, sigs)
-	cl, err := barter.NewMedClient(barter.MedClientConfig{Transport: barter.NewTCPTransport(), Seeds: []string{addr}})
+	cl, err := medclient.New(medclient.Config{Transport: transport.TCP{}, Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +316,7 @@ func TestRestartRecoversEscrow(t *testing.T) {
 
 	var out2 syncBuf
 	addr, done = bootDaemon(t, args, &out2, sigs)
-	cl, err = barter.NewMedClient(barter.MedClientConfig{Transport: barter.NewTCPTransport(), Seeds: []string{addr}})
+	cl, err = medclient.New(medclient.Config{Transport: transport.TCP{}, Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

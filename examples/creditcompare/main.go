@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"os"
 
-	"barter"
+	"barter/internal/experiment"
 )
 
 func main() {
@@ -21,14 +21,14 @@ func main() {
 }
 
 func run() error {
-	exp, ok := barter.ExperimentByID("ablation-credit")
+	exp, ok := experiment.ByID("ablation-credit")
 	if !ok {
 		return fmt.Errorf("ablation-credit experiment not registered")
 	}
 	fmt.Println(exp.Title)
 	fmt.Println(exp.Description)
 	fmt.Println()
-	rep, err := exp.Run(barter.ExperimentOptions{
+	rep, err := exp.Run(experiment.Options{
 		Seed:  1,
 		Quick: true,
 		Progress: func(msg string) {

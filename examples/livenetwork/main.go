@@ -11,7 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"barter"
+	"barter/internal/core"
+	"barter/internal/node"
+	"barter/internal/transport"
 )
 
 func main() {
@@ -23,16 +25,16 @@ func main() {
 
 type directory struct {
 	mu    sync.Mutex
-	addrs map[barter.PeerID]string
+	addrs map[core.PeerID]string
 }
 
-func (d *directory) set(id barter.PeerID, addr string) {
+func (d *directory) set(id core.PeerID, addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.addrs[id] = addr
 }
 
-func (d *directory) lookup(id barter.PeerID) (string, bool) {
+func (d *directory) lookup(id core.PeerID) (string, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	a, ok := d.addrs[id]
@@ -40,11 +42,11 @@ func (d *directory) lookup(id barter.PeerID) (string, bool) {
 }
 
 func run() error {
-	tr := barter.NewMemTransport()
-	dir := &directory{addrs: make(map[barter.PeerID]string)}
+	tr := transport.NewMem()
+	dir := &directory{addrs: make(map[core.PeerID]string)}
 
-	spawn := func(id barter.PeerID, share bool) (*barter.Node, error) {
-		n, err := barter.NewNode(barter.NodeConfig{
+	spawn := func(id core.PeerID, share bool) (*node.Node, error) {
+		n, err := node.New(node.Config{
 			ID:           id,
 			Transport:    tr,
 			Lookup:       dir.lookup,
@@ -101,29 +103,29 @@ func run() error {
 	fmt.Println()
 
 	// The rider asks first — and gets preempted when the ring commits.
-	riderCh := rider.Download(oAlice, map[barter.PeerID]string{1: mustAddr(dir, 1)})
+	riderCh := rider.Download(oAlice, map[core.PeerID]string{1: mustAddr(dir, 1)})
 	time.Sleep(30 * time.Millisecond)
 
-	carolCh := carol.Download(oAlice, map[barter.PeerID]string{1: mustAddr(dir, 1)})
+	carolCh := carol.Download(oAlice, map[core.PeerID]string{1: mustAddr(dir, 1)})
 	time.Sleep(30 * time.Millisecond)
-	aliceCh := alice.Download(oBob, map[barter.PeerID]string{2: mustAddr(dir, 2)})
+	aliceCh := alice.Download(oBob, map[core.PeerID]string{2: mustAddr(dir, 2)})
 	time.Sleep(30 * time.Millisecond)
-	bobCh := bob.Download(oCarol, map[barter.PeerID]string{3: mustAddr(dir, 3)})
+	bobCh := bob.Download(oCarol, map[core.PeerID]string{3: mustAddr(dir, 3)})
 
 	start := time.Now()
 	for name, ch := range map[string]<-chan error{"alice": aliceCh, "bob": bobCh, "carol": carolCh} {
-		if err := barter.WaitDownload(ch, 60*time.Second); err != nil {
+		if err := node.WaitFor(ch, 60*time.Second); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Printf("%-5s completed its download after %v\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	if err := barter.WaitDownload(riderCh, 60*time.Second); err != nil {
+	if err := node.WaitFor(riderCh, 60*time.Second); err != nil {
 		return fmt.Errorf("rider: %w", err)
 	}
 	fmt.Printf("rider completed its download after %v (spare capacity only)\n", time.Since(start).Round(time.Millisecond))
 
 	fmt.Println()
-	for _, n := range []*barter.Node{alice, bob, carol} {
+	for _, n := range []*node.Node{alice, bob, carol} {
 		st := n.Stats()
 		fmt.Printf("peer %d: rings joined %d, exchange blocks sent %d, preemptions %d\n",
 			n.ID(), st.RingsJoined, st.ExchangeBlocksSent, st.Preemptions)
@@ -131,7 +133,7 @@ func run() error {
 	return nil
 }
 
-func mustAddr(d *directory, id barter.PeerID) string {
+func mustAddr(d *directory, id core.PeerID) string {
 	a, ok := d.lookup(id)
 	if !ok {
 		panic("peer not in directory")

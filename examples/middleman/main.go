@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"os"
 
-	"barter"
+	"barter/internal/catalog"
+	"barter/internal/core"
 	"barter/internal/medclient"
 	"barter/internal/mediator"
 	"barter/internal/protocol"
+	"barter/internal/transport"
 )
 
 func main() {
@@ -26,25 +28,25 @@ func main() {
 }
 
 func run() error {
-	tr := barter.NewMemTransport()
+	tr := transport.NewMem()
 
 	// The content registry is the mediator's trustworthy digest source.
-	const objX, objY barter.ObjectID = 1, 2
+	const objX, objY catalog.ObjectID = 1, 2
 	blocksX := [][]byte{[]byte("x-block-0"), []byte("x-block-1")}
-	registry := map[barter.ObjectID][][32]byte{
+	registry := map[catalog.ObjectID][][32]byte{
 		objX: digests(blocksX),
 	}
-	oracle := func(o barter.ObjectID) ([][32]byte, bool) {
+	oracle := func(o catalog.ObjectID) ([][32]byte, bool) {
 		d, ok := registry[o]
 		return d, ok
 	}
-	med, err := barter.NewMediator(tr, "mem://mediator", oracle)
+	med, err := mediator.New(tr, "mem://mediator", oracle)
 	if err != nil {
 		return err
 	}
 	defer med.Close()
 
-	const peerA, peerM, peerC barter.PeerID = 1, 2, 3
+	const peerA, peerM, peerC core.PeerID = 1, 2, 3
 	fmt.Println("Scenario: A has x and wants y; C has y and wants x; M claims")
 	fmt.Println("to have both and inserts itself into two exchanges.")
 	fmt.Println()

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"os"
 
-	"barter"
+	"barter/internal/core"
+	"barter/internal/experiment"
+	"barter/internal/sim"
 )
 
 func main() {
@@ -19,16 +21,16 @@ func main() {
 }
 
 func run() error {
-	cfg := barter.QuickConfig()
+	cfg := experiment.QuickBase()
 	cfg.UploadKbps = 40 // a loaded system, where incentives matter
 
-	for _, policy := range []barter.Policy{barter.Policy2N, barter.PolicyNoExchange} {
+	for _, policy := range []core.Policy{core.Policy2N, core.PolicyNoExchange} {
 		cfg.Policy = policy
-		sim, err := barter.NewSimulation(cfg)
+		s, err := sim.New(cfg)
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run()
+		res, err := s.Run()
 		if err != nil {
 			return err
 		}

@@ -8,38 +8,38 @@ package main
 import (
 	"fmt"
 
-	"barter"
+	"barter/internal/core"
 )
 
 func main() {
 	// P9 requested o9 from P2 (P9 itself has no requesters).
-	p9 := barter.BuildTree(9, nil, barter.MaxRingDefault)
+	p9 := core.BuildTree(9, nil, core.DefaultMaxRing)
 	// P2's queue: P7 wants o7, P9 wants o9 (carrying P9's empty tree).
-	p2 := barter.BuildTree(2, []barter.IRQEntry{
+	p2 := core.BuildTree(2, []core.IRQEntry{
 		{Requester: 7, Object: 7},
 		{Requester: 9, Object: 9, Attached: p9},
-	}, barter.MaxRingDefault)
+	}, core.DefaultMaxRing)
 	// A's queue: P11 wants o11, P2 wants o2 (with P2's tree), P3 wants o3.
-	tree := barter.BuildTree(1, []barter.IRQEntry{
+	tree := core.BuildTree(1, []core.IRQEntry{
 		{Requester: 11, Object: 11},
 		{Requester: 2, Object: 2, Attached: p2},
 		{Requester: 3, Object: 3},
-	}, barter.MaxRingDefault)
+	}, core.DefaultMaxRing)
 
 	fmt.Println("A's request tree (A = P1):")
 	fmt.Println(tree)
 
 	// A wants o100, provided by P9 (depth 3), and o200, provided by P3
 	// (depth 2, a pairwise alternative).
-	wants := []barter.Want{
-		{Object: 100, Providers: []barter.PeerID{9}},
-		{Object: 200, Providers: []barter.PeerID{3}},
+	wants := []core.Want{
+		{Object: 100, Providers: []core.PeerID{9}},
+		{Object: 200, Providers: []core.PeerID{3}},
 	}
 	fmt.Println("A wants o100 (provided by P9, depth 3) and o200 (provided by P3, depth 2).")
 	fmt.Println()
 
-	for _, pol := range []barter.Policy{barter.PolicyPairwise, barter.Policy2N, barter.PolicyN2} {
-		ring, wi, stats, ok := barter.FindRing(tree, wants, pol)
+	for _, pol := range []core.Policy{core.PolicyPairwise, core.Policy2N, core.PolicyN2} {
+		ring, wi, stats, ok := core.FindRing(tree, wants, pol)
 		if !ok {
 			fmt.Printf("%-10s found no ring\n", pol)
 			continue

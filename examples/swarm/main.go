@@ -1,5 +1,5 @@
 // Swarm runs two live-network scenarios back to back through the public
-// barter.RunSwarm entry point: a flash crowd (one object, everyone fetches
+// swarm.Run entry point: a flash crowd (one object, everyone fetches
 // at once, completed sharers spread it epidemically) and a free-rider
 // population (the live counterpart of the paper's Figure 12 — sharers,
 // served with exchange priority, complete faster than free-riders).
@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"os"
 
-	"barter"
+	"barter/internal/swarm"
 )
 
 func main() {
@@ -21,8 +21,8 @@ func main() {
 
 func run() error {
 	fmt.Println("Flash crowd: 150 live peers fetch one object from a few seeds.")
-	res, err := barter.RunSwarm(barter.SwarmConfig{
-		Scenario: barter.SwarmFlashCrowd,
+	res, err := swarm.Run(swarm.Config{
+		Scenario: swarm.FlashCrowd,
 		Nodes:    150,
 		Quick:    true,
 		Seed:     42,
@@ -34,8 +34,8 @@ func run() error {
 
 	fmt.Println()
 	fmt.Println("Free-riders: 60 peers, 30% contribute nothing; watch the class gap.")
-	res, err = barter.RunSwarm(barter.SwarmConfig{
-		Scenario:      barter.SwarmFreerider,
+	res, err = swarm.Run(swarm.Config{
+		Scenario:      swarm.Freerider,
 		Nodes:         60,
 		FreeriderFrac: 0.3,
 		Quick:         true,

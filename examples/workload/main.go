@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"os"
 
-	"barter"
+	"barter/internal/experiment"
+	"barter/internal/swarm"
+	"barter/internal/workload"
 )
 
 func main() {
@@ -21,16 +23,16 @@ func main() {
 }
 
 func run() error {
-	fmt.Printf("Builtin workload specs: %v\n\n", barter.WorkloadBuiltins())
+	fmt.Printf("Builtin workload specs: %v\n\n", workload.BuiltinNames())
 
 	// 1. Open-loop simulation: the flash builtin replaces the closed-loop
 	// demand model with a quiet lead-in and a flash-crowd spike.
 	fmt.Println("Simulating the flash builtin (open loop, quick world):")
-	spec, err := barter.LoadWorkload("flash")
+	spec, err := workload.Load("flash")
 	if err != nil {
 		return err
 	}
-	rep, err := barter.RunWorkload(spec, barter.ExperimentOptions{Seed: 7, Quick: true})
+	rep, err := experiment.WorkloadRun(spec, experiment.Options{Seed: 7, Quick: true})
 	if err != nil {
 		return err
 	}
@@ -41,8 +43,8 @@ func run() error {
 	fmt.Println()
 	fmt.Println("Recording a 40-node live wave swarm driven by the same spec:")
 	var trace bytes.Buffer
-	res, err := barter.RunSwarm(barter.SwarmConfig{
-		Scenario: barter.SwarmWave,
+	res, err := swarm.Run(swarm.Config{
+		Scenario: swarm.Wave,
 		Nodes:    40,
 		Quick:    true,
 		Seed:     7,
@@ -57,17 +59,17 @@ func run() error {
 	// 3. Replay: re-run the recorded demand in the simulator. The replayed
 	// world's shape comes from the trace header; the TSV is byte-identical
 	// at any Parallel for the same trace and options.
-	tr, err := barter.ReadWorkloadTrace(&trace)
+	tr, err := workload.ReadTrace(&trace)
 	if err != nil {
 		return err
 	}
 	fmt.Println()
 	fmt.Printf("Replaying the recorded trace (%d events) in the simulator:\n", len(tr.Events))
-	one, err := barter.ReplayTrace(tr, barter.ExperimentOptions{Seed: 7, Quick: true, Parallel: 1, Replicas: 2})
+	one, err := experiment.ReplayTrace(tr, experiment.Options{Seed: 7, Quick: true, Parallel: 1, Replicas: 2})
 	if err != nil {
 		return err
 	}
-	eight, err := barter.ReplayTrace(tr, barter.ExperimentOptions{Seed: 7, Quick: true, Parallel: 8, Replicas: 2})
+	eight, err := experiment.ReplayTrace(tr, experiment.Options{Seed: 7, Quick: true, Parallel: 8, Replicas: 2})
 	if err != nil {
 		return err
 	}

@@ -235,11 +235,3 @@ func FindRing(t *Tree, wants []Want, pol Policy) (*Ring, int, SearchStats, bool)
 	ring.Members = append(ring.Members, Member{Peer: last.Peer, Gives: wants[best.want].Object})
 	return ring, best.want, stats, true
 }
-
-// FindPairwise is FindRing restricted to 2-way exchanges, regardless of the
-// policy's ring limit. The paper's peers check for pairwise exchanges on
-// every IRQ scan.
-func FindPairwise(t *Tree, wants []Want) (*Ring, int, bool) {
-	ring, want, _, ok := FindRing(t, wants, PolicyPairwise)
-	return ring, want, ok
-}

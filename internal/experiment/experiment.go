@@ -562,10 +562,10 @@ func Fig10() *Experiment {
 		Description: "Same sweep as Figure 9; reports mean megabytes received per peer of each class.",
 		Run: func(opts Options) (*Report, error) {
 			t := &metrics.Table{Title: "Figure 10", XLabel: "object popularity factor f", YLabel: "transfer volume (MB)"}
-			sharingMB := func(r *sim.Result) float64 { return r.VolumePerSharingPeerMB }
-			nonSharingMB := func(r *sim.Result) float64 { return r.VolumePerNonSharingPeerMB }
+			sharingMB := func(r *sim.Result) float64 { return r.VolumePerPeerMB(true) }
+			nonSharingMB := func(r *sim.Result) float64 { return r.VolumePerPeerMB(false) }
 			allMB := func(r *sim.Result) float64 {
-				return (r.VolumePerSharingPeerMB + r.VolumePerNonSharingPeerMB) / 2
+				return (r.VolumePerPeerMB(true) + r.VolumePerPeerMB(false)) / 2
 			}
 			var pts []point
 			for _, f := range popularitySweep(opts.Quick) {

@@ -38,6 +38,16 @@ func runExp(t *testing.T, id string) *Report {
 	return rep
 }
 
+// TestConfigsValid: both base worlds the experiments build on pass the
+// simulator's own validation.
+func TestConfigsValid(t *testing.T) {
+	for name, cfg := range map[string]sim.Config{"full": FullBase(), "quick": QuickBase()} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s config invalid: %v", name, err)
+		}
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table2", "fig4", "fig5", "fig6", "fig7", "fig8",

@@ -19,7 +19,11 @@ import (
 
 // Per-replica extractors for workload runs.
 func completedAll(r *sim.Result) float64 {
-	return float64(r.CompletedSharing + r.CompletedNonSharing)
+	n := 0
+	for _, c := range r.Classes {
+		n += c.Completed
+	}
+	return float64(n)
 }
 func workloadDropped(r *sim.Result) float64 { return float64(r.WorkloadDropped) }
 func lookupFails(r *sim.Result) float64     { return float64(r.LookupFailures) }

@@ -271,7 +271,7 @@ func TestConcurrentOps(t *testing.T) {
 	content := []byte("shared-content")
 	digest := sha256.Sum256(content)
 	oracle := func(o catalog.ObjectID) ([][32]byte, bool) { return [][32]byte{digest}, true }
-	cl, err := mediator.NewCluster(tr, []string{"mem://cc-0", "mem://cc-1", "mem://cc-2"}, oracle)
+	cl, err := mediator.NewClusterOpts(tr, []string{"mem://cc-0", "mem://cc-1", "mem://cc-2"}, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestRestartRefreshesMapAndPrunesPool(t *testing.T) {
 	for i := range listen {
 		listen[i] = "127.0.0.1:0"
 	}
-	cl, err := mediator.NewCluster(tr, listen, oracle)
+	cl, err := mediator.NewClusterOpts(tr, listen, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

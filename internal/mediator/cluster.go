@@ -42,13 +42,8 @@ type ClusterOpts struct {
 	DataDir string
 }
 
-// NewCluster starts one mediator shard per listen address, all sharing the
-// oracle. Restarts keep each shard's index.
-func NewCluster(tr transport.Transport, addrs []string, oracle DigestOracle) (*Cluster, error) {
-	return NewClusterOpts(tr, addrs, oracle, ClusterOpts{})
-}
-
-// NewClusterOpts is NewCluster with tuning options.
+// NewClusterOpts starts one mediator shard per listen address, all sharing
+// the oracle. Restarts keep each shard's index.
 func NewClusterOpts(tr transport.Transport, addrs []string, oracle DigestOracle, opts ClusterOpts) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("mediator: cluster needs at least one shard address")

@@ -60,7 +60,7 @@ func clusterFixture(t *testing.T, n int) (*transport.Mem, *mediator.Cluster, fun
 	for i := range addrs {
 		addrs[i] = "mem://med-" + string(rune('a'+i))
 	}
-	cl, err := mediator.NewCluster(tr, addrs, oracle)
+	cl, err := mediator.NewClusterOpts(tr, addrs, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +312,10 @@ func TestClusterRestartLosesEscrowWithoutFlagging(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	tr := transport.NewMem()
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
-	if _, err := mediator.NewCluster(tr, nil, oracle); err == nil {
+	if _, err := mediator.NewClusterOpts(tr, nil, oracle, mediator.ClusterOpts{}); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
-	if _, err := mediator.NewCluster(tr, []string{"mem://x"}, nil); err == nil {
+	if _, err := mediator.NewClusterOpts(tr, []string{"mem://x"}, nil, mediator.ClusterOpts{}); err == nil {
 		t.Fatal("cluster without oracle accepted")
 	}
 }

@@ -225,7 +225,7 @@ func TestReplicationQueueBound(t *testing.T) {
 func TestReplicationLinkRedials(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 0)
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
-	cl, err := mediator.NewCluster(transport.TCP{}, []string{"127.0.0.1:0", "127.0.0.1:0"}, oracle)
+	cl, err := mediator.NewClusterOpts(transport.TCP{}, []string{"127.0.0.1:0", "127.0.0.1:0"}, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func newMedNet(t *testing.T, shards, objSize int) *medNet {
 	for i := range addrs {
 		addrs[i] = "mem://med-" + string(rune('0'+i))
 	}
-	cluster, err := mediator.NewCluster(tn.tr, addrs, oracle)
+	cluster, err := mediator.NewClusterOpts(tn.tr, addrs, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,26 +127,6 @@ func Current() Snapshot {
 	}
 }
 
-// Reset zeroes the aggregate. Tests and report sections use it to scope
-// measurements.
-func Reset() {
-	global.runs.Store(0)
-	global.events.Store(0)
-	global.laneEvents.Store(0)
-	global.heapEvents.Store(0)
-	global.searches.Store(0)
-	global.nodes.Store(0)
-	global.wants.Store(0)
-	global.rings.Store(0)
-	global.medRPCs.Store(0)
-	global.medInflight.Store(0)
-	global.medPeak.Store(0)
-	global.stripesGranted.Store(0)
-	global.stripesReass.Store(0)
-	global.medReplicated.Store(0)
-	global.medReplDropped.Store(0)
-}
-
 // Sub returns s - t field-wise; use it to scope a Snapshot to an interval.
 func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{

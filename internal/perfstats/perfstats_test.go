@@ -5,37 +5,29 @@ import (
 	"testing"
 )
 
-// The counters are process-global; each test scopes itself with Reset.
+// The counters are process-global; each test scopes itself with Sub.
 
 func TestAddRunAndCurrent(t *testing.T) {
-	Reset()
+	base := Current()
 	AddRun(Snapshot{Runs: 1, Events: 100, LaneEvents: 90, HeapEvents: 10, RingSearches: 5, SearchNodesVisited: 50, SearchWantsChecked: 20, RingsStarted: 2})
 	AddRun(Snapshot{Runs: 1, Events: 900, LaneEvents: 800, HeapEvents: 100, RingSearches: 5, SearchNodesVisited: 10, SearchWantsChecked: 30, RingsStarted: 1})
-	got := Current()
+	got := Current().Sub(base)
 	want := Snapshot{Runs: 2, Events: 1000, LaneEvents: 890, HeapEvents: 110, RingSearches: 10, SearchNodesVisited: 60, SearchWantsChecked: 50, RingsStarted: 3}
 	if got != want {
 		t.Fatalf("Current() = %+v, want %+v", got, want)
 	}
-	Reset()
-	if got := Current(); got != (Snapshot{}) {
-		t.Fatalf("Current() after Reset = %+v", got)
-	}
 }
 
 // TestLiveCountersScopeWithSub: the counters published as they happen show in
-// Current, subtract like the rest, and clear on Reset.
+// Current and subtract like the rest.
 func TestLiveCountersScopeWithSub(t *testing.T) {
-	Reset()
+	start := Current()
 	AddMedReplicated()
 	base := Current()
 	AddMedReplicated()
 	AddMedReplDropped()
-	if d := Current().Sub(base); d.MedReplicated != 1 || d.MedReplDropped != 1 || Current().MedReplicated != 2 {
-		t.Fatalf("delta %+v of %+v", d, Current())
-	}
-	Reset()
-	if got := Current(); got != (Snapshot{}) {
-		t.Fatalf("Current() after Reset = %+v", got)
+	if d := Current().Sub(base); d.MedReplicated != 1 || d.MedReplDropped != 1 || Current().Sub(start).MedReplicated != 2 {
+		t.Fatalf("delta %+v of %+v", d, Current().Sub(start))
 	}
 }
 
@@ -52,7 +44,6 @@ func TestSub(t *testing.T) {
 // TestTimerScopesInterval: a timer started after some activity reports only
 // what happened since.
 func TestTimerScopesInterval(t *testing.T) {
-	Reset()
 	AddRun(Snapshot{Runs: 1, Events: 11111})
 	timer := StartTimer()
 	AddRun(Snapshot{Runs: 1, Events: 42, LaneEvents: 21, HeapEvents: 21, RingSearches: 7, RingsStarted: 3})

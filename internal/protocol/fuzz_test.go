@@ -121,7 +121,7 @@ func blockFrame(claimed uint32, carried []byte) []byte {
 	return frameFor(TypeBlock, append(body, carried...))
 }
 
-// FuzzDecode feeds arbitrary frames to Decode. The invariants: Decode never
+// FuzzDecode feeds arbitrary frames to DecodeBuf. The invariants: it never
 // panics; it agrees with refDecode on the message, or on the class of error
 // when the input holds the whole frame its header declares (on a shorter
 // input both must fail, but DecodeBuf may refuse a malformed Block before it
@@ -130,7 +130,7 @@ func blockFrame(claimed uint32, carried []byte) []byte {
 // decodes converts to a core tree without panicking.
 func FuzzDecode(f *testing.F) {
 	for _, m := range corpusMessages() {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			f.Fatalf("encode corpus %T: %v", m, err)
 		}
@@ -167,14 +167,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(binary.BigEndian.AppendUint32(nil, MaxFrame), byte(TypeBlock)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Decode(bytes.NewReader(data))
+		msg, _, err := DecodeBuf(bytes.NewReader(data), nil)
 		ref, refErr := refDecode(data)
 		whole := len(data) >= 4 && uint64(len(data)) >= 4+uint64(binary.BigEndian.Uint32(data))
 		switch {
 		case (err == nil) != (refErr == nil), whole && errClass(err) != errClass(refErr):
-			t.Fatalf("Decode err = %v, reference err = %v", err, refErr)
+			t.Fatalf("DecodeBuf err = %v, reference err = %v", err, refErr)
 		case err == nil && !reflect.DeepEqual(msg, ref):
-			t.Fatalf("Decode = %+v, reference = %+v", msg, ref)
+			t.Fatalf("DecodeBuf = %+v, reference = %+v", msg, ref)
 		}
 		if err != nil {
 			return // malformed input must error, never panic
@@ -182,15 +182,15 @@ func FuzzDecode(f *testing.F) {
 		if req, ok := msg.(*Request); ok {
 			_, _ = req.Tree.ToCoreTree() // must not panic on decoded trees
 		}
-		frame, err := Encode(msg)
+		frame, err := AppendEncode(nil, msg)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
 		}
-		msg2, err := Decode(bytes.NewReader(frame))
+		msg2, _, err := DecodeBuf(bytes.NewReader(frame), nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		frame2, err := Encode(msg2)
+		frame2, err := AppendEncode(nil, msg2)
 		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
@@ -205,15 +205,15 @@ func FuzzDecode(f *testing.F) {
 // only under -fuzz.
 func TestDecodeRoundTripsCorpus(t *testing.T) {
 	for _, m := range corpusMessages() {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
-		got, err := Decode(bytes.NewReader(frame))
+		got, _, err := DecodeBuf(bytes.NewReader(frame), nil)
 		if err != nil {
 			t.Fatalf("decode %T: %v", m, err)
 		}
-		frame2, err := Encode(got)
+		frame2, err := AppendEncode(nil, got)
 		if err != nil {
 			t.Fatalf("re-encode %T: %v", m, err)
 		}
@@ -257,7 +257,7 @@ func TestDecodeRejectsCountAmplification(t *testing.T) {
 		}(),
 	}
 	for name, frame := range cases {
-		if _, err := Decode(bytes.NewReader(frame)); err == nil {
+		if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); err == nil {
 			t.Fatalf("%s: amplified count accepted", name)
 		}
 	}

@@ -432,11 +432,6 @@ func New(t Type) (Message, error) {
 	}
 }
 
-// Encode serializes msg into a self-delimiting frame.
-func Encode(msg Message) ([]byte, error) {
-	return AppendEncode(nil, msg)
-}
-
 // AppendEncode serializes msg into a self-delimiting frame appended to dst
 // and returns the extended slice. Senders on a hot path pass a retained
 // scratch buffer (dst[:0]) so steady-state encoding allocates nothing; the
@@ -472,16 +467,11 @@ func AppendBlockHead(dst []byte, b *Block) ([]byte, error) {
 	return w.buf, nil
 }
 
-// Decode parses one frame from r (blocking until a full frame arrives).
-func Decode(r io.Reader) (Message, error) {
-	msg, _, err := DecodeBuf(r, nil)
-	return msg, err
-}
-
-// DecodeBuf parses one frame from r like Decode but reads the frame body into
-// scratch (grown as needed) instead of allocating per frame, and returns the
-// possibly-grown scratch for reuse. Receivers on a hot path keep a retained
-// per-connection scratch — the AppendEncode mirror for the decode side.
+// DecodeBuf parses one frame from r (blocking until a full frame arrives),
+// reading the frame body into scratch (grown as needed) instead of
+// allocating per frame, and returns the possibly-grown scratch for reuse.
+// Receivers on a hot path keep a retained per-connection scratch — the
+// AppendEncode mirror for the decode side.
 // Decoded messages never alias the scratch, so the same buffer is safe to
 // reuse for the next frame immediately: variable-length fields copy out of
 // it, and a Block frame's payload never enters it — only the blockFixed bytes

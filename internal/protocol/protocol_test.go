@@ -16,13 +16,13 @@ import (
 
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
-	frame, err := Encode(msg)
+	frame, err := AppendEncode(nil, msg)
 	if err != nil {
-		t.Fatalf("Encode(%T): %v", msg, err)
+		t.Fatalf("AppendEncode(%T): %v", msg, err)
 	}
-	got, err := Decode(bytes.NewReader(frame))
+	got, _, err := DecodeBuf(bytes.NewReader(frame), nil)
 	if err != nil {
-		t.Fatalf("Decode(%T): %v", msg, err)
+		t.Fatalf("DecodeBuf(%T): %v", msg, err)
 	}
 	return got
 }
@@ -120,7 +120,7 @@ func TestWireTypeNumbers(t *testing.T) {
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
 	frame := []byte{0, 0, 0, 1, 0xEE}
-	if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrUnknownType) {
+	if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
@@ -129,18 +129,18 @@ func TestDecodeRejectsOversizedFrame(t *testing.T) {
 	var hdr [5]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	hdr[4] = byte(TypeHello)
-	if _, err := Decode(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := DecodeBuf(bytes.NewReader(hdr[:]), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestDecodeTruncatedPayload(t *testing.T) {
-	frame, err := Encode(&Block{Object: 1, Payload: []byte("abcdef")})
+	frame, err := AppendEncode(nil, &Block{Object: 1, Payload: []byte("abcdef")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := Decode(bytes.NewReader(frame[:cut]))
+		_, _, err := DecodeBuf(bytes.NewReader(frame[:cut]), nil)
 		if err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(frame))
 		}
@@ -151,7 +151,7 @@ func TestDecodeCorruptInnerLength(t *testing.T) {
 	// A Block whose inner payload length claims more bytes than the frame
 	// holds must fail with ErrTruncated, not panic or over-read.
 	msg := &Block{Object: 1, Payload: []byte("abc")}
-	frame, err := Encode(msg)
+	frame, err := AppendEncode(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDecodeCorruptInnerLength(t *testing.T) {
 	idx := bytes.Index(frame, []byte("abc")) - 4
 	frame[idx] = 0xFF
 	frame[idx+1] = 0xFF
-	if _, err := Decode(bytes.NewReader(frame)); err == nil {
+	if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); err == nil {
 		t.Fatal("corrupt inner length accepted")
 	}
 }
@@ -173,7 +173,7 @@ func TestDecodeBlockLengthMismatch(t *testing.T) {
 		"frame ends inside the fixed fields": frameFor(TypeBlock, make([]byte, blockFixed-1)),
 	}
 	for name, frame := range cases {
-		if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrTruncated) {
+		if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestDecodeBlockLengthMismatch(t *testing.T) {
 // payload the stream does not back: a bare header claiming a MaxFrame body
 // fails before any buffer is sized by the claim.
 func TestDecodeBlockAllocations(t *testing.T) {
-	frame, err := Encode(&Block{Object: 7, Index: 3, Session: 99, Origin: 1, Recipient: 2, Payload: make([]byte, 16<<10)})
+	frame, err := AppendEncode(nil, &Block{Object: 7, Index: 3, Session: 99, Origin: 1, Recipient: 2, Payload: make([]byte, 16<<10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestDecodeBlockAllocations(t *testing.T) {
 	huge := append(binary.BigEndian.AppendUint32(nil, MaxFrame), byte(TypeBlock))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	_, err = Decode(bytes.NewReader(huge))
+	_, _, err = DecodeBuf(bytes.NewReader(huge), nil)
 	runtime.ReadMemStats(&m1)
 	if err == nil {
 		t.Fatal("bare header decoded")
@@ -214,7 +214,7 @@ func TestDecodeBlockAllocations(t *testing.T) {
 }
 
 func TestDecodeEOF(t *testing.T) {
-	if _, err := Decode(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, _, err := DecodeBuf(bytes.NewReader(nil), nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
@@ -222,14 +222,14 @@ func TestDecodeEOF(t *testing.T) {
 func TestMultipleFramesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		frame, err := Encode(&BlockAck{Object: catalog.ObjectID(i), Index: uint32(i), OK: i%2 == 0})
+		frame, err := AppendEncode(nil, &BlockAck{Object: catalog.ObjectID(i), Index: uint32(i), OK: i%2 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf.Write(frame)
 	}
 	for i := 0; i < 10; i++ {
-		msg, err := Decode(&buf)
+		msg, _, err := DecodeBuf(&buf, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -291,7 +291,7 @@ func TestPropertyBlockRoundTrip(t *testing.T) {
 			Encrypted: enc,
 			Payload:   payload,
 		}
-		frame, err := Encode(in)
+		frame, err := AppendEncode(nil, in)
 		if err != nil {
 			return false
 		}
@@ -301,7 +301,7 @@ func TestPropertyBlockRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(append(head, payload...), frame) {
 			return false
 		}
-		out, err := Decode(bytes.NewReader(frame))
+		out, _, err := DecodeBuf(bytes.NewReader(frame), nil)
 		if err != nil {
 			return false
 		}
@@ -327,7 +327,7 @@ func TestPropertyDecodeNeverPanics(t *testing.T) {
 				t.Errorf("decode panicked: %v", r)
 			}
 		}()
-		_, _ = Decode(bytes.NewReader(raw)) //nolint:errcheck // errors expected on garbage
+		_, _, _ = DecodeBuf(bytes.NewReader(raw), nil) //nolint:errcheck // errors expected on garbage
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -355,7 +355,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	// The live receive path (transport.tcpConn.Recv) decodes into a retained
 	// per-connection scratch; measure that path, not the allocate-per-frame
 	// convenience wrapper.
-	frame, err := Encode(&Block{Object: 1, Index: 2, Payload: make([]byte, 4096)})
+	frame, err := AppendEncode(nil, &Block{Object: 1, Index: 2, Payload: make([]byte, 4096)})
 	if err != nil {
 		b.Fatal(err)
 	}

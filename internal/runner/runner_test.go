@@ -7,6 +7,7 @@ import (
 
 	"barter/internal/catalog"
 	"barter/internal/sim"
+	"barter/internal/strategy"
 )
 
 // tinyConfig is a miniature world that runs in tens of milliseconds, small
@@ -47,7 +48,7 @@ func grid(n int) []Job {
 
 // fingerprint reduces a sim result to comparable scalars.
 func fingerprint(r *sim.Result) [3]float64 {
-	return [3]float64{float64(r.Events), float64(r.CompletedSharing), r.ExchangeFraction}
+	return [3]float64{float64(r.Events), float64(r.Class(strategy.LabelSharing).Completed), r.ExchangeFraction}
 }
 
 func TestRunPreservesSubmissionOrder(t *testing.T) {

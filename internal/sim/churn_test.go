@@ -122,7 +122,7 @@ func TestChurnPreservesDeterminism(t *testing.T) {
 	if a.Events != b.Events {
 		t.Fatalf("event counts diverged under churn: %d vs %d", a.Events, b.Events)
 	}
-	if a.CompletedSharing != b.CompletedSharing || a.CompletedNonSharing != b.CompletedNonSharing {
+	if completed(a, true) != completed(b, true) || completed(a, false) != completed(b, false) {
 		t.Fatalf("completion counts diverged under churn: %+v vs %+v", a, b)
 	}
 	if a.RingSearches != b.RingSearches || a.SearchNodesVisited != b.SearchNodesVisited {

@@ -34,8 +34,8 @@ func TypeLabel(ringSize int) string {
 type ClassResult struct {
 	// Label is the strategy-class name (e.g. "sharing", "adaptive").
 	Label string
-	// Share reports whether the class contributes from the start; it decides
-	// which legacy aggregate (sharing vs non-sharing) the class feeds.
+	// Share reports whether the class contributes from the start; it puts the
+	// class on the sharing or the non-sharing side of the paper's figures.
 	Share bool
 	// Peers is the class population size.
 	Peers int
@@ -66,15 +66,6 @@ type Result struct {
 	// sharing]; richer mixes add one entry per class.
 	Classes []ClassResult
 
-	// CompletedSharing/NonSharing count completed downloads per class in
-	// the measurement window.
-	CompletedSharing    int
-	CompletedNonSharing int
-
-	// DownloadTimeMin holds per-class download-time samples (minutes).
-	DownloadTimeSharing    *metrics.Sample
-	DownloadTimeNonSharing *metrics.Sample
-
 	// SessionVolumeKB samples kilobytes delivered per session, keyed by
 	// session class (Figure 7).
 	SessionVolumeKB *metrics.Grouped
@@ -86,11 +77,6 @@ type Result struct {
 	// the fraction of them that were exchanges (Figure 5).
 	SessionCount     map[string]int
 	ExchangeFraction float64
-
-	// VolumePerSharingPeerMB / NonSharing are mean megabytes received per
-	// peer of each class during the measurement window (Figure 10).
-	VolumePerSharingPeerMB    float64
-	VolumePerNonSharingPeerMB float64
 
 	// RingsStarted counts exchange rings by size; RingAttempts and
 	// RingValidationFailures expose search/validation dynamics, with
@@ -140,31 +126,72 @@ func (r *Result) ClassMeanDownloadMin(label string) float64 {
 	return c.DownloadTime.Mean()
 }
 
-// MeanDownloadMin returns the mean download time in minutes for the class,
-// or NaN if the class completed nothing.
-func (r *Result) MeanDownloadMin(sharing bool) float64 {
-	if sharing {
-		return r.DownloadTimeSharing.Mean()
+// side folds the classes on one side of the paper's sharing/non-sharing
+// split (ClassResult.Share): their completed downloads, the mean download
+// time over all of their samples (NaN with none), and the megabytes received
+// per peer, weighted by class size. A side of exactly one class — every
+// nil-Mix run — returns that class's own values, never a re-sum, so the
+// two-class figures stay byte-identical.
+func (r *Result) side(share bool) (completed int, meanMin, volumeMB float64) {
+	var only *ClassResult
+	classes, peers, sum := 0, 0, 0.0
+	for i := range r.Classes {
+		c := &r.Classes[i]
+		if c.Share != share {
+			continue
+		}
+		only, classes = c, classes+1
+		if c.Completed > 0 {
+			sum += c.DownloadTime.Mean() * float64(c.Completed)
+		}
+		completed += c.Completed
+		peers += c.Peers
+		volumeMB += c.VolumePerPeerMB * float64(c.Peers)
 	}
-	return r.DownloadTimeNonSharing.Mean()
+	if classes == 1 {
+		return only.Completed, only.DownloadTime.Mean(), only.VolumePerPeerMB
+	}
+	meanMin = math.NaN()
+	if completed > 0 {
+		meanMin = sum / float64(completed)
+	}
+	if peers > 0 {
+		volumeMB /= float64(peers)
+	}
+	return completed, meanMin, volumeMB
+}
+
+// MeanDownloadMin returns the mean download time in minutes over the
+// sharing (or non-sharing) classes, or NaN if they completed nothing.
+func (r *Result) MeanDownloadMin(sharing bool) float64 {
+	_, m, _ := r.side(sharing)
+	return m
+}
+
+// VolumePerPeerMB returns the mean megabytes received per peer of the
+// sharing (or non-sharing) classes during the measurement window (Figure 10).
+func (r *Result) VolumePerPeerMB(sharing bool) float64 {
+	_, _, mb := r.side(sharing)
+	return mb
 }
 
 // MeanDownloadMinAll returns the mean download time in minutes over both
-// classes combined (the paper's single "no exchange" line), or NaN if the
+// sides combined (the paper's single "no exchange" line), or NaN if the
 // run completed nothing.
 func (r *Result) MeanDownloadMinAll() float64 {
-	n := r.DownloadTimeSharing.N() + r.DownloadTimeNonSharing.N()
-	if n == 0 {
+	sn, sm, _ := r.side(true)
+	nn, nm, _ := r.side(false)
+	if sn+nn == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	if r.DownloadTimeSharing.N() > 0 {
-		sum += r.DownloadTimeSharing.Mean() * float64(r.DownloadTimeSharing.N())
+	if sn > 0 {
+		sum += sm * float64(sn)
 	}
-	if r.DownloadTimeNonSharing.N() > 0 {
-		sum += r.DownloadTimeNonSharing.Mean() * float64(r.DownloadTimeNonSharing.N())
+	if nn > 0 {
+		sum += nm * float64(nn)
 	}
-	return sum / float64(n)
+	return sum / float64(sn+nn)
 }
 
 // SpeedupSharingVsNonSharing returns the ratio of non-sharing to sharing
@@ -179,12 +206,12 @@ func (r *Result) SpeedupSharingVsNonSharing() float64 {
 
 // Summary renders a human-readable digest of the run.
 func (r *Result) Summary() string {
+	sn, sm, smb := r.side(true)
+	nn, nm, nmb := r.side(false)
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy=%s horizon=%.0fs events=%d\n", r.Policy, r.SimulatedSeconds, r.Events)
 	fmt.Fprintf(&b, "downloads: sharing %d (mean %.1f min), non-sharing %d (mean %.1f min), speedup %.2fx\n",
-		r.CompletedSharing, r.MeanDownloadMin(true),
-		r.CompletedNonSharing, r.MeanDownloadMin(false),
-		r.SpeedupSharingVsNonSharing())
+		sn, sm, nn, nm, r.SpeedupSharingVsNonSharing())
 	fmt.Fprintf(&b, "sessions:")
 	keys := make([]string, 0, len(r.SessionCount))
 	for k := range r.SessionCount {
@@ -195,8 +222,7 @@ func (r *Result) Summary() string {
 		fmt.Fprintf(&b, " %s=%d", k, r.SessionCount[k])
 	}
 	fmt.Fprintf(&b, " (exchange fraction %.2f)\n", r.ExchangeFraction)
-	fmt.Fprintf(&b, "volume/peer: sharing %.0f MB, non-sharing %.0f MB\n",
-		r.VolumePerSharingPeerMB, r.VolumePerNonSharingPeerMB)
+	fmt.Fprintf(&b, "volume/peer: sharing %.0f MB, non-sharing %.0f MB\n", smb, nmb)
 	if r.hasRichMix() {
 		for _, c := range r.Classes {
 			fmt.Fprintf(&b, "class %s: %d peers, %d done (mean %.1f min)",
@@ -228,11 +254,9 @@ type classStats struct {
 	recvKbits float64
 }
 
-// collector accumulates run metrics, honoring the warm-up window. Per-class
-// metrics are kept alongside (not instead of) the legacy sharing/non-sharing
-// aggregates: the legacy accumulators are fed in event order so a legacy
-// two-class run reproduces its historical output byte for byte, float
-// summation order included.
+// collector accumulates run metrics, honoring the warm-up window. Metrics
+// are kept per strategy class only; the sharing/non-sharing aggregates are
+// derived from Result.Classes.
 type collector struct {
 	warmupAt float64
 	mix      strategy.Mix
@@ -241,17 +265,12 @@ type collector struct {
 	whitewashes []int // per class, counted over the whole run
 	classFlips  []int // adaptive contribution toggles, per class
 
-	dtSharing metrics.Sample
-	dtNon     metrics.Sample
-	volume    *metrics.Grouped
-	waiting   *metrics.Grouped
+	volume  *metrics.Grouped
+	waiting *metrics.Grouped
 
 	sessionCount map[string]int
 	exchSessions int
 	allSessions  int
-
-	recvSharingKbits float64
-	recvNonKbits     float64
 
 	ringsStarted map[int]int
 	ringAttempts int
@@ -289,11 +308,6 @@ func (c *collector) downloadDone(now float64, class int, minutes float64) {
 		return
 	}
 	c.classes[class].dt.Add(minutes)
-	if c.mix[class].Share {
-		c.dtSharing.Add(minutes)
-	} else {
-		c.dtNon.Add(minutes)
-	}
 }
 
 func (c *collector) blockReceived(now float64, class int, kbits float64) {
@@ -301,11 +315,6 @@ func (c *collector) blockReceived(now float64, class int, kbits float64) {
 		return
 	}
 	c.classes[class].recvKbits += kbits
-	if c.mix[class].Share {
-		c.recvSharingKbits += kbits
-	} else {
-		c.recvNonKbits += kbits
-	}
 }
 
 // sessionDone records a finished (or finalized-at-horizon) session.
@@ -331,22 +340,10 @@ func (c *collector) ringStarted(now float64, size int) {
 }
 
 func (c *collector) result(policy string, horizon float64, events uint64, classCounts []int) *Result {
-	sharingPeers, nonSharingPeers := 0, 0
-	for i, cl := range c.mix {
-		if cl.Share {
-			sharingPeers += classCounts[i]
-		} else {
-			nonSharingPeers += classCounts[i]
-		}
-	}
 	res := &Result{
 		Policy:                 policy,
 		SimulatedSeconds:       horizon,
 		Events:                 events,
-		CompletedSharing:       int(c.dtSharing.N()),
-		CompletedNonSharing:    int(c.dtNon.N()),
-		DownloadTimeSharing:    &c.dtSharing,
-		DownloadTimeNonSharing: &c.dtNon,
 		SessionVolumeKB:        c.volume,
 		WaitingTimeMin:         c.waiting,
 		SessionCount:           c.sessionCount,
@@ -364,12 +361,6 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 	}
 	if c.allSessions > 0 {
 		res.ExchangeFraction = float64(c.exchSessions) / float64(c.allSessions)
-	}
-	if sharingPeers > 0 {
-		res.VolumePerSharingPeerMB = c.recvSharingKbits / float64(sharingPeers) / 8000
-	}
-	if nonSharingPeers > 0 {
-		res.VolumePerNonSharingPeerMB = c.recvNonKbits / float64(nonSharingPeers) / 8000
 	}
 	res.Classes = make([]ClassResult, len(c.mix))
 	for i, cl := range c.mix {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"barter/internal/metrics"
 	"barter/internal/strategy"
 )
 
@@ -22,6 +23,13 @@ func testCollector(sharingMin, nonSharingMin []float64) *collector {
 	return c
 }
 
+// completed returns the completed downloads of the sharing (or non-sharing)
+// side of a result.
+func completed(r *Result, sharing bool) int {
+	n, _, _ := r.side(sharing)
+	return n
+}
+
 func TestMeanDownloadMinPerClass(t *testing.T) {
 	c := testCollector([]float64{10, 20}, []float64{40, 60, 80})
 	res := c.result("2-5-way", 1000, 42, []int{3, 2})
@@ -34,8 +42,8 @@ func TestMeanDownloadMinPerClass(t *testing.T) {
 	if got := res.MeanDownloadMinAll(); got != (10+20+40+60+80)/5.0 {
 		t.Fatalf("combined mean = %v, want 42", got)
 	}
-	if res.CompletedSharing != 2 || res.CompletedNonSharing != 3 {
-		t.Fatalf("completions = %d/%d, want 2/3", res.CompletedSharing, res.CompletedNonSharing)
+	if sh, non := completed(res, true), completed(res, false); sh != 2 || non != 3 {
+		t.Fatalf("completions = %d/%d, want 2/3", sh, non)
 	}
 }
 
@@ -119,10 +127,72 @@ func TestWarmupWindowExcluded(t *testing.T) {
 	c.downloadDone(150, 1, 30)    // counted
 	c.blockReceived(150, 1, 8000) // counted
 	res := c.result("x", 1000, 0, []int{1, 1})
-	if res.CompletedSharing != 1 || res.MeanDownloadMin(true) != 30 {
-		t.Fatalf("warm-up leak: completed=%d mean=%v", res.CompletedSharing, res.MeanDownloadMin(true))
+	if completed(res, true) != 1 || res.MeanDownloadMin(true) != 30 {
+		t.Fatalf("warm-up leak: completed=%d mean=%v", completed(res, true), res.MeanDownloadMin(true))
 	}
-	if res.VolumePerSharingPeerMB != 1 {
-		t.Fatalf("volume = %v MB, want 1", res.VolumePerSharingPeerMB)
+	if res.VolumePerPeerMB(true) != 1 {
+		t.Fatalf("volume = %v MB, want 1", res.VolumePerPeerMB(true))
+	}
+}
+
+// TestLegacySidesAreTheClasses: in a nil-Mix run each side of the
+// sharing/non-sharing split is exactly one class, and every side aggregate
+// is that class's own value, bit for bit — the two-class figures depend on
+// it.
+func TestLegacySidesAreTheClasses(t *testing.T) {
+	cfg := testConfig()
+	cfg.Mix, cfg.FreeriderFrac = nil, 0.5
+	res := runOne(t, cfg)
+	sh, non := res.Class(strategy.LabelSharing), res.Class(strategy.LabelNonSharing)
+	if sh == nil || non == nil || len(res.Classes) != 2 {
+		t.Fatalf("legacy run classes = %+v", res.Classes)
+	}
+	if sh.Completed == 0 || non.Completed == 0 {
+		t.Fatalf("run too short: %d/%d completions", sh.Completed, non.Completed)
+	}
+	if completed(res, true) != sh.Completed || completed(res, false) != non.Completed {
+		t.Fatal("side completions differ from the class counts")
+	}
+	if res.MeanDownloadMin(true) != sh.DownloadTime.Mean() || res.MeanDownloadMin(false) != non.DownloadTime.Mean() {
+		t.Fatal("side means differ from the class means")
+	}
+	all := (sh.DownloadTime.Mean()*float64(sh.Completed) + non.DownloadTime.Mean()*float64(non.Completed)) /
+		float64(sh.Completed+non.Completed)
+	if res.MeanDownloadMinAll() != all {
+		t.Fatalf("combined mean = %v, want %v", res.MeanDownloadMinAll(), all)
+	}
+	if res.VolumePerPeerMB(true) != sh.VolumePerPeerMB || res.VolumePerPeerMB(false) != non.VolumePerPeerMB {
+		t.Fatal("side volumes differ from the class volumes")
+	}
+}
+
+// TestSideFoldsSeveralClasses: with two classes on one side, the side mean
+// is over both classes' samples together and the side volume is weighted
+// by class size.
+func TestSideFoldsSeveralClasses(t *testing.T) {
+	var a, b, c metrics.Sample
+	a.Add(1)
+	a.Add(2)
+	b.Add(6)
+	c.Add(100)
+	res := &Result{Classes: []ClassResult{
+		{Label: "x", Share: true, Peers: 1, Completed: 2, DownloadTime: &a, VolumePerPeerMB: 10},
+		{Label: "free", Share: false, Peers: 5, Completed: 1, DownloadTime: &c, VolumePerPeerMB: 7},
+		{Label: "y", Share: true, Peers: 3, Completed: 1, DownloadTime: &b, VolumePerPeerMB: 2},
+	}}
+	if got := res.MeanDownloadMin(true); got != 3 {
+		t.Fatalf("sharing mean = %v, want (1+2+6)/3 = 3", got)
+	}
+	if got := completed(res, true); got != 3 {
+		t.Fatalf("sharing completions = %d, want 3", got)
+	}
+	if got := res.VolumePerPeerMB(true); got != 4 {
+		t.Fatalf("sharing volume = %v MB, want (1*10+3*2)/4 = 4", got)
+	}
+	if got, want := res.MeanDownloadMinAll(), (1+2+6+100)/4.0; got != want {
+		t.Fatalf("combined mean = %v, want %v", got, want)
+	}
+	if res.MeanDownloadMin(false) != 100 || res.VolumePerPeerMB(false) != 7 {
+		t.Fatal("a one-class side must report that class's own values")
 	}
 }

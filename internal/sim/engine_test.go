@@ -109,9 +109,9 @@ func TestDeterminism(t *testing.T) {
 	if a.Events != b.Events {
 		t.Fatalf("event counts differ: %d vs %d", a.Events, b.Events)
 	}
-	if a.CompletedSharing != b.CompletedSharing || a.CompletedNonSharing != b.CompletedNonSharing {
+	if completed(a, true) != completed(b, true) || completed(a, false) != completed(b, false) {
 		t.Fatalf("completions differ: %d/%d vs %d/%d",
-			a.CompletedSharing, a.CompletedNonSharing, b.CompletedSharing, b.CompletedNonSharing)
+			completed(a, true), completed(a, false), completed(b, true), completed(b, false))
 	}
 	if a.ExchangeFraction != b.ExchangeFraction {
 		t.Fatalf("exchange fractions differ: %v vs %v", a.ExchangeFraction, b.ExchangeFraction)
@@ -127,7 +127,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	a := runOne(t, cfg)
 	cfg.Seed = 2
 	b := runOne(t, cfg)
-	if a.Events == b.Events && a.CompletedSharing == b.CompletedSharing &&
+	if a.Events == b.Events && completed(a, true) == completed(b, true) &&
 		a.ExchangeFraction == b.ExchangeFraction {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
@@ -135,10 +135,10 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 
 func TestRunCompletesDownloads(t *testing.T) {
 	res := runOne(t, shortConfig())
-	if res.CompletedSharing == 0 {
+	if completed(res, true) == 0 {
 		t.Fatal("no sharing downloads completed")
 	}
-	if res.CompletedNonSharing == 0 {
+	if completed(res, false) == 0 {
 		t.Fatal("no non-sharing downloads completed")
 	}
 	if res.ExchangeFraction <= 0 {
@@ -197,7 +197,7 @@ func TestSharingBeatsFreeriding(t *testing.T) {
 	sh, non := res.MeanDownloadMin(true), res.MeanDownloadMin(false)
 	if math.IsNaN(sh) || math.IsNaN(non) {
 		t.Fatalf("missing samples: sharing=%v non=%v (completed %d/%d)",
-			sh, non, res.CompletedSharing, res.CompletedNonSharing)
+			sh, non, completed(res, true), completed(res, false))
 	}
 	if sh >= non {
 		t.Fatalf("sharing mean %.1f min not better than non-sharing %.1f min", sh, non)
@@ -286,9 +286,9 @@ func TestAllFreeridersDegenerates(t *testing.T) {
 	cfg.FreeriderFrac = 1
 	cfg.Duration = 5_000
 	res := runOne(t, cfg)
-	if res.CompletedSharing != 0 || res.CompletedNonSharing != 0 {
+	if completed(res, true) != 0 || completed(res, false) != 0 {
 		t.Fatalf("downloads completed with zero sharers: %d/%d",
-			res.CompletedSharing, res.CompletedNonSharing)
+			completed(res, true), completed(res, false))
 	}
 }
 
@@ -296,10 +296,10 @@ func TestAllSharers(t *testing.T) {
 	cfg := shortConfig()
 	cfg.FreeriderFrac = 0
 	res := runOne(t, cfg)
-	if res.CompletedNonSharing != 0 {
+	if completed(res, false) != 0 {
 		t.Fatal("non-sharing completions with zero free-riders")
 	}
-	if res.CompletedSharing == 0 {
+	if completed(res, true) == 0 {
 		t.Fatal("no completions in an all-sharing system")
 	}
 }

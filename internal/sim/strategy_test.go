@@ -19,20 +19,21 @@ func TestExplicitLegacyMixIsIdentical(t *testing.T) {
 	if a.Events != b.Events {
 		t.Fatalf("event counts differ: %d vs %d", a.Events, b.Events)
 	}
-	if a.CompletedSharing != b.CompletedSharing || a.CompletedNonSharing != b.CompletedNonSharing {
+	if completed(a, true) != completed(b, true) || completed(a, false) != completed(b, false) {
 		t.Fatalf("completions differ: %d/%d vs %d/%d",
-			a.CompletedSharing, a.CompletedNonSharing, b.CompletedSharing, b.CompletedNonSharing)
+			completed(a, true), completed(a, false), completed(b, true), completed(b, false))
 	}
 	if am, bm := a.MeanDownloadMin(true), b.MeanDownloadMin(true); am != bm && !(math.IsNaN(am) && math.IsNaN(bm)) {
 		t.Fatalf("sharing means differ: %v vs %v", am, bm)
 	}
-	if a.VolumePerSharingPeerMB != b.VolumePerSharingPeerMB {
-		t.Fatalf("volumes differ: %v vs %v", a.VolumePerSharingPeerMB, b.VolumePerSharingPeerMB)
+	if a.VolumePerPeerMB(true) != b.VolumePerPeerMB(true) {
+		t.Fatalf("volumes differ: %v vs %v", a.VolumePerPeerMB(true), b.VolumePerPeerMB(true))
 	}
 }
 
-// TestLegacyClassResults: the two legacy classes appear as per-class results
-// that agree with the legacy aggregates.
+// TestLegacyClassResults: the two legacy classes appear as per-class
+// results; TestLegacySidesAreTheClasses checks the side aggregates against
+// them.
 func TestLegacyClassResults(t *testing.T) {
 	res := runOne(t, shortConfig())
 	if len(res.Classes) != 2 {
@@ -42,15 +43,8 @@ func TestLegacyClassResults(t *testing.T) {
 	if non == nil || sh == nil {
 		t.Fatalf("missing legacy classes: %+v", res.Classes)
 	}
-	if sh.Completed != res.CompletedSharing || non.Completed != res.CompletedNonSharing {
-		t.Fatalf("class completions %d/%d disagree with legacy %d/%d",
-			sh.Completed, non.Completed, res.CompletedSharing, res.CompletedNonSharing)
-	}
-	if m := res.ClassMeanDownloadMin(strategy.LabelSharing); m != res.MeanDownloadMin(true) {
-		t.Fatalf("class mean %v != legacy mean %v", m, res.MeanDownloadMin(true))
-	}
-	if sh.VolumePerPeerMB != res.VolumePerSharingPeerMB {
-		t.Fatalf("class volume %v != legacy volume %v", sh.VolumePerPeerMB, res.VolumePerSharingPeerMB)
+	if m := res.ClassMeanDownloadMin(strategy.LabelSharing); m != sh.DownloadTime.Mean() {
+		t.Fatalf("ClassMeanDownloadMin = %v, class sample mean %v", m, sh.DownloadTime.Mean())
 	}
 	if res.Class("no-such-class") != nil || !math.IsNaN(res.ClassMeanDownloadMin("no-such-class")) {
 		t.Fatal("absent class did not report nil/NaN")

@@ -37,7 +37,7 @@ func TestWorkloadRunCompletesDownloads(t *testing.T) {
 	cfg := quickWorkloadConfig()
 	cfg.Workload, _ = workload.Builtin("flash")
 	res := runOnce(t, cfg)
-	if res.CompletedSharing+res.CompletedNonSharing == 0 {
+	if completed(res, true)+completed(res, false) == 0 {
 		t.Fatal("workload run completed no downloads")
 	}
 }
@@ -101,7 +101,7 @@ func TestWorkloadDisablesClosedLoop(t *testing.T) {
 	cfg.Workload = spec
 	res := runOnce(t, cfg)
 	maxDemand := 2 * cfg.NumPeers
-	if got := res.CompletedSharing + res.CompletedNonSharing; got > maxDemand {
+	if got := completed(res, true) + completed(res, false); got > maxDemand {
 		t.Errorf("completed %d downloads, more than the spec's total demand %d", got, maxDemand)
 	}
 }
@@ -159,7 +159,7 @@ func TestTraceReplayCompletesRecordedDemand(t *testing.T) {
 	}
 	// All three recorded requests must complete: the objects are tiny and
 	// the horizon was extended far past the recorded one.
-	if got := res.CompletedSharing + res.CompletedNonSharing; got != 3 {
+	if got := completed(res, true) + completed(res, false); got != 3 {
 		t.Errorf("replay completed %d downloads, want 3", got)
 	}
 	if !s.peers[1].has(1) || !s.peers[1].has(2) || !s.peers[2].has(1) {
@@ -203,7 +203,7 @@ func TestTraceReplayRetriesUntilHolderArrives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.CompletedSharing + res.CompletedNonSharing; got != 1 {
+	if got := completed(res, true) + completed(res, false); got != 1 {
 		t.Errorf("replay completed %d downloads, want 1 after retrying past the arrival", got)
 	}
 	if res.LookupFailures == 0 {

@@ -60,17 +60,6 @@ func Scenarios() []Scenario {
 	return out
 }
 
-// Peer class labels, shared with the simulator through internal/strategy so
-// live series and figure series carry identical names.
-const (
-	ClassSharing     = strategy.LabelSharing
-	ClassNonSharing  = strategy.LabelNonSharing
-	ClassCorrupt     = strategy.LabelCorrupt
-	ClassAdaptive    = strategy.LabelAdaptive
-	ClassWhitewasher = strategy.LabelWhitewasher
-	ClassPartial     = strategy.LabelPartial
-)
-
 // Every scenario shares these: a downloader's want count (where wants are
 // not structural), the provider fan-out handed to each Download, and the
 // spacing of churn's node restarts.

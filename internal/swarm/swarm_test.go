@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"barter/internal/strategy"
 	"barter/internal/testutil"
 )
 
@@ -48,7 +49,7 @@ func TestFlashCrowd(t *testing.T) {
 	if res.Completed != res.Wanted || res.Wanted == 0 {
 		t.Fatalf("flashcrowd: completed %d of %d", res.Completed, res.Wanted)
 	}
-	if mean, n := res.ClassMean(ClassSharing); n == 0 || mean <= 0 {
+	if mean, n := res.ClassMean(strategy.LabelSharing); n == 0 || mean <= 0 {
 		t.Fatalf("no sharing-class completions recorded (n=%d mean=%v)", n, mean)
 	}
 	tsv := res.TSV()
@@ -89,8 +90,8 @@ func TestFreeriderGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharing, ns := res.ClassMean(ClassSharing)
-	rider, nr := res.ClassMean(ClassNonSharing)
+	sharing, ns := res.ClassMean(strategy.LabelSharing)
+	rider, nr := res.ClassMean(strategy.LabelNonSharing)
 	if ns == 0 || nr == 0 {
 		t.Fatalf("missing class completions (sharing n=%d, non-sharing n=%d)\n%s", ns, nr, res.PeersTSV())
 	}
@@ -318,7 +319,7 @@ func TestAdversaryScenario(t *testing.T) {
 	for _, p := range res.Peers {
 		classes[p.Class]++
 	}
-	for _, want := range []string{ClassSharing, ClassAdaptive, ClassWhitewasher, ClassPartial} {
+	for _, want := range []string{strategy.LabelSharing, strategy.LabelAdaptive, strategy.LabelWhitewasher, strategy.LabelPartial} {
 		if classes[want] == 0 {
 			t.Fatalf("world built no %s peers: %v", want, classes)
 		}
@@ -330,7 +331,7 @@ func TestAdversaryScenario(t *testing.T) {
 		t.Fatalf("whitewashers never churned identity\n%s", res.PeersTSV())
 	}
 	tsv := res.TSV()
-	for _, want := range []string{"live/" + ClassAdaptive, "live/" + ClassWhitewasher, "live/" + ClassPartial, "# adversary: flips="} {
+	for _, want := range []string{"live/" + strategy.LabelAdaptive, "live/" + strategy.LabelWhitewasher, "live/" + strategy.LabelPartial, "# adversary: flips="} {
 		if !strings.Contains(tsv, want) {
 			t.Fatalf("TSV missing %q:\n%s", want, tsv)
 		}
@@ -412,8 +413,8 @@ func TestResultTSVShape(t *testing.T) {
 		Nodes:         4,
 		FreeriderFrac: 0.5,
 		Peers: []PeerResult{
-			{ID: 1, Class: ClassSharing, Wanted: 1, Completed: 1, MeanCompletion: 2 * time.Second},
-			{ID: 2, Class: ClassNonSharing, Wanted: 1, Completed: 1, MeanCompletion: 4 * time.Second},
+			{ID: 1, Class: strategy.LabelSharing, Wanted: 1, Completed: 1, MeanCompletion: 2 * time.Second},
+			{ID: 2, Class: strategy.LabelNonSharing, Wanted: 1, Completed: 1, MeanCompletion: 4 * time.Second},
 		},
 	}
 	tsv := res.Table().TSV()
@@ -423,7 +424,7 @@ func TestResultTSVShape(t *testing.T) {
 	if !strings.Contains(tsv, "0.5\t2\t4") {
 		t.Fatalf("row shape:\n%s", tsv)
 	}
-	if got, n := res.ClassMean(ClassNonSharing); n != 1 || got != 4*time.Second {
+	if got, n := res.ClassMean(strategy.LabelNonSharing); n != 1 || got != 4*time.Second {
 		t.Fatalf("ClassMean = %v, %d", got, n)
 	}
 	peers := res.PeersTSV()

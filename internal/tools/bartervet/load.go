@@ -24,6 +24,7 @@ type unit struct {
 	files []*ast.File
 	info  *types.Info
 	pkg   *types.Package
+	uses  useIndex // shared by every unit of one run; read by deadcode
 }
 
 // typeString renders a type with local names bare and imported names

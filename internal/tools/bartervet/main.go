@@ -3,11 +3,12 @@
 // behavior may depend on map iteration order, pointer values, or wall time —
 // the invariant behind byte-identical TSV for the same seed at any
 // -parallel — plus the mediator-tier rule that durability-path I/O errors
-// must never be swallowed.
+// must never be swallowed, and the rule that internal/ exports nothing the
+// module does not use.
 //
 // Usage:
 //
-//	bartervet [-checks maprange,walltime,ptrorder,unchecked-io] dir [dir...]
+//	bartervet [-checks maprange,walltime,ptrorder,unchecked-io,deadcode] dir [dir...]
 //
 // Each argument is walked recursively for Go packages (testdata trees are
 // skipped) and every package found is parsed and type-checked from source —
@@ -33,6 +34,10 @@
 //     decision; dropped write/sync errors and bare or deferred Closes are
 //     not. Never-failing writers (bytes.Buffer, strings.Builder) are
 //     exempt.
+//   - deadcode: an exported package-level func, type, var or const under
+//     internal/ (internal/tools and internal/testutil excepted) that no
+//     non-test file of the loaded tree references. Every unit is loaded
+//     before any is checked, so the roots must cover the whole module.
 //
 // A finding is silenced by a waiver comment on the flagged line or the line
 // above:
@@ -55,7 +60,7 @@ import (
 )
 
 // checkNames lists every analyzer in the order reports group naturally.
-var checkNames = []string{"maprange", "walltime", "ptrorder", "unchecked-io"}
+var checkNames = []string{"maprange", "walltime", "ptrorder", "unchecked-io", "deadcode"}
 
 // analyzers maps a check name to its implementation. Each analyzer walks
 // one type-checked unit and reports findings through the diags collector.
@@ -64,6 +69,7 @@ var analyzers = map[string]func(*unit, *diags){
 	"walltime":     checkWallTime,
 	"ptrorder":     checkPtrOrder,
 	"unchecked-io": checkUncheckedIO,
+	"deadcode":     checkDeadcode,
 }
 
 func main() {
@@ -87,7 +93,7 @@ func main() {
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		fmt.Fprintf(os.Stderr, "bartervet: %d determinism-contract violations\n", len(problems))
+		fmt.Fprintf(os.Stderr, "bartervet: %d contract violations\n", len(problems))
 		os.Exit(1)
 	}
 }
@@ -116,26 +122,30 @@ func parseChecks(list string) ([]string, error) {
 // position.
 func run(checks []string, roots []string) ([]string, error) {
 	loader := newLoader()
-	var problems []string
+	var units []*unit
 	for _, root := range roots {
 		dirs, err := goDirs(root)
 		if err != nil {
 			return nil, err
 		}
 		for _, dir := range dirs {
-			units, err := loader.load(dir)
+			us, err := loader.load(dir)
 			if err != nil {
 				return nil, err
 			}
-			for _, u := range units {
-				d := newDiags(u, checks)
-				for _, name := range checks {
-					d.check = name
-					analyzers[name](u, d)
-				}
-				problems = append(problems, d.report()...)
-			}
+			units = append(units, us...)
 		}
+	}
+	uses := indexUses(units)
+	var problems []string
+	for _, u := range units {
+		u.uses = uses
+		d := newDiags(u, checks)
+		for _, name := range checks {
+			d.check = name
+			analyzers[name](u, d)
+		}
+		problems = append(problems, d.report()...)
 	}
 	sort.Strings(problems)
 	return problems, nil

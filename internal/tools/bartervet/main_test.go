@@ -29,6 +29,7 @@ func TestGolden(t *testing.T) {
 		{"walltime", "walltime"},
 		{"ptrorder", "ptrorder"},
 		{"uncheckedio", "unchecked-io"},
+		{"deadcode", "deadcode"},
 		// The waiver machinery itself: malformed and stale waivers are
 		// findings no matter which analyzer runs.
 		{"waivers", "maprange"},
@@ -122,6 +123,15 @@ func TestDeterministicPackagesAreClean(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
 		t.Errorf("unchecked-io contract violated:\n%s", strings.Join(got, "\n"))
+	}
+	var modArgs []string
+	for _, p := range []string{"internal", "cmd", "examples", "bench"} {
+		modArgs = append(modArgs, filepath.Join(root, p))
+	}
+	if got, err := run([]string{"deadcode"}, modArgs); err != nil {
+		t.Fatalf("run: %v", err)
+	} else if len(got) > 0 {
+		t.Errorf("exported internal/ symbols without a non-test user:\n%s", strings.Join(got, "\n"))
 	}
 }
 

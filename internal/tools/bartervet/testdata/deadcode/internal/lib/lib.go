@@ -1,0 +1,30 @@
+// Package lib seeds the deadcode golden test. It sits under an internal/
+// directory because only internal/ packages are in the check's scope.
+package lib
+
+// Unused is referenced nowhere: flagged.
+func Unused() int { return 1 }
+
+// Used is called from a non-test file below: silent.
+func Used() int { return 2 }
+
+// Limit is read only by a test: flagged, a test is not a user.
+const Limit = 3
+
+// Recurse calls only itself: flagged, its own body does not count.
+func Recurse(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recurse(n - 1)
+}
+
+// Chain refers only to itself: flagged.
+type Chain struct{ next *Chain }
+
+// Hook is kept for callers outside the module.
+//
+//barter:allow deadcode the seeded waiver: silent
+var Hook func()
+
+func helper() int { return Used() }

@@ -3,7 +3,9 @@
 # imports is dead weight (internal/bloom sat in the tree that way for ten
 # PRs). Test imports count, so a test-support package passes; the programs
 # under internal/tools are entry points, not libraries, and are exempt.
-# Part of `make lint`; the first slice of ROADMAP's `make deadcode`.
+# Part of `make lint`, beside bartervet's symbol-level deadcode check: a
+# package whose exports are all used by its own files still has no importer,
+# and only this check sees that.
 set -eu
 cd "$(dirname "$0")/.."
 
