@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,16 +101,40 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestVerboseEmitsProgress: -v prints exactly one summary line per grid
+// point, identical at any -parallel. The runner's own "done ... replica"
+// lines, one per run, arrive in completion order and are left out of the
+// comparison; at one replica they count the grid's points.
 func TestVerboseEmitsProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick experiment skipped in -short")
 	}
-	_, stderr, err := runCmd(t, "-experiment", "ablation-search", "-quick", "-v")
-	if err != nil {
-		t.Fatal(err)
+	summaries := func(parallel string) []string {
+		t.Helper()
+		_, stderr, err := runCmd(t, "-experiment", "ablation-search", "-quick", "-v", "-parallel", parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		runs := 0
+		for _, line := range strings.Split(strings.TrimSpace(stderr), "\n") {
+			if strings.HasPrefix(line, "done ") {
+				runs++
+				continue
+			}
+			if !strings.HasPrefix(line, "ablation-search budget=") {
+				t.Fatalf("unexpected progress line %q in:\n%s", line, stderr)
+			}
+			lines = append(lines, line)
+		}
+		if runs == 0 || len(lines) != runs {
+			t.Fatalf("%d summary lines for %d grid points:\n%s", len(lines), runs, stderr)
+		}
+		return lines
 	}
-	if !strings.Contains(stderr, "ablation-search") {
-		t.Fatalf("no progress lines on stderr:\n%s", stderr)
+	seq, par := summaries("1"), summaries("8")
+	if !slices.Equal(seq, par) {
+		t.Fatalf("summary lines differ across -parallel:\n%s\nvs\n%s", strings.Join(seq, "\n"), strings.Join(par, "\n"))
 	}
 }
 

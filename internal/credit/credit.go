@@ -77,8 +77,8 @@ func (e *EMule) OnTransfer(src, dst core.PeerID, kbits float64) {
 	e.kbits[src] = row
 }
 
-// Credit returns the kbits src has uploaded to dst (exported for tests and
-// the creditcompare example).
+// Credit returns the kbits src has uploaded to dst: the books Score ranks
+// by.
 func (e *EMule) Credit(src, dst core.PeerID) float64 {
 	if int(src) < len(e.kbits) {
 		if row := e.kbits[src]; int(dst) < len(row) {

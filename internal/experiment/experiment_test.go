@@ -383,43 +383,45 @@ func TestOptionsDefaults(t *testing.T) {
 	o.progress("no sink, must not panic")
 }
 
-// tinyOpts shrink the quick world further so grid-machinery tests stay fast
-// enough for -short -race.
-func tinyCfg(opts Options) sim.Config {
-	cfg := base(opts)
-	cfg.NumPeers = 12
-	cfg.Duration = 5_000
-	cfg.StorageMinObjects = 4
-	cfg.StorageMaxObjects = 8
-	return cfg
+// tinyGrid is a row over the given upload capacities in a world shrunk
+// further than the quick one, so grid-machinery tests stay fast enough for
+// -short -race. Each point appends f as the series "frac".
+func tinyGrid(f func(*sim.Result) float64, uls ...float64) *Experiment {
+	return &Experiment{
+		table: metrics.Table{Title: "grid", XLabel: "ul", YLabel: "frac"},
+		grid: func(cfg sim.Config, _ bool) []point {
+			cfg.NumPeers = 12
+			cfg.Duration = 5_000
+			cfg.StorageMinObjects = 4
+			cfg.StorageMaxObjects = 8
+			var pts []point
+			for _, ul := range uls {
+				cfg.UploadKbps = ul
+				pts = append(pts, point{label: fmt.Sprintf("grid ul=%g", ul), x: ul, cfg: cfg, series: []series{{"frac", f}}})
+			}
+			return pts
+		},
+	}
 }
 
 // TestGridDeterministicAcrossParallelism is the runner integration contract
-// at the experiment layer: the same grid emits identical tables at any
-// worker count. It runs in short mode as the quick equivalent of the full
-// figure sweeps.
+// at the experiment layer: the same grid emits identical tables and
+// per-point summary lines at any worker count. It runs in short mode as the
+// quick equivalent of the full figure sweeps.
 func TestGridDeterministicAcrossParallelism(t *testing.T) {
 	build := func(parallel int) (string, []string) {
-		tab := &metrics.Table{Title: "grid", XLabel: "ul", YLabel: "frac"}
 		var progress []string
-		opts := Options{Seed: 1, Quick: true, Parallel: parallel}
-		var pts []point
-		for _, ul := range []float64{40, 30, 20} {
-			cfg := tinyCfg(opts)
-			cfg.UploadKbps = ul
-			pts = append(pts, point{
-				label: "grid",
-				cfg:   cfg,
-				emit: func(rs []*sim.Result) {
-					appendAgg(tab, "frac", ul, rs, exchFraction)
-					progress = append(progress, fmt.Sprintf("ul=%g frac=%.4f", ul, mean(rs, exchFraction)))
-				},
-			})
-		}
-		if err := runGrid(opts, pts); err != nil {
+		opts := Options{Seed: 1, Quick: true, Parallel: parallel, Progress: func(msg string) {
+			// The runner's own per-run lines arrive in completion order.
+			if !strings.HasPrefix(msg, "done ") {
+				progress = append(progress, msg)
+			}
+		}}
+		rep, err := tinyGrid(exchFraction, 40, 30, 20).run(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return tab.TSV(), progress
+		return rep.TSV(), progress
 	}
 	seqTSV, seqProg := build(1)
 	parTSV, parProg := build(8)
@@ -436,24 +438,19 @@ func TestGridDeterministicAcrossParallelism(t *testing.T) {
 // replica reproduces the unreplicated table byte for byte.
 func TestGridReplication(t *testing.T) {
 	run := func(replicas int) *metrics.Table {
-		tab := &metrics.Table{Title: "grid", XLabel: "ul", YLabel: "frac"}
-		opts := Options{Seed: 1, Quick: true, Parallel: 4, Replicas: replicas}
-		cfg := tinyCfg(opts)
-		cfg.UploadKbps = 30
-		pts := []point{{
-			label: "grid",
-			cfg:   cfg,
-			emit: func(rs []*sim.Result) {
-				if len(rs) != max(replicas, 1) {
-					t.Fatalf("emit got %d replicas, want %d", len(rs), max(replicas, 1))
-				}
-				appendAgg(tab, "frac", 30, rs, exchFraction)
-			},
-		}}
-		if err := runGrid(opts, pts); err != nil {
+		seen := map[*sim.Result]bool{}
+		frac := func(r *sim.Result) float64 {
+			seen[r] = true
+			return r.ExchangeFraction
+		}
+		rep, err := tinyGrid(frac, 30).run(Options{Seed: 1, Quick: true, Parallel: 4, Replicas: replicas})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return tab
+		if len(seen) != max(replicas, 1) {
+			t.Fatalf("point got %d replicas, want %d", len(seen), max(replicas, 1))
+		}
+		return rep.Tables[0]
 	}
 
 	plain := run(0)

@@ -37,7 +37,7 @@ func (n *Node) registerConn(hello protocol.Hello, conn transport.Conn) {
 		n:       n,
 		id:      hello.Peer,
 		conn:    conn,
-		sendQ:   make(chan protocol.Message, n.cfg.SendQueue),
+		sendQ:   make(chan protocol.Message, sendQueue),
 		sharing: hello.Sharing,
 	}
 	n.conns[hello.Peer] = pc
@@ -104,7 +104,7 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 		_ = conn.Close() // node is shutting down
 		return nil
 	}
-	pc := &peerConn{n: n, id: peer, conn: conn, sendQ: make(chan protocol.Message, n.cfg.SendQueue)}
+	pc := &peerConn{n: n, id: peer, conn: conn, sendQ: make(chan protocol.Message, sendQueue)}
 	n.conns[peer] = pc
 	n.wg.Add(2)
 	go n.readLoop(conn, peer)
@@ -113,10 +113,16 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 	return pc
 }
 
+// sendQueue bounds each connection's outbound message queue. A live peer's
+// writer keeps it far below 1024 — node.send_overflows is 0 on every
+// benchmark workload — so reaching the bound means a stopped consumer.
+const sendQueue = 1024
+
 // send enqueues without blocking the event loop. The queue is bounded
-// (Config.SendQueue); the writer goroutine drains it against the transport's
-// own backpressure, so an overflow means the peer has stopped consuming and
-// the connection is treated as dead rather than buffered without limit.
+// (sendQueue); the writer goroutine drains it against the transport's own
+// backpressure, so an overflow means the peer has stopped consuming and the
+// connection is treated as dead (Stats.SendOverflows) rather than buffered
+// without limit.
 func (pc *peerConn) send(msg protocol.Message) {
 	select {
 	case pc.sendQ <- msg:
@@ -204,7 +210,7 @@ func (n *Node) myTree() *core.Tree {
 	for _, e := range n.irq {
 		entries = append(entries, core.IRQEntry{Requester: e.peer, Object: e.object, Attached: e.tree})
 	}
-	return core.BuildTree(n.cfg.ID, entries, n.cfg.TreeDepth)
+	return core.BuildTree(n.cfg.ID, entries, core.DefaultMaxRing)
 }
 
 // searchTree is myTree restricted to requests not already committed to an
@@ -219,7 +225,7 @@ func (n *Node) searchTree() *core.Tree {
 		}
 		entries = append(entries, core.IRQEntry{Requester: e.peer, Object: e.object, Attached: e.tree})
 	}
-	return core.BuildTree(n.cfg.ID, entries, n.cfg.TreeDepth)
+	return core.BuildTree(n.cfg.ID, entries, core.DefaultMaxRing)
 }
 
 // ringFed reports whether a committed ring is already delivering obj to us.
@@ -299,7 +305,8 @@ func (n *Node) startUpload(to core.PeerID, obj catalog.ObjectID, ringID uint64, 
 	if !ok {
 		return false
 	}
-	u := &upload{to: to, object: obj, ringID: ringID, total: total, session: session, sealKey: sealKey, escrowed: !n.mediated()}
+	n.upSeq++
+	u := &upload{to: to, object: obj, ringID: ringID, seq: n.upSeq, total: total, session: session, sealKey: sealKey, escrowed: !n.mediated()}
 	n.uploads[upKey{to: to, object: obj}] = u
 	pc.send(&protocol.Manifest{Object: obj, Size: uint64(objectSize(n.store[obj])), Blocks: total, Session: session, Digests: digs})
 	if n.mediated() {
@@ -595,18 +602,23 @@ func (n *Node) onRingCommit(_ core.PeerID, m *protocol.RingCommit) {
 
 // commitRing starts this member's upload to its ring successor, preempting a
 // non-exchange upload if the slots are full ("these slots will be reclaimed
-// as soon as another exchange becomes possible").
+// as soon as another exchange becomes possible"). Like the simulator, it
+// preempts the most recently started one: that sacrifices the least
+// accumulated work.
 func (n *Node) commitRing(ring *ringInfo) {
 	ring.committed = true
 	ring.age = 0
 	n.stats.RingsJoined++
 	if len(n.uploads) >= n.cfg.UploadSlots {
-		for k, u := range n.uploads {
-			if u.ringID == 0 {
-				delete(n.uploads, k)
-				n.stats.Preemptions++
-				break
+		var youngest *upload
+		for _, u := range n.uploads {
+			if u.ringID == 0 && (youngest == nil || u.seq > youngest.seq) {
+				youngest = u
 			}
+		}
+		if youngest != nil {
+			delete(n.uploads, upKey{to: youngest.to, object: youngest.object})
+			n.stats.Preemptions++
 		}
 	}
 	succ := ring.members[(ring.myIdx+1)%len(ring.members)]

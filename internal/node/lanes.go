@@ -113,7 +113,7 @@ func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]str
 }
 
 func (n *Node) sendRequests(dl *download) {
-	tree := protocol.FromCoreTree(n.myTree().Prune(n.cfg.TreeDepth))
+	tree := protocol.FromCoreTree(n.myTree().Prune(core.DefaultMaxRing))
 	for p, addr := range dl.providers {
 		if pc := n.getConn(p, addr); pc != nil {
 			pc.send(&protocol.Request{Object: dl.object, Tree: tree})

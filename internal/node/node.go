@@ -67,8 +67,6 @@ type Config struct {
 	UploadSlots int
 	// BlockSize is the transfer block size in bytes (default 64 KiB).
 	BlockSize int
-	// TreeDepth prunes attached request trees (default core.DefaultMaxRing).
-	TreeDepth int
 	// TickInterval paces the maintenance timer (default 20ms).
 	TickInterval time.Duration
 	// StallTicks is how many ticks without progress a download waits
@@ -82,11 +80,6 @@ type Config struct {
 	// in wall-clock time, so a paced upload keeps one block in flight. Zero
 	// sends immediately, up to the send window.
 	BlockDelay time.Duration
-	// SendQueue bounds each connection's outbound message queue (default
-	// 1024). The writer goroutine drains it against the transport's own
-	// backpressure; overflowing it counts as a dead connection and is
-	// recorded in Stats.SendOverflows.
-	SendQueue int
 	// TrustedDigests, when set, overrides manifest digests as the block
 	// validation source ("a trustworthy source of information for the
 	// actual valid checksums", Section III-B).
@@ -129,9 +122,6 @@ func (c *Config) fillDefaults() error {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 64 << 10
 	}
-	if c.TreeDepth <= 0 {
-		c.TreeDepth = core.DefaultMaxRing
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 20 * time.Millisecond
 	}
@@ -140,9 +130,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
-	}
-	if c.SendQueue <= 0 {
-		c.SendQueue = 1024
 	}
 	if c.Stripe <= 0 {
 		c.Stripe = 1
@@ -222,6 +209,7 @@ type Node struct {
 	conns     map[core.PeerID]*peerConn
 	rings     map[uint64]*ringInfo
 	ringSeq   uint64
+	upSeq     uint64
 	stats     Stats
 }
 
@@ -258,7 +246,9 @@ type upload struct {
 	to     core.PeerID
 	object catalog.ObjectID
 	ringID uint64
-	total  uint32
+	// seq orders uploads by start: ring commits preempt the youngest.
+	seq   uint64
+	total uint32
 	// next is the oldest unacknowledged block index, sent the next one to
 	// send; inFlight counts the blocks between them (at most window).
 	next     uint32

@@ -5,12 +5,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
+	"barter/internal/protocol"
 	"barter/internal/transport"
 )
 
@@ -298,6 +300,48 @@ func TestExchangePreemptsFreerider(t *testing.T) {
 	// The free-rider eventually completes too, from spare capacity.
 	if err := WaitFor(chRider, testTimeout); err != nil {
 		t.Fatalf("rider's download: %v", err)
+	}
+}
+
+// TestPreemptsYoungestUpload: a ring commit on a node whose slots are all
+// taken by plain uploads ends the most recently started one, as the
+// simulator does — the one with the least accumulated work. Map iteration
+// order is random, so a pick in map order fails some trial almost surely.
+func TestPreemptsYoungestUpload(t *testing.T) {
+	const slots, trials, ringID = 4, 12, 77
+	ox, oy := catalog.ObjectID(100), catalog.ObjectID(200)
+	for range trials {
+		tn := newTestNet(t)
+		holder := tn.spawn(1, func(c *Config) { c.UploadSlots = slots; c.StallTicks = 10_000 })
+		holder.AddObject(ox, payload(ox, 16*1024))
+		holder.Download(oy, map[core.PeerID]string{9: ""})
+		// Start the plain uploads one at a time, so their order is known.
+		for i := range slots {
+			r := dialRaw(tn, core.PeerID(10+i), holder)
+			r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+			recvRaw[*protocol.Manifest](r)
+		}
+		ring := dialRaw(tn, 9, holder)
+		ring.send(&protocol.RingProbe{RingID: ringID, Members: []protocol.RingMember{
+			{Peer: ring.id, Gives: oy, Addr: "mem://raw"},
+			{Peer: holder.ID(), Gives: ox, Addr: holder.Addr()},
+		}})
+		if a := recvRaw[*protocol.RingAccept](ring); !a.OK {
+			t.Fatalf("holder refused the ring: %s", a.Reason)
+		}
+		ring.send(&protocol.RingCommit{RingID: ringID})
+		recvRaw[*protocol.Manifest](ring) // the commit, preemption included, is done
+		var plain []core.PeerID
+		holder.call(func() {
+			for k, u := range holder.uploads {
+				if u.ringID == 0 {
+					plain = append(plain, k.to)
+				}
+			}
+		})
+		if len(plain) != slots-1 || slices.Contains(plain, core.PeerID(10+slots-1)) {
+			t.Fatalf("after the commit the plain uploads go to %v, want all but the youngest (%d)", plain, 10+slots-1)
+		}
 	}
 }
 

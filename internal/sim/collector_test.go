@@ -141,7 +141,7 @@ func TestWarmupWindowExcluded(t *testing.T) {
 // it.
 func TestLegacySidesAreTheClasses(t *testing.T) {
 	cfg := testConfig()
-	cfg.Mix, cfg.FreeriderFrac = nil, 0.5
+	cfg.Mix = nil
 	res := runOne(t, cfg)
 	sh, non := res.Class(strategy.LabelSharing), res.Class(strategy.LabelNonSharing)
 	if sh == nil || non == nil || len(res.Classes) != 2 {

@@ -74,16 +74,11 @@ type Config struct {
 	// (Table II: 6).
 	MaxPending int
 
-	// FreeriderFrac is the fraction of peers that share nothing
-	// (Table II: 50%). It is shorthand for the two-class legacy mix; when
-	// Mix is set it is ignored.
-	FreeriderFrac float64
-
 	// Mix declares the population's strategy classes (see internal/strategy):
 	// an ordered list of weighted peer behaviors — sharers, static
 	// free-riders, adaptive free-riders, whitewashers, partial sharers. Nil
-	// means strategy.LegacyMix(FreeriderFrac), which reproduces the paper's
-	// two-class population byte for byte.
+	// means strategy.LegacyMix(0.5), Table II's population: half the peers
+	// share nothing.
 	Mix strategy.Mix
 
 	// AdaptivePatience is how long (simulated seconds) an adaptive
@@ -173,7 +168,6 @@ func DefaultConfig() Config {
 		StorageMaxObjects: 40,
 		IRQCapacity:       1000,
 		MaxPending:        6,
-		FreeriderFrac:     0.5,
 		AdaptivePatience:  600,
 		WhitewashInterval: 7200,
 		Policy:            core.Policy2N,
@@ -209,8 +203,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: IRQCapacity = %d, want > 0", c.IRQCapacity)
 	case c.MaxPending <= 0:
 		return fmt.Errorf("sim: MaxPending = %d, want > 0", c.MaxPending)
-	case c.FreeriderFrac < 0 || c.FreeriderFrac > 1:
-		return fmt.Errorf("sim: FreeriderFrac = %v, want [0, 1]", c.FreeriderFrac)
 	case c.LookupMax <= 0 || c.RequestFanout <= 0:
 		return fmt.Errorf("sim: LookupMax and RequestFanout must be positive")
 	case c.Duration <= 0:
@@ -251,13 +243,13 @@ func (c Config) Validate() error {
 	return c.Catalog.Validate()
 }
 
-// effectiveMix returns the population mix the run uses: the explicit Mix, or
-// the paper's two-class legacy mix derived from FreeriderFrac.
-func (c Config) effectiveMix() strategy.Mix {
+// EffectiveMix returns the population mix the run uses: the explicit Mix, or
+// Table II's two-class population.
+func (c Config) EffectiveMix() strategy.Mix {
 	if c.Mix != nil {
 		return c.Mix
 	}
-	return strategy.LegacyMix(c.FreeriderFrac)
+	return strategy.LegacyMix(0.5)
 }
 
 // adaptivePatience and whitewashInterval fall back to the documented

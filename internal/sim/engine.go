@@ -120,7 +120,7 @@ func New(cfg Config) (*Sim, error) {
 	// the first consumer of the engine stream so PeerClasses stays aligned
 	// with New; for a legacy mix it consumes exactly the permutation the
 	// historical free-rider draw did.
-	mix := cfg.effectiveMix()
+	mix := cfg.EffectiveMix()
 	classOf := classAssignment(engRNG, mix, cfg.NumPeers)
 
 	q := eventq.New()
@@ -215,7 +215,7 @@ func classAssignment(r *rng.RNG, mix strategy.Mix, n int) []int {
 // mechanisms that key behavior on class (e.g. the KaZaA cheat model, where
 // exactly the free-riders misreport) use this to stay aligned with the run.
 func PeerClasses(cfg Config) map[core.PeerID]bool {
-	mix := cfg.effectiveMix()
+	mix := cfg.EffectiveMix()
 	classOf := classAssignment(rng.New(cfg.Seed).Split(2), mix, cfg.NumPeers)
 	classes := make(map[core.PeerID]bool, cfg.NumPeers)
 	for i, c := range classOf {

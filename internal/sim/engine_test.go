@@ -6,6 +6,7 @@ import (
 
 	"barter/internal/catalog"
 	"barter/internal/core"
+	"barter/internal/strategy"
 )
 
 // testConfig is a scaled-down world that runs in well under a second: 30
@@ -63,7 +64,7 @@ func TestConfigValidateCases(t *testing.T) {
 		"bad storage":       func(c *Config) { c.StorageMinObjects = 0 },
 		"bad irq":           func(c *Config) { c.IRQCapacity = 0 },
 		"bad pending":       func(c *Config) { c.MaxPending = 0 },
-		"bad freerider":     func(c *Config) { c.FreeriderFrac = 1.5 },
+		"bad freerider":     func(c *Config) { c.Mix = strategy.LegacyMix(1.5) },
 		"bad lookup":        func(c *Config) { c.LookupMax = 0 },
 		"bad duration":      func(c *Config) { c.Duration = 0 },
 		"bad warmup":        func(c *Config) { c.WarmupFrac = 1 },
@@ -283,7 +284,7 @@ func TestPreemptionHappensUnderLoad(t *testing.T) {
 
 func TestAllFreeridersDegenerates(t *testing.T) {
 	cfg := testConfig()
-	cfg.FreeriderFrac = 1
+	cfg.Mix = strategy.LegacyMix(1)
 	cfg.Duration = 5_000
 	res := runOne(t, cfg)
 	if completed(res, true) != 0 || completed(res, false) != 0 {
@@ -294,7 +295,7 @@ func TestAllFreeridersDegenerates(t *testing.T) {
 
 func TestAllSharers(t *testing.T) {
 	cfg := shortConfig()
-	cfg.FreeriderFrac = 0
+	cfg.Mix = strategy.LegacyMix(0)
 	res := runOne(t, cfg)
 	if completed(res, false) != 0 {
 		t.Fatal("non-sharing completions with zero free-riders")

@@ -9,12 +9,12 @@ import (
 )
 
 // TestExplicitLegacyMixIsIdentical pins the refactor contract: a config with
-// an explicit strategy.LegacyMix must reproduce the FreeriderFrac run byte
+// an explicit strategy.LegacyMix(0.5) must reproduce the nil-Mix run byte
 // for byte (events, completions, means).
 func TestExplicitLegacyMixIsIdentical(t *testing.T) {
 	cfg := shortConfig()
 	a := runOne(t, cfg)
-	cfg.Mix = strategy.LegacyMix(cfg.FreeriderFrac)
+	cfg.Mix = strategy.LegacyMix(0.5)
 	b := runOne(t, cfg)
 	if a.Events != b.Events {
 		t.Fatalf("event counts differ: %d vs %d", a.Events, b.Events)

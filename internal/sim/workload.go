@@ -13,6 +13,7 @@ import (
 	"barter/internal/catalog"
 	"barter/internal/core"
 	"barter/internal/rng"
+	"barter/internal/strategy"
 	"barter/internal/workload"
 )
 
@@ -39,8 +40,7 @@ func traceConfig(cfg Config) Config {
 		// A sim-scale block against swarm-scale objects would fail Validate.
 		cfg.BlockKbits = cfg.ObjectKbits
 	}
-	cfg.FreeriderFrac = 0
-	cfg.Mix = nil
+	cfg.Mix = strategy.LegacyMix(0)
 	// Extend the horizon past the recorded one so transfers started by the
 	// last recorded arrivals can complete: one object takes
 	// ObjectKbits/SlotKbps seconds on a single slot.

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"barter/internal/strategy"
 	"barter/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func quickWorkloadConfig() Config {
 	cfg.BlockKbits = 250
 	cfg.Duration = 20_000
 	cfg.WarmupFrac = 0
-	cfg.FreeriderFrac = 0.3
+	cfg.Mix = strategy.LegacyMix(0.3)
 	return cfg
 }
 
