@@ -66,7 +66,9 @@ flake-check:
 ## mix with downloads striped across 3 origins, a medfail run that kills
 ## mediator shards mid-run, the same over a durable tier (-meddata: WAL
 ## replay on every restart, then a restart of the whole tier from its logs),
-## an 80-node adversary run (adaptive flips, whitewash identity churns) and
+## a 100-node medfail run over TCP with the default kills (every shard
+## restarts at least once and must re-bind its own port, or every mediated
+## upload strands), an 80-node adversary run (adaptive flips, whitewash identity churns) and
 ## a 60-node wave run whose "waves" spec has an early cohort depart, so
 ## shutdown, backpressure, striping, failover, durability and every kind of
 ## event the fault schedule plays stay exercised outside the unit suite too.
@@ -80,15 +82,18 @@ swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata "$$(mktemp -d)" -quick
+	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 100 -mediators 4 -tcp
 	$(GO) run -race ./cmd/exchswarm -scenario adversary -nodes 80 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario wave -nodes 60 -workload waves -quick
 
 ## soak: the scheduled long-haul lane (.github/workflows/soak.yml) — a
-## longer race-enabled medfail failover run than the per-push smoke, once
-## over in-memory shards (restarts forget; detection must re-converge) and
-## once over a durable tier (restarts must forget nothing).
+## longer race-enabled medfail failover run than the per-push smoke, over
+## in-memory shards (restarts forget; detection must re-converge), the same
+## over TCP (restarted shards re-bind their ports), and over a durable tier
+## (restarts must forget nothing).
 soak:
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -quick -v
+	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -quick -tcp -v
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -meddata "$$(mktemp -d)" -quick -v
 
 ## fuzz-smoke: a short native-fuzzing pass over the wire codec and over the

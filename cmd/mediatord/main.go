@@ -12,9 +12,11 @@
 //	mediatord -listen 127.0.0.1:7100 -shard 0/2 -shardmap -,127.0.0.1:7101 -registry ./content
 //	mediatord -listen 127.0.0.1:7101 -shard 1/2 -shardmap 127.0.0.1:7100,- -registry ./content
 //
-// Each shard serves (and redirects) only its slice of the object space,
-// partitioned by consistent hashing, and answers shard-map requests so
-// clients bootstrapped at any member discover the rest.
+// Each shard serves only its slice of the object space, partitioned by
+// consistent hashing, and refuses requests for the rest. The member list is
+// the whole topology: addresses are fixed at start, and a restarted process
+// comes back on its own -listen, so clients are given the same list. Every
+// shard of a tier of more than one must therefore listen on a concrete port.
 //
 // With -data the shard keeps a write-ahead log of escrow deposits and
 // cheater flags under the given directory and replays it at startup, so a
@@ -33,12 +35,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -142,11 +144,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var opts mediator.ShardOpts
 	opts.DataDir = *dataDir
-	// selfAddr carries this shard's bound address into the topology map: a
-	// ":0" listen would otherwise advertise an undialable port 0 as its own
-	// entry. Stored once the listener exists; until then the raw -listen
-	// value stands in.
-	var selfAddr atomic.Value
 	if *shard != "" {
 		index, count, err := parseShard(*shard)
 		if err != nil {
@@ -166,16 +163,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if members[index] != *listen {
 				return fmt.Errorf("-shardmap entry %d is %q, but this process listens on %q", index, members[index], *listen)
 			}
-			// A static deployment: the topology is fixed at launch, except
-			// the self entry, which tracks the bound address.
-			selfIdx := index
-			opts.Map = func() (uint64, []string) {
-				out := append([]string(nil), members...)
-				if a, ok := selfAddr.Load().(string); ok {
-					out[selfIdx] = a
-				}
-				return 1, out
+			// No sibling's -shardmap can name a port chosen at bind time.
+			if _, port, err := net.SplitHostPort(*listen); err != nil || port == "" || port == "0" {
+				return fmt.Errorf("-listen %q: a shard of a %d-shard tier must listen on a concrete port", *listen, count)
 			}
+			opts.Map = func() []string { return members }
 		}
 	}
 
@@ -196,7 +188,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer med.Close()
-	selfAddr.Store(med.Addr())
 	if opts.Count > 1 {
 		fmt.Fprintf(stdout, "mediator shard %d/%d listening on %s with %d registered objects\n",
 			opts.Index, opts.Count, med.Addr(), len(digests))

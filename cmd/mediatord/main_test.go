@@ -165,8 +165,9 @@ func TestShardModeSmoke(t *testing.T) {
 	}
 }
 
-// TestShardMapValidation: a member list that disagrees with -shard, or a
-// self entry that contradicts -listen, must be refused.
+// TestShardMapValidation: a member list that disagrees with -shard, a self
+// entry that contradicts -listen, or a ":0" listen that no sibling's list
+// could name, must be refused.
 func TestShardMapValidation(t *testing.T) {
 	dir := registryDir(t)
 	var out, errOut strings.Builder
@@ -178,6 +179,9 @@ func TestShardMapValidation(t *testing.T) {
 	}
 	if err := run([]string{"-listen", "127.0.0.1:0", "-shard", "9/2", "-shardmap", "-,-", "-registry", dir}, &out, &errOut); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+	if err := run([]string{"-listen", "127.0.0.1:0", "-shard", "0/2", "-shardmap", "-,127.0.0.1:7993", "-registry", dir}, &out, &errOut); err == nil {
+		t.Fatal("shard of a 2-shard tier on a port chosen at bind time accepted")
 	}
 }
 
@@ -198,50 +202,6 @@ func (s *syncBuf) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
-}
-
-// TestShardMapAdvertisesBoundAddr: a shard listening on ":0" must advertise
-// its real bound port in the topology map, not the literal flag value.
-func TestShardMapAdvertisesBoundAddr(t *testing.T) {
-	var out, errOut syncBuf
-	dir := registryDir(t) // on the test goroutine: TempDir cleanup registration
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-listen", "127.0.0.1:0",
-			"-shard", "0/2",
-			"-shardmap", "-,127.0.0.1:7993",
-			"-registry", dir,
-			"-duration", "3s",
-		}, &out, &errOut)
-	}()
-	// Wait for the daemon to print its bound address.
-	var addr string
-	for i := 0; i < 100; i++ {
-		if m := strings.SplitN(out.String(), "listening on ", 2); len(m) == 2 {
-			addr = strings.Fields(m[1])[0]
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if addr == "" || strings.HasSuffix(addr, ":0") {
-		t.Fatalf("no bound address printed: %q", out.String())
-	}
-	cl, err := medclient.New(medclient.Config{Transport: transport.TCP{}, Seeds: []string{addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	_, addrs, err := cl.Map()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 2 || addrs[0] != addr {
-		t.Fatalf("shard map advertises %v, want self entry %s", addrs, addr)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v\n%s", err, errOut.String())
-	}
 }
 
 // bootDaemon starts a mediatord in the background and waits for its bound

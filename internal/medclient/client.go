@@ -1,16 +1,17 @@
-// Package medclient is the node-side client layer of the mediator tier. It
-// bootstraps from any shard address, fetches and caches the tier's shard map,
-// pools one connection per shard, routes every escrow and audit to the owning
-// shard by the same consistent hashing the shards use (redirects correct a
-// stale map), retries with exponential backoff, and fails over to the
-// replica shard when a mediator dies mid-verify — where it finds the copy of
-// the escrowed key that the primary shard wrote through.
+// Package medclient is the node-side client layer of the mediator tier. It is
+// given every shard's address, in shard-index order: addresses are fixed at
+// start and a restart re-binds its own, so that list is the whole topology.
+// It pools one connection per shard, routes every escrow and audit to the
+// owning shard by the same consistent hashing the shards use, retries with
+// exponential backoff, and fails over to the replica shard when a mediator
+// dies mid-verify — where it finds the copy of the escrowed key that the
+// primary shard wrote through.
 //
 // RPCs are pipelined: every request travels in a protocol.Envelope carrying
 // a client-unique ReqID, each pooled connection runs a demultiplexing read
 // loop that routes enveloped replies back to their in-flight caller, and so
-// deposits, verifies, and map refetches from many goroutines share one
-// connection concurrently instead of queueing on a per-connection lock. A
+// deposits and verifies from many goroutines share one connection
+// concurrently instead of queueing on a per-connection lock. A
 // connection failure fails exactly the RPCs in flight on it — each one's
 // own retry loop re-issues it through failover, so one caller's crash
 // recovery never replays another caller's request.
@@ -44,10 +45,11 @@ var (
 	// sender — transient: the deposit has not arrived yet, or the shard
 	// restarted and lost its escrow. Not evidence of cheating.
 	ErrNoKey = errors.New("medclient: no escrowed key for exchange")
-	// ErrBadRequest means the mediator refused to judge the audit — the
-	// request was malformed or exceeded its limits. The requester's own
-	// fault; never a verdict against the sender.
-	ErrBadRequest = errors.New("medclient: mediator refused the audit request")
+	// ErrBadRequest means the mediator refused the request without judging
+	// it — it was malformed, exceeded the audit limits, or reached a shard
+	// that does not own the object. The requester's own fault; never a
+	// verdict against the sender.
+	ErrBadRequest = errors.New("medclient: mediator refused the request")
 	// ErrUnavailable means the whole tier was unreachable through every
 	// retry and failover attempt.
 	ErrUnavailable = errors.New("medclient: mediator tier unavailable")
@@ -58,8 +60,9 @@ var (
 type Config struct {
 	// Transport carries the protocol; required.
 	Transport transport.Transport
-	// Seeds are bootstrap mediator addresses — any live subset of the
-	// tier. The real topology is fetched from whichever seed answers.
+	// Seeds is every shard's address in shard-index order (Cluster.Addrs,
+	// or mediatord's -shardmap), or the one address of a standalone
+	// mediator.
 	Seeds []string
 	// Attempts bounds how many times one operation is tried before
 	// ErrUnavailable; attempts alternate between the owning shard and its
@@ -80,12 +83,9 @@ type Config struct {
 type Client struct {
 	cfg Config
 
-	mu       sync.Mutex
-	epoch    uint64
-	shards   []string // addr by shard index; nil until the first map fetch
-	mapStale bool
-	conns    map[string]*shardConn
-	closed   bool
+	mu     sync.Mutex
+	conns  map[string]*shardConn
+	closed bool
 
 	nextReq atomic.Uint64 // envelope ReqID source, unique across connections
 	wg      sync.WaitGroup
@@ -187,6 +187,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 8 * time.Millisecond
 	}
+	cfg.Seeds = append([]string(nil), cfg.Seeds...)
 	return &Client{
 		cfg:   cfg,
 		conns: make(map[string]*shardConn),
@@ -263,138 +264,39 @@ func (c *Client) getConn(addr string) (*shardConn, error) {
 	}
 	sc := &shardConn{conn: conn, inflight: make(map[uint64]chan rpcResult)}
 	c.conns[addr] = sc
-	// The read loop starts only for the connection that won the race, and
-	// exits when the conn closes (dropConn, applyMap pruning, or Close).
+	// The read loop starts only for the connection that won the race. A
+	// connection leaves the pool as soon as its read loop ends, so the first
+	// operation after a shard restart redials instead of burning an attempt
+	// on the dead one.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		sc.readLoop()
+		c.dropConn(addr, sc)
 	}()
 	return sc, nil
 }
 
-// dropConn evicts a connection after a transport error and marks the shard
-// map stale, so the next attempt refetches topology (the shard may have
-// restarted under a new address).
+// dropConn evicts a connection from the pool, if it is still the pooled one
+// for addr, and closes it.
 func (c *Client) dropConn(addr string, sc *shardConn) {
 	c.mu.Lock()
 	if cur, ok := c.conns[addr]; ok && cur == sc {
 		delete(c.conns, addr)
 	}
-	c.mapStale = true
 	c.mu.Unlock()
 	_ = sc.conn.Close()
 }
 
-// applyMap installs a fetched shard map unless a newer epoch is cached, and
-// prunes pooled connections to addresses that left the tier — a shard that
-// restarted on a fresh port — which would otherwise linger until their next
-// (failing) use.
-func (c *Client) applyMap(epoch uint64, addrs []string) {
-	c.mu.Lock()
-	if epoch < c.epoch && c.shards != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.epoch = epoch
-	c.shards = append([]string(nil), addrs...)
-	c.mapStale = false
-	current := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		current[a] = true
-	}
-	var evicted []*shardConn
-	for a, sc := range c.conns {
-		if !current[a] {
-			delete(c.conns, a)
-			evicted = append(evicted, sc)
-		}
-	}
-	c.mu.Unlock()
-	// Close outside the lock: a Close can block on an in-flight RPC.
-	for _, sc := range evicted {
-		_ = sc.conn.Close()
-	}
-}
-
-// Epoch returns the topology epoch of the cached shard map — zero before
-// the first fetch. Tests compare it against the cluster's epoch to confirm a
-// client noticed a restart.
-func (c *Client) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// Map returns the cached shard map, fetching it first if needed.
+// Map returns the tier's topology: epoch 1 and the shard addresses it was
+// given. Addresses are fixed for the tier's life, so Map makes no RPC.
 func (c *Client) Map() (uint64, []string, error) {
-	if _, err := c.shardMap(); err != nil {
-		return 0, nil, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.epoch, append([]string(nil), c.shards...), nil
-}
-
-// shardMap returns the cached topology, refreshing from any reachable shard
-// or seed when the cache is empty or stale.
-func (c *Client) shardMap() ([]string, error) {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+		return 0, nil, ErrClosed
 	}
-	if c.shards != nil && !c.mapStale {
-		out := append([]string(nil), c.shards...)
-		c.mu.Unlock()
-		return out, nil
-	}
-	candidates := append(append([]string(nil), c.shards...), c.cfg.Seeds...)
-	epoch := c.epoch
-	c.mu.Unlock()
-
-	var lastErr error = ErrUnavailable
-	for _, addr := range candidates {
-		if addr == "" {
-			continue
-		}
-		sc, err := c.getConn(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, err := c.fetchMap(sc, epoch)
-		if err != nil {
-			c.dropConn(addr, sc)
-			lastErr = err
-			continue
-		}
-		if len(reply.Shards) == 0 {
-			lastErr = fmt.Errorf("medclient: %s advertised an empty shard map", addr)
-			continue
-		}
-		addrs := make([]string, len(reply.Shards))
-		for _, s := range reply.Shards {
-			if int(s.Index) < len(addrs) {
-				addrs[s.Index] = s.Addr
-			}
-		}
-		c.applyMap(reply.Epoch, addrs)
-		return addrs, nil
-	}
-	return nil, fmt.Errorf("medclient: shard map fetch failed: %w", lastErr)
-}
-
-func (c *Client) fetchMap(sc *shardConn, epoch uint64) (*protocol.MedShardMap, error) {
-	reply, err := c.rpc(sc, &protocol.MedShardMapReq{Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	m, ok := reply.(*protocol.MedShardMap)
-	if !ok {
-		return nil, fmt.Errorf("medclient: unexpected map reply %T", reply)
-	}
-	return m, nil
+	return 1, append([]string(nil), c.cfg.Seeds...), nil
 }
 
 // rpc issues one enveloped, pipelined request on sc and waits for its
@@ -424,13 +326,12 @@ func (c *Client) rpc(sc *shardConn, req protocol.Message) (protocol.Message, err
 // op runs one request-reply exchange against the shard owning obj, retrying
 // with backoff and alternating primary/replica on failure. handle inspects
 // each reply: it returns done once the terminal reply arrived, along with
-// the operation's verdict. Redirects update routing mid-operation (followed
-// immediately, no backoff), and a no-key verdict from the primary is given
-// one shot at the replica — the copy the primary wrote through may have
-// survived a primary restart.
+// the operation's verdict. A no-key verdict from one owner is given one shot
+// at the other — the copy the primary wrote through may have survived a
+// primary restart.
 func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(protocol.Message) (bool, error)) error {
+	primary, replica := mediator.ShardFor(obj, len(c.cfg.Seeds))
 	var lastErr error = ErrUnavailable
-	redirectTo := ""
 	skipBackoff := false
 	forceIdx := -1
 	var noKeyFrom [2]bool // primary, replica answered "no escrow"
@@ -441,92 +342,51 @@ func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(prot
 			}
 		}
 		skipBackoff = false
-		shards, err := c.shardMap()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		primary, replica := mediator.ShardFor(obj, len(shards))
 		idx := primary
 		if attempt%2 == 1 {
 			idx = replica
 		}
-		if forceIdx >= 0 && forceIdx < len(shards) {
+		if forceIdx >= 0 {
 			idx, forceIdx = forceIdx, -1
 		}
-		addr := shards[idx]
-		if redirectTo != "" {
-			addr, redirectTo = redirectTo, ""
-		}
-		if addr == "" {
-			lastErr = fmt.Errorf("medclient: no address for shard %d", idx)
-			continue
-		}
+		addr := c.cfg.Seeds[idx]
 		sc, err := c.getConn(addr)
 		if err != nil {
-			c.markMapStale()
 			lastErr = err
 			continue
 		}
-		// ReqIDs match replies unambiguously, so one that is neither a redirect
-		// nor claimed by handle is a protocol violation: drop the conn and retry.
+		// ReqIDs match replies unambiguously, so one that handle does not
+		// claim is a protocol violation: drop the conn and retry.
 		reply, opErr := c.rpc(sc, req)
-		redirect, _ := reply.(*protocol.MedRedirect)
 		done := false
-		if opErr == nil && redirect == nil {
+		if opErr == nil {
 			if done, opErr = handle(reply); !done {
 				opErr = fmt.Errorf("medclient: unexpected reply %T", reply)
 			}
 		}
-		switch {
-		case done:
-			// Attribute a no-key verdict to the shard actually dialed — a
-			// followed redirect can differ from the parity-derived idx —
-			// so the write-through copy on the other owner is always
-			// consulted before the verdict stands.
-			side := -1
-			switch addr {
-			case shards[primary]:
-				side = 0
-			case shards[replica]:
-				side = 1
-			}
-			if errors.Is(opErr, ErrNoKey) && replica != primary && side >= 0 {
-				// This shard holds no escrow — it may have restarted and
-				// lost it. The tier keeps deposits on both owners, so
-				// consult the other one before giving the verdict back.
-				noKeyFrom[side] = true
-				if !noKeyFrom[1-side] {
-					if side == 0 {
-						forceIdx = replica
-					} else {
-						forceIdx = primary
-					}
-					skipBackoff = true
-					lastErr = opErr
-					continue
-				}
-			}
-			return opErr
-		case redirect != nil:
-			// Misrouted: follow the owner's coordinates immediately, and if
-			// the shard advertises a topology epoch we have not seen, mark
-			// the cached map stale so the next attempt refetches it instead
-			// of bouncing off the same stale entry forever.
-			redirectTo = redirect.Addr
-			skipBackoff = true
-			c.mu.Lock()
-			if redirect.Epoch != c.epoch {
-				c.mapStale = true
-			}
-			c.mu.Unlock()
-			c.logf("redirected for object %d to shard %d (%s)", obj, redirect.Shard, redirect.Addr)
-			lastErr = fmt.Errorf("medclient: redirected to shard %d", redirect.Shard)
-		default:
+		if !done {
 			c.dropConn(addr, sc)
 			lastErr = opErr
 			c.logf("attempt %d for object %d via %s failed: %v", attempt, obj, addr, opErr)
+			continue
 		}
+		if errors.Is(opErr, ErrNoKey) && replica != primary {
+			// This shard holds no escrow — it may have restarted and lost
+			// it. The tier keeps deposits on both owners, so consult the
+			// other one before giving the verdict back.
+			side := 0
+			if idx == replica {
+				side = 1
+			}
+			noKeyFrom[side] = true
+			if !noKeyFrom[1-side] {
+				forceIdx = primary + replica - idx
+				skipBackoff = true
+				lastErr = opErr
+				continue
+			}
+		}
+		return opErr
 	}
 	if errors.Is(lastErr, ErrClosed) {
 		return lastErr
@@ -555,21 +415,21 @@ func backoffFor(base time.Duration, attempt int) time.Duration {
 	return d
 }
 
-func (c *Client) markMapStale() {
-	c.mu.Lock()
-	c.mapStale = true
-	c.mu.Unlock()
-}
-
 // Deposit escrows a sender's key for one exchange with the owning shard, in
 // one RPC. Nil means the primary holds, has logged and has queued for the
 // replica shard its copy of the key — not that the replica has it yet: an
 // audit that fails over inside that window gets ErrNoKey, the transient answer.
+// ErrBadRequest means the shard refused the deposit: it does not own obj.
 func (c *Client) Deposit(exchangeID uint64, sender core.PeerID, obj catalog.ObjectID, key [16]byte) error {
 	req := &protocol.MedDeposit{ExchangeID: exchangeID, Sender: sender, Object: obj, Key: key}
 	return c.op(obj, req, func(msg protocol.Message) (bool, error) {
-		if ack, ok := msg.(*protocol.MedKey); ok && ack.ExchangeID == exchangeID && ack.Key == key {
-			return true, nil
+		switch v := msg.(type) {
+		case *protocol.MedKey:
+			return v.ExchangeID == exchangeID && v.Key == key, nil
+		case *protocol.MedReject:
+			if v.ExchangeID == exchangeID {
+				return true, fmt.Errorf("%w: %s", ErrBadRequest, v.Reason)
+			}
 		}
 		return false, nil
 	})

@@ -3,6 +3,7 @@ package medclient
 import (
 	"crypto/sha256"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,119 +86,6 @@ func TestRetryRidesThroughRestart(t *testing.T) {
 	defer med2.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("deposit did not ride through the restart: %v", err)
-	}
-}
-
-// redirectStub is a fake shard that advertises itself as the whole tier and
-// redirects every deposit/verify to a real mediator, for pinning the
-// client's redirect-following behavior.
-type redirectStub struct {
-	ln     transport.Listener
-	target string
-	wg     sync.WaitGroup
-	served chan struct{} // closed after the first redirect is sent
-	once   sync.Once
-}
-
-func newRedirectStub(t *testing.T, tr transport.Transport, addr, target string) *redirectStub {
-	t.Helper()
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &redirectStub{ln: ln, target: target, served: make(chan struct{})}
-	s.wg.Add(1)
-	go s.accept()
-	t.Cleanup(func() {
-		ln.Close()
-		s.wg.Wait()
-	})
-	return s
-}
-
-func (s *redirectStub) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				// Mirror the mediator's envelope contract: an enveloped
-				// request gets its reply wrapped under the same ReqID.
-				send := conn.Send
-				if env, ok := msg.(*protocol.Envelope); ok {
-					reqID := env.ReqID
-					msg = env.Msg
-					send = func(reply protocol.Message) error {
-						return conn.Send(&protocol.Envelope{ReqID: reqID, Msg: reply})
-					}
-				}
-				switch m := msg.(type) {
-				case *protocol.MedShardMapReq:
-					_ = send(&protocol.MedShardMap{
-						Version: protocol.ShardMapVersion,
-						Epoch:   1,
-						Shards:  []protocol.MedShardEntry{{Index: 0, Addr: s.ln.Addr()}},
-					})
-				case *protocol.MedDeposit:
-					_ = send(&protocol.MedRedirect{Object: m.Object, Shard: 0, Addr: s.target, Epoch: 2})
-					s.once.Do(func() { close(s.served) })
-				case *protocol.MedVerify:
-					_ = send(&protocol.MedRedirect{Object: m.Object, Shard: 0, Addr: s.target, Epoch: 2})
-					s.once.Do(func() { close(s.served) })
-				}
-			}
-		}()
-	}
-}
-
-// TestRedirectFollowed: a client whose map points at the wrong shard must
-// follow the MedRedirect to the owner and complete the operation there.
-func TestRedirectFollowed(t *testing.T) {
-	tr := transport.NewMem()
-	obj := catalog.ObjectID(3)
-	oracle := oracleFor(obj, []byte("real-content"))
-	real, err := mediator.New(tr, "mem://real-owner", oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer real.Close()
-	stub := newRedirectStub(t, tr, "mem://stub-shard", "mem://real-owner")
-
-	c, err := New(Config{Transport: tr, Seeds: []string{"mem://stub-shard"}, Attempts: 4, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Deposit(5, 9, obj, [16]byte{5}); err != nil {
-		t.Fatalf("deposit through redirect: %v", err)
-	}
-	select {
-	case <-stub.served:
-	default:
-		t.Fatal("stub never saw the misrouted deposit")
-	}
-	// The deposit must actually live on the real mediator: verify against
-	// it directly.
-	sealed, err := mediator.Seal([16]byte{5}, 9, 10, obj, 0, []byte("real-content"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := c.Verify(5, 10, 9, obj, []protocol.Block{{Object: obj, Index: 0, Payload: sealed}})
-	if err != nil {
-		t.Fatalf("verify after redirect: %v", err)
-	}
-	if key != [16]byte{5} {
-		t.Fatal("wrong key released")
 	}
 }
 
@@ -365,14 +253,7 @@ func (s *pipelineStub) accept() {
 				if !ok {
 					continue
 				}
-				switch env.Msg.(type) {
-				case *protocol.MedShardMapReq:
-					_ = conn.Send(&protocol.Envelope{ReqID: env.ReqID, Msg: &protocol.MedShardMap{
-						Version: protocol.ShardMapVersion,
-						Epoch:   1,
-						Shards:  []protocol.MedShardEntry{{Index: 0, Addr: s.ln.Addr()}},
-					}})
-				case *protocol.MedDeposit:
+				if _, ok := env.Msg.(*protocol.MedDeposit); ok {
 					held = append(held, env)
 					if len(held) < s.depth {
 						continue
@@ -506,23 +387,17 @@ func TestPipelinedFailover(t *testing.T) {
 	}
 }
 
-// TestRestartRefreshesMapAndPrunesPool restarts shards of a TCP tier under a
-// running client. A ":0" listen comes back on a fresh port, so the restart
-// moves the shard: the client must refetch the map (its epoch catches up
-// with the cluster's) and prune every pooled connection to an address that
-// left it — including the one to a moved shard no operation has touched
-// since, which only the map refresh can find.
-func TestRestartRefreshesMapAndPrunesPool(t *testing.T) {
-	const shards = 4
+// TestRestartKeepsTCPAddresses restarts every shard of a TCP tier under a
+// running client. A shard comes back on the port it first bound, so the
+// client's address list still names the whole tier: the next deposit and
+// audit succeed, and the pool holds at most one connection per shard, each to
+// a current address.
+func TestRestartKeepsTCPAddresses(t *testing.T) {
+	const shards = 2
 	tr := transport.TCP{}
 	content := []byte("restart-content")
-	digest := sha256.Sum256(content)
-	oracle := func(o catalog.ObjectID) ([][32]byte, bool) { return [][32]byte{digest}, true }
-	listen := make([]string, shards)
-	for i := range listen {
-		listen[i] = "127.0.0.1:0"
-	}
-	cl, err := mediator.NewClusterOpts(tr, listen, oracle, mediator.ClusterOpts{})
+	oracle := oracleFor(7, content)
+	cl, err := mediator.NewClusterOpts(tr, []string{"127.0.0.1:0", "127.0.0.1:0"}, oracle, mediator.ClusterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,67 +408,46 @@ func TestRestartRefreshesMapAndPrunesPool(t *testing.T) {
 	}
 	defer c.Close()
 
-	audit := func(obj catalog.ObjectID) {
-		t.Helper()
-		ex, sender := uint64(obj), coreid(int(obj))
-		key := [16]byte{byte(obj), byte(obj >> 8)}
-		if err := c.Deposit(ex, sender, obj, key); err != nil {
-			t.Fatalf("deposit %d: %v", obj, err)
-		}
-		sealed, err := mediator.Seal(key, sender, sender+1, obj, 0, content)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Verify(ex, sender+1, sender, obj, []protocol.Block{{Object: obj, Index: 0, Payload: sealed}})
-		if err != nil {
-			t.Fatalf("verify %d: %v", obj, err)
-		}
-		if got != key {
-			t.Fatalf("verify %d released the wrong key", obj)
-		}
+	const obj catalog.ObjectID = 7
+	const sender, receiver core.PeerID = 1, 2
+	key := [16]byte{7}
+	if err := c.Deposit(1, sender, obj, key); err != nil {
+		t.Fatal(err)
 	}
-	pooled := func() map[string]bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		out := make(map[string]bool, len(c.conns))
-		for a := range c.conns {
-			out[a] = true
-		}
-		return out
-	}
-
-	// Prime the map and a pooled connection to every shard.
-	for obj := catalog.ObjectID(100); obj < 132; obj++ {
-		audit(obj)
-	}
-	if n := len(pooled()); n != shards {
-		t.Fatalf("%d pooled connections after priming, want one per shard (%d)", n, shards)
-	}
-
-	// Move two shards: one owner of obj, and one obj's audit never dials.
-	obj := catalog.ObjectID(200)
-	primary, replica := mediator.ShardFor(obj, shards)
-	bystander := 0
-	for bystander == primary || bystander == replica {
-		bystander++
-	}
-	for _, i := range []int{primary, bystander} {
+	before := cl.Addrs()
+	for i := 0; i < shards; i++ {
 		if err := cl.RestartShard(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	audit(obj)
 
-	if got, want := c.Epoch(), cl.Epoch(); got != want {
-		t.Fatalf("client epoch %d after the restarts, cluster at %d", got, want)
+	// The restarts dropped the in-memory escrow: deposit anew, then audit.
+	if err := c.Deposit(2, sender, obj, key); err != nil {
+		t.Fatalf("deposit after the restarts: %v", err)
 	}
-	current := make(map[string]bool, shards)
-	for _, a := range cl.Addrs() {
-		current[a] = true
+	sealed, err := mediator.Seal(key, sender, receiver, obj, 0, content)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for a := range pooled() {
-		if !current[a] {
-			t.Fatalf("pooled connection to %s survived the map refresh; the tier is at %v", a, cl.Addrs())
+	got, err := c.Verify(2, receiver, sender, obj, []protocol.Block{{Object: obj, Index: 0, Payload: sealed}})
+	if err != nil {
+		t.Fatalf("verify after the restarts: %v", err)
+	}
+	if got != key {
+		t.Fatal("verify after the restarts released the wrong key")
+	}
+
+	if after := cl.Addrs(); !slices.Equal(after, before) {
+		t.Fatalf("the restarts moved the tier from %v to %v", before, after)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.conns) > shards {
+		t.Fatalf("%d pooled connections for a %d-shard tier", len(c.conns), shards)
+	}
+	for a := range c.conns {
+		if !slices.Contains(before, a) {
+			t.Fatalf("pooled connection to %s; the tier is at %v", a, before)
 		}
 	}
 }

@@ -10,28 +10,27 @@ import (
 )
 
 // Cluster runs N mediator shards over one transport, partitioned by
-// consistent hashing over object ID (see ShardFor). Every member serves the
-// shared topology map, so a client bootstrapped with any one shard address
-// can discover the rest and be redirected on misroute. By default shards
+// consistent hashing over object ID (see ShardFor). A shard's address is part
+// of its identity: addresses are fixed at start, and a restart re-binds its
+// own, so Addrs is the whole topology for the tier's life. By default shards
 // hold their escrow and flagged-peer state in memory only — killing a shard
 // loses it, exactly the failure the node-side client layer must absorb by
 // retrying and failing over. With a DataDir every shard keeps a write-ahead
-// log instead, so RestartShard recovers the full detection history. The tier
-// is static: its size is fixed at construction, and a restart is the only
-// topology change.
+// log instead, so RestartShard recovers the full detection history.
 type Cluster struct {
 	tr      transport.Transport
 	oracle  DigestOracle
 	dataDir string
-	addrs   []string // requested listen addrs by index (mem name or host:0)
 
 	// restartMu serializes restarts, so two never race to start the same
 	// shard.
 	restartMu sync.Mutex
 
-	mu     sync.Mutex
-	epoch  uint64
-	live   []string    // current dialable addrs by index
+	mu sync.Mutex
+	// addrs holds each shard's address by index: the requested listen
+	// address until the shard first binds, the bound one (a concrete port
+	// for a TCP ":0" listen) from then on.
+	addrs  []string
 	shards []*Mediator // nil while a shard is down
 }
 
@@ -43,7 +42,7 @@ type ClusterOpts struct {
 }
 
 // NewClusterOpts starts one mediator shard per listen address, all sharing
-// the oracle. Restarts keep each shard's index.
+// the oracle. Restarts keep each shard's index and address.
 func NewClusterOpts(tr transport.Transport, addrs []string, oracle DigestOracle, opts ClusterOpts) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("mediator: cluster needs at least one shard address")
@@ -56,7 +55,6 @@ func NewClusterOpts(tr transport.Transport, addrs []string, oracle DigestOracle,
 		oracle:  oracle,
 		dataDir: opts.DataDir,
 		addrs:   append([]string(nil), addrs...),
-		live:    make([]string, len(addrs)),
 		shards:  make([]*Mediator, len(addrs)),
 	}
 	for i := range addrs {
@@ -68,19 +66,14 @@ func NewClusterOpts(tr transport.Transport, addrs []string, oracle DigestOracle,
 	return c, nil
 }
 
-// snapshot is the Map callback handed to every shard: the current epoch and
-// the dialable address of each member.
-func (c *Cluster) snapshot() (uint64, []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch, append([]string(nil), c.live...)
-}
-
 func (c *Cluster) startShard(i int) error {
-	med, err := NewShard(c.tr, c.addrs[i], c.oracle, ShardOpts{
+	c.mu.Lock()
+	addr := c.addrs[i]
+	c.mu.Unlock()
+	med, err := NewShard(c.tr, addr, c.oracle, ShardOpts{
 		Index:   i,
-		Count:   len(c.addrs),
-		Map:     c.snapshot,
+		Count:   len(c.shards),
+		Map:     c.Addrs,
 		DataDir: c.dataDir,
 	})
 	if err != nil {
@@ -88,26 +81,20 @@ func (c *Cluster) startShard(i int) error {
 	}
 	c.mu.Lock()
 	c.shards[i] = med
-	c.live[i] = med.Addr()
-	c.epoch++
+	c.addrs[i] = med.Addr()
 	c.mu.Unlock()
 	return nil
 }
 
 // Shards returns the tier size.
-func (c *Cluster) Shards() int { return len(c.addrs) }
+func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Epoch returns the topology version; it bumps on every shard (re)start.
-func (c *Cluster) Epoch() uint64 {
-	e, _ := c.snapshot()
-	return e
-}
-
-// Addrs returns the current dialable address of every shard — the bootstrap
-// seeds to hand a client.
+// Addrs returns the dialable address of every shard in index order — the
+// medclient.Config.Seeds of a client of this tier.
 func (c *Cluster) Addrs() []string {
-	_, a := c.snapshot()
-	return a
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.addrs...)
 }
 
 // Shard returns the live mediator at index i, or nil while it is down.
@@ -132,21 +119,21 @@ func (c *Cluster) KillShard(i int) {
 	med := c.shards[i]
 	c.shards[i] = nil
 	c.mu.Unlock()
-	// Close outside the lock: it waits for serve goroutines, which may be
-	// inside the Map callback taking c.mu.
+	// Close outside the lock: it waits for the replication links, which may
+	// be inside the Map callback taking c.mu.
 	if med != nil {
 		med.Close()
 	}
 }
 
-// RestartShard brings shard i back — on the same name for in-memory
-// transports, on a fresh port for TCP ":0" listens — and bumps the epoch so
-// clients notice the topology changed. With a DataDir the shard replays its
-// log and remembers every deposit and flag it held.
+// RestartShard brings shard i back on the address it was first bound to: the
+// same name in memory, the same port over TCP. A port taken meanwhile is the
+// listen error it returns. With a DataDir the shard replays its log and
+// remembers every deposit and flag it held.
 func (c *Cluster) RestartShard(i int) error {
 	c.restartMu.Lock()
 	defer c.restartMu.Unlock()
-	if i < 0 || i >= len(c.addrs) {
+	if i < 0 || i >= len(c.shards) {
 		return fmt.Errorf("mediator: shard %d out of range", i)
 	}
 	c.KillShard(i)
@@ -171,7 +158,7 @@ func (c *Cluster) Flagged(p core.PeerID) int {
 
 // Close stops every shard.
 func (c *Cluster) Close() {
-	for i := range c.addrs {
+	for i := range c.shards {
 		c.KillShard(i)
 	}
 }

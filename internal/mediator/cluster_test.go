@@ -68,32 +68,11 @@ func clusterFixture(t *testing.T, n int) (*transport.Mem, *mediator.Cluster, fun
 	return tr, cl, content
 }
 
-func TestClusterServesShardMap(t *testing.T) {
-	tr, cl, _ := clusterFixture(t, 3)
-	// Bootstrapped with only one seed, the client discovers all three.
-	c, err := medclient.New(medclient.Config{Transport: tr, Seeds: []string{cl.Addrs()[1]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	epoch, addrs, err := c.Map()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 3 {
-		t.Fatalf("shard map has %d entries, want 3: %v", len(addrs), addrs)
-	}
-	if epoch != cl.Epoch() {
-		t.Fatalf("client epoch %d, cluster epoch %d", epoch, cl.Epoch())
-	}
-}
-
-// TestClusterRedirectsMisroutedTraffic sends a deposit for every object to
-// a shard chosen to be wrong and checks the mediator answers with the
-// owning shard's coordinates instead of storing it.
-func TestClusterRedirectsMisroutedTraffic(t *testing.T) {
+// TestClusterRefusesMisroutedTraffic sends a deposit for every object to a
+// shard that owns it neither as primary nor as replica: the shard must refuse
+// it as a bad request, store nothing and flag nobody.
+func TestClusterRefusesMisroutedTraffic(t *testing.T) {
 	tr, cl, _ := clusterFixture(t, 4)
-	redirected := 0
 	for obj := catalog.ObjectID(1); obj <= 16; obj++ {
 		primary, replica := mediator.ShardFor(obj, 4)
 		wrong := -1
@@ -109,17 +88,16 @@ func TestClusterRedirectsMisroutedTraffic(t *testing.T) {
 		}
 		msg := rpc(t, conn, &protocol.MedDeposit{ExchangeID: uint64(obj), Sender: 1, Object: obj, Key: [16]byte{1}})
 		conn.Close()
-		r, ok := msg.(*protocol.MedRedirect)
-		if !ok {
-			t.Fatalf("object %d: misrouted deposit answered with %T", obj, msg)
+		r, ok := msg.(*protocol.MedReject)
+		if !ok || r.Code != protocol.MedRejectBadRequest || r.ExchangeID != uint64(obj) {
+			t.Fatalf("object %d: misrouted deposit answered with %T %+v", obj, msg, msg)
 		}
-		if int(r.Shard) != primary || r.Addr != cl.Addrs()[primary] {
-			t.Fatalf("object %d: redirect to shard %d (%s), want %d (%s)", obj, r.Shard, r.Addr, primary, cl.Addrs()[primary])
+		if cl.HoldsEscrow(wrong, uint64(obj), 1) {
+			t.Fatalf("object %d: shard %d stored a deposit it does not own", obj, wrong)
 		}
-		redirected++
 	}
-	if redirected == 0 {
-		t.Fatal("no redirects exercised")
+	if n := cl.Flagged(1); n != 0 {
+		t.Fatalf("misrouted deposits flagged the sender %d times", n)
 	}
 }
 
@@ -128,7 +106,7 @@ func TestClusterRedirectsMisroutedTraffic(t *testing.T) {
 // verifies release keys, junk is flagged on whichever shard owns it.
 func TestClusterEndToEnd(t *testing.T) {
 	tr, cl, content := clusterFixture(t, 4)
-	c, err := medclient.New(medclient.Config{Transport: tr, Seeds: cl.Addrs()[:1]})
+	c, err := medclient.New(medclient.Config{Transport: tr, Seeds: cl.Addrs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +190,13 @@ func TestClusterFailoverMidVerify(t *testing.T) {
 		t.Fatal("failover released the wrong key")
 	}
 
-	// Restart bumps the epoch and the revived shard serves again.
-	before := cl.Epoch()
+	// The revived shard comes back on its own address and serves again.
+	before := cl.Addrs()[primary]
 	if err := cl.RestartShard(primary); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Epoch() <= before {
-		t.Fatalf("epoch did not advance across restart: %d -> %d", before, cl.Epoch())
+	if after := cl.Addrs()[primary]; after != before {
+		t.Fatalf("restart moved shard %d from %s to %s", primary, before, after)
 	}
 	if err := c.Deposit(124, sender, obj, key); err != nil {
 		t.Fatalf("deposit after restart: %v", err)

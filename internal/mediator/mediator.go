@@ -22,12 +22,12 @@
 // # The tier
 //
 // A tier is a fixed set of shards (Cluster in-process, `mediatord -shard i/N`
-// over TCP): ShardFor places every object on a primary and a replica, a
-// shard redirects what it does not own, and a restart — the only topology
-// change there is — bumps the shard-map epoch so medclient refetches the
-// map. Every request, a client's or a sibling shard's, arrives in a
-// protocol.Envelope; a connection that sends a bare one is closed. ReqID 0 is
-// the one-way form: applied in arrival order, never answered.
+// over TCP) whose addresses are fixed at start: a restart re-binds its own.
+// ShardFor places every object on a primary and a replica, and a shard
+// refuses what it does not own with protocol.MedRejectBadRequest. Every
+// request, a client's or a sibling shard's, arrives in a protocol.Envelope; a
+// connection that sends a bare one is closed. ReqID 0 is the one-way form:
+// applied in arrival order, never answered.
 //
 // The tier keeps its own second copy: the primary that applies a deposit, and
 // either owner that reaches a verdict, logs the record, queues it for the
@@ -162,10 +162,9 @@ type ShardOpts struct {
 	// Index and Count place this mediator on the consistent-hash ring;
 	// Count <= 1 means a standalone mediator that owns every object.
 	Index, Count int
-	// Map supplies the current cluster topology — epoch plus the dialable
-	// address of every shard by index — for MedShardMapReq replies and
-	// redirects. Required when Count > 1.
-	Map func() (epoch uint64, addrs []string)
+	// Map supplies the dialable address of every shard by index, which the
+	// replication links dial. Required when Count > 1.
+	Map func() []string
 	// DataDir, when non-empty, enables the write-ahead log: deposits and
 	// flags are appended to <DataDir>/shard-<Index>.wal and replayed on
 	// the next NewShard at the same index, so a restart forgets nothing.
@@ -173,9 +172,8 @@ type ShardOpts struct {
 }
 
 // Mediator is the trusted audit-and-escrow service: one standalone process,
-// or one shard of a Cluster. It listens on a transport and serves
-// MedDeposit, MedVerify, and MedShardMapReq messages, redirecting traffic
-// for objects outside its partition.
+// or one shard of a Cluster. It listens on a transport and serves MedDeposit
+// and MedVerify messages, refusing those for objects outside its partition.
 type Mediator struct {
 	oracle DigestOracle
 	shard  ShardOpts
@@ -225,7 +223,7 @@ func NewShard(tr transport.Transport, addr string, oracle DigestOracle, shard Sh
 			return nil, fmt.Errorf("mediator: shard index %d out of range [0, %d)", shard.Index, shard.Count)
 		}
 		if shard.Map == nil {
-			return nil, errors.New("mediator: sharded tiers need a topology Map")
+			return nil, errors.New("mediator: sharded tiers need the shards' addresses (Map)")
 		}
 	}
 	m := &Mediator{
@@ -279,26 +277,6 @@ func (m *Mediator) owns(obj catalog.ObjectID) bool {
 	}
 	primary, replica := ShardFor(obj, m.shard.Count)
 	return primary == m.shard.Index || replica == m.shard.Index
-}
-
-// shardMap returns the topology this mediator advertises: its cluster's
-// map, or itself as a tier of one.
-func (m *Mediator) shardMap() (uint64, []string) {
-	if m.shard.Map == nil {
-		return 1, []string{m.Addr()}
-	}
-	return m.shard.Map()
-}
-
-// redirect answers a misrouted request with the owning shard's coordinates.
-func (m *Mediator) redirect(send func(protocol.Message) error, obj catalog.ObjectID) {
-	primary, _ := ShardFor(obj, m.shard.Count)
-	epoch, addrs := m.shardMap()
-	addr := ""
-	if primary < len(addrs) {
-		addr = addrs[primary]
-	}
-	_ = send(&protocol.MedRedirect{Object: obj, Shard: uint32(primary), Addr: addr, Epoch: epoch})
 }
 
 // Addr returns the mediator's dialable address.
@@ -445,16 +423,9 @@ func (m *Mediator) serve(conn transport.Conn) {
 // forfeits the connection.
 func (m *Mediator) handleRPC(send func(protocol.Message) error, env *protocol.Envelope) bool {
 	switch req := env.Msg.(type) {
-	case *protocol.MedShardMapReq:
-		epoch, addrs := m.shardMap()
-		reply := &protocol.MedShardMap{Version: protocol.ShardMapVersion, Epoch: epoch}
-		for i, a := range addrs {
-			reply.Shards = append(reply.Shards, protocol.MedShardEntry{Index: uint32(i), Addr: a})
-		}
-		_ = send(reply)
 	case *protocol.MedDeposit:
 		if !m.owns(req.Object) {
-			m.redirect(send, req.Object)
+			m.misrouted(send, req.ExchangeID)
 			return false
 		}
 		m.mu.Lock()
@@ -479,7 +450,7 @@ func (m *Mediator) handleRPC(send func(protocol.Message) error, env *protocol.En
 		_ = send(&protocol.MedFlagAck{})
 	case *protocol.MedVerify:
 		if !m.owns(req.Object) {
-			m.redirect(send, req.Object)
+			m.misrouted(send, req.ExchangeID)
 			return false
 		}
 		if oversizedVerify(req) {
@@ -497,6 +468,13 @@ func (m *Mediator) handleRPC(send func(protocol.Message) error, env *protocol.En
 		// Ignore unrelated traffic.
 	}
 	return false
+}
+
+// misrouted refuses a request for an object this shard does not own. A
+// client routes by the same ShardFor over the same fixed address list, so
+// only a misconfigured one lands here: nothing is stored and nobody flagged.
+func (m *Mediator) misrouted(send func(protocol.Message) error, exchange uint64) {
+	_ = send(&protocol.MedReject{ExchangeID: exchange, Code: protocol.MedRejectBadRequest, Reason: "object not owned by this shard"})
 }
 
 // handleVerify audits the sample blocks the requester received from Sender:

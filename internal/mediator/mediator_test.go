@@ -130,7 +130,7 @@ func fixture(t *testing.T) (tr *transport.Mem, med *mediator.Mediator, obj catal
 	return tr, med, obj, blocks
 }
 
-// client builds a medclient bootstrapped at the fixture mediator.
+// client builds a medclient for the fixture mediator.
 func client(t *testing.T, tr transport.Transport) *medclient.Client {
 	t.Helper()
 	c, err := medclient.New(medclient.Config{Transport: tr, Seeds: []string{"mem://mediator"}})
@@ -498,7 +498,7 @@ func TestMediatorRequiresOracle(t *testing.T) {
 func TestShardOptsValidated(t *testing.T) {
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
 	tr := transport.NewMem()
-	if _, err := mediator.NewShard(tr, "mem://s", oracle, mediator.ShardOpts{Index: 3, Count: 2, Map: func() (uint64, []string) { return 1, nil }}); err == nil {
+	if _, err := mediator.NewShard(tr, "mem://s", oracle, mediator.ShardOpts{Index: 3, Count: 2, Map: func() []string { return nil }}); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 	if _, err := mediator.NewShard(tr, "mem://s", oracle, mediator.ShardOpts{Index: 0, Count: 2}); err == nil {

@@ -17,7 +17,8 @@ const replQueue = 1024
 // one sibling. Records ride a persistent, lazily dialled connection as
 // Envelope{ReqID: 0} — applied by the sibling, never answered, never forwarded
 // on. Best effort: a record that finds the queue full, or meets a dial or send
-// error, is dropped and counted (perfstats); the next redials on a fresh map.
+// error, is dropped and counted (perfstats); the next redials the sibling's
+// address, which a restart keeps.
 type replLink struct {
 	m      *Mediator
 	target int
@@ -64,15 +65,15 @@ func (l *replLink) run() {
 	}
 }
 
-// dial returns the link's connection, opening one to the sibling's current
-// address if there is none; nil means the sibling is unreachable right now.
+// dial returns the link's connection, opening one to the sibling's address if
+// there is none; nil means the sibling is unreachable right now.
 func (l *replLink) dial() transport.Conn {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.conn != nil {
 		return l.conn
 	}
-	_, addrs := l.m.shard.Map()
+	addrs := l.m.shard.Map()
 	if l.target >= len(addrs) || addrs[l.target] == "" {
 		return nil
 	}

@@ -170,7 +170,7 @@ func TestReplicationQueueBound(t *testing.T) {
 		}
 	}()
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
-	topo := func() (uint64, []string) { return 1, []string{"mem://primary", "mem://deaf"} }
+	topo := func() []string { return []string{"mem://primary", "mem://deaf"} }
 	med, err := mediator.NewShard(tr, "mem://primary", oracle, mediator.ShardOpts{Index: 0, Count: 2, Map: topo})
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +218,10 @@ func TestReplicationQueueBound(t *testing.T) {
 	sibling.Close()
 }
 
-// TestReplicationLinkRedials restarts the sibling onto a new TCP port. Nothing
-// is sent meanwhile, so only the link's reader can notice: its EOF retires
-// the stale connection, and the next record dials the new address and
-// arrives, with nothing dropped.
+// TestReplicationLinkRedials restarts the sibling over TCP, where it re-binds
+// its own port. Nothing is sent meanwhile, so only the link's reader can
+// notice: its EOF retires the dead connection, and the next record redials
+// the same address and arrives, with nothing dropped.
 func TestReplicationLinkRedials(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 0)
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
@@ -242,14 +242,14 @@ func TestReplicationLinkRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "the replica holds the first deposit", func() bool { return cl.HoldsEscrow(1, 1, sender) })
-	stale := cl.Addrs()[1]
+	addr := cl.Addrs()[1]
 	if err := cl.RestartShard(1); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Addrs()[1] == stale {
-		t.Fatalf("restart kept the replica on %s", stale)
+	if got := cl.Addrs()[1]; got != addr {
+		t.Fatalf("restart moved the replica from %s to %s", addr, got)
 	}
-	waitUntil(t, "the link's reader retires the stale connection", func() bool { return !cl.LinkUp(0, 1) })
+	waitUntil(t, "the link's reader retires the dead connection", func() bool { return !cl.LinkUp(0, 1) })
 	if err := c.Deposit(2, sender, obj, [16]byte{2}); err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ func corpusMessages() []Message {
 		}},
 		&MedKey{ExchangeID: 3, Key: [16]byte{9}},
 		&MedReject{ExchangeID: 3, Code: MedRejectNoKey, Reason: "digest mismatch"},
-		&MedShardMapReq{Epoch: 4},
-		&MedShardMap{Version: ShardMapVersion, Epoch: 4, Shards: []MedShardEntry{
-			{Index: 0, Addr: "mem://med-0"},
-			{Index: 1, Addr: "mem://med-1"},
-		}},
-		&MedRedirect{Object: 5, Shard: 1, Addr: "mem://med-1", Epoch: 4},
 		&MedFlag{Peer: 2},
 		&MedFlagAck{},
 		&Envelope{ReqID: 6, Msg: &MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Samples: []Block{
@@ -155,6 +149,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(frameFor(TypeEnvelope, nested))
 	// The one shard-to-shard message, cut off inside its only field.
 	f.Add(frameFor(TypeMedFlag, []byte{0, 0, 2}))
+	// The retired shard-map numbers, enveloped as a client sent them: each
+	// must be refused as unknown, with its old payload left unread.
+	for typ := Type(16); typ <= 18; typ++ {
+		f.Add(frameFor(TypeEnvelope, append(binary.BigEndian.AppendUint64(nil, 1), byte(typ), 0, 0, 0, 0, 0, 0, 0, 4)))
+	}
 	// Block edges, where the payload bypasses the scratch: a payload length
 	// that claims more than the frame carries, one that leaves bytes over, a
 	// stream and a frame that end inside the fixed fields, an empty payload,
@@ -248,12 +247,6 @@ func TestDecodeRejectsCountAmplification(t *testing.T) {
 			payload = binary.BigEndian.AppendUint32(payload, 5)
 			payload = binary.BigEndian.AppendUint32(payload, 4096) // sample count
 			return frameFor(TypeMedVerify, payload)
-		}(),
-		"shard map entries": func() []byte {
-			payload := []byte{ShardMapVersion}
-			payload = binary.BigEndian.AppendUint64(payload, 1)
-			payload = binary.BigEndian.AppendUint32(payload, 1<<20) // shard count
-			return frameFor(TypeMedShardMap, payload)
 		}(),
 	}
 	for name, frame := range cases {

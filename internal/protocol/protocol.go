@@ -40,9 +40,12 @@ const (
 	TypeMedVerify
 	TypeMedKey
 	TypeMedReject
-	TypeMedShardMapReq
-	TypeMedShardMap
-	TypeMedRedirect
+	// 16–18 were the shard-map request, the shard map and the redirect,
+	// retired when shard addresses became fixed. The numbers stay reserved,
+	// so every later type keeps its value.
+	_
+	_
+	_
 	TypeMedFlag
 	TypeMedFlagAck
 	TypeEnvelope
@@ -192,52 +195,15 @@ const (
 	MedRejectAudit      uint8 = 0 // samples contradict the claim: the sender cheated
 	MedRejectNoKey      uint8 = 1 // no escrowed key for the claimed sender (transient)
 	MedRejectOversize   uint8 = 2 // request exceeded the mediator's audit limits
-	MedRejectBadRequest uint8 = 3 // request malformed (requester's fault; nobody is flagged)
+	MedRejectBadRequest uint8 = 3 // request malformed or misrouted (requester's fault; nobody is flagged)
 )
 
-// MedReject reports a refused verification; Code says whether the audit
-// actually failed or the request could not be judged.
+// MedReject reports a refused deposit or verification; Code says whether the
+// audit actually failed or the request could not be judged.
 type MedReject struct {
 	ExchangeID uint64
 	Code       uint8
 	Reason     string
-}
-
-// ShardMapVersion is the current wire version of the shard-map scheme;
-// bump on incompatible changes to partitioning or the map layout.
-const ShardMapVersion uint8 = 1
-
-// MedShardMapReq asks any mediator shard for the current cluster topology.
-// Epoch carries the requester's cached topology version (0 for none); the
-// mediator always replies with its full current map.
-type MedShardMapReq struct {
-	Epoch uint64
-}
-
-// MedShardEntry names one shard of the mediator tier.
-type MedShardEntry struct {
-	Index uint32
-	Addr  string
-}
-
-// MedShardMap announces the mediator tier topology: Version is the wire
-// version of the partitioning scheme, Epoch increases whenever the topology
-// changes (a shard restarting under a new address), and Shards lists every
-// member in index order.
-type MedShardMap struct {
-	Version uint8
-	Epoch   uint64
-	Shards  []MedShardEntry
-}
-
-// MedRedirect tells a client its request for Object was misrouted: the
-// shard at Addr owns the object's partition. Epoch lets the client notice
-// its cached map is stale and refetch.
-type MedRedirect struct {
-	Object catalog.ObjectID
-	Shard  uint32
-	Addr   string
-	Epoch  uint64
 }
 
 // MedFlag writes one audit verdict through to the object's other owner: the
@@ -347,9 +313,6 @@ var (
 	_ Message = (*MedVerify)(nil)
 	_ Message = (*MedKey)(nil)
 	_ Message = (*MedReject)(nil)
-	_ Message = (*MedShardMapReq)(nil)
-	_ Message = (*MedShardMap)(nil)
-	_ Message = (*MedRedirect)(nil)
 	_ Message = (*MedFlag)(nil)
 	_ Message = (*MedFlagAck)(nil)
 	_ Message = (*Envelope)(nil)
@@ -357,28 +320,25 @@ var (
 )
 
 // Type implementations.
-func (*Hello) Type() Type          { return TypeHello }
-func (*Request) Type() Type        { return TypeRequest }
-func (*Cancel) Type() Type         { return TypeCancel }
-func (*RingProbe) Type() Type      { return TypeRingProbe }
-func (*RingAccept) Type() Type     { return TypeRingAccept }
-func (*RingCommit) Type() Type     { return TypeRingCommit }
-func (*RingAbort) Type() Type      { return TypeRingAbort }
-func (*RingQuit) Type() Type       { return TypeRingQuit }
-func (*Manifest) Type() Type       { return TypeManifest }
-func (*Block) Type() Type          { return TypeBlock }
-func (*BlockAck) Type() Type       { return TypeBlockAck }
-func (*MedDeposit) Type() Type     { return TypeMedDeposit }
-func (*MedVerify) Type() Type      { return TypeMedVerify }
-func (*MedKey) Type() Type         { return TypeMedKey }
-func (*MedReject) Type() Type      { return TypeMedReject }
-func (*MedShardMapReq) Type() Type { return TypeMedShardMapReq }
-func (*MedShardMap) Type() Type    { return TypeMedShardMap }
-func (*MedRedirect) Type() Type    { return TypeMedRedirect }
-func (*MedFlag) Type() Type        { return TypeMedFlag }
-func (*MedFlagAck) Type() Type     { return TypeMedFlagAck }
-func (*Envelope) Type() Type       { return TypeEnvelope }
-func (*StripeGrant) Type() Type    { return TypeStripeGrant }
+func (*Hello) Type() Type       { return TypeHello }
+func (*Request) Type() Type     { return TypeRequest }
+func (*Cancel) Type() Type      { return TypeCancel }
+func (*RingProbe) Type() Type   { return TypeRingProbe }
+func (*RingAccept) Type() Type  { return TypeRingAccept }
+func (*RingCommit) Type() Type  { return TypeRingCommit }
+func (*RingAbort) Type() Type   { return TypeRingAbort }
+func (*RingQuit) Type() Type    { return TypeRingQuit }
+func (*Manifest) Type() Type    { return TypeManifest }
+func (*Block) Type() Type       { return TypeBlock }
+func (*BlockAck) Type() Type    { return TypeBlockAck }
+func (*MedDeposit) Type() Type  { return TypeMedDeposit }
+func (*MedVerify) Type() Type   { return TypeMedVerify }
+func (*MedKey) Type() Type      { return TypeMedKey }
+func (*MedReject) Type() Type   { return TypeMedReject }
+func (*MedFlag) Type() Type     { return TypeMedFlag }
+func (*MedFlagAck) Type() Type  { return TypeMedFlagAck }
+func (*Envelope) Type() Type    { return TypeEnvelope }
+func (*StripeGrant) Type() Type { return TypeStripeGrant }
 
 // New returns a zero message of the given wire type.
 func New(t Type) (Message, error) {
@@ -413,12 +373,6 @@ func New(t Type) (Message, error) {
 		return &MedKey{}, nil
 	case TypeMedReject:
 		return &MedReject{}, nil
-	case TypeMedShardMapReq:
-		return &MedShardMapReq{}, nil
-	case TypeMedShardMap:
-		return &MedShardMap{}, nil
-	case TypeMedRedirect:
-		return &MedRedirect{}, nil
 	case TypeMedFlag:
 		return &MedFlag{}, nil
 	case TypeMedFlagAck:
@@ -925,35 +879,6 @@ func (m *MedReject) decode(r *reader) error {
 	return r.err
 }
 
-func (m *MedShardMapReq) encode(w *writer) { w.u64(m.Epoch) }
-func (m *MedShardMapReq) decode(r *reader) error {
-	m.Epoch = r.u64()
-	return r.err
-}
-
-func (m *MedShardMap) encode(w *writer) {
-	w.u8(m.Version)
-	w.u64(m.Epoch)
-	w.u32(uint32(len(m.Shards)))
-	for _, s := range m.Shards {
-		w.u32(s.Index)
-		w.str(s.Addr)
-	}
-}
-func (m *MedShardMap) decode(r *reader) error {
-	m.Version = r.u8()
-	m.Epoch = r.u64()
-	n := r.count(int(r.u32()), 4096, 6) // 4 index + 2 addr length per entry
-	if r.err != nil {
-		return r.err
-	}
-	m.Shards = make([]MedShardEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Shards = append(m.Shards, MedShardEntry{Index: r.u32(), Addr: r.str()})
-	}
-	return r.err
-}
-
 func (m *MedFlag) encode(w *writer) { w.i32(int32(m.Peer)) }
 func (m *MedFlag) decode(r *reader) error {
 	m.Peer = core.PeerID(r.i32())
@@ -1004,19 +929,5 @@ func (m *StripeGrant) decode(r *reader) error {
 	m.Session = r.u64()
 	m.Stripe = r.u32()
 	m.Stripes = r.u32()
-	return r.err
-}
-
-func (m *MedRedirect) encode(w *writer) {
-	w.i32(int32(m.Object))
-	w.u32(m.Shard)
-	w.str(m.Addr)
-	w.u64(m.Epoch)
-}
-func (m *MedRedirect) decode(r *reader) error {
-	m.Object = catalog.ObjectID(r.i32())
-	m.Shard = r.u32()
-	m.Addr = r.str()
-	m.Epoch = r.u64()
 	return r.err
 }

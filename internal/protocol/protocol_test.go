@@ -54,20 +54,12 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&MedKey{ExchangeID: 8, Key: [16]byte{9, 9}},
 		&MedReject{ExchangeID: 8, Code: MedRejectAudit, Reason: "origin mismatch"},
 		&MedReject{ExchangeID: 9, Code: MedRejectNoKey, Reason: "no escrowed key"},
-		&MedShardMapReq{Epoch: 3},
-		&MedShardMapReq{},
-		&MedShardMap{Version: ShardMapVersion, Epoch: 5, Shards: []MedShardEntry{
-			{Index: 0, Addr: "mem://med-0"},
-			{Index: 1, Addr: "127.0.0.1:7101"},
-			{Index: 2, Addr: "mem://med-2"},
-		}},
-		&MedRedirect{Object: 5, Shard: 2, Addr: "mem://med-2", Epoch: 5},
 		&MedFlag{Peer: 3},
 		&MedFlagAck{},
 		&Envelope{ReqID: 77, Msg: &MedVerify{ExchangeID: 8, Requester: 2, Sender: 1, Object: 5, Samples: []Block{
 			{Object: 5, Index: 0, Payload: []byte("x")},
 		}}},
-		&Envelope{ReqID: 0, Msg: &MedShardMapReq{Epoch: 3}},
+		&Envelope{ReqID: 0, Msg: &MedFlag{Peer: 3}},
 		&Envelope{ReqID: 78, Msg: &MedFlagAck{}},
 		&StripeGrant{Object: 5, Session: 12, Stripe: 1, Stripes: 3},
 	}
@@ -100,11 +92,18 @@ func TestWireTypeNumbers(t *testing.T) {
 		1: TypeHello, 2: TypeRequest, 3: TypeCancel, 4: TypeRingProbe,
 		5: TypeRingAccept, 6: TypeRingCommit, 7: TypeRingAbort, 8: TypeRingQuit,
 		9: TypeManifest, 10: TypeBlock, 11: TypeBlockAck, 12: TypeMedDeposit,
-		13: TypeMedVerify, 14: TypeMedKey, 15: TypeMedReject, 16: TypeMedShardMapReq,
-		17: TypeMedShardMap, 18: TypeMedRedirect, 19: TypeMedFlag, 20: TypeMedFlagAck,
+		13: TypeMedVerify, 14: TypeMedKey, 15: TypeMedReject,
+		19: TypeMedFlag, 20: TypeMedFlagAck,
 		21: TypeEnvelope, 22: TypeStripeGrant,
 	}
 	for n := 1; n < len(want); n++ {
+		if want[n] == 0 {
+			// A retired number stays reserved: nothing decodes as it.
+			if _, err := New(Type(n)); !errors.Is(err, ErrUnknownType) {
+				t.Errorf("retired type %d is in use again", n)
+			}
+			continue
+		}
 		if want[n] != Type(n) {
 			t.Errorf("type pinned to %d has number %d", n, want[n])
 		}
@@ -118,10 +117,17 @@ func TestWireTypeNumbers(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownType covers a number never assigned and the three
+// the shard-map protocol retired (16–18), each bare and inside an Envelope.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	frame := []byte{0, 0, 0, 1, 0xEE}
-	if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("err = %v, want ErrUnknownType", err)
+	for _, typ := range []Type{0xEE, 16, 17, 18} {
+		bare := frameFor(typ, nil)
+		enveloped := frameFor(TypeEnvelope, append(binary.BigEndian.AppendUint64(nil, 1), byte(typ)))
+		for _, frame := range [][]byte{bare, enveloped} {
+			if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); !errors.Is(err, ErrUnknownType) {
+				t.Fatalf("type %d, frame %x: err = %v, want ErrUnknownType", typ, frame, err)
+			}
+		}
 	}
 }
 

@@ -419,8 +419,8 @@ func Run(cfg Config) (*Result, error) {
 		s.tr = transport.NewMem()
 	}
 
-	// The mediator tier comes up before the nodes: mediated nodes need
-	// bootstrap seeds at spawn time.
+	// The mediator tier comes up before the nodes: mediated nodes need its
+	// addresses at spawn time.
 	s.replBase = perfstats.Current().MedReplDropped
 	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), s.digests, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
 	if err != nil {
@@ -728,8 +728,8 @@ func allDone(ws []*wantState, orFailed bool) bool {
 	return true
 }
 
-// medClient builds a shard-aware mediator client bootstrapped at the tier's
-// current addresses.
+// medClient builds a shard-aware mediator client over the tier's addresses,
+// which a shard restart keeps.
 func (s *swarmRun) medClient(logf func(string, ...any)) (*medclient.Client, error) {
 	return medclient.New(medclient.Config{Transport: s.tr, Seeds: s.cluster.Addrs(), Backoff: 10 * time.Millisecond, Logf: logf})
 }
