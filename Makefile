@@ -60,11 +60,13 @@ flake-check:
 	$(GO) test -race -short -count=50 ./internal/transport ./internal/mediator ./internal/medclient
 	$(GO) test -race -short -count=10 ./internal/swarm
 
-## swarm-smoke: race-enabled live-network scenarios CI runs on every push —
-## a 120-node flash crowd, a 100-node churn run (60 close/restart cycles),
-## a 120-node cheater run against a 4-shard mediator tier, the same cheater
-## mix with downloads striped across 3 origins, a medfail run that kills
-## mediator shards mid-run, the same over a durable tier (-meddata: WAL
+## swarm-smoke: the ten race-enabled live-network scenario lines CI runs on
+## every push — a 120-node flash crowd, a 100-node churn run (60
+## close/restart cycles), a 120-node cheater run against a 4-shard mediator
+## tier, the same cheater mix with downloads striped across 3 origins on the
+## plain lane path, a medfail run that kills mediator shards mid-run, the
+## same striped across 3 origins on the mediated path (per-origin escrow and
+## audits), the same unstriped over a durable tier (-meddata: WAL
 ## replay on every restart, then a restart of the whole tier from its logs),
 ## a 100-node medfail run over TCP with the default kills (every shard
 ## restarts at least once and must re-bind its own port, or every mediated
@@ -81,6 +83,7 @@ swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata "$$(mktemp -d)" -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 100 -mediators 4 -tcp
 	$(GO) run -race ./cmd/exchswarm -scenario adversary -nodes 80 -quick

@@ -29,11 +29,10 @@
 // -mediators shards the mediator tier (consistent hashing over object id)
 // for any scenario; medfail additionally kills and restarts shards mid-run
 // while nodes speak the mediated block path natively. -stripe N stripes
-// each download across up to N origins and (the harness's choice; nodes
-// stripe either way) switches the scenario onto the mediated path —
-// interleaved sealed blocks, per-origin escrow and audits — so a cheater
-// scenario flags every corrupt origin organically while honest stripes
-// complete in parallel. -meddata DIR gives every shard a write-ahead log
+// each download across up to N origins on the scenario's own block path:
+// plain lanes, each checked block by block against the object's digests, or
+// on medfail interleaved sealed blocks with per-origin escrow and audits.
+// -meddata DIR gives every shard a write-ahead log
 // under DIR; medfail then also checks that no shard restart — nor a final
 // restart of the whole tier from its logs — forgets a flagged cheater.
 //
@@ -41,9 +40,11 @@
 // cheater went unflagged, a flag was lost, or an honest peer was flagged.
 //
 // The aggregate TSV mirrors Figure 12's axes (mean download time per peer
-// class vs. fraction of non-sharing peers); -peers appends one row per node
-// with its protocol counters. Peer classes are the shared strategy layer's
-// (internal/strategy), so the live series names match exchsim's figures.
+// class vs. fraction of non-sharing peers: -frac on every scenario, plus
+// the adversary scenario's strategic classes); -peers appends one row per
+// node with its protocol counters. Peer classes are the shared strategy
+// layer's (internal/strategy), so the live series names match exchsim's
+// figures.
 // -seed makes the world structure (class assignment, placement, wants)
 // reproducible; wall-clock timing still varies run to run.
 package main
@@ -81,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quick    = fs.Bool("quick", false, "small objects and pacing: a run takes seconds")
 		seed     = fs.Uint64("seed", 1, "seed for placement, wants, and churn choices")
 		useTCP   = fs.Bool("tcp", false, "TCP loopback (with I/O deadlines) instead of the in-memory transport")
-		frac     = fs.Float64("frac", 0, "fraction of non-sharing peers (freerider/mixed/adversary scenarios)")
+		frac     = fs.Float64("frac", 0, "fraction of non-sharing peers (every scenario)")
 		corrupt  = fs.Float64("corrupt", 0, "fraction of corrupt seeds (cheater scenario)")
 		adaptive = fs.Float64("adaptive", 0, "fraction of adaptive free-riders (adversary scenario)")
 		wwash    = fs.Float64("whitewash", 0, "fraction of whitewashers (adversary scenario)")
@@ -90,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		medshard = fs.Int("mediators", 0, "mediator tier size in shards (0 = scenario default)")
 		medkills = fs.Int("medkills", 0, "mediator shard kill/restart cycles (medfail scenario)")
 		meddata  = fs.String("meddata", "", "mediator write-ahead-log directory (empty = in-memory shards); with it medfail also asserts no restart loses a flag")
-		stripe   = fs.Int("stripe", 0, "stripe downloads across up to N origins (N > 1 also enables the mediated path; 0/1 = single origin)")
+		stripe   = fs.Int("stripe", 0, "stripe downloads across up to N origins (0/1 = single origin)")
 		objSize  = fs.Int("objsize", 0, "object size in bytes (0 = scenario default)")
 		block    = fs.Int("block", 0, "block size in bytes (0 = scenario default)")
 		slots    = fs.Int("slots", 0, "upload slots per sharer (0 = scenario default)")

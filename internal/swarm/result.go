@@ -178,20 +178,15 @@ func (r *Result) PeersTSV() string {
 // collect snapshots every peer into a Result. Called after all waiters have
 // settled and before teardown, so node Stats are still reachable.
 func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
-	frac := s.cfg.FreeriderFrac
-	if s.def.adversaryFrac > 0 {
-		// The adversary scenario's x key is the total fraction of peers not
-		// contributing faithfully (free-riders plus every adversary class):
-		// without folding those in, a sweep over -adaptive/-whitewash/
-		// -partial would emit every row at the same x and concatenated TSVs
-		// would be indistinguishable by key.
-		frac += s.cfg.AdaptiveFrac + s.cfg.WhitewashFrac + s.cfg.PartialFrac
-	}
 	res := &Result{
-		Scenario:      s.cfg.Scenario,
-		Nodes:         len(s.peers),
-		Objects:       s.objects,
-		FreeriderFrac: frac,
+		Scenario: s.cfg.Scenario,
+		Nodes:    len(s.peers),
+		Objects:  s.objects,
+		// The x key is the fraction of peers not contributing faithfully:
+		// free-riders plus every strategic class (zero off the adversary
+		// scenario), so a sweep over -adaptive/-whitewash/-partial keys each
+		// row apart.
+		FreeriderFrac: s.cfg.FreeriderFrac + s.cfg.AdaptiveFrac + s.cfg.WhitewashFrac + s.cfg.PartialFrac,
 		Elapsed:       elapsed,
 		Flagged:       flagged,
 		Mediators:     s.cfg.Mediators,

@@ -5,14 +5,15 @@
 // node's Stats into the same figure-shaped TSV the simulator emits, so live
 // results are directly comparable with exchsim output.
 //
-// A run is a world builder, a table and a fault schedule. The builders
-// (scenario.go) assign strategy classes — the definitions internal/sim
-// consumes, so both stacks report identical class labels — place content
-// and derive wants from the run's seeded RNG. The scenario table holds one
-// row per scenario, next to its one description: its builder, its defaults
-// and the harness switches it turns. The fault schedule (schedule.go)
-// compiles every timed action into events on one eventq.Queue that one
-// driver goroutine plays against the wall clock.
+// A run is a table, a world and a fault schedule. The scenario table
+// (scenario.go) holds one row per scenario, next to its one description:
+// its world's layout, its defaults and the harness switches it turns. One
+// build lays every world out — exchange pairs, or seeds holding a catalog
+// the rest download — assigning strategy classes (the definitions
+// internal/sim consumes, so both stacks report identical class labels),
+// placing content and deriving wants from the run's seeded RNG. The fault
+// schedule (schedule.go) compiles every timed action into events on one
+// eventq.Queue that one driver goroutine plays against the wall clock.
 package swarm
 
 import (
@@ -91,14 +92,16 @@ type Config struct {
 	// UploadSlots bounds each sharer's concurrent uploads; scarcity is what
 	// makes exchange priority visible.
 	UploadSlots int
-	// FreeriderFrac is the fraction of peers that share nothing;
-	// CorruptFrac is the fraction of flashcrowd seeds that serve junk.
+	// FreeriderFrac is the fraction of peers that share nothing, on every
+	// scenario; CorruptFrac is the fraction of seeds that serve junk on the
+	// scenarios with a corrupt class (cheater, medfail).
 	FreeriderFrac float64
 	CorruptFrac   float64
 	// AdaptiveFrac, WhitewashFrac, and PartialFrac size the adversary
 	// scenario's strategic classes (see internal/strategy): adaptive
 	// free-riders, identity-churning whitewashers, and throttled partial
-	// sharers. Zero on the adversary scenario means 0.15 each.
+	// sharers. Zero on the adversary scenario means 0.15 each; every other
+	// scenario ignores them.
 	AdaptiveFrac  float64
 	WhitewashFrac float64
 	PartialFrac   float64
@@ -125,13 +128,10 @@ type Config struct {
 	// zero-flags-lost checks.
 	MedDataDir string
 	// Stripe caps how many origins each download stripes across
-	// (node.Config.Stripe). A node stripes with or without a mediator; the
-	// harness additionally switches the whole scenario onto the mediated
-	// block path — sealed blocks, per-origin escrow and audits — for values
-	// above 1, because that is the combination its scenarios exist to
-	// exercise: on the cheater scenario every corrupt origin is then
-	// flagged organically by the lane audits of its own victims. <= 1
-	// keeps single-origin transfers on the scenario's own path.
+	// (node.Config.Stripe); <= 1 keeps single-origin transfers. A node
+	// stripes on whichever block path its scenario runs: plain lanes, each
+	// block digest-checked on arrival, or on medfail the mediated path,
+	// with per-origin escrow and audits.
 	Stripe int
 	// Workload is the wave scenario's demand spec; nil means the "flash"
 	// builtin anchored at two requests per downloader. Rejected on other
@@ -195,7 +195,7 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("swarm: Stripe %d out of range [0, 16]", c.Stripe)
 	}
 	// A scenario whose row plays no shard kills or node restarts, or has no
-	// corrupt class (below), ignores those knobs.
+	// corrupt or strategic classes (below), ignores those knobs.
 	if d.kills == 0 {
 		c.MedKills = 0
 	} else if c.MedKills <= 0 {
@@ -241,6 +241,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if d.corruptFrac == 0 {
 		c.CorruptFrac = 0
+	}
+	if d.adversaryFrac == 0 {
+		c.AdaptiveFrac, c.WhitewashFrac, c.PartialFrac = 0, 0, 0
 	}
 	if c.AdaptivePatience <= 0 {
 		c.AdaptivePatience = pick(c.Quick, 500*time.Millisecond, 200*time.Millisecond)
@@ -318,8 +321,8 @@ type swarmRun struct {
 	// dir is the shared peer-id -> address lookup service (the one the
 	// paper treats as external); restarts re-register under fresh addresses.
 	dir sync.Map
-	// objects is the world's catalog size, fixed by its builder; oracle
-	// holds every object's block digests.
+	// objects is the world's catalog size, fixed by build; oracle holds
+	// every object's block digests.
 	objects int
 	oracle  map[catalog.ObjectID][][32]byte
 	peers   []*peerState
@@ -391,7 +394,7 @@ func newRun(cfg Config) (*swarmRun, error) {
 	if cfg.Record != nil {
 		s.rec = workload.NewRecorder()
 	}
-	if err := s.def.build(s); err != nil {
+	if err := s.build(); err != nil {
 		return nil, err
 	}
 	for obj := 1; obj <= s.objects; obj++ {
@@ -582,6 +585,7 @@ func (s *swarmRun) spawn(p *peerState) error {
 		TickInterval: 5 * time.Millisecond,
 		StallTicks:   10,
 		MaxRetries:   1 << 20, // the harness owns giving up, via Timeout
+		Stripe:       s.cfg.Stripe,
 	}
 	if s.def.paced {
 		cfg.BlockDelay = time.Millisecond
@@ -589,10 +593,7 @@ func (s *swarmRun) spawn(p *peerState) error {
 	if s.def.trusted {
 		cfg.TrustedDigests = s.digests
 	}
-	// Striping across origins also switches the run onto the mediated path
-	// (the harness's choice, not the node's — the tier is up in every run).
-	if s.def.mediated || s.cfg.Stripe > 1 {
-		cfg.Stripe = s.cfg.Stripe
+	if s.def.mediated {
 		if p.medc == nil {
 			mc, err := s.medClient(nil)
 			if err != nil {

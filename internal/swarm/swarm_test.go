@@ -350,7 +350,7 @@ func TestAdversaryScenario(t *testing.T) {
 
 // TestAdversaryWorldStaysAtNodes is the regression test for the sharer
 // top-up overflowing the population: with fractions that round the sharing
-// class away entirely at a tiny population, buildAdversary must still
+// class away entirely at a tiny population, the paired layout must still
 // produce exactly Nodes peers with ids inside [1, Nodes] — otherwise a
 // whitewasher's fresh identity could collide with a live initial peer.
 func TestAdversaryWorldStaysAtNodes(t *testing.T) {

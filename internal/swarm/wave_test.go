@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"barter/internal/rng"
 	"barter/internal/testutil"
 	"barter/internal/workload"
 )
@@ -103,12 +102,8 @@ func TestWaveCohortDepartures(t *testing.T) {
 // (objects and scheduled times), however the wall clock behaves.
 func TestWaveWantsDeterministic(t *testing.T) {
 	build := func() []string {
-		s := &swarmRun{cfg: Config{Scenario: Wave, Nodes: 40, Quick: true, Seed: 6}}
-		if err := s.cfg.fillDefaults(); err != nil {
-			t.Fatal(err)
-		}
-		s.rng = rng.New(s.cfg.Seed)
-		if err := s.buildWave(); err != nil {
+		s, err := newRun(Config{Scenario: Wave, Nodes: 40, Quick: true, Seed: 6})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
