@@ -584,16 +584,32 @@ func (n *Node) serveConn(conn transport.Conn, peer core.PeerID, known bool) {
 	}
 }
 
-// writeLoop drains a connection's send queue.
+// writeBatch caps the frames one write carries, so WriteTimeout still
+// bounds a write of bounded size.
+const writeBatch = 16
+
+// writeLoop drains a connection's send queue: each wake-up sends the message
+// that woke it and whatever is already queued behind it, up to writeBatch, in
+// one write. A failed write closes the connection, so its reader fails and
+// the loop drops the peer's uploads at once instead of leaving them on a
+// connection nothing drains.
 func (n *Node) writeLoop(pc *peerConn) {
 	defer n.wg.Done()
+	batch := make([]protocol.Message, 0, writeBatch)
 	for {
 		select {
 		case msg := <-pc.sendQ:
-			if err := pc.conn.Send(msg); err != nil {
-				return
-			}
+			batch = append(batch[:0], msg)
 		case <-n.stop:
+			return
+		}
+		for len(batch) < writeBatch && len(pc.sendQ) > 0 {
+			batch = append(batch, <-pc.sendQ) // sole receiver: cannot block
+		}
+		err := transport.SendAll(pc.conn, batch)
+		clear(batch) // no payload outlives its write
+		if err != nil {
+			_ = pc.conn.Close()
 			return
 		}
 	}

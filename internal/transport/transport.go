@@ -14,7 +14,7 @@ var ErrClosed = errors.New("transport: closed")
 
 // Conn is a reliable, ordered, message-oriented duplex connection.
 type Conn interface {
-	// Send writes one message. It is safe for concurrent use.
+	// Send writes one message as one frame. It is safe for concurrent use.
 	Send(msg protocol.Message) error
 	// Recv blocks until a message arrives or the connection closes.
 	Recv() (protocol.Message, error)
@@ -22,6 +22,28 @@ type Conn interface {
 	Close() error
 	// RemoteAddr names the other endpoint (best effort).
 	RemoteAddr() string
+}
+
+// Batcher is a Conn that can write several messages in one write. It is
+// optional, so a decorator that embeds Conn still sees every frame through
+// its own Send.
+type Batcher interface {
+	// SendBatch writes msgs in order, as the same frames Send would write.
+	SendBatch(msgs []protocol.Message) error
+}
+
+// SendAll writes msgs to c in order: in one SendBatch when c is a Batcher,
+// otherwise one Send per message.
+func SendAll(c Conn, msgs []protocol.Message) error {
+	if b, ok := c.(Batcher); ok {
+		return b.SendBatch(msgs)
+	}
+	for _, msg := range msgs {
+		if err := c.Send(msg); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Listener accepts inbound connections.

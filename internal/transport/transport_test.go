@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -390,54 +391,67 @@ func TestTCPReadDeadlineOnDialedConn(t *testing.T) {
 // TestTCPWriteDeadline: with a WriteTimeout armed, sending into a peer
 // that never reads must fail once the socket buffers fill, instead of
 // wedging the writer goroutine (and its upload slot) forever — and the
-// connection must still close cleanly afterwards.
+// connection must still close cleanly afterwards. One deadline covers a
+// whole SendBatch, so a batch fails the same way.
 func TestTCPWriteDeadline(t *testing.T) {
-	tr := TCP{WriteTimeout: 100 * time.Millisecond}
-	l, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close() //nolint:errcheck // test cleanup
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c // never Recv: the socket buffers must fill
-		}
-	}()
-	c, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close() //nolint:errcheck // test cleanup
-
 	msg := &protocol.Block{Object: 1, Payload: make([]byte, 1<<20)}
-	var sendErr error
-	deadline := time.Now().Add(15 * time.Second)
-	for i := 0; i < 256 && sendErr == nil; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("write deadline never fired despite an unread flood")
-		}
-		sendErr = c.Send(msg)
-	}
-	if sendErr == nil {
-		t.Fatal("256 MiB queued against a non-reading peer without an error")
-	}
-	var ne net.Error
-	if !errors.As(sendErr, &ne) || !ne.Timeout() {
-		t.Fatalf("Send err = %v, want a net timeout", sendErr)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("Close after write expiry: %v", err)
-	}
-	if err := c.Send(msg); err == nil {
-		t.Fatal("Send succeeded on a closed connection")
-	}
-	select {
-	case sc := <-accepted:
-		sc.Close() //nolint:errcheck // test cleanup
-	case <-time.After(5 * time.Second):
-		t.Fatal("listener never accepted")
+	for _, tc := range []struct {
+		name string
+		send func(Conn) error
+	}{
+		{"Send", func(c Conn) error { return c.Send(msg) }},
+		{"SendBatch", func(c Conn) error {
+			return c.(Batcher).SendBatch([]protocol.Message{msg, &protocol.BlockAck{Object: 1}, msg})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := TCP{WriteTimeout: 100 * time.Millisecond}
+			l, err := tr.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close() //nolint:errcheck // test cleanup
+			accepted := make(chan Conn, 1)
+			go func() {
+				c, err := l.Accept()
+				if err == nil {
+					accepted <- c // never Recv: the socket buffers must fill
+				}
+			}()
+			c, err := tr.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close() //nolint:errcheck // test cleanup
+
+			var sendErr error
+			deadline := time.Now().Add(15 * time.Second)
+			for i := 0; i < 256 && sendErr == nil; i++ {
+				if time.Now().After(deadline) {
+					t.Fatal("write deadline never fired despite an unread flood")
+				}
+				sendErr = tc.send(c)
+			}
+			if sendErr == nil {
+				t.Fatal("256 sends of at least 1 MiB queued against a non-reading peer without an error")
+			}
+			var ne net.Error
+			if !errors.As(sendErr, &ne) || !ne.Timeout() {
+				t.Fatalf("send err = %v, want a net timeout", sendErr)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatalf("Close after write expiry: %v", err)
+			}
+			if err := tc.send(c); err == nil {
+				t.Fatal("send succeeded on a closed connection")
+			}
+			select {
+			case sc := <-accepted:
+				sc.Close() //nolint:errcheck // test cleanup
+			case <-time.After(5 * time.Second):
+				t.Fatal("listener never accepted")
+			}
+		})
 	}
 }
 
@@ -605,4 +619,75 @@ func TestTCPBlockWireBytes(t *testing.T) {
 	}
 	c.Close() //nolint:errcheck // unblocks the drain
 	<-drained
+}
+
+// TestSendBatchWireIdentical: one SendBatch puts on the socket exactly the
+// concatenation of its messages' AppendEncode frames — payload and empty
+// Blocks, a small message, an Envelope and a Request with a tree — so a
+// receiver cannot tell a batch from single Sends, and Recv returns the same
+// messages in order.
+func TestSendBatchWireIdentical(t *testing.T) {
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close() //nolint:errcheck // test cleanup
+	c, err := TCP{}.Dial(nl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck // test cleanup
+	raw, err := nl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close() //nolint:errcheck // test cleanup
+
+	payload := make([]byte, 5000)
+	rand.New(rand.NewSource(33)).Read(payload)
+	batch := []protocol.Message{
+		&protocol.Block{Object: 4, Index: 9, Session: 77, Origin: 1, Recipient: 2, Payload: payload},
+		&protocol.Block{Object: 4, Index: 10, Session: 77, Origin: 1, Recipient: 2, Payload: []byte{}},
+		&protocol.BlockAck{Object: 4, Index: 9, Session: 77, OK: true},
+		&protocol.Envelope{ReqID: 5, Msg: &protocol.MedVerify{
+			ExchangeID: 3, Requester: 2, Sender: 1, Object: 4,
+			Samples: []protocol.Block{{Object: 4, Index: 1, Payload: []byte("sample")}},
+		}},
+		&protocol.Request{Object: 6, Tree: protocol.Tree{Root: 2, Nodes: []protocol.TreeNode{
+			{Peer: 3, Object: 7, Parent: -1}, {Peer: 5, Object: 8, Parent: 0},
+		}}},
+	}
+	var want []byte
+	for _, msg := range batch {
+		if want, err = protocol.AppendEncode(want, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send := func() {
+		t.Helper()
+		if err := c.(Batcher).SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(raw, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("batch wire bytes differ from the concatenated AppendEncode frames")
+	}
+
+	send()
+	rc := newTCPConn(raw, 0, 0)
+	for i, sent := range batch {
+		msg, err := rc.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(msg, sent) {
+			t.Fatalf("Recv %d returned %+v, sent %+v", i, msg, sent)
+		}
+	}
 }
