@@ -136,11 +136,12 @@ vet:
 
 ## doccheck: documentation-coverage lint — every package must carry a
 ## package doc comment, and the layers with a documented public surface
-## (workload trace/spec formats, the mediator tier and its strategy
-## counterpart) must document every exported symbol.
+## (workload trace/spec formats, the mediator tier and its client, the
+## strategy counterpart, the exchange core's request tree and ring search,
+## the live node) must document every exported symbol.
 doccheck:
 	$(GO) run ./internal/tools/doccheck ./internal ./cmd ./examples .
-	$(GO) run ./internal/tools/doccheck -exported ./internal/workload ./internal/mediator ./internal/strategy
+	$(GO) run ./internal/tools/doccheck -exported ./internal/workload ./internal/mediator ./internal/strategy ./internal/core ./internal/node ./internal/medclient
 
 ## unimported: fail on a package under internal/ (internal/tools excepted)
 ## that no other package of the module imports; test imports count.

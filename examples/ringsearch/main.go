@@ -1,8 +1,11 @@
 // Ringsearch reconstructs the paper's Figure 2 walkthrough: peer A's request
 // tree contains requesters P2, P3, P11 at depth 2, P2's subtree reaches P9
 // at depth 3, and P9 owns an object A wants — so A can initiate a 3-way
-// exchange A -> P2 -> P9 -> A. The example prints the tree, runs the search
-// under each policy, and shows the resulting rings.
+// exchange A -> P2 -> P9 -> A. The example prints the tree (its flat nodes,
+// indented by depth), runs the ring search under each policy, and shows the
+// resulting rings. The search is the simulator's core.Graph run over the
+// request edges the tree records: breadth-first under pairwise and 2-5-way,
+// depth-first under 5-2-way, each counting the peers it visits.
 package main
 
 import (
@@ -44,7 +47,7 @@ func main() {
 			fmt.Printf("%-10s found no ring\n", pol)
 			continue
 		}
-		fmt.Printf("%-10s -> %d-way ring satisfying want o%d  (visited %d tree nodes)\n",
+		fmt.Printf("%-10s -> %d-way ring satisfying want o%d  (visited %d peers)\n",
 			pol, ring.Size(), wants[wi].Object, stats.NodesVisited)
 		for i, m := range ring.Members {
 			to := ring.Members[(i+1)%ring.Size()]

@@ -102,11 +102,12 @@ type bfsNode struct {
 	depth  int
 }
 
-// Graph searches the live request graph for exchange rings. It is the
-// simulator's counterpart of the tree-based FindRing: the simulator has the
-// current request graph available (per-peer incoming request queues), which
-// is equivalent to searching perfectly fresh request trees; staleness and
-// token validation are then handled by the caller at ring-start time.
+// Graph searches a request graph for exchange rings; it is the one ring
+// search. The simulator runs it over the current request graph (per-peer
+// incoming request queues), which is equivalent to searching perfectly
+// fresh request trees; a live node runs it, through FindRing, over the
+// edges its request tree records. Staleness and token validation are then
+// handled by the caller at ring-start time.
 type Graph struct {
 	// Adj returns the in-edges of a peer: who has a live (unserved) request
 	// registered with it, and for which object. The order must be
@@ -140,8 +141,10 @@ func (g Graph) edges(p PeerID) []Edge {
 	return es
 }
 
-// FindRing searches for the best ring rooted at root per the policy, exactly
-// like the tree-based FindRing but over live adjacency.
+// FindRing searches for the best ring rooted at root per the policy: the
+// shallowest candidate under PairwiseOnly and ShortFirst (earliest in
+// breadth-first order on ties), the deepest under LongFirst (earliest in
+// depth-first order on ties).
 func (g Graph) FindRing(root PeerID, wants []Want, pol Policy) (*Ring, int, SearchStats, bool) {
 	return g.search(root, nil, wants, pol)
 }

@@ -152,27 +152,27 @@ func randomWorld(r *rng.RNG, peers int) *irqWorld {
 // tree materializes the unfolded request tree rooted at root (as the live
 // protocol would build it from attached request trees), pruned to maxDepth.
 func (w *irqWorld) tree(root PeerID, maxDepth int) *Tree {
-	var build func(p PeerID, depth int) []*TreeNode
-	build = func(p PeerID, depth int) []*TreeNode {
+	t := &Tree{Root: root}
+	var build func(p PeerID, at int32, depth int)
+	build = func(p PeerID, at int32, depth int) {
 		if depth > maxDepth {
-			return nil
+			return
 		}
-		var out []*TreeNode
 		for _, e := range w.adj[p] {
-			// The unfolding of a cyclic graph repeats peers; FindRing skips
-			// repeated-path peers, so the tree may contain them freely.
-			n := &TreeNode{Peer: e.Peer, Object: e.Object}
-			n.Children = build(e.Peer, depth+1)
-			out = append(out, n)
+			// The unfolding of a cyclic graph repeats peers; a ring never
+			// does, so the tree may contain them freely.
+			t.Nodes = append(t.Nodes, TreeNode{Peer: e.Peer, Object: e.Object, Parent: at})
+			build(e.Peer, int32(len(t.Nodes)-1), depth+1)
 		}
-		return out
 	}
-	return &Tree{Root: root, Children: build(root, 2)}
+	build(root, -1, 2)
+	return t
 }
 
-// TestPropertyGraphMatchesTreeSearch cross-checks the two implementations:
-// on the same world they must agree on whether a ring exists, and under
-// ShortFirst the ring sizes must match (members may differ on ties).
+// TestPropertyGraphMatchesTreeSearch cross-checks a search of the world with
+// a search of its unfolded request tree: projecting the tree back onto
+// request edges must lose none within reach, so both agree on whether a ring
+// exists and on its size (members may differ on ties).
 func TestPropertyGraphMatchesTreeSearch(t *testing.T) {
 	r := rng.New(99)
 	for iter := 0; iter < 400; iter++ {

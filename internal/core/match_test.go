@@ -261,13 +261,15 @@ func TestScratchEpochWrap(t *testing.T) {
 	}
 }
 
-// TestTreeFindRingWantAccounting pins the same two rules on the tree-based
-// FindRing, which resolves provider -> first want through a map: the earlier
-// want wins, and WantsChecked is what the want-by-want scan would count.
+// TestTreeFindRingWantAccounting pins the same two rules on FindRing, which
+// relabels the tree's peers and drops the providers absent from it before it
+// searches: the earlier want still wins, want indices are the caller's, and
+// WantsChecked is what the want-by-want scan over the caller's wants counts.
 func TestTreeFindRingWantAccounting(t *testing.T) {
-	tree := &Tree{Root: 1, Children: []*TreeNode{
-		{Peer: 2, Object: 10, Children: []*TreeNode{{Peer: 4, Object: 12}}},
-		{Peer: 3, Object: 11},
+	tree := &Tree{Root: 1, Nodes: []TreeNode{
+		{Peer: 2, Object: 10, Parent: -1},
+		{Peer: 4, Object: 12, Parent: 0},
+		{Peer: 3, Object: 11, Parent: -1},
 	}}
 	// 2 provides the second and the third want: the ring closes on the second
 	// after two membership tests at the one node visited.

@@ -9,24 +9,26 @@ import (
 
 // TreeNode is one node of a request tree. The node's peer requested Object
 // from the node's parent (in request-graph terms: an edge from Peer to the
-// parent labeled Object).
+// parent labeled Object). Parent indexes Tree.Nodes; -1 means a child of
+// the root.
 type TreeNode struct {
-	Peer     PeerID
-	Object   catalog.ObjectID
-	Children []*TreeNode
+	Peer   PeerID
+	Object catalog.ObjectID
+	Parent int32
 }
 
-// Tree is a peer's request tree: an implicit root (the peer itself) whose
-// children are the entries of its incoming request queue, each carrying the
-// request tree that accompanied the request.
+// Tree is a peer's request tree in flat form, the form the wire carries: an
+// implicit root (the peer itself) and its descendants, parents before their
+// children. The root's children are the entries of its incoming request
+// queue; below each hangs the request tree that accompanied that request.
 type Tree struct {
-	Root     PeerID
-	Children []*TreeNode
+	Root  PeerID
+	Nodes []TreeNode
 }
 
 // IRQEntry is the request-tree-relevant part of one incoming request: who
-// asked, for what, and the (already pruned) tree attached to the request.
-// Attached may be nil when the requester had no incoming requests itself.
+// asked, for what, and the tree attached to the request. Attached may be nil
+// when the requester had no incoming requests itself.
 type IRQEntry struct {
 	Requester PeerID
 	Object    catalog.ObjectID
@@ -35,203 +37,135 @@ type IRQEntry struct {
 
 // BuildTree assembles a peer's request tree from its incoming request queue,
 // pruned so that no node lies deeper than maxDepth (the root is at depth 1;
-// the paper prunes to depth 5). Attached trees are incorporated by reference
-// into fresh nodes; the input trees are not modified.
+// the paper prunes to depth 5). Each entry becomes a child of the root and
+// its attached tree is copied beneath it; the inputs are not modified.
+//
+// BuildTree is where a remote tree is cleaned up: an attached node is
+// dropped, together with its subtree, when its parent is not an earlier node
+// that was kept, or when it (or the entry itself) names root.
 func BuildTree(root PeerID, irq []IRQEntry, maxDepth int) *Tree {
 	t := &Tree{Root: root}
 	if maxDepth < 2 {
 		return t
 	}
+	size := len(irq)
 	for _, e := range irq {
-		child := &TreeNode{Peer: e.Requester, Object: e.Object}
 		if e.Attached != nil {
-			child.Children = pruneNodes(e.Attached.Children, 3, maxDepth)
+			size += len(e.Attached.Nodes)
 		}
-		t.Children = append(t.Children, child)
+	}
+	t.Nodes = make([]TreeNode, 0, size)
+	// kept[i] is where attached node i landed in t.Nodes and at what depth;
+	// at = -1 when it was dropped.
+	type place struct{ at, depth int32 }
+	var kept []place
+	for _, e := range irq {
+		if e.Requester == root {
+			continue
+		}
+		entry := int32(len(t.Nodes))
+		t.Nodes = append(t.Nodes, TreeNode{Peer: e.Requester, Object: e.Object, Parent: -1})
+		if e.Attached == nil {
+			continue
+		}
+		kept = kept[:0]
+		for i, n := range e.Attached.Nodes {
+			up := place{at: entry, depth: 2} // the entry sits at depth 2
+			if n.Parent != -1 {
+				up = place{at: -1}
+				if n.Parent >= 0 && int(n.Parent) < i {
+					up = kept[n.Parent]
+				}
+			}
+			if up.at < 0 || int(up.depth) >= maxDepth || n.Peer == root {
+				kept = append(kept, place{at: -1})
+				continue
+			}
+			kept = append(kept, place{at: int32(len(t.Nodes)), depth: up.depth + 1})
+			t.Nodes = append(t.Nodes, TreeNode{Peer: n.Peer, Object: n.Object, Parent: up.at})
+		}
 	}
 	return t
 }
 
-// pruneNodes deep-copies nodes whose depth does not exceed maxDepth. depth is
-// the depth the copied nodes will occupy in the destination tree.
-func pruneNodes(nodes []*TreeNode, depth, maxDepth int) []*TreeNode {
-	if depth > maxDepth || len(nodes) == 0 {
-		return nil
-	}
-	out := make([]*TreeNode, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, &TreeNode{
-			Peer:     n.Peer,
-			Object:   n.Object,
-			Children: pruneNodes(n.Children, depth+1, maxDepth),
-		})
-	}
-	return out
-}
-
-// Prune returns a deep copy of t with no node deeper than maxDepth (root at
-// depth 1). This is what a peer attaches to an outgoing request.
-func (t *Tree) Prune(maxDepth int) *Tree {
-	return &Tree{Root: t.Root, Children: pruneNodes(t.Children, 2, maxDepth)}
-}
-
-// Depth returns the depth of the deepest node, counting the root as 1.
-func (t *Tree) Depth() int {
-	d := 1
-	var walk func(n *TreeNode, depth int)
-	walk = func(n *TreeNode, depth int) {
-		if depth > d {
-			d = depth
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, c := range t.Children {
-		walk(c, 2)
-	}
-	return d
-}
-
-// Size returns the number of nodes including the root.
-func (t *Tree) Size() int {
-	n := 1
-	var walk func(node *TreeNode)
-	walk = func(node *TreeNode) {
-		n++
-		for _, c := range node.Children {
-			walk(c)
-		}
-	}
-	for _, c := range t.Children {
-		walk(c)
-	}
-	return n
-}
-
-// String renders the tree one node per line, indented by depth, for
-// debugging and the ringsearch example.
+// String renders the tree one node per line in Nodes order, indented by
+// depth, for debugging and the ringsearch example.
 func (t *Tree) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P%d\n", t.Root)
-	var walk func(n *TreeNode, depth int)
-	walk = func(n *TreeNode, depth int) {
-		fmt.Fprintf(&b, "%sP%d (wants o%d)\n", strings.Repeat("  ", depth-1), n.Peer, n.Object)
-		for _, c := range n.Children {
-			walk(c, depth+1)
+	depth := make([]int, len(t.Nodes))
+	for i, n := range t.Nodes {
+		depth[i] = 1
+		if n.Parent >= 0 && int(n.Parent) < i {
+			depth[i] = depth[n.Parent] + 1
 		}
-	}
-	for _, c := range t.Children {
-		walk(c, 2)
+		fmt.Fprintf(&b, "%sP%d (wants o%d)\n", strings.Repeat("  ", depth[i]), n.Peer, n.Object)
 	}
 	return b.String()
 }
 
-// FindRing searches t for the best feasible exchange ring per the policy.
+// FindRing searches t, as BuildTree returns it, for the best feasible
+// exchange ring per the policy. It is the Graph search over the request
+// edges the tree records: a peer's in-edges are the children of every node
+// that names it, so a peer's requesters are found wherever in the tree it
+// appears. The ring starts at the root and closes at a provider of one of
+// wants; the returned index identifies the satisfied want. Ring sizes,
+// tie-breaking and the visit budget are Graph's.
 //
-// A node at depth k (root at depth 1) closes a ring of k peers when the
-// node's peer is a known provider of one of the searching peer's wants and
-// no peer repeats along the root-to-node path. The ring serves every peer on
-// the path: the root uploads to its depth-2 child the object that child
-// requested, each path peer uploads to its path child likewise, and the
-// closing peer uploads the matched want back to the root.
-//
-// ShortFirst prefers the shallowest candidate, LongFirst the deepest;
-// ties break in deterministic depth-first traversal order. Wants are matched
-// in slice order. The returned index identifies the satisfied want.
+// Peer ids come from remote peers, so the search runs on dense local ids
+// (the root is 0) and the ring is mapped back to the tree's ids: no remote
+// id sizes or indexes search memory. Providers absent from the tree cannot
+// close a ring and are left out of the search.
 func FindRing(t *Tree, wants []Want, pol Policy) (*Ring, int, SearchStats, bool) {
-	var stats SearchStats
 	if !pol.SearchesExchanges() || len(wants) == 0 {
-		return nil, 0, stats, false
+		return nil, 0, SearchStats{}, false
 	}
-	limit := pol.Limit()
-
-	type candidate struct {
-		path  []*TreeNode // root-to-node path (excluding the root)
-		want  int
-		order int
-	}
-	var best *candidate
-	better := func(c, b *candidate) bool {
-		if b == nil {
-			return true
+	peers := []PeerID{t.Root} // local id -> tree id
+	local := map[PeerID]PeerID{t.Root: 0}
+	nodeIDs := make([]PeerID, len(t.Nodes))
+	for i, n := range t.Nodes {
+		id, ok := local[n.Peer]
+		if !ok {
+			id = PeerID(len(peers))
+			local[n.Peer] = id
+			peers = append(peers, n.Peer)
 		}
-		cd, bd := len(c.path), len(b.path)
-		if cd != bd {
-			if pol.Kind == LongFirst {
-				return cd > bd
+		nodeIDs[i] = id
+	}
+	// A request reaches the tree once per path to its server (a peer that
+	// asked several providers hangs under each): keep one edge per request.
+	type request struct {
+		server PeerID
+		edge   Edge
+	}
+	seen := make(map[request]bool, len(t.Nodes))
+	adj := make([][]Edge, len(peers))
+	for i, n := range t.Nodes {
+		var server PeerID // the root
+		if n.Parent >= 0 {
+			server = nodeIDs[n.Parent]
+		}
+		r := request{server, Edge{Peer: nodeIDs[i], Object: n.Object}}
+		if !seen[r] {
+			seen[r] = true
+			adj[server] = append(adj[server], r.edge)
+		}
+	}
+	localWants := make([]Want, len(wants))
+	for i, w := range wants {
+		localWants[i].Object = w.Object
+		for _, p := range w.Providers {
+			if id, ok := local[p]; ok {
+				localWants[i].Providers = append(localWants[i].Providers, id)
 			}
-			return cd < bd
-		}
-		return c.order < b.order
-	}
-
-	// firstWant resolves each provider to the first want it provides, once per
-	// call; live peer ids are not dense, hence a map where Graph stamps an array.
-	firstWant := make(map[PeerID]int)
-	for wi := len(wants) - 1; wi >= 0; wi-- { // backwards: the earlier want wins
-		for _, p := range wants[wi].Providers {
-			firstWant[p] = wi
 		}
 	}
-
-	// onPath tracks peers along the current DFS path (including the root) so
-	// rings never contain a repeated peer.
-	onPath := map[PeerID]bool{t.Root: true}
-	path := make([]*TreeNode, 0, limit)
-	order := 0
-
-	var walk func(n *TreeNode, depth int)
-	walk = func(n *TreeNode, depth int) {
-		if depth > limit || onPath[n.Peer] {
-			return
-		}
-		stats.NodesVisited++
-		order++
-		path = append(path, n)
-		onPath[n.Peer] = true
-		if wi, ok := firstWant[n.Peer]; ok {
-			stats.WantsChecked += wi + 1
-			stats.Candidates++
-			c := &candidate{path: append([]*TreeNode(nil), path...), want: wi, order: order}
-			if better(c, best) {
-				best = c
-			}
-		} else {
-			stats.WantsChecked += len(wants)
-		}
-		// Early exit: a pairwise ring found under ShortFirst/PairwiseOnly
-		// cannot be beaten, and tie-breaking favors earlier traversal.
-		if best != nil && len(best.path) == 1 && pol.Kind != LongFirst {
-			onPath[n.Peer] = false
-			path = path[:len(path)-1]
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-		onPath[n.Peer] = false
-		path = path[:len(path)-1]
-	}
-	for _, c := range t.Children {
-		walk(c, 2)
-		if best != nil && len(best.path) == 1 && pol.Kind != LongFirst {
-			break
+	g := Graph{Adj: func(p PeerID, _ int) []Edge { return adj[p] }, Scratch: NewSearchScratch(len(peers))}
+	ring, wi, stats, ok := g.FindRing(0, localWants, pol)
+	if ok {
+		for i := range ring.Members {
+			ring.Members[i].Peer = peers[ring.Members[i].Peer]
 		}
 	}
-
-	if best == nil {
-		return nil, 0, stats, false
-	}
-	ring := &Ring{Members: make([]Member, 0, len(best.path)+1)}
-	// The root uploads to the depth-2 node the object that node requested;
-	// each path node uploads to its child likewise; the closing node uploads
-	// the matched want back to the root.
-	ring.Members = append(ring.Members, Member{Peer: t.Root, Gives: best.path[0].Object})
-	for i := 0; i < len(best.path)-1; i++ {
-		ring.Members = append(ring.Members, Member{Peer: best.path[i].Peer, Gives: best.path[i+1].Object})
-	}
-	last := best.path[len(best.path)-1]
-	ring.Members = append(ring.Members, Member{Peer: last.Peer, Gives: wants[best.want].Object})
-	return ring, best.want, stats, true
+	return ring, wi, stats, ok
 }

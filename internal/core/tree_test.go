@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -64,13 +66,23 @@ func TestPolicyLimit(t *testing.T) {
 	}
 }
 
+// depth returns the depth of t's deepest node, counting the root as 1.
+func depth(t *Tree) int {
+	d, at := 1, make([]int, len(t.Nodes))
+	for i, n := range t.Nodes {
+		at[i] = 2
+		if n.Parent >= 0 {
+			at[i] = at[n.Parent] + 1
+		}
+		d = max(d, at[i])
+	}
+	return d
+}
+
 func TestBuildTreeEmptyIRQ(t *testing.T) {
 	tree := BuildTree(1, nil, 5)
-	if tree.Root != 1 || len(tree.Children) != 0 {
+	if tree.Root != 1 || len(tree.Nodes) != 0 {
 		t.Fatalf("empty IRQ tree = %+v", tree)
-	}
-	if tree.Depth() != 1 || tree.Size() != 1 {
-		t.Fatalf("Depth/Size = %d/%d, want 1/1", tree.Depth(), tree.Size())
 	}
 }
 
@@ -80,15 +92,12 @@ func TestBuildTreeIncorporatesAttached(t *testing.T) {
 	bTree := BuildTree(2, []IRQEntry{{Requester: 3, Object: 3, Attached: cTree}}, 5)
 	aTree := BuildTree(1, []IRQEntry{{Requester: 2, Object: 2, Attached: bTree}}, 5)
 
-	if aTree.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", aTree.Depth())
+	want := []TreeNode{{Peer: 2, Object: 2, Parent: -1}, {Peer: 3, Object: 3, Parent: 0}}
+	if !slices.Equal(aTree.Nodes, want) {
+		t.Fatalf("nodes = %+v, want %+v", aTree.Nodes, want)
 	}
-	if len(aTree.Children) != 1 || aTree.Children[0].Peer != 2 || aTree.Children[0].Object != 2 {
-		t.Fatalf("depth-2 child wrong: %+v", aTree.Children[0])
-	}
-	grand := aTree.Children[0].Children
-	if len(grand) != 1 || grand[0].Peer != 3 || grand[0].Object != 3 {
-		t.Fatalf("depth-3 child wrong: %+v", grand)
+	if d := depth(aTree); d != 3 {
+		t.Fatalf("depth = %d, want 3", d)
 	}
 }
 
@@ -120,32 +129,98 @@ func chain(n, maxDepth int) *Tree {
 
 func TestBuildTreePrunesToMaxDepth(t *testing.T) {
 	tree := chain(10, 5)
-	if d := tree.Depth(); d != 5 {
-		t.Fatalf("Depth = %d, want pruned to 5", d)
+	if d := depth(tree); d != 5 {
+		t.Fatalf("depth = %d, want pruned to 5", d)
 	}
 }
 
-func TestPruneDeepCopy(t *testing.T) {
-	tree := chain(5, 5)
-	pruned := tree.Prune(3)
-	if pruned.Depth() != 3 {
-		t.Fatalf("pruned depth = %d, want 3", pruned.Depth())
+// TestBuildTreeCopiesAttached: pruning copies the attached tree's nodes, so
+// the result shares nothing with its input.
+func TestBuildTreeCopiesAttached(t *testing.T) {
+	attached := chain(5, 5)
+	tree := BuildTree(9, []IRQEntry{{Requester: 0, Object: 7, Attached: attached}}, 3)
+	if d := depth(tree); d != 3 {
+		t.Fatalf("pruned depth = %d, want 3", d)
 	}
-	// Mutating the copy must not affect the original.
-	pruned.Children[0].Peer = 99
-	if tree.Children[0].Peer == 99 {
-		t.Fatal("Prune shares nodes with the original")
+	tree.Nodes[1].Peer = 99
+	if attached.Nodes[0].Peer == 99 {
+		t.Fatal("BuildTree shares nodes with the attached tree")
 	}
-	if tree.Depth() != 5 {
-		t.Fatalf("original depth changed to %d", tree.Depth())
+	if d := depth(attached); d != 5 {
+		t.Fatalf("attached depth changed to %d", d)
 	}
 }
 
-func TestPruneToRootOnly(t *testing.T) {
-	tree := chain(5, 5)
-	pruned := tree.Prune(1)
-	if pruned.Depth() != 1 || len(pruned.Children) != 0 {
-		t.Fatal("Prune(1) did not strip all children")
+func TestBuildTreeDepthOneIsRootOnly(t *testing.T) {
+	attached := chain(5, 5)
+	tree := BuildTree(9, []IRQEntry{{Requester: 0, Object: 7, Attached: attached}}, 1)
+	if len(tree.Nodes) != 0 {
+		t.Fatalf("maxDepth 1 kept %d nodes", len(tree.Nodes))
+	}
+}
+
+// TestBuildTreeDropsBadParents: a remote tree is cleaned up where it is
+// composed. A node whose parent is not an earlier kept node (a forward or a
+// self reference, or a child of such a node) is dropped with its subtree, as
+// is a node naming the root; the request itself stays in the tree.
+func TestBuildTreeDropsBadParents(t *testing.T) {
+	cases := []struct {
+		name     string
+		attached []TreeNode
+		want     []TreeNode // below the entry {Peer: 2, Object: 20}
+	}{
+		{"forward parent", []TreeNode{{Peer: 3, Object: 30, Parent: 1}, {Peer: 4, Object: 40, Parent: -1}},
+			[]TreeNode{{Peer: 4, Object: 40, Parent: 0}}},
+		{"self parent", []TreeNode{{Peer: 3, Object: 30, Parent: 0}},
+			nil},
+		{"child of a dropped node", []TreeNode{{Peer: 3, Object: 30, Parent: 0}, {Peer: 4, Object: 40, Parent: 0}, {Peer: 5, Object: 50, Parent: -1}},
+			[]TreeNode{{Peer: 5, Object: 50, Parent: 0}}},
+		{"parent below -1", []TreeNode{{Peer: 3, Object: 30, Parent: -7}},
+			nil},
+		{"names the root", []TreeNode{{Peer: 1, Object: 30, Parent: -1}, {Peer: 4, Object: 40, Parent: 0}, {Peer: 5, Object: 50, Parent: -1}},
+			[]TreeNode{{Peer: 5, Object: 50, Parent: 0}}},
+	}
+	for _, tc := range cases {
+		tree := BuildTree(1, []IRQEntry{{Requester: 2, Object: 20, Attached: &Tree{Root: 2, Nodes: tc.attached}}}, 5)
+		want := append([]TreeNode{{Peer: 2, Object: 20, Parent: -1}}, tc.want...)
+		if !slices.Equal(tree.Nodes, want) {
+			t.Errorf("%s: nodes = %+v, want %+v", tc.name, tree.Nodes, want)
+		}
+	}
+	if tree := BuildTree(1, []IRQEntry{{Requester: 1, Object: 20}}, 5); len(tree.Nodes) != 0 {
+		t.Errorf("an entry naming the root was kept: %+v", tree.Nodes)
+	}
+}
+
+// TestFindRingRemoteIDsSafe: ids a remote peer chose — the largest PeerID, a
+// negative one, the searcher's own — neither panic the search nor size its
+// memory, and the ring the honest part of the tree closes is still found.
+func TestFindRingRemoteIDsSafe(t *testing.T) {
+	attached := &Tree{Root: 2, Nodes: []TreeNode{
+		{Peer: math.MaxInt32, Object: 11, Parent: -1},
+		{Peer: -1, Object: 12, Parent: 0},
+		{Peer: 1, Object: 13, Parent: -1},
+		{Peer: 5, Object: 15, Parent: 2},
+		{Peer: 3, Object: 14, Parent: -1},
+	}}
+	irq := []IRQEntry{{Requester: 2, Object: 10, Attached: attached}}
+	wants := []Want{wantOf(98, -5, math.MaxInt32/2, 1), wantOf(99, 3)}
+	want := []Member{{Peer: 1, Gives: 10}, {Peer: 2, Gives: 14}, {Peer: 3, Gives: 99}}
+	for _, pol := range []Policy{Policy2N, PolicyN2} {
+		ring, wi, _, ok := FindRing(BuildTree(1, irq, DefaultMaxRing), wants, pol)
+		if !ok || wi != 1 || !slices.Equal(ring.Members, want) {
+			t.Fatalf("%v: ring %v want %d ok=%v; expected %v", pol, ring, wi, ok, want)
+		}
+	}
+	var before, after runtime.MemStats
+	const runs = 100
+	runtime.ReadMemStats(&before)
+	for range runs {
+		FindRing(BuildTree(1, irq, DefaultMaxRing), wants, PolicyN2)
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4<<10 {
+		t.Fatalf("one build and search of a %d-node tree allocated %d bytes", len(attached.Nodes)+1, perRun)
 	}
 }
 
@@ -350,11 +425,11 @@ func randomTree(r *rng.RNG, maxDepth int) (*Tree, map[PeerID]PeerID, map[PeerID]
 	next := PeerID(1)
 	tree := &Tree{Root: 0}
 	type frame struct {
-		nodes *[]*TreeNode
+		at    int32 // index in tree.Nodes, -1 for the root
 		peer  PeerID
 		depth int
 	}
-	stack := []frame{{nodes: &tree.Children, peer: 0, depth: 1}}
+	stack := []frame{{at: -1, peer: 0, depth: 1}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -364,11 +439,10 @@ func randomTree(r *rng.RNG, maxDepth int) (*Tree, map[PeerID]PeerID, map[PeerID]
 		kids := r.Intn(3)
 		for i := 0; i < kids && next < 60; i++ {
 			obj := catalog.ObjectID(r.Intn(500))
-			n := &TreeNode{Peer: next, Object: obj}
 			parent[next] = f.peer
 			edgeObj[next] = obj
-			*f.nodes = append(*f.nodes, n)
-			stack = append(stack, frame{nodes: &n.Children, peer: next, depth: f.depth + 1})
+			tree.Nodes = append(tree.Nodes, TreeNode{Peer: next, Object: obj, Parent: f.at})
+			stack = append(stack, frame{at: int32(len(tree.Nodes) - 1), peer: next, depth: f.depth + 1})
 			next++
 		}
 	}

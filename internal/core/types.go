@@ -1,8 +1,10 @@
 // Package core implements the paper's primary contribution: the exchange
 // mechanism of Section III. It provides request trees (the per-peer partial
-// view of the global request graph), the n-way exchange-ring search over
-// those trees, and the search-order policies evaluated in Section IV
-// (pairwise only, short-rings-first "2-N-way", long-rings-first "N-2-way").
+// view of the global request graph), the one n-way exchange-ring search
+// (Graph, which a live peer runs over its request tree and the simulator
+// over every peer's queue), and the search-order policies evaluated in
+// Section IV (pairwise only, short-rings-first "2-N-way", long-rings-first
+// "N-2-way").
 //
 // The request graph G is the directed graph whose vertices are peers and
 // whose labeled edges represent requests: an edge from P1 to P2 with label o
@@ -178,7 +180,7 @@ func (r *Ring) Validate() error {
 // SearchStats reports the cost of one ring search; the simulator sums these
 // into its Result and perfstats (Section V's search effort concern).
 type SearchStats struct {
-	NodesVisited int // tree nodes inspected
+	NodesVisited int // request-graph nodes inspected
 	// WantsChecked is the number of membership tests a want-by-want scan
 	// makes: i+1 for a visited node matched at want i, len(wants) for one that
 	// provides none. Searches resolve provider -> first want once and compute

@@ -12,11 +12,12 @@ import (
 // hashes to a point on the same ring, and the object's primary shard is the
 // first virtual point clockwise. The replica — the shard a client fails
 // over to when the primary dies mid-verify — is the next distinct shard
-// clockwise, so each shard's failover load spreads over the whole tier
-// instead of piling onto one neighbor. The mapping is a pure function of
-// (object, shard count): every client and every shard agrees on ownership
-// without coordination, and growing the tier moves only the arcs adjacent
-// to the new shard's points.
+// clockwise. That is what the ring buys a tier whose size is fixed: a
+// shard's 64 points have different successors, so the replicas of the
+// objects it is primary for are spread over the other shards, and when it
+// dies its failover load spreads over the whole tier instead of piling onto
+// one neighbor. The mapping is a pure function of (object, shard count):
+// every client and every shard agrees on ownership without coordination.
 
 // vnodesPerShard is the virtual-point count per shard; enough to keep the
 // per-shard load imbalance in the low percent range at small tiers.

@@ -177,11 +177,9 @@ func (n *Node) onRequest(from core.PeerID, m *protocol.Request) {
 			return // one registered request per (peer, object)
 		}
 	}
-	tree, err := m.Tree.ToCoreTree()
-	if err != nil {
-		tree = &core.Tree{Root: from}
-	}
-	n.irq = append(n.irq, &irqEntry{peer: from, object: m.Object, tree: tree})
+	// The tree is kept as received, malformed or not: requestTree's
+	// BuildTree drops whatever in it does not hang together.
+	n.irq = append(n.irq, &irqEntry{peer: from, object: m.Object, tree: &m.Tree})
 	// "On receipt of each request [the peer inspects] the incoming request
 	// tree associated with it."
 	n.tryExchange()
@@ -204,23 +202,15 @@ func (n *Node) removeIRQ(drop func(*irqEntry) bool) {
 	n.irq = kept
 }
 
-// myTree builds this node's request tree from its IRQ.
-func (n *Node) myTree() *core.Tree {
-	entries := make([]core.IRQEntry, 0, len(n.irq))
-	for _, e := range n.irq {
-		entries = append(entries, core.IRQEntry{Requester: e.peer, Object: e.object, Attached: e.tree})
-	}
-	return core.BuildTree(n.cfg.ID, entries, core.DefaultMaxRing)
-}
-
-// searchTree is myTree restricted to requests not already committed to an
+// requestTree builds this node's request tree from its IRQ. A tree for the
+// ring search (search = true) skips requests already committed to an
 // exchange; requests being served as plain transfers stay searchable so a
 // newly feasible ring can replace ("upgrade") the plain session, exactly as
 // the paper's exchanges displace normal transfers.
-func (n *Node) searchTree() *core.Tree {
+func (n *Node) requestTree(search bool) *core.Tree {
 	entries := make([]core.IRQEntry, 0, len(n.irq))
 	for _, e := range n.irq {
-		if u, busy := n.uploads[upKey{to: e.peer, object: e.object}]; busy && u.ringID != 0 {
+		if u, busy := n.uploads[upKey{to: e.peer, object: e.object}]; search && busy && u.ringID != 0 {
 			continue
 		}
 		entries = append(entries, core.IRQEntry{Requester: e.peer, Object: e.object, Attached: e.tree})
@@ -487,7 +477,7 @@ func (n *Node) tryExchange() {
 	}
 	// Map iteration order is irrelevant here: any found ring is validated
 	// by the probe round before anything commits.
-	ring, _, _, ok := core.FindRing(n.searchTree(), wants, n.cfg.Policy)
+	ring, _, _, ok := core.FindRing(n.requestTree(true), wants, n.cfg.Policy)
 	if !ok {
 		return
 	}
@@ -511,7 +501,7 @@ func (n *Node) initiateRing(r *core.Ring) {
 		members[i] = protocol.RingMember{Peer: m.Peer, Gives: m.Gives, Addr: addr}
 	}
 	n.ringSeq++
-	id := n.ringSeq<<16 | uint64(n.cfg.ID)&0xffff
+	id := n.ringSeq<<32 | uint64(uint32(n.cfg.ID))
 	info := &ringInfo{id: id, members: members, myIdx: 0, initiator: true, accepts: make(map[core.PeerID]bool)}
 	n.rings[id] = info
 	n.stats.RingsInitiated++

@@ -113,10 +113,10 @@ func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]str
 }
 
 func (n *Node) sendRequests(dl *download) {
-	tree := protocol.FromCoreTree(n.myTree().Prune(core.DefaultMaxRing))
+	tree := n.requestTree(false)
 	for p, addr := range dl.providers {
 		if pc := n.getConn(p, addr); pc != nil {
-			pc.send(&protocol.Request{Object: dl.object, Tree: tree})
+			pc.send(&protocol.Request{Object: dl.object, Tree: *tree})
 		}
 	}
 }

@@ -270,6 +270,30 @@ func TestThreeWayRing(t *testing.T) {
 	}
 }
 
+// TestRingIDsDistinctAcrossInitiators: two initiators whose ids agree in
+// their low 16 bits each probe the same member on their first ring. The
+// member must see two ring ids, or one negotiation would overwrite the
+// other in its rings table.
+func TestRingIDsDistinctAcrossInitiators(t *testing.T) {
+	tn := newTestNet(t)
+	member := func(core.PeerID) (string, bool) { return "raw", true }
+	own, wanted := catalog.ObjectID(10), catalog.ObjectID(20)
+	var ids []uint64
+	for _, id := range []core.PeerID{1, 65537} {
+		n := tn.spawn(id, func(c *Config) { c.Lookup = member })
+		n.AddObject(own, payload(own, 4096))
+		// Raw peer 3 asks for own and provides wanted: a pairwise ring,
+		// whichever of the two the node handles first.
+		r := dialRaw(tn, 3, n)
+		r.send(&protocol.Request{Object: own, Tree: core.Tree{Root: 3}})
+		n.Download(wanted, map[core.PeerID]string{3: "raw"})
+		ids = append(ids, recvRaw[*protocol.RingProbe](r).RingID)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("nodes 1 and 65537 both probed with ring id %d", ids[0])
+	}
+}
+
 // TestExchangePreemptsFreerider: with a single upload slot, a sharer serving
 // a free-rider reclaims the slot the moment a pairwise exchange appears.
 func TestExchangePreemptsFreerider(t *testing.T) {
@@ -318,7 +342,7 @@ func TestPreemptsYoungestUpload(t *testing.T) {
 		// Start the plain uploads one at a time, so their order is known.
 		for i := range slots {
 			r := dialRaw(tn, core.PeerID(10+i), holder)
-			r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+			r.send(&protocol.Request{Object: ox, Tree: core.Tree{Root: r.id}})
 			recvRaw[*protocol.Manifest](r)
 		}
 		ring := dialRaw(tn, 9, holder)

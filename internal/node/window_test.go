@@ -86,7 +86,7 @@ func TestSendWindowBound(t *testing.T) {
 	obj := catalog.ObjectID(3)
 	holder.AddObject(obj, payload(obj, stripes*span*1024))
 	r := dialRaw(tn, 9, holder)
-	r.send(&protocol.Request{Object: obj, Tree: protocol.Tree{Root: r.id}})
+	r.send(&protocol.Request{Object: obj, Tree: core.Tree{Root: r.id}})
 	r.grant(stripe, stripes)
 
 	lane := make([]*protocol.Block, 0, span)
@@ -161,7 +161,7 @@ func TestLockStepSessions(t *testing.T) {
 		holder := tn.spawn(1, func(c *Config) { c.BlockDelay = time.Millisecond })
 		holder.AddObject(ox, payload(ox, 16*1024))
 		r := dialRaw(tn, 9, holder)
-		r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+		r.send(&protocol.Request{Object: ox, Tree: core.Tree{Root: r.id}})
 		r.grant(0, 1)
 		lockStep(t, holder, r, 0, 4, 0)
 	})
@@ -173,7 +173,7 @@ func TestLockStepSessions(t *testing.T) {
 	})
 	t.Run("adopted", func(t *testing.T) {
 		holder, r := ringHolder(t)
-		r.send(&protocol.Request{Object: ox, Tree: protocol.Tree{Root: r.id}})
+		r.send(&protocol.Request{Object: ox, Tree: core.Tree{Root: r.id}})
 		r.grant(0, 1)
 		window := make([]*protocol.Block, sendWindow)
 		for i := range window {

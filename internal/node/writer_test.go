@@ -130,7 +130,7 @@ func TestWriteErrorDropsConnection(t *testing.T) {
 	// then acknowledges blocks it never reads: the holder keeps queueing
 	// blocks until its write stalls on the full socket and times out.
 	r := dialRaw(tn, 9, holder)
-	r.send(&protocol.Request{Object: big, Tree: protocol.Tree{Root: r.id}})
+	r.send(&protocol.Request{Object: big, Tree: core.Tree{Root: r.id}})
 	m := recvRaw[*protocol.Manifest](r)
 	r.send(&protocol.StripeGrant{Object: big, Session: m.Session, Stripe: 0, Stripes: 1})
 	for i := range uint32(blocks * 3 / 4) {

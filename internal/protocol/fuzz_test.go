@@ -15,9 +15,9 @@ import (
 // every field populated, so the fuzzer starts from frames that exercise each
 // per-message codec.
 func corpusMessages() []Message {
-	tree := Tree{
+	tree := core.Tree{
 		Root: 1,
-		Nodes: []TreeNode{
+		Nodes: []core.TreeNode{
 			{Peer: 2, Object: 10, Parent: -1},
 			{Peer: 3, Object: 11, Parent: 0},
 		},
@@ -179,7 +179,12 @@ func FuzzDecode(f *testing.F) {
 			return // malformed input must error, never panic
 		}
 		if req, ok := msg.(*Request); ok {
-			_, _ = req.Tree.ToCoreTree() // must not panic on decoded trees
+			// Whatever a decoded tree holds, composing and searching it
+			// must not panic: BuildTree drops what does not hang together.
+			tree := core.BuildTree(7, []core.IRQEntry{{Requester: req.Tree.Root, Object: req.Object, Attached: &req.Tree}}, core.DefaultMaxRing)
+			for _, pol := range []core.Policy{core.Policy2N, core.PolicyN2} {
+				core.FindRing(tree, []core.Want{{Object: 1, Providers: []core.PeerID{req.Tree.Root, 3, -1}}}, pol)
+			}
 		}
 		frame, err := AppendEncode(nil, msg)
 		if err != nil {
@@ -262,27 +267,36 @@ func frameFor(typ Type, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// TestTreeRoundTripThroughCore checks the Tree <-> core.Tree conversion both
-// ways on a branching tree.
+// TestTreeRoundTripThroughCore: a decoded tree attached to a request comes
+// out of BuildTree intact below the request's entry, its parents shifted
+// past the entry.
 func TestTreeRoundTripThroughCore(t *testing.T) {
-	wire := Tree{
+	wire := core.Tree{
 		Root: 1,
-		Nodes: []TreeNode{
+		Nodes: []core.TreeNode{
 			{Peer: 2, Object: 10, Parent: -1},
 			{Peer: 3, Object: 11, Parent: 0},
 			{Peer: 4, Object: 12, Parent: 0},
 			{Peer: 5, Object: 13, Parent: -1},
 		},
 	}
-	ct, err := wire.ToCoreTree()
+	frame, err := AppendEncode(nil, &Request{Object: 9, Tree: wire})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Root != core.PeerID(1) || len(ct.Children) != 2 || len(ct.Children[0].Children) != 2 {
-		t.Fatalf("core tree shape wrong: %+v", ct)
+	msg, _, err := DecodeBuf(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	back := FromCoreTree(ct)
-	if len(back.Nodes) != len(wire.Nodes) {
-		t.Fatalf("round-trip node count %d, want %d", len(back.Nodes), len(wire.Nodes))
+	got := core.BuildTree(6, []core.IRQEntry{{Requester: 1, Object: 9, Attached: &msg.(*Request).Tree}}, core.DefaultMaxRing)
+	want := []core.TreeNode{
+		{Peer: 1, Object: 9, Parent: -1},
+		{Peer: 2, Object: 10, Parent: 0},
+		{Peer: 3, Object: 11, Parent: 1},
+		{Peer: 4, Object: 12, Parent: 1},
+		{Peer: 5, Object: 13, Parent: 0},
+	}
+	if !reflect.DeepEqual(got.Nodes, want) {
+		t.Fatalf("composed nodes %+v, want %+v", got.Nodes, want)
 	}
 }

@@ -77,7 +77,7 @@ type Hello struct {
 // request tree pruned to the protocol depth.
 type Request struct {
 	Object catalog.ObjectID
-	Tree   Tree
+	Tree   core.Tree
 }
 
 // Cancel withdraws a pending request.
@@ -242,58 +242,6 @@ type StripeGrant struct {
 	Session uint64
 	Stripe  uint32
 	Stripes uint32
-}
-
-// Tree is the wire form of a request tree (core.Tree flattened).
-type Tree struct {
-	Root  core.PeerID
-	Nodes []TreeNode
-}
-
-// TreeNode is one wire tree node; Parent indexes Nodes, -1 for children of
-// the root.
-type TreeNode struct {
-	Peer   core.PeerID
-	Object catalog.ObjectID
-	Parent int32
-}
-
-// FromCoreTree flattens a core.Tree for the wire.
-func FromCoreTree(t *core.Tree) Tree {
-	out := Tree{Root: t.Root}
-	var walk func(n *core.TreeNode, parent int32)
-	walk = func(n *core.TreeNode, parent int32) {
-		out.Nodes = append(out.Nodes, TreeNode{Peer: n.Peer, Object: n.Object, Parent: parent})
-		idx := int32(len(out.Nodes) - 1)
-		for _, c := range n.Children {
-			walk(c, idx)
-		}
-	}
-	for _, c := range t.Children {
-		walk(c, -1)
-	}
-	return out
-}
-
-// ToCoreTree rebuilds the core.Tree. Malformed parent references yield an
-// error rather than a panic.
-func (t Tree) ToCoreTree() (*core.Tree, error) {
-	out := &core.Tree{Root: t.Root}
-	nodes := make([]*core.TreeNode, len(t.Nodes))
-	for i, n := range t.Nodes {
-		nodes[i] = &core.TreeNode{Peer: n.Peer, Object: n.Object}
-	}
-	for i, n := range t.Nodes {
-		switch {
-		case n.Parent == -1:
-			out.Children = append(out.Children, nodes[i])
-		case n.Parent >= 0 && int(n.Parent) < i:
-			nodes[n.Parent].Children = append(nodes[n.Parent].Children, nodes[i])
-		default:
-			return nil, fmt.Errorf("protocol: tree node %d has invalid parent %d", i, n.Parent)
-		}
-	}
-	return out, nil
 }
 
 // Compile-time interface checks.
@@ -632,7 +580,7 @@ func (m *Cancel) decode(r *reader) error {
 	return r.err
 }
 
-func encodeTree(w *writer, t Tree) {
+func encodeTree(w *writer, t core.Tree) {
 	w.i32(int32(t.Root))
 	w.u32(uint32(len(t.Nodes)))
 	for _, n := range t.Nodes {
@@ -641,15 +589,15 @@ func encodeTree(w *writer, t Tree) {
 		w.i32(n.Parent)
 	}
 }
-func decodeTree(r *reader) Tree {
-	t := Tree{Root: core.PeerID(r.i32())}
+func decodeTree(r *reader) core.Tree {
+	t := core.Tree{Root: core.PeerID(r.i32())}
 	n := r.count(int(r.u32()), MaxFrame/12, 12) // 12 bytes per encoded node
 	if r.err != nil {
 		return t
 	}
-	t.Nodes = make([]TreeNode, 0, n)
+	t.Nodes = make([]core.TreeNode, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		t.Nodes = append(t.Nodes, TreeNode{
+		t.Nodes = append(t.Nodes, core.TreeNode{
 			Peer:   core.PeerID(r.i32()),
 			Object: catalog.ObjectID(r.i32()),
 			Parent: r.i32(),

@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +31,7 @@ func roundTrip(t *testing.T, msg Message) Message {
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []Message{
 		&Hello{Peer: 7, Sharing: true},
-		&Request{Object: 42, Tree: Tree{Root: 7, Nodes: []TreeNode{
+		&Request{Object: 42, Tree: core.Tree{Root: 7, Nodes: []core.TreeNode{
 			{Peer: 8, Object: 9, Parent: -1},
 			{Peer: 10, Object: 11, Parent: 0},
 		}}},
@@ -77,7 +78,7 @@ func TestRoundTripEmptyPayloads(t *testing.T) {
 	if !ok || len(blk.Payload) != 0 {
 		t.Fatalf("empty block round trip: %+v", got)
 	}
-	tr := roundTrip(t, &Request{Object: 1, Tree: Tree{Root: 2}})
+	tr := roundTrip(t, &Request{Object: 1, Tree: core.Tree{Root: 2}})
 	if req, ok := tr.(*Request); !ok || len(req.Tree.Nodes) != 0 {
 		t.Fatalf("empty tree round trip: %+v", tr)
 	}
@@ -246,42 +247,30 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 	}
 }
 
+// TestTreeConversionRoundTrip: the request tree a node builds is what the
+// wire carries — root, node count, then peer, object and parent per node,
+// all big-endian — and it decodes back unchanged.
 func TestTreeConversionRoundTrip(t *testing.T) {
-	ct := &core.Tree{Root: 1}
-	b := &core.TreeNode{Peer: 2, Object: 20}
-	c := &core.TreeNode{Peer: 3, Object: 30}
-	d := &core.TreeNode{Peer: 4, Object: 40}
-	b.Children = []*core.TreeNode{c}
-	ct.Children = []*core.TreeNode{b, d}
+	sub := &core.Tree{Root: 2, Nodes: []core.TreeNode{{Peer: 3, Object: 30, Parent: -1}}}
+	tree := core.BuildTree(1, []core.IRQEntry{
+		{Requester: 2, Object: 20, Attached: sub},
+		{Requester: 4, Object: 40},
+	}, core.DefaultMaxRing)
 
-	wire := FromCoreTree(ct)
-	back, err := wire.ToCoreTree()
+	frame, err := AppendEncode(nil, &Request{Object: 9, Tree: *tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Root != 1 || len(back.Children) != 2 {
-		t.Fatalf("rebuilt tree wrong: %+v", back)
+	var body []byte
+	for _, v := range []int32{9, 1, 3, 2, 20, -1, 3, 30, 0, 4, 40, -1} {
+		body = binary.BigEndian.AppendUint32(body, uint32(v))
 	}
-	if back.Children[0].Peer != 2 || back.Children[0].Children[0].Peer != 3 || back.Children[1].Peer != 4 {
-		t.Fatalf("rebuilt structure wrong:\n%s", back)
+	if want := frameFor(TypeRequest, body); !bytes.Equal(frame, want) {
+		t.Fatalf("frame\n%x\nwant\n%x", frame, want)
 	}
-	if back.Size() != ct.Size() || back.Depth() != ct.Depth() {
-		t.Fatal("size/depth changed in conversion")
-	}
-}
-
-func TestToCoreTreeRejectsBadParent(t *testing.T) {
-	bad := Tree{Root: 1, Nodes: []TreeNode{
-		{Peer: 2, Object: 20, Parent: 5}, // forward/invalid reference
-	}}
-	if _, err := bad.ToCoreTree(); err == nil {
-		t.Fatal("invalid parent accepted")
-	}
-	selfRef := Tree{Root: 1, Nodes: []TreeNode{
-		{Peer: 2, Object: 20, Parent: 0}, // references itself
-	}}
-	if _, err := selfRef.ToCoreTree(); err == nil {
-		t.Fatal("self-referencing parent accepted")
+	back := roundTrip(t, &Request{Object: 9, Tree: *tree}).(*Request)
+	if back.Tree.Root != 1 || !slices.Equal(back.Tree.Nodes, tree.Nodes) {
+		t.Fatalf("decoded tree %+v, want %+v", back.Tree, tree)
 	}
 }
 

@@ -653,7 +653,7 @@ func TestSendBatchWireIdentical(t *testing.T) {
 			ExchangeID: 3, Requester: 2, Sender: 1, Object: 4,
 			Samples: []protocol.Block{{Object: 4, Index: 1, Payload: []byte("sample")}},
 		}},
-		&protocol.Request{Object: 6, Tree: protocol.Tree{Root: 2, Nodes: []protocol.TreeNode{
+		&protocol.Request{Object: 6, Tree: core.Tree{Root: 2, Nodes: []core.TreeNode{
 			{Peer: 3, Object: 7, Parent: -1}, {Peer: 5, Object: 8, Parent: 0},
 		}}},
 	}
