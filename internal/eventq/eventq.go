@@ -1,6 +1,6 @@
 // Package eventq implements the future event list of a discrete-event
-// simulation: a 4-ary min-heap of timestamped events, an O(1) FIFO lane for
-// events that all share one constant delay, and a virtual clock.
+// simulation: a 4-ary min-heap of timestamped events, a typed O(1) FIFO lane
+// for events that all share one constant delay, and a virtual clock.
 //
 // Determinism is a design requirement for the reproduction study: two runs
 // with the same seed must execute the same event sequence. Events scheduled
@@ -9,7 +9,7 @@
 // order and heap ordering never depends on map iteration or pointer values.
 //
 // The queue is also the simulator's hottest data structure (one heap push and
-// pop per simulated event), so it is built to stay off the garbage
+// pop per event off the lane), so it is built to stay off the garbage
 // collector's books: heap items are recycled through an internal free list,
 // cancellation is lazy (an item is marked and skipped when popped), and a
 // Handle carries the item pointer plus its scheduling sequence so Cancel
@@ -18,7 +18,7 @@
 //
 // A simulation whose dominant event is scheduled at one constant delay (the
 // block arrival of a fixed-rate, fixed-block-size transfer model) does not
-// need the heap for it at all: see Lane.
+// need the heap for it at all, nor a queue decision per event: see Lane.
 package eventq
 
 import (
@@ -78,16 +78,19 @@ type Queue struct {
 	clock   float64
 	nextSeq uint64
 	fired   uint64
-	pending int // scheduled and not yet fired or cancelled
+	pending int // heap events scheduled and not yet fired or cancelled
 
-	// The fixed-delay lane (see Lane; nil until NewLane): a power-of-two ring
-	// buffer holding laneLen items from laneHead on, already in strict
-	// (at, seq) order.
-	lane      []*item
-	laneHead  int
-	laneLen   int
+	// The fixed-delay lane (see Lane; nil until NewLane). The queue sees only
+	// its runs, already in strict (at, seq) order; the payloads sit in the
+	// typed Lane behind lane. open reports whether the tail run still takes
+	// appends (see At for the one thing that closes it).
+	lane      runFirer
 	laneDelay float64
+	runs      ring[run]
+	open      bool
+	laneLen   int // payloads appended and not yet fired, dead ones included
 	laneFired uint64
+	runsFired uint64
 }
 
 // New returns an empty queue with the clock at zero.
@@ -98,8 +101,10 @@ func New() *Queue {
 // Now returns the current virtual time.
 func (q *Queue) Now() float64 { return q.clock }
 
-// Len returns the number of pending (non-cancelled) events.
-func (q *Queue) Len() int { return q.pending }
+// Len returns the number of pending events: heap events not cancelled, plus
+// every lane entry not yet fired (the queue cannot see which of those the
+// lane's callback will find dead).
+func (q *Queue) Len() int { return q.pending + q.laneLen }
 
 // Fired returns the total number of events executed so far.
 func (q *Queue) Fired() uint64 { return q.fired }
@@ -108,12 +113,24 @@ func (q *Queue) Fired() uint64 { return q.fired }
 // lane; the rest took the heap.
 func (q *Queue) LaneFired() uint64 { return q.laneFired }
 
+// LaneRuns returns how many lane runs fired at least one event: the number
+// of instants the lane's events arrived at, so LaneFired/LaneRuns is the
+// mean number of lane events per instant.
+func (q *Queue) LaneRuns() uint64 { return q.runsFired }
+
 // At schedules ev to fire at absolute virtual time at. It returns a Handle
 // that can be passed to Cancel. Scheduling at the current instant is allowed;
 // scheduling in the past returns ErrPast.
+//
+// An event scheduled for exactly the instant of the lane's open run closes
+// that run: its sequence number falls after every entry already in the run,
+// so entries appended later must fire after it, and they start a new run.
 func (q *Queue) At(at float64, ev Event) (Handle, error) {
 	if at < q.clock {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPast, at, q.clock)
+	}
+	if q.open && at == q.runs.back().at {
+		q.open = false
 	}
 	it := q.newItem(at, ev)
 	q.push(it)
@@ -168,34 +185,18 @@ func (q *Queue) recycle(it *item) {
 	q.free = append(q.free, it)
 }
 
-// Step pops and fires the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was fired (false when the queue is
-// empty).
+// Step fires the earliest pending event, advancing the clock to its
+// timestamp: one heap event, or one whole lane run — every entry appended at
+// one instant, all due at the same (at, seq). It reports whether an event was
+// fired (false when the queue is empty); a run whose entries were all dead
+// counts as nothing, and Step goes on to the next.
 func (q *Queue) Step() bool {
-	it, fromLane := q.peek()
-	if it == nil {
-		return false
+	for {
+		due, fired := q.advance(math.Inf(1))
+		if fired || !due {
+			return fired
+		}
 	}
-	q.fire(it, fromLane)
-	return true
-}
-
-// fire removes the live head it (as returned by peek) and executes it. The
-// item is recycled before Fire runs: the event may freely schedule new work,
-// and any handle to the fired event is already dead.
-func (q *Queue) fire(it *item, fromLane bool) {
-	if fromLane {
-		q.popLane()
-		q.laneFired++
-	} else {
-		q.pop()
-	}
-	at, ev := it.at, it.ev
-	q.recycle(it)
-	q.pending--
-	q.clock = at
-	q.fired++
-	ev.Fire(at)
 }
 
 // RunUntil fires events in timestamp order until the queue is empty or the
@@ -203,47 +204,58 @@ func (q *Queue) fire(it *item, fromLane bool) {
 // horizon, so Now() == horizon afterwards. It returns the number of events
 // fired.
 func (q *Queue) RunUntil(horizon float64) uint64 {
-	var n uint64
+	start := q.fired
 	for {
-		it, fromLane := q.peek()
-		if it == nil || it.at > horizon {
+		if due, _ := q.advance(horizon); !due {
 			break
 		}
-		q.fire(it, fromLane)
-		n++
 	}
 	if horizon > q.clock {
 		q.clock = horizon
 	}
-	return n
+	return q.fired - start
 }
 
-// peek returns the earliest pending item without removing it — the
-// less-smaller of the lane head and the heap root — and whether it sits on
-// the lane. Lazily cancelled entries met on the way are discarded, in the
-// same (at, seq) order a heap-only queue would discard them.
-func (q *Queue) peek() (*item, bool) {
-	for {
-		var it *item
-		fromLane := false
-		if len(q.heap) > 0 {
-			it = q.heap[0]
-		}
-		if q.laneLen > 0 {
-			if l := q.lane[q.laneHead]; it == nil || less(l, it) {
-				it, fromLane = l, true
+// advance takes the earliest pending entry — the less-smaller of the lane's
+// head run and the heap root — if it is due by horizon, and fires it. It
+// reports whether anything was due and whether an event actually fired.
+func (q *Queue) advance(horizon float64) (due, fired bool) {
+	it := q.root()
+	if q.runs.n > 0 {
+		if r := q.runs.front(); it == nil || r.at < it.at || r.at == it.at && r.seq < it.seq {
+			if r.at > horizon {
+				return false, false
 			}
+			return true, q.fireRun()
 		}
-		if it == nil || !it.cancelled {
-			return it, fromLane
+	}
+	if it == nil || it.at > horizon {
+		return false, false
+	}
+	q.pop()
+	at, ev := it.at, it.ev
+	// Recycled before Fire runs: the event may freely schedule new work, and
+	// any handle to the fired event is already dead.
+	q.recycle(it)
+	q.pending--
+	q.clock = at
+	q.fired++
+	ev.Fire(at)
+	return true, true
+}
+
+// root returns the live heap root, discarding lazily cancelled items on the
+// way, or nil when the heap holds no live event.
+func (q *Queue) root() *item {
+	for len(q.heap) > 0 {
+		it := q.heap[0]
+		if !it.cancelled {
+			return it
 		}
-		if fromLane {
-			q.popLane()
-		} else {
-			q.pop()
-		}
+		q.pop()
 		q.recycle(it)
 	}
+	return nil
 }
 
 // less orders items by timestamp, breaking ties by schedule order so that the
@@ -311,63 +323,4 @@ func (q *Queue) down(it *item) {
 		i = smallest
 	}
 	q.heap[i] = it
-}
-
-// Lane is the queue's O(1) path for events that are all scheduled at one
-// constant delay. The clock never runs backwards and floating-point addition
-// is monotone, so clock+delay is non-decreasing from one Schedule call to the
-// next, and sequence numbers strictly increase: entries appended to a FIFO
-// are already in strict (at, seq) order, and no sift is ever needed. The
-// queue merges the lane with the heap by taking the less-smaller head, so a
-// queue with a lane fires exactly the (at, seq) sequence a heap-only queue
-// would — scheduling through the lane is an optimization, never a semantic
-// choice. Handles, lazy cancellation, item recycling, Len and Fired all
-// behave as for heap events.
-type Lane struct {
-	q *Queue
-}
-
-// NewLane creates the queue's fixed-delay lane. A queue has at most one lane
-// (a second constant delay would need a second FIFO and a three-way merge;
-// nothing needs it), and the delay must be a non-negative number.
-func (q *Queue) NewLane(delay float64) (*Lane, error) {
-	if q.lane != nil {
-		return nil, errors.New("eventq: queue already has a lane")
-	}
-	if math.IsNaN(delay) || delay < 0 {
-		return nil, fmt.Errorf("%w: lane delay %v", ErrPast, delay)
-	}
-	q.lane = make([]*item, 64)
-	q.laneDelay = delay
-	return &Lane{q: q}, nil
-}
-
-// Schedule arms ev to fire the lane's delay after the current clock, exactly
-// like Queue.After with that delay but in O(1). It cannot fail: the delay was
-// validated when the lane was created.
-func (l *Lane) Schedule(ev Event) Handle {
-	q := l.q
-	it := q.newItem(q.clock+q.laneDelay, ev)
-	if q.laneLen == len(q.lane) {
-		q.growLane()
-	}
-	q.lane[(q.laneHead+q.laneLen)&(len(q.lane)-1)] = it
-	q.laneLen++
-	return Handle{it: it, seq: it.seq}
-}
-
-// growLane doubles the ring buffer, unrolling it so the head lands on index
-// zero.
-func (q *Queue) growLane() {
-	ring := make([]*item, 2*len(q.lane))
-	k := copy(ring, q.lane[q.laneHead:])
-	copy(ring[k:], q.lane[:q.laneHead])
-	q.lane, q.laneHead = ring, 0
-}
-
-// popLane removes the lane head.
-func (q *Queue) popLane() {
-	q.lane[q.laneHead] = nil
-	q.laneHead = (q.laneHead + 1) & (len(q.lane) - 1)
-	q.laneLen--
 }

@@ -23,10 +23,14 @@ type Snapshot struct {
 	Runs uint64
 	// Events counts discrete events executed. LaneEvents of them came off
 	// the event queue's O(1) fixed-delay lane (block arrivals) and HeapEvents
-	// off its heap; the two sum to Events.
+	// off its heap; the two sum to Events. LaneRuns counts the runs the lane
+	// fired them in: one per block instant (two where a heap event falls on
+	// an instant still being scheduled), so LaneEvents/LaneRuns is the mean
+	// number of block arrivals per instant.
 	Events     uint64
 	LaneEvents uint64
 	HeapEvents uint64
+	LaneRuns   uint64
 	// RingSearches counts ring searches; SearchNodesVisited and
 	// SearchWantsChecked aggregate their traversal cost; the latter is
 	// computed, not performed (see core.SearchStats.WantsChecked).
@@ -61,7 +65,7 @@ var global struct {
 	stripesGranted, stripesReass  atomic.Uint64
 	medReplicated, medReplDropped atomic.Uint64
 
-	laneEvents, heapEvents atomic.Uint64
+	laneEvents, heapEvents, laneRuns atomic.Uint64
 }
 
 // MedRPCStart records a mediator RPC entering flight, maintaining the peak
@@ -101,6 +105,7 @@ func AddRun(s Snapshot) {
 	global.events.Add(s.Events)
 	global.laneEvents.Add(s.LaneEvents)
 	global.heapEvents.Add(s.HeapEvents)
+	global.laneRuns.Add(s.LaneRuns)
 	global.searches.Add(s.RingSearches)
 	global.nodes.Add(s.SearchNodesVisited)
 	global.wants.Add(s.SearchWantsChecked)
@@ -114,6 +119,7 @@ func Current() Snapshot {
 		Events:             global.events.Load(),
 		LaneEvents:         global.laneEvents.Load(),
 		HeapEvents:         global.heapEvents.Load(),
+		LaneRuns:           global.laneRuns.Load(),
 		RingSearches:       global.searches.Load(),
 		SearchNodesVisited: global.nodes.Load(),
 		SearchWantsChecked: global.wants.Load(),
@@ -134,6 +140,7 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		Events:             s.Events - t.Events,
 		LaneEvents:         s.LaneEvents - t.LaneEvents,
 		HeapEvents:         s.HeapEvents - t.HeapEvents,
+		LaneRuns:           s.LaneRuns - t.LaneRuns,
 		RingSearches:       s.RingSearches - t.RingSearches,
 		SearchNodesVisited: s.SearchNodesVisited - t.SearchNodesVisited,
 		SearchWantsChecked: s.SearchWantsChecked - t.SearchWantsChecked,
@@ -176,8 +183,9 @@ func (t *Timer) Report() string {
 	fmt.Fprintf(&b, "perf: %d run(s) in %.2fs wall\n", s.Runs, wall)
 	fmt.Fprintf(&b, "perf: events     %d (%.0f events/s)\n", s.Events, rate(s.Events, wall))
 	if s.Events > 0 {
-		fmt.Fprintf(&b, "perf: eventq     %d lane (%.1f%%), %d heap\n",
-			s.LaneEvents, 100*float64(s.LaneEvents)/float64(s.Events), s.HeapEvents)
+		fmt.Fprintf(&b, "perf: eventq     %d lane (%.1f%%) at %d block instants (%.1f per instant), %d heap\n",
+			s.LaneEvents, 100*float64(s.LaneEvents)/float64(s.Events), s.LaneRuns,
+			ratio(s.LaneEvents, s.LaneRuns), s.HeapEvents)
 	}
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
@@ -194,6 +202,13 @@ func (t *Timer) Report() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
+}
+
+func ratio(n, d uint64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }
 
 func rate(n uint64, secs float64) float64 {

@@ -37,8 +37,9 @@ type Sim struct {
 	q   *eventq.Queue
 	// blocks is the queue's fixed-delay lane: every block arrival is exactly
 	// one block service time away (fixed slot rate, fixed block size), so
-	// the run's dominant event never touches the heap.
-	blocks *eventq.Lane
+	// the run's dominant event never touches the heap, and the arrivals due
+	// at one instant fire as one run into onBlock.
+	blocks *eventq.Lane[arrival]
 	r      *rng.RNG
 	cat    *catalog.Catalog
 	peers  []*peerState
@@ -123,15 +124,9 @@ func New(cfg Config) (*Sim, error) {
 	mix := cfg.EffectiveMix()
 	classOf := classAssignment(engRNG, mix, cfg.NumPeers)
 
-	q := eventq.New()
-	blocks, err := q.NewLane(cfg.BlockKbits / cfg.SlotKbps)
-	if err != nil {
-		return nil, fmt.Errorf("sim: block lane: %w", err)
-	}
 	s := &Sim{
 		cfg:     cfg,
-		q:       q,
-		blocks:  blocks,
+		q:       eventq.New(),
 		r:       engRNG,
 		cat:     cat,
 		holders: index.NewMultimap[catalog.ObjectID, core.PeerID](),
@@ -142,6 +137,9 @@ func New(cfg Config) (*Sim, error) {
 		mix:     mix,
 
 		demandGen: 1, // peers start at adjGen 0: nothing cached
+	}
+	if s.blocks, err = eventq.NewLane(s.q, cfg.BlockKbits/cfg.SlotKbps, s.onBlock); err != nil {
+		return nil, fmt.Errorf("sim: block lane: %w", err)
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -227,7 +225,10 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.q.Now() }
 
-// Step fires one event; it reports whether anything remained to fire.
+// Step fires the next instant's worth of work: one heap event, or every
+// block arrival of one lane run (all arrivals due at one instant, unless a
+// heap event on that instant splits them). It reports whether anything
+// remained to fire.
 func (s *Sim) Step() bool { return s.q.Step() }
 
 // RunUntil advances virtual time to horizon.
@@ -256,6 +257,7 @@ func (s *Sim) Run() (*Result, error) {
 		Runs:               1,
 		Events:             res.Events,
 		LaneEvents:         s.q.LaneFired(),
+		LaneRuns:           s.q.LaneRuns(),
 		HeapEvents:         s.q.Fired() - s.q.LaneFired(),
 		RingSearches:       uint64(res.RingSearches),
 		SearchNodesVisited: uint64(res.SearchNodesVisited),
@@ -266,13 +268,15 @@ func (s *Sim) Run() (*Result, error) {
 }
 
 // reap recycles the sessions and requests retired during the previous event.
-// It runs at the start of every event (and nowhere else), so within one
-// event any snapshot of live objects taken before a termination remains
-// readable, and a recycled object can never be observed through a stale
-// pointer held by in-flight iteration.
+// It runs at the start of every event that might see them (and nowhere
+// else), so within one event any snapshot of live objects taken before a
+// termination remains readable, and a recycled object can never be observed
+// through a stale pointer held by in-flight iteration. A recycled session
+// keeps its generation: a lane arrival stamped with an earlier one stays
+// dead in the session's next life.
 func (s *Sim) reap() {
 	for i, sess := range s.deadSess {
-		*sess = session{}
+		*sess = session{gen: sess.gen}
 		s.freeSess = append(s.freeSess, sess)
 		s.deadSess[i] = nil
 	}
@@ -702,9 +706,9 @@ func (s *Sim) abortRing(rs *ringState) {
 
 func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize int, rs *ringState, entry *request) *session {
 	sess := s.newSession()
-	sess.sim = s
 	sess.src = src.id
 	sess.dst = dst.id
+	sess.dstClass = dst.class
 	sess.object = obj
 	sess.ringSize = ringSize
 	sess.ring = rs
@@ -716,35 +720,44 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
-	s.scheduleBlock(sess)
+	s.blocks.Schedule(arrival{sess: sess, gen: sess.gen})
 	return sess
 }
 
-// scheduleBlock arms the session's next block-arrival event on the
-// fixed-delay lane. The session is its own eventq.Event, so the per-block
-// hot path neither allocates nor sifts a heap.
-func (s *Sim) scheduleBlock(sess *session) {
-	sess.blockEv = s.blocks.Schedule(sess)
+// arrival is a block-lane entry: the next block of sess, stamped with the
+// session's generation when it was scheduled. terminateSession advances the
+// generation, so the arrival of a closed session — or of a recycled one's
+// earlier life — finds a stamp that no longer matches, and is dead.
+type arrival struct {
+	sess *session
+	gen  uint64
 }
 
-func (s *Sim) onBlock(sess *session) {
-	if sess.closed {
-		return
+// onBlock is the block lane's callback: one block of a transfer arrives. It
+// reports whether the arrival was live (and so counts as an event). The
+// per-block hot path neither allocates nor sifts a heap, and reaps only when
+// an earlier event retired something.
+func (s *Sim) onBlock(now float64, a arrival) bool {
+	sess := a.sess
+	if sess.gen != a.gen {
+		return false
 	}
-	now := s.q.Now()
+	if len(s.deadSess) > 0 || len(s.deadReq) > 0 {
+		s.reap()
+	}
 	sess.sent += s.cfg.BlockKbits
-	dst := s.peers[sess.dst]
 	dl := sess.dl
 	dl.receivedKbits += s.cfg.BlockKbits
-	s.col.blockReceived(now, dst.class, s.cfg.BlockKbits)
+	s.col.blockReceived(now, sess.dstClass, s.cfg.BlockKbits)
 	if s.cfg.Ranker != nil {
 		s.cfg.Ranker.OnTransfer(sess.src, sess.dst, s.cfg.BlockKbits)
 	}
 	if dl.receivedKbits >= s.cfg.ObjectKbits {
-		s.completeDownload(dst, dl)
-		return
+		s.completeDownload(s.peers[sess.dst], dl)
+		return true
 	}
-	s.scheduleBlock(sess)
+	s.blocks.Schedule(a)
+	return true
 }
 
 // terminateSession closes one transfer; if it belongs to a ring the whole
@@ -756,7 +769,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 		return
 	}
 	sess.closed = true
-	s.q.Cancel(sess.blockEv)
+	sess.gen++ // its pending block arrival is dead
 	src := s.peers[sess.src]
 	src.uploads = removeSession(src.uploads, sess)
 	dst := s.peers[sess.dst]

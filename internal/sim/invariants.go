@@ -22,7 +22,10 @@ func (s *Sim) CheckInvariants() error {
 	if err := s.checkHolders(); err != nil {
 		return err
 	}
-	return s.checkWanters()
+	if err := s.checkWanters(); err != nil {
+		return err
+	}
+	return s.checkArrivals()
 }
 
 func (s *Sim) checkPeer(p *peerState) error {
@@ -210,6 +213,42 @@ func (s *Sim) checkWanters() error {
 				return fmt.Errorf("peer %d pending download of %d not in wanters index", p.id, dl.object)
 			}
 		}
+	}
+	return nil
+}
+
+// checkArrivals verifies the block lane against the sessions: every open
+// session has exactly one arrival stamped with its current generation, and
+// no closed session has one (a live arrival of a closed session would keep
+// transferring a dead link; a missing one would stall an open link
+// forever). Stale arrivals — earlier generations — are dead and allowed.
+func (s *Sim) checkArrivals() error {
+	live := make(map[*session]int)
+	var err error
+	s.blocks.ForEach(func(a arrival) bool {
+		if a.gen != a.sess.gen {
+			return true
+		}
+		if a.sess.closed {
+			err = fmt.Errorf("closed session %d->%d obj %d has a live block arrival", a.sess.src, a.sess.dst, a.sess.object)
+			return false
+		}
+		live[a.sess]++
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	for _, p := range s.peers {
+		for _, sess := range p.uploads {
+			if n := live[sess]; n != 1 {
+				return fmt.Errorf("open session %d->%d obj %d has %d live block arrivals, want 1", sess.src, sess.dst, sess.object, n)
+			}
+			delete(live, sess)
+		}
+	}
+	if len(live) > 0 {
+		return fmt.Errorf("%d sessions have a live block arrival but no peer uploads them", len(live))
 	}
 	return nil
 }

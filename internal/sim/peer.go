@@ -56,28 +56,24 @@ type irqKey struct {
 // slot's rate, one block per event. ringSize 1 marks a non-exchange
 // transfer; ringSize >= 2 marks membership in an exchange ring of that size.
 //
-// Sessions come from (and return to) the engine's free list, and a session
-// is its own block-arrival event: the per-block hot path — the single most
-// frequent event in any run — schedules without allocating a closure.
+// Sessions come from (and return to) the engine's free list. An open
+// session has exactly one arrival on the engine's block lane, stamped with
+// gen (CheckInvariants): the per-block hot path — the single most frequent
+// event in any run — schedules without allocating anything.
 type session struct {
-	sim      *Sim
+	// The fields a block arrival touches come first, on one cache line.
+	gen      uint64    // advanced on termination; kept across recycling
+	dl       *download // download at dst
+	sent     float64   // kbits delivered so far
 	src, dst core.PeerID
+	dstClass int // dst's class, which the block accounting is kept by
+
 	object   catalog.ObjectID
 	ringSize int
 	ring     *ringState
-	entry    *request  // IRQ entry at src
-	dl       *download // download at dst
+	entry    *request // IRQ entry at src
 	startAt  float64
-	sent     float64 // kbits delivered so far
-	blockEv  eventq.Handle
 	closed   bool
-}
-
-// Fire implements eventq.Event: one block of the transfer arrives.
-func (sess *session) Fire(float64) {
-	sim := sess.sim
-	sim.reap()
-	sim.onBlock(sess)
 }
 
 // ringState ties the sessions of one exchange ring together: when any

@@ -70,6 +70,17 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.Ranker = credit.NewEMule()
 			return cfg
 		}, "events=56999 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:895,non-sharing:623,sharing:953"},
+		// Retries land exactly one block time after the event that armed
+		// them, so a heap event regularly falls on the instant of a block
+		// run still being appended to: the case the lane's closing rule
+		// exists for. Captured before block arrivals fired as runs.
+		{"retry-on-block-instant", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.Policy2N
+			cfg.RetryInterval = cfg.BlockKbits / cfg.SlotKbps
+			return cfg
+		}, "events=74425 searches=27398 nodes=189133 wants=767721 rings=4165 completed=non-sharing:1139,sharing:1907"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
