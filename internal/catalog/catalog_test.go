@@ -189,6 +189,28 @@ func TestSampleObjectPinnedDraws(t *testing.T) {
 	}
 }
 
+// TestSampleObjectDrawsTwo pins the cost of one request draw: a category by
+// local preference and a rank within it, one Uint64 each. The simulator
+// skips a doomed SampleMiss by advancing its stream by exactly that many
+// draws per try, so a draw that changes this count must fail here rather
+// than silently shift every figure.
+func TestSampleObjectDrawsTwo(t *testing.T) {
+	c := mustNew(t, testConfig(), 7)
+	for seed := uint64(0); seed < 20; seed++ {
+		r := rng.New(seed)
+		in := c.NewInterest(r)
+		ref := *r
+		for i := 0; i < 200; i++ {
+			c.SampleObject(in, r)
+			ref.Uint64()
+			ref.Uint64()
+			if *r != ref {
+				t.Fatalf("seed %d draw %d: SampleObject did not advance the stream by exactly two Uint64 draws", seed, i)
+			}
+		}
+	}
+}
+
 func TestSampleObjectPrefersPopularRanks(t *testing.T) {
 	cfg := testConfig()
 	cfg.Categories = 1

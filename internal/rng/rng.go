@@ -66,6 +66,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances the stream past n Uint64 draws without computing them: the
+// next draw equals the one n calls to Uint64 would have been followed by.
+// Splitmix64's state moves by a fixed increment per draw, so the advance is
+// one multiply-add.
+func (r *RNG) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+
 // Float64 returns a pseudo-random number in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -45,6 +45,24 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSkipEqualsDraws pins Skip against the draws it stands for: after
+// Skip(n) the next draw is the one n calls to Uint64 would be followed by,
+// including past a wrap of the state and from a seed just below it.
+func TestSkipEqualsDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 42, math.MaxUint64 - 3} {
+		for _, n := range []uint64{0, 1, 128, 1 << 20} {
+			skipped, drawn := New(seed), New(seed)
+			skipped.Skip(n)
+			for i := uint64(0); i < n; i++ {
+				drawn.Uint64()
+			}
+			if got, want := skipped.Uint64(), drawn.Uint64(); got != want {
+				t.Errorf("seed %d: Skip(%d) then Uint64 = %#x, %d draws then Uint64 = %#x", seed, n, got, n, want)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 100000; i++ {

@@ -50,16 +50,7 @@ type Sim struct {
 	holders *index.Multimap[catalog.ObjectID, core.PeerID]
 	wanters *index.Multimap[catalog.ObjectID, core.PeerID]
 	graph   core.Graph
-	// demandGen is the generation every peer's cached in-edge list is
-	// checked against (peerState.adj); advancing it invalidates them all. It
-	// advances when a requester's side of an edge changes with no server-side
-	// mutation to mark the affected servers, which only a peer going online
-	// or offline does. Adding or removing a pending download cannot flip an
-	// existing entry's liveness: every IRQ entry's requester has a pending
-	// download for the entry's object — entries are created under one and
-	// withdrawn with it (CheckInvariants asserts this).
-	demandGen uint64
-	col       *collector
+	col     *collector
 
 	ulSlots, dlSlots int
 	// mix is the run's population mix (peers hold pointers into it).
@@ -135,8 +126,6 @@ func New(cfg Config) (*Sim, error) {
 		ulSlots: cfg.UploadSlots(),
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
-
-		demandGen: 1, // peers start at adjGen 0: nothing cached
 	}
 	if s.blocks, err = eventq.NewLane(s.q, cfg.BlockKbits/cfg.SlotKbps, s.onBlock); err != nil {
 		return nil, fmt.Errorf("sim: block lane: %w", err)
@@ -162,14 +151,25 @@ func New(cfg Config) (*Sim, error) {
 			irqIndex: make(map[irqKey]*request),
 			storeCap: engRNG.IntRange(cfg.StorageMinObjects, cfg.StorageMaxObjects),
 		}
+		p.retry = func(float64) {
+			s.reap()
+			p.retryEv = eventq.Handle{}
+			s.issueRequests(p)
+		}
 		// Replay seeds stores exclusively from the trace's hold events.
 		if cfg.Trace == nil {
 			for _, o := range cat.InitialStore(p.interest, p.storeCap, engRNG) {
-				p.addObject(o)
+				p.store.Add(o)
 				if p.sharing {
 					s.addHolder(o, p.id)
 				}
 			}
+		}
+		// The initial store holds distinct objects of p's interest, and
+		// nothing is pending yet.
+		p.free = -p.store.Len()
+		for _, c := range p.interest.Categories() {
+			p.free += cat.CategorySize(c)
 		}
 		s.peers[i] = p
 	}
@@ -331,12 +331,12 @@ func (s *Sim) after(delay float64, fn func(now float64)) {
 // limit is always the graph's Fanout, so one cached list per peer serves
 // every call: a depth-first search revisits the same peers over many paths,
 // and consecutive searches mostly run between mutations, so the list is
-// rebuilt only when its generation stamp says something it reads changed.
+// rebuilt only when one of the peer's own mutations has cleared adjOK.
 func (s *Sim) adjacency(pid core.PeerID, limit int) []core.Edge {
 	p := s.peers[pid]
-	if p.adjGen != s.demandGen {
+	if !p.adjOK {
 		p.adj = s.liveEdges(p, limit, p.adj[:0])
-		p.adjGen = s.demandGen
+		p.adjOK = true
 	}
 	return p.adj
 }
@@ -344,18 +344,13 @@ func (s *Sim) adjacency(pid core.PeerID, limit int) []core.Edge {
 // liveEdges appends to dst the live, unserved in-edges of p in IRQ order. A
 // positive limit stops the scan at the limit-th live edge: the search
 // explores no more than its fanout per node, and the queue behind that point
-// (up to IRQCapacity entries) is never looked at.
+// (up to IRQCapacity entries) is never looked at. The requester side needs
+// no check: every queued requester is online and wants the object (see
+// peerState.adj).
 func (s *Sim) liveEdges(p *peerState, limit int, dst []core.Edge) []core.Edge {
 	for _, e := range p.irq {
-		if e.session != nil {
-			continue
-		}
-		if !p.has(e.object) {
-			continue // evicted since registration; cannot anchor a ring
-		}
-		q := s.peers[e.requester]
-		if !q.online || q.pendingFor(e.object) == nil {
-			continue
+		if e.session != nil || !p.has(e.object) {
+			continue // served, or evicted since registration
 		}
 		dst = append(dst, core.Edge{Peer: e.requester, Object: e.object})
 		if len(dst) == limit {
@@ -365,28 +360,64 @@ func (s *Sim) liveEdges(p *peerState, limit int, dst []core.Edge) []core.Edge {
 	return dst
 }
 
+// moveFree adds d to p.free if obj lies in p's interest categories. A
+// peer's store and pending list are disjoint (requests draw only misses, and
+// a download leaves pending before its object is stored), so each add or
+// remove on either moves the count by exactly one.
+func (s *Sim) moveFree(p *peerState, obj catalog.ObjectID, d int) {
+	if slices.Contains(p.interest.Categories(), s.cat.Category(obj)) {
+		p.free += d
+	}
+}
+
+// addObject stores obj at p and reports whether it was absent.
+func (s *Sim) addObject(p *peerState, obj catalog.ObjectID) bool {
+	p.adjOK = false
+	if !p.store.Add(obj) {
+		return false
+	}
+	s.moveFree(p, obj, -1)
+	return true
+}
+
+// removeObject deletes obj from p's store.
+func (s *Sim) removeObject(p *peerState, obj catalog.ObjectID) {
+	p.adjOK = false
+	if p.store.Remove(obj) {
+		s.moveFree(p, obj, +1)
+	}
+}
+
 // addPending registers a new download at p and in the wanters index.
 func (s *Sim) addPending(p *peerState, dl *download) {
+	s.moveFree(p, dl.object, -1)
 	p.pending = append(p.pending, dl)
 	s.wanters.Add(dl.object, p.id)
 }
 
 // removePending unregisters p's download of obj (completed or abandoned).
+// p's requests for it must already be withdrawn from every server's queue.
 func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
 	for i, dl := range p.pending {
 		if dl.object == obj {
 			p.pending = slices.Delete(p.pending, i, i+1)
+			s.moveFree(p, obj, +1)
 			break
 		}
 	}
 	s.wanters.Remove(obj, p.id)
 }
 
-// setOnline flips p's presence. Its queued requests elsewhere turn dead or
-// live with it, so every cached in-edge list is invalidated.
-func (s *Sim) setOnline(p *peerState, online bool) {
-	p.online = online
-	s.demandGen++
+// withdrawRequests drops p's registered requests for dl from every server's
+// queue. It runs before dl leaves p.pending, and on departure before p's
+// transfers end, so no search or service decision ever sees a request
+// nobody wants.
+func (s *Sim) withdrawRequests(p *peerState, dl *download) {
+	for _, srv := range dl.requestedFrom {
+		if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
+			s.retireRequest(req)
+		}
+	}
 }
 
 // dropQueue discards p's whole incoming request queue; requesters will be
@@ -398,7 +429,7 @@ func (s *Sim) dropQueue(p *peerState) {
 	}
 	p.irq = p.irq[:0]
 	clear(p.irqIndex)
-	p.adjGen = 0
+	p.adjOK = false
 }
 
 // --- holder index -----------------------------------------------------
@@ -427,12 +458,18 @@ func (s *Sim) issueRequests(p *peerState) {
 // attemptRequest samples one obtainable object (a cache miss with at least
 // one online sharing holder) and starts its download. It reports success.
 func (s *Sim) attemptRequest(p *peerState) bool {
-	const sampleTries = 8
+	const sampleTries, missTries = 8, 64
+	if p.free == 0 {
+		// Every draw would be a hit, so SampleMiss would fail after missTries
+		// draws of two Uint64 each: consume them without drawing.
+		s.r.Skip(2 * missTries)
+		return false
+	}
 	excluded := func(o catalog.ObjectID) bool {
 		return p.has(o) || p.pendingFor(o) != nil
 	}
 	for t := 0; t < sampleTries; t++ {
-		obj, ok := s.cat.SampleMiss(p.interest, s.r, excluded, 64)
+		obj, ok := s.cat.SampleMiss(p.interest, s.r, excluded, missTries)
 		if !ok {
 			return false
 		}
@@ -456,11 +493,7 @@ func (s *Sim) scheduleRetry(p *peerState) {
 	if p.retryEv.Valid() {
 		s.q.Cancel(p.retryEv)
 	}
-	h, err := s.q.After(s.cfg.RetryInterval, eventq.Func(func(float64) {
-		s.reap()
-		p.retryEv = eventq.Handle{}
-		s.issueRequests(p)
-	}))
+	h, err := s.q.After(s.cfg.RetryInterval, p.retry)
 	if err != nil {
 		panic(fmt.Sprintf("sim: internal scheduling error: %v", err))
 	}
@@ -716,7 +749,7 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.dl = dst.pendingFor(obj)
 	sess.startAt = s.q.Now()
 	entry.session = sess
-	src.adjGen = 0
+	src.adjOK = false
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
@@ -777,7 +810,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
 	if sess.entry != nil && sess.entry.session == sess {
 		sess.entry.session = nil
-		src.adjGen = 0
+		src.adjOK = false
 	}
 	s.col.sessionDone(s.q.Now(), sess)
 	s.deadSess = append(s.deadSess, sess)
@@ -813,20 +846,16 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 	now := s.q.Now()
 	s.col.downloadDone(now, p.class, (now-dl.requestedAt)/60)
 
-	// Ordering matters: clear the pending state and register the new
-	// holding first, so any scheduling triggered by the teardown below sees
-	// a consistent world in which this download is finished. Nothing may
-	// search between removePending and the withdrawal loop: until the
-	// entries are dropped, servers' cached in-edges still list them.
+	// Ordering matters: withdraw the requests, clear the pending state and
+	// register the new holding first, so any scheduling triggered by the
+	// teardown below sees a consistent world in which this download is
+	// finished. The withdrawal comes first: a queued request's requester
+	// still wants its object (peerState.adj).
+	s.withdrawRequests(p, dl)
 	s.removePending(p, dl.object)
-	p.addObject(dl.object)
+	s.addObject(p, dl.object)
 	if p.sharing {
 		s.addHolder(dl.object, p.id)
-	}
-	for _, srv := range dl.requestedFrom {
-		if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
-			s.retireRequest(req)
-		}
 	}
 	// Snapshot the feeding sessions before termination mutates dl.sessions
 	// underneath us. sessScratch is free here: its other users (evictFrom,
@@ -906,17 +935,10 @@ func (s *Sim) pickWaiting(p *peerState) *request {
 	var best *request
 	var bestScore float64
 	for _, e := range p.irq {
-		if e.session != nil {
-			continue
+		if e.session != nil || !p.has(e.object) {
+			continue // served, or evicted since registration
 		}
-		dst := s.peers[e.requester]
-		if !dst.online || dst.pendingFor(e.object) == nil {
-			continue
-		}
-		if !p.has(e.object) {
-			continue // evicted since registration
-		}
-		if !dst.hasFreeDownloadSlot(s.dlSlots) {
+		if !s.peers[e.requester].hasFreeDownloadSlot(s.dlSlots) {
 			continue
 		}
 		var score float64
@@ -977,7 +999,7 @@ func (s *Sim) evictFrom(p *peerState, excess int) {
 		if p.uploadsInExchange(o) {
 			continue
 		}
-		p.removeObject(o)
+		s.removeObject(p, o)
 		if p.sharing {
 			s.removeHolder(o, p.id)
 			// Scrub stale provider knowledge so ring searches stop closing
@@ -1014,7 +1036,15 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 	if !p.online {
 		return
 	}
-	s.setOnline(p, false)
+	p.online = false
+	// Withdraw our registered requests from other peers' queues first, oldest
+	// download first, so the searches and service the terminations below
+	// trigger never see a request of an absent peer.
+	for len(p.pending) > 0 {
+		dl := p.pending[0]
+		s.withdrawRequests(p, dl)
+		s.removePending(p, dl.object)
+	}
 	// Snapshot both transfer lists: terminations mutate them underneath us,
 	// and a ring dissolution can terminate several of p's sessions at once.
 	ups := append(s.sessScratch[:0], p.uploads...)
@@ -1026,17 +1056,6 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 	s.sessScratch = downs
 	for _, sess := range downs {
 		s.terminateSession(sess, true)
-	}
-	// Withdraw our registered requests from other peers' queues, oldest
-	// download first.
-	for len(p.pending) > 0 {
-		dl := p.pending[0]
-		for _, srv := range dl.requestedFrom {
-			if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
-				s.retireRequest(req)
-			}
-		}
-		s.removePending(p, dl.object)
 	}
 	// Every entry is unserved by now (the upload terminations above released
 	// them).
@@ -1056,7 +1075,7 @@ func (s *Sim) RejoinPeer(id core.PeerID) {
 	if p.online {
 		return
 	}
-	s.setOnline(p, true)
+	p.online = true
 	if p.sharing {
 		s.indexStoredObjects(p)
 	}

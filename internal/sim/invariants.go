@@ -123,14 +123,31 @@ func (s *Sim) checkPeer(p *peerState) error {
 	if bits != p.store.Len() {
 		return fmt.Errorf("store counts %d objects but has %d bits set", p.store.Len(), bits)
 	}
+	if free := s.countFree(p); p.free != free {
+		return fmt.Errorf("free-interest count %d, recount %d", p.free, free)
+	}
 	return s.checkAdjacency(p)
+}
+
+// countFree recounts what peerState.free tracks, by its definition: the
+// objects of p's interest categories it neither stores nor has pending.
+func (s *Sim) countFree(p *peerState) int {
+	n := 0
+	for _, c := range p.interest.Categories() {
+		for _, o := range s.cat.Objects(c) {
+			if !p.has(o) && p.pendingFor(o) == nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // checkAdjacency verifies the two shortcuts ring searches take against the
 // plain full scan of the IRQ: stopping at the fanout must yield exactly a
 // prefix of the full list (never a reordering or a different selection), and
-// a cached list whose generation stamp claims validity must equal a rebuild
-// — a mutation site that forgot to invalidate shows up here.
+// a cached list that claims validity must equal a rebuild — a mutation site
+// that forgot to invalidate shows up here.
 func (s *Sim) checkAdjacency(p *peerState) error {
 	full := s.liveEdges(p, 0, nil)
 	for _, limit := range []int{1, s.cfg.SearchFanout, len(full), len(full) + 1} {
@@ -142,7 +159,7 @@ func (s *Sim) checkAdjacency(p *peerState) error {
 			return fmt.Errorf("in-edges with limit %d are not a prefix of the %d-edge list", limit, len(full))
 		}
 	}
-	if p.adjGen == s.demandGen && !slices.Equal(p.adj, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
+	if p.adjOK && !slices.Equal(p.adj, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
 		return fmt.Errorf("cached in-edge list is stale: %v", p.adj)
 	}
 	return nil

@@ -102,15 +102,20 @@ type peerState struct {
 	interest *catalog.Interest
 	// store is the set of objects the peer holds: a bitset over the
 	// catalog's dense object ids, so membership is a shift and a mask on the
-	// ring-search hot path and iteration is in ascending id order. Mutate it
-	// through addObject/removeObject only (they invalidate adj).
+	// ring-search hot path and iteration is in ascending id order. After
+	// New's initial placement, mutate it through Sim.addObject/removeObject
+	// only (they invalidate adj and keep free).
 	store    index.Set[catalog.ObjectID]
 	storeCap int
+	// free counts the objects of the peer's interest categories that it
+	// neither stores nor has pending: the misses a closed-loop request draw
+	// can find. At zero every draw is a hit (CheckInvariants recounts it).
+	free int
 
 	// pending lists the outstanding downloads in issue order, which is the
 	// deterministic want order of ring searches. It never exceeds MaxPending
 	// entries, so a linear scan beats any keyed structure. Mutate it through
-	// Sim.addPending/removePending only.
+	// Sim.addPending/removePending only (they keep free).
 	pending []*download
 
 	// irq is the incoming request queue in arrival order, irqIndex its
@@ -120,19 +125,21 @@ type peerState struct {
 	irqIndex map[irqKey]*request
 
 	// adj caches the peer's live in-edge list as ring searches see it (see
-	// Sim.adjacency): valid while adjGen equals the engine's demandGen.
-	// Anything that changes this peer's own side of the list — its IRQ, an
-	// entry's session link, its store — zeroes adjGen; the one change on a
-	// requester's side that no server-side mutation accompanies, going
-	// online or offline, advances Sim.demandGen and so invalidates every peer.
-	adj    []core.Edge
-	adjGen uint64
+	// Sim.adjacency), valid while adjOK. Only this peer's own side can change
+	// the list — its IRQ, an entry's session link, its store — and each such
+	// mutation clears adjOK. A requester's side cannot: every IRQ entry's
+	// requester is online and wants the entry's object, because a requester
+	// withdraws its entries before it departs or finishes the download.
+	adj   []core.Edge
+	adjOK bool
 
 	uploads   []*session
 	downloads []*session
 
-	// retryEv is the pending lookup-retry event, if any.
+	// retryEv is the pending lookup-retry event, if any; retry is the event
+	// itself, built once in New so arming a retry allocates nothing.
 	retryEv eventq.Handle
+	retry   eventq.Func
 	// wantScratch and want1 back wants()/wantFor(); see those methods for
 	// why reuse is safe.
 	wantScratch []core.Want
@@ -191,18 +198,6 @@ func (p *peerState) pendingFor(obj catalog.ObjectID) *download {
 // has reports whether the peer stores obj.
 func (p *peerState) has(obj catalog.ObjectID) bool { return p.store.Contains(obj) }
 
-// addObject stores obj and reports whether it was absent.
-func (p *peerState) addObject(obj catalog.ObjectID) bool {
-	p.adjGen = 0
-	return p.store.Add(obj)
-}
-
-// removeObject deletes obj from the store.
-func (p *peerState) removeObject(obj catalog.ObjectID) {
-	p.adjGen = 0
-	p.store.Remove(obj)
-}
-
 // wants materializes the peer's current wants for a ring search, in
 // deterministic pending order. The returned slice is the peer's reusable
 // scratch: ring searches never retain it (rings copy the object they
@@ -244,7 +239,7 @@ func (p *peerState) addIRQ(req *request, capacity int) *request {
 func (p *peerState) pushIRQ(req *request) {
 	p.irq = append(p.irq, req)
 	p.irqIndex[irqKey{requester: req.requester, object: req.object}] = req
-	p.adjGen = 0
+	p.adjOK = false
 }
 
 // dropIRQ removes the entry for (requester, object), if present.
@@ -255,7 +250,7 @@ func (p *peerState) dropIRQ(requester core.PeerID, object catalog.ObjectID) *req
 		return nil
 	}
 	delete(p.irqIndex, k)
-	p.adjGen = 0
+	p.adjOK = false
 	for i, e := range p.irq {
 		if e == req {
 			p.irq = append(p.irq[:i], p.irq[i+1:]...)

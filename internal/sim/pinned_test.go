@@ -70,6 +70,15 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.Ranker = credit.NewEMule()
 			return cfg
 		}, "events=56999 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:895,non-sharing:623,sharing:953"},
+		// Ring searches while peers depart: whitewashers disconnect and
+		// rejoin mid-run, so searches walk IRQs their departures just
+		// changed. The one row that tells "a departing peer's requests are
+		// withdrawn before anything searches" from merely "offline
+		// requesters are skipped". Captured before the withdrawal ordering
+		// replaced the per-read liveness re-check.
+		{"exchange-whitewasher", func() Config {
+			return adversaryConfig(strategy.Whitewasher(), 0.3)
+		}, "events=56533 searches=19922 nodes=115164 wants=411911 rings=2863 completed=whitewasher:545,non-sharing:476,sharing:1463"},
 		// Retries land exactly one block time after the event that armed
 		// them, so a heap event regularly falls on the instant of a block
 		// run still being appended to: the case the lane's closing rule

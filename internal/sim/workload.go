@@ -142,7 +142,7 @@ func (s *Sim) setupReplay() {
 		switch ev.Kind {
 		case workload.KindHold:
 			obj := catalog.ObjectID(ev.Obj)
-			if p.addObject(obj) && p.sharing && p.online {
+			if s.addObject(p, obj) && p.sharing && p.online {
 				s.addHolder(obj, p.id)
 			}
 		case workload.KindRequest:
@@ -182,7 +182,7 @@ func (s *Sim) initialOffline(p *peerState) {
 	if !p.online {
 		return
 	}
-	s.setOnline(p, false)
+	p.online = false
 	if p.sharing {
 		s.unindexStoredObjects(p)
 	}
