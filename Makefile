@@ -8,7 +8,7 @@ GO ?= go
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -106,6 +106,13 @@ soak:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/eventq
+
+## bench-smoke: every Go microbenchmark (`func Benchmark*`) run for one
+## iteration, so one that stops compiling or starts panicking fails CI's
+## short job. One iteration times nothing; docs/PERF.md's ns/op come from
+## `-benchtime 1s -count N` runs (~8 s on 2 cores).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## bench: the repository's one benchmark (BENCHMARK.json, bench/README.md) —
 ## all six workloads in interleaved rounds, then the traced round and the

@@ -283,8 +283,27 @@ func (g Graph) searchDeepFirst(sc *SearchScratch, root PeerID, first *Edge, want
 			abort = depth == limit
 		}
 		// A node at the depth limit has no explorable children: skip
-		// materializing its adjacency altogether.
-		if depth < limit {
+		// materializing its adjacency altogether. A node one level above it
+		// visits its children, the leaves, in its own loop: a leaf is
+		// counted and matched like any node, but never marked or pushed,
+		// and a match there is the deepest possible candidate, so it ends
+		// the search.
+		switch {
+		case depth+1 == limit:
+			for _, c := range g.edges(e.Peer) {
+				if sc.marked(c.Peer) || stats.NodesVisited >= budget {
+					continue
+				}
+				stats.NodesVisited++
+				if w := sc.match(c.Peer, len(wants), stats); w >= 0 {
+					stats.Candidates++
+					best = append(append(best[:0], path...), c)
+					bestWant = w
+					abort = true
+					break
+				}
+			}
+		case depth < limit:
 			for _, c := range g.edges(e.Peer) {
 				if walk(c, depth+1) {
 					abort = true

@@ -149,6 +149,23 @@ func randomWorld(r *rng.RNG, peers int) *irqWorld {
 	return w
 }
 
+// denseWorld is a request world whose every peer has 3–8 in-edges, so a
+// depth-first search under PolicyN2 reaches its depth limit from almost any
+// root and most of its visits are depth-limit leaves.
+func denseWorld(r *rng.RNG, peers int) *irqWorld {
+	w := &irqWorld{adj: make(map[PeerID][]Edge)}
+	for p := 0; p < peers; p++ {
+		for k := 3 + r.Intn(6); k > 0; k-- {
+			q := PeerID(r.Intn(peers))
+			if q == PeerID(p) {
+				continue
+			}
+			w.adj[PeerID(p)] = append(w.adj[PeerID(p)], Edge{Peer: q, Object: catalog.ObjectID(r.Intn(100))})
+		}
+	}
+	return w
+}
+
 // tree materializes the unfolded request tree rooted at root (as the live
 // protocol would build it from attached request trees), pruned to maxDepth.
 func (w *irqWorld) tree(root PeerID, maxDepth int) *Tree {
@@ -240,14 +257,22 @@ func TestPropertyLongFirstAtLeastShortFirst(t *testing.T) {
 	}
 }
 
+// BenchmarkGraphFindRing times one search per root over a dense world, where
+// the depth-first search reaches its depth limit and most of its visits are
+// depth-limit leaves; the breadth-first one stops at the shallowest ring.
 func BenchmarkGraphFindRing(b *testing.B) {
-	r := rng.New(5)
-	w := randomWorld(r, 100)
-	g := Graph{Adj: func(p PeerID, _ int) []Edge { return w.adj[p] }}
+	w := denseWorld(rng.New(5), 100)
 	wants := []Want{wantOf(500, 42), wantOf(501, 77)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FindRing(PeerID(i%100), wants, Policy2N)
+	for _, bc := range []struct {
+		name string
+		pol  Policy
+	}{{"Policy2N", Policy2N}, {"PolicyN2", PolicyN2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := Graph{Adj: func(p PeerID, _ int) []Edge { return w.adj[p] }, Scratch: NewSearchScratch(100)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.FindRing(PeerID(i%100), wants, bc.pol)
+			}
+		})
 	}
 }

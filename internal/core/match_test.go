@@ -207,6 +207,58 @@ func TestStampedMatchEqualsScan(t *testing.T) {
 	}
 }
 
+// TestDepthLimitLevelEqualsReference is the differential test for the last
+// level of the traversal: in dense worlds, with budgets up to 400 and
+// fanouts up to 3 (or unlimited), budget cuts, marks, candidates and aborts
+// land among the depth-limit nodes, and the search must still return the
+// reference's ring, want and SearchStats.
+func TestDepthLimitLevelEqualsReference(t *testing.T) {
+	r := rng.New(37)
+	pols := []Policy{PolicyN2, Policy2N, {Kind: LongFirst, MaxRing: 3}, {Kind: LongFirst, MaxRing: 4}, PolicyPairwise}
+	shared := NewSearchScratch(4)
+	limitRings, budgetCuts := 0, 0
+	for iter := 0; iter < 800; iter++ {
+		peers := 20 + r.Intn(21)
+		w := denseWorld(r, peers)
+		g := Graph{
+			Adj:    func(p PeerID, _ int) []Edge { return w.adj[p] },
+			Budget: 1 + r.Intn(400),
+			Fanout: r.Intn(4), // 0: unlimited
+		}
+		if iter%2 == 1 {
+			g.Scratch = shared
+		}
+		wants := make([]Want, 1+r.Intn(4))
+		for i := range wants {
+			wants[i].Object = catalog.ObjectID(500 + i)
+			for k := r.Intn(4); k > 0; k-- {
+				// Ids up to three times the world: most providers are in no
+				// queue, so many searches run until the budget cuts them.
+				wants[i].Providers = append(wants[i].Providers, PeerID(r.Intn(3*peers)))
+			}
+		}
+		root := PeerID(r.Intn(peers))
+		var first *Edge
+		if es := w.adj[root]; len(es) > 0 && r.Intn(4) == 0 {
+			first = &es[r.Intn(len(es))]
+		}
+		for _, pol := range pols {
+			assertSameSearch(t, "dense world", g, root, first, wants, pol)
+		}
+		ring, _, st, ok := g.FindRing(root, wants, PolicyN2)
+		if ok && ring.Size() == PolicyN2.Limit() {
+			limitRings++
+		}
+		if st.NodesVisited == g.Budget {
+			budgetCuts++
+		}
+	}
+	// The worlds must exercise what the test is for.
+	if limitRings < 100 || budgetCuts < 100 {
+		t.Fatalf("depth-limit rings %d, budget cuts %d: the worlds are too sparse", limitRings, budgetCuts)
+	}
+}
+
 // TestStampedMatchCases pins the named corners of the provider -> want table.
 func TestStampedMatchCases(t *testing.T) {
 	// 2 and 3 queue at 1; 4 queues at 2; 900 queues at 3.

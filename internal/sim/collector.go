@@ -254,6 +254,13 @@ type classStats struct {
 	recvKbits float64
 }
 
+// ringTally is the window's session tally of one ring size: the count and
+// the size's samples in the volume and waiting Grouped.
+type ringTally struct {
+	count           int
+	volume, waiting *metrics.Sample
+}
+
 // collector accumulates run metrics, honoring the warm-up window. Metrics
 // are kept per strategy class only; the sharing/non-sharing aggregates are
 // derived from Result.Classes.
@@ -268,7 +275,7 @@ type collector struct {
 	volume  *metrics.Grouped
 	waiting *metrics.Grouped
 
-	sessionCount map[string]int
+	bySize       []ringTally // indexed by ring size
 	exchSessions int
 	allSessions  int
 
@@ -295,7 +302,6 @@ func newCollector(warmupAt float64, mix strategy.Mix) *collector {
 		classFlips:   make([]int, len(mix)),
 		volume:       metrics.NewGrouped(),
 		waiting:      metrics.NewGrouped(),
-		sessionCount: make(map[string]int),
 		ringsStarted: make(map[int]int),
 		failReasons:  make(map[string]int),
 	}
@@ -322,14 +328,28 @@ func (c *collector) sessionDone(now float64, s *session) {
 	if !c.inWindow(now) {
 		return
 	}
-	label := TypeLabel(s.ringSize)
-	c.sessionCount[label]++
 	c.allSessions++
 	if s.ringSize > 1 {
 		c.exchSessions++
 	}
-	c.volume.Add(label, s.sent/8) // kbits -> kB
-	c.waiting.Add(label, (s.startAt-s.dl.requestedAt)/60)
+	volume := s.sent / 8 // kbits -> kB
+	waiting := (s.startAt - s.dl.requestedAt) / 60
+	if s.ringSize >= len(c.bySize) {
+		c.bySize = append(c.bySize, make([]ringTally, s.ringSize+1-len(c.bySize))...)
+	}
+	t := &c.bySize[s.ringSize]
+	if t.count == 0 {
+		// The size's first session: adding it through the label puts the
+		// label in the Groupeds' first-seen order and creates its samples.
+		label := TypeLabel(s.ringSize)
+		c.volume.Add(label, volume)
+		c.waiting.Add(label, waiting)
+		t.volume, t.waiting = c.volume.Get(label), c.waiting.Get(label)
+	} else {
+		t.volume.Add(volume)
+		t.waiting.Add(waiting)
+	}
+	t.count++
 }
 
 func (c *collector) ringStarted(now float64, size int) {
@@ -346,7 +366,7 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 		Events:                 events,
 		SessionVolumeKB:        c.volume,
 		WaitingTimeMin:         c.waiting,
-		SessionCount:           c.sessionCount,
+		SessionCount:           make(map[string]int),
 		RingsStarted:           c.ringsStarted,
 		RingAttempts:           c.ringAttempts,
 		RingValidationFailures: c.ringFailures,
@@ -358,6 +378,11 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 		RingSearches:           c.ringSearches,
 		SearchNodesVisited:     c.searchNodes,
 		SearchWantsChecked:     c.searchWants,
+	}
+	for size, t := range c.bySize {
+		if t.count > 0 {
+			res.SessionCount[TypeLabel(size)] = t.count
+		}
 	}
 	if c.allSessions > 0 {
 		res.ExchangeFraction = float64(c.exchSessions) / float64(c.allSessions)

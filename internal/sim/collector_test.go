@@ -83,8 +83,7 @@ func TestSpeedupSharingVsNonSharing(t *testing.T) {
 
 func TestSummaryContents(t *testing.T) {
 	c := testCollector([]float64{10, 20}, []float64{40})
-	c.sessionCount[TypePairwise] = 3
-	c.sessionCount[TypeNonExchange] = 1
+	c.bySize = []ringTally{1: {count: 1}, 2: {count: 3}} // non-exchange, pairwise
 	c.exchSessions, c.allSessions = 3, 4
 	res := c.result("2-5-way", 30_000, 12345, []int{1, 1})
 	sum := res.Summary()

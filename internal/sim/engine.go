@@ -50,7 +50,10 @@ type Sim struct {
 	holders *index.Multimap[catalog.ObjectID, core.PeerID]
 	wanters *index.Multimap[catalog.ObjectID, core.PeerID]
 	graph   core.Graph
-	col     *collector
+	// adj is the ring search's in-edge cache, one entry per peer id; the
+	// peer table never grows, so New sizes it once.
+	adj []adjCache
+	col *collector
 
 	ulSlots, dlSlots int
 	// mix is the run's population mix (peers hold pointers into it).
@@ -138,6 +141,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	s.peers = make([]*peerState, cfg.NumPeers)
+	s.adj = make([]adjCache, cfg.NumPeers)
 	for i := range s.peers {
 		st := &s.mix[classOf[i]].Strategy
 		p := &peerState{
@@ -327,18 +331,29 @@ func (s *Sim) after(delay float64, fn func(now float64)) {
 	}
 }
 
+// adjCache is one peer's live in-edge list as ring searches see it (see
+// Sim.adjacency), valid while ok. Only the peer's own side can change the
+// list — its IRQ, an entry's session link, its store — and each such
+// mutation clears ok. A requester's side cannot: every IRQ entry's requester
+// is online and wants the entry's object, because a requester withdraws its
+// entries before it departs or finishes the download.
+type adjCache struct {
+	edges []core.Edge
+	ok    bool
+}
+
 // adjacency is the ring search's view of a peer's in-edges (core.Graph.Adj).
 // limit is always the graph's Fanout, so one cached list per peer serves
 // every call: a depth-first search revisits the same peers over many paths,
 // and consecutive searches mostly run between mutations, so the list is
-// rebuilt only when one of the peer's own mutations has cleared adjOK.
+// rebuilt only when one of the peer's own mutations has cleared its ok.
 func (s *Sim) adjacency(pid core.PeerID, limit int) []core.Edge {
-	p := s.peers[pid]
-	if !p.adjOK {
-		p.adj = s.liveEdges(p, limit, p.adj[:0])
-		p.adjOK = true
+	a := &s.adj[pid]
+	if !a.ok {
+		a.edges = s.liveEdges(s.peers[pid], limit, a.edges[:0])
+		a.ok = true
 	}
-	return p.adj
+	return a.edges
 }
 
 // liveEdges appends to dst the live, unserved in-edges of p in IRQ order. A
@@ -346,7 +361,7 @@ func (s *Sim) adjacency(pid core.PeerID, limit int) []core.Edge {
 // explores no more than its fanout per node, and the queue behind that point
 // (up to IRQCapacity entries) is never looked at. The requester side needs
 // no check: every queued requester is online and wants the object (see
-// peerState.adj).
+// adjCache).
 func (s *Sim) liveEdges(p *peerState, limit int, dst []core.Edge) []core.Edge {
 	for _, e := range p.irq {
 		if e.session != nil || !p.has(e.object) {
@@ -372,7 +387,7 @@ func (s *Sim) moveFree(p *peerState, obj catalog.ObjectID, d int) {
 
 // addObject stores obj at p and reports whether it was absent.
 func (s *Sim) addObject(p *peerState, obj catalog.ObjectID) bool {
-	p.adjOK = false
+	s.adj[p.id].ok = false
 	if !p.store.Add(obj) {
 		return false
 	}
@@ -382,7 +397,7 @@ func (s *Sim) addObject(p *peerState, obj catalog.ObjectID) bool {
 
 // removeObject deletes obj from p's store.
 func (s *Sim) removeObject(p *peerState, obj catalog.ObjectID) {
-	p.adjOK = false
+	s.adj[p.id].ok = false
 	if p.store.Remove(obj) {
 		s.moveFree(p, obj, +1)
 	}
@@ -414,7 +429,7 @@ func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
 // nobody wants.
 func (s *Sim) withdrawRequests(p *peerState, dl *download) {
 	for _, srv := range dl.requestedFrom {
-		if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
+		if req := s.dropIRQ(s.peers[srv], p.id, dl.object); req != nil {
 			s.retireRequest(req)
 		}
 	}
@@ -429,7 +444,7 @@ func (s *Sim) dropQueue(p *peerState) {
 	}
 	p.irq = p.irq[:0]
 	clear(p.irqIndex)
-	p.adjOK = false
+	s.adj[p.id].ok = false
 }
 
 // --- holder index -----------------------------------------------------
@@ -566,7 +581,7 @@ func (s *Sim) sendRequest(p, server *peerState, dl *download) {
 		return // one registered request per (peer, object)
 	}
 	req := s.newRequest(p.id, dl.object, s.q.Now())
-	if server.addIRQ(req, s.cfg.IRQCapacity) == nil {
+	if s.addIRQ(server, req, s.cfg.IRQCapacity) == nil {
 		s.freeReq = append(s.freeReq, req) // never enqueued; recycle at once
 		s.col.irqRejected++
 		return
@@ -712,7 +727,7 @@ func (s *Sim) startRing(ring *core.Ring) {
 			// a request to; register the implicit request now (it is served
 			// immediately, bypassing queue capacity).
 			entry = s.newRequest(dst.id, m.Gives, now)
-			src.pushIRQ(entry)
+			s.pushIRQ(src, entry)
 			dl := dst.pendingFor(m.Gives)
 			dl.requestedFrom = append(dl.requestedFrom, src.id)
 		}
@@ -749,7 +764,7 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.dl = dst.pendingFor(obj)
 	sess.startAt = s.q.Now()
 	entry.session = sess
-	src.adjOK = false
+	s.adj[src.id].ok = false
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
@@ -810,7 +825,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
 	if sess.entry != nil && sess.entry.session == sess {
 		sess.entry.session = nil
-		src.adjOK = false
+		s.adj[src.id].ok = false
 	}
 	s.col.sessionDone(s.q.Now(), sess)
 	s.deadSess = append(s.deadSess, sess)
@@ -850,7 +865,7 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 	// register the new holding first, so any scheduling triggered by the
 	// teardown below sees a consistent world in which this download is
 	// finished. The withdrawal comes first: a queued request's requester
-	// still wants its object (peerState.adj).
+	// still wants its object (adjCache).
 	s.withdrawRequests(p, dl)
 	s.removePending(p, dl.object)
 	s.addObject(p, dl.object)

@@ -159,8 +159,8 @@ func (s *Sim) checkAdjacency(p *peerState) error {
 			return fmt.Errorf("in-edges with limit %d are not a prefix of the %d-edge list", limit, len(full))
 		}
 	}
-	if p.adjOK && !slices.Equal(p.adj, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
-		return fmt.Errorf("cached in-edge list is stale: %v", p.adj)
+	if a := s.adj[p.id]; a.ok && !slices.Equal(a.edges, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
+		return fmt.Errorf("cached in-edge list is stale: %v", a.edges)
 	}
 	return nil
 }

@@ -104,7 +104,7 @@ type peerState struct {
 	// catalog's dense object ids, so membership is a shift and a mask on the
 	// ring-search hot path and iteration is in ascending id order. After
 	// New's initial placement, mutate it through Sim.addObject/removeObject
-	// only (they invalidate adj and keep free).
+	// only (they invalidate the peer's adjCache and keep free).
 	store    index.Set[catalog.ObjectID]
 	storeCap int
 	// free counts the objects of the peer's interest categories that it
@@ -119,19 +119,10 @@ type peerState struct {
 	pending []*download
 
 	// irq is the incoming request queue in arrival order, irqIndex its
-	// (requester, object) lookup. Mutate them through pushIRQ/dropIRQ/
-	// Sim.dropQueue only (they invalidate adj).
+	// (requester, object) lookup. Mutate them through Sim.addIRQ/pushIRQ/
+	// dropIRQ/dropQueue only (they invalidate the peer's adjCache).
 	irq      []*request
 	irqIndex map[irqKey]*request
-
-	// adj caches the peer's live in-edge list as ring searches see it (see
-	// Sim.adjacency), valid while adjOK. Only this peer's own side can change
-	// the list — its IRQ, an entry's session link, its store — and each such
-	// mutation clears adjOK. A requester's side cannot: every IRQ entry's
-	// requester is online and wants the entry's object, because a requester
-	// withdraws its entries before it departs or finishes the download.
-	adj   []core.Edge
-	adjOK bool
 
 	uploads   []*session
 	downloads []*session
@@ -220,9 +211,9 @@ func (p *peerState) wantFor(dl *download) []core.Want {
 	return p.want1[:]
 }
 
-// addIRQ appends an entry if capacity allows and no duplicate exists; it
-// returns the entry, or nil if rejected.
-func (p *peerState) addIRQ(req *request, capacity int) *request {
+// addIRQ appends an entry to p's queue if capacity allows and no duplicate
+// exists; it returns the entry, or nil if rejected.
+func (s *Sim) addIRQ(p *peerState, req *request, capacity int) *request {
 	k := irqKey{requester: req.requester, object: req.object}
 	if _, dup := p.irqIndex[k]; dup {
 		return nil
@@ -230,27 +221,27 @@ func (p *peerState) addIRQ(req *request, capacity int) *request {
 	if len(p.irq) >= capacity {
 		return nil
 	}
-	p.pushIRQ(req)
+	s.pushIRQ(p, req)
 	return req
 }
 
 // pushIRQ appends an entry unconditionally (ring-implicit requests bypass
 // queue capacity).
-func (p *peerState) pushIRQ(req *request) {
+func (s *Sim) pushIRQ(p *peerState, req *request) {
 	p.irq = append(p.irq, req)
 	p.irqIndex[irqKey{requester: req.requester, object: req.object}] = req
-	p.adjOK = false
+	s.adj[p.id].ok = false
 }
 
-// dropIRQ removes the entry for (requester, object), if present.
-func (p *peerState) dropIRQ(requester core.PeerID, object catalog.ObjectID) *request {
+// dropIRQ removes p's entry for (requester, object), if present.
+func (s *Sim) dropIRQ(p *peerState, requester core.PeerID, object catalog.ObjectID) *request {
 	k := irqKey{requester: requester, object: object}
 	req, ok := p.irqIndex[k]
 	if !ok {
 		return nil
 	}
 	delete(p.irqIndex, k)
-	p.adjOK = false
+	s.adj[p.id].ok = false
 	for i, e := range p.irq {
 		if e == req {
 			p.irq = append(p.irq[:i], p.irq[i+1:]...)

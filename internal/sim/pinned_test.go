@@ -2,11 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"barter/internal/core"
 	"barter/internal/credit"
+	"barter/internal/metrics"
 	"barter/internal/strategy"
 )
 
@@ -105,6 +109,61 @@ func TestPinnedCounts(t *testing.T) {
 			}
 			if got := pinnedCounts(res); got != tc.want {
 				t.Errorf("counts moved:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// pinnedSessions renders the per-ring-size session statistics of one run:
+// SessionCount sorted by key, then for SessionVolumeKB and WaitingTimeMin the
+// keys in first-seen order with each key's sample count and the bits of its
+// mean. The mean sums the samples in insertion order, so its bits
+// fingerprint the samples and, through rounding, their order.
+func pinnedSessions(r *Result) string {
+	var b strings.Builder
+	b.WriteString("count:")
+	for _, k := range slices.Sorted(maps.Keys(r.SessionCount)) {
+		fmt.Fprintf(&b, " %s=%d", k, r.SessionCount[k])
+	}
+	for _, g := range []struct {
+		name string
+		s    *metrics.Grouped
+	}{{"volume", r.SessionVolumeKB}, {"waiting", r.WaitingTimeMin}} {
+		fmt.Fprintf(&b, "\n%s:", g.name)
+		for _, k := range g.s.Keys() {
+			s := g.s.Get(k)
+			fmt.Fprintf(&b, " %s=%d/%#x", k, s.N(), math.Float64bits(s.Mean()))
+		}
+	}
+	return b.String()
+}
+
+// TestPinnedSessionStats pins what the collector records per finished
+// session, keyed by ring size, on the quick world's two exchange policies.
+// Captured before the collector kept its per-ring-size tallies in a slice.
+func TestPinnedSessionStats(t *testing.T) {
+	cases := []struct {
+		name string
+		pol  core.Policy
+		want string
+	}{
+		{"5-2-way", core.PolicyN2,
+			"count: 3-way=1053 4-way=1196 5-way=6645 non-exchange=8939 pairwise=1088" +
+				"\nvolume: 5-way=6645/0x40464655240564be non-exchange=8939/0x405778b9ce91e281 pairwise=1088/0x405fb3cf0f0f0f0f 3-way=1053/0x4054f3b902ac9c91 4-way=1196/0x404b9e3beee05232" +
+				"\nwaiting: 5-way=6645/0x400b7ca1090dad12 non-exchange=8939/0x401fcec8b5b3c2b3 pairwise=1088/0x400633ebebebebe7 3-way=1053/0x40071bcbcfb37fea 4-way=1196/0x4007b6a73dee4e2c"},
+		{"2-5-way", core.Policy2N,
+			"count: 3-way=1344 4-way=144 5-way=15 non-exchange=7412 pairwise=5788" +
+				"\nvolume: non-exchange=7412/0x40578afbb79b6c73 pairwise=5788/0x405d37f5628b0eaf 3-way=1344/0x405684e186186186 5-way=15/0x404c200000000000 4-way=144/0x40575438e38e38e4" +
+				"\nwaiting: non-exchange=7412/0x402a20622de50ea3 pairwise=5788/0x4008bc42d235432e 3-way=1344/0x400b4caab46c36c5 5-way=15/0x400bcf4a61e3d16b 4-way=144/0x400f97135cf4fc9c"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = tc.pol
+			cfg.Seed = 1
+			if got := pinnedSessions(runOne(t, cfg)); got != tc.want {
+				t.Errorf("session stats moved:\n got  %s\n want %s", got, tc.want)
 			}
 		})
 	}
