@@ -34,10 +34,10 @@ test-full:
 	$(GO) test -count=1 ./...
 
 ## golden-check: the byte-identity oracle (ROADMAP Open item 3). Regenerates
-## `exchsim -all -quick -seed 1` and paper-scale `exchsim -experiment fig4`,
-## `figw` and `ablation-credit` at seed 1, each at -parallel 1 and -parallel 8,
-## and cmps all eight outputs against testdata/golden/; a step of CI's
-## full-tests job (~21 s on 2 cores).
+## `exchsim -all -quick` and paper-scale `exchsim -experiment fig4` at seeds 1
+## and 7, and paper-scale `figw` and `ablation-credit` at seed 1, each at
+## -parallel 1 and -parallel 8, and cmps all twelve outputs against
+## testdata/golden/; a step of CI's full-tests job (~35 s on 2 cores).
 golden-check:
 	./scripts/golden.sh check
 

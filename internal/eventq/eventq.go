@@ -18,7 +18,9 @@
 //
 // A simulation whose dominant event is scheduled at one constant delay (the
 // block arrival of a fixed-rate, fixed-block-size transfer model) does not
-// need the heap for it at all, nor a queue decision per event: see Lane.
+// need the heap for it at all, nor a queue decision per event, nor — at an
+// instant where the events would only reschedule themselves — a callback:
+// see Lane.
 package eventq
 
 import (
@@ -83,14 +85,22 @@ type Queue struct {
 	// The fixed-delay lane (see Lane; nil until NewLane). The queue sees only
 	// its runs, already in strict (at, seq) order; the payloads sit in the
 	// typed Lane behind lane. open reports whether the tail run still takes
-	// appends (see At for the one thing that closes it).
-	lane      runFirer
-	laneDelay float64
-	runs      ring[run]
-	open      bool
-	laneLen   int // payloads appended and not yet fired, dead ones included
-	laneFired uint64
-	runsFired uint64
+	// appends (see At for the one thing that closes it). walk is the lane's
+	// run filter (Lane.SetWalk), moveBefore the instant before which it need
+	// not be asked (Lane.MoveBefore), walkLeft the entries of the run being
+	// walked that have not fired yet.
+	lane       runFirer
+	laneDelay  float64
+	walk       func(at float64) bool
+	moveBefore float64
+	movedAt    float64 // instant of the last run moved
+	runs       ring[run]
+	open       bool
+	laneLen    int // payloads appended and not yet fired, dead ones included
+	walkLeft   int
+	laneFired  uint64
+	runsFired  uint64
+	runsMoved  uint64
 }
 
 // New returns an empty queue with the clock at zero.
@@ -113,10 +123,13 @@ func (q *Queue) Fired() uint64 { return q.fired }
 // lane; the rest took the heap.
 func (q *Queue) LaneFired() uint64 { return q.laneFired }
 
-// LaneRuns returns how many lane runs fired at least one event: the number
-// of instants the lane's events arrived at, so LaneFired/LaneRuns is the
-// mean number of lane events per instant.
+// LaneRuns returns how many walked lane runs fired at least one event, so
+// LaneFired/LaneRuns is the mean number of walked lane events per instant.
 func (q *Queue) LaneRuns() uint64 { return q.runsFired }
+
+// LaneMoved returns how many lane runs were moved whole instead of walked
+// (see Lane.SetWalk).
+func (q *Queue) LaneMoved() uint64 { return q.runsMoved }
 
 // At schedules ev to fire at absolute virtual time at. It returns a Handle
 // that can be passed to Cancel. Scheduling at the current instant is allowed;
@@ -188,8 +201,9 @@ func (q *Queue) recycle(it *item) {
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp: one heap event, or one whole lane run — every entry appended at
 // one instant, all due at the same (at, seq). It reports whether an event was
-// fired (false when the queue is empty); a run whose entries were all dead
-// counts as nothing, and Step goes on to the next.
+// fired (false when the queue is empty); a run whose entries were all dead,
+// or one the lane moved instead of walking, counts as nothing, and Step goes
+// on to the next.
 func (q *Queue) Step() bool {
 	for {
 		due, fired := q.advance(math.Inf(1))
@@ -225,6 +239,10 @@ func (q *Queue) advance(horizon float64) (due, fired bool) {
 		if r := q.runs.front(); it == nil || r.at < it.at || r.at == it.at && r.seq < it.seq {
 			if r.at > horizon {
 				return false, false
+			}
+			if q.walk != nil && r.at < q.moveBefore {
+				q.moveRuns(horizon, it)
+				return true, false
 			}
 			return true, q.fireRun()
 		}

@@ -31,9 +31,20 @@ import (
 // A lane entry cannot be cancelled. The payload carries its own liveness
 // (say, a generation stamp), and the callback reports whether the entry was
 // live: a dead one must have done nothing. Only live entries count in Fired.
+// Compact drops dead entries in bulk.
+//
+// A run need not be walked at all. SetWalk installs a filter the queue asks
+// once per run: a run it declines is moved whole to the back of the lane,
+// one delay later — one block copy and one new run record, no callback.
+// That is exactly what walking would do if every live entry's callback only
+// rescheduled its payload, so the filter must decline only such runs; dead
+// entries move along until a walk or a Compact drops them. Within a walked
+// run, the entries SetWalk's pass accepts are carried over the same way,
+// each stretch of them in one copy.
 type Lane[T any] struct {
 	q       *Queue
 	fire    func(now float64, v T) bool
+	pass    func(v T) bool
 	entries ring[T]
 }
 
@@ -46,7 +57,8 @@ type run struct {
 
 // runFirer is the queue's view of its typed lane: one call per run.
 type runFirer interface {
-	fireHead(now float64, n int) (live uint64)
+	fireHead(now float64) (live uint64)
+	moveHead(n int)
 }
 
 // NewLane creates q's fixed-delay lane, whose entries fire delay after they
@@ -61,7 +73,7 @@ func NewLane[T any](q *Queue, delay float64, fire func(now float64, v T) bool) (
 		return nil, fmt.Errorf("%w: lane delay %v", ErrPast, delay)
 	}
 	l := &Lane[T]{q: q, fire: fire}
-	q.lane, q.laneDelay = l, delay
+	q.lane, q.laneDelay, q.moveBefore, q.movedAt = l, delay, math.Inf(-1), math.NaN()
 	return l, nil
 }
 
@@ -69,34 +81,119 @@ func NewLane[T any](q *Queue, delay float64, fire func(now float64, v T) bool) (
 // (at, seq) place Queue.After with that delay would give it, in O(1). It
 // cannot fail: the delay was validated when the lane was created.
 func (l *Lane[T]) Schedule(v T) {
-	q := l.q
-	at := q.clock + q.laneDelay
-	if q.open && q.runs.back().at == at {
-		q.runs.back().n++
-	} else {
-		q.nextSeq++
-		q.runs.push(run{at: at, seq: q.nextSeq, n: 1})
-		q.open = true
-	}
-	q.laneLen++
+	l.q.appendRun(l.q.clock+l.q.laneDelay, 1)
+	l.q.laneLen++
 	l.entries.push(v)
 }
+
+// SetWalk installs the run filter (see Lane): the queue walks a run at
+// instant at only if walk(at) reports true, and moves it otherwise. walk is
+// asked just before the run would fire, with the clock still at the event
+// before it; pass is asked about each entry of a walked run as its turn
+// comes, with the clock at the run's instant, and an entry it accepts is
+// carried one delay later instead of firing. Neither may change the queue.
+// A nil walk, the default, walks every run; a nil pass fires every entry.
+func (l *Lane[T]) SetWalk(walk func(at float64) bool, pass func(v T) bool) {
+	l.q.walk, l.pass = walk, pass
+}
+
+// MoveBefore tells the queue that the filter declines every run due before
+// instant at, until told otherwise: those runs are moved in a batch without
+// asking it. The default, -Inf, asks about every run; without a filter
+// every run is walked, whatever MoveBefore says.
+func (l *Lane[T]) MoveBefore(at float64) { l.q.moveBefore = at }
+
+// Len returns the number of entries not yet fired, dead ones included.
+func (l *Lane[T]) Len() int { return l.q.laneLen }
 
 // ForEach calls fn on every entry not yet fired, dead ones included, in
 // firing order, until fn returns false.
 func (l *Lane[T]) ForEach(fn func(v T) bool) {
-	r := &l.entries
-	for i := 0; i < r.n; i++ {
-		if !fn(r.buf[(r.head+i)&(len(r.buf)-1)]) {
+	for i := 0; i < l.entries.n; i++ {
+		if !fn(*l.entries.at(i)) {
 			return
 		}
 	}
 }
 
-// fireHead pops the n entries of the head run and fires each.
-func (l *Lane[T]) fireHead(now float64, n int) (live uint64) {
+// PendingNow reports whether match holds for an entry due at the current
+// instant that has not fired yet: the rest of a run being walked, and the
+// runs at Now still queued behind a heap event. An entry a moved run carried
+// past Now counts as fired.
+func (l *Lane[T]) PendingNow(match func(v T) bool) bool {
 	q := l.q
-	for ; n > 0; n-- {
+	n := q.walkLeft
+	for i := 0; i < q.runs.n && q.runs.at(i).at == q.clock; i++ {
+		n += q.runs.at(i).n
+	}
+	for i := 0; i < n; i++ {
+		if match(*l.entries.at(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// MovedNow reports whether a run due at the current instant was moved
+// whole, so that its entries were carried past it without firing. (Entries
+// a walk passed over are the filter's own to know about.)
+func (l *Lane[T]) MovedNow() bool { return l.q.movedAt == l.q.clock }
+
+// Compact drops every entry keep rejects, in place: the survivors keep
+// their order and their runs, and a run left empty disappears. It may run
+// from inside a callback, on the rest of the run being walked too.
+func (l *Lane[T]) Compact(keep func(v T) bool) {
+	q := l.q
+	e := &l.entries
+	r, w := 0, 0
+	filter := func(n int) int {
+		kept := 0
+		for ; n > 0; n-- {
+			v := *e.at(r)
+			r++
+			if keep(v) {
+				*e.at(w) = v
+				w++
+				kept++
+			}
+		}
+		return kept
+	}
+	q.walkLeft = filter(q.walkLeft)
+	runs := &q.runs
+	kept := 0
+	for i := 0; i < runs.n; i++ {
+		rn := *runs.at(i)
+		if rn.n = filter(rn.n); rn.n > 0 {
+			*runs.at(kept) = rn
+			kept++
+		} else if i == runs.n-1 {
+			q.open = false // the tail run is gone; the next append opens a new one
+		}
+	}
+	runs.truncate(kept)
+	e.truncate(w)
+	q.laneLen = w
+}
+
+// fireHead pops the entries of the run being walked and fires each, or
+// carries over the stretches pass accepts. The count left is the queue's
+// walkLeft, not a local: a callback may Compact. A passed stretch is moved
+// before the next callback runs, so callbacks see the lane in order.
+func (l *Lane[T]) fireHead(now float64) (live uint64) {
+	q := l.q
+	passed := 0 // entries at the front passed over and not yet carried
+	for q.walkLeft > 0 {
+		if l.pass != nil && l.pass(*l.entries.at(passed)) {
+			passed++
+			q.walkLeft--
+			continue
+		}
+		if passed > 0 {
+			l.carry(now, passed)
+			passed = 0
+		}
+		q.walkLeft--
 		v := l.entries.pop()
 		q.laneLen--
 		if l.fire(now, v) {
@@ -104,23 +201,59 @@ func (l *Lane[T]) fireHead(now float64, n int) (live uint64) {
 			live++
 		}
 	}
+	if passed > 0 {
+		l.carry(now, passed)
+	}
 	return live
 }
 
-// fireRun takes the head run off the queue and fires its entries at the
-// run's instant. The run is detached first, so entries its callbacks
-// schedule — even at this very instant, with a zero delay — start a run of
-// their own behind it. A run whose entries were all dead leaves the clock
-// where it was, as a heap-only queue skipping cancelled events would. It
-// reports whether any entry fired.
+// carry moves the first n entries, passed over at now, one delay later to
+// the back.
+func (l *Lane[T]) carry(now float64, n int) {
+	q := l.q
+	q.appendRun(now+q.laneDelay, n)
+	l.entries.rotate(n)
+}
+
+// moveHead carries the first n entries to the back of the lane, in order.
+func (l *Lane[T]) moveHead(n int) { l.entries.rotate(n) }
+
+// appendRun files n entries due at at behind the lane's tail: into the tail
+// run if it is still open at that instant, else as a new run with the next
+// sequence number. Schedule appends one entry; a moved run all of its own.
+// The entries themselves are the caller's to place. It reports whether
+// they joined the tail run.
+func (q *Queue) appendRun(at float64, n int) (joined bool) {
+	if q.open && q.runs.back().at == at {
+		q.runs.back().n += n
+		return true
+	}
+	q.nextSeq++
+	q.runs.push(run{at: at, seq: q.nextSeq, n: n})
+	q.open = true
+	return false
+}
+
+// fireRun takes the head run off the queue and walks or moves it (see
+// Lane). A walked run's entries fire at the run's instant. The run is
+// detached first, so entries its callbacks schedule — even at this very
+// instant, with a zero delay — start a run of their own behind it. A run
+// whose entries were all dead leaves the clock where it was, as a heap-only
+// queue skipping cancelled events would, and so does a moved run, which
+// fires nothing. It reports whether any entry fired.
 func (q *Queue) fireRun() bool {
 	r := q.runs.pop()
 	if q.runs.n == 0 {
 		q.open = false
 	}
+	if q.walk != nil && !q.walk(r.at) {
+		q.moveRun(r)
+		return false
+	}
 	prev := q.clock
 	q.clock = r.at
-	live := q.lane.fireHead(r.at, r.n)
+	q.walkLeft = r.n
+	live := q.lane.fireHead(r.at)
 	if live == 0 {
 		q.clock = prev
 		return false
@@ -128,6 +261,51 @@ func (q *Queue) fireRun() bool {
 	q.laneFired += live
 	q.runsFired++
 	return true
+}
+
+// refileRun files r, just taken off the head, one delay later at the back;
+// its entries are still at the front, for the caller to move. It reports
+// whether they joined the tail run.
+func (q *Queue) refileRun(r run) (joined bool) {
+	if q.runs.n == 0 {
+		q.open = false
+	}
+	q.runsMoved++
+	q.movedAt = r.at
+	return q.appendRun(r.at+q.laneDelay, r.n)
+}
+
+// moveRun carries r, just taken off the head, one delay later to the back.
+func (q *Queue) moveRun(r run) {
+	q.refileRun(r)
+	q.lane.moveHead(r.n)
+}
+
+// moveRuns moves head runs, one after the other, while they are due before
+// moveBefore, by horizon, and before the heap's live root it (nil for
+// none): MoveBefore's batch, with no filter call, no clock change and no
+// entry copy per run. Each lap refiles the runs that were queued when it
+// began and then moves all of their entries in one copy; a run refiled in
+// this lap comes up again only in the next. Entries that join the tail run
+// while the lap has still to move it are moved at once, behind it.
+func (q *Queue) moveRuns(horizon float64, it *item) {
+	for {
+		entries, lastSeq := 0, q.nextSeq
+		for lap := q.runs.n; lap > 0; lap-- {
+			r := q.runs.front()
+			if r.at >= q.moveBefore || r.at > horizon || it != nil && (it.at < r.at || it.at == r.at && it.seq < r.seq) {
+				q.lane.moveHead(entries)
+				return
+			}
+			rn := q.runs.pop()
+			entries += rn.n
+			if q.refileRun(rn) && q.runs.back().seq <= lastSeq {
+				q.lane.moveHead(entries)
+				entries = 0
+			}
+		}
+		q.lane.moveHead(entries)
+	}
 }
 
 // ring is a FIFO over a power-of-two circular buffer.
@@ -154,9 +332,41 @@ func (r *ring[E]) pop() E {
 	return v
 }
 
-func (r *ring[E]) front() *E { return &r.buf[r.head] }
+func (r *ring[E]) front() *E { return r.at(0) }
 
-func (r *ring[E]) back() *E { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+func (r *ring[E]) back() *E { return r.at(r.n - 1) }
+
+// at returns the i-th element from the head.
+func (r *ring[E]) at(i int) *E { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// truncate keeps the first n elements, clearing the slots it frees.
+func (r *ring[E]) truncate(n int) {
+	var zero E
+	for i := n; i < r.n; i++ {
+		*r.at(i) = zero
+	}
+	r.n = n
+}
+
+// rotate moves the first k elements to the back, in order, one copy per
+// contiguous stretch. The slots it leaves keep stale copies of elements
+// that are still in the ring, so there is nothing to clear: with the buffer
+// not full, a destination that wraps onto the head stretch lands only on
+// elements already copied out.
+func (r *ring[E]) rotate(k int) {
+	size := len(r.buf)
+	if r.n < size {
+		src, dst := r.head, (r.head+r.n)&(size-1)
+		for k > 0 {
+			c := min(k, size-src, size-dst)
+			copy(r.buf[dst:dst+c], r.buf[src:src+c])
+			src, dst, k = (src+c)&(size-1), (dst+c)&(size-1), k-c
+		}
+		r.head = src
+		return
+	}
+	r.head = (r.head + k) & (size - 1)
+}
 
 // grow doubles the buffer, unrolling it so the head lands on index zero.
 func (r *ring[E]) grow() {

@@ -1,6 +1,8 @@
 package eventq
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,10 +20,12 @@ type firing struct {
 }
 
 // entry is one fixed-delay event. On the lane it is the payload itself and
-// carries its own liveness; on the heap-only queue it rides in a closure.
+// carries its own liveness; on the heap-only queue it rides in a closure,
+// and h is its pending event.
 type entry struct {
 	id, chain       int
 	cancelled, done bool
+	h               Handle
 }
 
 // ref is what the script can later cancel: a heap handle, or a lane entry.
@@ -34,6 +38,21 @@ type ref struct {
 // schedules take it; without, they go through After like any other event —
 // the heap-only queue is the reference the lane must be indistinguishable
 // from.
+//
+// Outside walkAll, only instants k·laneDelay/4 with k mod 12 below 4 are
+// walked, and even there an entry is passed over on every other lap by the
+// parity of its id: an entry due at any other instant, or passed over, is
+// re-armed one delay later without firing. The lane moves such a run whole
+// (its filter is filter, which also tells the lane to move every run
+// before the next walked instant unasked — up to two delays ahead, so one
+// batch can move a run onto the instant of another it moves later) and
+// carries passed entries (pass); the heap-only queue fires each entry's
+// event, which re-arms it silently. A live entry therefore fires within six
+// delays. A Step of the
+// lane walks a whole run, passing over entries after the last one it fires,
+// so the heap-only queue steps on until it has passed over as many live
+// entries too (passes), and a toggle of walkAll takes effect from the next
+// instant on.
 type harness struct {
 	q     *Queue
 	lane  *Lane[*entry]
@@ -41,22 +60,72 @@ type harness struct {
 	refs  []ref
 	next  int
 	dead  int // cancelled lane entries still queued
+	// walkAll, and its value before it was last toggled at toggledAt.
+	walkAll, wasAll bool
+	toggledAt       float64
+	passes          int // live entries passed over in walked runs
+	moveBefore      float64
 }
 
 func newHarness(t testing.TB, withLane bool) *harness {
-	h := &harness{q: New()}
+	h := &harness{q: New(), walkAll: true, wasAll: true, toggledAt: -1, moveBefore: math.Inf(-1)}
 	if withLane {
 		lane, err := NewLane(h.q, laneDelay, h.fireEntry)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lane.SetWalk(h.filter, h.pass)
 		h.lane = lane
 	}
 	return h
 }
 
+// all reports whether walkAll holds at instant at.
+func (h *harness) all(at float64) bool {
+	if at == h.toggledAt {
+		return h.wasAll
+	}
+	return h.walkAll
+}
+
+func (h *harness) walkAt(at float64) bool {
+	return h.all(at) || int(at*4/laneDelay)%12 < 4
+}
+
+// pass reports whether e, due now at a walked instant, is passed over.
+func (h *harness) pass(e *entry) bool {
+	now := h.q.Now()
+	p := !h.all(now) && (e.id+int(now/laneDelay))%2 == 0
+	if p && !e.cancelled {
+		h.passes++
+	}
+	return p
+}
+
+// filter is the lane's run filter: walkAt, and on a declined run the
+// promise that every run before the next walked instant is declined too.
+// Moves do not advance the clock, so an entry scheduled later can be due
+// before a run already moved; fixed withdraws the promise then.
+func (h *harness) filter(at float64) bool {
+	if h.walkAt(at) {
+		return true
+	}
+	if at != h.toggledAt { // later instants follow walkAll, which is off
+		k := int(at * 4 / laneDelay)
+		h.setMoveBefore(float64(k+12-k%12) * laneDelay / 4)
+	}
+	return false
+}
+
+func (h *harness) setMoveBefore(at float64) {
+	h.moveBefore = at
+	h.lane.MoveBefore(at)
+}
+
 // fireEntry logs e's firing and, while its chain lasts, schedules a
-// fixed-delay successor from inside the firing.
+// fixed-delay successor from inside the firing. Every fifth entry compacts
+// the lane from inside its firing, so the rest of the run being walked is
+// compacted too.
 func (h *harness) fireEntry(now float64, e *entry) bool {
 	if e.cancelled {
 		h.dead--
@@ -67,22 +136,40 @@ func (h *harness) fireEntry(now float64, e *entry) bool {
 	if e.chain > 0 {
 		h.fixed(e.chain - 1)
 	}
+	if e.id%5 == 0 {
+		h.compact()
+	}
 	return true
 }
 
 func (h *harness) fixed(chain int) {
 	e := &entry{id: h.next, chain: chain}
 	h.next++
+	h.refs = append(h.refs, ref{e: e})
 	if h.lane != nil {
+		if h.q.Now()+laneDelay < h.moveBefore {
+			h.setMoveBefore(math.Inf(-1))
+		}
 		h.lane.Schedule(e)
-		h.refs = append(h.refs, ref{e: e})
 		return
 	}
-	hd, err := h.q.After(laneDelay, Func(func(now float64) { h.fireEntry(now, e) }))
+	h.arm(e)
+}
+
+// arm schedules e's event on the heap-only queue: fired at a walked
+// instant, passed over and re-armed at any other.
+func (h *harness) arm(e *entry) {
+	hd, err := h.q.After(laneDelay, Func(func(now float64) {
+		if h.walkAt(now) && !h.pass(e) {
+			h.fireEntry(now, e)
+		} else {
+			h.arm(e)
+		}
+	}))
 	if err != nil {
 		panic(err)
 	}
-	h.refs = append(h.refs, ref{h: hd})
+	e.h = hd
 }
 
 func (h *harness) arbitrary(delay float64) {
@@ -107,14 +194,25 @@ func (h *harness) cancel(r ref) bool {
 		return false
 	}
 	r.e.cancelled = true
+	if h.lane == nil {
+		return h.q.Cancel(r.e.h)
+	}
 	h.dead++
 	return true
+}
+
+// compact drops the lane's cancelled entries; the heap-only queue has none.
+func (h *harness) compact() {
+	if h.lane != nil {
+		h.lane.Compact(func(e *entry) bool { return !e.cancelled })
+		h.dead = 0
+	}
 }
 
 // step interprets one scripted operation other than Step; arg
 // parameterizes it.
 func (h *harness) step(op, arg byte) (cancelled bool) {
-	switch op % 6 {
+	switch op % 8 {
 	case 0:
 		h.fixed(0)
 	case 1:
@@ -127,22 +225,32 @@ func (h *harness) step(op, arg byte) (cancelled bool) {
 		}
 	case 5:
 		h.q.RunUntil(h.q.Now() + float64(arg%8)*laneDelay/2)
+	case 6:
+		if h.q.Now() != h.toggledAt {
+			h.wasAll, h.toggledAt = h.walkAll, h.q.Now()
+		}
+		h.walkAll = !h.walkAll
+		if h.lane != nil {
+			h.setMoveBefore(math.Inf(-1))
+		}
+	case 7:
+		h.compact()
 	}
 	return cancelled
 }
 
 // runDifferential feeds one script to a lane-enabled and a heap-only queue
 // and fails on the first observable difference. A Step of the lane queue
-// fires a whole run, so the heap-only queue steps until it has fired as
-// many events.
+// fires a whole run, so the heap-only queue steps until it has logged as
+// many firings; its passed-over entries fire unlogged.
 func runDifferential(t testing.TB, script []byte) {
 	a, b := newHarness(t, true), newHarness(t, false)
 	compared := 0 // prefix of the fired logs already found equal
 	check := func(i int) {
 		t.Helper()
-		if a.q.Len()-a.dead != b.q.Len() || a.q.Fired() != b.q.Fired() || a.q.Now() != b.q.Now() {
-			t.Fatalf("op %d: lane queue live/fired/now = %d/%d/%v, heap queue %d/%d/%v",
-				i, a.q.Len()-a.dead, a.q.Fired(), a.q.Now(), b.q.Len(), b.q.Fired(), b.q.Now())
+		if a.q.Len()-a.dead != b.q.Len() || a.q.Now() != b.q.Now() || a.q.Fired() != uint64(len(a.fired)) {
+			t.Fatalf("op %d: lane queue live/now = %d/%v (fired %d, logged %d), heap queue %d/%v",
+				i, a.q.Len()-a.dead, a.q.Now(), a.q.Fired(), len(a.fired), b.q.Len(), b.q.Now())
 		}
 		if !slices.Equal(a.fired[compared:], b.fired[compared:]) {
 			t.Fatalf("op %d: fired sequences diverged:\n lane %v\n heap %v", i, a.fired[compared:], b.fired[compared:])
@@ -150,9 +258,9 @@ func runDifferential(t testing.TB, script []byte) {
 		compared = len(a.fired)
 	}
 	for i := 0; i+1 < len(script); i += 2 {
-		if script[i]%6 == 4 {
+		if script[i]%8 == 4 {
 			a.q.Step()
-			for b.q.Fired() < a.q.Fired() && b.q.Step() {
+			for (len(b.fired) < len(a.fired) || b.passes < a.passes) && b.q.Step() {
 			}
 		} else if aC, bC := a.step(script[i], script[i+1]), b.step(script[i], script[i+1]); aC != bC {
 			t.Fatalf("op %d: lane queue cancel answered %v, heap queue %v", i/2, aC, bC)
@@ -165,8 +273,8 @@ func runDifferential(t testing.TB, script []byte) {
 	if a.q.Len() != 0 || a.dead != 0 {
 		t.Fatalf("drained lane queue still reports %d pending, %d dead", a.q.Len(), a.dead)
 	}
-	if b.q.LaneFired() != 0 || b.q.LaneRuns() != 0 {
-		t.Fatalf("heap-only queue counted %d lane events in %d runs", b.q.LaneFired(), b.q.LaneRuns())
+	if b.q.LaneFired() != 0 || b.q.LaneRuns() != 0 || b.q.LaneMoved() != 0 {
+		t.Fatalf("heap-only queue counted %d lane events in %d runs, %d moved", b.q.LaneFired(), b.q.LaneRuns(), b.q.LaneMoved())
 	}
 	if a.q.LaneRuns() > a.q.LaneFired() {
 		t.Fatalf("%d lane runs fired only %d lane events", a.q.LaneRuns(), a.q.LaneFired())
@@ -181,7 +289,8 @@ func runDifferential(t testing.TB, script []byte) {
 // TestLaneMatchesHeapOnly is the seeded property test: random interleavings
 // of fixed-delay and arbitrary-delay schedules (ties included, heap events
 // on a lane run's instant too), events that schedule from inside their
-// firing, cancels of live, stale and already-cancelled events, Step and
+// firing, cancels of live, stale and already-cancelled events, runs walked
+// and runs moved whole, compactions between and inside firings, Step and
 // RunUntil horizons must be indistinguishable between a queue with a lane
 // and one without.
 func TestLaneMatchesHeapOnly(t *testing.T) {
@@ -204,9 +313,11 @@ func TestLaneMatchesHeapOnly(t *testing.T) {
 }
 
 func FuzzQueueOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 4, 4, 0, 4, 0})             // lane and heap tie at the same instant
-	f.Add([]byte{0, 0, 3, 0, 3, 0, 5, 7, 0, 0, 3, 0}) // cancel, double cancel, cancel after the run fired
-	f.Add([]byte{1, 3, 2, 0, 5, 2, 5, 7})             // chains, same-instant event, horizons
+	f.Add([]byte{0, 0, 2, 4, 4, 0, 4, 0})                   // lane and heap tie at the same instant
+	f.Add([]byte{0, 0, 3, 0, 3, 0, 5, 7, 0, 0, 3, 0})       // cancel, double cancel, cancel after the run fired
+	f.Add([]byte{1, 3, 2, 0, 5, 2, 5, 7})                   // chains, same-instant event, horizons
+	f.Add([]byte{6, 0, 1, 3, 0, 0, 3, 1, 7, 0, 5, 7})       // moved runs carrying a cancelled entry, compacted
+	f.Add([]byte{0, 0, 2, 4, 0, 0, 3, 2, 7, 0, 0, 0, 5, 7}) // compaction empties the open run behind a heap event, then an append
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runDifferential(t, script)
 	})
@@ -294,6 +405,91 @@ func TestDeadRunLeavesClock(t *testing.T) {
 	}
 }
 
+// TestMoveBeforeStopsAtHorizon: a batch of runs moved unasked stops at the
+// horizon like any other event, so a run due after it keeps its instant.
+func TestMoveBeforeStopsAtHorizon(t *testing.T) {
+	q := New()
+	var got []firing
+	lane, err := NewLane(q, 10, func(now float64, id int) bool {
+		got = append(got, firing{at: now, id: id})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane.SetWalk(func(float64) bool { return true }, nil)
+	lane.MoveBefore(15)
+	for id := 0; id < 3; id++ { // runs at 10, 11 and 12
+		lane.Schedule(id)
+		q.RunUntil(q.Now() + 1)
+	}
+	q.RunUntil(11) // moves the runs at 10 and 11 to 20 and 21
+	if len(got) != 0 || q.LaneMoved() != 2 {
+		t.Fatalf("before the horizon: fired %v, moved %d runs, want nothing fired and 2 moved", got, q.LaneMoved())
+	}
+	lane.MoveBefore(math.Inf(-1))
+	q.RunUntil(100)
+	if want := []firing{{12, 2}, {20, 0}, {21, 1}}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestPendingNow: the entries due at the current instant that have not
+// fired are the rest of the run being walked and the runs at Now behind a
+// heap event; an entry a run carried past Now, walked or moved, is not.
+func TestPendingNow(t *testing.T) {
+	q := New()
+	var lane *Lane[int]
+	pending := func(id int) bool { return lane.PendingNow(func(v int) bool { return v == id }) }
+	var seen [][]bool
+	lane, err := NewLane(q, laneDelay, func(_ float64, id int) bool {
+		seen = append(seen, []bool{pending(0), pending(1), pending(2), pending(3)})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane.Schedule(0)
+	lane.Schedule(1)
+	if _, err := q.After(laneDelay, Func(func(float64) {
+		seen = append(seen, []bool{pending(0), pending(1), pending(2), pending(3)})
+	})); err != nil {
+		t.Fatal(err)
+	}
+	lane.Schedule(2)
+	if pending(0) {
+		t.Fatal("an entry due later reads as pending now")
+	}
+	q.RunUntil(laneDelay)
+	want := [][]bool{
+		{false, true, true, false},   // entry 0 firing: 1 is the rest of its run, 2 the run behind the heap event
+		{false, false, true, false},  // entry 1
+		{false, false, true, false},  // the heap event
+		{false, false, false, false}, // entry 2
+	}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("pending while firing: %v, want %v", seen, want)
+	}
+	lane.SetWalk(func(float64) bool { return false }, nil)
+	lane.Schedule(3)
+	if _, err := q.After(laneDelay, Func(func(float64) {
+		seen = append(seen, []bool{pending(3)})
+	})); err != nil {
+		t.Fatal(err)
+	}
+	q.RunUntil(2 * laneDelay)
+	if last := seen[len(seen)-1]; last[0] {
+		t.Fatal("an entry its moved run carried past Now still reads as pending")
+	}
+	if !lane.MovedNow() {
+		t.Fatal("MovedNow is false at the instant a run was moved")
+	}
+	q.RunUntil(2*laneDelay + 1)
+	if lane.MovedNow() {
+		t.Fatal("MovedNow is true at an instant no run was moved")
+	}
+}
+
 func TestNewLaneValidates(t *testing.T) {
 	q := New()
 	fire := func(float64, int) bool { return true }
@@ -322,5 +518,21 @@ func BenchmarkLaneScheduleAndFire(b *testing.B) {
 		if i%4 == 3 {
 			q.Step()
 		}
+	}
+}
+
+// TestMoveBeforeNeedsAFilter: with no run filter every run is walked, so a
+// MoveBefore promise has nothing to stand for and is ignored.
+func TestMoveBeforeNeedsAFilter(t *testing.T) {
+	q := New()
+	fired := 0
+	lane, err := NewLane(q, laneDelay, func(float64, int) bool { fired++; return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane.MoveBefore(math.Inf(1))
+	lane.Schedule(0)
+	if !q.Step() || fired != 1 || q.LaneMoved() != 0 {
+		t.Fatalf("Step fired %d entries and moved %d runs, want 1 and 0", fired, q.LaneMoved())
 	}
 }

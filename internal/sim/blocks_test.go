@@ -1,0 +1,127 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"barter/internal/core"
+)
+
+// replay is the lane's arithmetic, one float addition per arrival: what
+// grid.count must reproduce exactly.
+func replay(t, delay, limit float64, atLimit bool) (int, float64) {
+	n := 0
+	for t < limit || atLimit && t == limit {
+		n++
+		t += delay
+	}
+	return n, t
+}
+
+// TestGridCountMatchesReplay: counting arrivals a binade at a time gives the
+// count and the next arrival that one addition per arrival gives, for whole
+// and fractional delays, fractional starts, limits on grid points and off
+// them, across binade boundaries.
+func TestGridCountMatchesReplay(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	delays := []float64{1, 25, 50, 3, 7, 1000, 0.5, 50.0 / 3, 166.66666666666666}
+	for i := 0; i < 20000; i++ {
+		delay := delays[r.Intn(len(delays))]
+		g := newGrid(delay)
+		start := r.Float64() * math.Ldexp(1, r.Intn(20))
+		if r.Intn(4) == 0 {
+			start = math.Trunc(start) // whole starts stay whole
+		}
+		steps := r.Intn(400)
+		limit := start + float64(steps)*delay*r.Float64()*1.5
+		if r.Intn(3) == 0 { // exactly on a grid point
+			_, limit = replay(start, delay, start+float64(steps)*delay*0.7, false)
+		}
+		if r.Intn(5) == 0 { // exactly on a binade boundary
+			_, e := math.Frexp(limit)
+			limit = math.Ldexp(1, e)
+		}
+		for _, atLimit := range []bool{false, true} {
+			wn, wt := replay(start, delay, limit, atLimit)
+			gn, gt := g.count(start, limit, atLimit)
+			if gn != wn || gt != wt {
+				t.Fatalf("count(%v, %v, %v) with delay %v = %d, %v; replay %d, %v", start, limit, atLimit, delay, gn, gt, wn, wt)
+			}
+		}
+	}
+}
+
+// runEager runs cfg the way the engine ran before blocks were counted:
+// every lane run walked, every block credited as it fires.
+func runEager(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.blocks.SetWalk(nil, nil)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// paperScale is the 200-peer world of the paper-scale figures over a
+// shortened horizon: big runs of block arrivals that one moved batch can
+// land on top of, which the 30-peer world never has.
+func paperScale(ul float64, pol core.Policy, duration float64) Config {
+	cfg := DefaultConfig()
+	cfg.Catalog.Categories = 50
+	cfg.Catalog.ObjectsPerCategoryMax = 100
+	cfg.UploadKbps = ul
+	cfg.Policy = pol
+	cfg.Duration = duration
+	return cfg
+}
+
+// TestLazyMatchesEager holds the counted run to the fired one: on every
+// TestPinnedAccounting world and on two paper-scale ones, counts, block
+// accounting and per-ring-size session statistics are identical.
+func TestLazyMatchesEager(t *testing.T) {
+	cases := accountingCases()
+	cases = append(cases,
+		accountingCase{name: "paper-no-exchange", cfg: func() Config { return paperScale(140, core.PolicyNoExchange, 60_000) }},
+		accountingCase{name: "paper-2-5-way", cfg: func() Config { return paperScale(40, core.Policy2N, 25_000) }},
+	)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(run func(*testing.T, Config) *Result) *Result {
+				cfg := tc.cfg() // a ranker keeps books: one per run
+				cfg.Seed = 1
+				return run(t, cfg)
+			}
+			lazy, eager := run(runOne), run(runEager)
+			for _, render := range []func(*Result) string{pinnedCounts, pinnedAccounting, pinnedSessions} {
+				if got, want := render(lazy), render(eager); got != want {
+					t.Fatalf("counted run differs from the fired one:\n got  %s\n want %s", got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFractionalBlocksWalkEveryRun: block sums that are not exact in bulk
+// keep the engine walking every run and crediting each block as it fires.
+func TestFractionalBlocksWalkEveryRun(t *testing.T) {
+	cfg := testConfig()
+	cfg.BlockKbits = 250.5
+	cfg.Duration = 5_000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.q.LaneMoved() != 0 || completed(res, true)+completed(res, false) == 0 {
+		t.Fatalf("moved %d runs, completed %d downloads; want none moved, some completed", s.q.LaneMoved(), completed(res, true)+completed(res, false))
+	}
+}

@@ -18,6 +18,14 @@ import (
 // Ranker orders non-exchange service. The default (nil) is
 // first-come-first-served by arrival time. The credit-mechanism baselines
 // (eMule queue rank, KaZaA participation level) plug in here.
+//
+// The engine counts blocks when something reads them, not as they arrive
+// (blocks.go), so a Ranker's books are exact only where the engine brought
+// them up to date: before Score it credits every open session of the server
+// and of the requester. Score must therefore read only books of transfers
+// with the server or the requester at one end, and OnTransfer must add up:
+// one call with the kbits of several blocks must leave the books as that
+// many calls of one block each would.
 type Ranker interface {
 	// Score returns the service priority of requester's request at server;
 	// the waiting request with the highest score is served first. waited is

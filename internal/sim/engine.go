@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"barter/internal/catalog"
@@ -36,13 +37,23 @@ type Sim struct {
 	cfg Config
 	q   *eventq.Queue
 	// blocks is the queue's fixed-delay lane: every block arrival is exactly
-	// one block service time away (fixed slot rate, fixed block size), so
-	// the run's dominant event never touches the heap, and the arrivals due
-	// at one instant fire as one run into onBlock.
-	blocks *eventq.Lane[arrival]
-	r      *rng.RNG
-	cat    *catalog.Catalog
-	peers  []*peerState
+	// one block service time after the last (fixed slot rate, fixed block
+	// size), so the run's dominant event never touches the heap, and the
+	// arrivals due at one instant are one run, moved whole unless a download
+	// is due at it (blocks.go). arrived counts the blocks credited, open the
+	// open sessions; feeder holds per session id the stamp of the last walk
+	// that found it feeding a due download, at stampAt.
+	blocks  *eventq.Lane[arrival]
+	grid    grid
+	arrived uint64
+	open    int
+	dues    dueHeap
+	feeder  []uint32
+	stamp   uint32
+	stampAt float64
+	r       *rng.RNG
+	cat     *catalog.Catalog
+	peers   []*peerState
 	// holders indexes object -> online sharing peers storing it; wanters
 	// indexes object -> peers with a pending download for it, so evictions
 	// can scrub stale provider sets. Both iterate in ascending peer-id order,
@@ -73,11 +84,15 @@ type Sim struct {
 	candScratch []core.PeerID
 	objScratch  []catalog.ObjectID
 	sessScratch []*session
+	nextScratch []float64
 
 	// Free lists for the per-transfer bookkeeping objects. Retired objects
 	// park on the dead lists until reap, which runs at the start of the next
 	// event: within one event, any snapshot of sessions or requests taken
-	// before a termination stays readable.
+	// before a termination stays readable. sessions holds every session ever
+	// made, by id: a lane arrival names its session by id, so the lane holds
+	// no pointers and moving a run copies plain memory.
+	sessions []*session
 	freeSess []*session
 	freeReq  []*request
 	deadSess []*session
@@ -129,9 +144,15 @@ func New(cfg Config) (*Sim, error) {
 		ulSlots: cfg.UploadSlots(),
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
+		grid:    newGrid(cfg.BlockKbits / cfg.SlotKbps),
+		stampAt: math.NaN(),
 	}
-	if s.blocks, err = eventq.NewLane(s.q, cfg.BlockKbits/cfg.SlotKbps, s.onBlock); err != nil {
+	if s.blocks, err = eventq.NewLane(s.q, s.grid.delay, s.onBlock); err != nil {
 		return nil, fmt.Errorf("sim: block lane: %w", err)
+	}
+	if lazyBlocks(cfg) {
+		s.blocks.SetWalk(s.walkRun, s.passOver)
+		s.blocks.MoveBefore(math.Inf(1))
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -229,10 +250,10 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.q.Now() }
 
-// Step fires the next instant's worth of work: one heap event, or every
-// block arrival of one lane run (all arrivals due at one instant, unless a
-// heap event on that instant splits them). It reports whether anything
-// remained to fire.
+// Step fires the next piece of work: one heap event, or one lane run at an
+// instant where a download is due (the arrivals of the due downloads'
+// feeders; the lane carries the rest over, as it moves the runs before it
+// without firing them). It reports whether anything remained to fire.
 func (s *Sim) Step() bool { return s.q.Step() }
 
 // RunUntil advances virtual time to horizon.
@@ -246,22 +267,13 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.ran = true
 	s.q.RunUntil(s.cfg.Duration)
-	// Finalize sessions still open at the horizon so long-lived transfers
-	// are represented in the session statistics.
-	for _, p := range s.peers {
-		for _, up := range p.uploads {
-			if !up.closed {
-				s.col.sessionDone(s.q.Now(), up)
-				up.closed = true
-			}
-		}
-	}
-	res := s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.mix.Counts(len(s.peers)))
+	res := s.result()
 	perfstats.AddRun(perfstats.Snapshot{
 		Runs:               1,
 		Events:             res.Events,
-		LaneEvents:         s.q.LaneFired(),
-		LaneRuns:           s.q.LaneRuns(),
+		LaneEvents:         s.arrived,
+		LaneRuns:           s.q.LaneRuns() + s.q.LaneMoved(),
+		LaneMoved:          s.q.LaneMoved(),
 		HeapEvents:         s.q.Fired() - s.q.LaneFired(),
 		RingSearches:       uint64(res.RingSearches),
 		SearchNodesVisited: uint64(res.SearchNodesVisited),
@@ -269,6 +281,23 @@ func (s *Sim) Run() (*Result, error) {
 		RingsStarted:       uint64(res.RingAttempts - res.RingValidationFailures),
 	})
 	return res, nil
+}
+
+// result credits every open session up to now and finalizes it, so
+// long-lived transfers are represented in the session statistics, then
+// collects the run's Result. Every block that arrived is one event.
+func (s *Sim) result() *Result {
+	for _, p := range s.peers {
+		for _, up := range p.uploads {
+			if !up.closed {
+				s.credit(up)
+				s.col.sessionDone(s.q.Now(), up)
+				up.closed = true
+			}
+		}
+	}
+	events := s.q.Fired() - s.q.LaneFired() + s.arrived
+	return s.col.result(s.cfg.Policy.String(), s.q.Now(), events, s.mix.Counts(len(s.peers)))
 }
 
 // reap recycles the sessions and requests retired during the previous event.
@@ -280,7 +309,7 @@ func (s *Sim) Run() (*Result, error) {
 // dead in the session's next life.
 func (s *Sim) reap() {
 	for i, sess := range s.deadSess {
-		*sess = session{gen: sess.gen}
+		*sess = session{id: sess.id, gen: sess.gen}
 		s.freeSess = append(s.freeSess, sess)
 		s.deadSess[i] = nil
 	}
@@ -300,7 +329,10 @@ func (s *Sim) newSession() *session {
 		s.freeSess = s.freeSess[:n-1]
 		return sess
 	}
-	return &session{}
+	sess := &session{id: uint32(len(s.sessions))}
+	s.sessions = append(s.sessions, sess)
+	s.feeder = append(s.feeder, 0)
+	return sess
 }
 
 func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival float64) *request {
@@ -410,13 +442,16 @@ func (s *Sim) addPending(p *peerState, dl *download) {
 	s.wanters.Add(dl.object, p.id)
 }
 
-// removePending unregisters p's download of obj (completed or abandoned).
-// p's requests for it must already be withdrawn from every server's queue.
+// removePending unregisters p's download of obj (completed or abandoned),
+// and takes it out of the due heap for good. p's requests for it must
+// already be withdrawn from every server's queue.
 func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
 	for i, dl := range p.pending {
 		if dl.object == obj {
 			p.pending = slices.Delete(p.pending, i, i+1)
 			s.moveFree(p, obj, +1)
+			dl.done = true
+			s.dropDue(dl)
 			break
 		}
 	}
@@ -524,6 +559,7 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	dl := &download{
 		object:      obj,
 		requestedAt: now,
+		dueAt:       -1,
 		providers:   slices.Clone(discovered), // distinct holders; discovered is the caller's scratch
 	}
 	// Pairwise opportunities with peers already queued here: a requester in
@@ -763,42 +799,51 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.entry = entry
 	sess.dl = dst.pendingFor(obj)
 	sess.startAt = s.q.Now()
+	sess.next = sess.startAt + s.grid.delay // where the lane puts its first arrival
 	entry.session = sess
 	s.adj[src.id].ok = false
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
-	s.blocks.Schedule(arrival{sess: sess, gen: sess.gen})
+	s.blocks.Schedule(arrival{id: sess.id, gen: sess.gen})
+	s.open++
+	s.boundDue(sess.dl)
 	return sess
 }
 
-// arrival is a block-lane entry: the next block of sess, stamped with the
-// session's generation when it was scheduled. terminateSession advances the
-// generation, so the arrival of a closed session — or of a recycled one's
-// earlier life — finds a stamp that no longer matches, and is dead.
+// arrival is a block-lane entry: the next block of session id, stamped with
+// the session's generation when it was scheduled. terminateSession advances
+// the generation, so the arrival of a closed session — or of a recycled
+// one's earlier life — finds a stamp that no longer matches, and is dead. A
+// stamp repeats only after 2^32 lives of one session.
 type arrival struct {
-	sess *session
-	gen  uint64
+	id, gen uint32
 }
 
-// onBlock is the block lane's callback: one block of a transfer arrives. It
-// reports whether the arrival was live (and so counts as an event). The
-// per-block hot path neither allocates nor sifts a heap, and reaps only when
-// an earlier event retired something.
+// onBlock is the block lane's callback for a walked run, which fires only
+// the arrivals of the feeders its walk stamped (passOver): one block of a
+// transfer, and with it every block of the session the lane carried past
+// uncounted. If the download may be due now, its other feeders are
+// credited up to this arrival too, and the download completes if that
+// makes it whole. It reports whether the arrival was live. The hot path
+// neither allocates nor sifts a heap, and reaps only when an earlier event
+// retired something.
 func (s *Sim) onBlock(now float64, a arrival) bool {
-	sess := a.sess
+	sess := s.sessions[a.id]
 	if sess.gen != a.gen {
 		return false
 	}
 	if len(s.deadSess) > 0 || len(s.deadReq) > 0 {
 		s.reap()
 	}
-	sess.sent += s.cfg.BlockKbits
+	s.creditUntil(sess, now, true)
 	dl := sess.dl
-	dl.receivedKbits += s.cfg.BlockKbits
-	s.col.blockReceived(now, sess.dstClass, s.cfg.BlockKbits)
-	if s.cfg.Ranker != nil {
-		s.cfg.Ranker.OnTransfer(sess.src, sess.dst, s.cfg.BlockKbits)
+	if dl.dueAt >= 0 && s.dues[dl.dueAt].due <= now {
+		for _, f := range dl.sessions {
+			if f != sess {
+				s.credit(f)
+			}
+		}
 	}
 	if dl.receivedKbits >= s.cfg.ObjectKbits {
 		s.completeDownload(s.peers[sess.dst], dl)
@@ -816,13 +861,16 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	if sess.closed {
 		return
 	}
+	s.credit(sess)
 	sess.closed = true
 	sess.gen++ // its pending block arrival is dead
+	s.retireArrival()
 	src := s.peers[sess.src]
 	src.uploads = removeSession(src.uploads, sess)
 	dst := s.peers[sess.dst]
 	dst.downloads = removeSession(dst.downloads, sess)
 	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
+	s.boundDue(sess.dl)
 	if sess.entry != nil && sess.entry.session == sess {
 		sess.entry.session = nil
 		s.adj[src.id].ok = false
@@ -945,19 +993,28 @@ func (s *Sim) tryServe(p *peerState) {
 	}
 }
 
+// pickWaiting returns the waiting request p serves next. Under a ranker it
+// credits the server's open sessions, and each candidate requester's before
+// scoring it: Score reads only those two peers' books (Ranker).
 func (s *Sim) pickWaiting(p *peerState) *request {
 	now := s.q.Now()
+	ranked := s.cfg.Ranker != nil
+	if ranked {
+		s.creditPeer(p)
+	}
 	var best *request
 	var bestScore float64
 	for _, e := range p.irq {
 		if e.session != nil || !p.has(e.object) {
 			continue // served, or evicted since registration
 		}
-		if !s.peers[e.requester].hasFreeDownloadSlot(s.dlSlots) {
+		q := s.peers[e.requester]
+		if !q.hasFreeDownloadSlot(s.dlSlots) {
 			continue
 		}
 		var score float64
-		if s.cfg.Ranker != nil {
+		if ranked {
+			s.creditPeer(q)
 			score = s.cfg.Ranker.Score(p.id, e.requester, now-e.arrival)
 		} else {
 			score = now - e.arrival

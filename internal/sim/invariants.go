@@ -25,6 +25,9 @@ func (s *Sim) CheckInvariants() error {
 	if err := s.checkWanters(); err != nil {
 		return err
 	}
+	if err := s.checkBlocks(); err != nil {
+		return err
+	}
 	return s.checkArrivals()
 }
 
@@ -234,38 +237,116 @@ func (s *Sim) checkWanters() error {
 	return nil
 }
 
+// delivered recounts, from the session's start and the lane alone, how many
+// of sess's blocks have arrived by now — an arrival at now iff its lane
+// entry is no longer pending — and the instant of the first still to come.
+func (s *Sim) delivered(sess *session) (int, float64) {
+	now := s.q.Now()
+	n, next := s.grid.count(sess.startAt+s.grid.delay, now, false)
+	if next == now && !s.arrivalPending(sess) {
+		n, next = n+1, next+s.grid.delay
+	}
+	return n, next
+}
+
+// checkBlocks verifies lazy block accounting against a recount. Every open
+// session's credited blocks are a prefix of those delivered, and its cursor
+// is the grid point after them. Every pending download, counting what its
+// feeders delivered and what closed feeders finished, is short of its
+// object; one with a feeder sits in the due heap, in heap order, under its
+// due instant — the recount's exact one, or a bound not after it — and
+// that instant is not in the past.
+func (s *Sim) checkBlocks() error {
+	now, b := s.q.Now(), s.cfg.BlockKbits
+	for _, p := range s.peers {
+		for _, dl := range p.pending {
+			got := dl.receivedKbits
+			next := s.nextScratch[:0]
+			for _, f := range dl.sessions {
+				n, after := s.delivered(f)
+				credited, _ := s.grid.count(f.startAt+s.grid.delay, f.next, false)
+				if float64(credited)*b != f.sent || credited > n {
+					return fmt.Errorf("session %d->%d obj %d: %v kbits credited up to %v, %d blocks delivered", f.src, f.dst, f.object, f.sent, f.next, n)
+				}
+				got += float64(n-credited) * b
+				next = append(next, after)
+			}
+			s.nextScratch = next
+			if got >= s.cfg.ObjectKbits {
+				return fmt.Errorf("peer %d download %d has %v of %v kbits delivered but is pending", p.id, dl.object, got, s.cfg.ObjectKbits)
+			}
+			if len(dl.sessions) == 0 {
+				if dl.dueAt >= 0 {
+					return fmt.Errorf("peer %d download %d has no feeder but a due instant", p.id, dl.object)
+				}
+				continue
+			}
+			if dl.dueAt < 0 || dl.dueAt >= len(s.dues) || s.dues[dl.dueAt].dl != dl {
+				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
+			}
+			due := s.dues[dl.dueAt].due
+			exact := s.mergedArrival(next, s.needed(got))
+			switch {
+			case exact < now:
+				return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, exact, now)
+			case dl.exact && due != exact || due > exact:
+				return fmt.Errorf("peer %d download %d filed due at %v (exact %v), recount says %v", p.id, dl.object, due, dl.exact, exact)
+			}
+		}
+	}
+	for i, e := range s.dues {
+		if e.dl.dueAt != i || e.dl.done || len(e.dl.sessions) == 0 {
+			return fmt.Errorf("due heap slot %d holds a download filed at %d (done %v, %d feeders)", i, e.dl.dueAt, e.dl.done, len(e.dl.sessions))
+		}
+		if i > 0 && s.dues[(i-1)/2].due > e.due {
+			return fmt.Errorf("due heap out of order at slot %d", i)
+		}
+	}
+	return nil
+}
+
 // checkArrivals verifies the block lane against the sessions: every open
 // session has exactly one arrival stamped with its current generation, and
 // no closed session has one (a live arrival of a closed session would keep
 // transferring a dead link; a missing one would stall an open link
-// forever). Stale arrivals — earlier generations — are dead and allowed.
+// forever). Stale arrivals — earlier generations — are dead, and never
+// outnumber the live ones.
 func (s *Sim) checkArrivals() error {
 	live := make(map[*session]int)
 	var err error
 	s.blocks.ForEach(func(a arrival) bool {
-		if a.gen != a.sess.gen {
+		sess := s.sessions[a.id]
+		if a.gen != sess.gen {
 			return true
 		}
-		if a.sess.closed {
-			err = fmt.Errorf("closed session %d->%d obj %d has a live block arrival", a.sess.src, a.sess.dst, a.sess.object)
+		if sess.closed {
+			err = fmt.Errorf("closed session %d->%d obj %d has a live block arrival", sess.src, sess.dst, sess.object)
 			return false
 		}
-		live[a.sess]++
+		live[sess]++
 		return true
 	})
 	if err != nil {
 		return err
 	}
+	open := 0
 	for _, p := range s.peers {
 		for _, sess := range p.uploads {
 			if n := live[sess]; n != 1 {
 				return fmt.Errorf("open session %d->%d obj %d has %d live block arrivals, want 1", sess.src, sess.dst, sess.object, n)
 			}
 			delete(live, sess)
+			open++
 		}
 	}
 	if len(live) > 0 {
 		return fmt.Errorf("%d sessions have a live block arrival but no peer uploads them", len(live))
+	}
+	if open != s.open {
+		return fmt.Errorf("%d sessions open, %d counted", open, s.open)
+	}
+	if dead := s.blocks.Len() - open; dead > open {
+		return fmt.Errorf("%d dead block arrivals outnumber %d live ones", dead, open)
 	}
 	return nil
 }

@@ -14,9 +14,19 @@ import (
 // may be fed by several concurrent sessions from different sources (the
 // system supports partial, multi-source transfers).
 type download struct {
-	object        catalog.ObjectID
-	requestedAt   float64
+	object      catalog.ObjectID
+	requestedAt float64
+	// receivedKbits is what its feeders' credited blocks add up to (see
+	// blocks.go): blocks that arrived since a feeder was last credited are
+	// not in it yet.
 	receivedKbits float64
+	// dueAt is the download's place in the engine's due heap, under the
+	// earliest instant it can complete at — exact once the lane has refined
+	// it, a lower bound until then — or -1 when it is not there: no feeder,
+	// or no longer pending, which done marks.
+	dueAt int
+	exact bool
+	done  bool
 	// providers is the lookup result plus any later-learned holders; it is
 	// the set a ring search may close through: about LookupMax distinct ids
 	// (CheckInvariants), so add through addProvider.
@@ -53,20 +63,25 @@ type irqKey struct {
 }
 
 // session is one active transfer: src uploads object to dst at exactly one
-// slot's rate, one block per event. ringSize 1 marks a non-exchange
+// slot's rate, one block per block time. ringSize 1 marks a non-exchange
 // transfer; ringSize >= 2 marks membership in an exchange ring of that size.
 //
 // Sessions come from (and return to) the engine's free list. An open
 // session has exactly one arrival on the engine's block lane, stamped with
 // gen (CheckInvariants): the per-block hot path — the single most frequent
-// event in any run — schedules without allocating anything.
+// event in any run — schedules without allocating anything. Its blocks are
+// counted, not fired: next is the instant of the first arrival not yet
+// credited to sent and the books, and the rest follow on the lane's grid
+// (see blocks.go).
 type session struct {
-	// The fields a block arrival touches come first, on one cache line.
-	gen      uint64    // advanced on termination; kept across recycling
+	// The fields block accounting touches come first, on one cache line.
+	gen      uint32    // advanced on termination; kept across recycling
 	dl       *download // download at dst
-	sent     float64   // kbits delivered so far
+	next     float64   // first arrival not yet credited
+	sent     float64   // kbits credited so far
 	src, dst core.PeerID
-	dstClass int // dst's class, which the block accounting is kept by
+	dstClass int    // dst's class, which the block accounting is kept by
+	id       uint32 // index in Sim.sessions; kept across recycling
 
 	object   catalog.ObjectID
 	ringSize int

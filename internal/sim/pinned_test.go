@@ -168,3 +168,99 @@ func TestPinnedSessionStats(t *testing.T) {
 		})
 	}
 }
+
+// pinnedAccounting renders what block accounting feeds into a Result: the
+// event count, the horizon, and per class the completions and the bits of
+// the window volume per peer and of the mean download time. A block counted
+// on the wrong side of a tie, or credited to the wrong class or window,
+// moves at least one of them.
+func pinnedAccounting(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "events=%d horizon=%#x", r.Events, math.Float64bits(r.SimulatedSeconds))
+	for _, c := range r.Classes {
+		fmt.Fprintf(&b, " %s:%d/%#x/%#x", c.Label, c.Completed,
+			math.Float64bits(c.VolumePerPeerMB), math.Float64bits(c.DownloadTime.Mean()))
+	}
+	return b.String()
+}
+
+// TestPinnedAccounting pins the accumulators per-block work feeds — events,
+// per-class volume and download time — on every TestPinnedCounts world, plus
+// one where the mid-transfer terminations fall on block instants: evictions
+// and whitewashes every few block times, storage tight enough that every
+// sweep evicts, several servers feeding each download and a ranker scoring
+// between blocks. Captured on the commit before block arrivals were
+// credited when read instead of when fired.
+func TestPinnedAccounting(t *testing.T) {
+	for _, tc := range accountingCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.Seed = 1
+			if got := pinnedAccounting(runOne(t, cfg)); got != tc.want {
+				t.Errorf("accounting moved:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// accountingCase is one TestPinnedAccounting world and its pinned line.
+type accountingCase struct {
+	name string
+	cfg  func() Config
+	want string
+}
+
+func accountingCases() []accountingCase {
+	blockTime := func(cfg Config) float64 { return cfg.BlockKbits / cfg.SlotKbps }
+	return []accountingCase{
+		{"5-2-way", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.PolicyN2
+			return cfg
+		}, "events=62924 horizon=0x40dd4c0000000000 non-sharing:1158/0x404352aaaaaaaaab/0x4026da622d34315d sharing:1688/0x404c1bbbbbbbbbbb/0x401a5e3b0bba7067"},
+		{"2-5-way", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.Policy2N
+			return cfg
+		}, "events=67074 horizon=0x40dd4c0000000000 non-sharing:926/0x403ed77777777778/0x402ea1925ffcb2a0 sharing:2084/0x40515c0000000000/0x401b4187857e57c3"},
+		{"no-exchange", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.PolicyNoExchange
+			return cfg
+		}, "events=66293 horizon=0x40dd4c0000000000 non-sharing:1445/0x4048080000000000/0x4014739995753309 sharing:1458/0x4048537777777778/0x4014743830521621"},
+		{"kazaa-whitewasher", func() Config {
+			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
+			cfg.Policy = core.PolicyNoExchange
+			cfg.Ranker = credit.NewKaZaA(nil)
+			return cfg
+		}, "events=56569 horizon=0x40dd4c0000000000 whitewasher:512/0x403d0aaaaaaaaaab/0x4029b3d931387fa9 non-sharing:545/0x403e380000000000/0x402c9f82e28c19dc sharing:1404/0x404d315555555555/0x4011313586bc5f00"},
+		{"emule", func() Config {
+			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
+			cfg.Policy = core.PolicyNoExchange
+			cfg.Ranker = credit.NewEMule()
+			return cfg
+		}, "events=56999 horizon=0x40dd4c0000000000 whitewasher:895/0x4049631c71c71c72/0x40201f5a3c05fb6e non-sharing:623/0x4041571c71c71c72/0x40218a710f49ec0d sharing:953/0x4043dcaaaaaaaaab/0x401f72b960c34392"},
+		{"exchange-whitewasher", func() Config {
+			return adversaryConfig(strategy.Whitewasher(), 0.3)
+		}, "events=56533 horizon=0x40dd4c0000000000 whitewasher:545/0x403ef471c71c71c7/0x402b1a4ee2cabea3 non-sharing:476/0x403a5e38e38e38e3/0x402ab9575c37c538 sharing:1463/0x404e630000000000/0x4020cf731c3f2c40"},
+		{"retry-on-block-instant", func() Config {
+			cfg := testConfig()
+			cfg.UploadKbps = 40
+			cfg.Policy = core.Policy2N
+			cfg.RetryInterval = blockTime(cfg)
+			return cfg
+		}, "events=74425 horizon=0x40dd4c0000000000 non-sharing:1139/0x4042fd1111111111/0x402c614d852a045e sharing:1907/0x404fb91111111111/0x401cc2d64be321f0"},
+		{"terminations-on-block-instants", func() Config {
+			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
+			cfg.Ranker = credit.NewEMule()
+			cfg.StorageMinObjects, cfg.StorageMaxObjects = 3, 5
+			cfg.EvictionInterval = 4 * blockTime(cfg)
+			cfg.WhitewashInterval = 24 * blockTime(cfg)
+			cfg.RetryInterval = blockTime(cfg)
+			return cfg
+		}, "events=75492 horizon=0x40dd4c0000000000 whitewasher:126/0x4022c71c71c71c72/0x40154e6a92a23d55 non-sharing:406/0x40366e38e38e38e3/0x401bf6d9617acb10 sharing:1624/0x4050ee5555555555/0x40108c5bb3517073"},
+	}
+}

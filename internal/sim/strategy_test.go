@@ -253,14 +253,4 @@ func TestPeerClassesMatchesRun(t *testing.T) {
 
 // colResultForTest finalizes the collector mid-run the way Run does, for
 // tests that drive the engine manually.
-func (s *Sim) colResultForTest() (*Result, error) {
-	for _, p := range s.peers {
-		for _, up := range p.uploads {
-			if !up.closed {
-				s.col.sessionDone(s.q.Now(), up)
-				up.closed = true
-			}
-		}
-	}
-	return s.col.result(s.cfg.Policy.String(), s.q.Now(), s.q.Fired(), s.mix.Counts(len(s.peers))), nil
-}
+func (s *Sim) colResultForTest() (*Result, error) { return s.result(), nil }

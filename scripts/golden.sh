@@ -2,11 +2,13 @@
 # golden: the figure TSVs committed under testdata/golden are the
 # byte-identity oracle for engine work (ROADMAP Open item 3) — the quick
 # sweep of every experiment and paper-scale fig4, figw and ablation-credit,
-# all at seed 1. The last two are the ranked runs: the quick world's 30
-# peers never make a credit table grow, paper scale's 200 do.
+# all at seed 1, plus the quick sweep and fig4 again at seed 7, so a claim
+# measured at two seeds is held to both. figw and ablation-credit are the
+# ranked runs: the quick world's 30 peers never make a credit table grow,
+# paper scale's 200 do.
 #
 #   scripts/golden.sh check    regenerate each at -parallel 1 and -parallel 8
-#                              and cmp all eight outputs against the files
+#                              and cmp all twelve outputs against the files
 #   scripts/golden.sh update   rewrite the files from the working tree
 #
 # `make golden-check` is the CI gate; `make golden-update` is the only way
@@ -27,26 +29,28 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/exchsim" ./cmd/exchsim
 
-# gen <name> <parallel>: one golden's TSV on stdout.
+# gen <name> <seed> <parallel>: one golden's TSV on stdout.
 gen() {
 	case $1 in
-	all-quick) "$tmp/exchsim" -all -quick -seed 1 -parallel "$2" ;;
-	*) "$tmp/exchsim" -experiment "$1" -seed 1 -parallel "$2" ;;
+	all-quick) "$tmp/exchsim" -all -quick -seed "$2" -parallel "$3" ;;
+	*) "$tmp/exchsim" -experiment "$1" -seed "$2" -parallel "$3" ;;
 	esac
 }
 
 status=0
-for name in all-quick fig4 figw ablation-credit; do
-	file=$dir/$name.seed1.tsv
+for golden in all-quick.1 fig4.1 figw.1 ablation-credit.1 all-quick.7 fig4.7; do
+	name=${golden%.*}
+	seed=${golden##*.}
+	file=$dir/$name.seed$seed.tsv
 	case $mode in
 	update)
 		mkdir -p "$dir"
-		gen "$name" 8 >"$file"
+		gen "$name" "$seed" 8 >"$file"
 		echo "wrote $file"
 		;;
 	check)
 		for par in 1 8; do
-			gen "$name" "$par" >"$tmp/out"
+			gen "$name" "$seed" "$par" >"$tmp/out"
 			if cmp "$tmp/out" "$file"; then
 				echo "ok   $file (-parallel $par)"
 			else
