@@ -8,7 +8,7 @@ GO ?= go
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version check
+.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version size check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -190,6 +190,11 @@ lint: fmt vet doccheck unimported bartervet
 	else \
 		echo "lint: staticcheck not installed; ran gofmt + go vet only"; \
 	fi
+
+## size: non-test Go lines per package and their total outside bench/ — the
+## numbers ROADMAP's *Size* bullet and item 13 quote (scripts/size.sh).
+size:
+	./scripts/size.sh
 
 ## print-staticcheck-version: the pinned linter version, for CI to install.
 print-staticcheck-version:

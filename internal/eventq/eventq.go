@@ -85,15 +85,12 @@ type Queue struct {
 	// The fixed-delay lane (see Lane; nil until NewLane). The queue sees only
 	// its runs, already in strict (at, seq) order; the payloads sit in the
 	// typed Lane behind lane. open reports whether the tail run still takes
-	// appends (see At for the one thing that closes it). walk is the lane's
-	// run filter (Lane.SetWalk), moveBefore the instant before which it need
-	// not be asked (Lane.MoveBefore), walkLeft the entries of the run being
-	// walked that have not fired yet.
+	// appends (see At for the one thing that closes it). moveBefore is the
+	// instant before which runs are moved whole (Lane.MoveBefore), walkLeft
+	// the entries of the run being walked that have not fired yet.
 	lane       runFirer
 	laneDelay  float64
-	walk       func(at float64) bool
 	moveBefore float64
-	movedAt    float64 // instant of the last run moved
 	runs       ring[run]
 	open       bool
 	laneLen    int // payloads appended and not yet fired, dead ones included
@@ -128,7 +125,7 @@ func (q *Queue) LaneFired() uint64 { return q.laneFired }
 func (q *Queue) LaneRuns() uint64 { return q.runsFired }
 
 // LaneMoved returns how many lane runs were moved whole instead of walked
-// (see Lane.SetWalk).
+// (see Lane.MoveBefore).
 func (q *Queue) LaneMoved() uint64 { return q.runsMoved }
 
 // At schedules ev to fire at absolute virtual time at. It returns a Handle
@@ -201,9 +198,9 @@ func (q *Queue) recycle(it *item) {
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp: one heap event, or one whole lane run — every entry appended at
 // one instant, all due at the same (at, seq). It reports whether an event was
-// fired (false when the queue is empty); a run whose entries were all dead,
-// or one the lane moved instead of walking, counts as nothing, and Step goes
-// on to the next.
+// fired (false when the queue is empty); a run whose entries were all dead
+// or carried over, or one the lane moved instead of walking, counts as
+// nothing, and Step goes on to the next.
 func (q *Queue) Step() bool {
 	for {
 		due, fired := q.advance(math.Inf(1))
@@ -240,7 +237,7 @@ func (q *Queue) advance(horizon float64) (due, fired bool) {
 			if r.at > horizon {
 				return false, false
 			}
-			if q.walk != nil && r.at < q.moveBefore {
+			if r.at < q.moveBefore {
 				q.moveRuns(horizon, it)
 				return true, false
 			}

@@ -33,14 +33,14 @@ import (
 // live: a dead one must have done nothing. Only live entries count in Fired.
 // Compact drops dead entries in bulk.
 //
-// A run need not be walked at all. SetWalk installs a filter the queue asks
-// once per run: a run it declines is moved whole to the back of the lane,
-// one delay later — one block copy and one new run record, no callback.
-// That is exactly what walking would do if every live entry's callback only
-// rescheduled its payload, so the filter must decline only such runs; dead
-// entries move along until a walk or a Compact drops them. Within a walked
-// run, the entries SetWalk's pass accepts are carried over the same way,
-// each stretch of them in one copy.
+// A run need not be walked at all. Walking a run whose live entries'
+// callbacks would only reschedule their payloads ends with those payloads
+// one delay later, in order. MoveBefore names an instant before which every
+// run is of that kind, and the queue moves such runs whole to the back of
+// the lane: one block copy and one new run record, no callback. Dead entries
+// move along until a walk or a Compact drops them. Within a walked run, the
+// entries SetPass's filter accepts are carried over the same way, each
+// stretch of them in one copy.
 type Lane[T any] struct {
 	q       *Queue
 	fire    func(now float64, v T) bool
@@ -73,7 +73,7 @@ func NewLane[T any](q *Queue, delay float64, fire func(now float64, v T) bool) (
 		return nil, fmt.Errorf("%w: lane delay %v", ErrPast, delay)
 	}
 	l := &Lane[T]{q: q, fire: fire}
-	q.lane, q.laneDelay, q.moveBefore, q.movedAt = l, delay, math.Inf(-1), math.NaN()
+	q.lane, q.laneDelay, q.moveBefore = l, delay, math.Inf(-1)
 	return l, nil
 }
 
@@ -86,21 +86,16 @@ func (l *Lane[T]) Schedule(v T) {
 	l.entries.push(v)
 }
 
-// SetWalk installs the run filter (see Lane): the queue walks a run at
-// instant at only if walk(at) reports true, and moves it otherwise. walk is
-// asked just before the run would fire, with the clock still at the event
-// before it; pass is asked about each entry of a walked run as its turn
-// comes, with the clock at the run's instant, and an entry it accepts is
-// carried one delay later instead of firing. Neither may change the queue.
-// A nil walk, the default, walks every run; a nil pass fires every entry.
-func (l *Lane[T]) SetWalk(walk func(at float64) bool, pass func(v T) bool) {
-	l.q.walk, l.pass = walk, pass
-}
+// SetPass installs the filter of walked runs: pass is asked about each
+// entry of a walked run as its turn comes, with the clock at the run's
+// instant, and an entry it accepts is carried one delay later instead of
+// firing. It may not change the queue. A nil pass, the default, fires every
+// entry.
+func (l *Lane[T]) SetPass(pass func(v T) bool) { l.pass = pass }
 
-// MoveBefore tells the queue that the filter declines every run due before
-// instant at, until told otherwise: those runs are moved in a batch without
-// asking it. The default, -Inf, asks about every run; without a filter
-// every run is walked, whatever MoveBefore says.
+// MoveBefore tells the queue that every run due before instant at is of the
+// kind it may move whole (see Lane), until told otherwise. The default,
+// -Inf, moves nothing.
 func (l *Lane[T]) MoveBefore(at float64) { l.q.moveBefore = at }
 
 // Len returns the number of entries not yet fired, dead ones included.
@@ -118,8 +113,8 @@ func (l *Lane[T]) ForEach(fn func(v T) bool) {
 
 // PendingNow reports whether match holds for an entry due at the current
 // instant that has not fired yet: the rest of a run being walked, and the
-// runs at Now still queued behind a heap event. An entry a moved run carried
-// past Now counts as fired.
+// runs at Now still queued behind a heap event. An entry a run carried past
+// Now, walked or moved, counts as fired.
 func (l *Lane[T]) PendingNow(match func(v T) bool) bool {
 	q := l.q
 	n := q.walkLeft
@@ -133,11 +128,6 @@ func (l *Lane[T]) PendingNow(match func(v T) bool) bool {
 	}
 	return false
 }
-
-// MovedNow reports whether a run due at the current instant was moved
-// whole, so that its entries were carried past it without firing. (Entries
-// a walk passed over are the filter's own to know about.)
-func (l *Lane[T]) MovedNow() bool { return l.q.movedAt == l.q.clock }
 
 // Compact drops every entry keep rejects, in place: the survivors keep
 // their order and their runs, and a run left empty disappears. It may run
@@ -234,21 +224,17 @@ func (q *Queue) appendRun(at float64, n int) (joined bool) {
 	return false
 }
 
-// fireRun takes the head run off the queue and walks or moves it (see
-// Lane). A walked run's entries fire at the run's instant. The run is
-// detached first, so entries its callbacks schedule — even at this very
-// instant, with a zero delay — start a run of their own behind it. A run
-// whose entries were all dead leaves the clock where it was, as a heap-only
-// queue skipping cancelled events would, and so does a moved run, which
-// fires nothing. It reports whether any entry fired.
+// fireRun takes the head run off the queue and walks it: its entries fire
+// at the run's instant, or are carried over (SetPass). The run is detached
+// first, so entries its callbacks schedule — even at this very instant, with
+// a zero delay — start a run of their own behind it. A run whose entries
+// were all dead or carried over leaves the clock where it was, as a
+// heap-only queue skipping cancelled events would. It reports whether any
+// entry fired.
 func (q *Queue) fireRun() bool {
 	r := q.runs.pop()
 	if q.runs.n == 0 {
 		q.open = false
-	}
-	if q.walk != nil && !q.walk(r.at) {
-		q.moveRun(r)
-		return false
 	}
 	prev := q.clock
 	q.clock = r.at
@@ -263,31 +249,13 @@ func (q *Queue) fireRun() bool {
 	return true
 }
 
-// refileRun files r, just taken off the head, one delay later at the back;
-// its entries are still at the front, for the caller to move. It reports
-// whether they joined the tail run.
-func (q *Queue) refileRun(r run) (joined bool) {
-	if q.runs.n == 0 {
-		q.open = false
-	}
-	q.runsMoved++
-	q.movedAt = r.at
-	return q.appendRun(r.at+q.laneDelay, r.n)
-}
-
-// moveRun carries r, just taken off the head, one delay later to the back.
-func (q *Queue) moveRun(r run) {
-	q.refileRun(r)
-	q.lane.moveHead(r.n)
-}
-
-// moveRuns moves head runs, one after the other, while they are due before
-// moveBefore, by horizon, and before the heap's live root it (nil for
-// none): MoveBefore's batch, with no filter call, no clock change and no
-// entry copy per run. Each lap refiles the runs that were queued when it
-// began and then moves all of their entries in one copy; a run refiled in
-// this lap comes up again only in the next. Entries that join the tail run
-// while the lap has still to move it are moved at once, behind it.
+// moveRuns moves head runs whole, one after the other, while they are due
+// before moveBefore, by horizon, and before the heap's live root it (nil for
+// none): no callback, no clock change and no entry copy per run. Each lap
+// files the runs that were queued when it began one delay later at the back,
+// then moves all of their entries in one copy; a run refiled in this lap
+// comes up again only in the next. Entries that join the tail run while the
+// lap has still to move it are moved at once, behind it.
 func (q *Queue) moveRuns(horizon float64, it *item) {
 	for {
 		entries, lastSeq := 0, q.nextSeq
@@ -298,8 +266,12 @@ func (q *Queue) moveRuns(horizon float64, it *item) {
 				return
 			}
 			rn := q.runs.pop()
+			if q.runs.n == 0 {
+				q.open = false
+			}
+			q.runsMoved++
 			entries += rn.n
-			if q.refileRun(rn) && q.runs.back().seq <= lastSeq {
+			if q.appendRun(rn.at+q.laneDelay, rn.n) && q.runs.back().seq <= lastSeq {
 				q.lane.moveHead(entries)
 				entries = 0
 			}

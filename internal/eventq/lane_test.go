@@ -39,87 +39,65 @@ type ref struct {
 // the heap-only queue is the reference the lane must be indistinguishable
 // from.
 //
-// Outside walkAll, only instants k·laneDelay/4 with k mod 12 below 4 are
-// walked, and even there an entry is passed over on every other lap by the
-// parity of its id: an entry due at any other instant, or passed over, is
-// re-armed one delay later without firing. The lane moves such a run whole
-// (its filter is filter, which also tells the lane to move every run
-// before the next walked instant unasked — up to two delays ahead, so one
-// batch can move a run onto the instant of another it moves later) and
-// carries passed entries (pass); the heap-only queue fires each entry's
-// event, which re-arms it silently. A live entry therefore fires within six
-// delays. A Step of the
-// lane walks a whole run, passing over entries after the last one it fires,
-// so the heap-only queue steps on until it has passed over as many live
-// entries too (passes), and a toggle of walkAll takes effect from the next
-// instant on.
+// The harness keeps moveBefore itself, and an entry due before it is
+// re-armed one delay later without firing: the lane moves its run whole
+// (MoveBefore), and the heap-only queue fires the entry's event, which
+// re-arms it silently. After every scripted operation (plan), outside
+// walkAll and outside the windows of instants k·laneDelay/4 with k mod 12
+// below 4, moveBefore is the start of the next window: up to two delays
+// ahead, so one batch can move a run onto the instant of another it moves
+// later. Only scripted operations change moveBefore, so a run the lane has
+// begun to walk is walked by the heap-only queue too. Within a walked run,
+// outside walkAll, an entry is passed over on every other lap by the parity
+// of its id (pass): the lane carries it, the heap-only queue re-arms it. A
+// Step of the lane walks a whole run, passing over entries after the last
+// one it fires, so the heap-only queue steps on until it has passed over as
+// many live entries too (passes).
 type harness struct {
-	q     *Queue
-	lane  *Lane[*entry]
-	fired []firing
-	refs  []ref
-	next  int
-	dead  int // cancelled lane entries still queued
-	// walkAll, and its value before it was last toggled at toggledAt.
-	walkAll, wasAll bool
-	toggledAt       float64
-	passes          int // live entries passed over in walked runs
-	moveBefore      float64
+	q          *Queue
+	lane       *Lane[*entry]
+	fired      []firing
+	refs       []ref
+	next       int
+	dead       int // cancelled lane entries still queued
+	walkAll    bool
+	passes     int // live entries passed over in walked runs
+	moveBefore float64
 }
 
 func newHarness(t testing.TB, withLane bool) *harness {
-	h := &harness{q: New(), walkAll: true, wasAll: true, toggledAt: -1, moveBefore: math.Inf(-1)}
+	h := &harness{q: New(), walkAll: true, moveBefore: math.Inf(-1)}
 	if withLane {
 		lane, err := NewLane(h.q, laneDelay, h.fireEntry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lane.SetWalk(h.filter, h.pass)
+		lane.SetPass(h.pass)
 		h.lane = lane
 	}
 	return h
 }
 
-// all reports whether walkAll holds at instant at.
-func (h *harness) all(at float64) bool {
-	if at == h.toggledAt {
-		return h.wasAll
-	}
-	return h.walkAll
-}
-
-func (h *harness) walkAt(at float64) bool {
-	return h.all(at) || int(at*4/laneDelay)%12 < 4
-}
-
-// pass reports whether e, due now at a walked instant, is passed over.
+// pass reports whether e, due now in a walked run, is passed over.
 func (h *harness) pass(e *entry) bool {
-	now := h.q.Now()
-	p := !h.all(now) && (e.id+int(now/laneDelay))%2 == 0
+	p := !h.walkAll && (e.id+int(h.q.Now()/laneDelay))%2 == 0
 	if p && !e.cancelled {
 		h.passes++
 	}
 	return p
 }
 
-// filter is the lane's run filter: walkAt, and on a declined run the
-// promise that every run before the next walked instant is declined too.
-// Moves do not advance the clock, so an entry scheduled later can be due
-// before a run already moved; fixed withdraws the promise then.
-func (h *harness) filter(at float64) bool {
-	if h.walkAt(at) {
-		return true
+// plan sets moveBefore after a scripted operation: nothing moves under
+// walkAll or inside a window, and otherwise every run before the next
+// window does.
+func (h *harness) plan() {
+	h.moveBefore = math.Inf(-1)
+	if k := int(h.q.Now() * 4 / laneDelay); !h.walkAll && k%12 >= 4 {
+		h.moveBefore = float64(k+12-k%12) * laneDelay / 4
 	}
-	if at != h.toggledAt { // later instants follow walkAll, which is off
-		k := int(at * 4 / laneDelay)
-		h.setMoveBefore(float64(k+12-k%12) * laneDelay / 4)
+	if h.lane != nil {
+		h.lane.MoveBefore(h.moveBefore)
 	}
-	return false
-}
-
-func (h *harness) setMoveBefore(at float64) {
-	h.moveBefore = at
-	h.lane.MoveBefore(at)
 }
 
 // fireEntry logs e's firing and, while its chain lasts, schedules a
@@ -147,20 +125,17 @@ func (h *harness) fixed(chain int) {
 	h.next++
 	h.refs = append(h.refs, ref{e: e})
 	if h.lane != nil {
-		if h.q.Now()+laneDelay < h.moveBefore {
-			h.setMoveBefore(math.Inf(-1))
-		}
 		h.lane.Schedule(e)
 		return
 	}
 	h.arm(e)
 }
 
-// arm schedules e's event on the heap-only queue: fired at a walked
-// instant, passed over and re-armed at any other.
+// arm schedules e's event on the heap-only queue: fired at an instant the
+// lane walks, unless passed over; moved and passed over, re-armed.
 func (h *harness) arm(e *entry) {
 	hd, err := h.q.After(laneDelay, Func(func(now float64) {
-		if h.walkAt(now) && !h.pass(e) {
+		if now >= h.moveBefore && !h.pass(e) {
 			h.fireEntry(now, e)
 		} else {
 			h.arm(e)
@@ -210,7 +185,7 @@ func (h *harness) compact() {
 }
 
 // step interprets one scripted operation other than Step; arg
-// parameterizes it.
+// parameterizes it. The caller plans moveBefore after it.
 func (h *harness) step(op, arg byte) (cancelled bool) {
 	switch op % 8 {
 	case 0:
@@ -226,13 +201,7 @@ func (h *harness) step(op, arg byte) (cancelled bool) {
 	case 5:
 		h.q.RunUntil(h.q.Now() + float64(arg%8)*laneDelay/2)
 	case 6:
-		if h.q.Now() != h.toggledAt {
-			h.wasAll, h.toggledAt = h.walkAll, h.q.Now()
-		}
 		h.walkAll = !h.walkAll
-		if h.lane != nil {
-			h.setMoveBefore(math.Inf(-1))
-		}
 	case 7:
 		h.compact()
 	}
@@ -266,6 +235,8 @@ func runDifferential(t testing.TB, script []byte) {
 			t.Fatalf("op %d: lane queue cancel answered %v, heap queue %v", i/2, aC, bC)
 		}
 		check(i / 2)
+		a.plan()
+		b.plan()
 	}
 	a.q.RunUntil(a.q.Now() + 1e6)
 	b.q.RunUntil(b.q.Now() + 1e6)
@@ -417,7 +388,6 @@ func TestMoveBeforeStopsAtHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane.SetWalk(func(float64) bool { return true }, nil)
 	lane.MoveBefore(15)
 	for id := 0; id < 3; id++ { // runs at 10, 11 and 12
 		lane.Schedule(id)
@@ -470,7 +440,7 @@ func TestPendingNow(t *testing.T) {
 	if fmt.Sprint(seen) != fmt.Sprint(want) {
 		t.Fatalf("pending while firing: %v, want %v", seen, want)
 	}
-	lane.SetWalk(func(float64) bool { return false }, nil)
+	lane.MoveBefore(math.Inf(1))
 	lane.Schedule(3)
 	if _, err := q.After(laneDelay, Func(func(float64) {
 		seen = append(seen, []bool{pending(3)})
@@ -478,15 +448,8 @@ func TestPendingNow(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.RunUntil(2 * laneDelay)
-	if last := seen[len(seen)-1]; last[0] {
-		t.Fatal("an entry its moved run carried past Now still reads as pending")
-	}
-	if !lane.MovedNow() {
-		t.Fatal("MovedNow is false at the instant a run was moved")
-	}
-	q.RunUntil(2*laneDelay + 1)
-	if lane.MovedNow() {
-		t.Fatal("MovedNow is true at an instant no run was moved")
+	if last := seen[len(seen)-1]; last[0] || q.LaneMoved() != 1 {
+		t.Fatalf("after moving %d runs, an entry its moved run carried past Now reads as pending: %v", q.LaneMoved(), last[0])
 	}
 }
 
@@ -521,18 +484,23 @@ func BenchmarkLaneScheduleAndFire(b *testing.B) {
 	}
 }
 
-// TestMoveBeforeNeedsAFilter: with no run filter every run is walked, so a
-// MoveBefore promise has nothing to stand for and is ignored.
-func TestMoveBeforeNeedsAFilter(t *testing.T) {
+// TestMoveBeforeDefaultMovesNothing: until MoveBefore names an instant,
+// every run is walked; a run due before the instant it names is moved
+// whole, a delay at a time, and fires once it has reached it.
+func TestMoveBeforeDefaultMovesNothing(t *testing.T) {
 	q := New()
-	fired := 0
-	lane, err := NewLane(q, laneDelay, func(float64, int) bool { fired++; return true })
+	var got []float64
+	lane, err := NewLane(q, laneDelay, func(now float64, _ int) bool { got = append(got, now); return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane.MoveBefore(math.Inf(1))
 	lane.Schedule(0)
-	if !q.Step() || fired != 1 || q.LaneMoved() != 0 {
-		t.Fatalf("Step fired %d entries and moved %d runs, want 1 and 0", fired, q.LaneMoved())
+	if !q.Step() || len(got) != 1 || q.LaneMoved() != 0 {
+		t.Fatalf("Step fired %v and moved %d runs, want one firing and none moved", got, q.LaneMoved())
+	}
+	lane.MoveBefore(4 * laneDelay)
+	lane.Schedule(1) // due at 2·laneDelay, moved to 3·laneDelay, then 4·laneDelay
+	if !q.Step() || !slices.Equal(got, []float64{laneDelay, 4 * laneDelay}) || q.LaneMoved() != 2 {
+		t.Fatalf("Step fired at %v and moved %d runs, want the second entry at %v after 2 moves", got, q.LaneMoved(), 4*laneDelay)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Block accounting. An arrival is counted, not fired: a block changes only
 // the session's sent, its download's receivedKbits, the collector's window
@@ -10,27 +13,22 @@ import "math"
 // after the last, by the lane's own float addition — so session.next says
 // which have been credited, and the clock which have arrived.
 //
-// The tie rule: an arrival due now has arrived iff its lane entry has
-// fired, walked or carried past (Lane.PendingNow). The readers are a
-// terminating session, a completing download's other feeders, pickWaiting's
-// Score (the server's and the requester's open sessions: Ranker's
-// contract) and the horizon. OnWhitewash follows a departure that ended,
-// and so credited, every session of the peer.
+// The tie rule: an arrival due now has arrived iff Lane.PendingNow no longer
+// holds its entry. The readers are a terminating session, a completing
+// download's other feeders, pickWaiting's Score (the server's and the
+// requester's open sessions: Ranker's contract), fileDue and the horizon.
+// OnWhitewash follows a departure that ended, and so credited, every
+// session of the peer.
 //
 // The lane walks only runs at which a download is due: every download with
-// a feeder sits in the due heap under a lower bound of the instant its
-// feeders' merged arrivals reach ObjectKbits, made exact when the lane
-// reaches it (walkRun). Other runs move whole, and a walk fires only the
-// arrivals of the due downloads' feeders (passOver).
+// a feeder sits in the due heap under the exact instant its feeders' merged
+// arrivals reach ObjectKbits (fileDue), and the lane moves every run before
+// the earliest one whole. A walk fires only the arrivals of the downloads
+// due now (passOver).
 //
-// Counting in bulk is exact while every sum of blocks is: a whole BlockKbits
-// keeps sums integral, and at most 2^20 blocks an object keep the bound's
-// margin above the grid's rounding. Other configurations walk every run and
-// credit each block as it fires.
-
-// dueMargin scales a bound computed in one multiply-add below what k < 2^22
-// float additions can reach: they drift by less than k·2^-53 of the instant.
-const dueMargin = 1 - 0x1p-30
+// Counting in bulk is exact while every sum of blocks is, which a whole
+// BlockKbits keeps. Other configurations walk every run and credit each
+// block as it fires.
 
 // deadShare bounds the lane's dead entries to 1/deadShare of its live ones.
 // On the paper-scale fig4 slice without exchanges, 1/4 moves 1.7 % more
@@ -40,30 +38,19 @@ const dueMargin = 1 - 0x1p-30
 const deadShare = 4
 
 // lazyBlocks reports whether cfg's block arithmetic is exact in bulk.
-func lazyBlocks(cfg Config) bool {
-	return cfg.BlockKbits == math.Trunc(cfg.BlockKbits) && cfg.ObjectKbits/cfg.BlockKbits <= 1<<20
-}
+func lazyBlocks(cfg Config) bool { return cfg.BlockKbits == math.Trunc(cfg.BlockKbits) }
 
 // credit brings sess up to now: every arrival before it, and the one at it
-// if the tie rule says it arrived. That needs asking only if it may have
-// gone by uncredited: a fired arrival was credited as it fired.
+// if the tie rule says it arrived.
 func (s *Sim) credit(sess *session) {
 	now := s.q.Now()
 	if sess.next > now {
 		return
 	}
 	s.creditUntil(sess, now, false)
-	if sess.next == now && s.passedNow(sess) && !s.arrivalPending(sess) {
+	if sess.next == now && !s.arrivalPending(sess) {
 		s.creditUntil(sess, now, true)
 	}
-}
-
-// passedNow reports whether sess's arrival due now may have been carried
-// past it: by a moved run, or by a walk that did not stamp sess. Walks at
-// one instant pass over only what the last did not stamp: the downloads due
-// at an instant only leave, and a new feeder's first arrival is later.
-func (s *Sim) passedNow(sess *session) bool {
-	return s.blocks.MovedNow() || s.stampAt == s.q.Now() && s.feeder[sess.id] != s.stamp
 }
 
 // arrivalPending reports whether sess's lane entry is due now, unfired.
@@ -120,37 +107,15 @@ func (s *Sim) retireArrival() {
 
 func (s *Sim) liveArrival(a arrival) bool { return a.gen == s.sessions[a.id].gen }
 
-// walkRun is the lane's run filter: after refining every bound at or before
-// at, the run at at is walked iff a download is due at it, and the feeders
-// of the due downloads get a fresh stamp.
-func (s *Sim) walkRun(at float64) bool {
-	for dl := s.dues.boundBy(0, at); dl != nil; dl = s.dues.boundBy(0, at) {
-		s.refineDue(dl, at)
-	}
-	if s.dues.min() > at {
-		return false
-	}
-	s.stamp++
-	s.stampAt = at
-	s.stampFeeders(0, at)
-	return true
+// passOver is the lane's pass: a walk fires the live arrivals of the
+// downloads due now and carries the rest over, as a moved run would; a dead
+// arrival fires, which drops it. While an instant is walked its due set only
+// shrinks: a feeder that ends makes its download due later, and a new
+// feeder's first arrival is a block time away.
+func (s *Sim) passOver(a arrival) bool {
+	sess := s.sessions[a.id]
+	return sess.gen == a.gen && s.dues[sess.dl.dueAt].due > s.q.Now()
 }
-
-// stampFeeders stamps the feeders of the downloads due by at in the heap's
-// subtree at i.
-func (s *Sim) stampFeeders(i int, at float64) {
-	if i < len(s.dues) && s.dues[i].due <= at {
-		for _, f := range s.dues[i].dl.sessions {
-			s.feeder[f.id] = s.stamp
-		}
-		s.stampFeeders(2*i+1, at)
-		s.stampFeeders(2*i+2, at)
-	}
-}
-
-// passOver is the lane's pass: a walk carries the arrivals of unstamped
-// sessions over, dead or alive, as a moved run would.
-func (s *Sim) passOver(a arrival) bool { return s.feeder[a.id] != s.stamp }
 
 // needed returns the least m >= 1 with received + m·BlockKbits >=
 // ObjectKbits.
@@ -166,67 +131,39 @@ func (s *Sim) needed(received float64) int {
 	return m
 }
 
-// boundDue re-bounds dl's due instant after its feeders changed: f feeders
-// make m arrivals no sooner than ceil(m/f)-1 block times after the earliest
-// uncredited one.
-func (s *Sim) boundDue(dl *download) {
-	switch {
-	case dl.done:
-	case len(dl.sessions) == 0:
-		s.dropDue(dl)
-	default:
-		first := dl.sessions[0].next
-		for _, f := range dl.sessions[1:] {
-			first = min(first, f.next)
+// fileDue files dl in the due heap under the exact instant it completes at,
+// after its feeders changed, or takes it out when it has none or is done.
+// Each feeder is credited with its arrivals before now, so the next ones
+// all lie in [now, now+Δ] (a new feeder's is now+Δ), and since float
+// addition is monotone their grids interleave in that order from then on:
+// the m-th merged arrival is the ((m−1) mod f)-th of them, advanced
+// (m−1)/f block times.
+func (s *Sim) fileDue(dl *download) {
+	if dl.done || len(dl.sessions) == 0 {
+		if dl.dueAt >= 0 {
+			s.dues.remove(dl)
+			s.moveBefore()
 		}
-		rounds := (s.needed(dl.receivedKbits)+len(dl.sessions)-1)/len(dl.sessions) - 1
-		dl.exact = false
-		s.setDue(dl, (first+float64(rounds)*s.grid.delay)*dueMargin)
+		return
 	}
-}
-
-// refineDue makes dl's due instant exact just before the lane fires a run at
-// at: every arrival before at has fired, so its feeders are credited up to
-// at and the few blocks still needed are replayed.
-func (s *Sim) refineDue(dl *download, at float64) {
+	now := s.q.Now()
 	next := s.nextScratch[:0]
 	for _, f := range dl.sessions {
-		s.creditUntil(f, at, false)
+		s.creditUntil(f, now, false)
 		next = append(next, f.next)
 	}
+	slices.Sort(next)
 	s.nextScratch = next
-	dl.exact = true
-	s.setDue(dl, s.mergedArrival(next, s.needed(dl.receivedKbits)))
+	m := s.needed(dl.receivedKbits) - 1
+	s.dues.set(dl, s.grid.step(next[m%len(next)], m/len(next)))
+	s.moveBefore()
 }
 
-// setDue and dropDue file dl in the due heap and take it out, and tell the
-// lane that no run before the earliest due instant needs asking.
-func (s *Sim) setDue(dl *download, due float64) {
-	s.dues.set(dl, due)
-	s.blocks.MoveBefore(s.dues.min())
-}
-
-func (s *Sim) dropDue(dl *download) {
-	if dl.dueAt >= 0 {
-		s.dues.remove(dl)
+// moveBefore tells the lane that no run before the earliest due instant
+// needs walking; an eager run walks them all.
+func (s *Sim) moveBefore() {
+	if !s.eager {
 		s.blocks.MoveBefore(s.dues.min())
-	}
-}
-
-// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
-// next on, advancing next.
-func (s *Sim) mergedArrival(next []float64, m int) float64 {
-	for {
-		i := 0
-		for j := range next {
-			if next[j] < next[i] {
-				i = j
-			}
-		}
-		if m--; m == 0 {
-			return next[i]
-		}
-		next[i] += s.grid.delay
 	}
 }
 
@@ -274,29 +211,33 @@ func (g grid) count(t, limit float64, atLimit bool) (int, float64) {
 	return n, t
 }
 
+// step returns t advanced k grid points, exactly as k replays of t += delay
+// would, a binade at a time as count goes: the sums inside t's binade are
+// exact, and one multiply-add rounds the first to leave it as its addition
+// does.
+func (g grid) step(t float64, k int) float64 {
+	for k > 0 {
+		j := 1
+		if g.whole && t < 1<<52 {
+			top := math.Float64frombits((math.Float64bits(t)>>52 + 1) << 52)
+			j = min(k, max(1, int((top-t)/g.delay)))
+			for j < k && t+float64(j)*g.delay < top {
+				j++
+			}
+		}
+		t, k = t+float64(j)*g.delay, k-j
+	}
+	return t
+}
+
 // dueHeap is a binary min-heap of downloads by due instant, kept in the
-// heap itself so the lane's question reads one slot; each download keeps
-// its index in dueAt.
+// heap itself so min and passOver read one slot; each download keeps its
+// index in dueAt.
 type dueHeap []dueEntry
 
 type dueEntry struct {
 	due float64
 	dl  *download
-}
-
-// boundBy returns a download in the subtree at i filed under a bound at or
-// before at, or nil.
-func (h dueHeap) boundBy(i int, at float64) *download {
-	if i >= len(h) || h[i].due > at {
-		return nil
-	}
-	if !h[i].dl.exact {
-		return h[i].dl
-	}
-	if dl := h.boundBy(2*i+1, at); dl != nil {
-		return dl
-	}
-	return h.boundBy(2*i+2, at)
 }
 
 func (h dueHeap) min() float64 {

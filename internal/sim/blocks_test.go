@@ -3,9 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"barter/internal/core"
+	"barter/internal/eventq"
+	"barter/internal/strategy"
 )
 
 // replay is the lane's arithmetic, one float addition per arrival: what
@@ -20,9 +23,10 @@ func replay(t, delay, limit float64, atLimit bool) (int, float64) {
 }
 
 // TestGridCountMatchesReplay: counting arrivals a binade at a time gives the
-// count and the next arrival that one addition per arrival gives, for whole
-// and fractional delays, fractional starts, limits on grid points and off
-// them, across binade boundaries.
+// count and the next arrival that one addition per arrival gives, and
+// stepping that many arrivals a binade at a time lands on the same one, for
+// whole and fractional delays, fractional starts, limits on grid points and
+// off them, across binade boundaries.
 func TestGridCountMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	delays := []float64{1, 25, 50, 3, 7, 1000, 0.5, 50.0 / 3, 166.66666666666666}
@@ -48,6 +52,66 @@ func TestGridCountMatchesReplay(t *testing.T) {
 			if gn != wn || gt != wt {
 				t.Fatalf("count(%v, %v, %v) with delay %v = %d, %v; replay %d, %v", start, limit, atLimit, delay, gn, gt, wn, wt)
 			}
+			if st := g.step(start, wn); st != wt {
+				t.Fatalf("step(%v, %d) with delay %v = %v; replay %v", start, wn, delay, st, wt)
+			}
+		}
+	}
+}
+
+// TestFileDueMatchesReplay is the property behind fileDue: for feeders whose
+// credited cursors lag the clock or sit on it, and new feeders one block
+// time out (ties and binade crossings included), the filed instant is the
+// m-th arrival of the feeders' grids merged by replay, after crediting every
+// arrival before now.
+func TestFileDueMatchesReplay(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		delay := []float64{1, 50, 7, 0.5, 50.0 / 3}[r.Intn(5)]
+		g := newGrid(delay)
+		now := r.Float64() * math.Ldexp(1, r.Intn(22))
+		if r.Intn(3) == 0 { // a binade boundary within a few block times
+			now = math.Ldexp(1, r.Intn(22)) - float64(r.Intn(6))*delay*r.Float64()
+		}
+		now = math.Max(now, 0)
+		blocks := 1 + r.Intn(400)
+		s := &Sim{
+			cfg:   Config{BlockKbits: 1, ObjectKbits: float64(blocks)},
+			q:     eventq.New(),
+			grid:  g,
+			col:   newCollector(0, strategy.LegacyMix(0.5)),
+			eager: true, // no lane to tell
+		}
+		s.q.RunUntil(now)
+		dl := &download{dueAt: -1, receivedKbits: float64(r.Intn(blocks))}
+		var cursors []float64
+		for f := 1 + r.Intn(5); f > 0; f-- {
+			next := now + delay // a feeder started now
+			switch r.Intn(4) {
+			case 0: // lagging by up to a few dozen block times
+				next = math.Max(0, now-delay*float64(r.Intn(40))-delay*r.Float64())
+			case 1: // on the clock
+				next = now
+			case 2: // tied with an earlier feeder
+				if len(cursors) > 0 {
+					next = cursors[r.Intn(len(cursors))]
+				}
+			}
+			cursors = append(cursors, next)
+			dl.sessions = append(dl.sessions, &session{dl: dl, next: next})
+		}
+		received, next := dl.receivedKbits, slices.Clone(cursors)
+		for j := range next {
+			n, after := g.count(next[j], now, false)
+			received, next[j] = received+float64(n), after
+		}
+		s.fileDue(dl)
+		if received >= float64(blocks) {
+			continue // whole before now: the engine completes such a download as its last block fires
+		}
+		want := s.mergedArrival(next, s.needed(received))
+		if got := s.dues.min(); got != want {
+			t.Fatalf("delay %v, now %v, cursors %v, %v of %d blocks: filed at %v, replay %v", delay, now, cursors, dl.receivedKbits, blocks, got, want)
 		}
 	}
 }
@@ -60,7 +124,9 @@ func runEager(t *testing.T, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.blocks.SetWalk(nil, nil)
+	s.eager = true
+	s.blocks.SetPass(nil)
+	s.blocks.MoveBefore(math.Inf(-1))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +147,23 @@ func paperScale(ul float64, pol core.Policy, duration float64) Config {
 	return cfg
 }
 
+// hugeObjects is a six-peer world of objects over 2^20 blocks of one block
+// time each, whose grids run past 3·2^20 block times; ten downloads
+// complete at seed 1.
+func hugeObjects() Config {
+	cfg := testConfig()
+	cfg.NumPeers = 6
+	cfg.Catalog.Categories = 2
+	cfg.Catalog.ObjectsPerCategoryMin, cfg.Catalog.ObjectsPerCategoryMax = 2, 3
+	cfg.Catalog.CategoriesPerPeerMin, cfg.Catalog.CategoriesPerPeerMax = 1, 2
+	cfg.StorageMinObjects, cfg.StorageMaxObjects = 1, 2
+	cfg.SlotKbps, cfg.UploadKbps, cfg.DownloadKbps = 10, 20, 30
+	cfg.BlockKbits = 10
+	cfg.ObjectKbits = 10 * (1<<20 + 7)
+	cfg.Duration = 3 << 20
+	return cfg
+}
+
 // TestLazyMatchesEager holds the counted run to the fired one: on every
 // TestPinnedAccounting world and on two paper-scale ones, counts, block
 // accounting and per-ring-size session statistics are identical.
@@ -89,6 +172,7 @@ func TestLazyMatchesEager(t *testing.T) {
 	cases = append(cases,
 		accountingCase{name: "paper-no-exchange", cfg: func() Config { return paperScale(140, core.PolicyNoExchange, 60_000) }},
 		accountingCase{name: "paper-2-5-way", cfg: func() Config { return paperScale(40, core.Policy2N, 25_000) }},
+		accountingCase{name: "over-2^20-blocks", cfg: hugeObjects},
 	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -75,7 +75,7 @@ func TestRepeatedDisconnectRejoinSamePeer(t *testing.T) {
 	}
 	s.RunUntil(3_000)
 	victim := core.PeerID(0)
-	for i := 0; !s.PeerIsSharing(victim); i++ {
+	for i := 0; !s.peers[victim].sharing; i++ {
 		victim = core.PeerID(int32(i))
 	}
 	for flap := 0; flap < 30; flap++ {

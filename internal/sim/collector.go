@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"barter/internal/metrics"
 	"barter/internal/strategy"
@@ -202,50 +200,6 @@ func (r *Result) SpeedupSharingVsNonSharing() float64 {
 		return math.NaN()
 	}
 	return n / s
-}
-
-// Summary renders a human-readable digest of the run.
-func (r *Result) Summary() string {
-	sn, sm, smb := r.side(true)
-	nn, nm, nmb := r.side(false)
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s horizon=%.0fs events=%d\n", r.Policy, r.SimulatedSeconds, r.Events)
-	fmt.Fprintf(&b, "downloads: sharing %d (mean %.1f min), non-sharing %d (mean %.1f min), speedup %.2fx\n",
-		sn, sm, nn, nm, r.SpeedupSharingVsNonSharing())
-	fmt.Fprintf(&b, "sessions:")
-	keys := make([]string, 0, len(r.SessionCount))
-	for k := range r.SessionCount {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%d", k, r.SessionCount[k])
-	}
-	fmt.Fprintf(&b, " (exchange fraction %.2f)\n", r.ExchangeFraction)
-	fmt.Fprintf(&b, "volume/peer: sharing %.0f MB, non-sharing %.0f MB\n", smb, nmb)
-	if r.hasRichMix() {
-		for _, c := range r.Classes {
-			fmt.Fprintf(&b, "class %s: %d peers, %d done (mean %.1f min)",
-				c.Label, c.Peers, c.Completed, c.DownloadTime.Mean())
-			if c.Whitewashes > 0 {
-				fmt.Fprintf(&b, ", %d whitewashes", c.Whitewashes)
-			}
-			if c.Flips > 0 {
-				fmt.Fprintf(&b, ", %d flips", c.Flips)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// hasRichMix reports whether the run used anything beyond the legacy
-// two-class population (whose Summary layout predates per-class results).
-func (r *Result) hasRichMix() bool {
-	if len(r.Classes) != 2 {
-		return len(r.Classes) > 0
-	}
-	return r.Classes[0].Label != strategy.LabelNonSharing || r.Classes[1].Label != strategy.LabelSharing
 }
 
 // classStats accumulates one strategy class's window metrics.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"barter/internal/metrics"
@@ -81,27 +80,40 @@ func TestSpeedupSharingVsNonSharing(t *testing.T) {
 	}
 }
 
+// TestSummaryContents: the collector's tallies reach Result's headline
+// fields as they were counted — policy, events and horizon, the sides'
+// completions, means and speedup, the session counts and exchange
+// fraction — and a legacy run reports exactly its two classes.
 func TestSummaryContents(t *testing.T) {
 	c := testCollector([]float64{10, 20}, []float64{40})
 	c.bySize = []ringTally{1: {count: 1}, 2: {count: 3}} // non-exchange, pairwise
 	c.exchSessions, c.allSessions = 3, 4
-	res := c.result("2-5-way", 30_000, 12345, []int{1, 1})
-	sum := res.Summary()
-	for _, want := range []string{
-		"policy=2-5-way", "events=12345",
-		"sharing 2 (mean 15.0 min)", "non-sharing 1 (mean 40.0 min)",
-		"speedup 2.67x", "pairwise=3", "non-exchange=1", "exchange fraction 0.75",
-	} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("Summary missing %q:\n%s", want, sum)
-		}
+	res := c.result("2-5-way", 30_000, 12345, []int{1, 2})
+	if res.Policy != "2-5-way" || res.Events != 12345 || res.SimulatedSeconds != 30_000 {
+		t.Fatalf("policy/events/horizon = %s/%d/%v", res.Policy, res.Events, res.SimulatedSeconds)
 	}
-	// The legacy two-class layout must not grow per-class lines.
-	if strings.Contains(sum, "class ") {
-		t.Fatalf("legacy summary gained class lines:\n%s", sum)
+	if completed(res, true) != 2 || res.MeanDownloadMin(true) != 15 ||
+		completed(res, false) != 1 || res.MeanDownloadMin(false) != 40 {
+		t.Fatalf("sides: sharing %d (mean %v), non-sharing %d (mean %v); want 2 (15), 1 (40)",
+			completed(res, true), res.MeanDownloadMin(true), completed(res, false), res.MeanDownloadMin(false))
+	}
+	if got := res.SpeedupSharingVsNonSharing(); math.Abs(got-40.0/15) > 1e-12 {
+		t.Fatalf("speedup = %v, want 40/15", got)
+	}
+	if res.SessionCount[TypeNonExchange] != 1 || res.SessionCount[TypePairwise] != 3 || res.ExchangeFraction != 0.75 {
+		t.Fatalf("session counts %v, exchange fraction %v; want 1 non-exchange, 3 pairwise, 0.75", res.SessionCount, res.ExchangeFraction)
+	}
+	if len(res.Classes) != 2 || res.Class(strategy.LabelSharing) == nil || res.Class(strategy.LabelNonSharing) == nil {
+		t.Fatalf("legacy run classes = %+v", res.Classes)
+	}
+	nonSharing, sharing := res.Classes[0], res.Classes[1]
+	if nonSharing.Peers != 1 || nonSharing.Completed != 1 || sharing.Peers != 2 || sharing.Completed != 2 {
+		t.Fatalf("classes %+v", res.Classes)
 	}
 }
 
+// TestSummaryRichMixAddsClassLines: in a rich mix every class has its own
+// Result entry with its size, completions and whitewashes.
 func TestSummaryRichMixAddsClassLines(t *testing.T) {
 	mix := strategy.Mix{
 		{Strategy: strategy.Whitewasher(), Frac: 0.5},
@@ -111,9 +123,15 @@ func TestSummaryRichMixAddsClassLines(t *testing.T) {
 	c.downloadDone(1, 0, 30)
 	c.whitewashes[0] = 4
 	res := c.result("2-5-way", 1000, 1, []int{2, 2})
-	sum := res.Summary()
-	if !strings.Contains(sum, "class whitewasher: 2 peers, 1 done") || !strings.Contains(sum, "4 whitewashes") {
-		t.Fatalf("rich-mix summary missing class line:\n%s", sum)
+	ww := res.Class(strategy.LabelWhitewasher)
+	if len(res.Classes) != 2 || ww == nil {
+		t.Fatalf("rich-mix classes = %+v", res.Classes)
+	}
+	if ww.Peers != 2 || ww.Completed != 1 || ww.Whitewashes != 4 {
+		t.Fatalf("whitewasher class = %+v; want 2 peers, 1 done, 4 whitewashes", *ww)
+	}
+	if other := res.Classes[1]; other.Completed != 0 || other.Whitewashes != 0 {
+		t.Fatalf("sharing class = %+v; want no completions or whitewashes", other)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"barter/internal/catalog"
@@ -41,16 +40,14 @@ type Sim struct {
 	// size), so the run's dominant event never touches the heap, and the
 	// arrivals due at one instant are one run, moved whole unless a download
 	// is due at it (blocks.go). arrived counts the blocks credited, open the
-	// open sessions; feeder holds per session id the stamp of the last walk
-	// that found it feeding a due download, at stampAt.
+	// open sessions; eager walks every run and credits each block as it
+	// fires, where sums of blocks are not exact in bulk.
 	blocks  *eventq.Lane[arrival]
 	grid    grid
 	arrived uint64
 	open    int
 	dues    dueHeap
-	feeder  []uint32
-	stamp   uint32
-	stampAt float64
+	eager   bool
 	r       *rng.RNG
 	cat     *catalog.Catalog
 	peers   []*peerState
@@ -145,14 +142,14 @@ func New(cfg Config) (*Sim, error) {
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
 		grid:    newGrid(cfg.BlockKbits / cfg.SlotKbps),
-		stampAt: math.NaN(),
+		eager:   !lazyBlocks(cfg),
 	}
 	if s.blocks, err = eventq.NewLane(s.q, s.grid.delay, s.onBlock); err != nil {
 		return nil, fmt.Errorf("sim: block lane: %w", err)
 	}
-	if lazyBlocks(cfg) {
-		s.blocks.SetWalk(s.walkRun, s.passOver)
-		s.blocks.MoveBefore(math.Inf(1))
+	if !s.eager {
+		s.blocks.SetPass(s.passOver)
+		s.moveBefore()
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -331,7 +328,6 @@ func (s *Sim) newSession() *session {
 	}
 	sess := &session{id: uint32(len(s.sessions))}
 	s.sessions = append(s.sessions, sess)
-	s.feeder = append(s.feeder, 0)
 	return sess
 }
 
@@ -451,7 +447,7 @@ func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
 			p.pending = slices.Delete(p.pending, i, i+1)
 			s.moveFree(p, obj, +1)
 			dl.done = true
-			s.dropDue(dl)
+			s.fileDue(dl)
 			break
 		}
 	}
@@ -807,7 +803,7 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	dst.downloads = append(dst.downloads, sess)
 	s.blocks.Schedule(arrival{id: sess.id, gen: sess.gen})
 	s.open++
-	s.boundDue(sess.dl)
+	s.fileDue(sess.dl)
 	return sess
 }
 
@@ -821,13 +817,13 @@ type arrival struct {
 }
 
 // onBlock is the block lane's callback for a walked run, which fires only
-// the arrivals of the feeders its walk stamped (passOver): one block of a
+// the arrivals of the downloads due now (passOver): one block of a
 // transfer, and with it every block of the session the lane carried past
-// uncounted. If the download may be due now, its other feeders are
-// credited up to this arrival too, and the download completes if that
-// makes it whole. It reports whether the arrival was live. The hot path
-// neither allocates nor sifts a heap, and reaps only when an earlier event
-// retired something.
+// uncounted. If the download is due now, its other feeders are credited
+// up to this arrival too, and the download completes if that makes it
+// whole. It reports whether the arrival was live. The hot path neither
+// allocates nor sifts a heap, and reaps only when an earlier event retired
+// something.
 func (s *Sim) onBlock(now float64, a arrival) bool {
 	sess := s.sessions[a.id]
 	if sess.gen != a.gen {
@@ -870,7 +866,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	dst := s.peers[sess.dst]
 	dst.downloads = removeSession(dst.downloads, sess)
 	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
-	s.boundDue(sess.dl)
+	s.fileDue(sess.dl)
 	if sess.entry != nil && sess.entry.session == sess {
 		sess.entry.session = nil
 		s.adj[src.id].ok = false
@@ -1247,13 +1243,6 @@ func (s *Sim) whitewash(p *peerState) {
 	}
 	s.after(s.cfg.whitewashInterval(), func(float64) { s.whitewash(p) })
 }
-
-// PeerIsSharing reports whether a peer is currently contributing (exported
-// for tests/examples; adaptive peers toggle this at runtime).
-func (s *Sim) PeerIsSharing(id core.PeerID) bool { return s.peers[id].sharing }
-
-// PeerClassLabel reports the strategy-class label of a peer.
-func (s *Sim) PeerClassLabel(id core.PeerID) string { return s.peers[id].strat.Name }
 
 // SearchOnce runs one ring search rooted at the given peer under an
 // arbitrary policy without mutating any state. It reports whether a

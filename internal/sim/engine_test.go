@@ -318,7 +318,7 @@ func TestDisconnectPeerMidRun(t *testing.T) {
 	// Disconnect the busiest sharing peers to maximize teardown coverage.
 	var disconnected int
 	for id := 0; id < s.NumPeers() && disconnected < 5; id++ {
-		if s.PeerIsSharing(core.PeerID(id)) {
+		if s.peers[id].sharing {
 			s.DisconnectPeer(core.PeerID(id))
 			disconnected++
 		}
@@ -341,7 +341,7 @@ func TestRejoinPeer(t *testing.T) {
 	s.RunUntil(3_000)
 	var victim core.PeerID = -1
 	for id := 0; id < s.NumPeers(); id++ {
-		if s.PeerIsSharing(core.PeerID(id)) {
+		if s.peers[id].sharing {
 			victim = core.PeerID(id)
 			break
 		}
@@ -366,13 +366,6 @@ func TestTypeLabel(t *testing.T) {
 		if got := TypeLabel(size); got != want {
 			t.Fatalf("TypeLabel(%d) = %q, want %q", size, got, want)
 		}
-	}
-}
-
-func TestResultSummary(t *testing.T) {
-	res := runOne(t, shortConfig())
-	if res.Summary() == "" {
-		t.Fatal("empty summary")
 	}
 }
 

@@ -253,9 +253,8 @@ func (s *Sim) delivered(sess *session) (int, float64) {
 // session's credited blocks are a prefix of those delivered, and its cursor
 // is the grid point after them. Every pending download, counting what its
 // feeders delivered and what closed feeders finished, is short of its
-// object; one with a feeder sits in the due heap, in heap order, under its
-// due instant — the recount's exact one, or a bound not after it — and
-// that instant is not in the past.
+// object; one with a feeder sits in the due heap, in heap order, under the
+// recount's due instant, which is not in the past.
 func (s *Sim) checkBlocks() error {
 	now, b := s.q.Now(), s.cfg.BlockKbits
 	for _, p := range s.peers {
@@ -284,13 +283,12 @@ func (s *Sim) checkBlocks() error {
 			if dl.dueAt < 0 || dl.dueAt >= len(s.dues) || s.dues[dl.dueAt].dl != dl {
 				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
 			}
-			due := s.dues[dl.dueAt].due
-			exact := s.mergedArrival(next, s.needed(got))
+			due, want := s.dues[dl.dueAt].due, s.mergedArrival(next, s.needed(got))
 			switch {
-			case exact < now:
-				return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, exact, now)
-			case dl.exact && due != exact || due > exact:
-				return fmt.Errorf("peer %d download %d filed due at %v (exact %v), recount says %v", p.id, dl.object, due, dl.exact, exact)
+			case want < now:
+				return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, want, now)
+			case due != want:
+				return fmt.Errorf("peer %d download %d filed due at %v, recount says %v", p.id, dl.object, due, want)
 			}
 		}
 	}
@@ -303,6 +301,23 @@ func (s *Sim) checkBlocks() error {
 		}
 	}
 	return nil
+}
+
+// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
+// next on, advancing next: the replay fileDue's interleave must match.
+func (s *Sim) mergedArrival(next []float64, m int) float64 {
+	for {
+		i := 0
+		for j := range next {
+			if next[j] < next[i] {
+				i = j
+			}
+		}
+		if m--; m == 0 {
+			return next[i]
+		}
+		next[i] += s.grid.delay
+	}
 }
 
 // checkArrivals verifies the block lane against the sessions: every open

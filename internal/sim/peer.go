@@ -21,11 +21,9 @@ type download struct {
 	// not in it yet.
 	receivedKbits float64
 	// dueAt is the download's place in the engine's due heap, under the
-	// earliest instant it can complete at — exact once the lane has refined
-	// it, a lower bound until then — or -1 when it is not there: no feeder,
-	// or no longer pending, which done marks.
+	// instant it completes at if its feeders keep feeding, or -1 when it is
+	// not there: no feeder, or no longer pending, which done marks.
 	dueAt int
-	exact bool
 	done  bool
 	// providers is the lookup result plus any later-learned holders; it is
 	// the set a ring search may close through: about LookupMax distinct ids

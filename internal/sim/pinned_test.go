@@ -32,6 +32,13 @@ func pinnedCounts(r *Result) string {
 	return b.String()
 }
 
+// fingerprint is everything the pinned tests render of one run: two runs
+// that agree on it agree on every count, float bit and session sample they
+// pin.
+func fingerprint(r *Result) string {
+	return pinnedCounts(r) + "\n" + pinnedAccounting(r) + "\n" + pinnedSessions(r)
+}
+
 // TestPinnedCounts is the in-suite form of "the traversal did not change":
 // the counts below were captured on the commit before the event queue gained
 // its fixed-delay lane and peer membership became dense, and every later

@@ -227,8 +227,8 @@ func TestWhitewashResetsRanker(t *testing.T) {
 		t.Fatal("ranker never saw a whitewash")
 	}
 	for id := range rec.resets {
-		if s.PeerClassLabel(id) != strategy.LabelWhitewasher {
-			t.Fatalf("peer %d (%s) reset the ranker but is not a whitewasher", id, s.PeerClassLabel(id))
+		if s.peers[id].strat.Name != strategy.LabelWhitewasher {
+			t.Fatalf("peer %d (%s) reset the ranker but is not a whitewasher", id, s.peers[id].strat.Name)
 		}
 	}
 }

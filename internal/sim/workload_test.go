@@ -44,17 +44,17 @@ func TestWorkloadRunCompletesDownloads(t *testing.T) {
 }
 
 // TestWorkloadDeterminism pins the engine contract in workload mode: equal
-// Configs (including Seed) produce byte-identical summaries.
+// Configs (including Seed) produce identical fingerprints.
 func TestWorkloadDeterminism(t *testing.T) {
 	cfg := quickWorkloadConfig()
 	cfg.Workload, _ = workload.Builtin("waves")
-	a := runOnce(t, cfg).Summary()
-	b := runOnce(t, cfg).Summary()
+	a := fingerprint(runOnce(t, cfg))
+	b := fingerprint(runOnce(t, cfg))
 	if a != b {
 		t.Errorf("workload runs diverged:\n%s\nvs\n%s", a, b)
 	}
 	cfg.Seed = 2
-	if c := runOnce(t, cfg).Summary(); c == a {
+	if c := fingerprint(runOnce(t, cfg)); c == a {
 		t.Error("different seeds produced identical runs")
 	}
 }
@@ -175,8 +175,8 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Trace = syntheticTrace()
 	cfg.WarmupFrac = 0
-	a := runOnce(t, cfg).Summary()
-	b := runOnce(t, cfg).Summary()
+	a := fingerprint(runOnce(t, cfg))
+	b := fingerprint(runOnce(t, cfg))
 	if a != b {
 		t.Errorf("replays diverged:\n%s\nvs\n%s", a, b)
 	}
@@ -239,8 +239,8 @@ func TestTraceConfigCapsBlockSize(t *testing.T) {
 // cheap canary).
 func TestLegacyUnaffectedByNewFields(t *testing.T) {
 	cfg := quickWorkloadConfig()
-	a := runOnce(t, cfg).Summary()
-	b := runOnce(t, cfg).Summary()
+	a := fingerprint(runOnce(t, cfg))
+	b := fingerprint(runOnce(t, cfg))
 	if a != b {
 		t.Error("legacy run no longer deterministic")
 	}
