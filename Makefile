@@ -99,13 +99,11 @@ soak:
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -quick -tcp -v
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 120 -mediators 4 -medkills 10 -meddata "$$(mktemp -d)" -quick -v
 
-## fuzz-smoke: a short native-fuzzing pass over the wire codec and over the
-## event queue's lane-vs-heap differential; CI runs it in the short job so
-## every push hammers DecodeBuf with fresh mutated frames and the queue with
-## fresh schedule/cancel/run interleavings.
+## fuzz-smoke: a short native-fuzzing pass over the wire codec; CI runs it
+## in the short job so every push hammers DecodeBuf with fresh mutated
+## frames.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/protocol
-	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/eventq
 
 ## bench-smoke: every Go microbenchmark (`func Benchmark*`) run for one
 ## iteration, so one that stops compiling or starts panicking fails CI's

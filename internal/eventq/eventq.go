@@ -1,6 +1,5 @@
 // Package eventq implements the future event list of a discrete-event
-// simulation: a 4-ary min-heap of timestamped events, a typed O(1) FIFO lane
-// for events that all share one constant delay, and a virtual clock.
+// simulation: one 4-ary min-heap of timestamped events and a virtual clock.
 //
 // Determinism is a design requirement for the reproduction study: two runs
 // with the same seed must execute the same event sequence. Events scheduled
@@ -8,19 +7,16 @@
 // sequence number, so the (timestamp, sequence) order is a strict total
 // order and heap ordering never depends on map iteration or pointer values.
 //
-// The queue is also the simulator's hottest data structure (one heap push and
-// pop per event off the lane), so it is built to stay off the garbage
-// collector's books: heap items are recycled through an internal free list,
-// cancellation is lazy (an item is marked and skipped when popped), and a
-// Handle carries the item pointer plus its scheduling sequence so Cancel
+// The queue sits on the simulator's hot path, so it is built to stay off the
+// garbage collector's books: heap items are recycled through an internal free
+// list, cancellation is lazy (an item is marked and skipped when popped), and
+// a Handle carries the item pointer plus its scheduling sequence so Cancel
 // needs no lookup map. The 4-ary layout halves sift-down depth relative to a
 // binary heap, which is where a pop-heavy workload spends its time.
 //
-// A simulation whose dominant event is scheduled at one constant delay (the
-// block arrival of a fixed-rate, fixed-block-size transfer model) does not
-// need the heap for it at all, nor a queue decision per event, nor — at an
-// instant where the events would only reschedule themselves — a callback:
-// see Lane.
+// A simulation that keeps work of its own beside the queue (say, completions
+// whose instants it computes) merges the two by reading Next and moving the
+// clock with AdvanceTo before doing that work.
 package eventq
 
 import (
@@ -81,23 +77,6 @@ type Queue struct {
 	nextSeq uint64
 	fired   uint64
 	pending int // heap events scheduled and not yet fired or cancelled
-
-	// The fixed-delay lane (see Lane; nil until NewLane). The queue sees only
-	// its runs, already in strict (at, seq) order; the payloads sit in the
-	// typed Lane behind lane. open reports whether the tail run still takes
-	// appends (see At for the one thing that closes it). moveBefore is the
-	// instant before which runs are moved whole (Lane.MoveBefore), walkLeft
-	// the entries of the run being walked that have not fired yet.
-	lane       runFirer
-	laneDelay  float64
-	moveBefore float64
-	runs       ring[run]
-	open       bool
-	laneLen    int // payloads appended and not yet fired, dead ones included
-	walkLeft   int
-	laneFired  uint64
-	runsFired  uint64
-	runsMoved  uint64
 }
 
 // New returns an empty queue with the clock at zero.
@@ -108,39 +87,36 @@ func New() *Queue {
 // Now returns the current virtual time.
 func (q *Queue) Now() float64 { return q.clock }
 
-// Len returns the number of pending events: heap events not cancelled, plus
-// every lane entry not yet fired (the queue cannot see which of those the
-// lane's callback will find dead).
-func (q *Queue) Len() int { return q.pending + q.laneLen }
+// Len returns the number of pending events, cancelled ones excluded.
+func (q *Queue) Len() int { return q.pending }
 
 // Fired returns the total number of events executed so far.
 func (q *Queue) Fired() uint64 { return q.fired }
 
-// LaneFired returns how many of the Fired events came off the fixed-delay
-// lane; the rest took the heap.
-func (q *Queue) LaneFired() uint64 { return q.laneFired }
+// Next returns the instant of the earliest pending event, or +Inf when none
+// is pending.
+func (q *Queue) Next() float64 {
+	if it := q.root(); it != nil {
+		return it.at
+	}
+	return math.Inf(1)
+}
 
-// LaneRuns returns how many walked lane runs fired at least one event, so
-// LaneFired/LaneRuns is the mean number of walked lane events per instant.
-func (q *Queue) LaneRuns() uint64 { return q.runsFired }
-
-// LaneMoved returns how many lane runs were moved whole instead of walked
-// (see Lane.MoveBefore).
-func (q *Queue) LaneMoved() uint64 { return q.runsMoved }
+// AdvanceTo moves the clock forward to t; an earlier t leaves it where it
+// is. Moving it past Next would let that event fire in the past, so the
+// caller keeps t at or before Next.
+func (q *Queue) AdvanceTo(t float64) {
+	if t > q.clock {
+		q.clock = t
+	}
+}
 
 // At schedules ev to fire at absolute virtual time at. It returns a Handle
 // that can be passed to Cancel. Scheduling at the current instant is allowed;
 // scheduling in the past returns ErrPast.
-//
-// An event scheduled for exactly the instant of the lane's open run closes
-// that run: its sequence number falls after every entry already in the run,
-// so entries appended later must fire after it, and they start a new run.
 func (q *Queue) At(at float64, ev Event) (Handle, error) {
 	if at < q.clock {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPast, at, q.clock)
-	}
-	if q.open && at == q.runs.back().at {
-		q.open = false
 	}
 	it := q.newItem(at, ev)
 	q.push(it)
@@ -196,56 +172,12 @@ func (q *Queue) recycle(it *item) {
 }
 
 // Step fires the earliest pending event, advancing the clock to its
-// timestamp: one heap event, or one whole lane run — every entry appended at
-// one instant, all due at the same (at, seq). It reports whether an event was
-// fired (false when the queue is empty); a run whose entries were all dead
-// or carried over, or one the lane moved instead of walking, counts as
-// nothing, and Step goes on to the next.
+// timestamp. It reports whether an event was fired (false when the queue is
+// empty).
 func (q *Queue) Step() bool {
-	for {
-		due, fired := q.advance(math.Inf(1))
-		if fired || !due {
-			return fired
-		}
-	}
-}
-
-// RunUntil fires events in timestamp order until the queue is empty or the
-// next event is strictly after horizon. The clock is finally advanced to
-// horizon, so Now() == horizon afterwards. It returns the number of events
-// fired.
-func (q *Queue) RunUntil(horizon float64) uint64 {
-	start := q.fired
-	for {
-		if due, _ := q.advance(horizon); !due {
-			break
-		}
-	}
-	if horizon > q.clock {
-		q.clock = horizon
-	}
-	return q.fired - start
-}
-
-// advance takes the earliest pending entry — the less-smaller of the lane's
-// head run and the heap root — if it is due by horizon, and fires it. It
-// reports whether anything was due and whether an event actually fired.
-func (q *Queue) advance(horizon float64) (due, fired bool) {
 	it := q.root()
-	if q.runs.n > 0 {
-		if r := q.runs.front(); it == nil || r.at < it.at || r.at == it.at && r.seq < it.seq {
-			if r.at > horizon {
-				return false, false
-			}
-			if r.at < q.moveBefore {
-				q.moveRuns(horizon, it)
-				return true, false
-			}
-			return true, q.fireRun()
-		}
-	}
-	if it == nil || it.at > horizon {
-		return false, false
+	if it == nil {
+		return false
 	}
 	q.pop()
 	at, ev := it.at, it.ev
@@ -256,7 +188,20 @@ func (q *Queue) advance(horizon float64) (due, fired bool) {
 	q.clock = at
 	q.fired++
 	ev.Fire(at)
-	return true, true
+	return true
+}
+
+// RunUntil fires events in timestamp order until the queue is empty or the
+// next event is strictly after horizon. The clock is finally advanced to
+// horizon, so Now() == horizon afterwards. It returns the number of events
+// fired.
+func (q *Queue) RunUntil(horizon float64) uint64 {
+	start := q.fired
+	for q.Next() <= horizon {
+		q.Step()
+	}
+	q.AdvanceTo(horizon)
+	return q.fired - start
 }
 
 // root returns the live heap root, discarding lazily cancelled items on the

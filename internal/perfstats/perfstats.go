@@ -21,18 +21,12 @@ import (
 type Snapshot struct {
 	// Runs counts completed simulation runs.
 	Runs uint64
-	// Events counts discrete events executed. LaneEvents of them came off
-	// the event queue's O(1) fixed-delay lane (block arrivals, counted when
-	// credited) and HeapEvents off its heap; the two sum to Events. LaneRuns
-	// counts the runs the lane handled them in: one per block instant (two
-	// where a heap event falls on an instant still being scheduled), so
-	// LaneEvents/LaneRuns is the mean number of block arrivals per instant.
-	// LaneMoved of those runs were moved whole, no arrival fired.
+	// Events counts discrete events executed: Blocks block arrivals,
+	// counted when credited rather than scheduled, and HeapEvents fired off
+	// the event queue's heap. The two sum to Events.
 	Events     uint64
-	LaneEvents uint64
+	Blocks     uint64
 	HeapEvents uint64
-	LaneRuns   uint64
-	LaneMoved  uint64
 	// RingSearches counts ring searches; SearchNodesVisited and
 	// SearchWantsChecked aggregate their traversal cost; the latter is
 	// computed, not performed (see core.SearchStats.WantsChecked).
@@ -67,7 +61,7 @@ var global struct {
 	stripesGranted, stripesReass  atomic.Uint64
 	medReplicated, medReplDropped atomic.Uint64
 
-	laneEvents, heapEvents, laneRuns, laneMoved atomic.Uint64
+	blocks, heapEvents atomic.Uint64
 }
 
 // MedRPCStart records a mediator RPC entering flight, maintaining the peak
@@ -105,10 +99,8 @@ func AddMedReplDropped() { global.medReplDropped.Add(1) }
 func AddRun(s Snapshot) {
 	global.runs.Add(s.Runs)
 	global.events.Add(s.Events)
-	global.laneEvents.Add(s.LaneEvents)
+	global.blocks.Add(s.Blocks)
 	global.heapEvents.Add(s.HeapEvents)
-	global.laneRuns.Add(s.LaneRuns)
-	global.laneMoved.Add(s.LaneMoved)
 	global.searches.Add(s.RingSearches)
 	global.nodes.Add(s.SearchNodesVisited)
 	global.wants.Add(s.SearchWantsChecked)
@@ -120,10 +112,8 @@ func Current() Snapshot {
 	return Snapshot{
 		Runs:               global.runs.Load(),
 		Events:             global.events.Load(),
-		LaneEvents:         global.laneEvents.Load(),
+		Blocks:             global.blocks.Load(),
 		HeapEvents:         global.heapEvents.Load(),
-		LaneRuns:           global.laneRuns.Load(),
-		LaneMoved:          global.laneMoved.Load(),
 		RingSearches:       global.searches.Load(),
 		SearchNodesVisited: global.nodes.Load(),
 		SearchWantsChecked: global.wants.Load(),
@@ -142,10 +132,8 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{
 		Runs:               s.Runs - t.Runs,
 		Events:             s.Events - t.Events,
-		LaneEvents:         s.LaneEvents - t.LaneEvents,
+		Blocks:             s.Blocks - t.Blocks,
 		HeapEvents:         s.HeapEvents - t.HeapEvents,
-		LaneRuns:           s.LaneRuns - t.LaneRuns,
-		LaneMoved:          s.LaneMoved - t.LaneMoved,
 		RingSearches:       s.RingSearches - t.RingSearches,
 		SearchNodesVisited: s.SearchNodesVisited - t.SearchNodesVisited,
 		SearchWantsChecked: s.SearchWantsChecked - t.SearchWantsChecked,
@@ -188,13 +176,8 @@ func (t *Timer) Report() string {
 	fmt.Fprintf(&b, "perf: %d run(s) in %.2fs wall\n", s.Runs, wall)
 	fmt.Fprintf(&b, "perf: events     %d (%.0f events/s)\n", s.Events, rate(s.Events, wall))
 	if s.Events > 0 {
-		fmt.Fprintf(&b, "perf: eventq     %d lane (%.1f%%) at %d block instants (%.1f per instant), %d heap",
-			s.LaneEvents, 100*float64(s.LaneEvents)/float64(s.Events), s.LaneRuns,
-			ratio(s.LaneEvents, s.LaneRuns), s.HeapEvents)
-		if s.LaneMoved > 0 {
-			fmt.Fprintf(&b, "; %d instants moved whole", s.LaneMoved)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "perf: eventq     %d heap events, %d blocks counted (%.1f%%)\n",
+			s.HeapEvents, s.Blocks, 100*float64(s.Blocks)/float64(s.Events))
 	}
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
@@ -211,13 +194,6 @@ func (t *Timer) Report() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-func ratio(n, d uint64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
 }
 
 func rate(n uint64, secs float64) float64 {

@@ -9,10 +9,10 @@ import (
 
 func TestAddRunAndCurrent(t *testing.T) {
 	base := Current()
-	AddRun(Snapshot{Runs: 1, Events: 100, LaneEvents: 90, HeapEvents: 10, RingSearches: 5, SearchNodesVisited: 50, SearchWantsChecked: 20, RingsStarted: 2})
-	AddRun(Snapshot{Runs: 1, Events: 900, LaneEvents: 800, HeapEvents: 100, RingSearches: 5, SearchNodesVisited: 10, SearchWantsChecked: 30, RingsStarted: 1})
+	AddRun(Snapshot{Runs: 1, Events: 100, Blocks: 90, HeapEvents: 10, RingSearches: 5, SearchNodesVisited: 50, SearchWantsChecked: 20, RingsStarted: 2})
+	AddRun(Snapshot{Runs: 1, Events: 900, Blocks: 800, HeapEvents: 100, RingSearches: 5, SearchNodesVisited: 10, SearchWantsChecked: 30, RingsStarted: 1})
 	got := Current().Sub(base)
-	want := Snapshot{Runs: 2, Events: 1000, LaneEvents: 890, HeapEvents: 110, RingSearches: 10, SearchNodesVisited: 60, SearchWantsChecked: 50, RingsStarted: 3}
+	want := Snapshot{Runs: 2, Events: 1000, Blocks: 890, HeapEvents: 110, RingSearches: 10, SearchNodesVisited: 60, SearchWantsChecked: 50, RingsStarted: 3}
 	if got != want {
 		t.Fatalf("Current() = %+v, want %+v", got, want)
 	}
@@ -32,10 +32,10 @@ func TestLiveCountersScopeWithSub(t *testing.T) {
 }
 
 func TestSub(t *testing.T) {
-	a := Snapshot{Runs: 5, Events: 500, LaneEvents: 450, HeapEvents: 50, LaneRuns: 60, RingSearches: 50, SearchNodesVisited: 40, SearchWantsChecked: 30, RingsStarted: 20}
-	b := Snapshot{Runs: 2, Events: 100, LaneEvents: 80, HeapEvents: 20, LaneRuns: 10, RingSearches: 10, SearchNodesVisited: 10, SearchWantsChecked: 10, RingsStarted: 5}
+	a := Snapshot{Runs: 5, Events: 500, Blocks: 450, HeapEvents: 50, RingSearches: 50, SearchNodesVisited: 40, SearchWantsChecked: 30, RingsStarted: 20}
+	b := Snapshot{Runs: 2, Events: 100, Blocks: 80, HeapEvents: 20, RingSearches: 10, SearchNodesVisited: 10, SearchWantsChecked: 10, RingsStarted: 5}
 	got := a.Sub(b)
-	want := Snapshot{Runs: 3, Events: 400, LaneEvents: 370, HeapEvents: 30, LaneRuns: 50, RingSearches: 40, SearchNodesVisited: 30, SearchWantsChecked: 20, RingsStarted: 15}
+	want := Snapshot{Runs: 3, Events: 400, Blocks: 370, HeapEvents: 30, RingSearches: 40, SearchNodesVisited: 30, SearchWantsChecked: 20, RingsStarted: 15}
 	if got != want {
 		t.Fatalf("Sub = %+v, want %+v", got, want)
 	}
@@ -46,9 +46,9 @@ func TestSub(t *testing.T) {
 func TestTimerScopesInterval(t *testing.T) {
 	AddRun(Snapshot{Runs: 1, Events: 11111})
 	timer := StartTimer()
-	AddRun(Snapshot{Runs: 1, Events: 42, LaneEvents: 21, HeapEvents: 21, LaneRuns: 6, RingSearches: 7, RingsStarted: 3})
+	AddRun(Snapshot{Runs: 1, Events: 42, Blocks: 21, HeapEvents: 21, RingSearches: 7, RingsStarted: 3})
 	rep := timer.Report()
-	for _, want := range []string{"1 run(s)", "events     42", "eventq     21 lane (50.0%) at 6 block instants (3.5 per instant), 21 heap", "searches   7", "3 rings started", "alloc"} {
+	for _, want := range []string{"1 run(s)", "events     42", "eventq     21 heap events, 21 blocks counted (50.0%)", "searches   7", "3 rings started", "alloc"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}

@@ -8,62 +8,41 @@ import (
 // Block accounting. An arrival is counted, not fired: a block changes only
 // the session's sent, its download's receivedKbits, the collector's window
 // volume, the ranker's books and the event count, so those are brought up
-// to date when something reads them. A session's arrivals lie on the lane's
-// grid — the first a block time after it starts, each next a block time
-// after the last, by the lane's own float addition — so session.next says
-// which have been credited, and the clock which have arrived.
+// to date when something reads them. A session's arrivals lie on a grid —
+// the first a block time after it starts, each next a block time after the
+// last, by float addition — so session.next says which have been credited.
 //
-// The tie rule: an arrival due now has arrived iff Lane.PendingNow no longer
-// holds its entry. The readers are a terminating session, a completing
-// download's other feeders, pickWaiting's Score (the server's and the
-// requester's open sessions: Ranker's contract), fileDue and the horizon.
-// OnWhitewash follows a departure that ended, and so credited, every
-// session of the peer.
+// The tie rule is declared: at instant T every arrival at or before T has
+// arrived, for every reader; the downloads due at T then complete in
+// (due, seq) order; the heap's events at T fire last, in (at, seq) order.
+// The readers are a terminating session, a completing download's feeders,
+// pickWaiting's Score (the server's and the requester's open sessions:
+// Ranker's contract), fileDue and the horizon. OnWhitewash follows a
+// departure that ended, and so credited, every session of the peer.
 //
-// The lane walks only runs at which a download is due: every download with
-// a feeder sits in the due heap under the exact instant its feeders' merged
-// arrivals reach ObjectKbits (fileDue), and the lane moves every run before
-// the earliest one whole. A walk fires only the arrivals of the downloads
-// due now (passOver).
+// Every download that can complete sits in the due heap under the exact
+// instant it completes at (fileDue): the merged arrivals of its feeders
+// reaching ObjectKbits, or now if it is already whole.
 //
 // Counting in bulk is exact while every sum of blocks is, which a whole
-// BlockKbits keeps. Other configurations walk every run and credit each
-// block as it fires.
-
-// deadShare bounds the lane's dead entries to 1/deadShare of its live ones.
-// On the paper-scale fig4 slice without exchanges, 1/4 moves 1.7 % more
-// runs than there are instants with a live arrival, and compaction visits
-// one entry per seventy arrivals; 1/16 moves 0.4 % more but visits one per
-// twenty, and three times as many on the ring slice.
-const deadShare = 4
+// BlockKbits keeps. Other configurations (eager) credit block by block and
+// file due instants by replaying the merged arrivals.
 
 // lazyBlocks reports whether cfg's block arithmetic is exact in bulk.
 func lazyBlocks(cfg Config) bool { return cfg.BlockKbits == math.Trunc(cfg.BlockKbits) }
 
-// credit brings sess up to now: every arrival before it, and the one at it
-// if the tie rule says it arrived.
-func (s *Sim) credit(sess *session) {
-	now := s.q.Now()
-	if sess.next > now {
-		return
-	}
-	s.creditUntil(sess, now, false)
-	if sess.next == now && !s.arrivalPending(sess) {
-		s.creditUntil(sess, now, true)
-	}
-}
+// credit brings sess up to now: every arrival at or before it.
+func (s *Sim) credit(sess *session) { s.creditUntil(sess, s.q.Now()) }
 
-// arrivalPending reports whether sess's lane entry is due now, unfired.
-func (s *Sim) arrivalPending(sess *session) bool {
-	a := arrival{id: sess.id, gen: sess.gen}
-	return s.blocks.PendingNow(func(v arrival) bool { return v == a })
-}
-
-// creditUntil credits sess with its arrivals before limit, and the one at
-// limit if atLimit: to its sent and download, to the collector (those at or
-// after the warm-up instant), to the ranker and to the event count.
-func (s *Sim) creditUntil(sess *session, limit float64, atLimit bool) {
-	n, next := s.grid.count(sess.next, limit, atLimit)
+// creditUntil credits sess with its arrivals at or before limit: to its sent
+// and download, to the collector (those at or after the warm-up instant), to
+// the ranker and to the event count. An eager run credits them one at a
+// time.
+func (s *Sim) creditUntil(sess *session, limit float64) {
+	for s.eager && sess.next < limit {
+		s.creditUntil(sess, sess.next)
+	}
+	n, next := s.grid.count(sess.next, limit, true)
 	if n == 0 {
 		return
 	}
@@ -95,33 +74,11 @@ func (s *Sim) creditPeer(p *peerState) {
 	}
 }
 
-// retireArrival does a terminated session's lane upkeep: its entry is dead,
-// and passed over or moved it would go round forever, so past deadShare the
-// lane drops every dead entry.
-func (s *Sim) retireArrival() {
-	s.open--
-	if deadShare*(s.blocks.Len()-s.open) > s.open {
-		s.blocks.Compact(s.liveArrival)
-	}
-}
-
-func (s *Sim) liveArrival(a arrival) bool { return a.gen == s.sessions[a.id].gen }
-
-// passOver is the lane's pass: a walk fires the live arrivals of the
-// downloads due now and carries the rest over, as a moved run would; a dead
-// arrival fires, which drops it. While an instant is walked its due set only
-// shrinks: a feeder that ends makes its download due later, and a new
-// feeder's first arrival is a block time away.
-func (s *Sim) passOver(a arrival) bool {
-	sess := s.sessions[a.id]
-	return sess.gen == a.gen && s.dues[sess.dl.dueAt].due > s.q.Now()
-}
-
 // needed returns the least m >= 1 with received + m·BlockKbits >=
-// ObjectKbits.
+// ObjectKbits, for a received short of it.
 func (s *Sim) needed(received float64) int {
 	b, obj := s.cfg.BlockKbits, s.cfg.ObjectKbits
-	m := max(1, int(math.Ceil((obj-received)/b)))
+	m := int(math.Ceil((obj - received) / b))
 	for m > 1 && received+float64(m-1)*b >= obj {
 		m--
 	}
@@ -132,42 +89,56 @@ func (s *Sim) needed(received float64) int {
 }
 
 // fileDue files dl in the due heap under the exact instant it completes at,
-// after its feeders changed, or takes it out when it has none or is done.
-// Each feeder is credited with its arrivals before now, so the next ones
-// all lie in [now, now+Δ] (a new feeder's is now+Δ), and since float
-// addition is monotone their grids interleave in that order from then on:
-// the m-th merged arrival is the ((m−1) mod f)-th of them, advanced
-// (m−1)/f block times.
+// after its feeders changed: now if it is whole, else when its feeders'
+// merged arrivals make it so. One that is done, or short with no feeder,
+// leaves the heap. Each feeder is credited through now, so the next
+// arrivals all lie in (now, now+Δ] (a new feeder's is now+Δ), and since
+// float addition is monotone their grids interleave in that order from then
+// on: the m-th merged arrival is the ((m−1) mod f)-th of them, advanced
+// (m−1)/f block times. An eager run replays the merge instead.
 func (s *Sim) fileDue(dl *download) {
-	if dl.done || len(dl.sessions) == 0 {
-		if dl.dueAt >= 0 {
-			s.dues.remove(dl)
-			s.moveBefore()
-		}
-		return
-	}
-	now := s.q.Now()
 	next := s.nextScratch[:0]
 	for _, f := range dl.sessions {
-		s.creditUntil(f, now, false)
+		s.credit(f)
 		next = append(next, f.next)
 	}
-	slices.Sort(next)
 	s.nextScratch = next
-	m := s.needed(dl.receivedKbits) - 1
-	s.dues.set(dl, s.grid.step(next[m%len(next)], m/len(next)))
-	s.moveBefore()
-}
-
-// moveBefore tells the lane that no run before the earliest due instant
-// needs walking; an eager run walks them all.
-func (s *Sim) moveBefore() {
-	if !s.eager {
-		s.blocks.MoveBefore(s.dues.min())
+	whole := dl.receivedKbits >= s.cfg.ObjectKbits
+	switch {
+	case dl.done || !whole && len(next) == 0:
+		if dl.dueAt >= 0 {
+			s.dues.remove(dl)
+		}
+	case whole:
+		s.dues.set(dl, s.q.Now())
+	case s.eager:
+		s.dues.set(dl, s.mergedArrival(next, s.needed(dl.receivedKbits)))
+	default:
+		slices.Sort(next)
+		m := s.needed(dl.receivedKbits) - 1
+		s.dues.set(dl, s.grid.step(next[m%len(next)], m/len(next)))
 	}
 }
 
-// grid is the lane's arrival grid: each arrival delay after the last, by
+// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
+// next on, advancing next: the replay an eager run files due instants by,
+// and that fileDue's interleave must match.
+func (s *Sim) mergedArrival(next []float64, m int) float64 {
+	for {
+		i := 0
+		for j := range next {
+			if next[j] < next[i] {
+				i = j
+			}
+		}
+		if m--; m == 0 {
+			return next[i]
+		}
+		next[i] += s.grid.delay
+	}
+}
+
+// grid is a session's arrival grid: each arrival delay after the last, by
 // float addition. whole says delay is a whole number below 2^31.
 type grid struct {
 	delay float64
@@ -230,14 +201,20 @@ func (g grid) step(t float64, k int) float64 {
 	return t
 }
 
-// dueHeap is a binary min-heap of downloads by due instant, kept in the
-// heap itself so min and passOver read one slot; each download keeps its
-// index in dueAt.
+// dueHeap is a binary min-heap of downloads by (due instant, seq), kept in
+// the heap itself so min reads one slot; each download keeps its index in
+// dueAt.
 type dueHeap []dueEntry
 
 type dueEntry struct {
 	due float64
 	dl  *download
+}
+
+// before is the heap's order: the earlier instant, and at one instant the
+// download created first.
+func (e dueEntry) before(f dueEntry) bool {
+	return e.due < f.due || e.due == f.due && e.dl.seq < f.dl.seq
 }
 
 func (h dueHeap) min() float64 {
@@ -272,16 +249,16 @@ func (h *dueHeap) remove(dl *download) {
 // fix sifts the entry at i up or down to its place.
 func (h dueHeap) fix(i int) {
 	e := h[i]
-	for i > 0 && h[(i-1)/2].due > e.due {
+	for i > 0 && e.before(h[(i-1)/2]) {
 		h.put(i, h[(i-1)/2])
 		i = (i - 1) / 2
 	}
 	for {
 		c := 2*i + 1
-		if c+1 < len(h) && h[c+1].due < h[c].due {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
 			c++
 		}
-		if c >= len(h) || e.due <= h[c].due {
+		if c >= len(h) || !h[c].before(e) {
 			break
 		}
 		h.put(i, h[c])

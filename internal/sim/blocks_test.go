@@ -11,8 +11,8 @@ import (
 	"barter/internal/strategy"
 )
 
-// replay is the lane's arithmetic, one float addition per arrival: what
-// grid.count must reproduce exactly.
+// replay is a session's arrival arithmetic, one float addition per arrival:
+// what grid.count must reproduce exactly.
 func replay(t, delay, limit float64, atLimit bool) (int, float64) {
 	n := 0
 	for t < limit || atLimit && t == limit {
@@ -63,7 +63,7 @@ func TestGridCountMatchesReplay(t *testing.T) {
 // credited cursors lag the clock or sit on it, and new feeders one block
 // time out (ties and binade crossings included), the filed instant is the
 // m-th arrival of the feeders' grids merged by replay, after crediting every
-// arrival before now.
+// arrival at or before now, or now itself if those make the download whole.
 func TestFileDueMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
@@ -76,11 +76,10 @@ func TestFileDueMatchesReplay(t *testing.T) {
 		now = math.Max(now, 0)
 		blocks := 1 + r.Intn(400)
 		s := &Sim{
-			cfg:   Config{BlockKbits: 1, ObjectKbits: float64(blocks)},
-			q:     eventq.New(),
-			grid:  g,
-			col:   newCollector(0, strategy.LegacyMix(0.5)),
-			eager: true, // no lane to tell
+			cfg:  Config{BlockKbits: 1, ObjectKbits: float64(blocks)},
+			q:    eventq.New(),
+			grid: g,
+			col:  newCollector(0, strategy.LegacyMix(0.5)),
 		}
 		s.q.RunUntil(now)
 		dl := &download{dueAt: -1, receivedKbits: float64(r.Intn(blocks))}
@@ -102,22 +101,24 @@ func TestFileDueMatchesReplay(t *testing.T) {
 		}
 		received, next := dl.receivedKbits, slices.Clone(cursors)
 		for j := range next {
-			n, after := g.count(next[j], now, false)
+			n, after := g.count(next[j], now, true)
 			received, next[j] = received+float64(n), after
 		}
 		s.fileDue(dl)
-		if received >= float64(blocks) {
-			continue // whole before now: the engine completes such a download as its last block fires
+		want := now // whole by now: it completes in its turn at now
+		if received < float64(blocks) {
+			want = s.mergedArrival(next, s.needed(received))
 		}
-		want := s.mergedArrival(next, s.needed(received))
 		if got := s.dues.min(); got != want {
 			t.Fatalf("delay %v, now %v, cursors %v, %v of %d blocks: filed at %v, replay %v", delay, now, cursors, dl.receivedKbits, blocks, got, want)
 		}
 	}
 }
 
-// runEager runs cfg the way the engine ran before blocks were counted:
-// every lane run walked, every block credited as it fires.
+// runEager is the reference the counted engine is held to: before every
+// completion and every heap event it credits every open session block by
+// block through that instant, and it files due instants by replaying the
+// merged arrivals (eager).
 func runEager(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	s, err := New(cfg)
@@ -125,8 +126,18 @@ func runEager(t *testing.T, cfg Config) *Result {
 		t.Fatal(err)
 	}
 	s.eager = true
-	s.blocks.SetPass(nil)
-	s.blocks.MoveBefore(math.Inf(-1))
+	for {
+		at := min(s.dues.min(), s.q.Next())
+		if at > cfg.Duration {
+			break
+		}
+		for _, p := range s.peers {
+			for _, up := range p.uploads {
+				s.creditUntil(up, at)
+			}
+		}
+		s.Step()
+	}
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +175,23 @@ func hugeObjects() Config {
 	return cfg
 }
 
-// TestLazyMatchesEager holds the counted run to the fired one: on every
-// TestPinnedAccounting world and on two paper-scale ones, counts, block
-// accounting and per-ring-size session statistics are identical.
+// TestLazyMatchesEager holds the counted run to the eager one (runEager):
+// on every TestPinnedAccounting world, on two paper-scale ones, on one of
+// huge objects and on one of fractional blocks (which the counted run also
+// credits block by block), counts, block accounting and per-ring-size
+// session statistics are identical.
 func TestLazyMatchesEager(t *testing.T) {
 	cases := accountingCases()
 	cases = append(cases,
 		accountingCase{name: "paper-no-exchange", cfg: func() Config { return paperScale(140, core.PolicyNoExchange, 60_000) }},
 		accountingCase{name: "paper-2-5-way", cfg: func() Config { return paperScale(40, core.Policy2N, 25_000) }},
 		accountingCase{name: "over-2^20-blocks", cfg: hugeObjects},
+		accountingCase{name: "fractional-blocks", cfg: func() Config {
+			cfg := testConfig()
+			cfg.BlockKbits = 250.5
+			cfg.Duration = 5_000
+			return cfg
+		}},
 	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,28 +203,9 @@ func TestLazyMatchesEager(t *testing.T) {
 			lazy, eager := run(runOne), run(runEager)
 			for _, render := range []func(*Result) string{pinnedCounts, pinnedAccounting, pinnedSessions} {
 				if got, want := render(lazy), render(eager); got != want {
-					t.Fatalf("counted run differs from the fired one:\n got  %s\n want %s", got, want)
+					t.Fatalf("counted run differs from the eager one:\n got  %s\n want %s", got, want)
 				}
 			}
 		})
-	}
-}
-
-// TestFractionalBlocksWalkEveryRun: block sums that are not exact in bulk
-// keep the engine walking every run and crediting each block as it fires.
-func TestFractionalBlocksWalkEveryRun(t *testing.T) {
-	cfg := testConfig()
-	cfg.BlockKbits = 250.5
-	cfg.Duration = 5_000
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.q.LaneMoved() != 0 || completed(res, true)+completed(res, false) == 0 {
-		t.Fatalf("moved %d runs, completed %d downloads; want none moved, some completed", s.q.LaneMoved(), completed(res, true)+completed(res, false))
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"barter/internal/catalog"
@@ -27,26 +28,27 @@ import (
 // # Determinism contract
 //
 // Equal Configs (including Seed) produce byte-identical results. Everything
-// below serves that contract: the event queue breaks timestamp ties by
-// schedule order, every index iterates in ascending peer-id order (candidate
-// order feeds the RNG draws), and no behavior ever depends on map iteration
-// order, pointer values, or wall-clock time. Performance work must preserve
-// all three properties; see the package tests that pin them.
+// below serves that contract: ties at an instant follow one declared order
+// (every block at or before it has arrived, then the downloads due at it
+// complete in creation order, then the heap's events fire in schedule
+// order; blocks.go), every index iterates in ascending peer-id order
+// (candidate order feeds the RNG draws), and no behavior ever depends on map
+// iteration order, pointer values, or wall-clock time. Performance work must
+// preserve all three properties; see the package tests that pin them.
 type Sim struct {
 	cfg Config
 	q   *eventq.Queue
-	// blocks is the queue's fixed-delay lane: every block arrival is exactly
-	// one block service time after the last (fixed slot rate, fixed block
-	// size), so the run's dominant event never touches the heap, and the
-	// arrivals due at one instant are one run, moved whole unless a download
-	// is due at it (blocks.go). arrived counts the blocks credited, open the
-	// open sessions; eager walks every run and credits each block as it
-	// fires, where sums of blocks are not exact in bulk.
-	blocks  *eventq.Lane[arrival]
+	// Block arrivals are counted, not scheduled (blocks.go): every one is
+	// exactly one block service time after the last on its session's grid,
+	// and dues holds every download that can complete under the instant it
+	// does, the simulator's only work beside the heap. arrived counts the
+	// blocks credited; dlSeq stamps downloads in creation order, which
+	// orders those due at one instant; eager credits block by block, where
+	// sums of blocks are not exact in bulk.
 	grid    grid
 	arrived uint64
-	open    int
 	dues    dueHeap
+	dlSeq   uint64
 	eager   bool
 	r       *rng.RNG
 	cat     *catalog.Catalog
@@ -86,10 +88,7 @@ type Sim struct {
 	// Free lists for the per-transfer bookkeeping objects. Retired objects
 	// park on the dead lists until reap, which runs at the start of the next
 	// event: within one event, any snapshot of sessions or requests taken
-	// before a termination stays readable. sessions holds every session ever
-	// made, by id: a lane arrival names its session by id, so the lane holds
-	// no pointers and moving a run copies plain memory.
-	sessions []*session
+	// before a termination stays readable.
 	freeSess []*session
 	freeReq  []*request
 	deadSess []*session
@@ -143,13 +142,6 @@ func New(cfg Config) (*Sim, error) {
 		mix:     mix,
 		grid:    newGrid(cfg.BlockKbits / cfg.SlotKbps),
 		eager:   !lazyBlocks(cfg),
-	}
-	if s.blocks, err = eventq.NewLane(s.q, s.grid.delay, s.onBlock); err != nil {
-		return nil, fmt.Errorf("sim: block lane: %w", err)
-	}
-	if !s.eager {
-		s.blocks.SetPass(s.passOver)
-		s.moveBefore()
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -247,14 +239,30 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.q.Now() }
 
-// Step fires the next piece of work: one heap event, or one lane run at an
-// instant where a download is due (the arrivals of the due downloads'
-// feeders; the lane carries the rest over, as it moves the runs before it
-// without firing them). It reports whether anything remained to fire.
-func (s *Sim) Step() bool { return s.q.Step() }
+// Step fires the next piece of work: the download due first, if it is due
+// no later than the heap's next event, else that event. It reports whether
+// anything remained to fire.
+func (s *Sim) Step() bool { return s.step(math.Inf(1)) }
 
 // RunUntil advances virtual time to horizon.
-func (s *Sim) RunUntil(horizon float64) { s.q.RunUntil(horizon) }
+func (s *Sim) RunUntil(horizon float64) {
+	for s.step(horizon) {
+	}
+	s.q.AdvanceTo(horizon)
+}
+
+// step fires the next piece of work if it is due by horizon: completions
+// win ties with heap events.
+func (s *Sim) step(horizon float64) bool {
+	if at := s.q.Next(); at < s.dues.min() {
+		return at <= horizon && s.q.Step()
+	}
+	if len(s.dues) == 0 || s.dues[0].due > horizon {
+		return false
+	}
+	s.completeDue()
+	return true
+}
 
 // Run executes the configured horizon and returns the collected result. It
 // must be called at most once.
@@ -263,15 +271,13 @@ func (s *Sim) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
-	s.q.RunUntil(s.cfg.Duration)
+	s.RunUntil(s.cfg.Duration)
 	res := s.result()
 	perfstats.AddRun(perfstats.Snapshot{
 		Runs:               1,
 		Events:             res.Events,
-		LaneEvents:         s.arrived,
-		LaneRuns:           s.q.LaneRuns() + s.q.LaneMoved(),
-		LaneMoved:          s.q.LaneMoved(),
-		HeapEvents:         s.q.Fired() - s.q.LaneFired(),
+		Blocks:             s.arrived,
+		HeapEvents:         s.q.Fired(),
 		RingSearches:       uint64(res.RingSearches),
 		SearchNodesVisited: uint64(res.SearchNodesVisited),
 		SearchWantsChecked: uint64(res.SearchWantsChecked),
@@ -293,7 +299,7 @@ func (s *Sim) result() *Result {
 			}
 		}
 	}
-	events := s.q.Fired() - s.q.LaneFired() + s.arrived
+	events := s.q.Fired() + s.arrived
 	return s.col.result(s.cfg.Policy.String(), s.q.Now(), events, s.mix.Counts(len(s.peers)))
 }
 
@@ -301,12 +307,10 @@ func (s *Sim) result() *Result {
 // It runs at the start of every event that might see them (and nowhere
 // else), so within one event any snapshot of live objects taken before a
 // termination remains readable, and a recycled object can never be observed
-// through a stale pointer held by in-flight iteration. A recycled session
-// keeps its generation: a lane arrival stamped with an earlier one stays
-// dead in the session's next life.
+// through a stale pointer held by in-flight iteration.
 func (s *Sim) reap() {
 	for i, sess := range s.deadSess {
-		*sess = session{id: sess.id, gen: sess.gen}
+		*sess = session{}
 		s.freeSess = append(s.freeSess, sess)
 		s.deadSess[i] = nil
 	}
@@ -326,9 +330,7 @@ func (s *Sim) newSession() *session {
 		s.freeSess = s.freeSess[:n-1]
 		return sess
 	}
-	sess := &session{id: uint32(len(s.sessions))}
-	s.sessions = append(s.sessions, sess)
-	return sess
+	return &session{}
 }
 
 func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival float64) *request {
@@ -520,8 +522,8 @@ func (s *Sim) attemptRequest(p *peerState) bool {
 			return false
 		}
 		// candScratch is safe here: startDownload consumes it before this
-		// frame can recurse into another attemptRequest (downloads only
-		// complete from block events, never synchronously).
+		// frame can recurse into another attemptRequest (a download
+		// completes only in its own turn of Step, never synchronously).
 		cands := s.holderCands(p, obj)
 		if len(cands) == 0 {
 			s.col.lookupFails++
@@ -552,7 +554,10 @@ func (s *Sim) scheduleRetry(p *peerState) {
 func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.PeerID) {
 	now := s.q.Now()
 	discovered := s.sampleSubset(cands, s.cfg.LookupMax)
+	s.dlSeq++
 	dl := &download{
+		peer:        p.id,
+		seq:         s.dlSeq,
 		object:      obj,
 		requestedAt: now,
 		dueAt:       -1,
@@ -795,58 +800,26 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.entry = entry
 	sess.dl = dst.pendingFor(obj)
 	sess.startAt = s.q.Now()
-	sess.next = sess.startAt + s.grid.delay // where the lane puts its first arrival
+	sess.next = sess.startAt + s.grid.delay // its first arrival
 	entry.session = sess
 	s.adj[src.id].ok = false
 	sess.dl.sessions = append(sess.dl.sessions, sess)
 	src.uploads = append(src.uploads, sess)
 	dst.downloads = append(dst.downloads, sess)
-	s.blocks.Schedule(arrival{id: sess.id, gen: sess.gen})
-	s.open++
 	s.fileDue(sess.dl)
 	return sess
 }
 
-// arrival is a block-lane entry: the next block of session id, stamped with
-// the session's generation when it was scheduled. terminateSession advances
-// the generation, so the arrival of a closed session — or of a recycled
-// one's earlier life — finds a stamp that no longer matches, and is dead. A
-// stamp repeats only after 2^32 lives of one session.
-type arrival struct {
-	id, gen uint32
-}
-
-// onBlock is the block lane's callback for a walked run, which fires only
-// the arrivals of the downloads due now (passOver): one block of a
-// transfer, and with it every block of the session the lane carried past
-// uncounted. If the download is due now, its other feeders are credited
-// up to this arrival too, and the download completes if that makes it
-// whole. It reports whether the arrival was live. The hot path neither
-// allocates nor sifts a heap, and reaps only when an earlier event retired
-// something.
-func (s *Sim) onBlock(now float64, a arrival) bool {
-	sess := s.sessions[a.id]
-	if sess.gen != a.gen {
-		return false
+// completeDue completes the download due first, at its due instant: its
+// feeders are credited through it, which makes it whole.
+func (s *Sim) completeDue() {
+	dl := s.dues[0].dl
+	s.q.AdvanceTo(s.dues[0].due)
+	s.reap()
+	for _, f := range dl.sessions {
+		s.credit(f)
 	}
-	if len(s.deadSess) > 0 || len(s.deadReq) > 0 {
-		s.reap()
-	}
-	s.creditUntil(sess, now, true)
-	dl := sess.dl
-	if dl.dueAt >= 0 && s.dues[dl.dueAt].due <= now {
-		for _, f := range dl.sessions {
-			if f != sess {
-				s.credit(f)
-			}
-		}
-	}
-	if dl.receivedKbits >= s.cfg.ObjectKbits {
-		s.completeDownload(s.peers[sess.dst], dl)
-		return true
-	}
-	s.blocks.Schedule(a)
-	return true
+	s.completeDownload(s.peers[dl.peer], dl)
 }
 
 // terminateSession closes one transfer; if it belongs to a ring the whole
@@ -859,8 +832,6 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	}
 	s.credit(sess)
 	sess.closed = true
-	sess.gen++ // its pending block arrival is dead
-	s.retireArrival()
 	src := s.peers[sess.src]
 	src.uploads = removeSession(src.uploads, sess)
 	dst := s.peers[sess.dst]

@@ -25,10 +25,7 @@ func (s *Sim) CheckInvariants() error {
 	if err := s.checkWanters(); err != nil {
 		return err
 	}
-	if err := s.checkBlocks(); err != nil {
-		return err
-	}
-	return s.checkArrivals()
+	return s.checkBlocks()
 }
 
 func (s *Sim) checkPeer(p *peerState) error {
@@ -51,9 +48,6 @@ func (s *Sim) checkPeer(p *peerState) error {
 		obj := dl.object
 		if p.pendingFor(obj) != dl {
 			return fmt.Errorf("pending lists object %d twice", obj)
-		}
-		if dl.receivedKbits >= s.cfg.ObjectKbits {
-			return fmt.Errorf("download %d complete (%v kbits) but still pending", obj, dl.receivedKbits)
 		}
 		for i, id := range dl.providers { // a set held as a slice: the set rule is checked, not given
 			if id < 0 || int(id) >= s.cfg.NumPeers || slices.Contains(dl.providers[:i], id) {
@@ -237,24 +231,14 @@ func (s *Sim) checkWanters() error {
 	return nil
 }
 
-// delivered recounts, from the session's start and the lane alone, how many
-// of sess's blocks have arrived by now — an arrival at now iff its lane
-// entry is no longer pending — and the instant of the first still to come.
-func (s *Sim) delivered(sess *session) (int, float64) {
-	now := s.q.Now()
-	n, next := s.grid.count(sess.startAt+s.grid.delay, now, false)
-	if next == now && !s.arrivalPending(sess) {
-		n, next = n+1, next+s.grid.delay
-	}
-	return n, next
-}
-
-// checkBlocks verifies lazy block accounting against a recount. Every open
-// session's credited blocks are a prefix of those delivered, and its cursor
-// is the grid point after them. Every pending download, counting what its
-// feeders delivered and what closed feeders finished, is short of its
-// object; one with a feeder sits in the due heap, in heap order, under the
-// recount's due instant, which is not in the past.
+// checkBlocks verifies lazy block accounting against a recount from each
+// session's start: every arrival at or before now has arrived. Every open
+// session's credited blocks are a prefix of those, and its cursor is the
+// grid point after them. A pending download, counting what its feeders
+// delivered and what closed feeders finished, is whole only while it is
+// due now; one that is short sits in the due heap iff it has a feeder,
+// under the recount's due instant, which is not in the past. The heap is in
+// (due, seq) order.
 func (s *Sim) checkBlocks() error {
 	now, b := s.q.Now(), s.cfg.BlockKbits
 	for _, p := range s.peers {
@@ -262,7 +246,7 @@ func (s *Sim) checkBlocks() error {
 			got := dl.receivedKbits
 			next := s.nextScratch[:0]
 			for _, f := range dl.sessions {
-				n, after := s.delivered(f)
+				n, after := s.grid.count(f.startAt+s.grid.delay, now, true)
 				credited, _ := s.grid.count(f.startAt+s.grid.delay, f.next, false)
 				if float64(credited)*b != f.sent || credited > n {
 					return fmt.Errorf("session %d->%d obj %d: %v kbits credited up to %v, %d blocks delivered", f.src, f.dst, f.object, f.sent, f.next, n)
@@ -271,97 +255,36 @@ func (s *Sim) checkBlocks() error {
 				next = append(next, after)
 			}
 			s.nextScratch = next
-			if got >= s.cfg.ObjectKbits {
-				return fmt.Errorf("peer %d download %d has %v of %v kbits delivered but is pending", p.id, dl.object, got, s.cfg.ObjectKbits)
-			}
-			if len(dl.sessions) == 0 {
-				if dl.dueAt >= 0 {
-					return fmt.Errorf("peer %d download %d has no feeder but a due instant", p.id, dl.object)
-				}
-				continue
-			}
-			if dl.dueAt < 0 || dl.dueAt >= len(s.dues) || s.dues[dl.dueAt].dl != dl {
-				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
-			}
-			due, want := s.dues[dl.dueAt].due, s.mergedArrival(next, s.needed(got))
+			filed := dl.dueAt >= 0 && dl.dueAt < len(s.dues) && s.dues[dl.dueAt].dl == dl
 			switch {
-			case want < now:
-				return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, want, now)
-			case due != want:
-				return fmt.Errorf("peer %d download %d filed due at %v, recount says %v", p.id, dl.object, due, want)
+			case got >= s.cfg.ObjectKbits:
+				if !filed || s.dues[dl.dueAt].due != now {
+					return fmt.Errorf("peer %d download %d has %v of %v kbits delivered but is not due now", p.id, dl.object, got, s.cfg.ObjectKbits)
+				}
+			case len(dl.sessions) == 0:
+				if dl.dueAt >= 0 {
+					return fmt.Errorf("peer %d download %d is short with no feeder but has a due instant", p.id, dl.object)
+				}
+			case !filed:
+				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
+			default:
+				due, want := s.dues[dl.dueAt].due, s.mergedArrival(next, s.needed(got))
+				switch {
+				case want < now:
+					return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, want, now)
+				case due != want:
+					return fmt.Errorf("peer %d download %d filed due at %v, recount says %v", p.id, dl.object, due, want)
+				}
 			}
 		}
 	}
 	for i, e := range s.dues {
-		if e.dl.dueAt != i || e.dl.done || len(e.dl.sessions) == 0 {
-			return fmt.Errorf("due heap slot %d holds a download filed at %d (done %v, %d feeders)", i, e.dl.dueAt, e.dl.done, len(e.dl.sessions))
+		if e.dl.dueAt != i || e.dl.done {
+			return fmt.Errorf("due heap slot %d holds a download filed at %d (done %v)", i, e.dl.dueAt, e.dl.done)
 		}
-		if i > 0 && s.dues[(i-1)/2].due > e.due {
+		if i > 0 && e.before(s.dues[(i-1)/2]) {
 			return fmt.Errorf("due heap out of order at slot %d", i)
 		}
-	}
-	return nil
-}
-
-// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
-// next on, advancing next: the replay fileDue's interleave must match.
-func (s *Sim) mergedArrival(next []float64, m int) float64 {
-	for {
-		i := 0
-		for j := range next {
-			if next[j] < next[i] {
-				i = j
-			}
-		}
-		if m--; m == 0 {
-			return next[i]
-		}
-		next[i] += s.grid.delay
-	}
-}
-
-// checkArrivals verifies the block lane against the sessions: every open
-// session has exactly one arrival stamped with its current generation, and
-// no closed session has one (a live arrival of a closed session would keep
-// transferring a dead link; a missing one would stall an open link
-// forever). Stale arrivals — earlier generations — are dead, and never
-// outnumber the live ones.
-func (s *Sim) checkArrivals() error {
-	live := make(map[*session]int)
-	var err error
-	s.blocks.ForEach(func(a arrival) bool {
-		sess := s.sessions[a.id]
-		if a.gen != sess.gen {
-			return true
-		}
-		if sess.closed {
-			err = fmt.Errorf("closed session %d->%d obj %d has a live block arrival", sess.src, sess.dst, sess.object)
-			return false
-		}
-		live[sess]++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	open := 0
-	for _, p := range s.peers {
-		for _, sess := range p.uploads {
-			if n := live[sess]; n != 1 {
-				return fmt.Errorf("open session %d->%d obj %d has %d live block arrivals, want 1", sess.src, sess.dst, sess.object, n)
-			}
-			delete(live, sess)
-			open++
-		}
-	}
-	if len(live) > 0 {
-		return fmt.Errorf("%d sessions have a live block arrival but no peer uploads them", len(live))
-	}
-	if open != s.open {
-		return fmt.Errorf("%d sessions open, %d counted", open, s.open)
-	}
-	if dead := s.blocks.Len() - open; dead > open {
-		return fmt.Errorf("%d dead block arrivals outnumber %d live ones", dead, open)
 	}
 	return nil
 }

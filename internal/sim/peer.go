@@ -14,6 +14,8 @@ import (
 // may be fed by several concurrent sessions from different sources (the
 // system supports partial, multi-source transfers).
 type download struct {
+	peer        core.PeerID // the peer downloading
+	seq         uint64      // creation order, which orders downloads due at one instant
 	object      catalog.ObjectID
 	requestedAt float64
 	// receivedKbits is what its feeders' credited blocks add up to (see
@@ -21,8 +23,9 @@ type download struct {
 	// not in it yet.
 	receivedKbits float64
 	// dueAt is the download's place in the engine's due heap, under the
-	// instant it completes at if its feeders keep feeding, or -1 when it is
-	// not there: no feeder, or no longer pending, which done marks.
+	// instant it completes at if its feeders keep feeding (now, if it is
+	// whole), or -1 when it is not there: short with no feeder, or no longer
+	// pending, which done marks.
 	dueAt int
 	done  bool
 	// providers is the lookup result plus any later-learned holders; it is
@@ -64,22 +67,17 @@ type irqKey struct {
 // slot's rate, one block per block time. ringSize 1 marks a non-exchange
 // transfer; ringSize >= 2 marks membership in an exchange ring of that size.
 //
-// Sessions come from (and return to) the engine's free list. An open
-// session has exactly one arrival on the engine's block lane, stamped with
-// gen (CheckInvariants): the per-block hot path — the single most frequent
-// event in any run — schedules without allocating anything. Its blocks are
-// counted, not fired: next is the instant of the first arrival not yet
-// credited to sent and the books, and the rest follow on the lane's grid
+// Sessions come from (and return to) the engine's free list. Their blocks
+// are counted, not fired: next is the instant of the first arrival not yet
+// credited to sent and the books, and the rest follow one block time apart
 // (see blocks.go).
 type session struct {
 	// The fields block accounting touches come first, on one cache line.
-	gen      uint32    // advanced on termination; kept across recycling
 	dl       *download // download at dst
 	next     float64   // first arrival not yet credited
 	sent     float64   // kbits credited so far
 	src, dst core.PeerID
-	dstClass int    // dst's class, which the block accounting is kept by
-	id       uint32 // index in Sim.sessions; kept across recycling
+	dstClass int // dst's class, which the block accounting is kept by
 
 	object   catalog.ObjectID
 	ringSize int

@@ -40,11 +40,12 @@ func fingerprint(r *Result) string {
 }
 
 // TestPinnedCounts is the in-suite form of "the traversal did not change":
-// the counts below were captured on the commit before the event queue gained
-// its fixed-delay lane and peer membership became dense, and every later
-// engine optimization must reproduce them exactly (the emule row was captured
-// on the commit before the credit books became dense tables). A deliberate
-// behavior change re-captures them in the same commit and says why.
+// every engine optimization must reproduce the counts below exactly. They
+// were last re-captured when the order of ties at an instant became
+// declared (blocks.go) instead of inherited from a block queue, which moved
+// every row; TestLazyMatchesEager held that engine to its reference first.
+// A deliberate behavior change re-captures them in the same commit and
+// says why.
 func TestPinnedCounts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,51 +57,50 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyN2
 			return cfg
-		}, "events=62924 searches=29003 nodes=1465825 wants=5582294 rings=3428 completed=non-sharing:1158,sharing:1688"},
+		}, "events=71448 searches=33479 nodes=2518434 wants=8515865 rings=4026 completed=non-sharing:1054,sharing:2114"},
 		{"2-5-way", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			return cfg
-		}, "events=67074 searches=28085 nodes=183583 wants=664258 rings=4491 completed=non-sharing:926,sharing:2084"},
+		}, "events=69507 searches=29511 nodes=164059 wants=592885 rings=4611 completed=non-sharing:816,sharing:2255"},
 		{"no-exchange", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyNoExchange
 			return cfg
-		}, "events=66293 searches=0 nodes=0 wants=0 rings=0 completed=non-sharing:1445,sharing:1458"},
+		}, "events=70603 searches=0 nodes=0 wants=0 rings=0 completed=non-sharing:1707,sharing:1356"},
 		{"kazaa-whitewasher", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
-		}, "events=56569 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:512,non-sharing:545,sharing:1404"},
+		}, "events=57875 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:480,non-sharing:394,sharing:1628"},
 		{"emule", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewEMule()
 			return cfg
-		}, "events=56999 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:895,non-sharing:623,sharing:953"},
+		}, "events=58463 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:659,non-sharing:614,sharing:1206"},
 		// Ring searches while peers depart: whitewashers disconnect and
 		// rejoin mid-run, so searches walk IRQs their departures just
 		// changed. The one row that tells "a departing peer's requests are
 		// withdrawn before anything searches" from merely "offline
-		// requesters are skipped". Captured before the withdrawal ordering
-		// replaced the per-read liveness re-check.
+		// requesters are skipped".
 		{"exchange-whitewasher", func() Config {
 			return adversaryConfig(strategy.Whitewasher(), 0.3)
-		}, "events=56533 searches=19922 nodes=115164 wants=411911 rings=2863 completed=whitewasher:545,non-sharing:476,sharing:1463"},
+		}, "events=58201 searches=18680 nodes=96363 wants=367100 rings=2845 completed=whitewasher:631,non-sharing:430,sharing:1476"},
 		// Retries land exactly one block time after the event that armed
-		// them, so a heap event regularly falls on the instant of a block
-		// run still being appended to: the case the lane's closing rule
-		// exists for. Captured before block arrivals fired as runs.
+		// them, so a heap event regularly falls on an instant where blocks
+		// land and downloads complete: the tie rule decides which comes
+		// first.
 		{"retry-on-block-instant", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			cfg.RetryInterval = cfg.BlockKbits / cfg.SlotKbps
 			return cfg
-		}, "events=74425 searches=27398 nodes=189133 wants=767721 rings=4165 completed=non-sharing:1139,sharing:1907"},
+		}, "events=80031 searches=29902 nodes=186038 wants=673308 rings=4748 completed=non-sharing:953,sharing:2228"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +147,7 @@ func pinnedSessions(r *Result) string {
 
 // TestPinnedSessionStats pins what the collector records per finished
 // session, keyed by ring size, on the quick world's two exchange policies.
-// Captured before the collector kept its per-ring-size tallies in a slice.
+// Re-captured with TestPinnedCounts.
 func TestPinnedSessionStats(t *testing.T) {
 	cases := []struct {
 		name string
@@ -155,13 +155,13 @@ func TestPinnedSessionStats(t *testing.T) {
 		want string
 	}{
 		{"5-2-way", core.PolicyN2,
-			"count: 3-way=1053 4-way=1196 5-way=6645 non-exchange=8939 pairwise=1088" +
-				"\nvolume: 5-way=6645/0x40464655240564be non-exchange=8939/0x405778b9ce91e281 pairwise=1088/0x405fb3cf0f0f0f0f 3-way=1053/0x4054f3b902ac9c91 4-way=1196/0x404b9e3beee05232" +
-				"\nwaiting: 5-way=6645/0x400b7ca1090dad12 non-exchange=8939/0x401fcec8b5b3c2b3 pairwise=1088/0x400633ebebebebe7 3-way=1053/0x40071bcbcfb37fea 4-way=1196/0x4007b6a73dee4e2c"},
+			"count: 3-way=378 4-way=540 5-way=11880 non-exchange=9963 pairwise=754" +
+				"\nvolume: non-exchange=9963/0x4053312dc34ee8d9 5-way=11880/0x404c03b79890cede pairwise=754/0x40642726b4a04130 4-way=540/0x404f04bda12f684c 3-way=378/0x4056a1a69a69a69a" +
+				"\nwaiting: non-exchange=9963/0x40250ab3f13118bf 5-way=11880/0x401121051d3fba0d pairwise=754/0x40083fd48a86736d 4-way=540/0x400b77268edab4cc 3-way=378/0x4009f59d92bcba07"},
 		{"2-5-way", core.Policy2N,
-			"count: 3-way=1344 4-way=144 5-way=15 non-exchange=7412 pairwise=5788" +
-				"\nvolume: non-exchange=7412/0x40578afbb79b6c73 pairwise=5788/0x405d37f5628b0eaf 3-way=1344/0x405684e186186186 5-way=15/0x404c200000000000 4-way=144/0x40575438e38e38e4" +
-				"\nwaiting: non-exchange=7412/0x402a20622de50ea3 pairwise=5788/0x4008bc42d235432e 3-way=1344/0x400b4caab46c36c5 5-way=15/0x400bcf4a61e3d16b 4-way=144/0x400f97135cf4fc9c"},
+			"count: 3-way=1203 4-way=176 5-way=5 non-exchange=7719 pairwise=5904" +
+				"\nvolume: pairwise=5904/0x405e241fe9cca947 non-exchange=7719/0x405796dd79ae9d01 3-way=1203/0x40577ef66c875776 4-way=176/0x4051940000000000 5-way=5/0x404f400000000000" +
+				"\nwaiting: pairwise=5904/0x400997413dd73f35 non-exchange=7719/0x40247c349171152a 3-way=1203/0x40094074938f19a8 4-way=176/0x400b3ff5c0837086 5-way=5/0x4014cccccccccccd"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,8 +196,7 @@ func pinnedAccounting(r *Result) string {
 // one where the mid-transfer terminations fall on block instants: evictions
 // and whitewashes every few block times, storage tight enough that every
 // sweep evicts, several servers feeding each download and a ranker scoring
-// between blocks. Captured on the commit before block arrivals were
-// credited when read instead of when fired.
+// between blocks. Re-captured with TestPinnedCounts.
 func TestPinnedAccounting(t *testing.T) {
 	for _, tc := range accountingCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,41 +224,41 @@ func accountingCases() []accountingCase {
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyN2
 			return cfg
-		}, "events=62924 horizon=0x40dd4c0000000000 non-sharing:1158/0x404352aaaaaaaaab/0x4026da622d34315d sharing:1688/0x404c1bbbbbbbbbbb/0x401a5e3b0bba7067"},
+		}, "events=71448 horizon=0x40dd4c0000000000 non-sharing:1054/0x4041daaaaaaaaaab/0x402dafc238aea858 sharing:2114/0x4051fc2222222222/0x401ee9d6d3ada768"},
 		{"2-5-way", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			return cfg
-		}, "events=67074 horizon=0x40dd4c0000000000 non-sharing:926/0x403ed77777777778/0x402ea1925ffcb2a0 sharing:2084/0x40515c0000000000/0x401b4187857e57c3"},
+		}, "events=69507 horizon=0x40dd4c0000000000 non-sharing:816/0x403b86eeeeeeeeef/0x402c2547eb60822b sharing:2255/0x4053206666666666/0x401b3a462fbbd26a"},
 		{"no-exchange", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyNoExchange
 			return cfg
-		}, "events=66293 horizon=0x40dd4c0000000000 non-sharing:1445/0x4048080000000000/0x4014739995753309 sharing:1458/0x4048537777777778/0x4014743830521621"},
+		}, "events=70603 horizon=0x40dd4c0000000000 non-sharing:1707/0x404d66aaaaaaaaab/0x401a7965ef104c98 sharing:1356/0x404750cccccccccd/0x401a68119f70ad98"},
 		{"kazaa-whitewasher", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
-		}, "events=56569 horizon=0x40dd4c0000000000 whitewasher:512/0x403d0aaaaaaaaaab/0x4029b3d931387fa9 non-sharing:545/0x403e380000000000/0x402c9f82e28c19dc sharing:1404/0x404d315555555555/0x4011313586bc5f00"},
+		}, "events=57875 horizon=0x40dd4c0000000000 whitewasher:480/0x403b7471c71c71c7/0x40309aa36ed8fec1 non-sharing:394/0x4035d8e38e38e38e/0x4035645a0a3eb0e9 sharing:1628/0x4051472aaaaaaaab/0x4012f6281ffaec78"},
 		{"emule", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewEMule()
 			return cfg
-		}, "events=56999 horizon=0x40dd4c0000000000 whitewasher:895/0x4049631c71c71c72/0x40201f5a3c05fb6e non-sharing:623/0x4041571c71c71c72/0x40218a710f49ec0d sharing:953/0x4043dcaaaaaaaaab/0x401f72b960c34392"},
+		}, "events=58463 horizon=0x40dd4c0000000000 whitewasher:659/0x40431e38e38e38e3/0x401dc477ea0ca2ef non-sharing:614/0x40414638e38e38e3/0x40201520ed5f5ebc sharing:1206/0x4049b6aaaaaaaaab/0x401c29d1e606f206"},
 		{"exchange-whitewasher", func() Config {
 			return adversaryConfig(strategy.Whitewasher(), 0.3)
-		}, "events=56533 horizon=0x40dd4c0000000000 whitewasher:545/0x403ef471c71c71c7/0x402b1a4ee2cabea3 non-sharing:476/0x403a5e38e38e38e3/0x402ab9575c37c538 sharing:1463/0x404e630000000000/0x4020cf731c3f2c40"},
+		}, "events=58201 horizon=0x40dd4c0000000000 whitewasher:631/0x4041ef1c71c71c72/0x40274f9269da6c6d non-sharing:430/0x403828e38e38e38e/0x40269cb2eeea1ed8 sharing:1476/0x404f21aaaaaaaaab/0x401d7593ce279123"},
 		{"retry-on-block-instant", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=74425 horizon=0x40dd4c0000000000 non-sharing:1139/0x4042fd1111111111/0x402c614d852a045e sharing:1907/0x404fb91111111111/0x401cc2d64be321f0"},
+		}, "events=80031 horizon=0x40dd4c0000000000 non-sharing:953/0x40405d1111111111/0x402ba548c5988621 sharing:2228/0x405337bbbbbbbbbb/0x4019ac1f3771e304"},
 		{"terminations-on-block-instants", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Ranker = credit.NewEMule()
@@ -268,6 +267,6 @@ func accountingCases() []accountingCase {
 			cfg.WhitewashInterval = 24 * blockTime(cfg)
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=75492 horizon=0x40dd4c0000000000 whitewasher:126/0x4022c71c71c71c72/0x40154e6a92a23d55 non-sharing:406/0x40366e38e38e38e3/0x401bf6d9617acb10 sharing:1624/0x4050ee5555555555/0x40108c5bb3517073"},
+		}, "events=75987 horizon=0x40dd4c0000000000 whitewasher:205/0x402e671c71c71c72/0x401308d6a86ba104 non-sharing:236/0x402aac71c71c71c7/0x401a23f3b495c764 sharing:1691/0x40525e0000000000/0x400fe10b08485260"},
 	}
 }

@@ -6,7 +6,8 @@
 # the scenarios docs/ARCHITECTURE.md lists must be the ones `exchswarm -list`
 # prints; every program under examples/ must run to completion; and every
 # committed BENCH_*.json trajectory point must still be readable by the
-# harness.
+# harness; and a golden figure the last commit moved must be named in the
+# first line of CHANGES.md.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -80,5 +81,22 @@ for f in BENCH_*.json; do
 		status=1
 	fi
 done
+
+# A golden figure moves only by name (ROADMAP item 3(a)): every file under
+# testdata/golden that the last commit changed must be named in the first
+# line of CHANGES.md, the line that commit adds.
+if git rev-parse -q --verify HEAD~1 >/dev/null 2>&1; then
+	first=$(head -n 1 CHANGES.md)
+	for f in $(git diff --name-only HEAD~1 HEAD -- testdata/golden); do
+		if printf '%s\n' "$first" | grep -qF "$(basename "$f")"; then
+			echo "ok   CHANGES.md names moved golden $f"
+		else
+			echo "FAIL $f moved in the last commit but CHANGES.md's first line does not name it"
+			status=1
+		fi
+	done
+else
+	echo "ok   golden moves: no parent commit, checked nothing"
+fi
 
 exit $status
