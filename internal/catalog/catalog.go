@@ -23,7 +23,7 @@ import (
 type ObjectID int32
 
 // CategoryID identifies a content category. IDs are dense in
-// [0, NumCategories).
+// [0, Config.Categories).
 type CategoryID int32
 
 // Config holds the workload-model parameters of Table II.
@@ -114,9 +114,6 @@ func New(cfg Config, r *rng.RNG) (*Catalog, error) {
 
 // NumObjects returns the total number of objects.
 func (c *Catalog) NumObjects() int { return len(c.categoryOf) }
-
-// NumCategories returns the number of categories.
-func (c *Catalog) NumCategories() int { return len(c.objects) }
 
 // Category returns the category of object o.
 func (c *Catalog) Category(o ObjectID) CategoryID { return c.categoryOf[o] }

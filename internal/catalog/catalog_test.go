@@ -60,11 +60,11 @@ func TestValidate(t *testing.T) {
 func TestCatalogShape(t *testing.T) {
 	cfg := testConfig()
 	c := mustNew(t, cfg, 1)
-	if c.NumCategories() != cfg.Categories {
-		t.Fatalf("NumCategories = %d, want %d", c.NumCategories(), cfg.Categories)
+	if len(c.objects) != cfg.Categories {
+		t.Fatalf("%d categories, want %d", len(c.objects), cfg.Categories)
 	}
 	total := 0
-	for cat := CategoryID(0); int(cat) < c.NumCategories(); cat++ {
+	for cat := CategoryID(0); int(cat) < len(c.objects); cat++ {
 		n := c.CategorySize(cat)
 		if n < cfg.ObjectsPerCategoryMin || n > cfg.ObjectsPerCategoryMax {
 			t.Fatalf("category %d size %d out of range", cat, n)
@@ -78,7 +78,7 @@ func TestCatalogShape(t *testing.T) {
 
 func TestObjectCategoryConsistency(t *testing.T) {
 	c := mustNew(t, testConfig(), 2)
-	for cat := CategoryID(0); int(cat) < c.NumCategories(); cat++ {
+	for cat := CategoryID(0); int(cat) < len(c.objects); cat++ {
 		for _, o := range c.Objects(cat) {
 			if c.Category(o) != cat {
 				t.Fatalf("object %d reports category %d, listed under %d", o, c.Category(o), cat)
@@ -90,7 +90,7 @@ func TestObjectCategoryConsistency(t *testing.T) {
 func TestObjectIDsDense(t *testing.T) {
 	c := mustNew(t, testConfig(), 3)
 	seen := make([]bool, c.NumObjects())
-	for cat := CategoryID(0); int(cat) < c.NumCategories(); cat++ {
+	for cat := CategoryID(0); int(cat) < len(c.objects); cat++ {
 		for _, o := range c.Objects(cat) {
 			if int(o) < 0 || int(o) >= len(seen) || seen[o] {
 				t.Fatalf("object id %d out of range or duplicated", o)

@@ -76,7 +76,6 @@ type Queue struct {
 	clock   float64
 	nextSeq uint64
 	fired   uint64
-	pending int // heap events scheduled and not yet fired or cancelled
 }
 
 // New returns an empty queue with the clock at zero.
@@ -86,9 +85,6 @@ func New() *Queue {
 
 // Now returns the current virtual time.
 func (q *Queue) Now() float64 { return q.clock }
-
-// Len returns the number of pending events, cancelled ones excluded.
-func (q *Queue) Len() int { return q.pending }
 
 // Fired returns the total number of events executed so far.
 func (q *Queue) Fired() uint64 { return q.fired }
@@ -124,7 +120,7 @@ func (q *Queue) At(at float64, ev Event) (Handle, error) {
 }
 
 // newItem takes an item off the free list (or allocates one), stamps it with
-// the next sequence number, and counts it pending.
+// the next sequence number.
 func (q *Queue) newItem(at float64, ev Event) *item {
 	q.nextSeq++
 	var it *item
@@ -136,7 +132,6 @@ func (q *Queue) newItem(at float64, ev Event) *item {
 		it = &item{}
 	}
 	it.at, it.seq, it.ev, it.cancelled = at, q.nextSeq, ev, false
-	q.pending++
 	return it
 }
 
@@ -157,7 +152,6 @@ func (q *Queue) Cancel(h Handle) bool {
 		return false
 	}
 	it.cancelled = true
-	q.pending--
 	return true
 }
 
@@ -184,24 +178,10 @@ func (q *Queue) Step() bool {
 	// Recycled before Fire runs: the event may freely schedule new work, and
 	// any handle to the fired event is already dead.
 	q.recycle(it)
-	q.pending--
 	q.clock = at
 	q.fired++
 	ev.Fire(at)
 	return true
-}
-
-// RunUntil fires events in timestamp order until the queue is empty or the
-// next event is strictly after horizon. The clock is finally advanced to
-// horizon, so Now() == horizon afterwards. It returns the number of events
-// fired.
-func (q *Queue) RunUntil(horizon float64) uint64 {
-	start := q.fired
-	for q.Next() <= horizon {
-		q.Step()
-	}
-	q.AdvanceTo(horizon)
-	return q.fired - start
 }
 
 // root returns the live heap root, discarding lazily cancelled items on the

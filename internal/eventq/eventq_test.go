@@ -13,8 +13,8 @@ func TestEmptyQueue(t *testing.T) {
 	if q.Now() != 0 {
 		t.Fatalf("new queue clock = %v, want 0", q.Now())
 	}
-	if q.Len() != 0 {
-		t.Fatalf("new queue len = %d, want 0", q.Len())
+	if pending(q) != 0 {
+		t.Fatalf("new queue len = %d, want 0", pending(q))
 	}
 	if q.Step() {
 		t.Fatal("Step on empty queue reported an event")
@@ -31,7 +31,7 @@ func TestFiresInTimestampOrder(t *testing.T) {
 			t.Fatalf("At(%v): %v", at, err)
 		}
 	}
-	q.RunUntil(10)
+	runUntil(q, 10)
 	want := []float64{1, 2, 3, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -52,7 +52,7 @@ func TestTiesFireInScheduleOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q.RunUntil(7)
+	runUntil(q, 7)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("tie order at index %d = %d, want %d", i, v, i)
@@ -65,7 +65,7 @@ func TestSchedulePastRejected(t *testing.T) {
 	if _, err := q.At(5, Func(func(float64) {})); err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(5)
+	runUntil(q, 5)
 	if _, err := q.At(4, Func(func(float64) {})); !errors.Is(err, ErrPast) {
 		t.Fatalf("At in the past: err = %v, want ErrPast", err)
 	}
@@ -80,7 +80,7 @@ func TestScheduleAtCurrentInstant(t *testing.T) {
 	if _, err := q.At(0, Func(func(float64) { fired = true })); err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(0)
+	runUntil(q, 0)
 	if !fired {
 		t.Fatal("event at the current instant did not fire")
 	}
@@ -99,10 +99,10 @@ func TestCancel(t *testing.T) {
 	if q.Cancel(h) {
 		t.Fatal("second Cancel returned true")
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len after cancel = %d, want 0", q.Len())
+	if pending(q) != 0 {
+		t.Fatalf("Len after cancel = %d, want 0", pending(q))
 	}
-	q.RunUntil(2)
+	runUntil(q, 2)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -125,7 +125,7 @@ func TestCancelAfterFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(1)
+	runUntil(q, 1)
 	if q.Cancel(h) {
 		t.Fatal("Cancel after fire returned true")
 	}
@@ -139,18 +139,18 @@ func TestRunUntilHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := q.RunUntil(3)
+	n := runUntil(q, 3)
 	if n != 3 {
 		t.Fatalf("RunUntil(3) fired %d, want 3", n)
 	}
 	if q.Now() != 3 {
 		t.Fatalf("clock = %v, want 3", q.Now())
 	}
-	if q.Len() != 2 {
-		t.Fatalf("pending = %d, want 2", q.Len())
+	if pending(q) != 2 {
+		t.Fatalf("pending = %d, want 2", pending(q))
 	}
 	// Clock advances to horizon even with no event exactly there.
-	q.RunUntil(4.5)
+	runUntil(q, 4.5)
 	if q.Now() != 4.5 {
 		t.Fatalf("clock = %v, want 4.5", q.Now())
 	}
@@ -167,7 +167,7 @@ func TestEventSchedulesEvent(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(10)
+	runUntil(q, 10)
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("order = %v, want [first second]", order)
 	}
@@ -188,7 +188,7 @@ func TestEventCancelsPeer(t *testing.T) {
 	if _, err := q.At(1, Func(func(float64) { q.Cancel(victim) })); err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(3)
+	runUntil(q, 3)
 	if fired {
 		t.Fatal("event cancelled by an earlier event still fired")
 	}
@@ -223,7 +223,7 @@ func TestPropertyHeapOrdersArbitraryTimestamps(t *testing.T) {
 				expected++
 			}
 		}
-		q.RunUntil(1e9)
+		runUntil(q, 1e9)
 		if len(fireTimes) != expected {
 			return false
 		}
@@ -252,7 +252,7 @@ func TestLargeRandomWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q.RunUntil(1001)
+	runUntil(q, 1001)
 	if fired != n {
 		t.Fatalf("fired %d of %d events", fired, n)
 	}
@@ -267,7 +267,7 @@ func TestStaleHandleAfterItemReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.RunUntil(1) // fires and recycles h1's item
+	runUntil(q, 1) // fires and recycles h1's item
 	fired := false
 	h2, err := q.At(2, Func(func(float64) { fired = true }))
 	if err != nil {
@@ -276,7 +276,7 @@ func TestStaleHandleAfterItemReuse(t *testing.T) {
 	if q.Cancel(h1) {
 		t.Fatal("stale handle cancelled a reused item")
 	}
-	q.RunUntil(2)
+	runUntil(q, 2)
 	if !fired {
 		t.Fatal("event on reused item did not fire")
 	}
@@ -295,7 +295,7 @@ func TestCancelledItemsAreReused(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.Cancel(h)
-		q.RunUntil(q.Now() + 2)
+		runUntil(q, q.Now()+2)
 	}
 	if len(q.heap) != 0 {
 		t.Fatalf("heap retains %d entries after all cancels drained", len(q.heap))
@@ -317,21 +317,21 @@ func TestLenTracksCancelledAndFired(t *testing.T) {
 		}
 		hs = append(hs, h)
 	}
-	if q.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", q.Len())
+	if pending(q) != 10 {
+		t.Fatalf("Len = %d, want 10", pending(q))
 	}
 	q.Cancel(hs[3])
 	q.Cancel(hs[7])
-	if q.Len() != 8 {
-		t.Fatalf("Len after 2 cancels = %d, want 8", q.Len())
+	if pending(q) != 8 {
+		t.Fatalf("Len after 2 cancels = %d, want 8", pending(q))
 	}
-	q.RunUntil(5) // fires events at 1,2,3,5 (4 was cancelled)
-	if q.Len() != 4 {
-		t.Fatalf("Len after RunUntil(5) = %d, want 4", q.Len())
+	runUntil(q, 5) // fires events at 1,2,3,5 (4 was cancelled)
+	if pending(q) != 4 {
+		t.Fatalf("Len after RunUntil(5) = %d, want 4", pending(q))
 	}
-	q.RunUntil(100)
-	if q.Len() != 0 {
-		t.Fatalf("Len after drain = %d, want 0", q.Len())
+	runUntil(q, 100)
+	if pending(q) != 0 {
+		t.Fatalf("Len after drain = %d, want 0", pending(q))
 	}
 	if q.Fired() != 8 {
 		t.Fatalf("Fired = %d, want 8", q.Fired())
@@ -368,14 +368,14 @@ func TestQuaternaryHeapRandomOpsWithCancels(t *testing.T) {
 			q.Step()
 		}
 	}
-	q.RunUntil(1e12)
+	runUntil(q, 1e12)
 	for i := 1; i < len(fired); i++ {
 		if fired[i].at < fired[i-1].at {
 			t.Fatalf("fire order regressed at %d: %v after %v", i, fired[i].at, fired[i-1].at)
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len after drain = %d, want 0", q.Len())
+	if pending(q) != 0 {
+		t.Fatalf("Len after drain = %d, want 0", pending(q))
 	}
 }
 
@@ -392,4 +392,27 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 			q.Step()
 		}
 	}
+}
+
+// runUntil fires events in timestamp order until the queue is empty or the
+// next event is strictly after horizon, then advances the clock to horizon,
+// as the simulator's loop drives the queue. It returns the number fired.
+func runUntil(q *Queue, horizon float64) uint64 {
+	start := q.fired
+	for q.Next() <= horizon {
+		q.Step()
+	}
+	q.AdvanceTo(horizon)
+	return q.fired - start
+}
+
+// pending recounts the heap's live events, cancelled ones excluded.
+func pending(q *Queue) int {
+	n := 0
+	for _, it := range q.heap {
+		if !it.cancelled {
+			n++
+		}
+	}
+	return n
 }

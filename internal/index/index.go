@@ -1,14 +1,17 @@
 // Package index provides the simulator's incremental lookup indexes: dense
 // integer-id sets with O(1) add/remove and deterministic ascending-order
-// iteration, plus a multimap of such sets keyed by an arbitrary comparable
-// key.
+// iteration.
 //
-// The engine previously kept its object -> holders and object -> wanters
-// indexes as sorted slices, paying an O(n) memmove on every insertion and
-// removal. Peer ids are small dense integers, so a bitset gives the same
-// deterministic ascending iteration order — which the determinism contract
-// depends on, because candidate order feeds the engine's RNG draws — with
-// constant-time updates and no per-update allocation.
+// The engine keeps its object -> holders and object -> wanters indexes as
+// one Set per object id, in a slice sized from the catalog: object ids are
+// dense too, so looking an object up is an index, not a hash. Peer ids are
+// small dense integers, so a bitset gives the deterministic ascending
+// iteration order the determinism contract depends on — candidate order
+// feeds the engine's RNG draws — with constant-time updates and no
+// per-update allocation once a set has grown to its largest id.
+//
+// Multimap maps an arbitrary comparable key to such sets, for keys that are
+// not dense; only the benchmark's index probes use it.
 package index
 
 import "math/bits"
@@ -58,14 +61,6 @@ func (s *Set[T]) Remove(id T) bool {
 func (s *Set[T]) Contains(id T) bool {
 	w, b := int(id)>>6, uint(id)&63
 	return w < len(s.words) && s.words[w]&(1<<b) != 0
-}
-
-// Clear empties the set, retaining capacity.
-func (s *Set[T]) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	s.n = 0
 }
 
 // ForEach calls fn for every id in ascending order until fn returns false.
@@ -155,32 +150,3 @@ func (m *Multimap[K, V]) Remove(key K, id V) bool {
 // set must not be retained across Remove calls that could empty it: emptied
 // sets are recycled for other keys.
 func (m *Multimap[K, V]) Get(key K) *Set[V] { return m.m[key] }
-
-// Contains reports whether id is present under key.
-func (m *Multimap[K, V]) Contains(key K, id V) bool {
-	s := m.m[key]
-	return s != nil && s.Contains(id)
-}
-
-// Len returns the number of ids under key.
-func (m *Multimap[K, V]) Len(key K) int {
-	s := m.m[key]
-	if s == nil {
-		return 0
-	}
-	return s.Len()
-}
-
-// Keys returns the number of keys that currently hold at least one id.
-func (m *Multimap[K, V]) Keys() int { return len(m.m) }
-
-// ForEachKey calls fn for every key with at least one id, in unspecified
-// order. Callers needing determinism must sort or otherwise canonicalize.
-func (m *Multimap[K, V]) ForEachKey(fn func(key K, s *Set[V]) bool) {
-	//barter:allow maprange unspecified order is this iterator's documented contract; deterministic callers must canonicalize (only the sim invariant sweeps use it)
-	for k, s := range m.m {
-		if !fn(k, s) {
-			return
-		}
-	}
-}

@@ -324,17 +324,6 @@ func (m *Mediator) untrack(c transport.Conn) {
 	m.connMu.Unlock()
 }
 
-// WALErr reports the first write-ahead-log append failure, or nil while the
-// shard is fully durable (or runs without a DataDir). A failing log
-// degrades the shard to in-memory durability — it keeps serving, but a
-// restart will forget whatever the log missed — so operators and soak
-// scenarios can distinguish "durable" from "running on memory".
-func (m *Mediator) WALErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wal.Err()
-}
-
 // Flagged returns how many times a peer failed an audit.
 func (m *Mediator) Flagged(p core.PeerID) int {
 	m.mu.Lock()

@@ -176,15 +176,6 @@ func (w *wal) append(rec []byte) {
 	}
 }
 
-// Err returns the first append failure, or nil while every record has
-// reached the log. A nil wal (shard without a DataDir) never fails.
-func (w *wal) Err() error {
-	if w == nil {
-		return nil
-	}
-	return w.err
-}
-
 func (w *wal) Close() {
 	if w != nil && w.f != nil {
 		_ = w.f.Close()

@@ -11,35 +11,21 @@ import (
 )
 
 // Stream accumulates streaming mean and variance (Welford's algorithm) along
-// with min/max and sum. The zero value is ready to use.
+// with the sum. The zero value is ready to use.
 type Stream struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 	sum      float64
 }
 
 // Add records one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 	s.sum += x
 }
-
-// N returns the number of observations.
-func (s *Stream) N() int64 { return s.n }
 
 // Mean returns the sample mean, or NaN with no observations.
 func (s *Stream) Mean() float64 {
@@ -63,22 +49,6 @@ func (s *Stream) Var() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Stream) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or NaN with no observations.
-func (s *Stream) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or NaN with no observations.
-func (s *Stream) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
 
 // tCrit95 holds two-sided 95% Student-t critical values for 1..30 degrees of
 // freedom; beyond 30 the normal approximation 1.96 is used.
@@ -150,6 +120,8 @@ func (s *Sample) sort() {
 
 // Quantile returns the q-th empirical quantile (nearest-rank), q in [0, 1].
 // It returns NaN with no observations.
+//
+//barter:allow deadcode the nearest-rank reading the sim session-size test bounds its samples by
 func (s *Sample) Quantile(q float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
@@ -194,16 +166,6 @@ func (s *Sample) CDF(points int) []CDFPoint {
 		out = append(out, CDFPoint{X: fmt.Sprintf("%g", v), V: v, F: f})
 	}
 	return out
-}
-
-// FractionAtOrBelow returns the fraction of observations <= x.
-func (s *Sample) FractionAtOrBelow(x float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
 }
 
 // Grouped keys independent Samples by string label, e.g. one distribution per

@@ -11,11 +11,11 @@ import (
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.N() != 0 {
-		t.Fatalf("N = %d, want 0", s.N())
+	if s.n != 0 {
+		t.Fatalf("n = %d, want 0", s.n)
 	}
 	for name, v := range map[string]float64{
-		"Mean": s.Mean(), "Var": s.Var(), "Min": s.Min(), "Max": s.Max(),
+		"Mean": s.Mean(), "Var": s.Var(),
 	} {
 		if !math.IsNaN(v) {
 			t.Fatalf("%s on empty stream = %v, want NaN", name, v)
@@ -36,9 +36,6 @@ func TestStreamMoments(t *testing.T) {
 	if got := s.Var(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Fatalf("Var = %v, want %v", got, 32.0/7)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
 	if s.Sum() != 40 {
 		t.Fatalf("Sum = %v, want 40", s.Sum())
 	}
@@ -47,7 +44,7 @@ func TestStreamMoments(t *testing.T) {
 func TestStreamSingleObservation(t *testing.T) {
 	var s Stream
 	s.Add(3.5)
-	if s.Mean() != 3.5 || s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.Mean() != 3.5 || s.Sum() != 3.5 {
 		t.Fatal("single-observation stats wrong")
 	}
 	if !math.IsNaN(s.Var()) {
@@ -144,21 +141,6 @@ func TestCDFExactSmallSample(t *testing.T) {
 	for i := range pts {
 		if pts[i].V != wantV[i] || pts[i].F != wantF[i] {
 			t.Fatalf("point %d = (%v,%v), want (%v,%v)", i, pts[i].V, pts[i].F, wantV[i], wantF[i])
-		}
-	}
-}
-
-func TestFractionAtOrBelow(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{1, 2, 2, 3} {
-		s.Add(x)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, tc := range cases {
-		if got := s.FractionAtOrBelow(tc.x); got != tc.want {
-			t.Fatalf("FractionAtOrBelow(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
 }

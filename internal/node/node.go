@@ -367,10 +367,6 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Done is closed when the node has fully shut down; select on it alongside
-// Download channels to avoid waiting out a timeout on a closed peer.
-func (n *Node) Done() <-chan struct{} { return n.done }
-
 // track registers a connection for teardown; it refuses once Close has
 // begun, so no connection can slip past the close sweep.
 func (n *Node) track(c transport.Conn) bool {
@@ -447,6 +443,8 @@ func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 }
 
 // Has reports whether the node holds the complete object.
+//
+//barter:allow deadcode the tests' view of a node's store, read through its event loop
 func (n *Node) Has(obj catalog.ObjectID) bool {
 	var ok bool
 	n.call(func() { _, ok = n.store[obj] })

@@ -164,7 +164,6 @@ type PowerLaw struct {
 	// Rank starts its scan for a draw u with int(u*n) == k.
 	guide []int32
 	n     int
-	f     float64
 }
 
 // NewPowerLaw builds a sampler over ranks 1..n with exponent f. It panics if
@@ -193,24 +192,7 @@ func NewPowerLaw(n int, f float64) *PowerLaw {
 		}
 		guide[k] = int32(i)
 	}
-	return &PowerLaw{cdf: cdf, guide: guide, n: n, f: f}
-}
-
-// N returns the number of ranks.
-func (p *PowerLaw) N() int { return p.n }
-
-// F returns the exponent.
-func (p *PowerLaw) F() float64 { return p.f }
-
-// Prob returns the probability of rank i (1-based).
-func (p *PowerLaw) Prob(i int) float64 {
-	if i < 1 || i > p.n {
-		return 0
-	}
-	if i == 1 {
-		return p.cdf[0]
-	}
-	return p.cdf[i-1] - p.cdf[i-2]
+	return &PowerLaw{cdf: cdf, guide: guide, n: n}
 }
 
 // Rank draws a rank in [1, n] using r.

@@ -178,8 +178,8 @@ func TestExpMean(t *testing.T) {
 func TestPowerLawUniformWhenFZero(t *testing.T) {
 	p := NewPowerLaw(10, 0)
 	for i := 1; i <= 10; i++ {
-		if math.Abs(p.Prob(i)-0.1) > 1e-12 {
-			t.Fatalf("f=0 rank %d prob %v, want 0.1", i, p.Prob(i))
+		if math.Abs(prob(p, i)-0.1) > 1e-12 {
+			t.Fatalf("f=0 rank %d prob %v, want 0.1", i, prob(p, i))
 		}
 	}
 }
@@ -190,8 +190,8 @@ func TestPowerLawZipfWhenFOne(t *testing.T) {
 	h := 1.0 + 0.5 + 1.0/3 + 0.25 + 0.2
 	for i := 1; i <= 5; i++ {
 		want := (1.0 / float64(i)) / h
-		if math.Abs(p.Prob(i)-want) > 1e-12 {
-			t.Fatalf("f=1 rank %d prob %v, want %v", i, p.Prob(i), want)
+		if math.Abs(prob(p, i)-want) > 1e-12 {
+			t.Fatalf("f=1 rank %d prob %v, want %v", i, prob(p, i), want)
 		}
 	}
 }
@@ -201,7 +201,7 @@ func TestPowerLawProbsSumToOne(t *testing.T) {
 		p := NewPowerLaw(300, f)
 		sum := 0.0
 		for i := 1; i <= 300; i++ {
-			sum += p.Prob(i)
+			sum += prob(p, i)
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("f=%v probs sum to %v", f, sum)
@@ -282,7 +282,7 @@ func TestPowerLawEmpiricalMatchesAnalytic(t *testing.T) {
 		counts[p.Rank(r)]++
 	}
 	for i := 1; i <= 20; i++ {
-		want := p.Prob(i) * draws
+		want := prob(p, i) * draws
 		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want)+1 {
 			t.Fatalf("rank %d: observed %d, expected %v", i, counts[i], want)
 		}
@@ -292,10 +292,10 @@ func TestPowerLawEmpiricalMatchesAnalytic(t *testing.T) {
 func TestPowerLawMoreSkewedWithLargerF(t *testing.T) {
 	flat := NewPowerLaw(100, 0.1)
 	steep := NewPowerLaw(100, 1)
-	if steep.Prob(1) <= flat.Prob(1) {
+	if prob(steep, 1) <= prob(flat, 1) {
 		t.Fatal("larger f did not increase top-rank probability")
 	}
-	if steep.Prob(100) >= flat.Prob(100) {
+	if prob(steep, 100) >= prob(flat, 100) {
 		t.Fatal("larger f did not decrease bottom-rank probability")
 	}
 }
@@ -401,4 +401,15 @@ func TestStreamMatchesDeriveSeed(t *testing.T) {
 	if Stream(42, 7, 3).Uint64() == Stream(42, 7, 4).Uint64() {
 		t.Fatal("adjacent labels collide on the first draw")
 	}
+}
+
+// prob returns the probability of rank i (1-based) under p.
+func prob(p *PowerLaw, i int) float64 {
+	if i < 1 || i > p.n {
+		return 0
+	}
+	if i == 1 {
+		return p.cdf[0]
+	}
+	return p.cdf[i-1] - p.cdf[i-2]
 }

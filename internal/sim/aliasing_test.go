@@ -17,15 +17,15 @@ import (
 // and these regressions keep it that way.
 
 // TestRemoveSessionShiftsAliases documents the aliasing hazard itself: after
-// removeSession, a previously taken alias of the same backing array sees
+// remove, a previously taken alias of the same backing array sees
 // shifted contents, which is exactly why teardown paths snapshot first.
 func TestRemoveSessionShiftsAliases(t *testing.T) {
 	a, b, c := &session{}, &session{}, &session{}
 	list := []*session{a, b, c}
 	alias := list // same backing array, not a copy
-	list = removeSession(list, a)
+	list = remove(list, a)
 	if len(list) != 2 || list[0] != b || list[1] != c {
-		t.Fatalf("removeSession result wrong: %v", list)
+		t.Fatalf("remove result wrong: %v", list)
 	}
 	// The alias now sees the shifted tail — iterating it while removing
 	// would skip elements. A snapshot (append to fresh/scratch storage)
@@ -34,7 +34,7 @@ func TestRemoveSessionShiftsAliases(t *testing.T) {
 		t.Fatal("expected the alias to observe the in-place shift")
 	}
 	snap := append([]*session(nil), list...)
-	list = removeSession(list, b)
+	list = remove(list, b)
 	if snap[0] != b || snap[1] != c {
 		t.Fatal("snapshot must be immune to later removals")
 	}

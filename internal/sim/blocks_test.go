@@ -81,7 +81,7 @@ func TestFileDueMatchesReplay(t *testing.T) {
 			grid: g,
 			col:  newCollector(0, strategy.LegacyMix(0.5)),
 		}
-		s.q.RunUntil(now)
+		s.q.AdvanceTo(now)
 		dl := &download{dueAt: -1, receivedKbits: float64(r.Intn(blocks))}
 		var cursors []float64
 		for f := 1 + r.Intn(5); f > 0; f-- {

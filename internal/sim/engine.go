@@ -55,10 +55,10 @@ type Sim struct {
 	peers   []*peerState
 	// holders indexes object -> online sharing peers storing it; wanters
 	// indexes object -> peers with a pending download for it, so evictions
-	// can scrub stale provider sets. Both iterate in ascending peer-id order,
-	// exactly like the sorted slices they replaced.
-	holders *index.Multimap[catalog.ObjectID, core.PeerID]
-	wanters *index.Multimap[catalog.ObjectID, core.PeerID]
+	// can scrub stale provider sets. Both are one set per object id (ids are
+	// dense, sized in New), and sets iterate in ascending peer-id order.
+	holders []index.Set[core.PeerID]
+	wanters []index.Set[core.PeerID]
 	graph   core.Graph
 	// adj is the ring search's in-edge cache, one entry per peer id; the
 	// peer table never grows, so New sizes it once.
@@ -87,12 +87,14 @@ type Sim struct {
 
 	// Free lists for the per-transfer bookkeeping objects. Retired objects
 	// park on the dead lists until reap, which runs at the start of the next
-	// event: within one event, any snapshot of sessions or requests taken
-	// before a termination stays readable.
+	// event: within one event, any snapshot of sessions, requests or
+	// downloads taken before a termination stays readable.
 	freeSess []*session
 	freeReq  []*request
+	freeDl   []*download
 	deadSess []*session
 	deadReq  []*request
+	deadDl   []*download
 }
 
 // New constructs a run, places initial content, and schedules the initial
@@ -121,6 +123,13 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: build catalog: %w", err)
 	}
+	if cfg.Trace != nil {
+		for i, ev := range cfg.Trace.Events {
+			if (ev.Kind == workload.KindHold || ev.Kind == workload.KindRequest) && ev.Obj >= cat.NumObjects() {
+				return nil, fmt.Errorf("sim: trace event %d: object %d outside the catalog's %d", i, ev.Obj, cat.NumObjects())
+			}
+		}
+	}
 	// Population: class counts apportioned over the mix, assigned by random
 	// permutation so peer ids carry no class information. This draw must stay
 	// the first consumer of the engine stream so PeerClasses stays aligned
@@ -134,8 +143,8 @@ func New(cfg Config) (*Sim, error) {
 		q:       eventq.New(),
 		r:       engRNG,
 		cat:     cat,
-		holders: index.NewMultimap[catalog.ObjectID, core.PeerID](),
-		wanters: index.NewMultimap[catalog.ObjectID, core.PeerID](),
+		holders: make([]index.Set[core.PeerID], cat.NumObjects()),
+		wanters: make([]index.Set[core.PeerID], cat.NumObjects()),
 		col:     newCollector(cfg.Duration*cfg.WarmupFrac, mix),
 		ulSlots: cfg.UploadSlots(),
 		dlSlots: cfg.DownloadSlots(),
@@ -162,7 +171,6 @@ func New(cfg Config) (*Sim, error) {
 			online:   true,
 			ulSlots:  st.SlotCap(s.ulSlots),
 			interest: cat.NewInterest(engRNG),
-			irqIndex: make(map[irqKey]*request),
 			storeCap: engRNG.IntRange(cfg.StorageMinObjects, cfg.StorageMaxObjects),
 		}
 		p.retry = func(float64) {
@@ -175,7 +183,7 @@ func New(cfg Config) (*Sim, error) {
 			for _, o := range cat.InitialStore(p.interest, p.storeCap, engRNG) {
 				p.store.Add(o)
 				if p.sharing {
-					s.addHolder(o, p.id)
+					s.holders[o].Add(p.id)
 				}
 			}
 		}
@@ -237,11 +245,15 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 }
 
 // Now returns the current virtual time in seconds.
+//
+//barter:allow deadcode a stepwise test's clock, beside Step
 func (s *Sim) Now() float64 { return s.q.Now() }
 
 // Step fires the next piece of work: the download due first, if it is due
 // no later than the heap's next event, else that event. It reports whether
 // anything remained to fire.
+//
+//barter:allow deadcode the stepwise tests' driver, which checks invariants between steps
 func (s *Sim) Step() bool { return s.step(math.Inf(1)) }
 
 // RunUntil advances virtual time to horizon.
@@ -303,46 +315,47 @@ func (s *Sim) result() *Result {
 	return s.col.result(s.cfg.Policy.String(), s.q.Now(), events, s.mix.Counts(len(s.peers)))
 }
 
-// reap recycles the sessions and requests retired during the previous event.
-// It runs at the start of every event that might see them (and nowhere
-// else), so within one event any snapshot of live objects taken before a
-// termination remains readable, and a recycled object can never be observed
-// through a stale pointer held by in-flight iteration.
+// reap recycles the sessions, requests and downloads retired during the
+// previous event. It runs at the start of every event that might see them
+// (and nowhere else), so within one event any snapshot of live objects taken
+// before a termination remains readable, and a recycled object can never be
+// observed through a stale pointer held by in-flight iteration. A download
+// keeps its slices' capacity, pointer slots cleared.
 func (s *Sim) reap() {
-	for i, sess := range s.deadSess {
-		*sess = session{}
-		s.freeSess = append(s.freeSess, sess)
-		s.deadSess[i] = nil
-	}
-	s.deadSess = s.deadSess[:0]
-	for i, req := range s.deadReq {
-		*req = request{}
-		s.freeReq = append(s.freeReq, req)
-		s.deadReq[i] = nil
-	}
-	s.deadReq = s.deadReq[:0]
+	recycle(&s.deadSess, &s.freeSess, func(sess *session) { *sess = session{} })
+	recycle(&s.deadReq, &s.freeReq, func(req *request) { *req = request{} })
+	recycle(&s.deadDl, &s.freeDl, func(dl *download) {
+		clear(dl.reqs[:cap(dl.reqs)])
+		clear(dl.sessions[:cap(dl.sessions)])
+		*dl = download{providers: dl.providers[:0], requestedFrom: dl.requestedFrom[:0], reqs: dl.reqs[:0], sessions: dl.sessions[:0]}
+	})
 }
 
-func (s *Sim) newSession() *session {
-	if n := len(s.freeSess); n > 0 {
-		sess := s.freeSess[n-1]
-		s.freeSess[n-1] = nil
-		s.freeSess = s.freeSess[:n-1]
-		return sess
+// recycle resets every object on dead and moves it to free.
+func recycle[T any](dead, free *[]*T, reset func(*T)) {
+	for i, v := range *dead {
+		reset(v)
+		*free = append(*free, v)
+		(*dead)[i] = nil
 	}
-	return &session{}
+	*dead = (*dead)[:0]
+}
+
+// take pops a recycled object off free, or allocates a zero one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
 }
 
 func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival float64) *request {
-	var req *request
-	if n := len(s.freeReq); n > 0 {
-		req = s.freeReq[n-1]
-		s.freeReq[n-1] = nil
-		s.freeReq = s.freeReq[:n-1]
-	} else {
-		req = &request{}
-	}
-	req.requester, req.object, req.arrival, req.session = requester, obj, arrival, nil
+	req := take(&s.freeReq)
+	req.requester, req.object, req.arrival = requester, obj, arrival
 	return req
 }
 
@@ -437,53 +450,50 @@ func (s *Sim) removeObject(p *peerState, obj catalog.ObjectID) {
 func (s *Sim) addPending(p *peerState, dl *download) {
 	s.moveFree(p, dl.object, -1)
 	p.pending = append(p.pending, dl)
-	s.wanters.Add(dl.object, p.id)
+	s.wanters[dl.object].Add(p.id)
 }
 
-// removePending unregisters p's download of obj (completed or abandoned),
-// and takes it out of the due heap for good. p's requests for it must
-// already be withdrawn from every server's queue.
-func (s *Sim) removePending(p *peerState, obj catalog.ObjectID) {
-	for i, dl := range p.pending {
-		if dl.object == obj {
-			p.pending = slices.Delete(p.pending, i, i+1)
-			s.moveFree(p, obj, +1)
-			dl.done = true
-			s.fileDue(dl)
-			break
-		}
-	}
-	s.wanters.Remove(obj, p.id)
+// removePending unregisters p's download dl (completed or abandoned), takes
+// it out of the due heap for good and retires it for recycling at the next
+// event. p's requests for it must already be withdrawn from every server's
+// queue.
+func (s *Sim) removePending(p *peerState, dl *download) {
+	p.pending = remove(p.pending, dl)
+	s.moveFree(p, dl.object, +1)
+	dl.done = true
+	s.fileDue(dl)
+	s.deadDl = append(s.deadDl, dl)
+	s.wanters[dl.object].Remove(p.id)
 }
 
-// withdrawRequests drops p's registered requests for dl from every server's
-// queue. It runs before dl leaves p.pending, and on departure before p's
+// withdrawRequests drops dl's queued requests from their servers' queues.
+// It runs before dl leaves its peer's pending list, and on departure before p's
 // transfers end, so no search or service decision ever sees a request
 // nobody wants.
-func (s *Sim) withdrawRequests(p *peerState, dl *download) {
-	for _, srv := range dl.requestedFrom {
-		if req := s.dropIRQ(s.peers[srv], p.id, dl.object); req != nil {
-			s.retireRequest(req)
-		}
+func (s *Sim) withdrawRequests(dl *download) {
+	for i, req := range dl.reqs {
+		srv := s.peers[req.server]
+		srv.irq = remove(srv.irq, req)
+		s.adj[srv.id].ok = false
+		s.retireRequest(req)
+		dl.reqs[i] = nil
 	}
+	dl.reqs = dl.reqs[:0]
 }
 
 // dropQueue discards p's whole incoming request queue; requesters will be
-// served elsewhere or retry.
+// served elsewhere or retry. Every entry's requester is online with the
+// download pending (adjCache), so each is unlinked from that download.
 func (s *Sim) dropQueue(p *peerState) {
 	for i, e := range p.irq {
+		dl := s.peers[e.requester].pendingFor(e.object)
+		dl.reqs = remove(dl.reqs, e)
 		s.retireRequest(e)
 		p.irq[i] = nil
 	}
 	p.irq = p.irq[:0]
-	clear(p.irqIndex)
 	s.adj[p.id].ok = false
 }
-
-// --- holder index -----------------------------------------------------
-
-func (s *Sim) addHolder(o catalog.ObjectID, id core.PeerID)    { s.holders.Add(o, id) }
-func (s *Sim) removeHolder(o catalog.ObjectID, id core.PeerID) { s.holders.Remove(o, id) }
 
 // --- request issue ------------------------------------------------------
 
@@ -555,14 +565,9 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	now := s.q.Now()
 	discovered := s.sampleSubset(cands, s.cfg.LookupMax)
 	s.dlSeq++
-	dl := &download{
-		peer:        p.id,
-		seq:         s.dlSeq,
-		object:      obj,
-		requestedAt: now,
-		dueAt:       -1,
-		providers:   slices.Clone(discovered), // distinct holders; discovered is the caller's scratch
-	}
+	dl := take(&s.freeDl)
+	dl.peer, dl.seq, dl.object, dl.requestedAt, dl.dueAt = p.id, s.dlSeq, obj, now, -1
+	dl.providers = append(dl.providers, discovered...) // distinct holders; discovered is the caller's scratch
 	// Pairwise opportunities with peers already queued here: a requester in
 	// p's IRQ that holds obj qualifies even if the lookup missed it.
 	for _, e := range p.irq {
@@ -575,9 +580,10 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	if p.strat.Adaptive {
 		// Adaptive free-riders contribute only while refused: arm a starvation
 		// check that flips the peer to contributing if this download is still
-		// pending after the patience window.
-		adl := dl
-		s.after(s.cfg.adaptivePatience(), func(float64) { s.adaptiveCheck(p, adl) })
+		// pending after the patience window. The check names the download
+		// by its seq: the download itself is recycled once retired.
+		seq := dl.seq
+		s.after(s.cfg.adaptivePatience(), func(float64) { s.adaptiveCheck(p, obj, seq) })
 	}
 
 	// "Prior to transmission of a request for object o, the peer inspects
@@ -614,15 +620,14 @@ func (s *Sim) sendRequest(p, server *peerState, dl *download) {
 	if !server.online {
 		return
 	}
-	if server.lookupIRQ(p.id, dl.object) != nil {
+	if dl.requestAt(server.id) != nil {
 		return // one registered request per (peer, object)
 	}
-	req := s.newRequest(p.id, dl.object, s.q.Now())
-	if s.addIRQ(server, req, s.cfg.IRQCapacity) == nil {
-		s.freeReq = append(s.freeReq, req) // never enqueued; recycle at once
+	if len(server.irq) >= s.cfg.IRQCapacity {
 		s.col.irqRejected++
 		return
 	}
+	s.pushIRQ(server, dl, s.newRequest(p.id, dl.object, s.q.Now()))
 	dl.requestedFrom = append(dl.requestedFrom, server.id)
 	// The new requester may directly hold objects the server wants.
 	if p.sharing {
@@ -758,14 +763,14 @@ func (s *Sim) startRing(ring *core.Ring) {
 	for i, m := range ring.Members {
 		src := s.peers[m.Peer]
 		dst := s.peers[ring.Members[(i+1)%n].Peer]
-		entry := src.lookupIRQ(dst.id, m.Gives)
+		dl := dst.pendingFor(m.Gives)
+		entry := dl.requestAt(src.id)
 		if entry == nil {
 			// The ring closes through a provider the root never transmitted
 			// a request to; register the implicit request now (it is served
 			// immediately, bypassing queue capacity).
 			entry = s.newRequest(dst.id, m.Gives, now)
-			s.pushIRQ(src, entry)
-			dl := dst.pendingFor(m.Gives)
+			s.pushIRQ(src, dl, entry)
 			dl.requestedFrom = append(dl.requestedFrom, src.id)
 		}
 		sess := s.startSession(src, dst, m.Gives, n, rs, entry)
@@ -790,7 +795,7 @@ func (s *Sim) abortRing(rs *ringState) {
 // --- sessions ------------------------------------------------------------
 
 func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize int, rs *ringState, entry *request) *session {
-	sess := s.newSession()
+	sess := take(&s.freeSess)
 	sess.src = src.id
 	sess.dst = dst.id
 	sess.dstClass = dst.class
@@ -833,10 +838,10 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	s.credit(sess)
 	sess.closed = true
 	src := s.peers[sess.src]
-	src.uploads = removeSession(src.uploads, sess)
+	src.uploads = remove(src.uploads, sess)
 	dst := s.peers[sess.dst]
-	dst.downloads = removeSession(dst.downloads, sess)
-	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
+	dst.downloads = remove(dst.downloads, sess)
+	sess.dl.sessions = remove(sess.dl.sessions, sess)
 	s.fileDue(sess.dl)
 	if sess.entry != nil && sess.entry.session == sess {
 		sess.entry.session = nil
@@ -881,11 +886,11 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 	// teardown below sees a consistent world in which this download is
 	// finished. The withdrawal comes first: a queued request's requester
 	// still wants its object (adjCache).
-	s.withdrawRequests(p, dl)
-	s.removePending(p, dl.object)
+	s.withdrawRequests(dl)
+	s.removePending(p, dl)
 	s.addObject(p, dl.object)
 	if p.sharing {
-		s.addHolder(dl.object, p.id)
+		s.holders[dl.object].Add(p.id)
 	}
 	// Snapshot the feeding sessions before termination mutates dl.sessions
 	// underneath us. sessScratch is free here: its other users (evictFrom,
@@ -1040,17 +1045,15 @@ func (s *Sim) evictFrom(p *peerState, excess int) {
 		}
 		s.removeObject(p, o)
 		if p.sharing {
-			s.removeHolder(o, p.id)
+			s.holders[o].Remove(p.id)
 			// Scrub stale provider knowledge so ring searches stop closing
 			// through a holder that no longer exists.
-			if ws := s.wanters.Get(o); ws != nil {
-				ws.ForEach(func(w core.PeerID) bool {
-					if dl := s.peers[w].pendingFor(o); dl != nil {
-						dl.providers = slices.DeleteFunc(dl.providers, func(q core.PeerID) bool { return q == p.id })
-					}
-					return true
-				})
-			}
+			s.wanters[o].ForEach(func(w core.PeerID) bool {
+				if dl := s.peers[w].pendingFor(o); dl != nil {
+					dl.providers = remove(dl.providers, p.id)
+				}
+				return true
+			})
 		}
 		// Snapshot uploads: terminations mutate p.uploads underneath us.
 		ups := append(s.sessScratch[:0], p.uploads...)
@@ -1081,8 +1084,8 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 	// trigger never see a request of an absent peer.
 	for len(p.pending) > 0 {
 		dl := p.pending[0]
-		s.withdrawRequests(p, dl)
-		s.removePending(p, dl.object)
+		s.withdrawRequests(dl)
+		s.removePending(p, dl)
 	}
 	// Snapshot both transfer lists: terminations mutate them underneath us,
 	// and a ring dissolution can terminate several of p's sessions at once.
@@ -1126,14 +1129,14 @@ func (s *Sim) RejoinPeer(id core.PeerID) {
 // online/offline and of flipping between contributing and free-riding.
 func (s *Sim) indexStoredObjects(p *peerState) {
 	p.store.ForEach(func(o catalog.ObjectID) bool {
-		s.addHolder(o, p.id)
+		s.holders[o].Add(p.id)
 		return true
 	})
 }
 
 func (s *Sim) unindexStoredObjects(p *peerState) {
 	p.store.ForEach(func(o catalog.ObjectID) bool {
-		s.removeHolder(o, p.id)
+		s.holders[o].Remove(p.id)
 		return true
 	})
 }
@@ -1141,13 +1144,13 @@ func (s *Sim) unindexStoredObjects(p *peerState) {
 // --- strategy machinery ------------------------------------------------------
 
 // adaptiveCheck fires one patience window after an adaptive peer issued a
-// download: if that same download is still pending, the peer is being
-// starved and starts contributing.
-func (s *Sim) adaptiveCheck(p *peerState, dl *download) {
+// download of obj, stamped seq: if that same download is still pending, the
+// peer is being starved and starts contributing.
+func (s *Sim) adaptiveCheck(p *peerState, obj catalog.ObjectID, seq uint64) {
 	if !p.online || p.sharing {
 		return
 	}
-	if p.pendingFor(dl.object) != dl {
+	if dl := p.pendingFor(obj); dl == nil || dl.seq != seq {
 		return // completed or abandoned in the meantime
 	}
 	s.startContributing(p)

@@ -6,18 +6,22 @@ import (
 
 	"barter/internal/catalog"
 	"barter/internal/core"
-	"barter/internal/index"
 )
 
 // CheckInvariants verifies the internal consistency of the whole simulation
 // state. It exists for tests: property and integration tests interleave it
 // with Step (and with churn injection) to catch bookkeeping corruption as
 // soon as it happens.
+//
+//barter:allow deadcode the tests' oracle over the whole engine state
 func (s *Sim) CheckInvariants() error {
 	for _, p := range s.peers {
 		if err := s.checkPeer(p); err != nil {
 			return fmt.Errorf("peer %d: %w", p.id, err)
 		}
+	}
+	if err := s.checkRecycled(); err != nil {
+		return err
 	}
 	if err := s.checkHolders(); err != nil {
 		return err
@@ -52,6 +56,11 @@ func (s *Sim) checkPeer(p *peerState) error {
 		for i, id := range dl.providers { // a set held as a slice: the set rule is checked, not given
 			if id < 0 || int(id) >= s.cfg.NumPeers || slices.Contains(dl.providers[:i], id) {
 				return fmt.Errorf("download %d: providers %v repeat an id or leave [0, %d)", obj, dl.providers, s.cfg.NumPeers)
+			}
+		}
+		for _, r := range dl.reqs {
+			if r.requester != p.id || r.object != obj || dl.requestAt(r.server) != r || !slices.Contains(s.peers[r.server].irq, r) {
+				return fmt.Errorf("download %d: request at %d is not its one entry in that queue", obj, r.server)
 			}
 		}
 		for _, sess := range dl.sessions {
@@ -95,19 +104,17 @@ func (s *Sim) checkPeer(p *peerState) error {
 			return fmt.Errorf("download session for non-pending object %d", sess.object)
 		}
 	}
-	if len(p.irqIndex) != len(p.irq) {
-		return fmt.Errorf("irq (%d) and index (%d) diverged", len(p.irq), len(p.irqIndex))
-	}
 	for _, e := range p.irq {
-		got := p.irqIndex[irqKey{requester: e.requester, object: e.object}]
-		if got != e {
-			return fmt.Errorf("irq entry (%d, %d) not indexed", e.requester, e.object)
-		}
 		if e.session != nil && e.session.closed {
 			return fmt.Errorf("irq entry linked to closed session")
 		}
-		if q := s.peers[e.requester]; !q.online || q.pendingFor(e.object) == nil {
+		q := s.peers[e.requester]
+		dl := q.pendingFor(e.object)
+		if !q.online || dl == nil {
 			return fmt.Errorf("irq entry (%d, %d) outlived its download", e.requester, e.object)
+		}
+		if e.server != p.id || dl.requestAt(p.id) != e {
+			return fmt.Errorf("irq entry (%d, %d) is not its download's request here", e.requester, e.object)
 		}
 	}
 	// Implicit ring entries may exceed queue capacity by at most the number
@@ -162,6 +169,40 @@ func (s *Sim) checkAdjacency(p *peerState) error {
 	return nil
 }
 
+// checkRecycled verifies that no download reachable from a pending list,
+// the due heap or an open session sits on the dead or free list, and that
+// the queues hold exactly the downloads' requests.
+func (s *Sim) checkRecycled() error {
+	retired := map[*download]bool{}
+	for _, dl := range append(slices.Clip(s.deadDl), s.freeDl...) {
+		retired[dl] = true
+	}
+	queued, reqs := 0, 0
+	for _, p := range s.peers {
+		queued += len(p.irq)
+		for _, dl := range p.pending {
+			reqs += len(dl.reqs)
+			if retired[dl] || dl.done {
+				return fmt.Errorf("peer %d's pending download of %d is retired", p.id, dl.object)
+			}
+		}
+		for _, sess := range p.uploads {
+			if retired[sess.dl] {
+				return fmt.Errorf("session %d->%d feeds a retired download", sess.src, sess.dst)
+			}
+		}
+	}
+	for _, e := range s.dues {
+		if retired[e.dl] {
+			return fmt.Errorf("due heap holds a retired download of %d", e.dl.object)
+		}
+	}
+	if queued != reqs {
+		return fmt.Errorf("queues hold %d requests, downloads %d", queued, reqs)
+	}
+	return nil
+}
+
 // checkHolders verifies both directions of the holders index: every indexed
 // (object, peer) entry is an online sharing peer storing the object, and
 // every online sharing peer's stored object is indexed. Ascending iteration
@@ -169,8 +210,9 @@ func (s *Sim) checkAdjacency(p *peerState) error {
 // predecessor there is no order to re-verify.
 func (s *Sim) checkHolders() error {
 	var err error
-	s.holders.ForEachKey(func(obj catalog.ObjectID, hs *index.Set[core.PeerID]) bool {
-		hs.ForEach(func(id core.PeerID) bool {
+	for o := range s.holders {
+		obj := catalog.ObjectID(o)
+		s.holders[o].ForEach(func(id core.PeerID) bool {
 			p := s.peers[id]
 			switch {
 			case !p.sharing:
@@ -182,17 +224,16 @@ func (s *Sim) checkHolders() error {
 			}
 			return err == nil
 		})
-		return err == nil
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	for _, p := range s.peers {
 		if !p.sharing || !p.online {
 			continue
 		}
 		p.store.ForEach(func(obj catalog.ObjectID) bool {
-			if !s.holders.Contains(obj, p.id) {
+			if !s.holders[obj].Contains(p.id) {
 				err = fmt.Errorf("sharing peer %d stores %d but is not indexed", p.id, obj)
 			}
 			return err == nil
@@ -209,21 +250,21 @@ func (s *Sim) checkHolders() error {
 // pending download is indexed.
 func (s *Sim) checkWanters() error {
 	var err error
-	s.wanters.ForEachKey(func(obj catalog.ObjectID, ws *index.Set[core.PeerID]) bool {
-		ws.ForEach(func(id core.PeerID) bool {
+	for o := range s.wanters {
+		obj := catalog.ObjectID(o)
+		s.wanters[o].ForEach(func(id core.PeerID) bool {
 			if s.peers[id].pendingFor(obj) == nil {
 				err = fmt.Errorf("peer %d indexed as wanter of %d without a pending download", id, obj)
 			}
 			return err == nil
 		})
-		return err == nil
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	for _, p := range s.peers {
 		for _, dl := range p.pending {
-			if !s.wanters.Contains(dl.object, p.id) {
+			if !s.wanters[dl.object].Contains(p.id) {
 				return fmt.Errorf("peer %d pending download of %d not in wanters index", p.id, dl.object)
 			}
 		}

@@ -32,9 +32,12 @@ type download struct {
 	// the set a ring search may close through: about LookupMax distinct ids
 	// (CheckInvariants), so add through addProvider.
 	providers []core.PeerID
-	// requestedFrom lists the servers holding a registered request for this
-	// download, in registration order.
+	// requestedFrom lists the servers a request for this download was
+	// registered with, in registration order, including servers that have
+	// since dropped it; reqs holds the requests still queued, each at its
+	// server.
 	requestedFrom []core.PeerID
+	reqs          []*request
 	// sessions currently feeding this download.
 	sessions []*session
 }
@@ -46,21 +49,26 @@ func (dl *download) addProvider(p core.PeerID) {
 	}
 }
 
+// requestAt returns the download's request queued at server, or nil: a
+// peer holds at most one registered request per (requester, object) pair,
+// as in the paper.
+func (dl *download) requestAt(server core.PeerID) *request {
+	for _, r := range dl.reqs {
+		if r.server == server {
+			return r
+		}
+	}
+	return nil
+}
+
 // request is one incoming-request-queue entry at a serving peer.
 type request struct {
-	requester core.PeerID
-	object    catalog.ObjectID
-	arrival   float64
+	requester, server core.PeerID
+	object            catalog.ObjectID
+	arrival           float64
 	// session is non-nil while this entry is being served by the queue's
 	// owner.
 	session *session
-}
-
-// irqKey identifies an IRQ entry; a peer holds at most one registered
-// request per (requester, object) pair, as in the paper.
-type irqKey struct {
-	requester core.PeerID
-	object    catalog.ObjectID
 }
 
 // session is one active transfer: src uploads object to dst at exactly one
@@ -129,11 +137,11 @@ type peerState struct {
 	// Sim.addPending/removePending only (they keep free).
 	pending []*download
 
-	// irq is the incoming request queue in arrival order, irqIndex its
-	// (requester, object) lookup. Mutate them through Sim.addIRQ/pushIRQ/
-	// dropIRQ/dropQueue only (they invalidate the peer's adjCache).
-	irq      []*request
-	irqIndex map[irqKey]*request
+	// irq is the incoming request queue in arrival order; an entry is found
+	// through its requester's download (download.requestAt). Mutate it
+	// through Sim.pushIRQ/withdrawRequests/dropQueue only (they keep the
+	// downloads' reqs and invalidate the peer's adjCache).
+	irq []*request
 
 	uploads   []*session
 	downloads []*session
@@ -176,15 +184,13 @@ func (p *peerState) preemptibleUpload() *session {
 	return nil
 }
 
-// removeSession deletes s from a session slice, preserving order (slices are
-// short: bounded by slot counts).
-func removeSession(ss []*session, s *session) []*session {
-	for i, v := range ss {
-		if v == s {
-			return append(ss[:i], ss[i+1:]...)
-		}
+// remove deletes v from a short slice (bounded by slot counts or the
+// request fanout), preserving order.
+func remove[T comparable](list []T, v T) []T {
+	if i := slices.Index(list, v); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
-	return ss
+	return list
 }
 
 // pendingFor returns the peer's outstanding download of obj, or nil.
@@ -222,47 +228,11 @@ func (p *peerState) wantFor(dl *download) []core.Want {
 	return p.want1[:]
 }
 
-// addIRQ appends an entry to p's queue if capacity allows and no duplicate
-// exists; it returns the entry, or nil if rejected.
-func (s *Sim) addIRQ(p *peerState, req *request, capacity int) *request {
-	k := irqKey{requester: req.requester, object: req.object}
-	if _, dup := p.irqIndex[k]; dup {
-		return nil
-	}
-	if len(p.irq) >= capacity {
-		return nil
-	}
-	s.pushIRQ(p, req)
-	return req
-}
-
-// pushIRQ appends an entry unconditionally (ring-implicit requests bypass
-// queue capacity).
-func (s *Sim) pushIRQ(p *peerState, req *request) {
+// pushIRQ appends req to p's queue and to its requester's download dl
+// (ring-implicit requests bypass queue capacity).
+func (s *Sim) pushIRQ(p *peerState, dl *download, req *request) {
+	req.server = p.id
 	p.irq = append(p.irq, req)
-	p.irqIndex[irqKey{requester: req.requester, object: req.object}] = req
+	dl.reqs = append(dl.reqs, req)
 	s.adj[p.id].ok = false
-}
-
-// dropIRQ removes p's entry for (requester, object), if present.
-func (s *Sim) dropIRQ(p *peerState, requester core.PeerID, object catalog.ObjectID) *request {
-	k := irqKey{requester: requester, object: object}
-	req, ok := p.irqIndex[k]
-	if !ok {
-		return nil
-	}
-	delete(p.irqIndex, k)
-	s.adj[p.id].ok = false
-	for i, e := range p.irq {
-		if e == req {
-			p.irq = append(p.irq[:i], p.irq[i+1:]...)
-			break
-		}
-	}
-	return req
-}
-
-// lookupIRQ returns the entry for (requester, object), or nil.
-func (p *peerState) lookupIRQ(requester core.PeerID, object catalog.ObjectID) *request {
-	return p.irqIndex[irqKey{requester: requester, object: object}]
 }

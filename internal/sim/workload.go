@@ -143,7 +143,7 @@ func (s *Sim) setupReplay() {
 		case workload.KindHold:
 			obj := catalog.ObjectID(ev.Obj)
 			if s.addObject(p, obj) && p.sharing && p.online {
-				s.addHolder(obj, p.id)
+				s.holders[obj].Add(p.id)
 			}
 		case workload.KindRequest:
 			obj := catalog.ObjectID(ev.Obj)
@@ -193,10 +193,7 @@ func (s *Sim) initialOffline(p *peerState) {
 // request paths. The scratch contract is the caller's: startDownload must
 // consume the slice before any re-entrant use.
 func (s *Sim) holderCands(p *peerState, obj catalog.ObjectID) []core.PeerID {
-	cands := s.candScratch[:0]
-	if hs := s.holders.Get(obj); hs != nil {
-		cands = hs.AppendTo(cands)
-	}
+	cands := s.holders[obj].AppendTo(s.candScratch[:0])
 	n := 0
 	for _, h := range cands {
 		if h != p.id && s.peers[h].online {

@@ -245,3 +245,22 @@ func TestLegacyUnaffectedByNewFields(t *testing.T) {
 		t.Error("legacy run no longer deterministic")
 	}
 }
+
+// TestTraceObjectOutsideCatalog pins that a replayed trace naming an object
+// the catalog does not have is a configuration error from New: the holder
+// and wanter indexes are sized by the catalog, so such an id cannot be
+// indexed.
+func TestTraceObjectOutsideCatalog(t *testing.T) {
+	for _, record := range []func(*workload.Recorder){
+		func(rec *workload.Recorder) { rec.Hold(0, 100000) },
+		func(rec *workload.Recorder) { rec.Request(1, 1, 100000) },
+	} {
+		rec := workload.NewRecorder()
+		record(rec)
+		cfg := quickWorkloadConfig()
+		cfg.Trace = rec.Trace(workload.Header{Nodes: 2, Horizon: 10})
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted a trace naming object 100000: %+v", cfg.Trace.Events)
+		}
+	}
+}

@@ -9,12 +9,18 @@ import (
 	"strings"
 )
 
-// useIndex maps a package-level object, keyed by its declaration site, to
-// the positions of every reference made to it from a non-test file of any
-// loaded unit. The site key is the absolute file name plus byte offset, so a
-// package's own type-check and the copy the source importer compiles for its
-// importers resolve to the same entry.
-type useIndex map[string][]token.Pos
+// useIndex maps a package-level object or a concrete method, keyed by its
+// declaration site, to the positions of every reference made to it from a
+// non-test file of any loaded unit. The site key is the absolute file name
+// plus byte offset, so a package's own type-check and the copy the source
+// importer compiles for its importers resolve to the same entry. ifaces
+// holds every method name an interface type visible to the loaded units
+// declares: a call through an interface references the interface's method,
+// never the concrete one, so a method of such a name may be used unseen.
+type useIndex struct {
+	refs   map[string][]token.Pos
+	ifaces map[string]bool
+}
 
 func siteKey(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
@@ -26,19 +32,47 @@ func siteKey(fset *token.FileSet, pos token.Pos) string {
 }
 
 // indexUses collects the non-test references to exported package-level
-// objects across all units; it must see every unit before deadcode reports.
-func indexUses(units []*unit) useIndex {
-	idx := useIndex{}
+// objects and methods across all units, and the method names of the
+// interfaces visible to them (their own, the universe's error and those of
+// the packages they import); it must see every unit before deadcode reports.
+func indexUses(units []*unit) *useIndex {
+	idx := &useIndex{refs: map[string][]token.Pos{}, ifaces: map[string]bool{}}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				idx.ifaces[it.Method(i).Name()] = true
+			}
+		}
+	}
+	addScope := func(p *types.Package) {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
 	for _, u := range units {
+		addScope(u.pkg)
+		for _, imp := range u.pkg.Imports() {
+			addScope(imp)
+		}
+		for _, tv := range u.info.Types {
+			if tv.Type != nil {
+				addIface(tv.Type)
+			}
+		}
 		for id, obj := range u.info.Uses {
+			method := false
 			if f, ok := obj.(*types.Func); ok {
 				obj = f.Origin()
+				method = f.Type().(*types.Signature).Recv() != nil
 			}
-			if obj.Pkg() == nil || !obj.Exported() || obj.Parent() != obj.Pkg().Scope() || u.isTestFile(id.Pos()) {
+			if obj.Pkg() == nil || !obj.Exported() || !method && obj.Parent() != obj.Pkg().Scope() || u.isTestFile(id.Pos()) {
 				continue
 			}
 			k := siteKey(u.fset, obj.Pos())
-			idx[k] = append(idx[k], id.Pos())
+			idx.refs[k] = append(idx.refs[k], id.Pos())
 		}
 	}
 	return idx
@@ -54,7 +88,8 @@ func deadcodeScope(dir string) bool {
 }
 
 // checkDeadcode flags every exported package-level func, type, var or const
-// of a non-test file that no non-test file in the loaded tree references.
+// of a non-test file, and every exported method whose name no visible
+// interface declares, that no non-test file in the loaded tree references.
 // A reference inside the declaration itself (recursion, a self-referential
 // type) does not count. The check only means something when the whole
 // module is loaded.
@@ -66,7 +101,7 @@ func checkDeadcode(u *unit, d *diags) {
 		if !name.IsExported() {
 			return
 		}
-		for _, at := range u.uses[siteKey(u.fset, name.Pos())] {
+		for _, at := range u.uses.refs[siteKey(u.fset, name.Pos())] {
 			if at < decl.Pos() || at >= decl.End() {
 				return
 			}
@@ -80,8 +115,11 @@ func checkDeadcode(u *unit, d *diags) {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if decl.Recv == nil {
+				switch {
+				case decl.Recv == nil:
 					dead(decl.Name, decl, "func")
+				case !u.uses.ifaces[decl.Name.Name]:
+					dead(decl.Name, decl, "method")
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {

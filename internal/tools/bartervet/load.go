@@ -24,7 +24,7 @@ type unit struct {
 	files []*ast.File
 	info  *types.Info
 	pkg   *types.Package
-	uses  useIndex // shared by every unit of one run; read by deadcode
+	uses  *useIndex // shared by every unit of one run; read by deadcode
 }
 
 // typeString renders a type with local names bare and imported names
@@ -59,7 +59,12 @@ func newLoader() *loader {
 // load parses dir and returns its check units: the package including its
 // in-package test files, plus the external _test package when one exists.
 func (l *loader) load(dir string) ([]*unit, error) {
-	pkgs, err := parser.ParseDir(l.fset, dir, nil, parser.ParseComments)
+	// Only the files a default build compiles: a race-tagged twin of a
+	// !race file would otherwise be a redeclaration.
+	pkgs, err := parser.ParseDir(l.fset, dir, func(fi fs.FileInfo) bool {
+		ok, err := build.Default.MatchFile(dir, fi.Name())
+		return ok && err == nil
+	}, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}

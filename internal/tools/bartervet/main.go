@@ -35,7 +35,9 @@
 //     not. Never-failing writers (bytes.Buffer, strings.Builder) are
 //     exempt.
 //   - deadcode: an exported package-level func, type, var or const under
-//     internal/ (internal/tools and internal/testutil excepted) that no
+//     internal/ (internal/tools and internal/testutil excepted), or an
+//     exported method there whose name no interface visible to the loaded
+//     units declares (their own, error, and their imports'), that no
 //     non-test file of the loaded tree references. Every unit is loaded
 //     before any is checked, so the roots must cover the whole module.
 //

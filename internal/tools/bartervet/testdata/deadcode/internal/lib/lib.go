@@ -2,6 +2,8 @@
 // directory because only internal/ packages are in the check's scope.
 package lib
 
+import "fmt"
+
 // Unused is referenced nowhere: flagged.
 func Unused() int { return 1 }
 
@@ -27,4 +29,22 @@ type Chain struct{ next *Chain }
 //barter:allow deadcode the seeded waiver: silent
 var Hook func()
 
-func helper() int { return Used() }
+// Box carries the method cases; helper uses the type, not its methods.
+type Box struct{}
+
+// Dead is called by no file: flagged.
+func (Box) Dead() int { return 0 }
+
+// String is fmt.Stringer's: a call through the interface may use it, silent.
+func (Box) String() string { return "box" }
+
+// Size is sizer's, an interface of this package: silent.
+func (Box) Size() int { return 4 }
+
+// Len is called only by a test: flagged. sort.Interface declares a Len,
+// but nothing loaded imports sort.
+func (Box) Len() int { return 0 }
+
+type sizer interface{ Size() int }
+
+func helper() int { return Used() + len(fmt.Sprint(Box{})) + sizer(Box{}).Size() }

@@ -196,6 +196,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 }
 
 // JSON encodes the spec as indented JSON (the format ParseSpec reads).
+//
+//barter:allow deadcode ParseSpec's inverse, which the spec round-trip tests hold it to
 func (s *Spec) JSON() []byte {
 	out, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -422,18 +424,6 @@ func (sc *Schedule) Mult(x float64) float64 {
 	return sc.spec.Phases[0].mult(0)
 }
 
-// Rate is the per-peer arrival rate (requests/second) at absolute time t.
-func (sc *Schedule) Rate(t float64) float64 { return sc.scale * sc.Mult(t/sc.horizon) }
-
-// Horizon returns the schedule's run length in seconds.
-func (sc *Schedule) Horizon() float64 { return sc.horizon }
-
-// Peers returns the demand-generating population size.
-func (sc *Schedule) Peers() int { return sc.peers }
-
-// Objects returns the catalog size the popularity model ranges over.
-func (sc *Schedule) Objects() int { return sc.objects }
-
 // PeerStream derives peer i's private random stream. All of a peer's
 // arrival and object draws must come from this one stream, in call order;
 // distinct peers' streams are independent, which is what keeps the schedule
@@ -513,6 +503,8 @@ func (sc *Schedule) Session(i int) (arrive, depart float64) {
 }
 
 // CohortName returns the cohort label of peer i, or "" for resident peers.
+//
+//barter:allow deadcode the label the cohort tests check each peer's presence window by
 func (sc *Schedule) CohortName(i int) string {
 	k := sc.cohortOf[i]
 	if k < 0 {

@@ -257,13 +257,14 @@ func TestScheduleRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Constant shape: rate is flat and integrates to RequestsPerPeer.
-	if r0, r1 := sc.Rate(10), sc.Rate(90); math.Abs(r0-r1) > 1e-12 {
+	rate := func(t float64) float64 { return sc.scale * sc.Mult(t/sc.horizon) }
+	if r0, r1 := rate(10), rate(90); math.Abs(r0-r1) > 1e-12 {
 		t.Errorf("constant rate varies: %v vs %v", r0, r1)
 	}
-	if got := sc.Rate(50) * 100; math.Abs(got-spec.RequestsPerPeer) > 1e-6 {
+	if got := rate(50) * 100; math.Abs(got-spec.RequestsPerPeer) > 1e-6 {
 		t.Errorf("rate integrates to %v, want %v", got, spec.RequestsPerPeer)
 	}
-	if sc.Horizon() != 100 || sc.Peers() != 10 || sc.Objects() != 10 {
+	if sc.horizon != 100 || sc.peers != 10 || sc.objects != 10 {
 		t.Error("accessor mismatch")
 	}
 }

@@ -6,8 +6,9 @@
 # the scenarios docs/ARCHITECTURE.md lists must be the ones `exchswarm -list`
 # prints; every program under examples/ must run to completion; and every
 # committed BENCH_*.json trajectory point must still be readable by the
-# harness; and a golden figure the last commit moved must be named in the
-# first line of CHANGES.md.
+# harness; a golden figure the last commit moved must be named in the
+# first line of CHANGES.md; and so must the non-test line total outside
+# bench/, before and after, if the last commit grew it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -97,6 +98,33 @@ if git rev-parse -q --verify HEAD~1 >/dev/null 2>&1; then
 	done
 else
 	echo "ok   golden moves: no parent commit, checked nothing"
+fi
+
+# Growth is named too (ROADMAP item 13): when the last commit grew the
+# non-test Go lines outside bench/, the first line of CHANGES.md gives both
+# totals, each either bare (16851) or grouped (16,851).
+if git rev-parse -q --verify HEAD~1 >/dev/null 2>&1; then
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT INT TERM
+	for ref in HEAD~1 HEAD; do
+		mkdir "$tmp/$ref"
+		git archive "$ref" | tar -x -C "$tmp/$ref"
+	done
+	was=$(./scripts/size.sh "$tmp/HEAD~1" | awk 'END { print $1 }')
+	now=$(./scripts/size.sh "$tmp/HEAD" | awk 'END { print $1 }')
+	named() {
+		grouped=$(echo "$1" | awk '{ s = ""; n = $1; while (n >= 1000) { s = sprintf(",%03d", n % 1000) s; n = int(n / 1000) }; print n s }')
+		printf '%s\n' "$first" | grep -qE "(^|[^0-9,])($1|$grouped)([^0-9,]|\$)"
+	}
+	first=$(head -n 1 CHANGES.md)
+	if [ "$now" -le "$was" ]; then
+		echo "ok   non-test lines outside bench/: $was -> $now"
+	elif named "$was" && named "$now"; then
+		echo "ok   non-test lines outside bench/ grew $was -> $now, and CHANGES.md's first line names both"
+	else
+		echo "FAIL non-test lines outside bench/ grew $was -> $now in the last commit but CHANGES.md's first line does not name both totals"
+		status=1
+	fi
 fi
 
 exit $status

@@ -1,13 +1,21 @@
 #!/bin/sh
 # size: non-test Go lines per package (one line per directory), then their
 # total outside bench/ — the count ROADMAP's *Size* bullet and its item 13
-# quote. Counts the files git tracks, so a new file counts once it is added.
+# quote. Counts the files git tracks, so a new file counts once it is added;
+# given a directory instead (a `git archive` of some commit, say), counts
+# every Go file under it.
 #
-#   scripts/size.sh    (= make size)
+#   scripts/size.sh [dir]    (= make size)
 set -eu
-cd "$(dirname "$0")/.."
+if [ $# -gt 0 ]; then
+	cd "$1"
+	files() { find . -name '*.go' | sed 's|^\./||'; }
+else
+	cd "$(dirname "$0")/.."
+	files() { git ls-files '*.go'; }
+fi
 
-git ls-files '*.go' | grep -v '_test\.go$' | while read -r f; do
+files | grep -v '_test\.go$' | while read -r f; do
 	echo "$(dirname "$f") $(wc -l <"$f")"
 done | awk '
 	{ lines[$1] += $2; if ($1 != "bench" && $1 !~ /^bench\//) total += $2 }
