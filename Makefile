@@ -35,8 +35,9 @@ test-full:
 
 ## golden-check: the byte-identity oracle (ROADMAP Open item 3). Regenerates
 ## `exchsim -all -quick` and paper-scale `exchsim -experiment fig4` at seeds 1
-## and 7, and paper-scale `figw` and `ablation-credit` at seed 1, each at
-## -parallel 1 and -parallel 8, and cmps all twelve outputs against
+## and 7, paper-scale `figw` and `ablation-credit` at seed 1, and the
+## `exchsim -trace` replay of testdata/golden/wave-flash.trace, each at
+## -parallel 1 and -parallel 8, and cmps all fourteen outputs against
 ## testdata/golden/; a step of CI's full-tests job (~35 s on 2 cores).
 golden-check:
 	./scripts/golden.sh check

@@ -17,6 +17,14 @@
 // A simulation that keeps work of its own beside the queue (say, completions
 // whose instants it computes) merges the two by reading Next and moving the
 // clock with AdvanceTo before doing that work.
+//
+// Instants are float64, in whatever unit the caller keeps. Both of the
+// program's callers speak whole nanoseconds: the simulator (internal/sim)
+// keeps its clock as a time.Duration and converts at this edge, and the
+// swarm's fault driver (internal/swarm) schedules float64(time.Duration).
+// float64 holds every whole number below 2^53 exactly, so sums and ties of
+// such instants are exact up to 2^53 ns, about 104 days; the simulator's
+// Config.Validate refuses a horizon past that.
 package eventq
 
 import (

@@ -60,6 +60,40 @@ func TestTiesFireInScheduleOrder(t *testing.T) {
 	}
 }
 
+// TestWholeNanosecondsNear2to53: both callers schedule whole nanoseconds,
+// which float64 holds exactly below 2^53. Near the bound, delays of one
+// nanosecond still make distinct instants, the clock lands on each exactly,
+// and events at one instant fire in schedule order.
+func TestWholeNanosecondsNear2to53(t *testing.T) {
+	const top = 1<<53 - 1
+	q := New()
+	q.AdvanceTo(top - 10)
+	type fired struct {
+		at float64
+		id int
+	}
+	var got []fired
+	at := func(id int) Func { return func(now float64) { got = append(got, fired{now, id}) } }
+	for id, d := range []float64{3, 1, 3, 10, 1, 2} {
+		if _, err := q.After(d, at(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runUntil(q, top)
+	want := []fired{{top - 9, 1}, {top - 9, 4}, {top - 8, 5}, {top - 7, 0}, {top - 7, 2}, {top, 3}}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || float64(int64(got[i].at)) != got[i].at {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if q.Now() != top {
+		t.Fatalf("clock %v, want %v", q.Now(), float64(top))
+	}
+}
+
 func TestSchedulePastRejected(t *testing.T) {
 	q := New()
 	if _, err := q.At(5, Func(func(float64) {})); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"barter/internal/core"
+	"barter/internal/perfstats"
 )
 
 func replayAll(t *testing.T, path string) ([]walDeposit, map[core.PeerID]uint32) {
@@ -135,6 +136,7 @@ func TestWALAppendFailureSurfaces(t *testing.T) {
 	if err := w.f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	lost := perfstats.Current().MedWALLost
 	w.appendFlag(1, 1)
 	w.appendDeposit(walDeposit{exchange: 1, sender: 2, object: 3})
 	if w.err == nil {
@@ -142,5 +144,8 @@ func TestWALAppendFailureSurfaces(t *testing.T) {
 	}
 	if w.dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", w.dropped)
+	}
+	if d := perfstats.Current().MedWALLost - lost; d != 2 {
+		t.Fatalf("perfstats counted %d lost records, want 2", d)
 	}
 }

@@ -42,14 +42,17 @@ type Snapshot struct {
 	// failed audit. MedReplicated counts the records (deposits, flags) the
 	// mediator tier's shard-to-shard links sent to an object's other owner,
 	// MedReplDropped those they could not: queue full, sibling unreachable,
-	// or a send error. These six are live-stack counters published as they
-	// happen rather than folded in per run.
+	// or a send error. MedWALLost counts the records a shard's write-ahead
+	// log failed to append, which a restart of that shard will not recover.
+	// These seven are live-stack counters published as they happen rather
+	// than folded in per run.
 	MedRPCs           uint64
 	MedRPCPeak        uint64
 	StripesGranted    uint64
 	StripesReassigned uint64
 	MedReplicated     uint64
 	MedReplDropped    uint64
+	MedWALLost        uint64
 }
 
 var global struct {
@@ -60,6 +63,7 @@ var global struct {
 	medRPCs, medInflight, medPeak atomic.Uint64
 	stripesGranted, stripesReass  atomic.Uint64
 	medReplicated, medReplDropped atomic.Uint64
+	medWALLost                    atomic.Uint64
 
 	blocks, heapEvents atomic.Uint64
 }
@@ -95,6 +99,10 @@ func AddMedReplicated() { global.medReplicated.Add(1) }
 // AddMedReplDropped counts a record a mediator shard could not replicate.
 func AddMedReplDropped() { global.medReplDropped.Add(1) }
 
+// AddMedWALLost counts a record a mediator shard could not append to its
+// write-ahead log.
+func AddMedWALLost() { global.medWALLost.Add(1) }
+
 // AddRun folds one run's counters into the global aggregate.
 func AddRun(s Snapshot) {
 	global.runs.Add(s.Runs)
@@ -124,6 +132,7 @@ func Current() Snapshot {
 		StripesReassigned:  global.stripesReass.Load(),
 		MedReplicated:      global.medReplicated.Load(),
 		MedReplDropped:     global.medReplDropped.Load(),
+		MedWALLost:         global.medWALLost.Load(),
 	}
 }
 
@@ -144,6 +153,7 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		StripesReassigned:  s.StripesReassigned - t.StripesReassigned,
 		MedReplicated:      s.MedReplicated - t.MedReplicated,
 		MedReplDropped:     s.MedReplDropped - t.MedReplDropped,
+		MedWALLost:         s.MedWALLost - t.MedWALLost,
 	}
 }
 
@@ -182,8 +192,8 @@ func (t *Timer) Report() string {
 	fmt.Fprintf(&b, "perf: searches   %d (%d nodes visited, %d want probes, %d rings started)\n",
 		s.RingSearches, s.SearchNodesVisited, s.SearchWantsChecked, s.RingsStarted)
 	if s.MedRPCs > 0 {
-		fmt.Fprintf(&b, "perf: mediator   %d RPC(s), pipeline depth peak %d, %d record(s) replicated, %d dropped\n",
-			s.MedRPCs, s.MedRPCPeak, s.MedReplicated, s.MedReplDropped)
+		fmt.Fprintf(&b, "perf: mediator   %d RPC(s), pipeline depth peak %d, %d record(s) replicated, %d dropped, %d lost from the WAL\n",
+			s.MedRPCs, s.MedRPCPeak, s.MedReplicated, s.MedReplDropped, s.MedWALLost)
 	}
 	if s.StripesGranted > 0 {
 		fmt.Fprintf(&b, "perf: stripes    %d granted, %d reassigned\n", s.StripesGranted, s.StripesReassigned)

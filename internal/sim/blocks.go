@@ -3,14 +3,16 @@ package sim
 import (
 	"math"
 	"slices"
+	"time"
 )
 
 // Block accounting. An arrival is counted, not fired: a block changes only
-// the session's sent, its download's receivedKbits, the collector's window
+// the session's sent, its download's received, the collector's window
 // volume, the ranker's books and the event count, so those are brought up
-// to date when something reads them. A session's arrivals lie on a grid —
-// the first a block time after it starts, each next a block time after the
-// last, by float addition — so session.next says which have been credited.
+// to date when something reads them. The clock is whole nanoseconds and
+// every transfer runs at one slot rate (§IV-A), so a session's k-th block
+// lands at exactly startAt + k·Δ, Δ the block time: the arrivals by t are
+// (t − startAt)/Δ, and sent, the count credited, is the session's cursor.
 //
 // The tie rule is declared: at instant T every arrival at or before T has
 // arrived, for every reader; the downloads due at T then complete in
@@ -22,44 +24,40 @@ import (
 //
 // Every download that can complete sits in the due heap under the exact
 // instant it completes at (fileDue): the merged arrivals of its feeders
-// reaching ObjectKbits, or now if it is already whole.
-//
-// Counting in bulk is exact while every sum of blocks is, which a whole
-// BlockKbits keeps. Other configurations (eager) credit block by block and
-// file due instants by replaying the merged arrivals.
+// reaching objBlocks, or now if it is already whole.
 
-// lazyBlocks reports whether cfg's block arithmetic is exact in bulk.
-func lazyBlocks(cfg Config) bool { return cfg.BlockKbits == math.Trunc(cfg.BlockKbits) }
+// dur rounds seconds to the nearest nanosecond: the one place a time in
+// seconds (a Config interval, a random stagger, a workload or trace
+// instant) enters the clock.
+func dur(sec float64) time.Duration { return time.Duration(math.Round(sec * 1e9)) }
+
+// seconds is the inverse edge: a Duration as the seconds a Result, a Ranker
+// or a workload schedule reads.
+func seconds(d time.Duration) float64 { return float64(d) / 1e9 }
 
 // credit brings sess up to now: every arrival at or before it.
-func (s *Sim) credit(sess *session) { s.creditUntil(sess, s.q.Now()) }
+func (s *Sim) credit(sess *session) { s.creditUntil(sess, s.now()) }
 
 // creditUntil credits sess with its arrivals at or before limit: to its sent
 // and download, to the collector (those at or after the warm-up instant), to
-// the ranker and to the event count. An eager run credits them one at a
-// time.
-func (s *Sim) creditUntil(sess *session, limit float64) {
-	for s.eager && sess.next < limit {
-		s.creditUntil(sess, sess.next)
+// the ranker and to the event count.
+func (s *Sim) creditUntil(sess *session, limit time.Duration) {
+	if sess.startAt+time.Duration(sess.sent+1)*s.delta > limit {
+		return // credited through limit already
 	}
-	n, next := s.grid.count(sess.next, limit, true)
-	if n == 0 {
-		return
+	total := int((limit - sess.startAt) / s.delta)
+	n := total - sess.sent
+	if warm := s.col.warmupAt; limit >= warm {
+		first := sess.sent // the window's arrivals are those after first
+		if w := warm - sess.startAt; w > 0 {
+			first = max(first, int((w-1)/s.delta))
+		}
+		s.col.classes[sess.dstClass].recvBlocks += total - first
 	}
-	window := n
-	if warm := s.col.warmupAt; sess.next < warm {
-		early, _ := s.grid.count(sess.next, warm, false)
-		window -= min(early, n)
-	}
-	sess.next = next
-	kbits := float64(n) * s.cfg.BlockKbits
-	sess.sent += kbits
-	sess.dl.receivedKbits += kbits
-	if window > 0 { // the window's blocks are the last, all by limit
-		s.col.blockReceived(limit, sess.dstClass, float64(window)*s.cfg.BlockKbits)
-	}
+	sess.sent = total
+	sess.dl.received += n
 	if s.cfg.Ranker != nil {
-		s.cfg.Ranker.OnTransfer(sess.src, sess.dst, kbits)
+		s.cfg.Ranker.OnTransfer(sess.src, sess.dst, float64(n)*s.cfg.BlockKbits)
 	}
 	s.arrived += uint64(n)
 }
@@ -74,56 +72,39 @@ func (s *Sim) creditPeer(p *peerState) {
 	}
 }
 
-// needed returns the least m >= 1 with received + m·BlockKbits >=
-// ObjectKbits, for a received short of it.
-func (s *Sim) needed(received float64) int {
-	b, obj := s.cfg.BlockKbits, s.cfg.ObjectKbits
-	m := int(math.Ceil((obj - received) / b))
-	for m > 1 && received+float64(m-1)*b >= obj {
-		m--
-	}
-	for received+float64(m)*b < obj {
-		m++
-	}
-	return m
-}
-
 // fileDue files dl in the due heap under the exact instant it completes at,
 // after its feeders changed: now if it is whole, else when its feeders'
 // merged arrivals make it so. One that is done, or short with no feeder,
 // leaves the heap. Each feeder is credited through now, so the next
-// arrivals all lie in (now, now+Δ] (a new feeder's is now+Δ), and since
-// float addition is monotone their grids interleave in that order from then
-// on: the m-th merged arrival is the ((m−1) mod f)-th of them, advanced
-// (m−1)/f block times. An eager run replays the merge instead.
+// arrivals all lie in (now, now+Δ] (a new feeder's is now+Δ), and from then
+// on the feeders take turns in that order: the m-th merged arrival is the
+// ((m−1) mod f)-th of them, advanced (m−1)/f block times.
 func (s *Sim) fileDue(dl *download) {
 	next := s.nextScratch[:0]
 	for _, f := range dl.sessions {
 		s.credit(f)
-		next = append(next, f.next)
+		next = append(next, f.startAt+time.Duration(f.sent+1)*s.delta)
 	}
 	s.nextScratch = next
-	whole := dl.receivedKbits >= s.cfg.ObjectKbits
+	whole := dl.received >= s.objBlocks
 	switch {
 	case dl.done || !whole && len(next) == 0:
 		if dl.dueAt >= 0 {
 			s.dues.remove(dl)
 		}
 	case whole:
-		s.dues.set(dl, s.q.Now())
-	case s.eager:
-		s.dues.set(dl, s.mergedArrival(next, s.needed(dl.receivedKbits)))
+		s.dues.set(dl, s.now())
 	default:
 		slices.Sort(next)
-		m := s.needed(dl.receivedKbits) - 1
-		s.dues.set(dl, s.grid.step(next[m%len(next)], m/len(next)))
+		m := s.objBlocks - dl.received - 1
+		s.dues.set(dl, next[m%len(next)]+time.Duration(m/len(next))*s.delta)
 	}
 }
 
 // mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
-// next on, advancing next: the replay an eager run files due instants by,
-// and that fileDue's interleave must match.
-func (s *Sim) mergedArrival(next []float64, m int) float64 {
+// next on, advancing next: the replay CheckInvariants holds fileDue's
+// interleave to.
+func (s *Sim) mergedArrival(next []time.Duration, m int) time.Duration {
 	for {
 		i := 0
 		for j := range next {
@@ -134,80 +115,17 @@ func (s *Sim) mergedArrival(next []float64, m int) float64 {
 		if m--; m == 0 {
 			return next[i]
 		}
-		next[i] += s.grid.delay
+		next[i] += s.delta
 	}
-}
-
-// grid is a session's arrival grid: each arrival delay after the last, by
-// float addition. whole says delay is a whole number below 2^31.
-type grid struct {
-	delay float64
-	whole bool
-}
-
-func newGrid(delay float64) grid {
-	return grid{delay: delay, whole: delay == math.Trunc(delay) && delay < 1<<31}
-}
-
-// count returns how many grid points from t on come before limit (or at it,
-// if atLimit), and the first point after them, exactly as replaying
-// t += delay would. A whole delay lets it jump a binade at a time: every
-// float in t's binade is a multiple of its spacing, which divides delay, so
-// t + k·delay is exact up to the first sum to leave the binade, and one
-// multiply-add rounds that one as the k-th addition does.
-func (g grid) count(t, limit float64, atLimit bool) (int, float64) {
-	n := 0
-	for t < limit || atLimit && t == limit {
-		if !g.whole || limit-t < 8*g.delay || t >= 1<<52 {
-			n, t = n+1, t+g.delay
-			continue
-		}
-		end, endIn := limit, atLimit
-		if top := math.Float64frombits((math.Float64bits(t)>>52 + 1) << 52); top <= limit {
-			end, endIn = top, false // t's binade is [top/2, top)
-		}
-		past := func(k int) bool {
-			p := t + float64(k)*g.delay
-			return p > end || !endIn && p == end
-		}
-		k := max(1, int((end-t)/g.delay))
-		for k > 1 && past(k-1) {
-			k--
-		}
-		for !past(k) {
-			k++
-		}
-		n, t = n+k, t+float64(k)*g.delay
-	}
-	return n, t
-}
-
-// step returns t advanced k grid points, exactly as k replays of t += delay
-// would, a binade at a time as count goes: the sums inside t's binade are
-// exact, and one multiply-add rounds the first to leave it as its addition
-// does.
-func (g grid) step(t float64, k int) float64 {
-	for k > 0 {
-		j := 1
-		if g.whole && t < 1<<52 {
-			top := math.Float64frombits((math.Float64bits(t)>>52 + 1) << 52)
-			j = min(k, max(1, int((top-t)/g.delay)))
-			for j < k && t+float64(j)*g.delay < top {
-				j++
-			}
-		}
-		t, k = t+float64(j)*g.delay, k-j
-	}
-	return t
 }
 
 // dueHeap is a binary min-heap of downloads by (due instant, seq), kept in
-// the heap itself so min reads one slot; each download keeps its index in
-// dueAt.
+// the heap itself so the first reads one slot; each download keeps its
+// index in dueAt.
 type dueHeap []dueEntry
 
 type dueEntry struct {
-	due float64
+	due time.Duration
 	dl  *download
 }
 
@@ -217,14 +135,7 @@ func (e dueEntry) before(f dueEntry) bool {
 	return e.due < f.due || e.due == f.due && e.dl.seq < f.dl.seq
 }
 
-func (h dueHeap) min() float64 {
-	if len(h) == 0 {
-		return math.Inf(1)
-	}
-	return h[0].due
-}
-
-func (h *dueHeap) set(dl *download, due float64) {
+func (h *dueHeap) set(dl *download, due time.Duration) {
 	if dl.dueAt < 0 {
 		dl.dueAt = len(*h)
 		*h = append(*h, dueEntry{dl: dl})

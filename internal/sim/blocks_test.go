@@ -1,139 +1,91 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"barter/internal/core"
 	"barter/internal/eventq"
 	"barter/internal/strategy"
 )
 
-// replay is a session's arrival arithmetic, one float addition per arrival:
-// what grid.count must reproduce exactly.
-func replay(t, delay, limit float64, atLimit bool) (int, float64) {
-	n := 0
-	for t < limit || atLimit && t == limit {
-		n++
-		t += delay
-	}
-	return n, t
-}
-
-// TestGridCountMatchesReplay: counting arrivals a binade at a time gives the
-// count and the next arrival that one addition per arrival gives, and
-// stepping that many arrivals a binade at a time lands on the same one, for
-// whole and fractional delays, fractional starts, limits on grid points and
-// off them, across binade boundaries.
-func TestGridCountMatchesReplay(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	delays := []float64{1, 25, 50, 3, 7, 1000, 0.5, 50.0 / 3, 166.66666666666666}
-	for i := 0; i < 20000; i++ {
-		delay := delays[r.Intn(len(delays))]
-		g := newGrid(delay)
-		start := r.Float64() * math.Ldexp(1, r.Intn(20))
-		if r.Intn(4) == 0 {
-			start = math.Trunc(start) // whole starts stay whole
-		}
-		steps := r.Intn(400)
-		limit := start + float64(steps)*delay*r.Float64()*1.5
-		if r.Intn(3) == 0 { // exactly on a grid point
-			_, limit = replay(start, delay, start+float64(steps)*delay*0.7, false)
-		}
-		if r.Intn(5) == 0 { // exactly on a binade boundary
-			_, e := math.Frexp(limit)
-			limit = math.Ldexp(1, e)
-		}
-		for _, atLimit := range []bool{false, true} {
-			wn, wt := replay(start, delay, limit, atLimit)
-			gn, gt := g.count(start, limit, atLimit)
-			if gn != wn || gt != wt {
-				t.Fatalf("count(%v, %v, %v) with delay %v = %d, %v; replay %d, %v", start, limit, atLimit, delay, gn, gt, wn, wt)
-			}
-			if st := g.step(start, wn); st != wt {
-				t.Fatalf("step(%v, %d) with delay %v = %v; replay %v", start, wn, delay, st, wt)
-			}
-		}
-	}
-}
-
-// TestFileDueMatchesReplay is the property behind fileDue: for feeders whose
-// credited cursors lag the clock or sit on it, and new feeders one block
-// time out (ties and binade crossings included), the filed instant is the
-// m-th arrival of the feeders' grids merged by replay, after crediting every
-// arrival at or before now, or now itself if those make the download whole.
+// TestFileDueMatchesReplay is the property behind fileDue: for feeders
+// credited up to some block and lagging the clock by up to a few dozen block
+// times, or started at it (so their first block is a block time out), with
+// block times that are whole seconds, a fraction of one and a nanosecond
+// short of one, the filed instant is the arrival that makes the download
+// whole on the feeders' grids merged by replay, after crediting every
+// arrival at or before now, or now itself if those make it whole.
 func TestFileDueMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
-		delay := []float64{1, 50, 7, 0.5, 50.0 / 3}[r.Intn(5)]
-		g := newGrid(delay)
-		now := r.Float64() * math.Ldexp(1, r.Intn(22))
-		if r.Intn(3) == 0 { // a binade boundary within a few block times
-			now = math.Ldexp(1, r.Intn(22)) - float64(r.Intn(6))*delay*r.Float64()
+		delta := []time.Duration{time.Second, 50 * time.Second, 3276800 * time.Microsecond, time.Second - 1, 7}[r.Intn(5)]
+		now := time.Duration(r.Int63n(1 << 52))
+		if r.Intn(3) == 0 { // near the 2^53 ns bound
+			now = 1<<53 - 1 - time.Duration(r.Intn(40))*delta
 		}
-		now = math.Max(now, 0)
 		blocks := 1 + r.Intn(400)
 		s := &Sim{
-			cfg:  Config{BlockKbits: 1, ObjectKbits: float64(blocks)},
-			q:    eventq.New(),
-			grid: g,
-			col:  newCollector(0, strategy.LegacyMix(0.5)),
+			cfg:       Config{BlockKbits: 1, ObjectKbits: float64(blocks)},
+			q:         eventq.New(),
+			delta:     delta,
+			objBlocks: blocks,
+			col:       newCollector(0, strategy.LegacyMix(0.5), 1),
 		}
-		s.q.AdvanceTo(now)
-		dl := &download{dueAt: -1, receivedKbits: float64(r.Intn(blocks))}
-		var cursors []float64
+		s.q.AdvanceTo(float64(now))
+		dl := &download{dueAt: -1, received: r.Intn(blocks)}
+		received := dl.received
+		var next []time.Duration
 		for f := 1 + r.Intn(5); f > 0; f-- {
-			next := now + delay // a feeder started now
-			switch r.Intn(4) {
-			case 0: // lagging by up to a few dozen block times
-				next = math.Max(0, now-delay*float64(r.Intn(40))-delay*r.Float64())
-			case 1: // on the clock
-				next = now
-			case 2: // tied with an earlier feeder
-				if len(cursors) > 0 {
-					next = cursors[r.Intn(len(cursors))]
-				}
+			start := now // a feeder started now
+			if r.Intn(4) != 0 {
+				start = max(0, now-delta*time.Duration(r.Intn(40))-time.Duration(r.Int63n(int64(delta))))
 			}
-			cursors = append(cursors, next)
-			dl.sessions = append(dl.sessions, &session{dl: dl, next: next})
+			delivered := 0
+			for start+time.Duration(delivered+1)*delta <= now {
+				delivered++
+			}
+			sent := r.Intn(delivered + 1)
+			received += delivered - sent
+			next = append(next, start+time.Duration(delivered+1)*delta)
+			dl.sessions = append(dl.sessions, &session{dl: dl, startAt: start, sent: sent})
 		}
-		received, next := dl.receivedKbits, slices.Clone(cursors)
-		for j := range next {
-			n, after := g.count(next[j], now, true)
-			received, next[j] = received+float64(n), after
-		}
+		cursors := slices.Clone(next)
 		s.fileDue(dl)
 		want := now // whole by now: it completes in its turn at now
-		if received < float64(blocks) {
-			want = s.mergedArrival(next, s.needed(received))
+		if received < blocks {
+			want = s.mergedArrival(next, blocks-received)
 		}
-		if got := s.dues.min(); got != want {
-			t.Fatalf("delay %v, now %v, cursors %v, %v of %d blocks: filed at %v, replay %v", delay, now, cursors, dl.receivedKbits, blocks, got, want)
+		if got := s.dues[0].due; got != want {
+			t.Fatalf("delta %v, now %v, next arrivals %v, %d of %d blocks: filed at %v, replay %v", delta, now, cursors, received, blocks, got, want)
 		}
 	}
 }
 
 // runEager is the reference the counted engine is held to: before every
 // completion and every heap event it credits every open session block by
-// block through that instant, and it files due instants by replaying the
-// merged arrivals (eager).
+// block through that instant.
 func runEager(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eager = true
 	for {
-		at := min(s.dues.min(), s.q.Next())
-		if at > cfg.Duration {
+		at := s.q.Next()
+		if len(s.dues) > 0 {
+			at = min(at, float64(s.dues[0].due))
+		}
+		if at > float64(dur(cfg.Duration)) {
 			break
 		}
 		for _, p := range s.peers {
 			for _, up := range p.uploads {
-				s.creditUntil(up, at)
+				for k := up.sent + 1; up.startAt+time.Duration(k)*s.delta <= time.Duration(at); k++ {
+					s.creditUntil(up, up.startAt+time.Duration(k)*s.delta)
+				}
 			}
 		}
 		s.Step()
@@ -177,9 +129,9 @@ func hugeObjects() Config {
 
 // TestLazyMatchesEager holds the counted run to the eager one (runEager):
 // on every TestPinnedAccounting world, on two paper-scale ones, on one of
-// huge objects and on one of fractional blocks (which the counted run also
-// credits block by block), counts, block accounting and per-ring-size
-// session statistics are identical.
+// huge objects, on one of fractional blocks and on one of the live swarm's
+// 4 KiB blocks (32.768 kbit, a block time of 3.2768 s), counts, block
+// accounting and per-ring-size session statistics are identical.
 func TestLazyMatchesEager(t *testing.T) {
 	cases := accountingCases()
 	cases = append(cases,
@@ -189,6 +141,12 @@ func TestLazyMatchesEager(t *testing.T) {
 		accountingCase{name: "fractional-blocks", cfg: func() Config {
 			cfg := testConfig()
 			cfg.BlockKbits = 250.5
+			cfg.Duration = 5_000
+			return cfg
+		}},
+		accountingCase{name: "swarm-blocks", cfg: func() Config {
+			cfg := testConfig()
+			cfg.BlockKbits = 32.768
 			cfg.Duration = 5_000
 			return cfg
 		}},

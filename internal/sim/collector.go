@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"barter/internal/metrics"
 	"barter/internal/strategy"
@@ -77,12 +78,10 @@ type Result struct {
 	ExchangeFraction float64
 
 	// RingsStarted counts exchange rings by size; RingAttempts and
-	// RingValidationFailures expose search/validation dynamics, with
-	// RingFailReasons breaking failures down by the first failed check.
+	// RingValidationFailures expose search/validation dynamics.
 	RingsStarted           map[int]int
 	RingAttempts           int
 	RingValidationFailures int
-	RingFailReasons        map[string]int
 
 	// Preemptions counts non-exchange uploads reclaimed for exchanges.
 	Preemptions int
@@ -204,8 +203,8 @@ func (r *Result) SpeedupSharingVsNonSharing() float64 {
 
 // classStats accumulates one strategy class's window metrics.
 type classStats struct {
-	dt        metrics.Sample
-	recvKbits float64
+	dt         metrics.Sample
+	recvBlocks int // blocks received in the window (blocks.go credits them)
 }
 
 // ringTally is the window's session tally of one ring size: the count and
@@ -219,8 +218,9 @@ type ringTally struct {
 // are kept per strategy class only; the sharing/non-sharing aggregates are
 // derived from Result.Classes.
 type collector struct {
-	warmupAt float64
-	mix      strategy.Mix
+	warmupAt   time.Duration
+	mix        strategy.Mix
+	blockKbits float64
 
 	classes     []classStats
 	whitewashes []int // per class, counted over the whole run
@@ -236,7 +236,6 @@ type collector struct {
 	ringsStarted map[int]int
 	ringAttempts int
 	ringFailures int
-	failReasons  map[string]int
 	preemptions  int
 	irqRejected  int
 	lookupFails  int
@@ -247,38 +246,31 @@ type collector struct {
 	searchWants  int
 }
 
-func newCollector(warmupAt float64, mix strategy.Mix) *collector {
+func newCollector(warmupAt time.Duration, mix strategy.Mix, blockKbits float64) *collector {
 	return &collector{
 		warmupAt:     warmupAt,
 		mix:          mix,
+		blockKbits:   blockKbits,
 		classes:      make([]classStats, len(mix)),
 		whitewashes:  make([]int, len(mix)),
 		classFlips:   make([]int, len(mix)),
 		volume:       metrics.NewGrouped(),
 		waiting:      metrics.NewGrouped(),
 		ringsStarted: make(map[int]int),
-		failReasons:  make(map[string]int),
 	}
 }
 
-func (c *collector) inWindow(now float64) bool { return now >= c.warmupAt }
+func (c *collector) inWindow(now time.Duration) bool { return now >= c.warmupAt }
 
-func (c *collector) downloadDone(now float64, class int, minutes float64) {
+func (c *collector) downloadDone(now time.Duration, class int, minutes float64) {
 	if !c.inWindow(now) {
 		return
 	}
 	c.classes[class].dt.Add(minutes)
 }
 
-func (c *collector) blockReceived(now float64, class int, kbits float64) {
-	if !c.inWindow(now) {
-		return
-	}
-	c.classes[class].recvKbits += kbits
-}
-
 // sessionDone records a finished (or finalized-at-horizon) session.
-func (c *collector) sessionDone(now float64, s *session) {
+func (c *collector) sessionDone(now time.Duration, s *session) {
 	if !c.inWindow(now) {
 		return
 	}
@@ -286,8 +278,8 @@ func (c *collector) sessionDone(now float64, s *session) {
 	if s.ringSize > 1 {
 		c.exchSessions++
 	}
-	volume := s.sent / 8 // kbits -> kB
-	waiting := (s.startAt - s.dl.requestedAt) / 60
+	volume := float64(s.sent) * c.blockKbits / 8 // kbits -> kB
+	waiting := seconds(s.startAt-s.dl.requestedAt) / 60
 	if s.ringSize >= len(c.bySize) {
 		c.bySize = append(c.bySize, make([]ringTally, s.ringSize+1-len(c.bySize))...)
 	}
@@ -306,7 +298,7 @@ func (c *collector) sessionDone(now float64, s *session) {
 	t.count++
 }
 
-func (c *collector) ringStarted(now float64, size int) {
+func (c *collector) ringStarted(now time.Duration, size int) {
 	if !c.inWindow(now) {
 		return
 	}
@@ -324,7 +316,6 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 		RingsStarted:           c.ringsStarted,
 		RingAttempts:           c.ringAttempts,
 		RingValidationFailures: c.ringFailures,
-		RingFailReasons:        c.failReasons,
 		Preemptions:            c.preemptions,
 		IRQRejected:            c.irqRejected,
 		LookupFailures:         c.lookupFails,
@@ -353,7 +344,7 @@ func (c *collector) result(policy string, horizon float64, events uint64, classC
 			Flips:        c.classFlips[i],
 		}
 		if classCounts[i] > 0 {
-			cr.VolumePerPeerMB = c.classes[i].recvKbits / float64(classCounts[i]) / 8000
+			cr.VolumePerPeerMB = float64(c.classes[i].recvBlocks) * c.blockKbits / float64(classCounts[i]) / 8000
 		}
 		res.Classes[i] = cr
 	}

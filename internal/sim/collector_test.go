@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"barter/internal/metrics"
 	"barter/internal/strategy"
@@ -12,7 +13,7 @@ import (
 // feeds it the given per-class download times (minutes).
 func testCollector(sharingMin, nonSharingMin []float64) *collector {
 	mix := strategy.LegacyMix(0.5)
-	c := newCollector(0, mix)
+	c := newCollector(0, mix, 1)
 	for _, m := range nonSharingMin {
 		c.downloadDone(1, 0, m) // class 0 = non-sharing in the legacy mix
 	}
@@ -119,7 +120,7 @@ func TestSummaryRichMixAddsClassLines(t *testing.T) {
 		{Strategy: strategy.Whitewasher(), Frac: 0.5},
 		{Strategy: strategy.Sharing(), Frac: 0.5},
 	}
-	c := newCollector(0, mix)
+	c := newCollector(0, mix, 1)
 	c.downloadDone(1, 0, 30)
 	c.whitewashes[0] = 4
 	res := c.result("2-5-way", 1000, 1, []int{2, 2})
@@ -136,19 +137,22 @@ func TestSummaryRichMixAddsClassLines(t *testing.T) {
 }
 
 // TestWarmupWindowExcluded: observations before the warm-up boundary must
-// not reach any aggregate.
+// not reach any aggregate, and a session's blocks count from the first that
+// lands at or after it, whether credited in one batch or several.
 func TestWarmupWindowExcluded(t *testing.T) {
-	c := newCollector(100, strategy.LegacyMix(0.5))
-	c.downloadDone(50, 1, 10)     // before warm-up: dropped
-	c.blockReceived(50, 1, 8000)  // dropped
-	c.downloadDone(150, 1, 30)    // counted
-	c.blockReceived(150, 1, 8000) // counted
+	c := newCollector(100*time.Second, strategy.LegacyMix(0.5), 1000)
+	c.downloadDone(50*time.Second, 1, 10)  // before warm-up: dropped
+	c.downloadDone(150*time.Second, 1, 30) // counted
+	s := &Sim{delta: 10 * time.Second, col: c}
+	sess := &session{dl: &download{}, startAt: 50 * time.Second, dstClass: 1}
+	s.creditUntil(sess, 90*time.Second)  // blocks at 60..90 s: dropped
+	s.creditUntil(sess, 150*time.Second) // 100..150 s: counted
 	res := c.result("x", 1000, 0, []int{1, 1})
 	if completed(res, true) != 1 || res.MeanDownloadMin(true) != 30 {
 		t.Fatalf("warm-up leak: completed=%d mean=%v", completed(res, true), res.MeanDownloadMin(true))
 	}
-	if res.VolumePerPeerMB(true) != 1 {
-		t.Fatalf("volume = %v MB, want 1", res.VolumePerPeerMB(true))
+	if sess.sent != 10 || res.VolumePerPeerMB(true) != 0.75 {
+		t.Fatalf("%d blocks credited, volume = %v MB; want 10 and 0.75 (6 blocks of 1000 kbit)", sess.sent, res.VolumePerPeerMB(true))
 	}
 }
 

@@ -67,8 +67,9 @@ type Config struct {
 	// ObjectKbits is the size of every object (Table II: 20 MB for all
 	// objects = 160,000 kbit with decimal MB).
 	ObjectKbits float64
-	// BlockKbits is the fixed exchange/transfer block size; sessions
-	// deliver one block per event.
+	// BlockKbits is the fixed exchange/transfer block size; a session
+	// delivers one block per block time, BlockKbits/SlotKbps seconds, and
+	// an object is ObjectKbits/BlockKbits blocks, rounded up.
 	BlockKbits float64
 
 	// StorageMinObjects/Max bound the uniform draw of per-peer storage
@@ -116,8 +117,9 @@ type Config struct {
 	SearchBudget int
 	SearchFanout int
 
-	// Duration is the simulated horizon in seconds; WarmupFrac is the
-	// leading fraction of the run excluded from all metrics.
+	// Duration is the simulated horizon in seconds, below 2^53 ns (about
+	// 104 days: the clock is whole nanoseconds); WarmupFrac is the leading
+	// fraction of the run excluded from all metrics.
 	Duration   float64
 	WarmupFrac float64
 
@@ -190,6 +192,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSeconds is where the nanosecond clock stops being exact: the event
+// queue keeps float64 instants, which hold every whole number below 2^53.
+const maxSeconds = 1 << 53 / 1e9
+
 // Validate reports the first configuration error, if any.
 func (c Config) Validate() error {
 	switch {
@@ -215,12 +221,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: LookupMax and RequestFanout must be positive")
 	case c.Duration <= 0:
 		return fmt.Errorf("sim: Duration = %v, want > 0", c.Duration)
+	case c.Duration >= maxSeconds:
+		return fmt.Errorf("sim: Duration = %v s, want below 2^53 ns (about 104 days)", c.Duration)
+	case c.BlockKbits/c.SlotKbps < 1e-9:
+		return fmt.Errorf("sim: a block takes %v s on a slot, want at least a nanosecond", c.BlockKbits/c.SlotKbps)
 	case c.WarmupFrac < 0 || c.WarmupFrac >= 1:
 		return fmt.Errorf("sim: WarmupFrac = %v, want [0, 1)", c.WarmupFrac)
 	case c.EvictionInterval <= 0 || c.RetryInterval <= 0:
 		return fmt.Errorf("sim: EvictionInterval and RetryInterval must be positive")
 	case c.AdaptivePatience < 0 || c.WhitewashInterval < 0:
 		return fmt.Errorf("sim: AdaptivePatience and WhitewashInterval must be non-negative")
+	case max(c.EvictionInterval, c.RetryInterval, c.AdaptivePatience, c.WhitewashInterval) >= maxSeconds:
+		return fmt.Errorf("sim: every interval must be below 2^53 ns (about 104 days)")
 	}
 	if c.Mix != nil {
 		if err := c.Mix.Validate(); err != nil {

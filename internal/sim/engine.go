@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -38,21 +39,22 @@ import (
 type Sim struct {
 	cfg Config
 	q   *eventq.Queue
-	// Block arrivals are counted, not scheduled (blocks.go): every one is
-	// exactly one block service time after the last on its session's grid,
-	// and dues holds every download that can complete under the instant it
-	// does, the simulator's only work beside the heap. arrived counts the
-	// blocks credited; dlSeq stamps downloads in creation order, which
-	// orders those due at one instant; eager credits block by block, where
-	// sums of blocks are not exact in bulk.
-	grid    grid
-	arrived uint64
-	dues    dueHeap
-	dlSeq   uint64
-	eager   bool
-	r       *rng.RNG
-	cat     *catalog.Catalog
-	peers   []*peerState
+	// The clock is whole nanoseconds: q's float64 instants are exact
+	// below 2^53 ns (Validate), and every instant stored here is a
+	// time.Duration. Block arrivals are counted, not scheduled (blocks.go):
+	// a session's k-th lands k·delta after it starts, an object is objBlocks
+	// blocks, and dues holds every download that can complete under the
+	// instant it does, the simulator's only work beside the heap. arrived
+	// counts the blocks credited; dlSeq stamps downloads in creation order,
+	// which orders those due at one instant.
+	delta     time.Duration
+	objBlocks int
+	arrived   uint64
+	dues      dueHeap
+	dlSeq     uint64
+	r         *rng.RNG
+	cat       *catalog.Catalog
+	peers     []*peerState
 	// holders indexes object -> online sharing peers storing it; wanters
 	// indexes object -> peers with a pending download for it, so evictions
 	// can scrub stale provider sets. Both are one set per object id (ids are
@@ -83,7 +85,7 @@ type Sim struct {
 	candScratch []core.PeerID
 	objScratch  []catalog.ObjectID
 	sessScratch []*session
-	nextScratch []float64
+	nextScratch []time.Duration
 
 	// Free lists for the per-transfer bookkeeping objects. Retired objects
 	// park on the dead lists until reap, which runs at the start of the next
@@ -139,18 +141,18 @@ func New(cfg Config) (*Sim, error) {
 	classOf := classAssignment(engRNG, mix, cfg.NumPeers)
 
 	s := &Sim{
-		cfg:     cfg,
-		q:       eventq.New(),
-		r:       engRNG,
-		cat:     cat,
-		holders: make([]index.Set[core.PeerID], cat.NumObjects()),
-		wanters: make([]index.Set[core.PeerID], cat.NumObjects()),
-		col:     newCollector(cfg.Duration*cfg.WarmupFrac, mix),
-		ulSlots: cfg.UploadSlots(),
-		dlSlots: cfg.DownloadSlots(),
-		mix:     mix,
-		grid:    newGrid(cfg.BlockKbits / cfg.SlotKbps),
-		eager:   !lazyBlocks(cfg),
+		cfg:       cfg,
+		q:         eventq.New(),
+		r:         engRNG,
+		cat:       cat,
+		holders:   make([]index.Set[core.PeerID], cat.NumObjects()),
+		wanters:   make([]index.Set[core.PeerID], cat.NumObjects()),
+		col:       newCollector(dur(cfg.Duration*cfg.WarmupFrac), mix, cfg.BlockKbits),
+		ulSlots:   cfg.UploadSlots(),
+		dlSlots:   cfg.DownloadSlots(),
+		mix:       mix,
+		delta:     dur(cfg.BlockKbits / cfg.SlotKbps),
+		objBlocks: int(math.Ceil(cfg.ObjectKbits / cfg.BlockKbits)),
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -208,16 +210,16 @@ func New(cfg Config) (*Sim, error) {
 	default:
 		for i := range s.peers {
 			id := core.PeerID(i)
-			s.after(engRNG.Float64()*60, func(float64) { s.issueRequests(s.peers[id]) })
+			s.after(dur(engRNG.Float64()*60), func(time.Duration) { s.issueRequests(s.peers[id]) })
 		}
 	}
-	s.after(cfg.EvictionInterval, s.evictionSweep)
+	s.after(dur(cfg.EvictionInterval), s.evictionSweep)
 	// Whitewash clocks, jittered so a cohort does not churn in lockstep.
 	// Scheduling these after the burst loop keeps the RNG stream prefix of
 	// legacy mixes (which have no whitewashers) untouched.
 	for _, p := range s.peers {
 		if p.strat.Whitewash {
-			s.after(cfg.whitewashInterval()*(0.5+engRNG.Float64()), func(float64) { s.whitewash(p) })
+			s.after(dur(cfg.whitewashInterval()*(0.5+engRNG.Float64())), func(time.Duration) { s.whitewash(p) })
 		}
 	}
 	return s, nil
@@ -247,29 +249,34 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 // Now returns the current virtual time in seconds.
 //
 //barter:allow deadcode a stepwise test's clock, beside Step
-func (s *Sim) Now() float64 { return s.q.Now() }
+func (s *Sim) Now() float64 { return seconds(s.now()) }
+
+// now is the clock: q's instants are whole nanoseconds.
+func (s *Sim) now() time.Duration { return time.Duration(s.q.Now()) }
 
 // Step fires the next piece of work: the download due first, if it is due
 // no later than the heap's next event, else that event. It reports whether
 // anything remained to fire.
 //
 //barter:allow deadcode the stepwise tests' driver, which checks invariants between steps
-func (s *Sim) Step() bool { return s.step(math.Inf(1)) }
+func (s *Sim) Step() bool { return s.step(math.MaxInt64) }
 
-// RunUntil advances virtual time to horizon.
+// RunUntil advances virtual time to horizon, in seconds.
 func (s *Sim) RunUntil(horizon float64) {
-	for s.step(horizon) {
+	h := dur(horizon)
+	for s.step(h) {
 	}
-	s.q.AdvanceTo(horizon)
+	s.q.AdvanceTo(float64(h))
 }
 
 // step fires the next piece of work if it is due by horizon: completions
-// win ties with heap events.
-func (s *Sim) step(horizon float64) bool {
-	if at := s.q.Next(); at < s.dues.min() {
-		return at <= horizon && s.q.Step()
+// win ties with heap events. q.Next is +Inf on an empty queue, so it is
+// compared as a float and never converted.
+func (s *Sim) step(horizon time.Duration) bool {
+	if at := s.q.Next(); len(s.dues) == 0 || at < float64(s.dues[0].due) {
+		return at <= float64(horizon) && s.q.Step()
 	}
-	if len(s.dues) == 0 || s.dues[0].due > horizon {
+	if s.dues[0].due > horizon {
 		return false
 	}
 	s.completeDue()
@@ -306,13 +313,13 @@ func (s *Sim) result() *Result {
 		for _, up := range p.uploads {
 			if !up.closed {
 				s.credit(up)
-				s.col.sessionDone(s.q.Now(), up)
+				s.col.sessionDone(s.now(), up)
 				up.closed = true
 			}
 		}
 	}
 	events := s.q.Fired() + s.arrived
-	return s.col.result(s.cfg.Policy.String(), s.q.Now(), events, s.mix.Counts(len(s.peers)))
+	return s.col.result(s.cfg.Policy.String(), seconds(s.now()), events, s.mix.Counts(len(s.peers)))
 }
 
 // reap recycles the sessions, requests and downloads retired during the
@@ -353,7 +360,7 @@ func take[T any](free *[]*T) *T {
 	return v
 }
 
-func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival float64) *request {
+func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival time.Duration) *request {
 	req := take(&s.freeReq)
 	req.requester, req.object, req.arrival = requester, obj, arrival
 	return req
@@ -362,13 +369,14 @@ func (s *Sim) newRequest(requester core.PeerID, obj catalog.ObjectID, arrival fl
 // retireRequest parks a dequeued request for recycling at the next event.
 func (s *Sim) retireRequest(req *request) { s.deadReq = append(s.deadReq, req) }
 
-// after schedules fn; scheduling with non-negative delay cannot fail, so a
-// failure is a programming error worth crashing on. Every event entry point
-// reaps the previous event's retirements first.
-func (s *Sim) after(delay float64, fn func(now float64)) {
-	if _, err := s.q.After(delay, eventq.Func(func(now float64) {
+// after schedules fn delay from now; scheduling with non-negative delay
+// cannot fail, so a failure is a programming error worth crashing on. Every
+// event entry point reaps the previous event's retirements first. q speaks
+// float64: whole nanoseconds, exact below 2^53.
+func (s *Sim) after(delay time.Duration, fn func(now time.Duration)) {
+	if _, err := s.q.After(float64(delay), eventq.Func(func(now float64) {
 		s.reap()
-		fn(now)
+		fn(time.Duration(now))
 	})); err != nil {
 		panic(fmt.Sprintf("sim: internal scheduling error: %v", err))
 	}
@@ -551,7 +559,7 @@ func (s *Sim) scheduleRetry(p *peerState) {
 	if p.retryEv.Valid() {
 		s.q.Cancel(p.retryEv)
 	}
-	h, err := s.q.After(s.cfg.RetryInterval, p.retry)
+	h, err := s.q.After(float64(dur(s.cfg.RetryInterval)), p.retry)
 	if err != nil {
 		panic(fmt.Sprintf("sim: internal scheduling error: %v", err))
 	}
@@ -562,7 +570,7 @@ func (s *Sim) scheduleRetry(p *peerState) {
 // discovery, runs the paper's before-transmission ring search, and registers
 // requests with a subset of providers.
 func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.PeerID) {
-	now := s.q.Now()
+	now := s.now()
 	discovered := s.sampleSubset(cands, s.cfg.LookupMax)
 	s.dlSeq++
 	dl := take(&s.freeDl)
@@ -583,7 +591,7 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 		// pending after the patience window. The check names the download
 		// by its seq: the download itself is recycled once retired.
 		seq := dl.seq
-		s.after(s.cfg.adaptivePatience(), func(float64) { s.adaptiveCheck(p, obj, seq) })
+		s.after(dur(s.cfg.adaptivePatience()), func(time.Duration) { s.adaptiveCheck(p, obj, seq) })
 	}
 
 	// "Prior to transmission of a request for object o, the peer inspects
@@ -627,7 +635,7 @@ func (s *Sim) sendRequest(p, server *peerState, dl *download) {
 		s.col.irqRejected++
 		return
 	}
-	s.pushIRQ(server, dl, s.newRequest(p.id, dl.object, s.q.Now()))
+	s.pushIRQ(server, dl, s.newRequest(p.id, dl.object, s.now()))
 	dl.requestedFrom = append(dl.requestedFrom, server.id)
 	// The new requester may directly hold objects the server wants.
 	if p.sharing {
@@ -672,9 +680,8 @@ func (s *Sim) tryExchange(root *peerState, wants []core.Want, via *core.Edge) bo
 		return false
 	}
 	s.col.ringAttempts++
-	if reason := s.validateRing(ring); reason != "" {
+	if !s.validateRing(ring) {
 		s.col.ringFailures++
-		s.col.failReasons[reason]++
 		return false
 	}
 	s.startRing(ring)
@@ -694,44 +701,32 @@ func (s *Sim) findSession(src, dst *peerState, object catalog.ObjectID) *session
 // validateRing is the simulation analogue of circulating the ring-initiation
 // token: every member must still be online, sharing, hold the object it
 // gives, find its successor still wanting that object, and have upload and
-// download capacity (or a preemptible non-exchange upload). It returns ""
-// when the ring is viable, otherwise the name of the first failed check.
-func (s *Sim) validateRing(ring *core.Ring) string {
+// download capacity (or a preemptible non-exchange upload). It reports
+// whether the ring is viable.
+func (s *Sim) validateRing(ring *core.Ring) bool {
 	n := ring.Size()
 	for i, m := range ring.Members {
 		pm := s.peers[m.Peer]
 		np := s.peers[ring.Members[(i+1)%n].Peer]
-		switch {
-		case !pm.online:
-			return "member-offline"
-		case !pm.sharing:
-			return "member-not-sharing"
-		case !pm.has(m.Gives):
-			return "object-gone"
-		case np.pendingFor(m.Gives) == nil:
-			return "successor-lost-interest"
+		if !pm.online || !pm.sharing || !pm.has(m.Gives) || np.pendingFor(m.Gives) == nil {
+			return false
 		}
-		if !pm.hasFreeUploadSlot() {
-			if s.cfg.DisablePreemption || pm.preemptibleUpload() == nil {
-				return "no-upload-capacity"
-			}
+		if !pm.hasFreeUploadSlot() && (s.cfg.DisablePreemption || pm.preemptibleUpload() == nil) {
+			return false
 		}
 		dup := s.findSession(pm, np, m.Gives)
-		if dup != nil && dup.ringSize > 1 {
-			return "link-already-in-ring"
-		}
-		if !np.hasFreeDownloadSlot(s.dlSlots) && dup == nil {
-			return "no-download-capacity"
+		if dup != nil && dup.ringSize > 1 || dup == nil && !np.hasFreeDownloadSlot(s.dlSlots) {
+			return false
 		}
 	}
-	return ""
+	return true
 }
 
 // startRing replaces any duplicate non-exchange transfers on the ring's
 // links, reclaims upload slots by preemption where needed, and starts the
 // ring's sessions. Validation has already succeeded.
 func (s *Sim) startRing(ring *core.Ring) {
-	now := s.q.Now()
+	now := s.now()
 	n := ring.Size()
 	rs := &ringState{}
 
@@ -804,8 +799,7 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	sess.ring = rs
 	sess.entry = entry
 	sess.dl = dst.pendingFor(obj)
-	sess.startAt = s.q.Now()
-	sess.next = sess.startAt + s.grid.delay // its first arrival
+	sess.startAt = s.now()
 	entry.session = sess
 	s.adj[src.id].ok = false
 	sess.dl.sessions = append(sess.dl.sessions, sess)
@@ -819,7 +813,7 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 // feeders are credited through it, which makes it whole.
 func (s *Sim) completeDue() {
 	dl := s.dues[0].dl
-	s.q.AdvanceTo(s.dues[0].due)
+	s.q.AdvanceTo(float64(s.dues[0].due))
 	s.reap()
 	for _, f := range dl.sessions {
 		s.credit(f)
@@ -847,7 +841,7 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 		sess.entry.session = nil
 		s.adj[src.id].ok = false
 	}
-	s.col.sessionDone(s.q.Now(), sess)
+	s.col.sessionDone(s.now(), sess)
 	s.deadSess = append(s.deadSess, sess)
 	if sess.ring != nil && !sess.ring.dissolved {
 		s.dissolveRing(sess.ring, reschedule)
@@ -878,8 +872,8 @@ func (s *Sim) dissolveRing(rs *ringState, reschedule bool) {
 // --- download completion ---------------------------------------------------
 
 func (s *Sim) completeDownload(p *peerState, dl *download) {
-	now := s.q.Now()
-	s.col.downloadDone(now, p.class, (now-dl.requestedAt)/60)
+	now := s.now()
+	s.col.downloadDone(now, p.class, seconds(now-dl.requestedAt)/60)
 
 	// Ordering matters: withdraw the requests, clear the pending state and
 	// register the new holding first, so any scheduling triggered by the
@@ -969,7 +963,7 @@ func (s *Sim) tryServe(p *peerState) {
 // credits the server's open sessions, and each candidate requester's before
 // scoring it: Score reads only those two peers' books (Ranker).
 func (s *Sim) pickWaiting(p *peerState) *request {
-	now := s.q.Now()
+	now := s.now()
 	ranked := s.cfg.Ranker != nil
 	if ranked {
 		s.creditPeer(p)
@@ -987,9 +981,9 @@ func (s *Sim) pickWaiting(p *peerState) *request {
 		var score float64
 		if ranked {
 			s.creditPeer(q)
-			score = s.cfg.Ranker.Score(p.id, e.requester, now-e.arrival)
+			score = s.cfg.Ranker.Score(p.id, e.requester, seconds(now-e.arrival))
 		} else {
-			score = now - e.arrival
+			score = float64(now - e.arrival)
 		}
 		if best == nil || score > bestScore {
 			best, bestScore = e, score
@@ -1003,14 +997,14 @@ func (s *Sim) pickWaiting(p *peerState) *request {
 // evictionSweep implements the paper's periodic storage pruning: peers over
 // capacity remove random objects, postponing any object used in an ongoing
 // exchange; deleting an object terminates its non-exchange uploads.
-func (s *Sim) evictionSweep(float64) {
+func (s *Sim) evictionSweep(time.Duration) {
 	for _, p := range s.peers {
 		if !p.online || p.store.Len() <= p.storeCap {
 			continue
 		}
 		s.evictFrom(p, p.store.Len()-p.storeCap)
 	}
-	s.after(s.cfg.EvictionInterval, s.evictionSweep)
+	s.after(dur(s.cfg.EvictionInterval), s.evictionSweep)
 }
 
 func (s *Sim) evictFrom(p *peerState, excess int) {
@@ -1158,8 +1152,8 @@ func (s *Sim) adaptiveCheck(p *peerState, obj catalog.ObjectID, seq uint64) {
 
 // anyStarvedPending reports whether any of the peer's pending downloads has
 // been waiting longer than the patience window.
-func (s *Sim) anyStarvedPending(p *peerState, now float64) bool {
-	patience := s.cfg.adaptivePatience()
+func (s *Sim) anyStarvedPending(p *peerState, now time.Duration) bool {
+	patience := dur(s.cfg.adaptivePatience())
 	for _, dl := range p.pending {
 		if now-dl.requestedAt >= patience {
 			return true
@@ -1215,7 +1209,7 @@ func (s *Sim) whitewash(p *peerState) {
 		s.col.whitewashes[p.class]++
 		s.RejoinPeer(p.id)
 	}
-	s.after(s.cfg.whitewashInterval(), func(float64) { s.whitewash(p) })
+	s.after(dur(s.cfg.whitewashInterval()), func(time.Duration) { s.whitewash(p) })
 }
 
 // SearchOnce runs one ring search rooted at the given peer under an

@@ -67,6 +67,8 @@ func TestConfigValidateCases(t *testing.T) {
 		"bad freerider":     func(c *Config) { c.Mix = strategy.LegacyMix(1.5) },
 		"bad lookup":        func(c *Config) { c.LookupMax = 0 },
 		"bad duration":      func(c *Config) { c.Duration = 0 },
+		"past 2^53 ns":      func(c *Config) { c.Duration = 1e7 },
+		"huge interval":     func(c *Config) { c.RetryInterval = 1e12 },
 		"bad warmup":        func(c *Config) { c.WarmupFrac = 1 },
 		"bad eviction":      func(c *Config) { c.EvictionInterval = 0 },
 		"bad policy":        func(c *Config) { c.Policy = core.Policy{Kind: core.ShortFirst, MaxRing: 1} },

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -273,34 +274,33 @@ func (s *Sim) checkWanters() error {
 }
 
 // checkBlocks verifies lazy block accounting against a recount from each
-// session's start: every arrival at or before now has arrived. Every open
-// session's credited blocks are a prefix of those, and its cursor is the
-// grid point after them. A pending download, counting what its feeders
-// delivered and what closed feeders finished, is whole only while it is
-// due now; one that is short sits in the due heap iff it has a feeder,
-// under the recount's due instant, which is not in the past. The heap is in
-// (due, seq) order.
+// session's start: every arrival at or before now has arrived, and the
+// k-th lands k block times after the start. Every open session's credited
+// blocks are a prefix of those. A pending download, counting what its
+// feeders delivered and what closed feeders finished, is whole only while
+// it is due now; one that is short sits in the due heap iff it has a
+// feeder, under the instant the feeders' merged arrivals make it whole,
+// which is not in the past. The heap is in (due, seq) order.
 func (s *Sim) checkBlocks() error {
-	now, b := s.q.Now(), s.cfg.BlockKbits
+	now := s.now()
 	for _, p := range s.peers {
 		for _, dl := range p.pending {
-			got := dl.receivedKbits
+			got := dl.received
 			next := s.nextScratch[:0]
 			for _, f := range dl.sessions {
-				n, after := s.grid.count(f.startAt+s.grid.delay, now, true)
-				credited, _ := s.grid.count(f.startAt+s.grid.delay, f.next, false)
-				if float64(credited)*b != f.sent || credited > n {
-					return fmt.Errorf("session %d->%d obj %d: %v kbits credited up to %v, %d blocks delivered", f.src, f.dst, f.object, f.sent, f.next, n)
+				n := int((now - f.startAt) / s.delta)
+				if f.sent > n {
+					return fmt.Errorf("session %d->%d obj %d: %d blocks credited, %d delivered", f.src, f.dst, f.object, f.sent, n)
 				}
-				got += float64(n-credited) * b
-				next = append(next, after)
+				got += n - f.sent
+				next = append(next, f.startAt+time.Duration(n+1)*s.delta)
 			}
 			s.nextScratch = next
 			filed := dl.dueAt >= 0 && dl.dueAt < len(s.dues) && s.dues[dl.dueAt].dl == dl
 			switch {
-			case got >= s.cfg.ObjectKbits:
+			case got >= s.objBlocks:
 				if !filed || s.dues[dl.dueAt].due != now {
-					return fmt.Errorf("peer %d download %d has %v of %v kbits delivered but is not due now", p.id, dl.object, got, s.cfg.ObjectKbits)
+					return fmt.Errorf("peer %d download %d has %d of %d blocks delivered but is not due now", p.id, dl.object, got, s.objBlocks)
 				}
 			case len(dl.sessions) == 0:
 				if dl.dueAt >= 0 {
@@ -309,7 +309,7 @@ func (s *Sim) checkBlocks() error {
 			case !filed:
 				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
 			default:
-				due, want := s.dues[dl.dueAt].due, s.mergedArrival(next, s.needed(got))
+				due, want := s.dues[dl.dueAt].due, s.mergedArrival(next, s.objBlocks-got)
 				switch {
 				case want < now:
 					return fmt.Errorf("peer %d download %d was due at %v, now is %v", p.id, dl.object, want, now)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -17,11 +18,10 @@ type download struct {
 	peer        core.PeerID // the peer downloading
 	seq         uint64      // creation order, which orders downloads due at one instant
 	object      catalog.ObjectID
-	requestedAt float64
-	// receivedKbits is what its feeders' credited blocks add up to (see
-	// blocks.go): blocks that arrived since a feeder was last credited are
-	// not in it yet.
-	receivedKbits float64
+	requestedAt time.Duration
+	// received counts its feeders' credited blocks (see blocks.go): blocks
+	// that arrived since a feeder was last credited are not in it yet.
+	received int
 	// dueAt is the download's place in the engine's due heap, under the
 	// instant it completes at if its feeders keep feeding (now, if it is
 	// whole), or -1 when it is not there: short with no feeder, or no longer
@@ -65,7 +65,7 @@ func (dl *download) requestAt(server core.PeerID) *request {
 type request struct {
 	requester, server core.PeerID
 	object            catalog.ObjectID
-	arrival           float64
+	arrival           time.Duration
 	// session is non-nil while this entry is being served by the queue's
 	// owner.
 	session *session
@@ -76,14 +76,13 @@ type request struct {
 // transfer; ringSize >= 2 marks membership in an exchange ring of that size.
 //
 // Sessions come from (and return to) the engine's free list. Their blocks
-// are counted, not fired: next is the instant of the first arrival not yet
-// credited to sent and the books, and the rest follow one block time apart
-// (see blocks.go).
+// are counted, not fired: the k-th lands at startAt + k·Δ, and sent counts
+// those credited to the books (see blocks.go).
 type session struct {
 	// The fields block accounting touches come first, on one cache line.
-	dl       *download // download at dst
-	next     float64   // first arrival not yet credited
-	sent     float64   // kbits credited so far
+	dl       *download     // download at dst
+	sent     int           // blocks credited so far
+	startAt  time.Duration // when the session started
 	src, dst core.PeerID
 	dstClass int // dst's class, which the block accounting is kept by
 
@@ -91,7 +90,6 @@ type session struct {
 	ringSize int
 	ring     *ringState
 	entry    *request // IRQ entry at src
-	startAt  float64
 	closed   bool
 }
 

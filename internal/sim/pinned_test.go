@@ -147,7 +147,8 @@ func pinnedSessions(r *Result) string {
 
 // TestPinnedSessionStats pins what the collector records per finished
 // session, keyed by ring size, on the quick world's two exchange policies.
-// Re-captured with TestPinnedCounts.
+// Re-captured with TestPinnedCounts; the waiting-time bits alone were
+// re-captured again when the clock became whole nanoseconds.
 func TestPinnedSessionStats(t *testing.T) {
 	cases := []struct {
 		name string
@@ -157,11 +158,11 @@ func TestPinnedSessionStats(t *testing.T) {
 		{"5-2-way", core.PolicyN2,
 			"count: 3-way=378 4-way=540 5-way=11880 non-exchange=9963 pairwise=754" +
 				"\nvolume: non-exchange=9963/0x4053312dc34ee8d9 5-way=11880/0x404c03b79890cede pairwise=754/0x40642726b4a04130 4-way=540/0x404f04bda12f684c 3-way=378/0x4056a1a69a69a69a" +
-				"\nwaiting: non-exchange=9963/0x40250ab3f13118bf 5-way=11880/0x401121051d3fba0d pairwise=754/0x40083fd48a86736d 4-way=540/0x400b77268edab4cc 3-way=378/0x4009f59d92bcba07"},
+				"\nwaiting: non-exchange=9963/0x40250ab3f13118b9 5-way=11880/0x401121051d3fba0d pairwise=754/0x40083fd48a86736d 4-way=540/0x400b77268edab4cc 3-way=378/0x4009f59d92bcba07"},
 		{"2-5-way", core.Policy2N,
 			"count: 3-way=1203 4-way=176 5-way=5 non-exchange=7719 pairwise=5904" +
 				"\nvolume: pairwise=5904/0x405e241fe9cca947 non-exchange=7719/0x405796dd79ae9d01 3-way=1203/0x40577ef66c875776 4-way=176/0x4051940000000000 5-way=5/0x404f400000000000" +
-				"\nwaiting: pairwise=5904/0x400997413dd73f35 non-exchange=7719/0x40247c349171152a 3-way=1203/0x40094074938f19a8 4-way=176/0x400b3ff5c0837086 5-way=5/0x4014cccccccccccd"},
+				"\nwaiting: pairwise=5904/0x400997413dd73f3c non-exchange=7719/0x40247c3491711522 3-way=1203/0x40094074938f1996 4-way=176/0x400b3ff5c0837067 5-way=5/0x4014cccccccccccd"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,7 +197,9 @@ func pinnedAccounting(r *Result) string {
 // one where the mid-transfer terminations fall on block instants: evictions
 // and whitewashes every few block times, storage tight enough that every
 // sweep evicts, several servers feeding each download and a ranker scoring
-// between blocks. Re-captured with TestPinnedCounts.
+// between blocks. Re-captured with TestPinnedCounts; the mean-download-time
+// bits alone were re-captured again when the clock became whole
+// nanoseconds, which computes each time difference exactly.
 func TestPinnedAccounting(t *testing.T) {
 	for _, tc := range accountingCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,41 +227,41 @@ func accountingCases() []accountingCase {
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyN2
 			return cfg
-		}, "events=71448 horizon=0x40dd4c0000000000 non-sharing:1054/0x4041daaaaaaaaaab/0x402dafc238aea858 sharing:2114/0x4051fc2222222222/0x401ee9d6d3ada768"},
+		}, "events=71448 horizon=0x40dd4c0000000000 non-sharing:1054/0x4041daaaaaaaaaab/0x402dafc238aea853 sharing:2114/0x4051fc2222222222/0x401ee9d6d3ada768"},
 		{"2-5-way", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			return cfg
-		}, "events=69507 horizon=0x40dd4c0000000000 non-sharing:816/0x403b86eeeeeeeeef/0x402c2547eb60822b sharing:2255/0x4053206666666666/0x401b3a462fbbd26a"},
+		}, "events=69507 horizon=0x40dd4c0000000000 non-sharing:816/0x403b86eeeeeeeeef/0x402c2547eb608229 sharing:2255/0x4053206666666666/0x401b3a462fbbd26b"},
 		{"no-exchange", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyNoExchange
 			return cfg
-		}, "events=70603 horizon=0x40dd4c0000000000 non-sharing:1707/0x404d66aaaaaaaaab/0x401a7965ef104c98 sharing:1356/0x404750cccccccccd/0x401a68119f70ad98"},
+		}, "events=70603 horizon=0x40dd4c0000000000 non-sharing:1707/0x404d66aaaaaaaaab/0x401a7965ef104c99 sharing:1356/0x404750cccccccccd/0x401a68119f70ad98"},
 		{"kazaa-whitewasher", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
-		}, "events=57875 horizon=0x40dd4c0000000000 whitewasher:480/0x403b7471c71c71c7/0x40309aa36ed8fec1 non-sharing:394/0x4035d8e38e38e38e/0x4035645a0a3eb0e9 sharing:1628/0x4051472aaaaaaaab/0x4012f6281ffaec78"},
+		}, "events=57875 horizon=0x40dd4c0000000000 whitewasher:480/0x403b7471c71c71c7/0x40309aa36ed8fe9f non-sharing:394/0x4035d8e38e38e38e/0x4035645a0a3eb0e9 sharing:1628/0x4051472aaaaaaaab/0x4012f6281ffaeca0"},
 		{"emule", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewEMule()
 			return cfg
-		}, "events=58463 horizon=0x40dd4c0000000000 whitewasher:659/0x40431e38e38e38e3/0x401dc477ea0ca2ef non-sharing:614/0x40414638e38e38e3/0x40201520ed5f5ebc sharing:1206/0x4049b6aaaaaaaaab/0x401c29d1e606f206"},
+		}, "events=58463 horizon=0x40dd4c0000000000 whitewasher:659/0x40431e38e38e38e3/0x401dc477ea0ca267 non-sharing:614/0x40414638e38e38e3/0x40201520ed5f5ec3 sharing:1206/0x4049b6aaaaaaaaab/0x401c29d1e606f203"},
 		{"exchange-whitewasher", func() Config {
 			return adversaryConfig(strategy.Whitewasher(), 0.3)
-		}, "events=58201 horizon=0x40dd4c0000000000 whitewasher:631/0x4041ef1c71c71c72/0x40274f9269da6c6d non-sharing:430/0x403828e38e38e38e/0x40269cb2eeea1ed8 sharing:1476/0x404f21aaaaaaaaab/0x401d7593ce279123"},
+		}, "events=58201 horizon=0x40dd4c0000000000 whitewasher:631/0x4041ef1c71c71c72/0x40274f9269da6cc3 non-sharing:430/0x403828e38e38e38e/0x40269cb2eeea1f2c sharing:1476/0x404f21aaaaaaaaab/0x401d7593ce279174"},
 		{"retry-on-block-instant", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=80031 horizon=0x40dd4c0000000000 non-sharing:953/0x40405d1111111111/0x402ba548c5988621 sharing:2228/0x405337bbbbbbbbbb/0x4019ac1f3771e304"},
+		}, "events=80031 horizon=0x40dd4c0000000000 non-sharing:953/0x40405d1111111111/0x402ba548c5988620 sharing:2228/0x405337bbbbbbbbbb/0x4019ac1f3771e30b"},
 		{"terminations-on-block-instants", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Ranker = credit.NewEMule()
@@ -267,6 +270,6 @@ func accountingCases() []accountingCase {
 			cfg.WhitewashInterval = 24 * blockTime(cfg)
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=75987 horizon=0x40dd4c0000000000 whitewasher:205/0x402e671c71c71c72/0x401308d6a86ba104 non-sharing:236/0x402aac71c71c71c7/0x401a23f3b495c764 sharing:1691/0x40525e0000000000/0x400fe10b08485260"},
+		}, "events=75987 horizon=0x40dd4c0000000000 whitewasher:205/0x402e671c71c71c72/0x401308d6a86ba8af non-sharing:236/0x402aac71c71c71c7/0x401a23f3b495c7c1 sharing:1691/0x40525e0000000000/0x400fe10b08485261"},
 	}
 }

@@ -10,6 +10,8 @@ package sim
 // canonical order, so equal Configs still produce byte-identical results.
 
 import (
+	"time"
+
 	"barter/internal/catalog"
 	"barter/internal/core"
 	"barter/internal/rng"
@@ -65,35 +67,35 @@ func (s *Sim) setupWorkload() error {
 		if arrive > 0 {
 			s.initialOffline(p)
 			id := p.id
-			s.after(arrive, func(float64) { s.RejoinPeer(id) })
+			s.after(dur(arrive), func(time.Duration) { s.RejoinPeer(id) })
 		}
 		if depart < s.cfg.Duration {
 			id := p.id
-			s.after(depart, func(float64) { s.DisconnectPeer(id) })
+			s.after(dur(depart), func(time.Duration) { s.DisconnectPeer(id) })
 		}
 		s.scheduleArrival(p, 0)
 	}
 	return nil
 }
 
-// scheduleArrival arms the peer's next demand arrival strictly after `from`
-// (the current virtual time at every call site, so the relative delay is
-// exact). The chain runs for the whole horizon regardless of session state:
-// an offline peer's arrivals are simply not acted on, which keeps each
-// peer's draw sequence a pure function of its own stream.
-func (s *Sim) scheduleArrival(p *peerState, from float64) {
-	next := s.sched.NextArrival(from, s.wstreams[p.id])
+// scheduleArrival arms the peer's next demand arrival after `from` (the
+// current virtual time at every call site), at its instant rounded to the
+// nanosecond. The chain runs for the whole horizon regardless of session
+// state: an offline peer's arrivals are simply not acted on, which keeps
+// each peer's draw sequence a pure function of its own stream.
+func (s *Sim) scheduleArrival(p *peerState, from time.Duration) {
+	next := s.sched.NextArrival(seconds(from), s.wstreams[p.id])
 	if next >= s.cfg.Duration {
 		return
 	}
-	s.after(next-from, func(now float64) { s.workloadArrival(p, now) })
+	s.after(dur(next)-from, func(now time.Duration) { s.workloadArrival(p, now) })
 }
 
 // workloadArrival is one open-loop demand arrival: sample an object from
 // the popularity model and start its download if the peer is present and
 // has pending capacity; otherwise the demand is lost (counted when the peer
 // was present but saturated).
-func (s *Sim) workloadArrival(p *peerState, now float64) {
+func (s *Sim) workloadArrival(p *peerState, now time.Duration) {
 	st := s.wstreams[p.id]
 	switch {
 	case !p.online:
@@ -115,10 +117,10 @@ func (s *Sim) workloadArrival(p *peerState, now float64) {
 
 // sampleWorkloadObject draws up to a few objects from the popularity model
 // until one is neither stored nor already pending at the peer.
-func (s *Sim) sampleWorkloadObject(p *peerState, st *rng.RNG, now float64) (catalog.ObjectID, bool) {
+func (s *Sim) sampleWorkloadObject(p *peerState, st *rng.RNG, now time.Duration) (catalog.ObjectID, bool) {
 	const sampleTries = 8
 	for t := 0; t < sampleTries; t++ {
-		obj := catalog.ObjectID(s.sched.SampleObject(now, st))
+		obj := catalog.ObjectID(s.sched.SampleObject(seconds(now), st))
 		if !p.has(obj) && p.pendingFor(obj) == nil {
 			return obj, true
 		}
@@ -147,13 +149,13 @@ func (s *Sim) setupReplay() {
 			}
 		case workload.KindRequest:
 			obj := catalog.ObjectID(ev.Obj)
-			s.after(ev.T, func(float64) { s.replayRequest(p, obj) })
+			s.after(dur(ev.T), func(time.Duration) { s.replayRequest(p, obj) })
 		case workload.KindArrive:
 			id := p.id
-			s.after(ev.T, func(float64) { s.RejoinPeer(id) })
+			s.after(dur(ev.T), func(time.Duration) { s.RejoinPeer(id) })
 		case workload.KindDepart:
 			id := p.id
-			s.after(ev.T, func(float64) { s.DisconnectPeer(id) })
+			s.after(dur(ev.T), func(time.Duration) { s.DisconnectPeer(id) })
 		}
 	}
 }
@@ -169,7 +171,7 @@ func (s *Sim) replayRequest(p *peerState, obj catalog.ObjectID) {
 	cands := s.holderCands(p, obj)
 	if len(cands) == 0 {
 		s.col.lookupFails++
-		s.after(s.cfg.RetryInterval, func(float64) { s.replayRequest(p, obj) })
+		s.after(dur(s.cfg.RetryInterval), func(time.Duration) { s.replayRequest(p, obj) })
 		return
 	}
 	s.startDownload(p, obj, cands)

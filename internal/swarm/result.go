@@ -66,10 +66,13 @@ type Result struct {
 	// the deposits and flags a shard could not copy to an object's other
 	// owner (its sibling was down, or its link's queue was full): expected
 	// around a shard kill, and what the failover paths above absorb.
+	// WALLost counts the records a durable tier's write-ahead logs failed to
+	// append: a restart forgets them, so any fails the run.
 	Mediators   int
 	ShardKills  int
 	FlagsLost   int
 	ReplDropped int
+	WALLost     int
 	// TraceEvents counts the events recorded into Config.Record (zero when
 	// the run was not recorded).
 	TraceEvents int
@@ -86,6 +89,8 @@ func (r *Result) Err() error {
 		return fmt.Errorf("mediator tier flagged %d of %d cheaters", r.Flagged, r.Cheaters)
 	case r.FlagsLost > 0:
 		return fmt.Errorf("%d flagged cheaters forgotten across mediator restarts", r.FlagsLost)
+	case r.WALLost > 0:
+		return fmt.Errorf("mediator write-ahead logs lost %d records", r.WALLost)
 	case r.HonestFlagged > 0:
 		return fmt.Errorf("mediator tier flagged %d honest peers", r.HonestFlagged)
 	}
@@ -144,8 +149,8 @@ func (r *Result) TSV() string {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
 	if r.Cheaters > 0 || r.HonestFlagged > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d\n",
-			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped)
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped, r.WALLost)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)
@@ -193,6 +198,7 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		ShardKills:    s.kills,
 		FlagsLost:     s.flagsLost,
 		ReplDropped:   int(perfstats.Current().MedReplDropped - s.replBase),
+		WALLost:       int(perfstats.Current().MedWALLost - s.walBase),
 	}
 	for _, p := range s.peers {
 		pr := PeerResult{Class: p.strat.Name}

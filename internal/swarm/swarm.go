@@ -334,9 +334,10 @@ type swarmRun struct {
 	kills     int
 	flagsLost int
 	rng       *rng.RNG
-	// replBase is the process-wide count of replication records mediator
-	// links had dropped before this run's tier came up.
-	replBase uint64
+	// replBase and walBase are the process-wide counts of records mediator
+	// links had dropped and write-ahead logs had lost before this run's
+	// tier came up.
+	replBase, walBase uint64
 	// rec accumulates the run's replayable trace when cfg.Record is set; nil
 	// otherwise. Safe for the waiter goroutines' concurrent use.
 	rec     *workload.Recorder
@@ -425,6 +426,7 @@ func Run(cfg Config) (*Result, error) {
 	// The mediator tier comes up before the nodes: mediated nodes need its
 	// addresses at spawn time.
 	s.replBase = perfstats.Current().MedReplDropped
+	s.walBase = perfstats.Current().MedWALLost
 	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), s.digests, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
 	if err != nil {
 		return nil, fmt.Errorf("swarm: mediator tier: %w", err)

@@ -5,10 +5,12 @@
 # all at seed 1, plus the quick sweep and fig4 again at seed 7, so a claim
 # measured at two seeds is held to both. figw and ablation-credit are the
 # ranked runs: the quick world's 30 peers never make a credit table grow,
-# paper scale's 200 do.
+# paper scale's 200 do. trace is `exchsim -trace` of the recorded 60-node
+# wave run in wave-flash.trace: the one golden whose blocks (4 KiB, 32.768
+# kbit) are not a whole number of kbit.
 #
 #   scripts/golden.sh check    regenerate each at -parallel 1 and -parallel 8
-#                              and cmp all twelve outputs against the files
+#                              and cmp all fourteen outputs against the files
 #   scripts/golden.sh update   rewrite the files from the working tree
 #
 # `make golden-check` is the CI gate; `make golden-update` is the only way
@@ -33,12 +35,13 @@ go build -o "$tmp/exchsim" ./cmd/exchsim
 gen() {
 	case $1 in
 	all-quick) "$tmp/exchsim" -all -quick -seed "$2" -parallel "$3" ;;
+	trace) "$tmp/exchsim" -trace "$dir/wave-flash.trace" -quick -seed "$2" -parallel "$3" ;;
 	*) "$tmp/exchsim" -experiment "$1" -seed "$2" -parallel "$3" ;;
 	esac
 }
 
 status=0
-for golden in all-quick.1 fig4.1 figw.1 ablation-credit.1 all-quick.7 fig4.7; do
+for golden in all-quick.1 fig4.1 figw.1 ablation-credit.1 all-quick.7 fig4.7 trace.1; do
 	name=${golden%.*}
 	seed=${golden##*.}
 	file=$dir/$name.seed$seed.tsv
