@@ -8,7 +8,7 @@ GO ?= go
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version size check
+.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare overlap fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version size check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -130,6 +130,15 @@ WORKLOAD ?= all
 SEED     ?= 1
 bench-compare:
 	./scripts/bench-compare.sh $(BASE) $(WORKLOAD) $(SEED)
+
+## overlap: the check a deliberate behavior change runs before
+## golden-update — paper-scale fig4, fig5, fig6 and figw at -replicas 10
+## -seed 1, built at BASE and from the tree; prints and fails on every
+## (experiment, x, series) whose 95 % intervals do not overlap
+## (scripts/overlap.sh, ~40 s per side on 2 cores; not a CI step), e.g.
+## `make overlap BASE=HEAD~1`.
+overlap:
+	./scripts/overlap.sh $(BASE)
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

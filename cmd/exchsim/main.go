@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		list     = fs.Bool("list", false, "list available experiments")
 		expID    = fs.String("experiment", "", "experiment to run (e.g. fig4)")
 		all      = fs.Bool("all", false, "run every experiment")
-		quick    = fs.Bool("quick", false, "run the scaled-down world (seconds instead of minutes)")
+		quick    = fs.Bool("quick", false, "run the scaled-down world (30 peers, 0.5 MB objects)")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		parallel = fs.Int("parallel", 0, "worker pool size for grid points (0 = one per CPU)")
 		replicas = fs.Int("replicas", 1, "replications per grid point (adds mean ± 95% CI columns)")

@@ -121,10 +121,6 @@ func (c *Catalog) Category(o ObjectID) CategoryID { return c.categoryOf[o] }
 // CategorySize returns the number of objects in category cat.
 func (c *Catalog) CategorySize(cat CategoryID) int { return len(c.objects[cat]) }
 
-// Objects returns category cat's objects in rank order. The returned slice
-// must not be modified.
-func (c *Catalog) Objects(cat CategoryID) []ObjectID { return c.objects[cat] }
-
 // Interest is one peer's content taste: the categories it is interested in
 // and its local preference weights over them.
 type Interest struct {

@@ -320,3 +320,7 @@ func BenchmarkSampleObject(b *testing.B) {
 		_ = c.SampleObject(in, r)
 	}
 }
+
+// Objects returns category cat's objects in rank order. The returned slice
+// must not be modified.
+func (c *Catalog) Objects(cat CategoryID) []ObjectID { return c.objects[cat] }

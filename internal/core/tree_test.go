@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -526,4 +527,20 @@ func BenchmarkFindRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		FindRing(tree, wants, Policy2N)
 	}
+}
+
+// Validate checks the structural invariants of a ring: at least two members,
+// all peers distinct, and every member giving some object.
+func (r *Ring) Validate() error {
+	if len(r.Members) < 2 {
+		return fmt.Errorf("core: ring of size %d, want >= 2", len(r.Members))
+	}
+	seen := make(map[PeerID]bool, len(r.Members))
+	for _, m := range r.Members {
+		if seen[m.Peer] {
+			return fmt.Errorf("core: peer %d appears twice in ring", m.Peer)
+		}
+		seen[m.Peer] = true
+	}
+	return nil
 }

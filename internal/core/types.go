@@ -152,24 +152,6 @@ func (r *Ring) String() string {
 	return s + fmt.Sprintf(" P%d", r.Members[0].Peer)
 }
 
-// Validate checks the structural invariants of a ring: at least two members,
-// all peers distinct, and every member giving some object.
-//
-//barter:allow deadcode the structural oracle the search tests hold every ring they find to
-func (r *Ring) Validate() error {
-	if len(r.Members) < 2 {
-		return fmt.Errorf("core: ring of size %d, want >= 2", len(r.Members))
-	}
-	seen := make(map[PeerID]bool, len(r.Members))
-	for _, m := range r.Members {
-		if seen[m.Peer] {
-			return fmt.Errorf("core: peer %d appears twice in ring", m.Peer)
-		}
-		seen[m.Peer] = true
-	}
-	return nil
-}
-
 // SearchStats reports the cost of one ring search; the simulator sums these
 // into its Result and perfstats (Section V's search effort concern).
 type SearchStats struct {

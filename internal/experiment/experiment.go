@@ -31,8 +31,8 @@ import (
 type Options struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Quick runs the scaled-down world (30 peers, 0.5 MB objects): seconds
-	// instead of minutes of wall time, same shapes. Benchmarks use it.
+	// Quick runs the scaled-down world (QuickBase: 30 peers, 0.5 MB
+	// objects), same shapes. Tests and benchmarks use it.
 	Quick bool
 	// Parallel bounds the worker pool running grid points; <= 0 means one
 	// worker per CPU. The emitted tables are identical at any setting.

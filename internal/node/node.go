@@ -442,15 +442,6 @@ func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 	})
 }
 
-// Has reports whether the node holds the complete object.
-//
-//barter:allow deadcode the tests' view of a node's store, read through its event loop
-func (n *Node) Has(obj catalog.ObjectID) bool {
-	var ok bool
-	n.call(func() { _, ok = n.store[obj] })
-	return ok
-}
-
 // Object returns a completed object's bytes, or nil. The result is a private
 // copy assembled from the stored blocks — the one place an object is copied —
 // so the caller may do anything with it.

@@ -571,3 +571,10 @@ func TestSplitBlocks(t *testing.T) {
 		}
 	}
 }
+
+// Has reports whether the node holds the complete object.
+func (n *Node) Has(obj catalog.ObjectID) bool {
+	var ok bool
+	n.call(func() { _, ok = n.store[obj] })
+	return ok
+}

@@ -15,8 +15,9 @@ import (
 // (t − startAt)/Δ, and sent, the count credited, is the session's cursor.
 //
 // The tie rule is declared: at instant T every arrival at or before T has
-// arrived, for every reader; the downloads due at T then complete in
-// (due, seq) order; the heap's events at T fire last, in (at, seq) order.
+// arrived, for every reader; the downloads due at T then complete as one
+// batch in (due, seq) order, each keeping its books before any one's
+// teardown runs; the heap's events at T fire last, in (at, seq) order.
 // The readers are a terminating session, a completing download's feeders,
 // pickWaiting's Score (the server's and the requester's open sessions:
 // Ranker's contract), fileDue and the horizon. OnWhitewash follows a
@@ -24,7 +25,8 @@ import (
 //
 // Every download that can complete sits in the due heap under the exact
 // instant it completes at (fileDue): the merged arrivals of its feeders
-// reaching objBlocks, or now if it is already whole.
+// reaching objBlocks. A pending download is never whole: the batch takes
+// every download whole at T out of pending before anything else runs.
 
 // dur rounds seconds to the nearest nanosecond: the one place a time in
 // seconds (a Config interval, a random stagger, a workload or trace
@@ -73,12 +75,13 @@ func (s *Sim) creditPeer(p *peerState) {
 }
 
 // fileDue files dl in the due heap under the exact instant it completes at,
-// after its feeders changed: now if it is whole, else when its feeders'
-// merged arrivals make it so. One that is done, or short with no feeder,
-// leaves the heap. Each feeder is credited through now, so the next
-// arrivals all lie in (now, now+Δ] (a new feeder's is now+Δ), and from then
-// on the feeders take turns in that order: the m-th merged arrival is the
-// ((m−1) mod f)-th of them, advanced (m−1)/f block times.
+// after its feeders changed: when its feeders' merged arrivals make it
+// whole. One that is done, or has no feeder, leaves the heap; a pending
+// download is never whole (completeDue), so one with no feeder is short.
+// Each feeder is credited through now, so the next arrivals all lie in
+// (now, now+Δ] (a new feeder's is now+Δ), and from then on the feeders take
+// turns in that order: the m-th merged arrival is the ((m−1) mod f)-th of
+// them, advanced (m−1)/f block times.
 func (s *Sim) fileDue(dl *download) {
 	next := s.nextScratch[:0]
 	for _, f := range dl.sessions {
@@ -86,37 +89,15 @@ func (s *Sim) fileDue(dl *download) {
 		next = append(next, f.startAt+time.Duration(f.sent+1)*s.delta)
 	}
 	s.nextScratch = next
-	whole := dl.received >= s.objBlocks
-	switch {
-	case dl.done || !whole && len(next) == 0:
+	if dl.done || len(next) == 0 {
 		if dl.dueAt >= 0 {
 			s.dues.remove(dl)
 		}
-	case whole:
-		s.dues.set(dl, s.now())
-	default:
-		slices.Sort(next)
-		m := s.objBlocks - dl.received - 1
-		s.dues.set(dl, next[m%len(next)]+time.Duration(m/len(next))*s.delta)
+		return
 	}
-}
-
-// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
-// next on, advancing next: the replay CheckInvariants holds fileDue's
-// interleave to.
-func (s *Sim) mergedArrival(next []time.Duration, m int) time.Duration {
-	for {
-		i := 0
-		for j := range next {
-			if next[j] < next[i] {
-				i = j
-			}
-		}
-		if m--; m == 0 {
-			return next[i]
-		}
-		next[i] += s.delta
-	}
+	slices.Sort(next)
+	m := s.objBlocks - dl.received - 1
+	s.dues.set(dl, next[m%len(next)]+time.Duration(m/len(next))*s.delta)
 }
 
 // dueHeap is a binary min-heap of downloads by (due instant, seq), kept in

@@ -11,13 +11,13 @@ import (
 	"barter/internal/strategy"
 )
 
-// TestFileDueMatchesReplay is the property behind fileDue: for feeders
-// credited up to some block and lagging the clock by up to a few dozen block
-// times, or started at it (so their first block is a block time out), with
-// block times that are whole seconds, a fraction of one and a nanosecond
-// short of one, the filed instant is the arrival that makes the download
-// whole on the feeders' grids merged by replay, after crediting every
-// arrival at or before now, or now itself if those make it whole.
+// TestFileDueMatchesReplay is the property behind fileDue: for a download
+// short at now, fed by feeders credited up to some block and lagging the
+// clock by up to a few dozen block times, or started at it (so their first
+// block is a block time out), with block times that are whole seconds, a
+// fraction of one and a nanosecond short of one, the filed instant is the
+// arrival that makes the download whole on the feeders' grids merged by
+// replay, after crediting every arrival at or before now.
 func TestFileDueMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
@@ -35,8 +35,8 @@ func TestFileDueMatchesReplay(t *testing.T) {
 			col:       newCollector(0, strategy.LegacyMix(0.5), 1),
 		}
 		s.q.AdvanceTo(float64(now))
-		dl := &download{dueAt: -1, received: r.Intn(blocks)}
-		received := dl.received
+		dl := &download{dueAt: -1}
+		uncredited := 0
 		var next []time.Duration
 		for f := 1 + r.Intn(5); f > 0; f-- {
 			start := now // a feeder started now
@@ -48,17 +48,18 @@ func TestFileDueMatchesReplay(t *testing.T) {
 				delivered++
 			}
 			sent := r.Intn(delivered + 1)
-			received += delivered - sent
+			uncredited += delivered - sent
 			next = append(next, start+time.Duration(delivered+1)*delta)
 			dl.sessions = append(dl.sessions, &session{dl: dl, startAt: start, sent: sent})
 		}
+		if uncredited >= blocks {
+			continue // whole by now: completeDue takes it out of pending first
+		}
+		dl.received = r.Intn(blocks - uncredited)
+		received := dl.received + uncredited
 		cursors := slices.Clone(next)
 		s.fileDue(dl)
-		want := now // whole by now: it completes in its turn at now
-		if received < blocks {
-			want = s.mergedArrival(next, blocks-received)
-		}
-		if got := s.dues[0].due; got != want {
+		if got, want := s.dues[0].due, s.mergedArrival(next, blocks-received); got != want {
 			t.Fatalf("delta %v, now %v, next arrivals %v, %d of %d blocks: filed at %v, replay %v", delta, now, cursors, received, blocks, got, want)
 		}
 	}

@@ -104,18 +104,9 @@ type Config struct {
 	// Policy selects the exchange mechanism under test.
 	Policy core.Policy
 
-	// LookupMax is how many current holders a lookup discovers (the paper
-	// locates "up to a certain fraction of peers that currently have the
-	// object"; lookup details are out of scope there and here).
-	LookupMax int
-	// RequestFanout is to how many discovered holders a request is actually
-	// transmitted ("it actually issues requests to only a subset").
-	RequestFanout int
-
-	// SearchBudget and SearchFanout bound each ring search (see
+	// SearchBudget bounds each ring search, beside searchFanout (see
 	// core.Graph); peers bound their search effort in any real deployment.
 	SearchBudget int
-	SearchFanout int
 
 	// Duration is the simulated horizon in seconds, below 2^53 ns (about
 	// 104 days: the clock is whole nanoseconds); WarmupFrac is the leading
@@ -154,6 +145,20 @@ type Config struct {
 	DisablePreemption bool
 }
 
+// The lookup and search bounds the paper leaves to an implementation.
+const (
+	// lookupMax is how many current holders a lookup discovers (the paper
+	// locates "up to a certain fraction of peers that currently have the
+	// object"; lookup details are out of scope there and here).
+	lookupMax = 10
+	// requestFanout is to how many discovered holders a request is actually
+	// transmitted ("it actually issues requests to only a subset").
+	requestFanout = 4
+	// searchFanout is how many in-edges of a node a ring search explores
+	// (core.Graph.Fanout).
+	searchFanout = 32
+)
+
 // DefaultConfig returns the paper's Table II parameters with engine knobs at
 // their standard values.
 func DefaultConfig() Config {
@@ -181,10 +186,7 @@ func DefaultConfig() Config {
 		AdaptivePatience:  600,
 		WhitewashInterval: 7200,
 		Policy:            core.Policy2N,
-		LookupMax:         10,
-		RequestFanout:     4,
 		SearchBudget:      core.DefaultSearchBudget,
-		SearchFanout:      32,
 		Duration:          200_000,
 		WarmupFrac:        0.25,
 		EvictionInterval:  1_800,
@@ -217,8 +219,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: IRQCapacity = %d, want > 0", c.IRQCapacity)
 	case c.MaxPending <= 0:
 		return fmt.Errorf("sim: MaxPending = %d, want > 0", c.MaxPending)
-	case c.LookupMax <= 0 || c.RequestFanout <= 0:
-		return fmt.Errorf("sim: LookupMax and RequestFanout must be positive")
 	case c.Duration <= 0:
 		return fmt.Errorf("sim: Duration = %v, want > 0", c.Duration)
 	case c.Duration >= maxSeconds:

@@ -31,8 +31,9 @@ import (
 // Equal Configs (including Seed) produce byte-identical results. Everything
 // below serves that contract: ties at an instant follow one declared order
 // (every block at or before it has arrived, then the downloads due at it
-// complete in creation order, then the heap's events fire in schedule
-// order; blocks.go), every index iterates in ascending peer-id order
+// complete as one batch in creation order, every one's books before any
+// one's teardown, then the heap's events fire in schedule order;
+// blocks.go), every index iterates in ascending peer-id order
 // (candidate order feeds the RNG draws), and no behavior ever depends on map
 // iteration order, pointer values, or wall-clock time. Performance work must
 // preserve all three properties; see the package tests that pin them.
@@ -86,6 +87,7 @@ type Sim struct {
 	objScratch  []catalog.ObjectID
 	sessScratch []*session
 	nextScratch []time.Duration
+	dueScratch  []*download
 
 	// Free lists for the per-transfer bookkeeping objects. Retired objects
 	// park on the dead lists until reap, which runs at the start of the next
@@ -157,7 +159,7 @@ func New(cfg Config) (*Sim, error) {
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
 		Budget:  cfg.SearchBudget,
-		Fanout:  cfg.SearchFanout,
+		Fanout:  searchFanout,
 		Scratch: core.NewSearchScratch(cfg.NumPeers),
 	}
 
@@ -246,20 +248,8 @@ func PeerClasses(cfg Config) map[core.PeerID]bool {
 	return classes
 }
 
-// Now returns the current virtual time in seconds.
-//
-//barter:allow deadcode a stepwise test's clock, beside Step
-func (s *Sim) Now() float64 { return seconds(s.now()) }
-
 // now is the clock: q's instants are whole nanoseconds.
 func (s *Sim) now() time.Duration { return time.Duration(s.q.Now()) }
-
-// Step fires the next piece of work: the download due first, if it is due
-// no later than the heap's next event, else that event. It reports whether
-// anything remained to fire.
-//
-//barter:allow deadcode the stepwise tests' driver, which checks invariants between steps
-func (s *Sim) Step() bool { return s.step(math.MaxInt64) }
 
 // RunUntil advances virtual time to horizon, in seconds.
 func (s *Sim) RunUntil(horizon float64) {
@@ -571,7 +561,7 @@ func (s *Sim) scheduleRetry(p *peerState) {
 // requests with a subset of providers.
 func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.PeerID) {
 	now := s.now()
-	discovered := s.sampleSubset(cands, s.cfg.LookupMax)
+	discovered := s.sampleSubset(cands, lookupMax)
 	s.dlSeq++
 	dl := take(&s.freeDl)
 	dl.peer, dl.seq, dl.object, dl.requestedAt, dl.dueAt = p.id, s.dlSeq, obj, now, -1
@@ -598,11 +588,7 @@ func (s *Sim) startDownload(p *peerState, obj catalog.ObjectID, cands []core.Pee
 	// the entire Request Tree to see if any peer provides o."
 	s.tryExchange(p, p.wantFor(dl), nil)
 
-	n := s.cfg.RequestFanout
-	if n > len(discovered) {
-		n = len(discovered)
-	}
-	for _, h := range discovered[:n] {
+	for _, h := range discovered[:min(requestFanout, len(discovered))] {
 		s.sendRequest(p, s.peers[h], dl)
 	}
 }
@@ -809,16 +795,34 @@ func (s *Sim) startSession(src, dst *peerState, obj catalog.ObjectID, ringSize i
 	return sess
 }
 
-// completeDue completes the download due first, at its due instant: its
-// feeders are credited through it, which makes it whole.
+// completeDue completes every download due at the first due instant, in
+// (due, seq) order, in two phases. The first keeps the books only: each is
+// recorded, withdraws its requests (a queued request's requester still wants
+// its object: adjCache) and leaves pending, which credits its feeders
+// (fileDue), and its object is stored and indexed. Then each one's teardown
+// runs in the same order (completeDownload), so no service or search at
+// this instant sees a download that is already whole.
 func (s *Sim) completeDue() {
-	dl := s.dues[0].dl
-	s.q.AdvanceTo(float64(s.dues[0].due))
+	now := s.dues[0].due
+	s.q.AdvanceTo(float64(now))
 	s.reap()
-	for _, f := range dl.sessions {
-		s.credit(f)
+	batch := s.dueScratch[:0]
+	for len(s.dues) > 0 && s.dues[0].due == now {
+		dl := s.dues[0].dl
+		p := s.peers[dl.peer]
+		s.col.downloadDone(now, p.class, seconds(now-dl.requestedAt)/60)
+		s.withdrawRequests(dl)
+		s.removePending(p, dl)
+		s.addObject(p, dl.object)
+		if p.sharing {
+			s.holders[dl.object].Add(p.id)
+		}
+		batch = append(batch, dl)
 	}
-	s.completeDownload(s.peers[dl.peer], dl)
+	s.dueScratch = batch
+	for _, dl := range batch {
+		s.completeDownload(s.peers[dl.peer], dl)
+	}
 }
 
 // terminateSession closes one transfer; if it belongs to a ring the whole
@@ -871,37 +875,21 @@ func (s *Sim) dissolveRing(rs *ringState, reschedule bool) {
 
 // --- download completion ---------------------------------------------------
 
+// completeDownload is a completed download's teardown: its feeders end (no
+// service can start a new one, since it is no longer pending), its peer
+// announces the new holding and tops up its requests, and an adaptive peer
+// that is no longer starved stops contributing. The last check runs after
+// issueRequests: freshly issued downloads have requestedAt == now and cannot
+// count as starved.
 func (s *Sim) completeDownload(p *peerState, dl *download) {
-	now := s.now()
-	s.col.downloadDone(now, p.class, seconds(now-dl.requestedAt)/60)
-
-	// Ordering matters: withdraw the requests, clear the pending state and
-	// register the new holding first, so any scheduling triggered by the
-	// teardown below sees a consistent world in which this download is
-	// finished. The withdrawal comes first: a queued request's requester
-	// still wants its object (adjCache).
-	s.withdrawRequests(dl)
-	s.removePending(p, dl)
-	s.addObject(p, dl.object)
-	if p.sharing {
-		s.holders[dl.object].Add(p.id)
-	}
-	// Snapshot the feeding sessions before termination mutates dl.sessions
-	// underneath us. sessScratch is free here: its other users (evictFrom,
-	// DisconnectPeer) are never on the stack when a download completes.
-	feeds := append(s.sessScratch[:0], dl.sessions...)
-	s.sessScratch = feeds
-	for _, sess := range feeds {
-		s.terminateSession(sess, true)
+	for len(dl.sessions) > 0 {
+		s.terminateSession(dl.sessions[0], true)
 	}
 	if p.sharing {
 		s.announceNewHolding(p, dl.object)
 	}
 	s.issueRequests(p)
-	// An adaptive peer that is no longer starved stops contributing. The
-	// check runs after issueRequests: freshly issued downloads have
-	// requestedAt == now and cannot count as starved.
-	if p.strat.Adaptive && p.sharing && !s.anyStarvedPending(p, now) {
+	if p.strat.Adaptive && p.sharing && !s.anyStarvedPending(p, s.now()) {
 		s.stopContributing(p)
 	}
 }
@@ -1185,8 +1173,7 @@ func (s *Sim) stopContributing(p *peerState) {
 	s.col.classFlips[p.class]++
 	s.unindexStoredObjects(p)
 	// Snapshot uploads: terminations mutate p.uploads underneath us. The
-	// scratch is free here: completeDownload's own snapshot use has finished
-	// by the time it calls this, and no other user is on the stack.
+	// scratch is free here: no other user is on the stack.
 	ups := append(s.sessScratch[:0], p.uploads...)
 	s.sessScratch = ups
 	for _, up := range ups {

@@ -65,7 +65,6 @@ func TestConfigValidateCases(t *testing.T) {
 		"bad irq":           func(c *Config) { c.IRQCapacity = 0 },
 		"bad pending":       func(c *Config) { c.MaxPending = 0 },
 		"bad freerider":     func(c *Config) { c.Mix = strategy.LegacyMix(1.5) },
-		"bad lookup":        func(c *Config) { c.LookupMax = 0 },
 		"bad duration":      func(c *Config) { c.Duration = 0 },
 		"past 2^53 ns":      func(c *Config) { c.Duration = 1e7 },
 		"huge interval":     func(c *Config) { c.RetryInterval = 1e12 },

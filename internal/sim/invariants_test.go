@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -9,12 +10,17 @@ import (
 	"barter/internal/core"
 )
 
+// Now returns the current virtual time in seconds.
+func (s *Sim) Now() float64 { return seconds(s.now()) }
+
+// Step fires the next piece of work: the downloads due first, if they are
+// due no later than the heap's next event, else that event. It reports
+// whether anything remained to fire.
+func (s *Sim) Step() bool { return s.step(math.MaxInt64) }
+
 // CheckInvariants verifies the internal consistency of the whole simulation
-// state. It exists for tests: property and integration tests interleave it
-// with Step (and with churn injection) to catch bookkeeping corruption as
-// soon as it happens.
-//
-//barter:allow deadcode the tests' oracle over the whole engine state
+// state: property and integration tests interleave it with Step (and with
+// churn injection) to catch bookkeeping corruption as soon as it happens.
 func (s *Sim) CheckInvariants() error {
 	for _, p := range s.peers {
 		if err := s.checkPeer(p); err != nil {
@@ -138,11 +144,9 @@ func (s *Sim) checkPeer(p *peerState) error {
 // objects of p's interest categories it neither stores nor has pending.
 func (s *Sim) countFree(p *peerState) int {
 	n := 0
-	for _, c := range p.interest.Categories() {
-		for _, o := range s.cat.Objects(c) {
-			if !p.has(o) && p.pendingFor(o) == nil {
-				n++
-			}
+	for o := range catalog.ObjectID(s.cat.NumObjects()) {
+		if slices.Contains(p.interest.Categories(), s.cat.Category(o)) && !p.has(o) && p.pendingFor(o) == nil {
+			n++
 		}
 	}
 	return n
@@ -155,7 +159,7 @@ func (s *Sim) countFree(p *peerState) int {
 // that forgot to invalidate shows up here.
 func (s *Sim) checkAdjacency(p *peerState) error {
 	full := s.liveEdges(p, 0, nil)
-	for _, limit := range []int{1, s.cfg.SearchFanout, len(full), len(full) + 1} {
+	for _, limit := range []int{1, searchFanout, len(full), len(full) + 1} {
 		if limit <= 0 {
 			continue
 		}
@@ -164,7 +168,7 @@ func (s *Sim) checkAdjacency(p *peerState) error {
 			return fmt.Errorf("in-edges with limit %d are not a prefix of the %d-edge list", limit, len(full))
 		}
 	}
-	if a := s.adj[p.id]; a.ok && !slices.Equal(a.edges, s.liveEdges(p, s.cfg.SearchFanout, nil)) {
+	if a := s.adj[p.id]; a.ok && !slices.Equal(a.edges, s.liveEdges(p, searchFanout, nil)) {
 		return fmt.Errorf("cached in-edge list is stale: %v", a.edges)
 	}
 	return nil
@@ -277,10 +281,10 @@ func (s *Sim) checkWanters() error {
 // session's start: every arrival at or before now has arrived, and the
 // k-th lands k block times after the start. Every open session's credited
 // blocks are a prefix of those. A pending download, counting what its
-// feeders delivered and what closed feeders finished, is whole only while
-// it is due now; one that is short sits in the due heap iff it has a
-// feeder, under the instant the feeders' merged arrivals make it whole,
-// which is not in the past. The heap is in (due, seq) order.
+// feeders delivered and what closed feeders finished, is never whole; it
+// sits in the due heap iff it has a feeder, under the instant the feeders'
+// merged arrivals make it whole, which is not in the past. The heap is in
+// (due, seq) order.
 func (s *Sim) checkBlocks() error {
 	now := s.now()
 	for _, p := range s.peers {
@@ -299,12 +303,10 @@ func (s *Sim) checkBlocks() error {
 			filed := dl.dueAt >= 0 && dl.dueAt < len(s.dues) && s.dues[dl.dueAt].dl == dl
 			switch {
 			case got >= s.objBlocks:
-				if !filed || s.dues[dl.dueAt].due != now {
-					return fmt.Errorf("peer %d download %d has %d of %d blocks delivered but is not due now", p.id, dl.object, got, s.objBlocks)
-				}
+				return fmt.Errorf("peer %d download %d has %d of %d blocks delivered but is still pending", p.id, dl.object, got, s.objBlocks)
 			case len(dl.sessions) == 0:
 				if dl.dueAt >= 0 {
-					return fmt.Errorf("peer %d download %d is short with no feeder but has a due instant", p.id, dl.object)
+					return fmt.Errorf("peer %d download %d has no feeder but has a due instant", p.id, dl.object)
 				}
 			case !filed:
 				return fmt.Errorf("peer %d download %d has a feeder but no place in the due heap", p.id, dl.object)
@@ -328,4 +330,22 @@ func (s *Sim) checkBlocks() error {
 		}
 	}
 	return nil
+}
+
+// mergedArrival returns the m-th arrival (m >= 1) on the merged grids from
+// next on, advancing next: the replay checkBlocks holds fileDue's
+// interleave to.
+func (s *Sim) mergedArrival(next []time.Duration, m int) time.Duration {
+	for {
+		i := 0
+		for j := range next {
+			if next[j] < next[i] {
+				i = j
+			}
+		}
+		if m--; m == 0 {
+			return next[i]
+		}
+		next[i] += s.delta
+	}
 }

@@ -23,13 +23,12 @@ type download struct {
 	// that arrived since a feeder was last credited are not in it yet.
 	received int
 	// dueAt is the download's place in the engine's due heap, under the
-	// instant it completes at if its feeders keep feeding (now, if it is
-	// whole), or -1 when it is not there: short with no feeder, or no longer
-	// pending, which done marks.
+	// instant it completes at if its feeders keep feeding, or -1 when it is
+	// not there: without a feeder, or no longer pending, which done marks.
 	dueAt int
 	done  bool
 	// providers is the lookup result plus any later-learned holders; it is
-	// the set a ring search may close through: about LookupMax distinct ids
+	// the set a ring search may close through: about lookupMax distinct ids
 	// (CheckInvariants), so add through addProvider.
 	providers []core.PeerID
 	// requestedFrom lists the servers a request for this download was

@@ -41,11 +41,12 @@ func fingerprint(r *Result) string {
 
 // TestPinnedCounts is the in-suite form of "the traversal did not change":
 // every engine optimization must reproduce the counts below exactly. They
-// were last re-captured when the order of ties at an instant became
-// declared (blocks.go) instead of inherited from a block queue, which moved
-// every row; TestLazyMatchesEager held that engine to its reference first.
-// A deliberate behavior change re-captures them in the same commit and
-// says why.
+// were last re-captured when the downloads due at one instant began to
+// complete as one batch, every one keeping its books before any teardown
+// runs (completeDue), so no session starts for a download that is already
+// whole; that moved every row, after TestTiesAtAnInstant and
+// TestLazyMatchesEager passed. A deliberate behavior change re-captures
+// them in the same commit and says why.
 func TestPinnedCounts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,31 +58,31 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyN2
 			return cfg
-		}, "events=71448 searches=33479 nodes=2518434 wants=8515865 rings=4026 completed=non-sharing:1054,sharing:2114"},
+		}, "events=71219 searches=30990 nodes=2053974 wants=6542141 rings=3563 completed=non-sharing:1102,sharing:2069"},
 		{"2-5-way", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			return cfg
-		}, "events=69507 searches=29511 nodes=164059 wants=592885 rings=4611 completed=non-sharing:816,sharing:2255"},
+		}, "events=70077 searches=28792 nodes=170091 wants=618571 rings=4183 completed=non-sharing:989,sharing:2106"},
 		{"no-exchange", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyNoExchange
 			return cfg
-		}, "events=70603 searches=0 nodes=0 wants=0 rings=0 completed=non-sharing:1707,sharing:1356"},
+		}, "events=72373 searches=0 nodes=0 wants=0 rings=0 completed=non-sharing:1632,sharing:1464"},
 		{"kazaa-whitewasher", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
-		}, "events=57875 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:480,non-sharing:394,sharing:1628"},
+		}, "events=56950 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:482,non-sharing:282,sharing:1646"},
 		{"emule", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewEMule()
 			return cfg
-		}, "events=58463 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:659,non-sharing:614,sharing:1206"},
+		}, "events=59180 searches=0 nodes=0 wants=0 rings=0 completed=whitewasher:869,non-sharing:611,sharing:1045"},
 		// Ring searches while peers depart: whitewashers disconnect and
 		// rejoin mid-run, so searches walk IRQs their departures just
 		// changed. The one row that tells "a departing peer's requests are
@@ -89,7 +90,7 @@ func TestPinnedCounts(t *testing.T) {
 		// requesters are skipped".
 		{"exchange-whitewasher", func() Config {
 			return adversaryConfig(strategy.Whitewasher(), 0.3)
-		}, "events=58201 searches=18680 nodes=96363 wants=367100 rings=2845 completed=whitewasher:631,non-sharing:430,sharing:1476"},
+		}, "events=58335 searches=19483 nodes=105488 wants=420400 rings=2314 completed=whitewasher:693,non-sharing:602,sharing:1217"},
 		// Retries land exactly one block time after the event that armed
 		// them, so a heap event regularly falls on an instant where blocks
 		// land and downloads complete: the tie rule decides which comes
@@ -100,7 +101,7 @@ func TestPinnedCounts(t *testing.T) {
 			cfg.Policy = core.Policy2N
 			cfg.RetryInterval = cfg.BlockKbits / cfg.SlotKbps
 			return cfg
-		}, "events=80031 searches=29902 nodes=186038 wants=673308 rings=4748 completed=non-sharing:953,sharing:2228"},
+		}, "events=80950 searches=28497 nodes=168712 wants=640393 rings=4028 completed=non-sharing:1088,sharing:2043"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,8 +148,7 @@ func pinnedSessions(r *Result) string {
 
 // TestPinnedSessionStats pins what the collector records per finished
 // session, keyed by ring size, on the quick world's two exchange policies.
-// Re-captured with TestPinnedCounts; the waiting-time bits alone were
-// re-captured again when the clock became whole nanoseconds.
+// Re-captured with TestPinnedCounts.
 func TestPinnedSessionStats(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,13 +156,13 @@ func TestPinnedSessionStats(t *testing.T) {
 		want string
 	}{
 		{"5-2-way", core.PolicyN2,
-			"count: 3-way=378 4-way=540 5-way=11880 non-exchange=9963 pairwise=754" +
-				"\nvolume: non-exchange=9963/0x4053312dc34ee8d9 5-way=11880/0x404c03b79890cede pairwise=754/0x40642726b4a04130 4-way=540/0x404f04bda12f684c 3-way=378/0x4056a1a69a69a69a" +
-				"\nwaiting: non-exchange=9963/0x40250ab3f13118b9 5-way=11880/0x401121051d3fba0d pairwise=754/0x40083fd48a86736d 4-way=540/0x400b77268edab4cc 3-way=378/0x4009f59d92bcba07"},
+			"count: 3-way=531 4-way=652 5-way=9530 non-exchange=9221 pairwise=806" +
+				"\nvolume: non-exchange=9221/0x4055631c74efc241 5-way=9530/0x405004bc09aba6d1 pairwise=806/0x406218c11c95ea67 3-way=531/0x405912143fa36f5e 4-way=652/0x4053fc907da4e871" +
+				"\nwaiting: non-exchange=9221/0x4023ae670f653ced 5-way=9530/0x400dca7d599742bd pairwise=806/0x4008a0b1489b42ae 3-way=531/0x40097982479c4f1e 4-way=652/0x400ae9d1e1930df3"},
 		{"2-5-way", core.Policy2N,
-			"count: 3-way=1203 4-way=176 5-way=5 non-exchange=7719 pairwise=5904" +
-				"\nvolume: pairwise=5904/0x405e241fe9cca947 non-exchange=7719/0x405796dd79ae9d01 3-way=1203/0x40577ef66c875776 4-way=176/0x4051940000000000 5-way=5/0x404f400000000000" +
-				"\nwaiting: pairwise=5904/0x400997413dd73f3c non-exchange=7719/0x40247c3491711522 3-way=1203/0x40094074938f1996 4-way=176/0x400b3ff5c0837067 5-way=5/0x4014cccccccccccd"},
+			"count: 3-way=1134 4-way=160 5-way=40 non-exchange=7972 pairwise=5170" +
+				"\nvolume: 4-way=160/0x40528e0000000000 non-exchange=7972/0x40599ab100e62e80 pairwise=5170/0x405ef1db5b9afc89 3-way=1134/0x40580ebaebaebaec 5-way=40/0x4037700000000000" +
+				"\nwaiting: 4-way=160/0x40069c68977106e6 non-exchange=7972/0x401a2711e8f7186a pairwise=5170/0x4005061f32b4238b 3-way=1134/0x40055a742a7e0179 5-way=40/0x4006754b4ea818b4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,9 +197,7 @@ func pinnedAccounting(r *Result) string {
 // one where the mid-transfer terminations fall on block instants: evictions
 // and whitewashes every few block times, storage tight enough that every
 // sweep evicts, several servers feeding each download and a ranker scoring
-// between blocks. Re-captured with TestPinnedCounts; the mean-download-time
-// bits alone were re-captured again when the clock became whole
-// nanoseconds, which computes each time difference exactly.
+// between blocks. Re-captured with TestPinnedCounts.
 func TestPinnedAccounting(t *testing.T) {
 	for _, tc := range accountingCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,41 +225,41 @@ func accountingCases() []accountingCase {
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyN2
 			return cfg
-		}, "events=71448 horizon=0x40dd4c0000000000 non-sharing:1054/0x4041daaaaaaaaaab/0x402dafc238aea853 sharing:2114/0x4051fc2222222222/0x401ee9d6d3ada768"},
+		}, "events=71219 horizon=0x40dd4c0000000000 non-sharing:1102/0x4042a0cccccccccd/0x402c156e81c44fe3 sharing:2069/0x4051a5999999999a/0x401cb65dafb72469"},
 		{"2-5-way", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			return cfg
-		}, "events=69507 horizon=0x40dd4c0000000000 non-sharing:816/0x403b86eeeeeeeeef/0x402c2547eb608229 sharing:2255/0x4053206666666666/0x401b3a462fbbd26b"},
+		}, "events=70077 horizon=0x40dd4c0000000000 non-sharing:989/0x4040bf3333333333/0x4024cfd571fd9967 sharing:2106/0x4051df5555555555/0x4018313eb16dd730"},
 		{"no-exchange", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.PolicyNoExchange
 			return cfg
-		}, "events=70603 horizon=0x40dd4c0000000000 non-sharing:1707/0x404d66aaaaaaaaab/0x401a7965ef104c99 sharing:1356/0x404750cccccccccd/0x401a68119f70ad98"},
+		}, "events=72373 horizon=0x40dd4c0000000000 non-sharing:1632/0x404c873333333333/0x401ca62d7f5a8cc4 sharing:1464/0x404973bbbbbbbbbb/0x401c8ada00cccaea"},
 		{"kazaa-whitewasher", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewKaZaA(nil)
 			return cfg
-		}, "events=57875 horizon=0x40dd4c0000000000 whitewasher:480/0x403b7471c71c71c7/0x40309aa36ed8fe9f non-sharing:394/0x4035d8e38e38e38e/0x4035645a0a3eb0e9 sharing:1628/0x4051472aaaaaaaab/0x4012f6281ffaeca0"},
+		}, "events=56950 horizon=0x40dd4c0000000000 whitewasher:482/0x403ba9c71c71c71d/0x402f28738a39b49b non-sharing:282/0x402f9c71c71c71c7/0x40317627e3874786 sharing:1646/0x4051af5555555555/0x401307d56a497ebe"},
 		{"emule", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Policy = core.PolicyNoExchange
 			cfg.Ranker = credit.NewEMule()
 			return cfg
-		}, "events=58463 horizon=0x40dd4c0000000000 whitewasher:659/0x40431e38e38e38e3/0x401dc477ea0ca267 non-sharing:614/0x40414638e38e38e3/0x40201520ed5f5ec3 sharing:1206/0x4049b6aaaaaaaaab/0x401c29d1e606f203"},
+		}, "events=59180 horizon=0x40dd4c0000000000 whitewasher:869/0x404930e38e38e38e/0x40219182a52c591c non-sharing:611/0x40416dc71c71c71d/0x4023834d2206eb52 sharing:1045/0x40466b5555555555/0x402007005859c66b"},
 		{"exchange-whitewasher", func() Config {
 			return adversaryConfig(strategy.Whitewasher(), 0.3)
-		}, "events=58201 horizon=0x40dd4c0000000000 whitewasher:631/0x4041ef1c71c71c72/0x40274f9269da6cc3 non-sharing:430/0x403828e38e38e38e/0x40269cb2eeea1f2c sharing:1476/0x404f21aaaaaaaaab/0x401d7593ce279174"},
+		}, "events=58335 horizon=0x40dd4c0000000000 whitewasher:693/0x4043f238e38e38e3/0x4024626e1aa9d7ed non-sharing:602/0x4040f00000000000/0x4024aa53da9ebbea sharing:1217/0x4049b95555555555/0x401ce2dbcf1e4f4f"},
 		{"retry-on-block-instant", func() Config {
 			cfg := testConfig()
 			cfg.UploadKbps = 40
 			cfg.Policy = core.Policy2N
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=80031 horizon=0x40dd4c0000000000 non-sharing:953/0x40405d1111111111/0x402ba548c5988620 sharing:2228/0x405337bbbbbbbbbb/0x4019ac1f3771e30b"},
+		}, "events=80950 horizon=0x40dd4c0000000000 non-sharing:1088/0x4042980000000000/0x4026d33dab24351d sharing:2043/0x4051ad999999999a/0x40178523477de288"},
 		{"terminations-on-block-instants", func() Config {
 			cfg := adversaryConfig(strategy.Whitewasher(), 0.3)
 			cfg.Ranker = credit.NewEMule()
@@ -270,6 +268,6 @@ func accountingCases() []accountingCase {
 			cfg.WhitewashInterval = 24 * blockTime(cfg)
 			cfg.RetryInterval = blockTime(cfg)
 			return cfg
-		}, "events=75987 horizon=0x40dd4c0000000000 whitewasher:205/0x402e671c71c71c72/0x401308d6a86ba8af non-sharing:236/0x402aac71c71c71c7/0x401a23f3b495c7c1 sharing:1691/0x40525e0000000000/0x400fe10b08485261"},
+		}, "events=75185 horizon=0x40dd4c0000000000 whitewasher:145/0x4026f71c71c71c72/0x4014356ead4e1d00 non-sharing:299/0x4030ef1c71c71c72/0x401c0b21f72f98f0 sharing:1739/0x4052ef5555555555/0x4010f83a9624dcbc"},
 	}
 }

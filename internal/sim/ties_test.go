@@ -9,8 +9,9 @@ import (
 
 // TestTiesAtAnInstant pins the tie rule at the instant a download's last
 // block lands: every block at or before now has arrived, so the download
-// completes at that instant, whatever else happens at it. Each world is a
-// hand-built trace of 10-block objects at one block per second.
+// completes at that instant, whatever else happens at it, and no session
+// starts for a download that is already whole. Each world is a hand-built
+// trace of 10-block objects at one block per second.
 func TestTiesAtAnInstant(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -18,34 +19,39 @@ func TestTiesAtAnInstant(t *testing.T) {
 		slots  int      // upload slots per peer
 		at     float64  // the instant the last blocks land
 		stored [][2]int // (peer, object) pairs stored from at on
+		plain  int      // non-exchange sessions the run logs
 	}{
 		// Two peers swap objects of one size in a pairwise ring started at
 		// t=10, so both last blocks land at t=20. Whichever download
-		// completes first dissolves the ring; its partner is whole too.
+		// completes first dissolves the ring; its partner is whole too, so
+		// the freed slot must not serve it. The one plain session is peer
+		// 1's upload at t=10, which the ring replaced.
 		{"ring-of-two", func(rec *workload.Recorder) {
 			rec.Hold(0, 1)
 			rec.Hold(1, 2)
 			rec.Request(10, 0, 2)
 			rec.Request(10, 1, 1)
-		}, 2, 20, [][2]int{{0, 2}, {1, 1}}},
+		}, 2, 20, [][2]int{{0, 2}, {1, 1}}, 1},
 		// Peer 0 uploads to peer 1 from t=10 and departs at t=20, the
 		// instant the last block lands.
 		{"uploader-departs", func(rec *workload.Recorder) {
 			rec.Hold(0, 1)
 			rec.Request(10, 1, 1)
 			rec.Depart(20, 0)
-		}, 2, 20, [][2]int{{1, 1}}},
+		}, 2, 20, [][2]int{{1, 1}}, 1},
 		// Peer 0's one slot uploads to peer 1 from t=10. Peer 2 queued for
 		// peer 0's object at t=15; at t=20 peer 0 asks peer 2 for its
 		// object, and the pairwise ring that closes would preempt the
-		// upload whose last block lands then.
+		// upload whose last block lands then. The slot the completion frees
+		// serves peer 2 first; the ring then replaces that session and ends
+		// at t=30 with both downloads whole, so no third one starts.
 		{"preempted-by-ring", func(rec *workload.Recorder) {
 			rec.Hold(0, 1)
 			rec.Hold(2, 3)
 			rec.Request(10, 1, 1)
 			rec.Request(15, 2, 1)
 			rec.Request(20, 0, 3)
-		}, 1, 20, [][2]int{{1, 1}}},
+		}, 1, 20, [][2]int{{1, 1}}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,6 +87,13 @@ func TestTiesAtAnInstant(t *testing.T) {
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.SessionCount[TypeNonExchange]; got != tc.plain {
+				t.Errorf("%d non-exchange sessions, want %d", got, tc.plain)
 			}
 		})
 	}

@@ -195,17 +195,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// JSON encodes the spec as indented JSON (the format ParseSpec reads).
-//
-//barter:allow deadcode ParseSpec's inverse, which the spec round-trip tests hold it to
-func (s *Spec) JSON() []byte {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("workload: encode spec: %v", err)) // no unmarshalable fields exist
-	}
-	return append(out, '\n')
-}
-
 // BuiltinNames lists the named built-in specs in presentation order.
 func BuiltinNames() []string { return []string{"constant", "diurnal", "flash", "waves"} }
 
@@ -500,18 +489,4 @@ func (sc *Schedule) assignCohorts() {
 func (sc *Schedule) Session(i int) (arrive, depart float64) {
 	w := sc.sessions[i]
 	return w[0], w[1]
-}
-
-// CohortName returns the cohort label of peer i, or "" for resident peers.
-//
-//barter:allow deadcode the label the cohort tests check each peer's presence window by
-func (sc *Schedule) CohortName(i int) string {
-	k := sc.cohortOf[i]
-	if k < 0 {
-		return ""
-	}
-	if n := sc.spec.Cohorts[k].Name; n != "" {
-		return n
-	}
-	return fmt.Sprintf("cohort-%d", k)
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -294,4 +296,25 @@ func TestSpecJSONParseErrors(t *testing.T) {
 	if !strings.Contains(string((&Spec{Name: "x", RequestsPerPeer: 1, Phases: []Phase{{Shape: ShapeConstant}}}).JSON()), `"constant"`) {
 		t.Error("JSON missing phase shape")
 	}
+}
+
+// JSON encodes the spec as indented JSON (the format ParseSpec reads).
+func (s *Spec) JSON() []byte {
+	out, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		panic(fmt.Sprintf("workload: encode spec: %v", err)) // no unmarshalable fields exist
+	}
+	return append(out, '\n')
+}
+
+// CohortName returns the cohort label of peer i, or "" for resident peers.
+func (sc *Schedule) CohortName(i int) string {
+	k := sc.cohortOf[i]
+	if k < 0 {
+		return ""
+	}
+	if n := sc.spec.Cohorts[k].Name; n != "" {
+		return n
+	}
+	return fmt.Sprintf("cohort-%d", k)
 }
