@@ -440,19 +440,30 @@ func (c *Client) Deposit(exchangeID uint64, sender core.PeerID, obj catalog.Obje
 // ErrNoKey means the shard held no escrow (transient); ErrUnavailable means
 // no shard could be reached through every retry and failover.
 func (c *Client) Verify(exchangeID uint64, requester, sender core.PeerID, obj catalog.ObjectID, samples []protocol.Block) ([16]byte, error) {
+	key, _, err := c.Audit(exchangeID, requester, sender, obj, samples, nil)
+	return key, err
+}
+
+// Audit is Verify with receipts: besides the key it returns the registry's
+// digest of every receipted block, in receipt order. A reply that carries
+// another number of digests is a protocol violation, retried like any
+// unclaimed reply.
+func (c *Client) Audit(exchangeID uint64, requester, sender core.PeerID, obj catalog.ObjectID, samples []protocol.Block, receipts []protocol.Receipt) ([16]byte, [][32]byte, error) {
 	req := &protocol.MedVerify{
 		ExchangeID: exchangeID,
 		Requester:  requester,
 		Sender:     sender,
 		Object:     obj,
 		Samples:    samples,
+		Receipts:   receipts,
 	}
 	var key [16]byte
+	var digests [][32]byte
 	err := c.op(obj, req, func(msg protocol.Message) (bool, error) {
 		switch v := msg.(type) {
 		case *protocol.MedKey:
-			if v.ExchangeID == exchangeID {
-				key = v.Key
+			if v.ExchangeID == exchangeID && len(v.Digests) == len(receipts) {
+				key, digests = v.Key, v.Digests
 				return true, nil
 			}
 		case *protocol.MedReject:
@@ -472,5 +483,5 @@ func (c *Client) Verify(exchangeID uint64, requester, sender core.PeerID, obj ca
 		}
 		return false, nil
 	})
-	return key, err
+	return key, digests, err
 }

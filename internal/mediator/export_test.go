@@ -30,3 +30,6 @@ func (c *Cluster) LinkUp(i, target int) bool {
 	defer l.mu.Unlock()
 	return l.conn != nil
 }
+
+// MaxVerifyReceipts bounds the receipts one audit may carry.
+const MaxVerifyReceipts = maxVerifyReceipts

@@ -2,10 +2,14 @@
 // against middleman cheating: both directions of an exchange are encrypted,
 // each with a secret key known only to the sending peer and the mediator;
 // every block carries an encrypted control header naming its origin and
-// intended recipient; and when the transfer completes the mediator audits a
-// random sample of blocks before releasing the keys — to the peers named in
-// the control headers, so a middleman who peddled someone else's blocks
-// gains nothing.
+// intended recipient; and when the transfer completes the mediator checks a
+// receipt for every block — a copy of its sealed control header — before
+// releasing the key, together with the registry's digest of each receipted
+// block, to the peer named in the headers, so a middleman who peddled
+// someone else's blocks gains nothing. The receiver decrypts and checks every
+// block against those digests; a block that fails comes back as evidence, a
+// full sealed sample whose content the mediator audits and on which it flags
+// the sender.
 //
 // # Durability
 //
@@ -72,6 +76,11 @@ const (
 	MaxVerifySamples = 64
 	// MaxVerifyBytes bounds the total sealed payload across those samples.
 	MaxVerifyBytes = 1 << 20
+	// maxVerifyReceipts bounds the receipts one audit may carry, one per
+	// block of a lane: 4,096 blocks is a 16 MiB lane at the swarm's 4 KiB
+	// blocks, 64 times the largest lane the swarm builds by default (a
+	// 256 KiB object in one lane).
+	maxVerifyReceipts = 4096
 	// maxInflight bounds the requests one connection has running at once.
 	maxInflight = 64
 )
@@ -95,9 +104,7 @@ func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, ind
 
 // Open decrypts a sealed block, returning the control header fields and the
 // plaintext payload. sealed is left untouched and the plaintext is a fresh
-// buffer: a receiver's audit samples are the very slices it still holds
-// sealed (over the in-memory transport nothing copies them on the way here),
-// so decrypting in place would corrupt the lane under audit.
+// buffer; Crypt is the in-place form for a caller that owns the block.
 func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (origin, recipient core.PeerID, payload []byte, err error) {
 	if len(sealed) < headerLen {
 		return 0, 0, nil, errShortBlock
@@ -131,6 +138,15 @@ func openHeader(plain []byte, obj catalog.ObjectID, index uint32) (origin, recip
 		return 0, 0, errHeaderPosition
 	}
 	return origin, recipient, nil
+}
+
+// Crypt applies the keystream of the block at (obj, index) under key to buf
+// where it lies: a sealed block becomes its control header and payload, and
+// an opened one is sealed again, since CTR is its own inverse. It allocates
+// no buffer, so only the sole owner of buf may call it.
+func Crypt(key [16]byte, obj catalog.ObjectID, index uint32, buf []byte) {
+	block, _ := aes.NewCipher(key[:]) // only a key of another length fails
+	blockStream(block, obj, index).XORKeyStream(buf, buf)
 }
 
 // crypt applies AES-CTR with a per-(object, index) nonce from src into dst,
@@ -466,12 +482,13 @@ func (m *Mediator) misrouted(send func(protocol.Message) error, exchange uint64)
 	_ = send(&protocol.MedReject{ExchangeID: exchange, Code: protocol.MedRejectBadRequest, Reason: "object not owned by this shard"})
 }
 
-// handleVerify audits the sample blocks the requester received from Sender:
-// every sample must decrypt under the sender's escrowed key to a block whose
-// control header names the sender as origin and the requester as recipient,
-// and whose payload digest matches the oracle. Only then is the key
-// released — and it is sent to the connection that proved receipt, which by
-// the header check is the intended recipient.
+// handleVerify audits what the requester received from Sender. Every sample
+// and every receipt must open under the sender's escrowed key to a control
+// header that names the sender as origin, the requester as recipient and
+// the block's own position, and a sample's payload digest must also match
+// the oracle. Only then is the key released, with the oracle's digest of
+// every receipted block — and it is sent to the connection that proved
+// receipt, which by the header check is the intended recipient.
 func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol.MedVerify) {
 	// reject is the audit verdict: the samples, decrypted under the key
 	// the claimed sender itself escrowed, contradict the claim — the
@@ -506,8 +523,8 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 		refuse(protocol.MedRejectBadRequest, "object unknown to digest oracle")
 		return
 	}
-	if len(req.Samples) == 0 {
-		refuse(protocol.MedRejectBadRequest, "no samples supplied")
+	if len(req.Samples) == 0 && len(req.Receipts) == 0 {
+		refuse(protocol.MedRejectBadRequest, "no samples or receipts supplied")
 		return
 	}
 	a, err := newAuditor(dep.key)
@@ -526,12 +543,27 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 			return
 		}
 	}
-	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: dep.key})
+	released := make([][32]byte, len(req.Receipts))
+	for i := range req.Receipts {
+		rc := &req.Receipts[i]
+		if reason := a.auditReceipt(rc, req.Object, req.Sender, req.Requester); reason != "" {
+			reject(reason)
+			return
+		}
+		if int(rc.Index) >= len(digests) {
+			// The sender sealed a block at a position the object does not
+			// have: its manifest lied about the block count.
+			reject(fmt.Sprintf("receipt %d beyond the object's %d blocks", rc.Index, len(digests)))
+			return
+		}
+		released[i] = digests[rc.Index]
+	}
+	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: dep.key, Digests: released})
 }
 
-// auditor is what the samples of one audit request share: the sender's
-// escrowed key expanded once, one SHA-256 state, and the scratch a sample is
-// decrypted through on its way into the hash.
+// auditor is what the samples and receipts of one audit request share: the
+// sender's escrowed key expanded once, one SHA-256 state, and the scratch a
+// sample is decrypted through on its way into the hash.
 type auditor struct {
 	block   cipher.Block
 	digest  hash.Hash
@@ -560,17 +592,8 @@ func (a *auditor) auditSample(sample *protocol.Block, sender, requester core.Pee
 	stream := blockStream(a.block, sample.Object, sample.Index)
 	header := a.scratch[:headerLen]
 	stream.XORKeyStream(header, sealed[:headerLen])
-	origin, recipient, err := openHeader(header, sample.Object, sample.Index)
-	if err != nil {
-		return fmt.Sprintf("sample %d: %v", sample.Index, err)
-	}
-	if origin != sender {
-		// The claimed sender did not author these blocks: the classic
-		// middleman peddling someone else's transfer.
-		return fmt.Sprintf("sample %d authored by %d, not %d", sample.Index, origin, sender)
-	}
-	if recipient != requester {
-		return fmt.Sprintf("sample %d addressed to %d, not %d", sample.Index, recipient, requester)
+	if reason := headerVerdict("sample", header, sample.Object, sample.Index, sender, requester); reason != "" {
+		return reason
 	}
 	if int(sample.Index) < len(digests) {
 		a.digest.Reset()
@@ -587,6 +610,33 @@ func (a *auditor) auditSample(sample *protocol.Block, sender, requester core.Pee
 	return fmt.Sprintf("sample %d fails content audit", sample.Index)
 }
 
+// auditReceipt judges one receipt as auditSample judges a sample's header,
+// returning the reason the receipt convicts sender, or "".
+func (a *auditor) auditReceipt(rc *protocol.Receipt, obj catalog.ObjectID, sender, requester core.PeerID) string {
+	var header [headerLen]byte
+	blockStream(a.block, obj, rc.Index).XORKeyStream(header[:], rc.Header[:])
+	return headerVerdict("receipt", header[:], obj, rc.Index, sender, requester)
+}
+
+// headerVerdict checks a decrypted control header against the claim: the
+// position it was presented at, the claimed sender as origin and the
+// requester as recipient. It returns the reason it convicts sender, or "".
+func headerVerdict(what string, header []byte, obj catalog.ObjectID, index uint32, sender, requester core.PeerID) string {
+	origin, recipient, err := openHeader(header, obj, index)
+	if err != nil {
+		return fmt.Sprintf("%s %d: %v", what, index, err)
+	}
+	if origin != sender {
+		// The claimed sender did not author these blocks: the classic
+		// middleman peddling someone else's transfer.
+		return fmt.Sprintf("%s %d authored by %d, not %d", what, index, origin, sender)
+	}
+	if recipient != requester {
+		return fmt.Sprintf("%s %d addressed to %d, not %d", what, index, recipient, requester)
+	}
+	return ""
+}
+
 // flag records one verdict against p, in memory and in the log.
 func (m *Mediator) flag(p core.PeerID) {
 	m.mu.Lock()
@@ -600,7 +650,7 @@ func (m *Mediator) flag(p core.PeerID) {
 // oversizedVerify applies the audit limits at the read path, before any
 // per-sample work.
 func oversizedVerify(req *protocol.MedVerify) bool {
-	if len(req.Samples) > MaxVerifySamples {
+	if len(req.Samples) > MaxVerifySamples || len(req.Receipts) > maxVerifyReceipts {
 		return true
 	}
 	total := 0

@@ -41,8 +41,8 @@ func expectClosed(nc net.Conn, timeout time.Duration) error {
 // TestSealOpenRoundTrip also pins who may write where. Seal builds its
 // result in place but in a buffer of its own, and the sealed bytes for a
 // fixed key and position are the ones every earlier version put on the wire.
-// Open must not decrypt in place: over the in-memory transport the samples
-// the mediator opens are the receiver's own sealed slices.
+// Open must not decrypt in place: it is the copy-out form, and Crypt the
+// in-place one for a caller that owns the block.
 func TestSealOpenRoundTrip(t *testing.T) {
 	key := [16]byte{1, 2, 3}
 	payload := []byte("the quick brown fox")

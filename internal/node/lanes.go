@@ -316,12 +316,12 @@ func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
 // arriving in its lane, and a lane filling up.
 
 // blockAcceptable judges an arriving block. Without a mediator it must be
-// plaintext matching its digest. With one it must be sealed; its content
-// cannot be judged until the audit releases the key, so it is held as it
-// came.
+// plaintext matching its digest. With one it must be sealed, control header
+// and all; its content cannot be judged until the audit releases the key, so
+// it is held as it came.
 func (n *Node) blockAcceptable(dl *download, b *protocol.Block) bool {
 	if n.mediated() {
-		return b.Encrypted
+		return b.Encrypted && len(b.Payload) >= sealedHeaderLen
 	}
 	return !b.Encrypted && sha256.Sum256(b.Payload) == dl.digests[b.Index]
 }

@@ -25,15 +25,15 @@ import (
 // origin/recipient control header, under it.
 //
 // Receiver side: sealed blocks are held as they came. When a lane fills, the
-// receiver submits randomly chosen sample blocks from that lane for audit; a
-// released key decrypts the lane and the plaintext is digest-checked block
-// by block. The audit is per-origin — each lane's exchange id (sender,
-// recipient, object, session) is distinct — so an audit rejection proves
-// that one origin cheated, the tier has flagged it, and it costs only its
-// own lane.
-
-// medAuditSamples is how many sealed blocks a receiver submits per audit.
-const medAuditSamples = 3
+// receiver sends the tier one receipt per block of the lane — its index and
+// a copy of its sealed control header — and the tier, having checked every
+// header against the claim, releases the key with the registry's digest of
+// every block. The receiver decrypts the lane in place and checks each block
+// against those digests; a block that fails is sealed again and submitted as
+// a full sample, the evidence on which the tier flags its sender. The audit
+// is per-origin — each lane's exchange id (sender, recipient, object,
+// session) is distinct — so a rejection proves that one origin cheated, and
+// it costs only its own lane.
 
 func (n *Node) mediated() bool { return n.cfg.Mediator != nil }
 
@@ -44,7 +44,7 @@ func (n *Node) mediated() bool { return n.cfg.Mediator != nil }
 // session keeps a sender's successive sessions to one peer distinct too, so
 // a re-manifesting origin's second deposit can never overwrite the key an
 // in-flight audit of its first session still needs — the mediator would
-// unseal session-A samples with session-B's key and flag an honest peer.
+// open session-A receipts with session-B's key and flag an honest peer.
 func medExchangeID(sender, recipient core.PeerID, obj catalog.ObjectID, session uint64) uint64 {
 	h := uint64(uint32(sender))
 	h = (h ^ uint64(uint32(recipient))*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
@@ -107,86 +107,55 @@ func (n *Node) sealPayload(u *upload, payload []byte) ([]byte, bool) {
 	return sealed, true
 }
 
-// startAudit submits one full lane's sample blocks for audit off-loop. The
-// audit is per-origin: samples come only from the lane's own indices, and
-// the released key opens only that origin's session.
+// sealedHeaderLen is the sealed control header that opens every sealed
+// block and that a receipt copies.
+const sealedHeaderLen = len(protocol.Receipt{}.Header)
+
+// startAudit sends one full lane's receipts for audit off-loop. The audit is
+// per-origin: the receipts cover only the lane's own indices, and the
+// released key opens only that origin's session. The receipts are copies, so
+// the lane's blocks stay the receiver's alone while the tier reads them.
 func (n *Node) startAudit(dl *download, idx int) {
 	l := dl.lanes[idx]
 	l.verifying = true
 	n.stats.MedVerifies++
 	sender, session, obj := l.origin, l.session, dl.object
 	k := len(dl.lanes)
-	span := laneSpan(dl.total, k, idx)
-	// Sample positions must be unpredictable: a cheater who can guess
-	// them serves honest bytes exactly there and junk everywhere else,
-	// passing every audit. (The post-decrypt digest check still covers
-	// all blocks, but its digests come from the sender's manifest unless
-	// TrustedDigests is set — the random audit is the tier-level defense.)
-	count := min(medAuditSamples, span, mediator.MaxVerifySamples)
-	samples := make([]protocol.Block, 0, count)
-	budget := mediator.MaxVerifyBytes
-	for _, off := range randomSampleIndices(span, count) {
-		bi := idx + off*k // offset within the lane -> absolute block index
-		if len(samples) > 0 && budget < len(dl.blocks[bi]) {
-			break // stay under the mediator's audit limits
-		}
-		budget -= len(dl.blocks[bi])
-		samples = append(samples, protocol.Block{
-			Object:    obj,
-			Index:     uint32(bi),
-			Origin:    sender,
-			Recipient: n.cfg.ID,
-			Encrypted: true,
-			Payload:   dl.blocks[bi],
-		})
+	receipts := make([]protocol.Receipt, 0, laneSpan(dl.total, k, idx))
+	for i := idx; i < dl.total; i += k {
+		rc := protocol.Receipt{Index: uint32(i)}
+		copy(rc.Header[:], dl.blocks[i])
+		receipts = append(receipts, rc)
 	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		key, err := n.cfg.Mediator.Verify(medExchangeID(sender, n.cfg.ID, obj, session), n.cfg.ID, sender, obj, samples)
-		n.post(func() { n.finishAudit(dl, idx, sender, session, key, err) })
+		key, digests, err := n.cfg.Mediator.Audit(medExchangeID(sender, n.cfg.ID, obj, session), n.cfg.ID, sender, obj, nil, receipts)
+		n.post(func() { n.finishAudit(dl, idx, sender, session, key, digests, err) })
 	}()
 }
 
-// randomSampleIndices draws count distinct indices in [0, total) from the
-// system entropy source; on the (practically impossible) failure of that
-// source it falls back to the first count indices rather than not auditing
-// at all.
-func randomSampleIndices(total, count int) []int {
-	out := make([]int, 0, count)
-	seen := make(map[int]bool, count)
-	var buf [8]byte
-	for len(out) < count {
-		if _, err := rand.Read(buf[:]); err != nil {
-			for i := 0; len(out) < count; i++ {
-				if !seen[i] {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		idx := int(binary.BigEndian.Uint64(buf[:]) % uint64(total))
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// finishAudit applies one lane's audit verdict back on the event loop.
-// Verdicts are matched against the lane's current origin and session:
-// anything stale (the lane was reassigned or the download reset while the RPC
-// was in flight) is discarded.
-func (n *Node) finishAudit(dl *download, idx int, sender core.PeerID, session uint64, key [16]byte, err error) {
+// awaitedLane returns lane idx of dl when it still awaits a verdict on
+// sender's session, and clears its verifying mark. A verdict that arrives
+// after the lane was reassigned or the download reset is stale: nil.
+func (n *Node) awaitedLane(dl *download, idx int, sender core.PeerID, session uint64) *lane {
 	if n.downloads[dl.object] != dl || idx >= len(dl.lanes) {
-		return // the download ended, or its geometry was reset, underneath the audit
+		return nil // the download ended, or its geometry was reset, underneath the audit
 	}
 	l := dl.lanes[idx]
 	if l.origin != sender || l.session != session || !l.verifying {
-		return // stale verdict; the lane has moved on
+		return nil // the lane has moved on
 	}
 	l.verifying = false
+	return l
+}
+
+// finishAudit applies one lane's audit verdict back on the event loop.
+func (n *Node) finishAudit(dl *download, idx int, sender core.PeerID, session uint64, key [16]byte, digests [][32]byte, err error) {
+	l := n.awaitedLane(dl, idx, sender, session)
+	if l == nil {
+		return
+	}
 	switch {
 	case err == nil:
 	case errors.Is(err, medclient.ErrRejected):
@@ -212,17 +181,53 @@ func (n *Node) finishAudit(dl *download, idx int, sender core.PeerID, session ui
 		n.sendRequests(dl)
 		return
 	}
-	for i := idx; i < dl.total; i += len(dl.lanes) {
-		origin, recipient, plain, oerr := mediator.Open(key, dl.object, uint32(i), dl.blocks[i])
-		if oerr != nil || origin != sender || recipient != n.cfg.ID || sha256.Sum256(plain) != dl.digests[i] {
-			// The sampled audit passed but the lane does not decrypt clean:
-			// treat the origin as a cheater locally.
-			n.logf("post-audit validation of block %d from %d failed", i, sender)
-			n.stats.MedRejects++
-			n.dropCheater(dl, idx)
+	// The tier opened every receipt, so every header here names this origin,
+	// this receiver and its own position; what is left to check is content.
+	for j, i := 0, idx; i < dl.total; j, i = j+1, i+len(dl.lanes) {
+		blk := dl.blocks[i]
+		mediator.Crypt(key, dl.object, uint32(i), blk)
+		plain := blk[sealedHeaderLen:]
+		if sha256.Sum256(plain) != digests[j] {
+			mediator.Crypt(key, dl.object, uint32(i), blk) // sealed again, as it came
+			l.verifying = true
+			n.submitEvidence(dl, idx, sender, session, protocol.Block{
+				Object:    dl.object,
+				Index:     uint32(i),
+				Origin:    sender,
+				Recipient: n.cfg.ID,
+				Encrypted: true,
+				Payload:   blk,
+			})
 			return
 		}
 		dl.blocks[i] = plain
 	}
 	n.laneVerified(dl, idx)
+}
+
+// submitEvidence sends a block of lane idx that failed its digest check to
+// the tier as one full sample, off-loop: the tier audits its content and
+// flags the sender. The lane stays under audit until the verdict is back,
+// so the flag is on record before the lane is offered to anyone else.
+func (n *Node) submitEvidence(dl *download, idx int, sender core.PeerID, session uint64, sample protocol.Block) {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		_, err := n.cfg.Mediator.Verify(medExchangeID(sender, n.cfg.ID, sample.Object, session), n.cfg.ID, sender, sample.Object, []protocol.Block{sample})
+		n.post(func() { n.finishEvidence(dl, idx, sender, session, sample.Index, err) })
+	}()
+}
+
+// finishEvidence drops the origin of a lane whose block failed its digest
+// check, once the tier has judged the evidence. The block is junk whatever
+// the verdict; one that does not uphold it only goes to the log.
+func (n *Node) finishEvidence(dl *download, idx int, sender core.PeerID, session uint64, index uint32, err error) {
+	if n.awaitedLane(dl, idx, sender, session) == nil {
+		return
+	}
+	if !errors.Is(err, medclient.ErrRejected) {
+		n.logf("evidence against %d for object %d block %d not upheld: %v", sender, dl.object, index, err)
+	}
+	n.stats.MedRejects++
+	n.dropCheater(dl, idx)
 }

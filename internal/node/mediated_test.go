@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -219,4 +220,51 @@ func TestMediatedRidesThroughShardRestart(t *testing.T) {
 		t.Fatal("honest sender was flagged after escrow loss")
 	}
 	mn.assertHonestUnflagged()
+}
+
+// TestMediatedLyingManifestCaught: the provider holds an object with one
+// block altered, and its manifest's digests agree with its bytes, so only
+// the registry knows better. The receiver trusts no digests of its own and
+// takes the whole object from that one origin. Wherever the bad block sits,
+// the tier's digests catch it, it comes back as evidence, and the provider
+// is flagged; the receiver never stores it.
+func TestMediatedLyingManifestCaught(t *testing.T) {
+	const (
+		blocks = 8
+		size   = blocks * 1024 // the test block size
+	)
+	for bad := 0; bad < blocks; bad++ {
+		t.Run(fmt.Sprintf("block%d", bad), func(t *testing.T) {
+			mn := newMedNet(t, 2, size)
+			liar := mn.spawnMediated(1, nil)
+			mn.honest = mn.honest[:0] // not Corrupt, but no honest peer either
+			victim := mn.spawnMediated(2, func(cfg *Config) {
+				cfg.Stripe = 1
+				cfg.StallTicks = 5
+				cfg.MaxRetries = 2
+			})
+			obj := catalog.ObjectID(11)
+			data := payload(obj, size)
+			altered := bytes.Clone(data)
+			altered[bad*1024+17] ^= 0x01
+			liar.AddObject(obj, altered)
+
+			ch := victim.Download(obj, map[core.PeerID]string{1: liar.Addr()})
+			err := WaitFor(ch, testTimeout)
+			if got := victim.Object(obj); got != nil && !bytes.Equal(got, data) {
+				t.Fatalf("stored the altered object (download err %v)", err)
+			}
+			if !errors.Is(err, ErrNoSource) {
+				t.Fatalf("download from a lone liar: %v, want ErrNoSource", err)
+			}
+			waitUntil(t, "the liar flagged", func() bool { return mn.cluster.Flagged(1) > 0 })
+			if st := victim.Stats(); st.MedRejects == 0 {
+				t.Fatal("victim recorded no rejection")
+			}
+			if f := mn.cluster.Flagged(2); f != 0 {
+				t.Fatalf("the receiver carries %d flags", f)
+			}
+			mn.assertHonestUnflagged()
+		})
+	}
 }

@@ -87,10 +87,12 @@ type Config struct {
 	// Mediator, when set, runs Section III-B's mediated exchange natively
 	// on the block path: uploads are sealed under a per-exchange key the
 	// sender escrows with the mediator tier (through the shard-aware
-	// client), and a receiver completes a transfer by submitting sample
-	// blocks for audit, obtaining the key, and decrypting — so a cheater
-	// is flagged by the tier, not just locally blacklisted. The client is
-	// shared infrastructure owned by the caller; Close it after the node.
+	// client), and a receiver completes a transfer by sending the tier a
+	// receipt per block, obtaining the key and the registry's digests,
+	// decrypting and checking every block — so a cheater is flagged by the
+	// tier, on a bad header or on a bad block sent back as evidence, not
+	// just locally blacklisted. The client is shared infrastructure owned
+	// by the caller; Close it after the node.
 	Mediator *medclient.Client
 	// Stripe caps how many origins a download is striped across (receiver
 	// side), with or without a Mediator. Each origin is granted one lane —

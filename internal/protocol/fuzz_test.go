@@ -42,6 +42,10 @@ func corpusMessages() []Message {
 			{Object: 5, Index: 0, Origin: 1, Recipient: 2, Encrypted: true, Payload: []byte("x")},
 		}},
 		&MedKey{ExchangeID: 3, Key: [16]byte{9}},
+		&MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Receipts: []Receipt{
+			{Index: 0, Header: [16]byte{1}}, {Index: 3, Header: [16]byte{2}},
+		}},
+		&MedKey{ExchangeID: 3, Key: [16]byte{9}, Digests: [][32]byte{{1}, {2}}},
 		&MedReject{ExchangeID: 3, Code: MedRejectNoKey, Reason: "digest mismatch"},
 		&MedFlag{Peer: 2},
 		&MedFlagAck{},
@@ -149,6 +153,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(frameFor(TypeEnvelope, nested))
 	// The one shard-to-shard message, cut off inside its only field.
 	f.Add(frameFor(TypeMedFlag, []byte{0, 0, 2}))
+	// Receipts whose count claims one more than the frame holds, and
+	// exactly the one it holds.
+	f.Add(receiptsFrame(2))
+	f.Add(receiptsFrame(1))
 	// The retired shard-map numbers, enveloped as a client sent them: each
 	// must be refused as unknown, with its old payload left unread.
 	for typ := Type(16); typ <= 18; typ++ {
@@ -253,12 +261,31 @@ func TestDecodeRejectsCountAmplification(t *testing.T) {
 			payload = binary.BigEndian.AppendUint32(payload, 4096) // sample count
 			return frameFor(TypeMedVerify, payload)
 		}(),
+		"verify receipts": receiptsFrame(400_000),
+		"key digests": func() []byte {
+			payload := binary.BigEndian.AppendUint64(nil, 1)
+			payload = append(payload, make([]byte, 16)...)
+			payload = binary.BigEndian.AppendUint32(payload, 400_000) // digest count
+			return frameFor(TypeMedKey, payload)
+		}(),
 	}
 	for name, frame := range cases {
 		if _, _, err := DecodeBuf(bytes.NewReader(frame), nil); err == nil {
 			t.Fatalf("%s: amplified count accepted", name)
 		}
 	}
+}
+
+// receiptsFrame is a sample-free MedVerify whose receipt count claims n
+// receipts and whose frame carries one.
+func receiptsFrame(n uint32) []byte {
+	payload := binary.BigEndian.AppendUint64(nil, 1)
+	payload = binary.BigEndian.AppendUint32(payload, 2)
+	payload = binary.BigEndian.AppendUint32(payload, 1)
+	payload = binary.BigEndian.AppendUint32(payload, 5)
+	payload = binary.BigEndian.AppendUint32(payload, 0) // sample count
+	payload = binary.BigEndian.AppendUint32(payload, n) // receipt count
+	return frameFor(TypeMedVerify, append(payload, make([]byte, receiptLen)...))
 }
 
 func frameFor(typ Type, payload []byte) []byte {

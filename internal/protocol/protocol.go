@@ -171,20 +171,37 @@ type MedDeposit struct {
 	Key        [16]byte
 }
 
-// MedVerify asks the mediator to audit sample blocks received from Sender
-// and, if they check out, release the sender's key to the requester.
+// MedVerify asks the mediator to audit what the requester received from
+// Sender and, if it checks out, release the sender's key to the requester.
+// Samples are whole sealed blocks, judged header and content; Receipts stand
+// for the blocks of a lane, judged by their control headers alone.
 type MedVerify struct {
 	ExchangeID uint64
 	Requester  core.PeerID
 	Sender     core.PeerID
 	Object     catalog.ObjectID
 	Samples    []Block
+	Receipts   []Receipt
 }
 
-// MedKey releases an escrowed key.
+// Receipt is a requester's account of one sealed block it holds: the block's
+// index and a copy of its 16-byte sealed control header. The mediator opens
+// the header under the sender's escrowed key; the payload never travels.
+type Receipt struct {
+	Index  uint32
+	Header [16]byte
+}
+
+// receiptLen is a Receipt's encoded size.
+const receiptLen = 4 + 16
+
+// MedKey releases an escrowed key, with the registry's digest of every block
+// the audit carried a receipt for, in receipt order (none on a deposit
+// acknowledgement or a sample-only audit).
 type MedKey struct {
 	ExchangeID uint64
 	Key        [16]byte
+	Digests    [][32]byte
 }
 
 // MedReject reason codes. The distinction matters to clients: an audit
@@ -782,6 +799,11 @@ func (m *MedVerify) encode(w *writer) {
 	for i := range m.Samples {
 		m.Samples[i].encode(w)
 	}
+	w.u32(uint32(len(m.Receipts)))
+	for i := range m.Receipts {
+		w.u32(m.Receipts[i].Index)
+		w.raw(m.Receipts[i].Header[:])
+	}
 }
 func (m *MedVerify) decode(r *reader) error {
 	m.ExchangeID = r.u64()
@@ -792,11 +814,22 @@ func (m *MedVerify) decode(r *reader) error {
 	if r.err != nil {
 		return r.err
 	}
-	m.Samples = make([]Block, n)
+	if n > 0 {
+		m.Samples = make([]Block, n)
+	}
 	for i := 0; i < n; i++ {
 		if err := m.Samples[i].decode(r); err != nil {
 			return err
 		}
+	}
+	n = r.count(int(r.u32()), MaxFrame/receiptLen, receiptLen)
+	if r.err != nil || n == 0 {
+		return r.err
+	}
+	m.Receipts = make([]Receipt, n)
+	for i := range m.Receipts {
+		m.Receipts[i].Index = r.u32()
+		copy(m.Receipts[i].Header[:], r.take(16))
 	}
 	return r.err
 }
@@ -804,6 +837,10 @@ func (m *MedVerify) decode(r *reader) error {
 func (m *MedKey) encode(w *writer) {
 	w.u64(m.ExchangeID)
 	w.raw(m.Key[:])
+	w.u32(uint32(len(m.Digests)))
+	for _, d := range m.Digests {
+		w.raw(d[:])
+	}
 }
 func (m *MedKey) decode(r *reader) error {
 	m.ExchangeID = r.u64()
@@ -812,6 +849,14 @@ func (m *MedKey) decode(r *reader) error {
 		return r.err
 	}
 	copy(m.Key[:], b)
+	n := r.count(int(r.u32()), MaxFrame/32, 32)
+	if r.err != nil || n == 0 {
+		return r.err
+	}
+	m.Digests = make([][32]byte, n)
+	for i := range m.Digests {
+		copy(m.Digests[i][:], r.take(32))
+	}
 	return r.err
 }
 

@@ -54,11 +54,14 @@ type Result struct {
 	Flips       int
 	Whitewashes int
 	// Cheaters counts the corrupt peers in the world and Flagged how many
-	// of them the mediator tier caught; HonestFlagged counts every other
-	// peer the tier holds a flag against, which must be none.
-	Cheaters      int
-	Flagged       int
-	HonestFlagged int
+	// of them the mediator tier caught; FlaggedOrganic is how many of those
+	// the nodes' own audits and evidence had flagged before the run
+	// re-audited any. HonestFlagged counts every other peer the tier holds
+	// a flag against, which must be none.
+	Cheaters       int
+	Flagged        int
+	FlaggedOrganic int
+	HonestFlagged  int
 	// Mediators is the mediator tier size; ShardKills counts the shard
 	// kill/restart cycles the medfail scenario performed, and FlagsLost the
 	// flagged cheaters a restart of a durable tier (Config.MedDataDir) —
@@ -149,8 +152,8 @@ func (r *Result) TSV() string {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
 	if r.Cheaters > 0 || r.HonestFlagged > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
-			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped, r.WALLost)
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d flagged_organic=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.FlaggedOrganic, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped, r.WALLost)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)

@@ -467,6 +467,7 @@ func Run(cfg Config) (*Result, error) {
 	close(s.settled)
 	<-played
 
+	organic := len(s.flaggedCheaters())
 	flagged := s.convergeCheaterFlags()
 	if s.def.kills > 0 && cfg.MedDataDir != "" {
 		// The final durability check: restart every shard and demand each
@@ -479,6 +480,7 @@ func Run(cfg Config) (*Result, error) {
 	elapsed := time.Since(s.start)
 
 	res := s.collect(elapsed, flagged)
+	res.FlaggedOrganic = organic
 	if s.rec != nil {
 		res.TraceEvents = s.rec.Len()
 		trace := s.rec.Trace(workload.Header{
@@ -519,11 +521,7 @@ func (s *swarmRun) mediatorAddrs() []string {
 func (s *swarmRun) restartShard(shard int) {
 	var before []core.PeerID // the detection history a durable tier must keep
 	if s.cfg.MedDataDir != "" {
-		for _, p := range s.peers {
-			if id := p.currentID(); p.strat.Corrupt && s.cluster.Flagged(id) > 0 {
-				before = append(before, id)
-			}
-		}
+		before = s.flaggedCheaters()
 	}
 	if err := s.cluster.RestartShard(shard); err != nil {
 		s.logf("restart of mediator shard %d failed: %v", shard, err)
@@ -536,6 +534,17 @@ func (s *swarmRun) restartShard(shard int) {
 			s.logf("restart of mediator shard %d lost the flag for peer %d", shard, id)
 		}
 	}
+}
+
+// flaggedCheaters lists the corrupt peers the tier holds a flag against.
+func (s *swarmRun) flaggedCheaters() []core.PeerID {
+	var out []core.PeerID
+	for _, p := range s.peers {
+		if id := p.currentID(); p.strat.Corrupt && s.cluster.Flagged(id) > 0 {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // addrOf looks a peer's current address up in the directory.
