@@ -440,20 +440,22 @@ func (c *Client) Deposit(exchangeID uint64, sender core.PeerID, obj catalog.Obje
 // ErrNoKey means the shard held no escrow (transient); ErrUnavailable means
 // no shard could be reached through every retry and failover.
 func (c *Client) Verify(exchangeID uint64, requester, sender core.PeerID, obj catalog.ObjectID, samples []protocol.Block) ([16]byte, error) {
-	key, _, err := c.Audit(exchangeID, requester, sender, obj, samples, nil)
+	key, _, err := c.Audit(exchangeID, requester, sender, obj, samples, nil, 0)
 	return key, err
 }
 
 // Audit is Verify with receipts: besides the key it returns the registry's
-// digest of every receipted block, in receipt order. A reply that carries
-// another number of digests is a protocol violation, retried like any
-// unclaimed reply.
-func (c *Client) Audit(exchangeID uint64, requester, sender core.PeerID, obj catalog.ObjectID, samples []protocol.Block, receipts []protocol.Receipt) ([16]byte, [][32]byte, error) {
+// digest of every receipted block, in receipt order. blocks is the object's
+// block count as the requester fixed it; ErrBadRequest means the registry
+// counts another. A reply that carries another number of digests is a
+// protocol violation, retried like any unclaimed reply.
+func (c *Client) Audit(exchangeID uint64, requester, sender core.PeerID, obj catalog.ObjectID, samples []protocol.Block, receipts []protocol.Receipt, blocks int) ([16]byte, [][32]byte, error) {
 	req := &protocol.MedVerify{
 		ExchangeID: exchangeID,
 		Requester:  requester,
 		Sender:     sender,
 		Object:     obj,
+		Blocks:     uint32(blocks),
 		Samples:    samples,
 		Receipts:   receipts,
 	}

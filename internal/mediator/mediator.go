@@ -558,6 +558,14 @@ func (m *Mediator) handleVerify(send func(protocol.Message) error, req *protocol
 		}
 		released[i] = digests[rc.Index]
 	}
+	if len(req.Receipts) > 0 && int(req.Blocks) != len(digests) {
+		// The requester fixed another block count from a manifest that
+		// named it: the registry's digests of the receipted blocks alone
+		// would pass a truncated object. The manifest is unsigned, so the
+		// count is no evidence against the sender.
+		refuse(protocol.MedRejectBadRequest, fmt.Sprintf("requester counts %d blocks, the registry %d", req.Blocks, len(digests)))
+		return
+	}
 	_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: dep.key, Digests: released})
 }
 

@@ -16,8 +16,9 @@ import (
 // TestReceiptAudit is the receipt rule: a receipt must open under the
 // claimed sender's escrowed key to a header naming that sender, the
 // requester and the receipt's own position, or the sender is flagged. A
-// receipt-only audit that holds up returns the registry's digests in receipt
-// order, and what it cannot judge flags nobody.
+// receipt-only audit that holds up, from a requester that counts the
+// object's blocks as the registry does, returns the registry's digests in
+// receipt order, and what it cannot judge flags nobody.
 func TestReceiptAudit(t *testing.T) {
 	const peerA, peerB, peerM core.PeerID = 1, 2, 3
 	keyA := [16]byte{'A'}
@@ -33,29 +34,40 @@ func TestReceiptAudit(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
+		blocks   int // the requester's count of the object's blocks
 		deposit  bool
 		receipts func(t *testing.T, blocks [][]byte) []protocol.Receipt
 		want     error // nil: the key and the registry's digests come back
 		flagged  bool
 	}{
-		{"honest, out of order", true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"honest, out of order", 3, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 2, 2), receipt(t, b, keyA, peerA, peerB, 0, 0)}
 		}, nil, false},
-		{"another recipient", true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"another recipient", 3, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 0, 0), receipt(t, b, keyA, peerA, peerM, 1, 1)}
 		}, medclient.ErrRejected, true},
-		{"another origin", true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"another origin", 3, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, b, keyA, peerM, peerB, 1, 1)}
 		}, medclient.ErrRejected, true},
-		{"wrong position", true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"wrong position", 3, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 1, 2)}
 		}, medclient.ErrRejected, true},
-		{"beyond the object", true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"beyond the object", 4, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, append(b, []byte("block-three")), keyA, peerA, peerB, 3, 3)}
 		}, medclient.ErrRejected, true},
-		{"no deposit", false, func(t *testing.T, b [][]byte) []protocol.Receipt {
+		{"no deposit", 3, false, func(t *testing.T, b [][]byte) []protocol.Receipt {
 			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 0, 0)}
 		}, medclient.ErrNoKey, false},
+		// The registry counts 3 blocks. A requester that fixed another count
+		// from a manifest is refused without a verdict: the digests of the
+		// receipted blocks alone would pass a truncated object, and the
+		// unsigned manifest is no evidence against its sender.
+		{"fewer blocks", 2, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 0, 0), receipt(t, b, keyA, peerA, peerB, 1, 1)}
+		}, medclient.ErrBadRequest, false},
+		{"more blocks", 4, true, func(t *testing.T, b [][]byte) []protocol.Receipt {
+			return []protocol.Receipt{receipt(t, b, keyA, peerA, peerB, 0, 0), receipt(t, b, keyA, peerA, peerB, 2, 2)}
+		}, medclient.ErrBadRequest, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,7 +79,7 @@ func TestReceiptAudit(t *testing.T) {
 				}
 			}
 			receipts := tc.receipts(t, blocks)
-			key, digests, err := cl.Audit(900, peerB, peerA, obj, nil, receipts)
+			key, digests, err := cl.Audit(900, peerB, peerA, obj, nil, receipts, tc.blocks)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("audit: %v, want %v", err, tc.want)
 			}

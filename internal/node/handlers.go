@@ -684,7 +684,9 @@ func (n *Node) onTick() {
 			}
 		}
 	}
-	n.tickDownloads()
+	for _, dl := range n.downloads {
+		n.tickDownload(dl)
+	}
 	n.tryExchange()
 	n.trySchedule()
 }

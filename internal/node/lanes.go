@@ -139,24 +139,28 @@ func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
 	if m.Blocks == 0 || int(m.Blocks) != len(m.Digests) {
 		return // malformed
 	}
+	if _, ok := dl.providers[from]; !ok {
+		return // not a provider we asked, or one we caught cheating
+	}
+	// A manifest refused for its block count is answered with a Cancel, so
+	// the sender's session does not hold an upload slot for us until the
+	// download ends.
 	digs := m.Digests
 	if n.cfg.TrustedDigests != nil {
 		if trusted, ok := n.cfg.TrustedDigests(m.Object); ok {
 			if len(trusted) != int(m.Blocks) {
 				n.logf("manifest for %d contradicts trusted digests", m.Object)
+				n.cancel(dl, from)
 				return
 			}
 			digs = trusted
 		}
 	}
-	if _, ok := dl.providers[from]; !ok {
-		return // not a provider we asked, or one we caught cheating
-	}
 	if dl.lanes == nil {
 		// The first valid manifest fixes the geometry: block count, digests,
 		// and the interleave. Later manifests must agree on the count; their
 		// digests are ignored (first writer wins — TrustedDigests, or the
-		// mediator's audit, catch liars).
+		// mediator's audit, which also checks the count, catch liars).
 		k := max(1, min(n.cfg.Stripe, len(dl.providers), int(m.Blocks)))
 		dl.blocks = make([][]byte, m.Blocks)
 		dl.digests = digs
@@ -166,7 +170,8 @@ func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
 			dl.lanes[i] = &lane{}
 		}
 	} else if int(m.Blocks) != dl.total {
-		return // contradicts the fixed geometry
+		n.cancel(dl, from) // contradicts the fixed geometry
+		return
 	}
 	idx, l := dl.fillingLane(from)
 	if l != nil {
@@ -397,13 +402,16 @@ func (n *Node) failDownload(dl *download, reason string) {
 	}
 }
 
-// tickLanes runs per-lane stall recovery on the maintenance timer: a lane
-// whose origin went quiet (preempted us for an exchange, or withdrew) is
-// taken back and re-offered, without disturbing the lanes that are
-// progressing. Unclaimed lanes periodically re-issue the download's requests
-// so a freed lane gets claimed — by a fresh provider, or by an origin that
-// has finished its own lane and re-manifests with a new session.
-func (n *Node) tickLanes(dl *download) {
+// tickDownload runs one download's recovery on the maintenance timer. Each
+// lane recovers alone: a lane whose origin went quiet (preempted us for an
+// exchange, or withdrew) is taken back and re-offered, and an unclaimed lane
+// periodically re-issues the download's requests so it gets claimed — by a
+// fresh provider, or by an origin that has finished its own lane and
+// re-manifests with a new session. No timer touches a lane under audit or
+// verified. The download as a whole only re-issues its requests while no
+// manifest has fixed its geometry, and fails after MaxRetries rounds of
+// StallTicks without a new block, or once no provider is left.
+func (n *Node) tickDownload(dl *download) {
 	for idx, l := range dl.lanes {
 		if l.verified || l.verifying {
 			continue
@@ -424,6 +432,25 @@ func (n *Node) tickLanes(dl *download) {
 		}
 		n.sendRequests(dl)
 	}
+	if dl.auditing() {
+		// An in-flight audit is progress; its own bounded retries and
+		// failover decide the outcome, not the stall counter.
+		return
+	}
+	if dl.have != dl.lastHave {
+		dl.stalled, dl.retries, dl.lastHave = 0, 0, dl.have
+		return
+	}
+	if dl.stalled++; dl.stalled < n.cfg.StallTicks {
+		return
+	}
+	dl.stalled = 0
+	dl.retries++
+	if len(dl.providers) == 0 || dl.retries > n.cfg.MaxRetries {
+		n.failDownload(dl, "")
+	} else if dl.lanes == nil {
+		n.sendRequests(dl)
+	}
 }
 
 // dropOrigin reassigns, at once, every lane a departed peer was still
@@ -437,55 +464,4 @@ func (n *Node) dropOrigin(peer core.PeerID) {
 			n.sendRequests(dl)
 		}
 	}
-}
-
-// tickDownloads re-issues the requests of downloads that made no progress at
-// all for StallTicks (sources may never have answered, or every lane went
-// quiet at once); after MaxRetries such rounds the download fails.
-func (n *Node) tickDownloads() {
-	for _, dl := range n.downloads {
-		n.tickLanes(dl)
-		if dl.auditing() {
-			// An in-flight audit is progress; its own bounded retries and
-			// failover decide the outcome, not the stall counter.
-			continue
-		}
-		if dl.have != dl.lastHave {
-			dl.stalled = 0
-			dl.retries = 0
-			dl.lastHave = dl.have
-			continue
-		}
-		dl.stalled++
-		if dl.stalled < n.cfg.StallTicks {
-			continue
-		}
-		dl.stalled = 0
-		dl.retries++
-		if len(dl.providers) == 0 || dl.retries > n.cfg.MaxRetries {
-			n.failDownload(dl, "")
-			continue
-		}
-		// Start over and let the manifest race re-fix the geometry with
-		// whoever is still alive.
-		n.resetDownload(dl)
-		n.sendRequests(dl)
-	}
-}
-
-// resetDownload discards a transfer's state — all lanes at once — so the
-// download can start over from the next manifest race. Every assigned origin
-// gets a Cancel: if its session half-survived (a block in flight we will
-// never ack), the cancel tears it down so a re-request starts a fresh
-// session instead of wedging against the stale one.
-func (n *Node) resetDownload(dl *download) {
-	for _, l := range dl.lanes {
-		n.cancel(dl, l.origin)
-	}
-	dl.blocks = nil
-	dl.digests = nil
-	dl.have = 0
-	dl.total = 0
-	dl.lastHave = 0
-	dl.lanes = nil
 }

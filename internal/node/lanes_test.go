@@ -281,3 +281,134 @@ func TestRingPredecessorTakesLane(t *testing.T) {
 		t.Fatalf("no exchange blocks flowed from the ring predecessor: %+v", partner.Stats())
 	}
 }
+
+// TestStripedLanesOutwaitBusyHolder is the striped stall: one paced holder
+// with a single upload slot, one listed provider that holds nothing, and
+// four receivers striping over both. Each receiver's k is 2, so both of its
+// lanes need the one holder, one after the other, and the queue wait
+// between them outlasts the stall window. A verified lane must outlive that
+// wait: while a no-progress round discarded it, no download completed.
+func TestStripedLanesOutwaitBusyHolder(t *testing.T) {
+	const size = 16 * 1024
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(13)
+	data := payload(obj, size)
+	holder := tn.spawn(1, func(c *Config) {
+		c.UploadSlots = 1
+		c.BlockDelay = 2 * time.Millisecond
+	})
+	holder.AddObject(obj, data)
+	tn.spawn(2, nil) // listed by every receiver, holds nothing
+	providers := map[core.PeerID]string{1: tn.addrOf(1), 2: tn.addrOf(2)}
+	var receivers []*Node
+	var waits []<-chan error
+	for id := core.PeerID(3); id <= 6; id++ {
+		r := tn.spawn(id, func(c *Config) {
+			c.Stripe = 2
+			c.StallTicks = 3
+			c.TickInterval = 2 * time.Millisecond
+			// A wait in the holder's queue brings no block; only the
+			// holder's pace may end it here.
+			c.MaxRetries = 1000
+		})
+		receivers = append(receivers, r)
+		waits = append(waits, r.Download(obj, providers))
+	}
+	for i, ch := range waits {
+		if err := WaitFor(ch, 5*time.Second); err != nil {
+			t.Fatalf("receiver %d: %v", receivers[i].ID(), err)
+		}
+		if !bytes.Equal(receivers[i].Object(obj), data) {
+			t.Fatalf("receiver %d: content mismatch", receivers[i].ID())
+		}
+	}
+}
+
+// TestNoProgressRoundKeepsVerifiedLane: a download whose one lane has
+// verified while the other stalls goes through rounds of StallTicks without
+// a new block. The stalled lane is taken back; the verified one keeps its
+// blocks. The receiver's own timer is out of the picture: the test drives
+// its ticks.
+func TestNoProgressRoundKeepsVerifiedLane(t *testing.T) {
+	const (
+		size  = 16 * 1024
+		stall = 3
+	)
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(15)
+	data := payload(obj, size)
+	stalled := tn.spawn(1, quiet)
+	stalled.AddObject(obj, data)
+	holder := tn.spawn(2, nil)
+	receiver := tn.spawn(9, func(c *Config) {
+		c.Stripe = 2
+		c.StallTicks = stall
+		c.TickInterval = time.Hour
+	})
+
+	// The quiet origin takes lane 0. The holder only comes to hold the
+	// object once it has, and a re-request then hands it lane 1.
+	providers := map[core.PeerID]string{1: tn.addrOf(1), 2: tn.addrOf(2)}
+	receiver.Download(obj, providers)
+	waitUntil(t, "the quiet origin is granted a lane", func() bool { return receiver.Stats().StripesGranted == 1 })
+	holder.AddObject(obj, data)
+	receiver.Download(obj, providers)
+	waitUntil(t, "the holder's lane verifies", func() bool {
+		ok := false
+		receiver.call(func() {
+			dl := receiver.downloads[obj]
+			ok = dl != nil && dl.lanes[1].verified
+		})
+		return ok
+	})
+
+	// One turn of the loop: the holder, asked again for the freed lane,
+	// cannot answer in between.
+	var kept bool
+	var reassigned int
+	receiver.call(func() {
+		dl := receiver.downloads[obj]
+		for range 4 * stall {
+			receiver.onTick()
+		}
+		kept = receiver.downloads[obj] == dl && dl.lanes != nil && dl.lanes[1].verified
+		reassigned = receiver.stats.StripesReassigned
+	})
+	if !kept {
+		t.Fatal("a no-progress round discarded the verified lane")
+	}
+	if reassigned != 1 {
+		t.Fatalf("lanes reassigned = %d, want the stalled one alone", reassigned)
+	}
+}
+
+// TestRefusedManifestFreesSlot: a receiver whose trusted digests count
+// other blocks than a holder's manifest refuses the manifest and cancels
+// the session, so the holder's one upload slot serves the next requester
+// while the refusing download is still open.
+func TestRefusedManifestFreesSlot(t *testing.T) {
+	const size = 8 * 1024
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(14)
+	data := payload(obj, size)
+	holder := tn.spawn(1, func(c *Config) { c.UploadSlots = 1 })
+	holder.AddObject(obj, data)
+	halved := trueDigests(data[:size/2], 1024)
+	refuser := tn.spawn(2, func(c *Config) {
+		c.StallTicks = 10_000 // the refusing download outlives the test
+		c.TrustedDigests = func(o catalog.ObjectID) ([][32]byte, bool) { return halved, o == obj }
+	})
+	refused := refuser.Download(obj, map[core.PeerID]string{1: tn.addrOf(1)})
+	waitUntil(t, "the holder serves the refuser", func() bool { return holder.Stats().RequestsServed == 1 })
+
+	// The next requester asks once and waits: only a freed slot serves it.
+	next := tn.spawn(3, func(c *Config) { c.StallTicks = 10_000 })
+	if err := WaitFor(next.Download(obj, map[core.PeerID]string{1: tn.addrOf(1)}), 5*time.Second); err != nil {
+		t.Fatalf("the next requester: %v", err)
+	}
+	select {
+	case err := <-refused:
+		t.Fatalf("the refusing download ended first: %v", err)
+	default:
+	}
+}

@@ -119,10 +119,10 @@ func (n *Node) startAudit(dl *download, idx int) {
 	l := dl.lanes[idx]
 	l.verifying = true
 	n.stats.MedVerifies++
-	sender, session, obj := l.origin, l.session, dl.object
+	sender, session, obj, total := l.origin, l.session, dl.object, dl.total
 	k := len(dl.lanes)
-	receipts := make([]protocol.Receipt, 0, laneSpan(dl.total, k, idx))
-	for i := idx; i < dl.total; i += k {
+	receipts := make([]protocol.Receipt, 0, laneSpan(total, k, idx))
+	for i := idx; i < total; i += k {
 		rc := protocol.Receipt{Index: uint32(i)}
 		copy(rc.Header[:], dl.blocks[i])
 		receipts = append(receipts, rc)
@@ -130,17 +130,17 @@ func (n *Node) startAudit(dl *download, idx int) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		key, digests, err := n.cfg.Mediator.Audit(medExchangeID(sender, n.cfg.ID, obj, session), n.cfg.ID, sender, obj, nil, receipts)
+		key, digests, err := n.cfg.Mediator.Audit(medExchangeID(sender, n.cfg.ID, obj, session), n.cfg.ID, sender, obj, nil, receipts, total)
 		n.post(func() { n.finishAudit(dl, idx, sender, session, key, digests, err) })
 	}()
 }
 
 // awaitedLane returns lane idx of dl when it still awaits a verdict on
 // sender's session, and clears its verifying mark. A verdict that arrives
-// after the lane was reassigned or the download reset is stale: nil.
+// after the lane was reassigned or the download ended is stale: nil.
 func (n *Node) awaitedLane(dl *download, idx int, sender core.PeerID, session uint64) *lane {
-	if n.downloads[dl.object] != dl || idx >= len(dl.lanes) {
-		return nil // the download ended, or its geometry was reset, underneath the audit
+	if n.downloads[dl.object] != dl {
+		return nil // the download ended underneath the audit
 	}
 	l := dl.lanes[idx]
 	if l.origin != sender || l.session != session || !l.verifying {
@@ -167,8 +167,9 @@ func (n *Node) finishAudit(dl *download, idx int, sender core.PeerID, session ui
 		return
 	case errors.Is(err, medclient.ErrBadRequest):
 		// The mediator will never judge this audit — the object is outside
-		// its registry, or the request exceeds limits no retry changes.
-		// Re-transferring would livelock; fail the download.
+		// its registry, the registry counts other blocks than the manifest
+		// that fixed the geometry, or the request exceeds limits no retry
+		// changes. Re-transferring would livelock; fail the download.
 		n.logf("audit for object %d unjudgeable: %v", dl.object, err)
 		n.failDownload(dl, fmt.Sprintf(": mediated audit refused: %v", err))
 		return

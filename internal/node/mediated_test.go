@@ -268,3 +268,27 @@ func TestMediatedLyingManifestCaught(t *testing.T) {
 		})
 	}
 }
+
+// TestMediatedTruncatedManifestRefused: the provider holds the first half of
+// an 8-block object, so its manifest names 4 blocks, with digests that agree
+// with its bytes. The receiver trusts no digests of its own and takes the
+// object from that one origin. The tier counts 8 blocks and refuses the
+// audit: nothing is stored, the download ends in an error, and nobody is
+// flagged, since the unsigned manifest is no evidence against its sender.
+func TestMediatedTruncatedManifestRefused(t *testing.T) {
+	const size = 8 * 1024
+	mn := newMedNet(t, 2, size)
+	provider := mn.spawnMediated(1, nil)
+	receiver := mn.spawnMediated(2, func(cfg *Config) { cfg.Stripe = 1 })
+	obj := catalog.ObjectID(12)
+	provider.AddObject(obj, payload(obj, size)[:size/2])
+
+	err := WaitFor(receiver.Download(obj, map[core.PeerID]string{1: provider.Addr()}), testTimeout)
+	if !errors.Is(err, ErrNoSource) {
+		t.Fatalf("download from a truncating provider: %v, want ErrNoSource", err)
+	}
+	if receiver.Has(obj) {
+		t.Fatal("the truncated object landed in the store")
+	}
+	mn.assertHonestUnflagged()
+}

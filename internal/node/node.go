@@ -69,11 +69,15 @@ type Config struct {
 	BlockSize int
 	// TickInterval paces the maintenance timer (default 20ms).
 	TickInterval time.Duration
-	// StallTicks is how many ticks without progress a download waits
-	// before re-issuing its requests (default 25).
+	// StallTicks is how many ticks a lane waits for its next block before
+	// it is taken back from its origin (or, unclaimed, re-issues the
+	// download's requests), and the length of one no-progress round of the
+	// whole download (default 25). No timer discards a verified lane.
 	StallTicks int
-	// MaxRetries bounds consecutive no-progress retry rounds before a
-	// download fails with ErrNoSource (default 4).
+	// MaxRetries bounds consecutive no-progress rounds, with no new block
+	// in any lane, before a download fails with ErrNoSource (default 4).
+	// Until a manifest fixes the geometry, each round re-issues the
+	// download's requests.
 	MaxRetries int
 	// BlockDelay paces uploads: the gap between acknowledging one block
 	// and sending the next. It models the paper's fixed-rate transfer slots
@@ -240,7 +244,7 @@ type download struct {
 	// lanes is the download's interleave: lane i of k covers the block
 	// indices congruent to i modulo k and sticks to one origin and that
 	// origin's current session. nil until the first valid manifest fixes
-	// the geometry.
+	// the geometry, which then holds for the download's life.
 	lanes []*lane
 }
 

@@ -42,7 +42,7 @@ func corpusMessages() []Message {
 			{Object: 5, Index: 0, Origin: 1, Recipient: 2, Encrypted: true, Payload: []byte("x")},
 		}},
 		&MedKey{ExchangeID: 3, Key: [16]byte{9}},
-		&MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Receipts: []Receipt{
+		&MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Blocks: 4, Receipts: []Receipt{
 			{Index: 0, Header: [16]byte{1}}, {Index: 3, Header: [16]byte{2}},
 		}},
 		&MedKey{ExchangeID: 3, Key: [16]byte{9}, Digests: [][32]byte{{1}, {2}}},

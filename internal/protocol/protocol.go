@@ -174,12 +174,15 @@ type MedDeposit struct {
 // MedVerify asks the mediator to audit what the requester received from
 // Sender and, if it checks out, release the sender's key to the requester.
 // Samples are whole sealed blocks, judged header and content; Receipts stand
-// for the blocks of a lane, judged by their control headers alone.
+// for the blocks of a lane, judged by their control headers alone. Blocks is
+// the object's block count as the requester fixed it; an audit with
+// receipts passes only when the registry counts the same.
 type MedVerify struct {
 	ExchangeID uint64
 	Requester  core.PeerID
 	Sender     core.PeerID
 	Object     catalog.ObjectID
+	Blocks     uint32
 	Samples    []Block
 	Receipts   []Receipt
 }
@@ -795,6 +798,7 @@ func (m *MedVerify) encode(w *writer) {
 	w.i32(int32(m.Requester))
 	w.i32(int32(m.Sender))
 	w.i32(int32(m.Object))
+	w.u32(m.Blocks)
 	w.u32(uint32(len(m.Samples)))
 	for i := range m.Samples {
 		m.Samples[i].encode(w)
@@ -810,6 +814,7 @@ func (m *MedVerify) decode(r *reader) error {
 	m.Requester = core.PeerID(r.i32())
 	m.Sender = core.PeerID(r.i32())
 	m.Object = catalog.ObjectID(r.i32())
+	m.Blocks = r.u32()
 	n := r.count(int(r.u32()), 4096, blockFixed)
 	if r.err != nil {
 		return r.err

@@ -53,7 +53,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{Object: 5, Index: 0, Payload: []byte("x")},
 		}},
 		&MedKey{ExchangeID: 8, Key: [16]byte{9, 9}},
-		&MedVerify{ExchangeID: 8, Requester: 2, Sender: 1, Object: 5, Receipts: []Receipt{
+		&MedVerify{ExchangeID: 8, Requester: 2, Sender: 1, Object: 5, Blocks: 6, Receipts: []Receipt{
 			{Index: 3, Header: [16]byte{1, 2, 3}}, {Index: 0, Header: [16]byte{15: 0xff}},
 		}},
 		&MedKey{ExchangeID: 8, Key: [16]byte{9, 9}, Digests: [][32]byte{{7}, {31: 8}}},
