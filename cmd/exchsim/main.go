@@ -23,8 +23,8 @@
 //
 // -perf appends an engine performance report to stderr after the runs:
 // events/sec of wall time, ring-search traversal effort, and allocation
-// load. The counters are published once per completed run, outside the hot
-// path, so the report never perturbs the deterministic TSV output.
+// load. The counts are the runs' own, summed from their results after they
+// finish, so the report never perturbs the deterministic TSV output.
 //
 // -cpuprofile FILE writes a runtime/pprof CPU profile of the runs to FILE
 // (read it with `go tool pprof -top FILE`); stdout is unaffected. It is how
@@ -40,7 +40,6 @@ import (
 	"runtime/pprof"
 
 	"barter/internal/experiment"
-	"barter/internal/perfstats"
 	"barter/internal/workload"
 )
 
@@ -95,9 +94,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *verbose {
 		opts.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 	}
+	var counts experiment.Counts // every report's runs, for -perf
 	if *perf {
-		timer := perfstats.StartTimer()
-		defer func() { fmt.Fprint(stderr, timer.Report()) }()
+		timer := startPerf()
+		defer func() { fmt.Fprint(stderr, timer.report(counts)) }()
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -128,6 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		counts.Add(rep.Counts)
 		fmt.Fprint(stdout, rep.TSV())
 		return nil
 	case *trace != "":
@@ -144,6 +145,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		counts.Add(rep.Counts)
 		fmt.Fprint(stdout, rep.TSV())
 		return nil
 	case *all:
@@ -153,6 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
+			counts.Add(rep.Counts)
 			fmt.Fprintln(stdout, rep.TSV())
 		}
 		return nil
@@ -165,6 +168,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		counts.Add(rep.Counts)
 		fmt.Fprint(stdout, rep.TSV())
 		return nil
 	default:

@@ -153,7 +153,7 @@ func (r *Ring) String() string {
 }
 
 // SearchStats reports the cost of one ring search; the simulator sums these
-// into its Result and perfstats (Section V's search effort concern).
+// into its Result (Section V's search effort concern).
 type SearchStats struct {
 	NodesVisited int // request-graph nodes inspected
 	// WantsChecked is the number of membership tests a want-by-want scan

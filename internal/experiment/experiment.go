@@ -61,11 +61,47 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// Report is the output of one experiment: the figure's data tables and an
-// optional free-text section.
+// Report is the output of one experiment: the figure's data tables, an
+// optional free-text section, and the summed counts of the runs behind them.
 type Report struct {
 	Tables []*metrics.Table
 	Text   string
+	Counts Counts
+}
+
+// Counts sums simulator runs' engine counts (exchsim -perf): events split
+// into block arrivals and heap events as sim.Result splits them, and the
+// ring searches' effort. WantsChecked is computed, not performed (see
+// core.SearchStats.WantsChecked).
+type Counts struct {
+	Runs, Events, Blocks, HeapEvents                   uint64
+	Searches, NodesVisited, WantsChecked, RingsStarted uint64
+}
+
+// Add folds o into c.
+func (c *Counts) Add(o Counts) {
+	c.Runs += o.Runs
+	c.Events += o.Events
+	c.Blocks += o.Blocks
+	c.HeapEvents += o.HeapEvents
+	c.Searches += o.Searches
+	c.NodesVisited += o.NodesVisited
+	c.WantsChecked += o.WantsChecked
+	c.RingsStarted += o.RingsStarted
+}
+
+// runCounts is one run's Counts.
+func runCounts(r *sim.Result) Counts {
+	return Counts{
+		Runs:         1,
+		Events:       r.Events,
+		Blocks:       r.Blocks,
+		HeapEvents:   r.HeapEvents,
+		Searches:     uint64(r.RingSearches),
+		NodesVisited: uint64(r.SearchNodesVisited),
+		WantsChecked: uint64(r.SearchWantsChecked),
+		RingsStarted: uint64(r.RingAttempts - r.RingValidationFailures),
+	}
 }
 
 // TSV renders the whole report as tab-separated text.
@@ -243,8 +279,12 @@ func (e *Experiment) run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	t := e.table
+	var n Counts
 	for i, p := range pts {
 		rs := results[i].Replicas
+		for _, r := range rs {
+			n.Add(runCounts(r))
+		}
 		if e.cdf != nil {
 			appendCDF(&t, e.cdf(rs[0]))
 		}
@@ -253,7 +293,7 @@ func (e *Experiment) run(opts Options) (*Report, error) {
 		}
 		opts.progress("%s", summary(p, rs))
 	}
-	return &Report{Tables: []*metrics.Table{&t}}, nil
+	return &Report{Tables: []*metrics.Table{&t}, Counts: n}, nil
 }
 
 // summary is a point's progress line: its label, the mean of every series it

@@ -32,6 +32,8 @@ type Cluster struct {
 	// for a TCP ":0" listen) from then on.
 	addrs  []string
 	shards []*Mediator // nil while a shard is down
+	// gone sums the Counts of every shard instance killed so far.
+	gone Counts
 }
 
 // ClusterOpts tune a mediator tier beyond its address list.
@@ -123,6 +125,9 @@ func (c *Cluster) KillShard(i int) {
 	// be inside the Map callback taking c.mu.
 	if med != nil {
 		med.Close()
+		c.mu.Lock()
+		c.gone.add(med.Counts())
+		c.mu.Unlock()
 	}
 }
 
@@ -151,6 +156,22 @@ func (c *Cluster) Flagged(p core.PeerID) int {
 	for _, m := range shards {
 		if m != nil {
 			n += m.Flagged(p)
+		}
+	}
+	return n
+}
+
+// Counts sums the Counts of every shard instance the tier has run: the live
+// ones so far and each killed one's, so no kill or restart loses a count. A
+// shard being killed joins the sum once its Close returns.
+func (c *Cluster) Counts() Counts {
+	c.mu.Lock()
+	n := c.gone
+	shards := append([]*Mediator(nil), c.shards...)
+	c.mu.Unlock()
+	for _, m := range shards {
+		if m != nil {
+			n.add(m.Counts())
 		}
 	}
 	return n

@@ -39,7 +39,10 @@
 // (replLink), and answers the client. A deposit acknowledgement so promises
 // that the primary holds, has logged and has queued the key, not that the
 // replica has it yet; an audit that fails over inside that window is refused
-// with the transient no-key code, which flags nobody.
+// with the transient no-key code, which flags nobody. The copy is best
+// effort: a record a link cannot deliver is dropped and counted in the
+// shard's own Counts, beside the records its log failed to append, and
+// Cluster.Counts sums them over every shard instance the tier has run.
 package mediator
 
 import (
@@ -52,6 +55,7 @@ import (
 	"hash"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
@@ -201,6 +205,10 @@ type Mediator struct {
 	flagged  map[core.PeerID]int // peers caught cheating, with counts
 	wal      *wal                // nil without a DataDir
 	links    []*replLink         // by sibling index; nil at this shard's own
+
+	// replicated and replDropped are Counts' link halves, bumped by the
+	// links' senders and by replicate.
+	replicated, replDropped atomic.Int64
 
 	// connMu guards the open-connection set so Close can tear down every
 	// serve goroutine: a blocked Recv on an idle client would otherwise keep
@@ -358,6 +366,32 @@ func (m *Mediator) FlaggedAll() map[core.PeerID]int {
 	return out
 }
 
+// Counts are what keeping the tier's second copies cost a shard: the
+// records (deposits, flags) its replication links sent to an object's other
+// owner, those they dropped (queue full, sibling unreachable, or a send
+// error), and those its write-ahead log failed to append, which a restart of
+// the shard will not recover.
+type Counts struct {
+	Replicated, ReplDropped, WALLost int
+}
+
+func (c *Counts) add(o Counts) {
+	c.Replicated += o.Replicated
+	c.ReplDropped += o.ReplDropped
+	c.WALLost += o.WALLost
+}
+
+// Counts returns the shard's counts since it started.
+func (m *Mediator) Counts() Counts {
+	m.mu.Lock()
+	lost := 0
+	if m.wal != nil {
+		lost = m.wal.dropped
+	}
+	m.mu.Unlock()
+	return Counts{Replicated: int(m.replicated.Load()), ReplDropped: int(m.replDropped.Load()), WALLost: lost}
+}
+
 func (m *Mediator) acceptLoop() {
 	defer m.wg.Done()
 	for {
@@ -449,10 +483,9 @@ func (m *Mediator) handleRPC(send func(protocol.Message) error, env *protocol.En
 		_ = send(&protocol.MedKey{ExchangeID: req.ExchangeID, Key: req.Key})
 	case *protocol.MedFlag:
 		// A verdict written through by the object's other owner. It goes
-		// to the WAL like a native one and never replicates on — that
-		// would bounce between the two owners forever.
+		// to the WAL like a native one, is never answered, and never
+		// replicates on — that would bounce between the two owners forever.
 		m.flag(req.Peer)
-		_ = send(&protocol.MedFlagAck{})
 	case *protocol.MedVerify:
 		if !m.owns(req.Object) {
 			m.misrouted(send, req.ExchangeID)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"barter/internal/catalog"
-	"barter/internal/perfstats"
 	"barter/internal/protocol"
 	"barter/internal/transport"
 )
@@ -17,8 +16,8 @@ const replQueue = 1024
 // one sibling. Records ride a persistent, lazily dialled connection as
 // Envelope{ReqID: 0} — applied by the sibling, never answered, never forwarded
 // on. Best effort: a record that finds the queue full, or meets a dial or send
-// error, is dropped and counted (perfstats); the next redials the sibling's
-// address, which a restart keeps.
+// error, is dropped and counted (Counts.ReplDropped); the next redials the
+// sibling's address, which a restart keeps.
 type replLink struct {
 	m      *Mediator
 	target int
@@ -41,7 +40,7 @@ func (m *Mediator) replicate(obj catalog.ObjectID, msg protocol.Message) {
 	select {
 	case m.links[target].queue <- msg:
 	default:
-		perfstats.AddMedReplDropped()
+		m.replDropped.Add(1)
 	}
 }
 
@@ -54,12 +53,12 @@ func (l *replLink) run() {
 			return
 		case msg := <-l.queue:
 			if conn := l.dial(); conn == nil {
-				perfstats.AddMedReplDropped()
+				l.m.replDropped.Add(1)
 			} else if err := conn.Send(&protocol.Envelope{Msg: msg}); err != nil {
-				perfstats.AddMedReplDropped()
+				l.m.replDropped.Add(1)
 				l.retire(conn)
 			} else {
-				perfstats.AddMedReplicated()
+				l.m.replicated.Add(1)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"barter/internal/core"
 	"barter/internal/medclient"
 	"barter/internal/mediator"
-	"barter/internal/perfstats"
 	"barter/internal/protocol"
 	"barter/internal/testutil"
 	"barter/internal/transport"
@@ -182,7 +181,6 @@ func TestReplicationQueueBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	before := perfstats.Current()
 	// The in-memory pipe buffers 64 messages and the sender holds one; past
 	// that and the queue, nothing more fits.
 	const extra = 100
@@ -202,8 +200,8 @@ func TestReplicationQueueBound(t *testing.T) {
 			}
 		}
 	}
-	if d := perfstats.Current().Sub(before); d.MedReplDropped < extra || d.MedReplicated > 64 {
-		t.Fatalf("stalled sibling: %d dropped (want >= %d), %d sent (want <= 64)", d.MedReplDropped, extra, d.MedReplicated)
+	if n := med.Counts(); n.ReplDropped < extra || n.Replicated > 64 {
+		t.Fatalf("stalled sibling: %d dropped (want >= %d), %d sent (want <= 64)", n.ReplDropped, extra, n.Replicated)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -221,7 +219,8 @@ func TestReplicationQueueBound(t *testing.T) {
 // TestReplicationLinkRedials restarts the sibling over TCP, where it re-binds
 // its own port. Nothing is sent meanwhile, so only the link's reader can
 // notice: its EOF retires the dead connection, and the next record redials
-// the same address and arrives, with nothing dropped.
+// the same address and arrives, with nothing dropped. The tier's counts say
+// so, and keep saying so once the counting shard is killed.
 func TestReplicationLinkRedials(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 0)
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
@@ -237,7 +236,6 @@ func TestReplicationLinkRedials(t *testing.T) {
 	defer c.Close()
 	obj := ownedBy(t, 0, 2)
 	const sender core.PeerID = 1
-	before := perfstats.Current()
 	if err := c.Deposit(1, sender, obj, [16]byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +254,13 @@ func TestReplicationLinkRedials(t *testing.T) {
 	waitUntil(t, "the restarted replica holds the second deposit", func() bool { return cl.HoldsEscrow(1, 2, sender) })
 	// The sender counts a record once its Send returns, which the replica's
 	// apply can beat.
-	waitUntil(t, "both records are counted as sent", func() bool { return perfstats.Current().Sub(before).MedReplicated == 2 })
-	if d := perfstats.Current().Sub(before); d.MedReplDropped != 0 {
-		t.Fatalf("the link dropped %d records across the sibling's restart", d.MedReplDropped)
+	waitUntil(t, "both records are counted as sent", func() bool { return cl.Counts().Replicated == 2 })
+	if n := cl.Counts(); n != (mediator.Counts{Replicated: 2}) {
+		t.Fatalf("the tier counted %+v across the sibling's restart, want 2 sent and none dropped", n)
+	}
+	// The tier's counts outlive the shard that made them.
+	cl.KillShard(0)
+	if n := cl.Counts(); n != (mediator.Counts{Replicated: 2}) {
+		t.Fatalf("killing the primary left the tier's counts at %+v", n)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"barter/internal/catalog"
 	"barter/internal/core"
-	"barter/internal/perfstats"
 )
 
 // The write-ahead log gives a shard process-restart durability: every escrow
@@ -37,7 +36,7 @@ type wal struct {
 	// never silently swallowed. Guarded by the owning shard's mutex, like
 	// every append.
 	err     error
-	dropped int // records lost since err, for the degraded notice
+	dropped int // records lost since err: the shard's Counts.WALLost
 }
 
 // walDeposit is one replayed escrow record.
@@ -165,13 +164,13 @@ func (w *wal) appendFlag(p core.PeerID, delta uint32) {
 // (disk full, dir removed) degrades the shard to in-memory durability
 // rather than failing the client request — but visibly: the first failure
 // is remembered in err and announced on stderr, and every lost record is
-// counted, here and in perfstats.MedWALLost (exchswarm's wal_lost=, which
-// fails the run), so a restart that will forget state is never a surprise.
+// counted in dropped (the shard's Counts.WALLost, exchswarm's wal_lost=,
+// which fails the run), so a restart that will forget state is never a
+// surprise.
 func (w *wal) append(rec []byte) {
 	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
 	if _, err := w.f.Write(rec); err != nil {
 		w.dropped++
-		perfstats.AddMedWALLost()
 		if w.err == nil {
 			w.err = err
 			fmt.Fprintf(os.Stderr, "mediator: wal %s: append failed, degrading to in-memory durability: %v\n", w.f.Name(), err)

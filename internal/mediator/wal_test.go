@@ -5,8 +5,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"barter/internal/catalog"
 	"barter/internal/core"
-	"barter/internal/perfstats"
+	"barter/internal/protocol"
+	"barter/internal/transport"
 )
 
 func replayAll(t *testing.T, path string) ([]walDeposit, map[core.PeerID]uint32) {
@@ -120,32 +122,35 @@ func TestWALDropsCorruptRecordAndTail(t *testing.T) {
 
 // TestWALAppendFailureSurfaces pins the degraded-durability contract: an
 // append that cannot reach the file keeps the shard serving, but the first
-// error is remembered and every lost record counted — never silently
-// swallowed (the unchecked-io contract in docs/DETERMINISM.md).
+// error is remembered and every lost record counted in the shard's own
+// Counts — never silently swallowed (the unchecked-io contract in
+// docs/DETERMINISM.md).
 func TestWALAppendFailureSurfaces(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard-0.wal")
-	w, err := openWAL(path, nil, nil)
+	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }
+	m, err := NewShard(transport.NewMem(), "mem://wal-fails", oracle, ShardOpts{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.err != nil {
-		t.Fatalf("fresh wal already degraded: %v", w.err)
+	defer m.Close()
+	if m.wal.err != nil {
+		t.Fatalf("fresh wal already degraded: %v", m.wal.err)
 	}
 	// Close the file out from under the log: every subsequent append must
 	// fail the way a revoked fd or torn-down filesystem would make it fail.
-	if err := w.f.Close(); err != nil {
+	if err := m.wal.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lost := perfstats.Current().MedWALLost
-	w.appendFlag(1, 1)
-	w.appendDeposit(walDeposit{exchange: 1, sender: 2, object: 3})
-	if w.err == nil {
+	m.flag(1)
+	var reply protocol.Message
+	m.handleRPC(func(msg protocol.Message) error { reply = msg; return nil },
+		&protocol.Envelope{ReqID: 1, Msg: &protocol.MedDeposit{ExchangeID: 1, Sender: 2, Object: 3}})
+	if _, ok := reply.(*protocol.MedKey); !ok {
+		t.Fatalf("deposit onto a failing log answered %T, want the acknowledgement", reply)
+	}
+	if m.wal.err == nil {
 		t.Fatal("append onto a closed file reported no error")
 	}
-	if w.dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", w.dropped)
-	}
-	if d := perfstats.Current().MedWALLost - lost; d != 2 {
-		t.Fatalf("perfstats counted %d lost records, want 2", d)
+	if got := m.Counts(); got != (Counts{WALLost: 2}) {
+		t.Fatalf("Counts = %+v, want 2 records lost from the WAL", got)
 	}
 }

@@ -48,7 +48,6 @@ func corpusMessages() []Message {
 		&MedKey{ExchangeID: 3, Key: [16]byte{9}, Digests: [][32]byte{{1}, {2}}},
 		&MedReject{ExchangeID: 3, Code: MedRejectNoKey, Reason: "digest mismatch"},
 		&MedFlag{Peer: 2},
-		&MedFlagAck{},
 		&Envelope{ReqID: 6, Msg: &MedVerify{ExchangeID: 3, Requester: 2, Sender: 1, Object: 5, Samples: []Block{
 			{Object: 5, Index: 0, Origin: 1, Recipient: 2, Encrypted: true, Payload: []byte("x")},
 		}}},
@@ -158,10 +157,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(receiptsFrame(2))
 	f.Add(receiptsFrame(1))
 	// The retired shard-map numbers, enveloped as a client sent them: each
-	// must be refused as unknown, with its old payload left unread.
+	// must be refused as unknown, with its old payload left unread. So must
+	// the retired flag acknowledgement, which had no payload.
 	for typ := Type(16); typ <= 18; typ++ {
 		f.Add(frameFor(TypeEnvelope, append(binary.BigEndian.AppendUint64(nil, 1), byte(typ), 0, 0, 0, 0, 0, 0, 0, 4)))
 	}
+	f.Add(frameFor(TypeEnvelope, append(binary.BigEndian.AppendUint64(nil, 1), 20)))
 	// Block edges, where the payload bypasses the scratch: a payload length
 	// that claims more than the frame carries, one that leaves bytes over, a
 	// stream and a frame that end inside the fixed fields, an empty payload,

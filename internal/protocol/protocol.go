@@ -47,7 +47,9 @@ const (
 	_
 	_
 	TypeMedFlag
-	TypeMedFlagAck
+	// 20 was the flag acknowledgement, retired when the tier stopped
+	// answering flags; it stays reserved like 16–18.
+	_
 	TypeEnvelope
 	TypeStripeGrant
 )
@@ -229,14 +231,10 @@ type MedReject struct {
 // MedFlag writes one audit verdict through to the object's other owner: the
 // shard that flagged Peer sends it, in a one-way Envelope, so losing the
 // auditing shard does not lose the only record of who cheated. The receiver
-// adds one to Peer's flag count, and answers MedFlagAck if the envelope asked
-// for a reply.
+// adds one to Peer's flag count and never answers.
 type MedFlag struct {
 	Peer core.PeerID
 }
-
-// MedFlagAck confirms a MedFlag was recorded.
-type MedFlagAck struct{}
 
 // Envelope wraps an RPC-shaped message with a request identifier so many
 // requests can share one connection concurrently: the responder echoes the
@@ -282,7 +280,6 @@ var (
 	_ Message = (*MedKey)(nil)
 	_ Message = (*MedReject)(nil)
 	_ Message = (*MedFlag)(nil)
-	_ Message = (*MedFlagAck)(nil)
 	_ Message = (*Envelope)(nil)
 	_ Message = (*StripeGrant)(nil)
 )
@@ -304,7 +301,6 @@ func (*MedVerify) Type() Type   { return TypeMedVerify }
 func (*MedKey) Type() Type      { return TypeMedKey }
 func (*MedReject) Type() Type   { return TypeMedReject }
 func (*MedFlag) Type() Type     { return TypeMedFlag }
-func (*MedFlagAck) Type() Type  { return TypeMedFlagAck }
 func (*Envelope) Type() Type    { return TypeEnvelope }
 func (*StripeGrant) Type() Type { return TypeStripeGrant }
 
@@ -343,8 +339,6 @@ func New(t Type) (Message, error) {
 		return &MedReject{}, nil
 	case TypeMedFlag:
 		return &MedFlag{}, nil
-	case TypeMedFlagAck:
-		return &MedFlagAck{}, nil
 	case TypeEnvelope:
 		return &Envelope{}, nil
 	case TypeStripeGrant:
@@ -882,9 +876,6 @@ func (m *MedFlag) decode(r *reader) error {
 	m.Peer = core.PeerID(r.i32())
 	return r.err
 }
-
-func (*MedFlagAck) encode(*writer)         {}
-func (*MedFlagAck) decode(r *reader) error { return r.err }
 
 func (m *Envelope) encode(w *writer) {
 	w.u64(m.ReqID)

@@ -60,12 +60,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&MedReject{ExchangeID: 8, Code: MedRejectAudit, Reason: "origin mismatch"},
 		&MedReject{ExchangeID: 9, Code: MedRejectNoKey, Reason: "no escrowed key"},
 		&MedFlag{Peer: 3},
-		&MedFlagAck{},
 		&Envelope{ReqID: 77, Msg: &MedVerify{ExchangeID: 8, Requester: 2, Sender: 1, Object: 5, Samples: []Block{
 			{Object: 5, Index: 0, Payload: []byte("x")},
 		}}},
 		&Envelope{ReqID: 0, Msg: &MedFlag{Peer: 3}},
-		&Envelope{ReqID: 78, Msg: &MedFlagAck{}},
 		&StripeGrant{Object: 5, Session: 12, Stripe: 1, Stripes: 3},
 	}
 	for _, msg := range msgs {
@@ -98,7 +96,7 @@ func TestWireTypeNumbers(t *testing.T) {
 		5: TypeRingAccept, 6: TypeRingCommit, 7: TypeRingAbort, 8: TypeRingQuit,
 		9: TypeManifest, 10: TypeBlock, 11: TypeBlockAck, 12: TypeMedDeposit,
 		13: TypeMedVerify, 14: TypeMedKey, 15: TypeMedReject,
-		19: TypeMedFlag, 20: TypeMedFlagAck,
+		19: TypeMedFlag,
 		21: TypeEnvelope, 22: TypeStripeGrant,
 	}
 	for n := 1; n < len(want); n++ {
@@ -122,10 +120,11 @@ func TestWireTypeNumbers(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnknownType covers a number never assigned and the three
-// the shard-map protocol retired (16–18), each bare and inside an Envelope.
+// TestDecodeRejectsUnknownType covers a number never assigned, the three
+// the shard-map protocol retired (16–18) and the retired flag
+// acknowledgement (20), each bare and inside an Envelope.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	for _, typ := range []Type{0xEE, 16, 17, 18} {
+	for _, typ := range []Type{0xEE, 16, 17, 18, 20} {
 		bare := frameFor(typ, nil)
 		enveloped := frameFor(TypeEnvelope, append(binary.BigEndian.AppendUint64(nil, 1), byte(typ)))
 		for _, frame := range [][]byte{bare, enveloped} {

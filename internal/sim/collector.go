@@ -56,9 +56,13 @@ type ClassResult struct {
 type Result struct {
 	// Policy is the exchange policy label of the run.
 	Policy string
-	// SimulatedSeconds is the virtual horizon; Events the events executed.
+	// SimulatedSeconds is the virtual horizon; Events the events executed:
+	// Blocks block arrivals, counted when credited rather than scheduled,
+	// and HeapEvents fired off the event queue's heap.
 	SimulatedSeconds float64
 	Events           uint64
+	Blocks           uint64
+	HeapEvents       uint64
 
 	// Classes holds the per-strategy-class results in population-mix order.
 	// For the legacy two-class population this is exactly [non-sharing,

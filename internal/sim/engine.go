@@ -10,7 +10,6 @@ import (
 	"barter/internal/core"
 	"barter/internal/eventq"
 	"barter/internal/index"
-	"barter/internal/perfstats"
 	"barter/internal/rng"
 	"barter/internal/strategy"
 	"barter/internal/workload"
@@ -281,18 +280,7 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.ran = true
 	s.RunUntil(s.cfg.Duration)
-	res := s.result()
-	perfstats.AddRun(perfstats.Snapshot{
-		Runs:               1,
-		Events:             res.Events,
-		Blocks:             s.arrived,
-		HeapEvents:         s.q.Fired(),
-		RingSearches:       uint64(res.RingSearches),
-		SearchNodesVisited: uint64(res.SearchNodesVisited),
-		SearchWantsChecked: uint64(res.SearchWantsChecked),
-		RingsStarted:       uint64(res.RingAttempts - res.RingValidationFailures),
-	})
-	return res, nil
+	return s.result(), nil
 }
 
 // result credits every open session up to now and finalizes it, so
@@ -308,8 +296,9 @@ func (s *Sim) result() *Result {
 			}
 		}
 	}
-	events := s.q.Fired() + s.arrived
-	return s.col.result(s.cfg.Policy.String(), seconds(s.now()), events, s.mix.Counts(len(s.peers)))
+	res := s.col.result(s.cfg.Policy.String(), seconds(s.now()), s.q.Fired()+s.arrived, s.mix.Counts(len(s.peers)))
+	res.Blocks, res.HeapEvents = s.arrived, s.q.Fired()
+	return res
 }
 
 // reap recycles the sessions, requests and downloads retired during the

@@ -8,7 +8,6 @@ import (
 	"barter/internal/core"
 	"barter/internal/metrics"
 	"barter/internal/node"
-	"barter/internal/perfstats"
 	"barter/internal/strategy"
 )
 
@@ -70,7 +69,8 @@ type Result struct {
 	// owner (its sibling was down, or its link's queue was full): expected
 	// around a shard kill, and what the failover paths above absorb.
 	// WALLost counts the records a durable tier's write-ahead logs failed to
-	// append: a restart forgets them, so any fails the run.
+	// append: a restart forgets them, so any fails the run. Both are this
+	// run's own tier's (mediator.Cluster.Counts), killed shards included.
 	Mediators   int
 	ShardKills  int
 	FlagsLost   int
@@ -186,6 +186,7 @@ func (r *Result) PeersTSV() string {
 // collect snapshots every peer into a Result. Called after all waiters have
 // settled and before teardown, so node Stats are still reachable.
 func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
+	tier := s.cluster.Counts()
 	res := &Result{
 		Scenario: s.cfg.Scenario,
 		Nodes:    len(s.peers),
@@ -200,8 +201,8 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		Mediators:     s.cfg.Mediators,
 		ShardKills:    s.kills,
 		FlagsLost:     s.flagsLost,
-		ReplDropped:   int(perfstats.Current().MedReplDropped - s.replBase),
-		WALLost:       int(perfstats.Current().MedWALLost - s.walBase),
+		ReplDropped:   tier.ReplDropped,
+		WALLost:       tier.WALLost,
 	}
 	for _, p := range s.peers {
 		pr := PeerResult{Class: p.strat.Name}

@@ -1,6 +1,8 @@
 package swarm
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -236,6 +238,66 @@ func TestMedfailDurable(t *testing.T) {
 	}
 	if tsv := res.TSV(); !strings.Contains(tsv, "flags_lost=0") || !strings.Contains(tsv, "honest_flagged=0") || !strings.Contains(tsv, "repl_dropped=") {
 		t.Fatalf("TSV missing the durability counters:\n%s", tsv)
+	}
+}
+
+// TestConcurrentRunsCountTheirOwnTier runs two swarms at once in one process,
+// one nested inside the other. The outer, a cheater world on a 2-shard tier
+// with no faults, holds at "world:" — its tier up — until the inner has
+// finished. The inner is medfail over a durable tier whose data directory
+// turns into a file as its world comes up, so its one shard kill cannot
+// restart: that shard stays down, and its siblings drop every record meant
+// for it. Each run must read its own tier: the inner's drops are nonzero,
+// and the outer reads none of them.
+func TestConcurrentRunsCountTheirOwnTier(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t, 5)
+	type outcome struct {
+		res *Result
+		err error
+	}
+	up, innerDone, outer := make(chan struct{}), make(chan struct{}), make(chan outcome, 1)
+	go func() {
+		res, err := Run(Config{Scenario: Cheater, Nodes: 40, Quick: true, Seed: 3, Mediators: 2,
+			Logf: func(format string, _ ...any) {
+				if strings.HasPrefix(format, "world:") {
+					close(up)
+					<-innerDone
+				}
+			}})
+		outer <- outcome{res, err}
+	}()
+	select {
+	case <-up:
+	case o := <-outer:
+		t.Fatalf("the outer run returned before its world came up: %v", o.err)
+	}
+	dir := filepath.Join(t.TempDir(), "tier")
+	inner, err := Run(Config{Scenario: Medfail, Nodes: 48, Quick: true, Seed: 5, MedKills: 1, MedDataDir: dir,
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "world:") {
+				// Every shard holds its log open; a restart must create the
+				// directory again, and cannot.
+				if err := os.RemoveAll(dir); err != nil {
+					t.Error(err)
+				}
+				if err := os.WriteFile(dir, nil, 0o644); err != nil {
+					t.Error(err)
+				}
+			}
+		}})
+	close(innerDone)
+	o := <-outer
+	if err != nil || o.err != nil {
+		t.Fatalf("runs: inner %v, outer %v", err, o.err)
+	}
+	if inner.ReplDropped == 0 {
+		t.Fatalf("a shard down for the whole run dropped no records:\n%s", inner.TSV())
+	}
+	if o.res.ReplDropped != 0 || o.res.WALLost != 0 {
+		t.Fatalf("the outer run read the inner tier's counts (repl_dropped=%d wal_lost=%d)", o.res.ReplDropped, o.res.WALLost)
+	}
+	if err := o.res.Err(); err != nil {
+		t.Fatalf("the outer run: %v", err)
 	}
 }
 
