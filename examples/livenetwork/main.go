@@ -55,7 +55,6 @@ func run() error {
 			BlockSize:    2048,
 			BlockDelay:   time.Millisecond,
 			TickInterval: 5 * time.Millisecond,
-			MaxRetries:   100,
 		})
 		if err != nil {
 			return nil, err

@@ -107,7 +107,7 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 	pc := &peerConn{n: n, id: peer, conn: conn, sendQ: make(chan protocol.Message, sendQueue)}
 	n.conns[peer] = pc
 	n.wg.Add(2)
-	go n.readLoop(conn, peer)
+	go n.serveConn(conn, peer, true)
 	go n.writeLoop(pc)
 	pc.send(&protocol.Hello{Peer: n.cfg.ID, Sharing: n.cfg.Share})
 	return pc
@@ -165,11 +165,14 @@ func (n *Node) handle(from core.PeerID, msg protocol.Message) {
 
 // --- serving ------------------------------------------------------------------
 
+// onRequest queues a request, or refuses it with an empty manifest when this
+// node will not serve the object: a free-rider serves nobody, and nobody
+// serves what it does not hold.
 func (n *Node) onRequest(from core.PeerID, m *protocol.Request) {
-	if !n.cfg.Share {
-		return // free-riders serve nobody
-	}
-	if _, ok := n.store[m.Object]; !ok {
+	if _, ok := n.store[m.Object]; !ok || !n.cfg.Share {
+		if pc := n.conns[from]; pc != nil {
+			pc.send(&protocol.Manifest{Object: m.Object})
+		}
 		return
 	}
 	for _, e := range n.irq {
@@ -470,7 +473,7 @@ func (n *Node) tryExchange() {
 		if n.ringFed(obj) {
 			continue // an exchange is already feeding this want
 		}
-		wants = append(wants, core.Want{Object: obj, Providers: slices.Collect(maps.Keys(dl.providers))})
+		wants = append(wants, core.Want{Object: obj, Providers: slices.Sorted(maps.Keys(dl.providers))})
 	}
 	if len(wants) == 0 {
 		return

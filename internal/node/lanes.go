@@ -77,16 +77,6 @@ func (dl *download) freeLane() (int, *lane) {
 	return -1, nil
 }
 
-// auditing reports whether any lane has an audit in flight.
-func (dl *download) auditing() bool {
-	for _, l := range dl.lanes {
-		if l.verifying {
-			return true
-		}
-	}
-	return false
-}
-
 func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]string, ch chan error) {
 	if _, have := n.store[obj]; have {
 		ch <- nil
@@ -106,17 +96,31 @@ func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]str
 			dl.providers[p] = addr
 		}
 	}
+	if len(dl.providers) == 0 {
+		n.failDownload(dl, "")
+		return
+	}
 	// "Prior to transmission of a request, the peer inspects the entire
 	// request tree" — a ring may satisfy this want without any new request.
 	n.tryExchange()
 	n.sendRequests(dl)
 }
 
+// sendRequests asks every provider in dl's set for its object. One that
+// cannot be dialed, even after the lookup fallback, leaves the set. A
+// closing node asks nobody: Close fails its downloads.
 func (n *Node) sendRequests(dl *download) {
+	select {
+	case <-n.stop:
+		return
+	default:
+	}
 	tree := n.requestTree(false)
 	for p, addr := range dl.providers {
 		if pc := n.getConn(p, addr); pc != nil {
 			pc.send(&protocol.Request{Object: dl.object, Tree: *tree})
+		} else {
+			n.dropProvider(dl, p)
 		}
 	}
 }
@@ -134,23 +138,25 @@ func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
 	if dl == nil {
 		return
 	}
+	if _, ok := dl.providers[from]; !ok {
+		return // not in the set: never asked, or dropped
+	}
 	// Validate the manifest before any state changes: a garbage manifest
-	// must not win a lane (cancelling an honest provider).
-	if m.Blocks == 0 || int(m.Blocks) != len(m.Digests) {
+	// must not win a lane (cancelling an honest provider). One refused for
+	// its block count drops its sender, whose Cancel frees its upload slot.
+	switch {
+	case m.Blocks == 0 && len(m.Digests) == 0:
+		n.dropProvider(dl, from) // a refusal: it will not serve the object
+		return
+	case m.Blocks == 0 || int(m.Blocks) != len(m.Digests):
 		return // malformed
 	}
-	if _, ok := dl.providers[from]; !ok {
-		return // not a provider we asked, or one we caught cheating
-	}
-	// A manifest refused for its block count is answered with a Cancel, so
-	// the sender's session does not hold an upload slot for us until the
-	// download ends.
 	digs := m.Digests
 	if n.cfg.TrustedDigests != nil {
 		if trusted, ok := n.cfg.TrustedDigests(m.Object); ok {
 			if len(trusted) != int(m.Blocks) {
 				n.logf("manifest for %d contradicts trusted digests", m.Object)
-				n.cancel(dl, from)
+				n.dropProvider(dl, from)
 				return
 			}
 			digs = trusted
@@ -170,7 +176,7 @@ func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
 			dl.lanes[i] = &lane{}
 		}
 	} else if int(m.Blocks) != dl.total {
-		n.cancel(dl, from) // contradicts the fixed geometry
+		n.dropProvider(dl, from) // contradicts the fixed geometry
 		return
 	}
 	idx, l := dl.fillingLane(from)
@@ -260,13 +266,28 @@ func (n *Node) reassignLane(dl *download, idx int) {
 	perfstats.AddStripeReassigned()
 }
 
-// dropCheater stops trusting the origin of lane idx (local blacklisting,
-// Section III-B): it leaves the provider set, its lane is taken back, and the
-// remaining providers are asked to fill it.
-func (n *Node) dropCheater(dl *download, idx int) {
-	delete(dl.providers, dl.lanes[idx].origin)
-	n.reassignLane(dl, idx)
-	n.sendRequests(dl)
+// takeBack reassigns every lane peer is still filling and reports whether
+// there was one.
+func (n *Node) takeBack(dl *download, peer core.PeerID) (took bool) {
+	for idx, l := dl.fillingLane(peer); l != nil; idx, l = dl.fillingLane(peer) {
+		n.reassignLane(dl, idx)
+		took = true
+	}
+	return took
+}
+
+// dropProvider takes peer out of dl's provider set: it refused, could not
+// be dialed, sent a manifest refused for cause, or was caught cheating
+// (local blacklisting, Section III-B). Its lanes go back to the rest, and
+// the download fails the moment no provider is left.
+func (n *Node) dropProvider(dl *download, peer core.PeerID) {
+	delete(dl.providers, peer)
+	n.cancel(dl, peer)
+	if len(dl.providers) == 0 {
+		n.failDownload(dl, "")
+	} else if n.takeBack(dl, peer) {
+		n.sendRequests(dl)
+	}
 }
 
 // onBlock accepts one block of a transfer, strictly scoped to the sending
@@ -299,7 +320,7 @@ func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
 		// Junk: nack it and drop the sender, exactly as a failed audit does.
 		n.stats.BlocksRejected++
 		ack(false)
-		n.dropCheater(dl, idx)
+		n.dropProvider(dl, from)
 		return
 	}
 	if dl.blocks[b.Index] == nil {
@@ -408,9 +429,8 @@ func (n *Node) failDownload(dl *download, reason string) {
 // periodically re-issues the download's requests so it gets claimed — by a
 // fresh provider, or by an origin that has finished its own lane and
 // re-manifests with a new session. No timer touches a lane under audit or
-// verified. The download as a whole only re-issues its requests while no
-// manifest has fixed its geometry, and fails after MaxRetries rounds of
-// StallTicks without a new block, or once no provider is left.
+// verified, and none fails a download: a request waiting in a live
+// provider's queue is waiting its turn.
 func (n *Node) tickDownload(dl *download) {
 	for idx, l := range dl.lanes {
 		if l.verified || l.verifying {
@@ -432,35 +452,17 @@ func (n *Node) tickDownload(dl *download) {
 		}
 		n.sendRequests(dl)
 	}
-	if dl.auditing() {
-		// An in-flight audit is progress; its own bounded retries and
-		// failover decide the outcome, not the stall counter.
-		return
-	}
-	if dl.have != dl.lastHave {
-		dl.stalled, dl.retries, dl.lastHave = 0, 0, dl.have
-		return
-	}
-	if dl.stalled++; dl.stalled < n.cfg.StallTicks {
-		return
-	}
-	dl.stalled = 0
-	dl.retries++
-	if len(dl.providers) == 0 || dl.retries > n.cfg.MaxRetries {
-		n.failDownload(dl, "")
-	} else if dl.lanes == nil {
-		n.sendRequests(dl)
-	}
 }
 
-// dropOrigin reassigns, at once, every lane a departed peer was still
-// filling; waiting out the stall timer would only delay the same verdict.
-// Lanes under audit stay: the mediator holds the key, the origin is not
-// needed to finish them.
+// dropOrigin handles a lost connection to peer: every download that lists
+// it takes back the lanes it was filling at once (waiting out the stall
+// timer would only delay the same verdict) and asks its providers again, so
+// a restarted peer answers and a gone one fails its dial and leaves the set.
+// Lanes under audit stay: the mediator holds the key.
 func (n *Node) dropOrigin(peer core.PeerID) {
 	for _, dl := range n.downloads {
-		if idx, l := dl.fillingLane(peer); l != nil {
-			n.reassignLane(dl, idx)
+		if _, ok := dl.providers[peer]; ok {
+			n.takeBack(dl, peer)
 			n.sendRequests(dl)
 		}
 	}

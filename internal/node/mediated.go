@@ -163,7 +163,7 @@ func (n *Node) finishAudit(dl *download, idx int, sender core.PeerID, session ui
 		// and the provider, free its lane for whoever is left.
 		n.logf("audit of %d for object %d lane %d rejected: %v", sender, dl.object, idx, err)
 		n.stats.MedRejects++
-		n.dropCheater(dl, idx)
+		n.dropProvider(dl, sender)
 		return
 	case errors.Is(err, medclient.ErrBadRequest):
 		// The mediator will never judge this audit — the object is outside
@@ -230,5 +230,5 @@ func (n *Node) finishEvidence(dl *download, idx int, sender core.PeerID, session
 		n.logf("evidence against %d for object %d block %d not upheld: %v", sender, dl.object, index, err)
 	}
 	n.stats.MedRejects++
-	n.dropCheater(dl, idx)
+	n.dropProvider(dl, sender)
 }

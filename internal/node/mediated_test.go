@@ -136,10 +136,7 @@ func TestMediatedCheaterFlagged(t *testing.T) {
 	const size = 4 * 1024
 	mn := newMedNet(t, 2, size)
 	cheater := mn.spawnMediated(1, func(cfg *Config) { cfg.Corrupt = true })
-	victim := mn.spawnMediated(2, func(cfg *Config) {
-		cfg.StallTicks = 5
-		cfg.MaxRetries = 2
-	})
+	victim := mn.spawnMediated(2, nil)
 	obj := catalog.ObjectID(3)
 	cheater.AddObject(obj, payload(obj, size))
 
@@ -238,11 +235,7 @@ func TestMediatedLyingManifestCaught(t *testing.T) {
 			mn := newMedNet(t, 2, size)
 			liar := mn.spawnMediated(1, nil)
 			mn.honest = mn.honest[:0] // not Corrupt, but no honest peer either
-			victim := mn.spawnMediated(2, func(cfg *Config) {
-				cfg.Stripe = 1
-				cfg.StallTicks = 5
-				cfg.MaxRetries = 2
-			})
+			victim := mn.spawnMediated(2, func(cfg *Config) { cfg.Stripe = 1 })
 			obj := catalog.ObjectID(11)
 			data := payload(obj, size)
 			altered := bytes.Clone(data)

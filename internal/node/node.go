@@ -36,8 +36,10 @@ import (
 	"barter/internal/transport"
 )
 
-// ErrNoSource is surfaced to Download waiters when every provider has been
-// exhausted without progress.
+// ErrNoSource is surfaced to Download waiters when a download's provider set
+// empties: each one refused, could not be dialed, sent a manifest refused
+// for cause, or was caught cheating. A download given no provider at all
+// fails at once.
 var ErrNoSource = errors.New("node: no provider could serve the object")
 
 // ErrNodeClosed is surfaced to Download waiters whose node shut down before
@@ -70,15 +72,11 @@ type Config struct {
 	// TickInterval paces the maintenance timer (default 20ms).
 	TickInterval time.Duration
 	// StallTicks is how many ticks a lane waits for its next block before
-	// it is taken back from its origin (or, unclaimed, re-issues the
-	// download's requests), and the length of one no-progress round of the
-	// whole download (default 25). No timer discards a verified lane.
+	// it is taken back from its origin, or, unclaimed, re-issues the
+	// download's requests (default 25). No timer discards a verified lane,
+	// and none fails a download: a request that waits in a live provider's
+	// queue is waiting its turn.
 	StallTicks int
-	// MaxRetries bounds consecutive no-progress rounds, with no new block
-	// in any lane, before a download fails with ErrNoSource (default 4).
-	// Until a manifest fixes the geometry, each round re-issues the
-	// download's requests.
-	MaxRetries int
 	// BlockDelay paces uploads: the gap between acknowledging one block
 	// and sending the next. It models the paper's fixed-rate transfer slots
 	// in wall-clock time, so a paced upload keeps one block in flight. Zero
@@ -133,9 +131,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.StallTicks <= 0 {
 		c.StallTicks = 25
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 4
 	}
 	if c.Stripe <= 0 {
 		c.Stripe = 1
@@ -238,9 +233,6 @@ type download struct {
 	total     int
 	providers map[core.PeerID]string
 	waiters   []chan error
-	stalled   int
-	lastHave  int
-	retries   int
 	// lanes is the download's interleave: lane i of k covers the block
 	// indices congruent to i modulo k and sticks to one origin and that
 	// origin's current session. nil until the first valid manifest fixes
@@ -536,22 +528,12 @@ func (n *Node) acceptLoop() {
 			return
 		}
 		n.wg.Add(1)
-		go n.readLoopUnknown(conn)
+		go n.serveConn(conn, 0, false)
 	}
 }
 
-// readLoopUnknown serves an inbound connection whose peer is unknown until
-// its Hello arrives.
-func (n *Node) readLoopUnknown(conn transport.Conn) {
-	n.serveConn(conn, 0, false)
-}
-
-// readLoop serves an outbound connection to a known peer.
-func (n *Node) readLoop(conn transport.Conn, expected core.PeerID) {
-	n.serveConn(conn, expected, true)
-}
-
-// serveConn pumps one connection into the event loop.
+// serveConn pumps one connection into the event loop: an outbound one to a
+// known peer, or an inbound one whose peer is unknown until its Hello.
 func (n *Node) serveConn(conn transport.Conn, peer core.PeerID, known bool) {
 	defer n.wg.Done()
 	defer n.untrack(conn)

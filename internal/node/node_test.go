@@ -165,17 +165,12 @@ func TestDownloadAlreadyHeld(t *testing.T) {
 func TestFreeriderServesNobody(t *testing.T) {
 	tn := newTestNet(t)
 	rider := tn.spawn(1, func(c *Config) { c.Share = false })
-	client := tn.spawn(2, func(c *Config) { c.StallTicks = 10 })
+	client := tn.spawn(2, func(c *Config) { c.StallTicks = 10_000 }) // only the refusal can end it
 	rider.AddObject(10, payload(10, 2000))
 
-	ch := client.Download(10, map[core.PeerID]string{1: tn.addrOf(1)})
-	select {
-	case err := <-ch:
-		if err == nil {
-			t.Fatal("free-rider served a request")
-		}
-	case <-time.After(testTimeout):
-		t.Fatal("download neither failed nor was declared sourceless")
+	err := WaitFor(client.Download(10, map[core.PeerID]string{1: tn.addrOf(1)}), testTimeout)
+	if !errors.Is(err, ErrNoSource) {
+		t.Fatalf("download from a lone free-rider: %v, want ErrNoSource", err)
 	}
 }
 
@@ -225,7 +220,7 @@ func TestThreeWayRing(t *testing.T) {
 		t.Skip("multi-second live 3-ring skipped in -short")
 	}
 	tn := newTestNet(t)
-	single := func(c *Config) { c.UploadSlots = 1; c.BlockDelay = time.Millisecond; c.MaxRetries = 100 }
+	single := func(c *Config) { c.UploadSlots = 1; c.BlockDelay = time.Millisecond }
 	a := tn.spawn(1, single)
 	b := tn.spawn(2, single)
 	c := tn.spawn(3, single)
@@ -338,6 +333,7 @@ func TestPreemptsYoungestUpload(t *testing.T) {
 		tn := newTestNet(t)
 		holder := tn.spawn(1, func(c *Config) { c.UploadSlots = slots; c.StallTicks = 10_000 })
 		holder.AddObject(ox, payload(ox, 16*1024))
+		ring := dialRaw(tn, 9, holder)
 		holder.Download(oy, map[core.PeerID]string{9: ""})
 		// Start the plain uploads one at a time, so their order is known.
 		for i := range slots {
@@ -345,7 +341,6 @@ func TestPreemptsYoungestUpload(t *testing.T) {
 			r.send(&protocol.Request{Object: ox, Tree: core.Tree{Root: r.id}})
 			recvRaw[*protocol.Manifest](r)
 		}
-		ring := dialRaw(tn, 9, holder)
 		ring.send(&protocol.RingProbe{RingID: ringID, Members: []protocol.RingMember{
 			{Peer: ring.id, Gives: oy, Addr: "mem://raw"},
 			{Peer: holder.ID(), Gives: ox, Addr: holder.Addr()},
@@ -391,15 +386,15 @@ func TestCheaterBlocksRejected(t *testing.T) {
 		}
 	})
 	cheater.AddObject(obj, data) // serves junk regardless
+	dialRaw(tn, 8, client)       // a silent provider (see rawPeer)
 
-	ch := client.Download(obj, map[core.PeerID]string{
-		1: tn.addrOf(1),
-		2: tn.addrOf(2),
-	})
-	// The honest source comes to hold the object only once the cheater
-	// carries a lane, so the cheater's junk is guaranteed to be probed.
+	// The honest source is handed over only once the cheater carries a
+	// lane, so the cheater's junk is guaranteed to be probed; the silent
+	// provider keeps the download open meanwhile.
+	ch := client.Download(obj, map[core.PeerID]string{1: tn.addrOf(1), 8: ""})
 	waitUntil(t, "the cheater is granted a lane", func() bool { return client.Stats().StripesGranted >= 1 })
 	honest.AddObject(obj, data)
+	client.Download(obj, map[core.PeerID]string{2: tn.addrOf(2)})
 	if err := WaitFor(ch, testTimeout); err != nil {
 		t.Fatalf("download despite cheater: %v", err)
 	}
@@ -471,19 +466,16 @@ func TestPeerDepartureMidTransfer(t *testing.T) {
 	// (an unpaced 500 KB transfer won the race against Close once or twice
 	// in a hundred -race runs).
 	server := tn.spawn(1, quiet)
-	client := tn.spawn(2, func(c *Config) { c.StallTicks = 10; c.MaxRetries = 3 })
+	client := tn.spawn(2, nil)
 	obj := catalog.ObjectID(10)
 	server.AddObject(obj, payload(obj, 500_000))
 
 	ch := client.Download(obj, map[core.PeerID]string{1: tn.addrOf(1)})
 	server.Close() // depart; whatever blocks flowed, the rest never will
-	select {
-	case err := <-ch:
-		if err == nil {
-			t.Fatal("download completed although the only source departed")
-		}
-	case <-time.After(testTimeout):
-		t.Fatal("client never gave up on departed source")
+	// No timer ends it: the lost connection is re-dialed, the dial fails,
+	// and the set empties.
+	if err := WaitFor(ch, testTimeout); !errors.Is(err, ErrNoSource) {
+		t.Fatalf("download from a departed lone source: %v, want ErrNoSource", err)
 	}
 }
 

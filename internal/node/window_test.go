@@ -16,7 +16,10 @@ import (
 // grant and ack goes out. The window tests read the holder's counters only
 // after receiving a block that the message they just sent released; the read
 // goes through the holder's event loop behind that handler, so the count is
-// exact without sleeping.
+// exact without sleeping. Listed as a provider, a raw peer is a silent one:
+// like a provider whose queue holds the request, it never answers, so the
+// download keeps it in its set and stays open while a test hands it other
+// providers one at a time.
 type rawPeer struct {
 	t    *testing.T
 	id   core.PeerID
@@ -37,6 +40,11 @@ func dialRaw(tn *testNet, id core.PeerID, holder *Node) *rawPeer {
 	})
 	r := &rawPeer{t: tn.t, id: id, conn: conn}
 	r.send(&protocol.Hello{Peer: id, Sharing: true})
+	waitUntil(tn.t, "the raw peer is registered", func() bool {
+		registered := false
+		holder.call(func() { _, registered = holder.conns[id] })
+		return registered
+	})
 	return r
 }
 
@@ -141,8 +149,9 @@ func TestLockStepSessions(t *testing.T) {
 		tn := newTestNet(t)
 		holder := tn.spawn(1, func(c *Config) { c.StallTicks = 10_000 })
 		holder.AddObject(ox, payload(ox, 16*1024))
+		r := dialRaw(tn, 9, holder)
 		holder.Download(oy, map[core.PeerID]string{9: ""})
-		return holder, dialRaw(tn, 9, holder)
+		return holder, r
 	}
 	commit := func(t *testing.T, holder *Node, r *rawPeer) {
 		t.Helper()
@@ -209,8 +218,9 @@ func TestCheaterStragglers(t *testing.T) {
 		honest := mn.spawnMediated(2, nil)
 		// No stall timer: only the cheater's verdict can move the lane.
 		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })
+		dialRaw(mn.testNet, 8, receiver) // keeps the download open once the cheater is gone
 
-		ch := receiver.Download(obj, map[core.PeerID]string{1: cheater.Addr()})
+		ch := receiver.Download(obj, map[core.PeerID]string{1: cheater.Addr(), 8: ""})
 		waitUntil(t, "the cheater is dropped and its window drained", func() bool {
 			st := receiver.Stats()
 			if mn.cluster != nil {

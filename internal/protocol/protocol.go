@@ -124,10 +124,10 @@ type RingQuit struct {
 }
 
 // Manifest announces an object's block layout and digests so the receiver
-// can validate each block as it arrives (Section III-B).
-// Session identifies the upload session that is sending: the receiver
-// grants a lane to a session and must never mix blocks across a sender's
-// sessions (mediated transfers seal blocks under a per-session key).
+// can validate each block as it arrives (Section III-B); an empty one
+// (Blocks 0, no digests) refuses the request. Session identifies the upload
+// session that is sending: the receiver grants a lane to a session and must
+// never mix blocks across a sender's sessions (mediated ones seal per session).
 type Manifest struct {
 	Object  catalog.ObjectID
 	Size    uint64

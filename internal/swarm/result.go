@@ -62,20 +62,22 @@ type Result struct {
 	FlaggedOrganic int
 	HonestFlagged  int
 	// Mediators is the mediator tier size; ShardKills counts the shard
-	// kill/restart cycles the medfail scenario performed, and FlagsLost the
-	// flagged cheaters a restart of a durable tier (Config.MedDataDir) —
-	// mid-run, or the final one of every shard — forgot. ReplDropped counts
+	// kill/restart cycles the medfail scenario performed, RestartsFailed the
+	// restarts that left a shard down, and FlagsLost the flagged cheaters a
+	// restart of a durable tier (Config.MedDataDir) — mid-run, or the final
+	// one of every shard — forgot. The last two fail the run. ReplDropped counts
 	// the deposits and flags a shard could not copy to an object's other
 	// owner (its sibling was down, or its link's queue was full): expected
 	// around a shard kill, and what the failover paths above absorb.
 	// WALLost counts the records a durable tier's write-ahead logs failed to
 	// append: a restart forgets them, so any fails the run. Both are this
 	// run's own tier's (mediator.Cluster.Counts), killed shards included.
-	Mediators   int
-	ShardKills  int
-	FlagsLost   int
-	ReplDropped int
-	WALLost     int
+	Mediators      int
+	ShardKills     int
+	RestartsFailed int
+	FlagsLost      int
+	ReplDropped    int
+	WALLost        int
 	// TraceEvents counts the events recorded into Config.Record (zero when
 	// the run was not recorded).
 	TraceEvents int
@@ -90,6 +92,8 @@ func (r *Result) Err() error {
 		return fmt.Errorf("%d of %d downloads failed", r.Failed, r.Wanted)
 	case r.Flagged < r.Cheaters:
 		return fmt.Errorf("mediator tier flagged %d of %d cheaters", r.Flagged, r.Cheaters)
+	case r.RestartsFailed > 0:
+		return fmt.Errorf("%d mediator shard restarts failed", r.RestartsFailed)
 	case r.FlagsLost > 0:
 		return fmt.Errorf("%d flagged cheaters forgotten across mediator restarts", r.FlagsLost)
 	case r.WALLost > 0:
@@ -152,8 +156,8 @@ func (r *Result) TSV() string {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
 	if r.Cheaters > 0 || r.HonestFlagged > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d flagged_organic=%d honest_flagged=%d shard_kills=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
-			r.Mediators, r.Cheaters, r.Flagged, r.FlaggedOrganic, r.HonestFlagged, r.ShardKills, r.FlagsLost, r.ReplDropped, r.WALLost)
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d flagged_organic=%d honest_flagged=%d shard_kills=%d restarts_failed=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.FlaggedOrganic, r.HonestFlagged, r.ShardKills, r.RestartsFailed, r.FlagsLost, r.ReplDropped, r.WALLost)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)
@@ -195,14 +199,15 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		// free-riders plus every strategic class (zero off the adversary
 		// scenario), so a sweep over -adaptive/-whitewash/-partial keys each
 		// row apart.
-		FreeriderFrac: s.cfg.FreeriderFrac + s.cfg.AdaptiveFrac + s.cfg.WhitewashFrac + s.cfg.PartialFrac,
-		Elapsed:       elapsed,
-		Flagged:       flagged,
-		Mediators:     s.cfg.Mediators,
-		ShardKills:    s.kills,
-		FlagsLost:     s.flagsLost,
-		ReplDropped:   tier.ReplDropped,
-		WALLost:       tier.WALLost,
+		FreeriderFrac:  s.cfg.FreeriderFrac + s.cfg.AdaptiveFrac + s.cfg.WhitewashFrac + s.cfg.PartialFrac,
+		Elapsed:        elapsed,
+		Flagged:        flagged,
+		Mediators:      s.cfg.Mediators,
+		ShardKills:     s.kills,
+		RestartsFailed: s.restartsFailed,
+		FlagsLost:      s.flagsLost,
+		ReplDropped:    tier.ReplDropped,
+		WALLost:        tier.WALLost,
 	}
 	for _, p := range s.peers {
 		pr := PeerResult{Class: p.strat.Name}

@@ -326,13 +326,14 @@ type swarmRun struct {
 	oracle  map[catalog.ObjectID][][32]byte
 	peers   []*peerState
 	cluster *mediator.Cluster
-	// kills counts medfail's shard kill/restart cycles; flagsLost counts
-	// flagged cheaters a restart of the durable tier forgot, which must stay
-	// zero. Both are written by the fault driver (joined before collect) and
-	// the post-run durability check, so collect reads them race-free.
-	kills     int
-	flagsLost int
-	rng       *rng.RNG
+	// kills counts medfail's shard kill/restart cycles, restartsFailed the
+	// restarts that left a shard down, and flagsLost the flagged cheaters a
+	// durable restart forgot. Only the fault driver (joined before collect)
+	// and the post-run durability check write them, so collect reads them.
+	kills          int
+	restartsFailed int
+	flagsLost      int
+	rng            *rng.RNG
 	// rec accumulates the run's replayable trace when cfg.Record is set; nil
 	// otherwise. Safe for the waiter goroutines' concurrent use.
 	rec     *workload.Recorder
@@ -507,10 +508,10 @@ func (s *swarmRun) mediatorAddrs() []string {
 	return addrs
 }
 
-// restartShard kills and restarts one mediator shard. Over a durable tier
-// every cheater flagged before must still be flagged after, and each one the
-// tier forgot is counted in flagsLost; in-memory shards are allowed to
-// forget.
+// restartShard kills and restarts one mediator shard. A shard that cannot
+// come back is counted in restartsFailed. Over a durable tier every cheater
+// flagged before must still be flagged after, and each one the tier forgot
+// is counted in flagsLost; in-memory shards are allowed to forget.
 func (s *swarmRun) restartShard(shard int) {
 	var before []core.PeerID // the detection history a durable tier must keep
 	if s.cfg.MedDataDir != "" {
@@ -518,6 +519,7 @@ func (s *swarmRun) restartShard(shard int) {
 	}
 	if err := s.cluster.RestartShard(shard); err != nil {
 		s.logf("restart of mediator shard %d failed: %v", shard, err)
+		s.restartsFailed++
 		return
 	}
 	s.kills++
@@ -588,7 +590,6 @@ func (s *swarmRun) spawn(p *peerState) error {
 		BlockSize:    s.cfg.BlockSize,
 		TickInterval: 5 * time.Millisecond,
 		StallTicks:   10,
-		MaxRetries:   1 << 20, // the harness owns giving up, via Timeout
 		Stripe:       s.cfg.Stripe,
 	}
 	if s.def.paced {

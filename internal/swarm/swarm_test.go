@@ -293,6 +293,9 @@ func TestConcurrentRunsCountTheirOwnTier(t *testing.T) {
 	if inner.ReplDropped == 0 {
 		t.Fatalf("a shard down for the whole run dropped no records:\n%s", inner.TSV())
 	}
+	if inner.RestartsFailed == 0 || inner.Err() == nil {
+		t.Fatalf("a shard that never came back passed the run:\n%s", inner.TSV())
+	}
 	if o.res.ReplDropped != 0 || o.res.WALLost != 0 {
 		t.Fatalf("the outer run read the inner tier's counts (repl_dropped=%d wal_lost=%d)", o.res.ReplDropped, o.res.WALLost)
 	}
@@ -314,6 +317,7 @@ func TestResultErr(t *testing.T) {
 	for name, breakIt := range map[string]func(*Result){
 		"failed download":     func(r *Result) { r.Completed, r.Failed = 39, 1 },
 		"unflagged cheater":   func(r *Result) { r.Flagged = 2 },
+		"failed restart":      func(r *Result) { r.RestartsFailed = 1 },
 		"lost flag":           func(r *Result) { r.FlagsLost = 1 },
 		"flagged honest peer": func(r *Result) { r.HonestFlagged = 1 },
 	} {
