@@ -61,8 +61,11 @@ flake-check:
 	$(GO) test -race -short -count=50 ./internal/transport ./internal/mediator ./internal/medclient
 	$(GO) test -race -short -count=10 ./internal/swarm
 
-## swarm-smoke: the eleven race-enabled live-network scenario lines CI runs
-## on every push — a 120-node flash crowd, a 100-node churn run (60
+## swarm-smoke: the twelve race-enabled live-network scenario lines CI runs
+## on every push — a 120-node flash crowd in memory and again over TCP
+## (every downloader queues behind a few seeds, so the standby providers a
+## stalled download asks one at a time are asked under real queues, with the
+## codec in the path), a 100-node churn run (60
 ## close/restart cycles), a 120-node cheater run against a 4-shard mediator
 ## tier, the same cheater mix with downloads striped across 3 origins on the
 ## plain lane path, a medfail run that kills mediator shards mid-run, the
@@ -82,6 +85,7 @@ flake-check:
 ## fails the target.
 swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -tcp
 	$(GO) run -race ./cmd/exchswarm -scenario churn -nodes 100 -restarts 60 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick

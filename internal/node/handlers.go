@@ -1,8 +1,6 @@
 package node
 
 import (
-	"maps"
-	"slices"
 	"time"
 
 	"barter/internal/catalog"
@@ -473,13 +471,11 @@ func (n *Node) tryExchange() {
 		if n.ringFed(obj) {
 			continue // an exchange is already feeding this want
 		}
-		wants = append(wants, core.Want{Object: obj, Providers: slices.Sorted(maps.Keys(dl.providers))})
+		wants = append(wants, core.Want{Object: obj, Providers: dl.order})
 	}
 	if len(wants) == 0 {
 		return
 	}
-	// Map iteration order is irrelevant here: any found ring is validated
-	// by the probe round before anything commits.
 	ring, _, _, ok := core.FindRing(n.requestTree(true), wants, n.cfg.Policy)
 	if !ok {
 		return

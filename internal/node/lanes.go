@@ -3,15 +3,24 @@ package node
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"slices"
 
 	"barter/internal/catalog"
 	"barter/internal/core"
 	"barter/internal/perfstats"
 	"barter/internal/protocol"
+	"barter/internal/rng"
 )
 
 // The lane scheduler: the receiving side of every download. Everything here
 // runs on the node's event loop.
+//
+// A download keeps its providers in one order (askOrder) and asks the first
+// min(Config.Stripe, providers) of them; the rest stand by. A standby is
+// asked, one at a time, when an asked provider leaves the set (it refuses,
+// cannot be dialed, sends a manifest refused for cause, or cheats) and when
+// a lane stalls, claimed or not, for StallTicks.
 //
 // The first valid manifest fixes a download's geometry — block count,
 // digests, and k = min(Config.Stripe, providers, blocks) lanes. Each origin
@@ -91,38 +100,90 @@ func (n *Node) startDownload(obj catalog.ObjectID, providers map[core.PeerID]str
 		n.downloads[obj] = dl
 	}
 	dl.waiters = append(dl.waiters, ch)
-	for p, addr := range providers {
-		if p != n.cfg.ID {
-			dl.providers[p] = addr
+	var named []core.PeerID
+	for _, p := range slices.Sorted(maps.Keys(providers)) {
+		if p == n.cfg.ID {
+			continue
 		}
+		if _, listed := dl.providers[p]; !listed {
+			named = append(named, p)
+		}
+		dl.providers[p] = providers[p]
 	}
-	if len(dl.providers) == 0 {
+	dl.order = append(dl.order, askOrder(n.cfg.ID, obj, named)...)
+	if len(dl.order) == 0 {
 		n.failDownload(dl, "")
 		return
 	}
 	// "Prior to transmission of a request, the peer inspects the entire
 	// request tree" — a ring may satisfy this want without any new request.
 	n.tryExchange()
-	n.sendRequests(dl)
+	// One provider is asked per lane; the rest stand by.
+	from := dl.asked
+	dl.asked = max(dl.asked, min(n.cfg.Stripe, len(dl.order)))
+	n.ask(dl, from)
 }
 
-// sendRequests asks every provider in dl's set for its object. One that
-// cannot be dialed, even after the lookup fallback, leaves the set. A
-// closing node asks nobody: Close fails its downloads.
-func (n *Node) sendRequests(dl *download) {
+// askOrder returns newly named providers in the order a download asks them:
+// ascending id, rotated by a mix of the asking node's id and the object, so
+// the downloaders of one object spread over its holders instead of all
+// asking the lowest id first.
+func askOrder(self core.PeerID, obj catalog.ObjectID, named []core.PeerID) []core.PeerID {
+	if len(named) == 0 {
+		return nil
+	}
+	r := int(rng.DeriveSeed(uint64(self), uint64(obj)) % uint64(len(named)))
+	return slices.Concat(named[r:], named[:r])
+}
+
+// sendRequests asks every asked provider of dl for its object again.
+func (n *Node) sendRequests(dl *download) { n.ask(dl, 0) }
+
+// ask sends dl's request to the asked providers from position i of its
+// order on. One that cannot be dialed, even after the lookup fallback,
+// leaves the set, and the first standby is asked in its place. A closing
+// node asks nobody: Close fails its downloads.
+func (n *Node) ask(dl *download, i int) {
 	select {
 	case <-n.stop:
 		return
 	default:
 	}
-	tree := n.requestTree(false)
-	for p, addr := range dl.providers {
-		if pc := n.getConn(p, addr); pc != nil {
-			pc.send(&protocol.Request{Object: dl.object, Tree: *tree})
-		} else {
-			n.dropProvider(dl, p)
+	var tree *core.Tree
+	for i < dl.asked {
+		p := dl.order[i]
+		pc := n.getConn(p, dl.providers[p])
+		if pc == nil {
+			dl.leave(i)
+			if len(dl.order) == 0 {
+				n.failDownload(dl, "")
+				return
+			}
+			continue
 		}
+		if tree == nil {
+			tree = n.requestTree(false)
+		}
+		pc.send(&protocol.Request{Object: dl.object, Tree: *tree})
+		i++
 	}
+}
+
+// leave takes the provider at position i of dl's order out of its set. An
+// asked provider's place passes to the first standby, if there is one: that
+// provider is then at position dl.asked-1, still to be asked, and leave
+// reports true.
+func (dl *download) leave(i int) (stepIn bool) {
+	delete(dl.providers, dl.order[i])
+	dl.order = slices.Delete(dl.order, i, i+1)
+	if i >= dl.asked {
+		return false
+	}
+	if dl.asked > len(dl.order) {
+		dl.asked--
+		return false
+	}
+	return true
 }
 
 // cancel withdraws our request for dl's object from peer, which also ends
@@ -139,7 +200,7 @@ func (n *Node) onManifest(from core.PeerID, m *protocol.Manifest) {
 		return
 	}
 	if _, ok := dl.providers[from]; !ok {
-		return // not in the set: never asked, or dropped
+		return // not in the set: never listed, or dropped
 	}
 	// Validate the manifest before any state changes: a garbage manifest
 	// must not win a lane (cancelling an honest provider). One refused for
@@ -276,17 +337,25 @@ func (n *Node) takeBack(dl *download, peer core.PeerID) (took bool) {
 	return took
 }
 
-// dropProvider takes peer out of dl's provider set: it refused, could not
-// be dialed, sent a manifest refused for cause, or was caught cheating
-// (local blacklisting, Section III-B). Its lanes go back to the rest, and
-// the download fails the moment no provider is left.
+// dropProvider takes peer out of dl's provider set: it refused, sent a
+// manifest refused for cause, or was caught cheating (local blacklisting,
+// Section III-B). Its lanes go back to the rest, its place among the asked
+// to the first standby, and the download fails the moment no provider is
+// left.
 func (n *Node) dropProvider(dl *download, peer core.PeerID) {
-	delete(dl.providers, peer)
+	i := slices.Index(dl.order, peer)
+	if i < 0 {
+		return
+	}
 	n.cancel(dl, peer)
-	if len(dl.providers) == 0 {
+	stepIn := dl.leave(i)
+	switch {
+	case len(dl.order) == 0:
 		n.failDownload(dl, "")
-	} else if n.takeBack(dl, peer) {
-		n.sendRequests(dl)
+	case n.takeBack(dl, peer):
+		n.sendRequests(dl) // the stand-in included
+	case stepIn:
+		n.ask(dl, dl.asked-1)
 	}
 }
 
@@ -394,8 +463,8 @@ func (n *Node) finishDownload(dl *download) {
 	for _, ch := range dl.waiters {
 		ch <- nil
 	}
-	// Withdraw outstanding requests.
-	for p := range dl.providers {
+	// Withdraw outstanding requests; a standby was never sent one.
+	for _, p := range dl.order[:dl.asked] {
 		n.cancel(dl, p)
 	}
 	// Rings feeding this download dissolve (the paper's common case: "one
@@ -418,7 +487,7 @@ func (n *Node) failDownload(dl *download, reason string) {
 	}
 	dl.waiters = nil
 	delete(n.downloads, dl.object)
-	for p := range dl.providers {
+	for _, p := range dl.order[:dl.asked] {
 		n.cancel(dl, p)
 	}
 }
@@ -428,10 +497,20 @@ func (n *Node) failDownload(dl *download, reason string) {
 // exchange, or withdrew) is taken back and re-offered, and an unclaimed lane
 // periodically re-issues the download's requests so it gets claimed — by a
 // fresh provider, or by an origin that has finished its own lane and
-// re-manifests with a new session. No timer touches a lane under audit or
-// verified, and none fails a download: a request waiting in a live
-// provider's queue is waiting its turn.
+// re-manifests with a new session. Either way one standby is asked besides,
+// as it is when no provider has answered at all for StallTicks: the hedge
+// against a busy holder. No timer touches a lane under audit or verified,
+// and none fails a download: a request waiting in a live provider's queue
+// is waiting its turn.
 func (n *Node) tickDownload(dl *download) {
+	if dl.lanes == nil {
+		if dl.unanswered++; dl.unanswered >= n.cfg.StallTicks && dl.asked < len(dl.order) {
+			dl.unanswered = 0
+			dl.asked++
+			n.ask(dl, dl.asked-1)
+		}
+		return
+	}
 	for idx, l := range dl.lanes {
 		if l.verified || l.verifying {
 			continue
@@ -450,19 +529,24 @@ func (n *Node) tickDownload(dl *download) {
 			n.logf("lane %d of object %d stalled at origin %d; reassigning", idx, dl.object, l.origin)
 			n.reassignLane(dl, idx)
 		}
+		dl.asked = min(dl.asked+1, len(dl.order))
 		n.sendRequests(dl)
 	}
 }
 
 // dropOrigin handles a lost connection to peer: every download that lists
 // it takes back the lanes it was filling at once (waiting out the stall
-// timer would only delay the same verdict) and asks its providers again, so
-// a restarted peer answers and a gone one fails its dial and leaves the set.
-// Lanes under audit stay: the mediator holds the key.
+// timer would only delay the same verdict) and, if peer was asked, asks its
+// providers again, so a restarted peer answers and a gone one fails its dial
+// and leaves the set, its place passing to a standby. Lanes under audit
+// stay: the mediator holds the key.
 func (n *Node) dropOrigin(peer core.PeerID) {
 	for _, dl := range n.downloads {
-		if _, ok := dl.providers[peer]; ok {
-			n.takeBack(dl, peer)
+		i := slices.Index(dl.order, peer)
+		if i < 0 {
+			continue
+		}
+		if took := n.takeBack(dl, peer); took || i < dl.asked {
 			n.sendRequests(dl)
 		}
 	}

@@ -3,6 +3,8 @@ package node
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,12 +188,11 @@ func TestDepartedOriginLaneReassignedOnDrop(t *testing.T) {
 		// inside the test's patience.
 		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })
 
-		// The casualty takes the single lane; the survivor, asked second, is
-		// surplus and gets cancelled.
+		// The casualty takes the single lane; the survivor, named second,
+		// stands by and is asked only once the casualty has left.
 		ch := receiver.Download(obj, map[core.PeerID]string{1: casualty.Addr()})
 		waitUntil(t, "the casualty is granted the lane", func() bool { return receiver.Stats().StripesGranted == 1 })
 		receiver.Download(obj, map[core.PeerID]string{2: survivor.Addr()})
-		waitUntil(t, "the survivor answered", func() bool { return survivor.Stats().RequestsServed == 1 })
 
 		casualty.Close()
 		if err := WaitFor(ch, 10*time.Second); err != nil {
@@ -203,12 +204,15 @@ func TestDepartedOriginLaneReassignedOnDrop(t *testing.T) {
 		if st := receiver.Stats(); st.StripesReassigned != 1 {
 			t.Fatalf("lanes reassigned = %d, want exactly the departed origin's", st.StripesReassigned)
 		}
+		if served := survivor.Stats().RequestsServed; served != 1 {
+			t.Fatalf("the survivor served %d sessions, want the one it was asked for", served)
+		}
 	})
 }
 
-// TestNoRedundantBlocks: a default (single-lane) download asked of four
-// holders moves each block exactly once — the three holders that lose the
-// manifest race are cancelled before they send anything.
+// TestNoRedundantBlocks: a default (single-lane) download of four holders
+// moves each block exactly once — it asks one holder, and the other three
+// stand by.
 func TestNoRedundantBlocks(t *testing.T) {
 	const size = 16 * 1024
 	tn := newTestNet(t)
@@ -237,6 +241,200 @@ func TestNoRedundantBlocks(t *testing.T) {
 	if blocks := size / 1024; sent != blocks || st.BlocksReceived != blocks || st.BlocksRejected != 0 {
 		t.Fatalf("%d blocks: holders sent %d, receiver took %d and rejected %d", blocks, sent, st.BlocksReceived, st.BlocksRejected)
 	}
+}
+
+// TestOneProviderPerLane: a download of four holders asks as many of them
+// as it has lanes, the first of its order, and the others stand by and serve
+// nothing.
+func TestOneProviderPerLane(t *testing.T) {
+	const size = 16 * 1024
+	ids := []core.PeerID{1, 2, 3, 4}
+	for _, stripe := range []int{1, 3} {
+		t.Run(fmt.Sprintf("stripe=%d", stripe), func(t *testing.T) {
+			tn := newTestNet(t)
+			obj := catalog.ObjectID(16)
+			data := payload(obj, size)
+			providers := make(map[core.PeerID]string)
+			holders := make(map[core.PeerID]*Node)
+			for _, id := range ids {
+				holders[id] = tn.spawn(id, nil)
+				holders[id].AddObject(obj, data)
+				providers[id] = tn.addrOf(id)
+			}
+			// No stall timer: only the asked holders can serve.
+			receiver := tn.spawn(9, func(c *Config) {
+				c.Stripe = stripe
+				c.StallTicks = 10_000
+			})
+			if err := WaitFor(receiver.Download(obj, providers), testTimeout); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(receiver.Object(obj), data) {
+				t.Fatal("content mismatch")
+			}
+			// An asked holder may answer after the others have filled every
+			// lane, so its count is waited for; a standby's is never sent.
+			for i, id := range askOrder(9, obj, ids) {
+				served := func() int { return holders[id].Stats().RequestsServed }
+				if i >= stripe {
+					if s := served(); s != 0 {
+						t.Errorf("standby holder %d served %d sessions, want 0", id, s)
+					}
+					continue
+				}
+				waitUntil(t, fmt.Sprintf("asked holder %d serves", id), func() bool { return served() > 0 })
+				if s := served(); stripe == 1 && s != 1 {
+					t.Errorf("the one asked holder %d served %d sessions, want 1", id, s)
+				}
+			}
+		})
+	}
+}
+
+// TestRefusalAsksStandbyAtOnce: the provider first in the order holds
+// nothing and refuses; the standby holder is asked in its place at once, not
+// a stall window later.
+func TestRefusalAsksStandbyAtOnce(t *testing.T) {
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(17)
+	data := payload(obj, 8*1024)
+	order := askOrder(9, obj, []core.PeerID{1, 2})
+	tn.spawn(order[0], nil) // holds nothing
+	holder := tn.spawn(order[1], nil)
+	holder.AddObject(obj, data)
+	// A stall window of 50 s: only the refusal can explain the standby
+	// being asked inside the test's patience.
+	receiver := tn.spawn(9, func(c *Config) { c.StallTicks = 10_000 })
+	ch := receiver.Download(obj, map[core.PeerID]string{order[0]: tn.addrOf(order[0]), order[1]: tn.addrOf(order[1])})
+	if err := WaitFor(ch, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(receiver.Object(obj), data) {
+		t.Fatal("content mismatch")
+	}
+	if served := holder.Stats().RequestsServed; served != 1 {
+		t.Fatalf("the standby holder served %d sessions, want 1", served)
+	}
+}
+
+// TestSilentProviderJoinedByStandby: the provider first in the order never
+// answers, as one whose queue holds the request. After StallTicks without a
+// manifest the download asks one standby besides, and completes from it.
+func TestSilentProviderJoinedByStandby(t *testing.T) {
+	const (
+		stall = 5
+		tick  = 10 * time.Millisecond
+	)
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(18)
+	data := payload(obj, 8*1024)
+	order := askOrder(9, obj, []core.PeerID{1, 2})
+	holder := tn.spawn(order[1], nil)
+	holder.AddObject(obj, data)
+	receiver := tn.spawn(9, func(c *Config) {
+		c.StallTicks = stall
+		c.TickInterval = tick
+	})
+	dialRaw(tn, order[0], receiver)
+	start := time.Now()
+	ch := receiver.Download(obj, map[core.PeerID]string{order[0]: "", order[1]: tn.addrOf(order[1])})
+	// Well inside the raw peer's watchdog, whose close would also ask the
+	// standby.
+	if err := WaitFor(ch, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited < (stall-1)*tick {
+		t.Fatalf("completed after %v, inside the stall window of %d ticks of %v", waited, stall, tick)
+	}
+	if !bytes.Equal(receiver.Object(obj), data) {
+		t.Fatal("content mismatch")
+	}
+	if served := holder.Stats().RequestsServed; served != 1 {
+		t.Fatalf("the standby holder served %d sessions, want 1", served)
+	}
+}
+
+// TestStalledLaneAsksStandby: the one asked provider takes the lane and
+// goes quiet. Each stall takes the lane back and asks one standby besides,
+// so the holder standing by is asked and completes the download, however
+// often the quiet origin wins the lane back in between.
+func TestStalledLaneAsksStandby(t *testing.T) {
+	tn := newTestNet(t)
+	obj := catalog.ObjectID(20)
+	data := payload(obj, 8*1024)
+	order := askOrder(9, obj, []core.PeerID{1, 2})
+	tn.spawn(order[0], quiet).AddObject(obj, data)
+	holder := tn.spawn(order[1], nil)
+	holder.AddObject(obj, data)
+	receiver := tn.spawn(9, func(c *Config) { c.StallTicks = 5 })
+	ch := receiver.Download(obj, map[core.PeerID]string{order[0]: tn.addrOf(order[0]), order[1]: tn.addrOf(order[1])})
+	if err := WaitFor(ch, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(receiver.Object(obj), data) {
+		t.Fatal("content mismatch")
+	}
+	if st := receiver.Stats(); st.StripesReassigned == 0 {
+		t.Fatalf("the quiet origin's lane was never taken back: %+v", st)
+	}
+	if served := holder.Stats().RequestsServed; served == 0 {
+		t.Fatal("the standby holder was never asked")
+	}
+}
+
+// TestLaterProviderStandsBy: a provider named by a later Download call of
+// the same object joins the order behind the others under the same rule. It
+// is asked at once while the download has fewer asked providers than lanes,
+// and stands by otherwise.
+func TestLaterProviderStandsBy(t *testing.T) {
+	const size = 8 * 1024
+	obj := catalog.ObjectID(19)
+	data := payload(obj, size)
+	// start lists a silent raw provider, then names the holder in a second
+	// call, with no stall timer to ask a standby.
+	start := func(t *testing.T, stripe int) (holder, receiver *Node, raw *rawPeer, ch <-chan error) {
+		tn := newTestNet(t)
+		holder = tn.spawn(2, nil)
+		holder.AddObject(obj, data)
+		receiver = tn.spawn(9, func(c *Config) {
+			c.Stripe = stripe
+			c.StallTicks = 10_000
+		})
+		raw = dialRaw(tn, 8, receiver)
+		ch = receiver.Download(obj, map[core.PeerID]string{8: ""})
+		receiver.Download(obj, map[core.PeerID]string{2: tn.addrOf(2)})
+		return holder, receiver, raw, ch
+	}
+	t.Run("stands by", func(t *testing.T) {
+		holder, receiver, raw, ch := start(t, 1)
+		var order []core.PeerID
+		var asked int
+		receiver.call(func() {
+			dl := receiver.downloads[obj]
+			order, asked = slices.Clone(dl.order), dl.asked
+		})
+		if !slices.Equal(order, []core.PeerID{8, 2}) || asked != 1 {
+			t.Fatalf("order %v with %d asked, want [8 2] with the raw provider alone asked", order, asked)
+		}
+		raw.refuse()
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if served := holder.Stats().RequestsServed; served != 1 {
+			t.Fatalf("the holder served %d sessions, want 1", served)
+		}
+	})
+	t.Run("asked for a free lane", func(t *testing.T) {
+		// Two lanes and one asked provider: the holder is asked at once and
+		// completes the download while the raw provider stays silent.
+		_, receiver, _, ch := start(t, 2)
+		if err := WaitFor(ch, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(receiver.Object(obj), data) {
+			t.Fatal("content mismatch")
+		}
+	})
 }
 
 // TestRingPredecessorTakesLane: every lane of a download is carried by a
@@ -353,13 +551,14 @@ func TestNoProgressRoundKeepsVerifiedLane(t *testing.T) {
 		c.StallTicks = stall
 		c.TickInterval = time.Hour
 	})
-	dialRaw(tn, 8, receiver) // a silent provider (see rawPeer)
+	raw := dialRaw(tn, 8, receiver) // a silent provider (see rawPeer)
 
-	// The quiet origin takes lane 0. The holder is handed over once it has,
-	// and takes lane 1.
+	// The quiet origin takes lane 0. The holder, handed over once it has,
+	// stands by until the raw provider refuses, and then takes lane 1.
 	receiver.Download(obj, map[core.PeerID]string{1: tn.addrOf(1), 8: ""})
 	waitUntil(t, "the quiet origin is granted a lane", func() bool { return receiver.Stats().StripesGranted == 1 })
 	receiver.Download(obj, map[core.PeerID]string{2: tn.addrOf(2)})
+	raw.refuse()
 	waitUntil(t, "the holder's lane verifies", func() bool {
 		ok := false
 		receiver.call(func() {

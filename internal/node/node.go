@@ -12,7 +12,9 @@
 // paces the node (handlers.go, window). Every download runs through one lane
 // scheduler (lanes.go): it is cut into k = min(Config.Stripe, providers,
 // blocks) lanes, lane i of k being the block indices congruent to i modulo
-// k, and each lane is granted to one origin's upload session. The only
+// k, and each lane is granted to one origin's upload session. A download
+// asks one provider per lane and keeps the others standing by, as Section
+// III's peer "actually issues requests to only a subset" of them. The only
 // thing a mediator changes is how a lane is verified: without one each block
 // is checked against its SHA-256 digest (the manifest's, or a trusted digest
 // oracle's) as it arrives; with one blocks travel sealed under an escrowed
@@ -100,8 +102,9 @@ type Config struct {
 	// side), with or without a Mediator. Each origin is granted one lane —
 	// an interleaved residue class of block indices — and verified
 	// independently, so a slow, departed, or cheating origin costs only its
-	// own lane. The default of 1 is a single-origin transfer: one lane, the
-	// first provider to answer carries it, the rest are cancelled.
+	// own lane. A download asks one provider per lane and the rest stand by
+	// until one of the asked leaves or a lane stalls. The default of 1 is a
+	// single-origin transfer: one lane, carried by the one provider asked.
 	Stripe int
 	// Corrupt makes this node a cheater that serves junk payloads. Used by
 	// tests and the middleman example to exercise the defenses.
@@ -232,7 +235,14 @@ type download struct {
 	have      int
 	total     int
 	providers map[core.PeerID]string
-	waiters   []chan error
+	// order is the provider set in the order it is asked (askOrder), the
+	// providers named by a later Download call after the rest. The first
+	// asked of them have been sent the request; the others stand by.
+	order []core.PeerID
+	asked int
+	// unanswered counts the ticks spent before the first valid manifest.
+	unanswered int
+	waiters    []chan error
 	// lanes is the download's interleave: lane i of k covers the block
 	// indices congruent to i modulo k and sticks to one origin and that
 	// origin's current session. nil until the first valid manifest fixes

@@ -79,6 +79,14 @@ func (r *rawPeer) grant(stripe, stripes uint32) {
 	r.send(&protocol.StripeGrant{Object: m.Object, Session: m.Session, Stripe: stripe, Stripes: stripes})
 }
 
+// refuse waits for the holder's request and answers it as a provider that
+// will not serve: with an empty manifest.
+func (r *rawPeer) refuse() {
+	r.t.Helper()
+	req := recvRaw[*protocol.Request](r)
+	r.send(&protocol.Manifest{Object: req.Object})
+}
+
 func (r *rawPeer) ack(b *protocol.Block) {
 	r.t.Helper()
 	r.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, Session: b.Session, OK: true})
@@ -206,21 +214,27 @@ func TestLockStepSessions(t *testing.T) {
 // receiver judges any of it. Unmediated, its first block fails the digest and
 // drops it: that one block counts as rejected, the sendWindow-1 behind it as
 // stale — nacked, never stored. Mediated, the sealed lane fills and the audit
-// rejects it. Either way an honest origin refills the lane and the bytes
-// match.
+// rejects it. Either way the honest holder, standing by until then, refills
+// the lane and the bytes match.
 func TestCheaterStragglers(t *testing.T) {
 	const size = 16 * 1024 // one lane of 16 blocks, twice the window
 	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
 		obj := catalog.ObjectID(13)
 		data := payload(obj, size)
-		cheater := mn.spawnMediated(1, func(cfg *Config) { cfg.Corrupt = true })
+		// The cheater is the one asked; the honest holder stands by. It is
+		// paced, so its lane outlasts the cheater's stragglers on the wire:
+		// a straggler that lands after the download completed is not
+		// counted.
+		order := askOrder(9, obj, []core.PeerID{1, 2})
+		cheaterID, honestID := order[0], order[1]
+		cheater := mn.spawnMediated(cheaterID, func(cfg *Config) { cfg.Corrupt = true })
 		cheater.AddObject(obj, data)
-		honest := mn.spawnMediated(2, nil)
+		honest := mn.spawnMediated(honestID, func(cfg *Config) { cfg.BlockDelay = 5 * time.Millisecond })
+		honest.AddObject(obj, data)
 		// No stall timer: only the cheater's verdict can move the lane.
 		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })
-		dialRaw(mn.testNet, 8, receiver) // keeps the download open once the cheater is gone
 
-		ch := receiver.Download(obj, map[core.PeerID]string{1: cheater.Addr(), 8: ""})
+		ch := receiver.Download(obj, map[core.PeerID]string{cheaterID: cheater.Addr(), honestID: honest.Addr()})
 		waitUntil(t, "the cheater is dropped and its window drained", func() bool {
 			st := receiver.Stats()
 			if mn.cluster != nil {
@@ -228,8 +242,6 @@ func TestCheaterStragglers(t *testing.T) {
 			}
 			return st.BlocksStale == sendWindow-1
 		})
-		honest.AddObject(obj, data)
-		receiver.Download(obj, map[core.PeerID]string{2: honest.Addr()})
 		if err := WaitFor(ch, testTimeout); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +253,7 @@ func TestCheaterStragglers(t *testing.T) {
 			t.Fatalf("lane granted %d times and reassigned %d, want the cheater's then the honest origin's", st.StripesGranted, st.StripesReassigned)
 		}
 		if mn.cluster != nil {
-			if mn.cluster.Flagged(1) == 0 {
+			if mn.cluster.Flagged(cheaterID) == 0 {
 				t.Fatal("mediator tier never flagged the corrupt origin")
 			}
 			// Sealed blocks are judged by the audit, and all of them were
