@@ -8,7 +8,7 @@ GO ?= go
 # source of truth for the linter toolchain.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare overlap fmt vet doccheck unimported bartervet docs-check lint print-staticcheck-version size check
+.PHONY: build test test-short test-full golden-check golden-update flake-check swarm-smoke soak fuzz-smoke bench-smoke bench bench-compare overlap fmt vet bartervet docs-check lint print-staticcheck-version size check
 
 # The deterministic packages — the bartervet allowlist. Mirrored by
 # TestDeterministicPackagesAreClean and docs/DETERMINISM.md; change all
@@ -156,32 +156,20 @@ fmt:
 vet:
 	$(GO) vet -tags race ./...
 
-## doccheck: documentation-coverage lint — every package must carry a
-## package doc comment, and the layers with a documented public surface
-## (workload trace/spec formats, the mediator tier and its client, the
-## strategy counterpart, the exchange core's request tree and ring search,
-## the live node) must document every exported symbol.
-doccheck:
-	$(GO) run ./internal/tools/doccheck ./internal ./cmd ./examples .
-	$(GO) run ./internal/tools/doccheck -exported ./internal/workload ./internal/mediator ./internal/strategy ./internal/core ./internal/node ./internal/medclient
-
-## unimported: fail on a package under internal/ (internal/tools excepted)
-## that no other package of the module imports; test imports count.
-unimported:
-	./scripts/unimported.sh
-
-## bartervet: the determinism-contract analyzers (docs/DETERMINISM.md).
+## bartervet: the repository's analyzers (docs/DETERMINISM.md).
 ## Map-order, wall-clock/global-rand, and pointer-identity dependence are
 ## errors in the deterministic packages; swallowed Write/Sync/Close errors
-## are errors on the mediator durability and codec paths. An exported
-## internal/ symbol that no non-test file of the module uses is an error
-## (deadcode; it needs every package loaded, so it runs over the whole
-## module). Exceptions carry a `//barter:allow <check> <reason>` waiver;
-## stale waivers fail too.
+## are errors on the mediator durability and codec paths. deadcode loads the
+## program alone (ROADMAP item 13): a package under internal/ that nothing
+## imports, or an exported internal/ symbol that no non-test file of
+## ./internal and ./cmd uses, is an error. doc wants a package doc comment
+## everywhere and a doc comment on every export. Exceptions carry a
+## `//barter:allow <check> <reason>` waiver; stale waivers fail too.
 bartervet:
 	$(GO) run ./internal/tools/bartervet -checks maprange,walltime,ptrorder $(DETERMINISTIC_PKGS)
 	$(GO) run ./internal/tools/bartervet -checks unchecked-io ./internal/mediator ./internal/protocol
-	$(GO) run ./internal/tools/bartervet -checks deadcode ./internal ./cmd ./examples ./bench
+	$(GO) run ./internal/tools/bartervet -checks deadcode ./internal ./cmd
+	$(GO) run ./internal/tools/bartervet -checks doc ./internal ./cmd ./examples .
 
 ## docs-check: smoke-run every `go run ./cmd/...` line the ROADMAP
 ## quickstart advertises (-h per command, -list lines verbatim) so the
@@ -191,19 +179,19 @@ bartervet:
 docs-check:
 	./scripts/docs-check.sh
 
-## lint: gofmt + vet + doccheck + unimported + bartervet (all hard
-## failures), plus staticcheck's correctness analyses (SA*) when the binary
-## is available. Locally a missing staticcheck only warns, so the target
+## lint: gofmt + vet + bartervet (all hard failures), plus staticcheck's
+## correctness analyses (SA*) when the binary is available. Locally a
+## missing staticcheck only warns, so the target
 ## works in hermetic environments without network access; CI runs with
 ## LINT_STRICT=1, where a missing binary is a hard failure — the lint job
 ## must never silently skip its own linter.
-lint: fmt vet doccheck unimported bartervet
+lint: fmt vet bartervet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck -checks 'SA*' ./...; \
 	elif [ "$(LINT_STRICT)" = "1" ]; then \
 		echo "lint: staticcheck not installed and LINT_STRICT=1"; exit 1; \
 	else \
-		echo "lint: staticcheck not installed; ran gofmt + go vet only"; \
+		echo "lint: staticcheck not installed; ran gofmt, go vet and bartervet only"; \
 	fi
 
 ## size: non-test Go lines per package and their total outside bench/ — the

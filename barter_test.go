@@ -95,9 +95,9 @@ func TestLiveNodeThroughFacade(t *testing.T) {
 
 func TestMediatorThroughFacade(t *testing.T) {
 	tr := transport.NewMem()
-	med, err := mediator.New(tr, "mem://facade-mediator", func(catalog.ObjectID) ([][32]byte, bool) {
+	med, err := mediator.NewShard(tr, "mem://facade-mediator", func(catalog.ObjectID) ([][32]byte, bool) {
 		return nil, false
-	})
+	}, mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

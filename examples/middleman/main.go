@@ -40,7 +40,7 @@ func run() error {
 		d, ok := registry[o]
 		return d, ok
 	}
-	med, err := mediator.New(tr, "mem://mediator", oracle)
+	med, err := mediator.NewShard(tr, "mem://mediator", oracle, mediator.ShardOpts{})
 	if err != nil {
 		return err
 	}

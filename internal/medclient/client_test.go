@@ -61,7 +61,7 @@ func TestRetryRidesThroughRestart(t *testing.T) {
 	tr := transport.NewMem()
 	obj := catalog.ObjectID(7)
 	oracle := oracleFor(obj, []byte("content"))
-	med, err := mediator.New(tr, "mem://solo", oracle)
+	med, err := mediator.NewShard(tr, "mem://solo", oracle, mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRetryRidesThroughRestart(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- c.Deposit(2, 1, obj, [16]byte{2}) }()
 	time.Sleep(20 * time.Millisecond)
-	med2, err := mediator.New(tr, "mem://solo", oracle)
+	med2, err := mediator.NewShard(tr, "mem://solo", oracle, mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCloseAbortsRetries(t *testing.T) {
 func TestConnPooling(t *testing.T) {
 	tr := transport.NewMem()
 	obj := catalog.ObjectID(2)
-	med, err := mediator.New(tr, "mem://pooled", oracleFor(obj, []byte("x")))
+	med, err := mediator.NewShard(tr, "mem://pooled", oracleFor(obj, []byte("x")), mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

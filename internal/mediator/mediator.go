@@ -109,6 +109,8 @@ func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, ind
 // Open decrypts a sealed block, returning the control header fields and the
 // plaintext payload. sealed is left untouched and the plaintext is a fresh
 // buffer; Crypt is the in-place form for a caller that owns the block.
+//
+//barter:allow deadcode bench/probes.go's mediator.open_us and examples/middleman; item 13
 func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (origin, recipient core.PeerID, payload []byte, err error) {
 	if len(sealed) < headerLen {
 		return 0, 0, nil, errShortBlock
@@ -232,12 +234,8 @@ type escrow struct {
 	object catalog.ObjectID
 }
 
-// New starts a standalone mediator listening on addr.
-func New(tr transport.Transport, addr string, oracle DigestOracle) (*Mediator, error) {
-	return NewShard(tr, addr, oracle, ShardOpts{})
-}
-
-// NewShard starts a mediator as one member of a sharded tier.
+// NewShard starts a mediator listening on addr: one member of a sharded
+// tier, or a standalone mediator under the zero ShardOpts.
 func NewShard(tr transport.Transport, addr string, oracle DigestOracle, shard ShardOpts) (*Mediator, error) {
 	if oracle == nil {
 		return nil, errors.New("mediator: digest oracle is required")
@@ -356,6 +354,8 @@ func (m *Mediator) Flagged(p core.PeerID) int {
 }
 
 // FlaggedAll snapshots every flagged peer and its count.
+//
+//barter:allow deadcode bench/liveslice.go reads honest_flagged shard by shard; item 7(d)
 func (m *Mediator) FlaggedAll() map[core.PeerID]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

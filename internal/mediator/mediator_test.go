@@ -122,7 +122,7 @@ func fixture(t *testing.T) (tr *transport.Mem, med *mediator.Mediator, obj catal
 		return nil, false
 	}
 	var err error
-	med, err = mediator.New(tr, "mem://mediator", oracle)
+	med, err = mediator.NewShard(tr, "mem://mediator", oracle, mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,12 +447,12 @@ func TestBareRequestClosesConnection(t *testing.T) {
 func TestServeRejectsPathologicalFrame(t *testing.T) {
 	obj := catalog.ObjectID(42)
 	digest := sha256.Sum256([]byte("block"))
-	med, err := mediator.New(transport.TCP{}, "127.0.0.1:0", func(o catalog.ObjectID) ([][32]byte, bool) {
+	med, err := mediator.NewShard(transport.TCP{}, "127.0.0.1:0", func(o catalog.ObjectID) ([][32]byte, bool) {
 		if o == obj {
 			return [][32]byte{digest}, true
 		}
 		return nil, false
-	})
+	}, mediator.ShardOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestServeRejectsPathologicalFrame(t *testing.T) {
 }
 
 func TestMediatorRequiresOracle(t *testing.T) {
-	if _, err := mediator.New(transport.NewMem(), "mem://m", nil); err == nil {
+	if _, err := mediator.NewShard(transport.NewMem(), "mem://m", nil, mediator.ShardOpts{}); err == nil {
 		t.Fatal("mediator without oracle accepted")
 	}
 }

@@ -362,20 +362,25 @@ func (n *Node) dropProvider(dl *download, peer core.PeerID) {
 // onBlock accepts one block of a transfer, strictly scoped to the sending
 // origin's granted lane and live session.
 func (n *Node) onBlock(from core.PeerID, b *protocol.Block) {
-	dl := n.downloads[b.Object]
-	if dl == nil || int(b.Index) >= dl.total {
-		return
-	}
 	ack := func(ok bool) {
 		if pc := n.conns[from]; pc != nil {
 			pc.send(&protocol.BlockAck{Object: b.Object, Index: b.Index, Session: b.Session, OK: ok})
 		}
 	}
-	idx, l := dl.laneForSession(from, b.Session)
+	dl := n.downloads[b.Object]
+	if dl != nil && int(b.Index) >= dl.total {
+		return
+	}
+	var idx int
+	var l *lane
+	if dl != nil {
+		idx, l = dl.laneForSession(from, b.Session)
+	}
 	if l == nil || l.verifying || l.verified {
-		// A straggler: its session no longer fills a lane (it was dropped or
-		// reassigned with up to a send window of blocks still on the wire).
-		// Nacked, but no evidence against anyone.
+		// A straggler: its download has ended, or its session no longer
+		// fills a lane (it was dropped or reassigned with up to a send window
+		// of blocks still on the wire). Nacked, but no evidence against
+		// anyone.
 		n.stats.BlocksStale++
 		ack(false)
 		return

@@ -149,8 +149,9 @@ type Stats struct {
 	BlocksSent     int
 	BlocksReceived int
 	// BlocksRejected counts blocks that failed verification in their live
-	// lane; BlocksStale counts blocks nacked because their session no
-	// longer fills a lane (the window of a dropped or reassigned session).
+	// lane; BlocksStale counts blocks nacked because their download has
+	// ended or their session no longer fills a lane (the window of a
+	// dropped or reassigned session).
 	BlocksRejected     int
 	BlocksStale        int
 	ExchangeBlocksSent int
@@ -326,6 +327,8 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) Addr() string { return n.ln.Addr() }
 
 // ID returns the peer id.
+//
+//barter:allow deadcode bench/liveslice.go and examples/livenetwork name peers by it; item 13
 func (n *Node) ID() core.PeerID { return n.cfg.ID }
 
 // Close stops the node and waits for its goroutines: it stops accepting,
@@ -453,6 +456,8 @@ func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 // Object returns a completed object's bytes, or nil. The result is a private
 // copy assembled from the stored blocks — the one place an object is copied —
 // so the caller may do anything with it.
+//
+//barter:allow deadcode bench/liveslice.go checks every download's bytes with it; item 13
 func (n *Node) Object(obj catalog.ObjectID) []byte {
 	var blocks [][]byte
 	if !n.call(func() { blocks = n.store[obj] }) || len(blocks) == 0 {
@@ -488,6 +493,8 @@ func (n *Node) Download(obj catalog.ObjectID, providers map[core.PeerID]string) 
 // The timer is stopped on the fast path: time.After would leak one running
 // timer per call until it fires, which at swarm scale is thousands of stale
 // timers.
+//
+//barter:allow deadcode bench/liveslice.go and examples/livenetwork wait on downloads with it; item 13
 func WaitFor(ch <-chan error, timeout time.Duration) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()

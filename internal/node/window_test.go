@@ -210,6 +210,22 @@ func TestLockStepSessions(t *testing.T) {
 	})
 }
 
+// TestBlockAfterDownloadEndsIsStale: a block for an object the node is not
+// downloading (its download completed or failed while the block was on the
+// wire) is a straggler like any other: nacked and counted stale.
+func TestBlockAfterDownloadEndsIsStale(t *testing.T) {
+	tn := newTestNet(t)
+	n := tn.spawn(1, nil)
+	r := dialRaw(tn, 9, n)
+	r.send(&protocol.Block{Object: 5, Index: 0, Session: 1, Payload: []byte("late")})
+	if a := recvRaw[*protocol.BlockAck](r); a.OK || a.Object != 5 || a.Index != 0 || a.Session != 1 {
+		t.Fatalf("ack %+v, want a nack of object 5 block 0 session 1", a)
+	}
+	if st := n.Stats(); st.BlocksStale != 1 || st.BlocksReceived != 0 || st.BlocksRejected != 0 {
+		t.Fatalf("stale %d, received %d, rejected %d; want 1, 0, 0", st.BlocksStale, st.BlocksReceived, st.BlocksRejected)
+	}
+}
+
 // TestCheaterStragglers: a corrupt origin gets a full window out before the
 // receiver judges any of it. Unmediated, its first block fails the digest and
 // drops it: that one block counts as rejected, the sendWindow-1 behind it as
@@ -221,15 +237,12 @@ func TestCheaterStragglers(t *testing.T) {
 	forEachDeployment(t, size, func(t *testing.T, mn *medNet) {
 		obj := catalog.ObjectID(13)
 		data := payload(obj, size)
-		// The cheater is the one asked; the honest holder stands by. It is
-		// paced, so its lane outlasts the cheater's stragglers on the wire:
-		// a straggler that lands after the download completed is not
-		// counted.
+		// The cheater is the one asked; the honest holder stands by.
 		order := askOrder(9, obj, []core.PeerID{1, 2})
 		cheaterID, honestID := order[0], order[1]
 		cheater := mn.spawnMediated(cheaterID, func(cfg *Config) { cfg.Corrupt = true })
 		cheater.AddObject(obj, data)
-		honest := mn.spawnMediated(honestID, func(cfg *Config) { cfg.BlockDelay = 5 * time.Millisecond })
+		honest := mn.spawnMediated(honestID, nil)
 		honest.AddObject(obj, data)
 		// No stall timer: only the cheater's verdict can move the lane.
 		receiver := mn.spawnMediated(9, func(cfg *Config) { cfg.StallTicks = 10_000 })

@@ -55,6 +55,8 @@ func AddStripeGranted() { global.stripesGranted.Add(1) }
 func AddStripeReassigned() { global.stripesReass.Add(1) }
 
 // Current returns the counters since process start.
+//
+//barter:allow deadcode bench/liveslice.go and bench/medslice.go read the live counters; item 19 deletes the package
 func Current() Snapshot {
 	return Snapshot{
 		MedRPCs:           global.medRPCs.Load(),

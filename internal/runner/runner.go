@@ -81,6 +81,8 @@ type Result struct {
 }
 
 // Primary returns the replica-0 result (the one using the job's own seed).
+//
+//barter:allow deadcode bench/probes.go's runner probe; item 7(b)
 func (r *Result) Primary() *sim.Result {
 	if len(r.Replicas) == 0 {
 		return nil

@@ -1191,6 +1191,8 @@ func (s *Sim) whitewash(p *peerState) {
 // SearchOnce runs one ring search rooted at the given peer under an
 // arbitrary policy without mutating any state. It reports whether a
 // candidate ring was found. Exposed for search-cost benchmarks.
+//
+//barter:allow deadcode bench/probes.go's core.search_us probe; item 7(b)
 func (s *Sim) SearchOnce(id core.PeerID, pol core.Policy) bool {
 	p := s.peers[id]
 	if len(p.irq) == 0 || len(p.pending) == 0 {
@@ -1201,4 +1203,6 @@ func (s *Sim) SearchOnce(id core.PeerID, pol core.Policy) bool {
 }
 
 // NumPeers returns the population size.
+//
+//barter:allow deadcode bench/probes.go's core.search_us probe; item 7(b)
 func (s *Sim) NumPeers() int { return len(s.peers) }

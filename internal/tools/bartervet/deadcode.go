@@ -17,26 +17,33 @@ import (
 // holds every method name an interface type visible to the loaded units
 // declares: a call through an interface references the interface's method,
 // never the concrete one, so a method of such a name may be used unseen.
+// imported holds the absolute directory of every package a loaded unit
+// imports, test files included, other than its own.
 type useIndex struct {
-	refs   map[string][]token.Pos
-	ifaces map[string]bool
+	refs     map[string][]token.Pos
+	ifaces   map[string]bool
+	imported map[string]bool
 }
 
 func siteKey(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
-	abs, err := filepath.Abs(p.Filename)
-	if err != nil {
-		abs = p.Filename
+	return fmt.Sprintf("%s:%d", absPath(p.Filename), p.Offset)
+}
+
+func absPath(path string) string {
+	if abs, err := filepath.Abs(path); err == nil {
+		return abs
 	}
-	return fmt.Sprintf("%s:%d", abs, p.Offset)
+	return path
 }
 
 // indexUses collects the non-test references to exported package-level
 // objects and methods across all units, and the method names of the
 // interfaces visible to them (their own, the universe's error and those of
-// the packages they import); it must see every unit before deadcode reports.
+// the packages they import), and the packages they import; it must see every
+// unit before deadcode reports.
 func indexUses(units []*unit) *useIndex {
-	idx := &useIndex{refs: map[string][]token.Pos{}, ifaces: map[string]bool{}}
+	idx := &useIndex{refs: map[string][]token.Pos{}, ifaces: map[string]bool{}, imported: map[string]bool{}}
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
@@ -54,8 +61,16 @@ func indexUses(units []*unit) *useIndex {
 	addIface(types.Universe.Lookup("error").Type())
 	for _, u := range units {
 		addScope(u.pkg)
+		self := absPath(u.dir)
 		for _, imp := range u.pkg.Imports() {
 			addScope(imp)
+			// Every package is compiled from source, so any of its
+			// package-level objects names the directory it lives in.
+			if names := imp.Scope().Names(); len(names) > 0 {
+				if dir := filepath.Dir(absPath(u.fset.Position(imp.Scope().Lookup(names[0]).Pos()).Filename)); dir != self {
+					idx.imported[dir] = true
+				}
+			}
 		}
 		for _, tv := range u.info.Types {
 			if tv.Type != nil {
@@ -78,27 +93,31 @@ func indexUses(units []*unit) *useIndex {
 	return idx
 }
 
-// deadcodeScope reports whether deadcode binds the package in dir: every
-// package under internal/, except the tools themselves and the shared test
-// helpers.
-func deadcodeScope(dir string) bool {
+// deadcodeScope reports what deadcode binds in the package in dir. Every
+// package under internal/ except the tools themselves needs an importer,
+// and all of them but the shared test helpers need a user for each export.
+func deadcodeScope(dir string) (imports, exports bool) {
 	p := "/" + filepath.ToSlash(filepath.Clean(dir)) + "/"
-	return strings.Contains(p, "/internal/") &&
-		!strings.Contains(p, "/internal/tools/") && !strings.Contains(p, "/internal/testutil/")
+	imports = strings.Contains(p, "/internal/") && !strings.Contains(p, "/internal/tools/")
+	return imports, imports && !strings.Contains(p, "/internal/testutil/")
 }
 
-// checkDeadcode flags every exported package-level func, type, var or const
-// of a non-test file, and every exported method whose name no visible
-// interface declares, that no non-test file in the loaded tree references.
-// A reference inside the declaration itself (recursion, a self-referential
-// type) does not count. The check only means something when the whole
-// module is loaded.
+// checkDeadcode flags a package that no other loaded unit imports, and every
+// exported package-level func, type, var or const of a non-test file, and
+// every exported method whose name no visible interface declares, that no
+// non-test file in the loaded tree references. A reference inside the
+// declaration itself (recursion, a self-referential type) does not count.
+// The check only means something when every user is loaded.
 func checkDeadcode(u *unit, d *diags) {
-	if !deadcodeScope(u.dir) {
+	imports, exports := deadcodeScope(u.dir)
+	if src := u.sources(); imports && len(src) > 0 && !u.uses.imported[absPath(u.dir)] {
+		d.addf(src[0].Name.Pos(), "package %s is imported by no other loaded package: delete it, or waive with //barter:allow deadcode <why it stays>", u.pkg.Name())
+	}
+	if !exports {
 		return
 	}
-	dead := func(name *ast.Ident, decl ast.Node, kind string) {
-		if !name.IsExported() {
+	u.forExports(func(name *ast.Ident, decl ast.Node, kind string, _ bool) {
+		if kind == "method" && u.uses.ifaces[name.Name] {
 			return
 		}
 		for _, at := range u.uses.refs[siteKey(u.fset, name.Pos())] {
@@ -106,33 +125,6 @@ func checkDeadcode(u *unit, d *diags) {
 				return
 			}
 		}
-		d.addf(name.Pos(), "exported %s %s is used by no non-test file in the module: delete it, or waive with //barter:allow deadcode <why it stays>", kind, name.Name)
-	}
-	for _, f := range u.files {
-		if u.isTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case decl.Recv == nil:
-					dead(decl.Name, decl, "func")
-				case !u.uses.ifaces[decl.Name.Name]:
-					dead(decl.Name, decl, "method")
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						dead(s.Name, s, "type")
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							dead(n, s, strings.ToLower(decl.Tok.String()))
-						}
-					}
-				}
-			}
-		}
-	}
+		d.addf(name.Pos(), "exported %s %s is used by no loaded non-test file: delete it, or waive with //barter:allow deadcode <why it stays>", kind, name.Name)
+	})
 }

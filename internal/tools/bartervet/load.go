@@ -151,7 +151,7 @@ func (l *loader) check(dir, name string, files []*ast.File, imp types.Importer) 
 }
 
 // goDirs returns every directory under root that contains Go files,
-// skipping testdata trees (mirrors doccheck).
+// skipping testdata trees.
 func goDirs(root string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
@@ -185,4 +185,52 @@ func goDirs(root string) ([]string, error) {
 // isTestFile reports whether the file holding pos is a _test.go file.
 func (u *unit) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(u.fset.Position(pos).Filename, "_test.go")
+}
+
+// forExports calls fn for every exported package-level name a non-test file
+// of the unit declares: its identifier, the node spanning its declaration,
+// its kind ("func", "method", "type", "var" or "const"), and whether a doc
+// comment covers it (its own, or its grouped block's).
+func (u *unit) forExports(fn func(name *ast.Ident, decl ast.Node, kind string, documented bool)) {
+	for _, f := range u.sources() {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				kind := "func"
+				if decl.Recv != nil {
+					kind = "method"
+				}
+				if decl.Name.IsExported() {
+					fn(decl.Name, decl, kind, decl.Doc != nil)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							fn(s.Name, s, "type", decl.Doc != nil || s.Doc != nil)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								fn(n, s, strings.ToLower(decl.Tok.String()), decl.Doc != nil || s.Doc != nil)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sources returns the unit's non-test files in file name order; none for an
+// external test package.
+func (u *unit) sources() []*ast.File {
+	var files []*ast.File
+	for _, f := range u.files {
+		if !u.isTestFile(f.Pos()) {
+			files = append(files, f)
+		}
+	}
+	return files
 }

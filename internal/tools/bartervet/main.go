@@ -3,15 +3,16 @@
 // behavior may depend on map iteration order, pointer values, or wall time —
 // the invariant behind byte-identical TSV for the same seed at any
 // -parallel — plus the mediator-tier rule that durability-path I/O errors
-// must never be swallowed, and the rule that internal/ exports nothing the
-// module does not use.
+// must never be swallowed, the rule that internal/ holds nothing the program
+// does not use, and the rule that every package and export is documented.
 //
 // Usage:
 //
-//	bartervet [-checks maprange,walltime,ptrorder,unchecked-io,deadcode] dir [dir...]
+//	bartervet [-checks maprange,walltime,ptrorder,unchecked-io,deadcode,doc] dir [dir...]
 //
 // Each argument is walked recursively for Go packages (testdata trees are
-// skipped) and every package found is parsed and type-checked from source —
+// skipped; a directory under two arguments is loaded once) and every package
+// found is parsed and type-checked from source —
 // go/parser + go/types via the stdlib source importer, so the module stays
 // dependency-free and the tool runs hermetically under `go run`. The checks:
 //
@@ -34,12 +35,17 @@
 //     decision; dropped write/sync errors and bare or deferred Closes are
 //     not. Never-failing writers (bytes.Buffer, strings.Builder) are
 //     exempt.
-//   - deadcode: an exported package-level func, type, var or const under
-//     internal/ (internal/tools and internal/testutil excepted), or an
-//     exported method there whose name no interface visible to the loaded
-//     units declares (their own, error, and their imports'), that no
-//     non-test file of the loaded tree references. Every unit is loaded
-//     before any is checked, so the roots must cover the whole module.
+//   - deadcode: a package under internal/ (internal/tools excepted) that no
+//     other loaded package imports, test imports included; and an exported
+//     package-level func, type, var or const under internal/
+//     (internal/testutil excepted too), or an exported method there whose
+//     name no interface visible to the loaded units declares (their own,
+//     error, and their imports'), that no loaded non-test file references.
+//     Every unit is loaded before any is checked, so the roots decide whose
+//     uses count: `make lint` loads ./internal ./cmd, the program alone.
+//   - doc: a package without a package doc comment, and an exported
+//     declaration of a non-test file without a doc comment, except a
+//     method whose name an interface visible to the loaded units declares.
 //
 // A finding is silenced by a waiver comment on the flagged line or the line
 // above:
@@ -57,12 +63,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // checkNames lists every analyzer in the order reports group naturally.
-var checkNames = []string{"maprange", "walltime", "ptrorder", "unchecked-io", "deadcode"}
+var checkNames = []string{"maprange", "walltime", "ptrorder", "unchecked-io", "deadcode", "doc"}
 
 // analyzers maps a check name to its implementation. Each analyzer walks
 // one type-checked unit and reports findings through the diags collector.
@@ -72,6 +79,7 @@ var analyzers = map[string]func(*unit, *diags){
 	"ptrorder":     checkPtrOrder,
 	"unchecked-io": checkUncheckedIO,
 	"deadcode":     checkDeadcode,
+	"doc":          checkDoc,
 }
 
 func main() {
@@ -125,12 +133,21 @@ func parseChecks(list string) ([]string, error) {
 func run(checks []string, roots []string) ([]string, error) {
 	loader := newLoader()
 	var units []*unit
+	seen := map[string]bool{}
 	for _, root := range roots {
 		dirs, err := goDirs(root)
 		if err != nil {
 			return nil, err
 		}
 		for _, dir := range dirs {
+			abs, err := filepath.Abs(dir)
+			if err != nil {
+				return nil, err
+			}
+			if seen[abs] {
+				continue // under two roots: check it once
+			}
+			seen[abs] = true
 			us, err := loader.load(dir)
 			if err != nil {
 				return nil, err

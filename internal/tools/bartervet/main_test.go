@@ -88,6 +88,51 @@ func diffLines(want, got []string) string {
 	return b.String()
 }
 
+// TestUndocumentedExportsReported: the doc check reports the missing
+// package comment and one undocumented exported declaration of each kind,
+// exported methods of unexported types included, and nothing else —
+// unexported symbols, members with their own comment, methods an interface
+// declares (Type.String, Type.Size) and _test.go files are not its business.
+func TestUndocumentedExportsReported(t *testing.T) {
+	dir := filepath.Join("testdata", "doc", "undocumented")
+	got, err := run([]string{"doc"}, []string{dir})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	file := filepath.Join(dir, "undocumented.go")
+	var want []string
+	for _, w := range []string{
+		"1: doc: package undocumented has no package doc comment",
+		"5: doc: exported func Func has no doc comment",
+		"7: doc: exported type Type has no doc comment",
+		"9: doc: exported method Method has no doc comment",
+		"11: doc: exported method PtrMethod has no doc comment",
+		"21: doc: exported type Generic has no doc comment",
+		"23: doc: exported method Method has no doc comment",
+		"25: doc: exported const Const has no doc comment",
+		"27: doc: exported var Var has no doc comment",
+		"30: doc: exported var GroupedVar has no doc comment",
+		"42: doc: exported method Undocumented has no doc comment",
+	} {
+		want = append(want, file+":"+w)
+	}
+	if diff := diffLines(want, got); diff != "" {
+		t.Errorf("doc findings differ:\n%s", diff)
+	}
+}
+
+// TestDocumentedPackagePasses: a package whose every exported declaration
+// carries a comment, directly or through its block's, yields no finding.
+func TestDocumentedPackagePasses(t *testing.T) {
+	got, err := run([]string{"doc"}, []string{filepath.Join("testdata", "doc", "documented")})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(got) != 0 {
+		t.Errorf("documented package reported:\n%s", strings.Join(got, "\n"))
+	}
+}
+
 // TestParseChecks pins the -checks flag contract.
 func TestParseChecks(t *testing.T) {
 	if _, err := parseChecks("maprange,unchecked-io"); err != nil {
@@ -98,6 +143,14 @@ func TestParseChecks(t *testing.T) {
 	}
 	if _, err := parseChecks(" , "); err == nil {
 		t.Fatal("empty list accepted")
+	}
+}
+
+// TestMissingRootErrors: a root that does not exist is an error, not a
+// clean run over nothing.
+func TestMissingRootErrors(t *testing.T) {
+	if _, err := run([]string{"doc"}, []string{filepath.Join("testdata", "no-such-dir")}); err == nil {
+		t.Fatal("missing directory accepted")
 	}
 }
 
@@ -124,14 +177,17 @@ func TestDeterministicPackagesAreClean(t *testing.T) {
 	} else if len(got) > 0 {
 		t.Errorf("unchecked-io contract violated:\n%s", strings.Join(got, "\n"))
 	}
-	var modArgs []string
-	for _, p := range []string{"internal", "cmd", "examples", "bench"} {
-		modArgs = append(modArgs, filepath.Join(root, p))
-	}
-	if got, err := run([]string{"deadcode"}, modArgs); err != nil {
+	progArgs := []string{filepath.Join(root, "internal"), filepath.Join(root, "cmd")}
+	if got, err := run([]string{"deadcode"}, progArgs); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
-		t.Errorf("exported internal/ symbols without a non-test user:\n%s", strings.Join(got, "\n"))
+		t.Errorf("internal/ packages without an importer or exports without a non-test user:\n%s", strings.Join(got, "\n"))
+	}
+	docArgs := append(progArgs, filepath.Join(root, "examples"), root)
+	if got, err := run([]string{"doc"}, docArgs); err != nil {
+		t.Fatalf("run: %v", err)
+	} else if len(got) > 0 {
+		t.Errorf("undocumented packages or exports:\n%s", strings.Join(got, "\n"))
 	}
 }
 

@@ -25,10 +25,7 @@ import (
 // cannot matter at that site (e.g. the body only mutates an
 // order-insensitive set).
 func checkMapRange(u *unit, d *diags) {
-	for _, f := range u.files {
-		if u.isTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range u.sources() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			list := stmtList(n)
 			for i, stmt := range list {

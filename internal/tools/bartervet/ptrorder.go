@@ -12,10 +12,7 @@ import (
 // move them), so any ordering, hash, or output derived from one
 // re-randomizes results.
 func checkPtrOrder(u *unit, d *diags) {
-	for _, f := range u.files {
-		if u.isTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range u.sources() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

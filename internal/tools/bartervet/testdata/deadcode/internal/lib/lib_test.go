@@ -1,9 +1,13 @@
 package lib
 
-import "testing"
+import (
+	"testing"
+
+	"barter/internal/tools/bartervet/testdata/deadcode/internal/testutil"
+)
 
 func TestLimit(t *testing.T) {
-	if Limit != 3 || helper() != 9 || (Box{}).Len() != 0 {
+	if Limit != testutil.Three || helper() != 9 || (Box{}).Len() != 0 {
 		t.Fatal("unreachable")
 	}
 }

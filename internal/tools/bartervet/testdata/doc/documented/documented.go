@@ -1,4 +1,4 @@
-// Package documented carries a doc comment on every exported symbol.
+// Package documented documents every exported declaration: silent.
 package documented
 
 // Func is documented.

@@ -1,5 +1,7 @@
 package undocumented
 
+import "fmt"
+
 func Func() {}
 
 type Type struct{}
@@ -7,6 +9,14 @@ type Type struct{}
 func (Type) Method() {}
 
 func (*Type) PtrMethod() {}
+
+func (Type) String() string { return fmt.Sprint(0) }
+
+func (Type) Size() int { return 0 }
+
+// sizer declares Size, as fmt.Stringer, an interface of an import, declares
+// String: Type.Size and Type.String above are exempt.
+type sizer interface{ Size() int }
 
 type Generic[T any] struct{}
 
@@ -26,6 +36,9 @@ func helper() {}
 
 type hidden struct{}
 
+// An exported method of an unexported type still needs a comment.
 func (hidden) Exported() {}
+
+func (hidden) Undocumented() {}
 
 const lower = 1

@@ -27,10 +27,7 @@ var ioMethods = map[string]bool{
 //   - receivers whose Write cannot fail (bytes.Buffer, strings.Builder)
 //     are exempt.
 func checkUncheckedIO(u *unit, d *diags) {
-	for _, f := range u.files {
-		if u.isTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range u.sources() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.ExprStmt:
