@@ -65,30 +65,33 @@ flake-check:
 ## on every push — a 120-node flash crowd in memory and again over TCP
 ## (every downloader queues behind a few seeds, so the standby providers a
 ## stalled download asks one at a time are asked under real queues, with the
-## codec in the path), a 100-node churn run (60
-## close/restart cycles), a 120-node cheater run against a 4-shard mediator
-## tier, the same cheater mix with downloads striped across 3 origins on the
-## plain lane path, a medfail run that kills mediator shards mid-run, the
-## same striped across 3 origins on the mediated path (per-origin escrow and
+## codec in the path), a 100-node churn run (60 close/restart cycles), a
+## 120-node cheater run (junk rejected block by block against the digests;
+## its nodes use no mediator, so it starts no tier), the same cheater mix
+## with downloads striped across 3 origins on the plain lane path, a medfail
+## run that kills mediator shards mid-run (each stays down for half the kill
+## interval, so siblings drop records and clients fail over), the same
+## striped across 3 origins on the mediated path (per-origin escrow and
 ## audits), again at full size (64-block objects, whose lanes queue at the
 ## one honest seed long past the stall window: a verified lane must survive
-## the wait), the same unstriped over a durable tier (-meddata: WAL
-## replay on every restart, then a restart of the whole tier from its logs),
-## a 100-node medfail run over TCP with the default kills (every shard
+## the wait), the same unstriped over a durable tier (-meddata: WAL replay
+## on every restart, then a restart of the whole tier from its logs), a
+## 100-node medfail run over TCP with the default kills (every shard
 ## restarts at least once and must re-bind its own port, or every mediated
-## upload strands), an 80-node adversary run (adaptive flips, whitewash identity churns) and
-## a 60-node wave run whose "waves" spec has an early cohort depart, so
-## shutdown, backpressure, striping, failover, durability and every kind of
-## event the fault schedule plays stay exercised outside the unit suite too.
-## exchswarm's exit status is the verdict (swarm.Result.Err): a failed
-## download, an unflagged cheater, a lost flag or a flagged honest peer
+## upload strands), an 80-node adversary run (adaptive flips, whitewash
+## identity churns) and a 60-node wave run whose "waves" spec has an early
+## cohort depart, so shutdown, backpressure, striping, failover, durability
+## and every kind of event the fault schedule plays stay exercised outside
+## the unit suite too. exchswarm's exit status is the verdict
+## (swarm.Result.Err): a failed download, a cheater the nodes' own audits
+## left unflagged on a medfail run, a lost flag or a flagged honest peer
 ## fails the target.
 swarm-smoke:
 	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario flashcrowd -nodes 120 -tcp
 	$(GO) run -race ./cmd/exchswarm -scenario churn -nodes 100 -restarts 60 -quick
-	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
-	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 120 -quick
+	$(GO) run -race ./cmd/exchswarm -scenario cheater -nodes 80 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -stripe 3 -quick
 	$(GO) run -race ./cmd/exchswarm -scenario medfail -nodes 80 -mediators 4 -stripe 3
@@ -99,7 +102,8 @@ swarm-smoke:
 
 ## soak: the scheduled long-haul lane (.github/workflows/soak.yml) — a
 ## longer race-enabled medfail failover run than the per-push smoke, over
-## in-memory shards (restarts forget; detection must re-converge), the same
+## in-memory shards (a restart forgets, and a cheater counts as flagged once
+## the tier was seen to flag it), the same
 ## over TCP (restarted shards re-bind their ports), and over a durable tier
 ## (restarts must forget nothing).
 soak:

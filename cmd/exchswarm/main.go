@@ -1,8 +1,8 @@
 // Command exchswarm runs a live-network swarm scenario: hundreds of real
-// peers (plus a trusted mediator) over the in-memory transport or TCP
-// loopback, driven by a declarative workload, reporting the same
-// figure-shaped TSV the simulator emits so live and simulated results sit
-// side by side.
+// peers (plus, on medfail, a trusted mediator tier) over the in-memory
+// transport or TCP loopback, driven by a declarative workload, reporting
+// the same figure-shaped TSV the simulator emits so live and simulated
+// results sit side by side.
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 //	exchswarm -scenario churn -nodes 120 -restarts 100 -quick -v
 //	exchswarm -scenario mixed -nodes 50 -tcp -peers
 //	exchswarm -scenario adversary -nodes 80 -adaptive 0.2 -whitewash 0.1 -partial 0.2 -quick
-//	exchswarm -scenario cheater -nodes 120 -mediators 4 -quick
-//	exchswarm -scenario cheater -nodes 80 -mediators 4 -stripe 3 -quick
+//	exchswarm -scenario cheater -nodes 120 -quick
+//	exchswarm -scenario cheater -nodes 80 -stripe 3 -quick
 //	exchswarm -scenario medfail -nodes 80 -mediators 4 -medkills 6 -quick -v
 //	exchswarm -scenario medfail -nodes 80 -mediators 4 -meddata /tmp/medwal -quick -v
 //	exchswarm -scenario wave -nodes 60 -workload flash -quick -record run.trace
@@ -26,18 +26,21 @@
 // scenario's run as a replayable JSON-lines trace that
 // `exchsim -trace <file>` re-executes deterministically in the simulator.
 //
-// -mediators shards the mediator tier (consistent hashing over object id)
-// for any scenario; medfail additionally kills and restarts shards mid-run
-// while nodes speak the mediated block path natively. -stripe N stripes
-// each download across up to N origins on the scenario's own block path:
-// plain lanes, each checked block by block against the object's digests, or
-// on medfail interleaved sealed blocks with per-origin escrow and audits.
-// -meddata DIR gives every shard a write-ahead log
-// under DIR; medfail then also checks that no shard restart — nor a final
-// restart of the whole tier from its logs — forgets a flagged cheater.
+// medfail's nodes speak the mediated block path natively against a sharded
+// mediator tier (consistent hashing over object id) while the shards that
+// own its object are killed mid-run, each down for half the kill interval.
+// -mediators sizes that tier; the other scenarios' nodes use no mediator,
+// start no tier and ignore it (cheater's nodes reject junk block by block).
+// -stripe N stripes each download across up to N origins on the scenario's
+// own block path: plain lanes, each checked block by block against the
+// object's digests, or on medfail interleaved sealed blocks with per-origin
+// escrow and audits. -meddata DIR gives every shard a write-ahead log under
+// DIR; medfail then also checks that no shard restart — nor a final restart
+// of the whole tier from its logs — forgets a flagged cheater.
 //
-// The exit status is the run's verdict: nonzero when a download failed, a
-// cheater went unflagged, a flag was lost, or an honest peer was flagged.
+// The exit status is the run's verdict: nonzero when a download failed or,
+// on medfail, the nodes' own audits left a cheater unflagged, a flag was
+// lost, or an honest peer was flagged.
 //
 // The aggregate TSV mirrors Figure 12's axes (mean download time per peer
 // class vs. fraction of non-sharing peers: -frac on every scenario, plus
@@ -83,12 +86,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "seed for placement, wants, and churn choices")
 		useTCP   = fs.Bool("tcp", false, "TCP loopback (with I/O deadlines) instead of the in-memory transport")
 		frac     = fs.Float64("frac", 0, "fraction of non-sharing peers (every scenario)")
-		corrupt  = fs.Float64("corrupt", 0, "fraction of corrupt seeds (cheater scenario)")
+		corrupt  = fs.Float64("corrupt", 0, "fraction of corrupt seeds (cheater and medfail scenarios)")
 		adaptive = fs.Float64("adaptive", 0, "fraction of adaptive free-riders (adversary scenario)")
 		wwash    = fs.Float64("whitewash", 0, "fraction of whitewashers (adversary scenario)")
 		partial  = fs.Float64("partial", 0, "fraction of partial sharers (adversary scenario)")
 		restarts = fs.Int("restarts", 0, "node restarts mid-run (churn scenario)")
-		medshard = fs.Int("mediators", 0, "mediator tier size in shards (0 = scenario default)")
+		medshard = fs.Int("mediators", 0, "mediator tier size in shards (medfail only: no other scenario starts a tier; 0 = scenario default)")
 		medkills = fs.Int("medkills", 0, "mediator shard kill/restart cycles (medfail scenario)")
 		meddata  = fs.String("meddata", "", "mediator write-ahead-log directory (empty = in-memory shards); with it medfail also asserts no restart loses a flag")
 		stripe   = fs.Int("stripe", 0, "stripe downloads across up to N origins (0/1 = single origin)")

@@ -287,6 +287,43 @@ func TestClusterRestartLosesEscrowWithoutFlagging(t *testing.T) {
 	}
 }
 
+// TestClustersCountTheirOwnDrops runs two tiers in one process. In one, an
+// object's replica is killed, so its primary drops each deposit it would copy
+// there; in the other every shard stays up. Each tier must read only its
+// own shards' counts: the drops are the first tier's, and none of them show
+// up in the second's.
+func TestClustersCountTheirOwnDrops(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t, 0)
+	const deposits = 3
+	obj := ownedBy(t, 0, 2)
+	trDown, down, _ := clusterFixture(t, 2)
+	trUp, up, _ := clusterFixture(t, 2)
+	down.KillShard(1)
+	for _, tier := range []struct {
+		tr transport.Transport
+		cl *mediator.Cluster
+	}{{trDown, down}, {trUp, up}} {
+		c, err := medclient.New(medclient.Config{Transport: tier.tr, Seeds: tier.cl.Addrs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ex := uint64(1); ex <= deposits; ex++ {
+			if err := c.Deposit(ex, 1, obj, [16]byte{byte(ex)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	waitUntil(t, "the primary counts each copy it could not send", func() bool { return down.Counts().ReplDropped == deposits })
+	waitUntil(t, "the other tier sends every copy", func() bool { return up.Counts().Replicated == deposits })
+	if n := up.Counts(); n.ReplDropped != 0 {
+		t.Fatalf("a tier whose shards all stayed up counted %d dropped records", n.ReplDropped)
+	}
+	if n := down.Counts(); n.Replicated != 0 {
+		t.Fatalf("a primary whose replica was down counted %d records sent", n.Replicated)
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	tr := transport.NewMem()
 	oracle := func(catalog.ObjectID) ([][32]byte, bool) { return nil, false }

@@ -187,9 +187,16 @@ func (n *Node) onRequest(from core.PeerID, m *protocol.Request) {
 	n.trySchedule()
 }
 
+// onCancel ends the requester's session. A Cancel sent for a plain session
+// can arrive after a ring adopted it (startUpload): the ring has then lost
+// this member's half, so it is dissolved and every member reschedules.
 func (n *Node) onCancel(from core.PeerID, m *protocol.Cancel) {
 	n.removeIRQ(func(e *irqEntry) bool { return e.peer == from && e.object == m.Object })
-	delete(n.uploads, upKey{to: from, object: m.Object})
+	key := upKey{to: from, object: m.Object}
+	if u := n.uploads[key]; u != nil && u.ringID != 0 {
+		n.quitRing(u.ringID, "its session was cancelled")
+	}
+	delete(n.uploads, key)
 	n.trySchedule()
 }
 

@@ -210,6 +210,53 @@ func TestLockStepSessions(t *testing.T) {
 	})
 }
 
+// TestCancelOfAdoptedSessionDissolvesRing: the requester cancels a plain
+// session that a ring adopted after the Cancel left. The holder must not
+// keep the ring committed with its own half gone: it dissolves the ring and
+// tells the other member, before it answers anything sent after the Cancel.
+func TestCancelOfAdoptedSessionDissolvesRing(t *testing.T) {
+	const ringID = 77
+	ox, oy, absent := catalog.ObjectID(100), catalog.ObjectID(200), catalog.ObjectID(300)
+	tn := newTestNet(t)
+	holder := tn.spawn(1, func(c *Config) { c.StallTicks = 10_000 })
+	holder.AddObject(ox, payload(ox, 16*1024))
+	r := dialRaw(tn, 9, holder)
+	r.send(&protocol.Request{Object: ox, Tree: core.Tree{Root: r.id}})
+	r.grant(0, 1)
+	holder.Download(oy, map[core.PeerID]string{9: ""})
+	r.send(&protocol.RingProbe{RingID: ringID, Members: []protocol.RingMember{
+		{Peer: r.id, Gives: oy, Addr: "mem://raw"},
+		{Peer: holder.ID(), Gives: ox, Addr: holder.Addr()},
+	}})
+	if a := recvRaw[*protocol.RingAccept](r); !a.OK {
+		t.Fatalf("holder refused the ring: %s", a.Reason)
+	}
+	r.send(&protocol.RingCommit{RingID: ringID})
+	r.send(&protocol.Cancel{Object: ox})
+	// The holder handles one connection's messages in order, so its refusal
+	// of this request comes after whatever the Cancel made it send.
+	r.send(&protocol.Request{Object: absent, Tree: core.Tree{Root: r.id}})
+	quit := false
+	for {
+		msg, err := r.conn.Recv()
+		if err != nil {
+			t.Fatalf("raw peer waiting for the refusal: %v", err)
+		}
+		if q, ok := msg.(*protocol.RingQuit); ok && q.RingID == ringID {
+			quit = true
+		}
+		if m, ok := msg.(*protocol.Manifest); ok && m.Object == absent {
+			break
+		}
+	}
+	if !quit {
+		t.Fatal("the holder kept the ring after its session was cancelled: no RingQuit")
+	}
+	if st := holder.Stats(); st.RingsJoined != 1 || st.RingsDissolved != 1 {
+		t.Fatalf("rings joined %d, dissolved %d; want 1 and 1", st.RingsJoined, st.RingsDissolved)
+	}
+}
+
 // TestBlockAfterDownloadEndsIsStale: a block for an object the node is not
 // downloading (its download completed or failed while the block was on the
 // wire) is a straggler like any other: nacked and counted stale.

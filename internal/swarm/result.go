@@ -52,26 +52,24 @@ type Result struct {
 	Restarts    int
 	Flips       int
 	Whitewashes int
-	// Cheaters counts the corrupt peers in the world and Flagged how many
-	// of them the mediator tier caught; FlaggedOrganic is how many of those
-	// the nodes' own audits and evidence had flagged before the run
-	// re-audited any. HonestFlagged counts every other peer the tier holds
-	// a flag against, which must be none.
-	Cheaters       int
-	Flagged        int
-	FlaggedOrganic int
-	HonestFlagged  int
-	// Mediators is the mediator tier size; ShardKills counts the shard
-	// kill/restart cycles the medfail scenario performed, RestartsFailed the
-	// restarts that left a shard down, and FlagsLost the flagged cheaters a
-	// restart of a durable tier (Config.MedDataDir) — mid-run, or the final
-	// one of every shard — forgot. The last two fail the run. ReplDropped counts
+	// Cheaters counts the corrupt peers in the world; Flagged, those the
+	// mediator tier held a flag against (which only the nodes' own audits
+	// and evidence put there) when the run looked: before each shard kill
+	// and once it settled. HonestFlagged counts the other peers the tier
+	// flags at the end, which must be none.
+	Cheaters      int
+	Flagged       int
+	HonestFlagged int
+	// Mediators is the tier size, zero when the nodes used none and no tier
+	// started. ShardKills counts medfail's shard kill/restart cycles,
+	// RestartsFailed the restarts that left a shard down, and FlagsLost the
+	// flagged cheaters a restart of a durable tier (Config.MedDataDir) —
+	// mid-run, or the final one of every shard — forgot. ReplDropped counts
 	// the deposits and flags a shard could not copy to an object's other
-	// owner (its sibling was down, or its link's queue was full): expected
-	// around a shard kill, and what the failover paths above absorb.
-	// WALLost counts the records a durable tier's write-ahead logs failed to
-	// append: a restart forgets them, so any fails the run. Both are this
-	// run's own tier's (mediator.Cluster.Counts), killed shards included.
+	// owner (down, or its link's queue full), as around every kill; WALLost
+	// the records a durable tier's logs failed to append, which a restart
+	// forgets. Both are this run's own tier's (mediator.Cluster.Counts),
+	// killed shards included.
 	Mediators      int
 	ShardKills     int
 	RestartsFailed int
@@ -83,14 +81,16 @@ type Result struct {
 	TraceEvents int
 }
 
-// Err is the run's verdict: nil when every download completed and the
-// mediator tier flagged every cheater, lost no flag, and flagged nobody
-// else — the paper's Section III-B claim, both halves.
+// Err is the run's verdict: nil when every download completed and, on a run
+// whose nodes used a mediator tier, the tier flagged every cheater, lost no
+// flag, and flagged nobody else — the paper's Section III-B claim, both
+// halves. A run without a tier rejects a cheater's junk block by block, so
+// its downloads are its verdict.
 func (r *Result) Err() error {
 	switch {
 	case r.Failed > 0:
 		return fmt.Errorf("%d of %d downloads failed", r.Failed, r.Wanted)
-	case r.Flagged < r.Cheaters:
+	case r.Mediators > 0 && r.Flagged < r.Cheaters:
 		return fmt.Errorf("mediator tier flagged %d of %d cheaters", r.Flagged, r.Cheaters)
 	case r.RestartsFailed > 0:
 		return fmt.Errorf("%d mediator shard restarts failed", r.RestartsFailed)
@@ -155,9 +155,9 @@ func (r *Result) TSV() string {
 	if r.Restarts > 0 {
 		fmt.Fprintf(&b, "# churn: restarts=%d\n", r.Restarts)
 	}
-	if r.Cheaters > 0 || r.HonestFlagged > 0 {
-		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d flagged_organic=%d honest_flagged=%d shard_kills=%d restarts_failed=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
-			r.Mediators, r.Cheaters, r.Flagged, r.FlaggedOrganic, r.HonestFlagged, r.ShardKills, r.RestartsFailed, r.FlagsLost, r.ReplDropped, r.WALLost)
+	if r.Mediators > 0 {
+		fmt.Fprintf(&b, "# mediator: shards=%d cheaters=%d flagged=%d honest_flagged=%d shard_kills=%d restarts_failed=%d flags_lost=%d repl_dropped=%d wal_lost=%d\n",
+			r.Mediators, r.Cheaters, r.Flagged, r.HonestFlagged, r.ShardKills, r.RestartsFailed, r.FlagsLost, r.ReplDropped, r.WALLost)
 	}
 	if r.Flips > 0 || r.Whitewashes > 0 {
 		fmt.Fprintf(&b, "# adversary: flips=%d whitewashes=%d\n", r.Flips, r.Whitewashes)
@@ -189,8 +189,7 @@ func (r *Result) PeersTSV() string {
 
 // collect snapshots every peer into a Result. Called after all waiters have
 // settled and before teardown, so node Stats are still reachable.
-func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
-	tier := s.cluster.Counts()
+func (s *swarmRun) collect(elapsed time.Duration) *Result {
 	res := &Result{
 		Scenario: s.cfg.Scenario,
 		Nodes:    len(s.peers),
@@ -201,13 +200,15 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		// row apart.
 		FreeriderFrac:  s.cfg.FreeriderFrac + s.cfg.AdaptiveFrac + s.cfg.WhitewashFrac + s.cfg.PartialFrac,
 		Elapsed:        elapsed,
-		Flagged:        flagged,
+		Flagged:        len(s.caught),
 		Mediators:      s.cfg.Mediators,
 		ShardKills:     s.kills,
 		RestartsFailed: s.restartsFailed,
 		FlagsLost:      s.flagsLost,
-		ReplDropped:    tier.ReplDropped,
-		WALLost:        tier.WALLost,
+	}
+	if s.cluster != nil {
+		tier := s.cluster.Counts()
+		res.ReplDropped, res.WALLost = tier.ReplDropped, tier.WALLost
 	}
 	for _, p := range s.peers {
 		pr := PeerResult{Class: p.strat.Name}
@@ -239,7 +240,7 @@ func (s *swarmRun) collect(elapsed time.Duration, flagged int) *Result {
 		}
 		if p.strat.Corrupt {
 			res.Cheaters++
-		} else if s.cluster.Flagged(pr.ID) > 0 {
+		} else if s.cluster != nil && s.cluster.Flagged(pr.ID) > 0 {
 			res.HonestFlagged++
 		}
 		res.Peers = append(res.Peers, pr)

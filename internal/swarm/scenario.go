@@ -32,16 +32,18 @@ type scenarioDef struct {
 	// with no corrupt class ignores Config.CorruptFrac, and one with no
 	// strategic classes ignores the three adversary fractions.
 	freeriderFrac, corruptFrac, adversaryFrac float64
-	// mediators is the default tier size (zero: one shard). kills and
+	// mediators marks a mediated row: its nodes run the mediated block
+	// path against a tier of that many shards by default. Zero means the
+	// row's nodes use no mediator, and its runs start no tier. kills and
 	// restarts (quickRestarts under Quick) are the default counts of shard
 	// kill and node restart cycles; zero means the scenario plays none.
 	mediators, kills, restarts, quickRestarts int
 	// window is the default horizon of a temporal demand spec (a third of
 	// it under Quick); zero means the scenario takes no spec.
 	window time.Duration
-	// mediated runs every node on the mediated block path; trusted hands
-	// nodes the run's block digests, so they reject junk on arrival.
-	mediated, trusted bool
+	// trusted hands nodes the run's block digests, so they reject junk on
+	// arrival.
+	trusted bool
 }
 
 // scenarios is the scenario table, in presentation order.
@@ -59,9 +61,9 @@ var scenarios = []scenarioDef{
 	// completion time for the "sharing" vs "non-sharing" class.
 	{name: Freerider, paired: true, slots: 1, paced: true, freeriderFrac: 0.3},
 	// cheater: a fraction of the flash crowd's seeds serve junk; receivers
-	// validate every block and complete from honest holders. Unless the run
-	// is mediated, the tier's flags come from the harness's one audit per
-	// cheater (convergeCheaterFlags), and every cheater must be flagged.
+	// check every block against the object's digests, reject the junk on
+	// arrival and complete from honest holders. No node talks to a
+	// mediator, so the run starts no tier and is judged by its downloads.
 	{name: Cheater, seedEvery: 30, minSeeds: 2, slots: 4, corruptFrac: 0.3, trusted: true},
 	// churn: the mixed workload while nodes are closed and restarted mid-run,
 	// hundreds of times; every shutdown path in node, transport, and
@@ -76,12 +78,13 @@ var scenarios = []scenarioDef{
 	{name: Adversary, paired: true, slots: 2, paced: true, adversaryFrac: 0.15},
 	// medfail: the cheater world with every node speaking the mediated block
 	// path natively (sealed blocks, escrowed keys, end-of-transfer audits via
-	// internal/medclient) while shards of a 4-shard tier are killed and
-	// restarted mid-run, paced so kills land while blocks are in flight;
-	// cheater detection must still converge. Over a durable tier
-	// (Config.MedDataDir) no restart — nor a final restart of the whole
-	// tier from its logs alone — may forget a flagged cheater.
-	{name: Medfail, seedEvery: 30, minSeeds: 2, slots: 4, paced: true, corruptFrac: 0.3, mediators: 4, kills: 6, mediated: true},
+	// internal/medclient) while the shards of a 4-shard tier that own its
+	// object are killed and restarted mid-run, each down for half the kill
+	// interval, paced so kills land while blocks are in flight; the nodes'
+	// own audits must still flag every cheater. Over a durable tier (Config.MedDataDir) no
+	// restart — nor a final restart of the whole tier from its logs alone —
+	// may forget a flagged cheater.
+	{name: Medfail, seedEvery: 30, minSeeds: 2, slots: 4, paced: true, corruptFrac: 0.3, mediators: 4, kills: 6},
 	// wave: the temporal workload scenario — a few seeds hold the catalog
 	// round-robin while everyone else's demand is scheduled by a
 	// workload.Spec (see internal/workload) compiled over Config.WaveWindow:

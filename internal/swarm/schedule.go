@@ -1,10 +1,12 @@
 package swarm
 
 import (
+	"slices"
 	"time"
 
 	"barter/internal/catalog"
 	"barter/internal/eventq"
+	"barter/internal/mediator"
 )
 
 // fault is one timed event of a run: at its offset from the run's start the
@@ -13,7 +15,7 @@ import (
 type fault struct {
 	at    time.Duration
 	peer  *peerState // the peer it acts on; nil for a shard kill
-	shard int        // the shard a kill restarts
+	shard int        // the shard a kill takes down
 	stop  <-chan struct{}
 	act   func() time.Duration
 }
@@ -25,13 +27,31 @@ type fault struct {
 // its node on time.
 func (s *swarmRun) schedule() []fault {
 	var fs []fault
-	// The first kill lands at once: a quick world can finish inside one
-	// kill interval, and a medfail run that never lost a shard proves
-	// nothing.
+	// Kills cycle over the shards that own an object of the world, in shard
+	// order: a shard that owns none carries no traffic, and its death would
+	// test nothing. The first kill lands at once: a quick world can finish
+	// inside one kill interval, and a medfail run that never lost a shard
+	// proves nothing. A killed shard comes back half an interval later;
+	// meanwhile clients fail over to each object's other owner, which drops
+	// what it would copy to the shard. One still down when the run settles
+	// is restarted before the verdict.
+	var owners []int
+	for obj := 1; s.cfg.MedKills > 0 && obj <= s.objects; obj++ {
+		primary, replica := mediator.ShardFor(catalog.ObjectID(obj), s.cfg.Mediators)
+		owners = append(owners, primary, replica)
+	}
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
 	for i := 0; i < s.cfg.MedKills; i++ {
-		shard := i % s.cfg.Mediators
-		fs = append(fs, fault{at: time.Duration(i) * s.cfg.MedKillInterval, shard: shard, stop: s.settled,
-			act: func() time.Duration { s.logf("killing mediator shard %d", shard); s.restartShard(shard); return 0 }})
+		shard := owners[i%len(owners)]
+		fs = append(fs, fault{at: time.Duration(i) * s.cfg.MedKillInterval, shard: shard, stop: s.settled, act: func() time.Duration {
+			if _, down := s.down[shard]; down {
+				s.restartShard(shard)
+				return 0
+			}
+			s.killShard(shard)
+			return s.cfg.MedKillInterval / 2
+		}})
 	}
 	for i := 0; i < s.cfg.Restarts; i++ {
 		p := s.peers[s.rng.Intn(len(s.peers))]

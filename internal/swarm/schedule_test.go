@@ -64,8 +64,10 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			}
 			shards = append(shards, f.shard)
 		}
-		if want := []int{0, 1, 2, 3, 0, 1}; !slices.Equal(shards, want) {
-			t.Fatalf("build %d killed shards %v, want round-robin %v", run, shards, want)
+		// The world's one object is owned by shards 0 and 3; the other two
+		// carry no traffic, so no kill is spent on them.
+		if want := []int{0, 3, 0, 3, 0, 3}; !slices.Equal(shards, want) {
+			t.Fatalf("build %d killed shards %v, want round-robin over the owners %v", run, shards, want)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package swarm is the live-network counterpart of the simulator's
 // experiment harness: it launches hundreds of real peers (internal/node)
-// plus a sharded trusted mediator tier over the in-memory transport — or
-// TCP loopback — drives a scenario against them, and aggregates every
-// node's Stats into the same figure-shaped TSV the simulator emits, so live
-// results are directly comparable with exchsim output.
+// — on a mediated scenario, with a sharded trusted mediator tier — over the
+// in-memory transport or TCP loopback, drives a scenario against them, and
+// aggregates every node's Stats into the same figure-shaped TSV the
+// simulator emits, so live results are directly comparable with exchsim
+// output.
 //
 // A run is a table, a world and a fault schedule. The scenario table
 // (scenario.go) holds one row per scenario, next to its one description:
@@ -29,7 +30,6 @@ import (
 	"barter/internal/medclient"
 	"barter/internal/mediator"
 	"barter/internal/node"
-	"barter/internal/protocol"
 	"barter/internal/rng"
 	"barter/internal/strategy"
 	"barter/internal/transport"
@@ -112,14 +112,16 @@ type Config struct {
 	// Restarts is how many node close/restart cycles the churn scenario
 	// performs, 5 ms apart.
 	Restarts int
-	// Mediators sizes the mediator tier: N shards partitioned by
-	// consistent hashing over object id, each owning its slice of escrow
-	// and flagged-peer state. 0 means a single shard — the historical
-	// one-process mediator.
+	// Mediators sizes the mediator tier of a mediated scenario (medfail):
+	// N shards partitioned by consistent hashing over object id, each
+	// owning its slice of escrow and flagged-peer state; 0 means the
+	// scenario's default. A scenario whose nodes use no mediator starts no
+	// tier and ignores it.
 	Mediators int
 	// MedKills is how many shard kill/restart cycles the medfail scenario
-	// performs (round-robin over the tier); MedKillInterval is the pause
-	// between them.
+	// performs (round-robin over the shards that own the world's objects);
+	// MedKillInterval is the pause between them. A killed shard stays down
+	// for half the interval.
 	MedKills        int
 	MedKillInterval time.Duration
 	// MedDataDir roots the mediator shards' write-ahead logs; empty means
@@ -184,8 +186,8 @@ func (c *Config) fillDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Mediators <= 0 {
-		c.Mediators = max(1, d.mediators)
+	if c.Mediators <= 0 || d.mediators == 0 {
+		c.Mediators = d.mediators
 	}
 	if c.Mediators > 64 {
 		return fmt.Errorf("swarm: %d mediator shards is beyond any sane tier", c.Mediators)
@@ -325,11 +327,14 @@ type swarmRun struct {
 	objects int
 	oracle  map[catalog.ObjectID][][32]byte
 	peers   []*peerState
+	// cluster is the mediator tier of a mediated scenario; nil otherwise.
 	cluster *mediator.Cluster
-	// kills counts medfail's shard kill/restart cycles, restartsFailed the
-	// restarts that left a shard down, and flagsLost the flagged cheaters a
-	// durable restart forgot. Only the fault driver (joined before collect)
-	// and the post-run durability check write them, so collect reads them.
+	// down maps each killed shard not yet back to the cheaters flagged
+	// before the kill; caught holds every cheater the tier was seen to flag.
+	// The counters are Result's. Only the fault driver (joined before
+	// collect) and the post-run checks write them, so collect reads them.
+	down           map[int][]core.PeerID
+	caught         map[core.PeerID]bool
 	kills          int
 	restartsFailed int
 	flagsLost      int
@@ -384,6 +389,8 @@ func newRun(cfg Config) (*swarmRun, error) {
 		cfg:     cfg,
 		def:     lookup(cfg.Scenario),
 		oracle:  make(map[catalog.ObjectID][][32]byte),
+		down:    make(map[int][]core.PeerID),
+		caught:  make(map[core.PeerID]bool),
 		rng:     rng.New(cfg.Seed),
 		giveUp:  make(chan struct{}),
 		settled: make(chan struct{}),
@@ -419,14 +426,23 @@ func Run(cfg Config) (*Result, error) {
 		s.tr = transport.NewMem()
 	}
 
-	// The mediator tier comes up before the nodes: mediated nodes need its
-	// addresses at spawn time.
-	cluster, err := mediator.NewClusterOpts(s.tr, s.mediatorAddrs(), s.digests, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
-	if err != nil {
-		return nil, fmt.Errorf("swarm: mediator tier: %w", err)
+	if cfg.Mediators > 0 {
+		// The mediator tier comes up before the nodes: mediated nodes need
+		// its addresses at spawn time.
+		addrs := make([]string, cfg.Mediators)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("mem://swarm-mediator-%d", i)
+			if cfg.TCP {
+				addrs[i] = "127.0.0.1:0"
+			}
+		}
+		cluster, err := mediator.NewClusterOpts(s.tr, addrs, s.digests, mediator.ClusterOpts{DataDir: cfg.MedDataDir})
+		if err != nil {
+			return nil, fmt.Errorf("swarm: mediator tier: %w", err)
+		}
+		s.cluster = cluster
+		defer cluster.Close()
 	}
-	s.cluster = cluster
-	defer cluster.Close()
 
 	for _, p := range s.peers {
 		if err := s.spawn(p); err != nil {
@@ -456,25 +472,29 @@ func Run(cfg Config) (*Result, error) {
 		s.play(faults)
 	}()
 	s.waiters.Wait()
-	// Join the fault driver before auditing and before touching nodes: a
-	// shard kill must not race convergence, nor a respawn teardown.
+	// Join the fault driver before reading the tier and before touching
+	// nodes: a shard kill must not race the verdict, nor a respawn teardown.
 	close(s.settled)
 	<-played
-
-	organic := len(s.flaggedCheaters())
-	flagged := s.convergeCheaterFlags()
-	if s.def.kills > 0 && cfg.MedDataDir != "" {
-		// The final durability check: restart every shard and demand each
-		// flag come back from the logs alone (flags replicate only when a
-		// verdict is reached, so a lost one is lost history).
+	if s.cluster != nil {
+		// A shard the fault driver left down comes back before the verdict
+		// reads the tier. Over a durable tier every shard then restarts, and
+		// each flag must come back from the logs alone (flags replicate only
+		// when a verdict is reached, so a lost one is lost history).
 		for i := 0; i < s.cluster.Shards(); i++ {
+			if _, down := s.down[i]; down {
+				s.restartShard(i)
+			}
+		}
+		s.flaggedCheaters()
+		for i := 0; s.cfg.MedDataDir != "" && i < s.cluster.Shards(); i++ {
+			s.killShard(i)
 			s.restartShard(i)
 		}
 	}
 	elapsed := time.Since(s.start)
 
-	res := s.collect(elapsed, flagged)
-	res.FlaggedOrganic = organic
+	res := s.collect(elapsed)
 	if s.rec != nil {
 		res.TraceEvents = s.rec.Len()
 		trace := s.rec.Trace(workload.Header{
@@ -495,28 +515,21 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mediatorAddrs names the tier's listen addresses.
-func (s *swarmRun) mediatorAddrs() []string {
-	addrs := make([]string, s.cfg.Mediators)
-	for i := range addrs {
-		if s.cfg.TCP {
-			addrs[i] = "127.0.0.1:0"
-		} else {
-			addrs[i] = fmt.Sprintf("mem://swarm-mediator-%d", i)
-		}
-	}
-	return addrs
+// killShard takes one mediator shard down, noting first the cheaters the
+// tier holds a flag against.
+func (s *swarmRun) killShard(shard int) {
+	s.logf("killing mediator shard %d", shard)
+	s.down[shard] = s.flaggedCheaters()
+	s.cluster.KillShard(shard)
 }
 
-// restartShard kills and restarts one mediator shard. A shard that cannot
-// come back is counted in restartsFailed. Over a durable tier every cheater
-// flagged before must still be flagged after, and each one the tier forgot
+// restartShard brings a killed shard back. A shard that cannot come back is
+// counted in restartsFailed. Over a durable tier every cheater flagged
+// before the kill must still be flagged after, and each one the tier forgot
 // is counted in flagsLost; in-memory shards are allowed to forget.
 func (s *swarmRun) restartShard(shard int) {
-	var before []core.PeerID // the detection history a durable tier must keep
-	if s.cfg.MedDataDir != "" {
-		before = s.flaggedCheaters()
-	}
+	before := s.down[shard]
+	delete(s.down, shard)
 	if err := s.cluster.RestartShard(shard); err != nil {
 		s.logf("restart of mediator shard %d failed: %v", shard, err)
 		s.restartsFailed++
@@ -524,19 +537,22 @@ func (s *swarmRun) restartShard(shard int) {
 	}
 	s.kills++
 	for _, id := range before {
-		if s.cluster.Flagged(id) == 0 {
+		if s.cfg.MedDataDir != "" && s.cluster.Flagged(id) == 0 {
 			s.flagsLost++
 			s.logf("restart of mediator shard %d lost the flag for peer %d", shard, id)
 		}
 	}
 }
 
-// flaggedCheaters lists the corrupt peers the tier holds a flag against.
+// flaggedCheaters lists the corrupt peers the tier holds a flag against and
+// counts each as caught: a flag an in-memory shard forgets on a kill does
+// not un-catch its cheater.
 func (s *swarmRun) flaggedCheaters() []core.PeerID {
 	var out []core.PeerID
 	for _, p := range s.peers {
 		if id := p.currentID(); p.strat.Corrupt && s.cluster.Flagged(id) > 0 {
 			out = append(out, id)
+			s.caught[id] = true
 		}
 	}
 	return out
@@ -598,9 +614,10 @@ func (s *swarmRun) spawn(p *peerState) error {
 	if s.def.trusted {
 		cfg.TrustedDigests = s.digests
 	}
-	if s.def.mediated {
+	if s.cluster != nil {
 		if p.medc == nil {
-			mc, err := s.medClient(nil)
+			// The tier's addresses survive every shard restart.
+			mc, err := medclient.New(medclient.Config{Transport: s.tr, Seeds: s.cluster.Addrs(), Backoff: 10 * time.Millisecond})
 			if err != nil {
 				return fmt.Errorf("swarm: medclient for %d: %w", id, err)
 			}
@@ -732,88 +749,6 @@ func allDone(ws []*wantState, orFailed bool) bool {
 		}
 	}
 	return true
-}
-
-// medClient builds a shard-aware mediator client over the tier's addresses,
-// which a shard restart keeps.
-func (s *swarmRun) medClient(logf func(string, ...any)) (*medclient.Client, error) {
-	return medclient.New(medclient.Config{Transport: s.tr, Seeds: s.cluster.Addrs(), Backoff: 10 * time.Millisecond, Logf: logf})
-}
-
-// auditOne plays the receiving peer's role of the Section III-B protocol
-// against one corrupt node: seal the junk it serves under its escrowed
-// key, deposit, and submit a sample for audit. It reports whether the
-// tier rejected the exchange (and so flagged the cheater).
-func (s *swarmRun) auditOne(cl *medclient.Client, id core.PeerID) bool {
-	obj := catalog.ObjectID(1)
-	// Distinct from the organic exchange ids the mediated block path
-	// derives, so orchestrator audits never collide with node escrow.
-	exchange := uint64(id) | 1<<63
-	var key [16]byte
-	copy(key[:], fmt.Sprintf("cheater-%08d-key", id))
-	if err := cl.Deposit(exchange, id, obj, key); err != nil {
-		s.logf("audit %d: deposit: %v", id, err)
-		return false
-	}
-	// What a corrupt node actually serves: junk bytes in place of the real
-	// block (the same pattern node.Config.Corrupt emits).
-	junk := make([]byte, min(s.cfg.BlockSize, s.cfg.ObjectSize))
-	for j := range junk {
-		junk[j] = byte(j) ^ 0xAA
-	}
-	victim := id + 1
-	sealed, err := mediator.Seal(key, id, victim, obj, 0, junk)
-	if err != nil {
-		s.logf("audit %d: seal: %v", id, err)
-		return false
-	}
-	samples := []protocol.Block{{Object: obj, Index: 0, Origin: id, Recipient: victim, Encrypted: true, Payload: sealed}}
-	_, err = cl.Verify(exchange, victim, id, obj, samples)
-	if errors.Is(err, medclient.ErrRejected) {
-		return true
-	}
-	s.logf("audit %d: junk passed the audit: %v", id, err)
-	return false
-}
-
-// convergeCheaterFlags is the one cheater-flagging path: once the workload
-// has settled (and the shard kills with it), every corrupt peer must end up
-// flagged on the tier. Organic flags from the mediated block path count; any
-// cheater still unflagged — the run never audited it, it never won a
-// manifest race, or its flag died with a killed shard — is re-audited until
-// the tier-wide count converges or the run deadline hits. Without kills the
-// first pass flags every cheater.
-func (s *swarmRun) convergeCheaterFlags() int {
-	var corrupt []core.PeerID
-	for _, p := range s.peers {
-		if p.strat.Corrupt {
-			corrupt = append(corrupt, p.currentID())
-		}
-	}
-	if len(corrupt) == 0 {
-		return 0
-	}
-	cl, err := s.medClient(s.cfg.Logf)
-	if err != nil {
-		s.logf("audit client: %v", err)
-		return 0
-	}
-	defer cl.Close()
-	for {
-		flagged := 0
-		for _, id := range corrupt {
-			if s.cluster.Flagged(id) > 0 || s.auditOne(cl, id) {
-				flagged++
-			}
-		}
-		if flagged == len(corrupt) {
-			return flagged
-		}
-		s.logf("cheater flags not yet converged: %d missing", len(corrupt)-flagged)
-		if !s.sleep(20*time.Millisecond, nil) {
-			return flagged
-		}
-	}
 }
 
 // teardown closes every live node, then the mediator clients they used

@@ -115,12 +115,13 @@ func TestFreeriderGap(t *testing.T) {
 	}
 }
 
-// TestCheaterAudited: corrupt seeds serve junk; every downloader still
-// completes from honest seeds (per-block validation), and the mediator's
-// audit flags every cheater.
+// TestCheaterAudited: corrupt seeds serve junk; every downloader checks
+// each block against the object's digests, rejects the junk and still
+// completes from honest seeds. No node uses a mediator, so the run starts no
+// tier, whatever Config.Mediators asks for.
 func TestCheaterAudited(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 5)
-	res, err := Run(Config{Scenario: Cheater, Nodes: 60, Quick: true, Seed: 5})
+	res, err := Run(Config{Scenario: Cheater, Nodes: 60, Quick: true, Seed: 5, Mediators: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +130,9 @@ func TestCheaterAudited(t *testing.T) {
 	}
 	if res.Cheaters == 0 {
 		t.Fatal("world built no corrupt peers")
+	}
+	if tsv := res.TSV(); res.Mediators != 0 || res.Flagged != 0 || strings.Contains(tsv, "# mediator:") {
+		t.Fatalf("a run whose nodes use no mediator started a tier (mediators=%d flagged=%d):\n%s", res.Mediators, res.Flagged, tsv)
 	}
 	rejected := 0
 	for _, p := range res.Peers {
@@ -139,34 +143,11 @@ func TestCheaterAudited(t *testing.T) {
 	}
 }
 
-// TestCheaterAuditedShardedTier reruns the cheater acceptance check with a
-// 4-shard mediator tier: audits route by consistent hashing and the
-// detection result must match the single-mediator run — every cheater
-// flagged.
-func TestCheaterAuditedShardedTier(t *testing.T) {
-	testutil.CheckGoroutineLeaks(t, 5)
-	res, err := Run(Config{Scenario: Cheater, Nodes: 60, Quick: true, Seed: 5, Mediators: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatalf("cheater w/ shards: %v\n%s", err, res.PeersTSV())
-	}
-	if res.Cheaters == 0 {
-		t.Fatal("world built no corrupt peers")
-	}
-	if res.Mediators != 4 {
-		t.Fatalf("result reports %d mediators, want 4", res.Mediators)
-	}
-	if !strings.Contains(res.TSV(), "shards=4") {
-		t.Fatalf("TSV missing shard count:\n%s", res.TSV())
-	}
-}
-
 // TestMedfailScenario is the mediator-tier acceptance run: nodes speak the
 // mediated block path natively while shards are killed and restarted
-// mid-run. Every download must still complete, every cheater must end up
-// flagged, and the audit machinery must show real node-side traffic.
+// mid-run. Every download must still complete, the nodes' own audits must
+// flag every cheater, and the audit machinery must show real node-side
+// traffic.
 func TestMedfailScenario(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 5)
 	res, err := Run(Config{
@@ -241,38 +222,14 @@ func TestMedfailDurable(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsCountTheirOwnTier runs two swarms at once in one process,
-// one nested inside the other. The outer, a cheater world on a 2-shard tier
-// with no faults, holds at "world:" — its tier up — until the inner has
-// finished. The inner is medfail over a durable tier whose data directory
-// turns into a file as its world comes up, so its one shard kill cannot
-// restart: that shard stays down, and its siblings drop every record meant
-// for it. Each run must read its own tier: the inner's drops are nonzero,
-// and the outer reads none of them.
-func TestConcurrentRunsCountTheirOwnTier(t *testing.T) {
+// TestShardThatStaysDownFailsTheRun: medfail over a durable tier whose data
+// directory turns into a file as its world comes up, so its one shard kill
+// cannot restart. That shard stays down, its siblings drop every record
+// meant for it, and the run must fail its verdict.
+func TestShardThatStaysDownFailsTheRun(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 5)
-	type outcome struct {
-		res *Result
-		err error
-	}
-	up, innerDone, outer := make(chan struct{}), make(chan struct{}), make(chan outcome, 1)
-	go func() {
-		res, err := Run(Config{Scenario: Cheater, Nodes: 40, Quick: true, Seed: 3, Mediators: 2,
-			Logf: func(format string, _ ...any) {
-				if strings.HasPrefix(format, "world:") {
-					close(up)
-					<-innerDone
-				}
-			}})
-		outer <- outcome{res, err}
-	}()
-	select {
-	case <-up:
-	case o := <-outer:
-		t.Fatalf("the outer run returned before its world came up: %v", o.err)
-	}
 	dir := filepath.Join(t.TempDir(), "tier")
-	inner, err := Run(Config{Scenario: Medfail, Nodes: 48, Quick: true, Seed: 5, MedKills: 1, MedDataDir: dir,
+	res, err := Run(Config{Scenario: Medfail, Nodes: 48, Quick: true, Seed: 5, MedKills: 1, MedDataDir: dir,
 		Logf: func(format string, _ ...any) {
 			if strings.HasPrefix(format, "world:") {
 				// Every shard holds its log open; a restart must create the
@@ -285,38 +242,31 @@ func TestConcurrentRunsCountTheirOwnTier(t *testing.T) {
 				}
 			}
 		}})
-	close(innerDone)
-	o := <-outer
-	if err != nil || o.err != nil {
-		t.Fatalf("runs: inner %v, outer %v", err, o.err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inner.ReplDropped == 0 {
-		t.Fatalf("a shard down for the whole run dropped no records:\n%s", inner.TSV())
+	if res.ReplDropped == 0 {
+		t.Fatalf("a shard down for the whole run dropped no records:\n%s", res.TSV())
 	}
-	if inner.RestartsFailed == 0 || inner.Err() == nil {
-		t.Fatalf("a shard that never came back passed the run:\n%s", inner.TSV())
-	}
-	if o.res.ReplDropped != 0 || o.res.WALLost != 0 {
-		t.Fatalf("the outer run read the inner tier's counts (repl_dropped=%d wal_lost=%d)", o.res.ReplDropped, o.res.WALLost)
-	}
-	if err := o.res.Err(); err != nil {
-		t.Fatalf("the outer run: %v", err)
+	if res.RestartsFailed == 0 || res.Err() == nil {
+		t.Fatalf("a shard that never came back passed the run:\n%s", res.TSV())
 	}
 }
 
 // TestResultErr pins the run verdict on hand-built results: each way a run
 // can break the Section III-B claim is an error, and nothing else is.
 func TestResultErr(t *testing.T) {
-	ok := Result{Scenario: Medfail, Wanted: 40, Completed: 40, Cheaters: 3, Flagged: 3, ShardKills: 8}
+	ok := Result{Scenario: Medfail, Wanted: 40, Completed: 40, Cheaters: 3, Flagged: 3, Mediators: 4, ShardKills: 8}
 	if err := ok.Err(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	if err := (&Result{Scenario: FlashCrowd, Wanted: 9, Completed: 9}).Err(); err != nil {
+	// Without a tier, junk is rejected block by block and nobody flags.
+	if err := (&Result{Scenario: Cheater, Wanted: 9, Completed: 9, Cheaters: 1}).Err(); err != nil {
 		t.Fatalf("unmediated run: %v", err)
 	}
 	for name, breakIt := range map[string]func(*Result){
 		"failed download":     func(r *Result) { r.Completed, r.Failed = 39, 1 },
-		"unflagged cheater":   func(r *Result) { r.Flagged = 2 },
+		"unflagged cheater":   func(r *Result) { r.Flagged = 2 }, // on a mediated run
 		"failed restart":      func(r *Result) { r.RestartsFailed = 1 },
 		"lost flag":           func(r *Result) { r.FlagsLost = 1 },
 		"flagged honest peer": func(r *Result) { r.HonestFlagged = 1 },

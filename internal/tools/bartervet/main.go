@@ -94,7 +94,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bartervet:", err)
 		os.Exit(2)
 	}
-	problems, err := run(checks, flag.Args())
+	problems, err := run(newLoader(), checks, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bartervet:", err)
 		os.Exit(2)
@@ -127,11 +127,10 @@ func parseChecks(list string) ([]string, error) {
 	return checks, nil
 }
 
-// run loads every package under the given roots, applies the selected
-// checks, and returns the formatted, waiver-filtered findings sorted by
-// position.
-func run(checks []string, roots []string) ([]string, error) {
-	loader := newLoader()
+// run loads every package under the given roots through l, applies the
+// selected checks, and returns the formatted, waiver-filtered findings sorted
+// by position. Runs that share a loader type-check each dependency once.
+func run(l *loader, checks []string, roots []string) ([]string, error) {
 	var units []*unit
 	seen := map[string]bool{}
 	for _, root := range roots {
@@ -148,7 +147,7 @@ func run(checks []string, roots []string) ([]string, error) {
 				continue // under two roots: check it once
 			}
 			seen[abs] = true
-			us, err := loader.load(dir)
+			us, err := l.load(dir)
 			if err != nil {
 				return nil, err
 			}

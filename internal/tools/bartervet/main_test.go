@@ -36,7 +36,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			got, err := run([]string{tc.check}, []string{filepath.Join("testdata", tc.dir)})
+			got, err := run(newLoader(), []string{tc.check}, []string{filepath.Join("testdata", tc.dir)})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -95,7 +95,7 @@ func diffLines(want, got []string) string {
 // declares (Type.String, Type.Size) and _test.go files are not its business.
 func TestUndocumentedExportsReported(t *testing.T) {
 	dir := filepath.Join("testdata", "doc", "undocumented")
-	got, err := run([]string{"doc"}, []string{dir})
+	got, err := run(newLoader(), []string{"doc"}, []string{dir})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestUndocumentedExportsReported(t *testing.T) {
 // TestDocumentedPackagePasses: a package whose every exported declaration
 // carries a comment, directly or through its block's, yields no finding.
 func TestDocumentedPackagePasses(t *testing.T) {
-	got, err := run([]string{"doc"}, []string{filepath.Join("testdata", "doc", "documented")})
+	got, err := run(newLoader(), []string{"doc"}, []string{filepath.Join("testdata", "doc", "documented")})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestParseChecks(t *testing.T) {
 // TestMissingRootErrors: a root that does not exist is an error, not a
 // clean run over nothing.
 func TestMissingRootErrors(t *testing.T) {
-	if _, err := run([]string{"doc"}, []string{filepath.Join("testdata", "no-such-dir")}); err == nil {
+	if _, err := run(newLoader(), []string{"doc"}, []string{filepath.Join("testdata", "no-such-dir")}); err == nil {
 		t.Fatal("missing directory accepted")
 	}
 }
@@ -161,30 +161,33 @@ func TestDeterministicPackagesAreClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree from source; run without -short")
 	}
+	// One loader for the four runs: the standard library and the module
+	// type-check once.
+	l := newLoader()
 	root := filepath.Join("..", "..", "..")
 	var args []string
 	for _, p := range deterministicPackages {
 		args = append(args, filepath.Join(root, p))
 	}
-	if got, err := run([]string{"maprange", "walltime", "ptrorder"}, args); err != nil {
+	if got, err := run(l, []string{"maprange", "walltime", "ptrorder"}, args); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
 		t.Errorf("determinism contract violated:\n%s", strings.Join(got, "\n"))
 	}
 	ioArgs := []string{filepath.Join(root, "internal/mediator"), filepath.Join(root, "internal/protocol")}
-	if got, err := run([]string{"unchecked-io"}, ioArgs); err != nil {
+	if got, err := run(l, []string{"unchecked-io"}, ioArgs); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
 		t.Errorf("unchecked-io contract violated:\n%s", strings.Join(got, "\n"))
 	}
 	progArgs := []string{filepath.Join(root, "internal"), filepath.Join(root, "cmd")}
-	if got, err := run([]string{"deadcode"}, progArgs); err != nil {
+	if got, err := run(l, []string{"deadcode"}, progArgs); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
 		t.Errorf("internal/ packages without an importer or exports without a non-test user:\n%s", strings.Join(got, "\n"))
 	}
 	docArgs := append(progArgs, filepath.Join(root, "examples"), root)
-	if got, err := run([]string{"doc"}, docArgs); err != nil {
+	if got, err := run(l, []string{"doc"}, docArgs); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {
 		t.Errorf("undocumented packages or exports:\n%s", strings.Join(got, "\n"))
