@@ -173,13 +173,14 @@ bartervet:
 	$(GO) run ./internal/tools/bartervet -checks maprange,walltime,ptrorder $(DETERMINISTIC_PKGS)
 	$(GO) run ./internal/tools/bartervet -checks unchecked-io ./internal/mediator ./internal/protocol
 	$(GO) run ./internal/tools/bartervet -checks deadcode ./internal ./cmd
-	$(GO) run ./internal/tools/bartervet -checks doc ./internal ./cmd ./examples .
+	$(GO) run ./internal/tools/bartervet -checks doc ./internal ./cmd .
 
 ## docs-check: smoke-run every `go run ./cmd/...` line the ROADMAP
 ## quickstart advertises (-h per command, -list lines verbatim) so the
 ## docs cannot drift ahead of the CLIs, compare `exchswarm -list` with the
-## scenario set docs/ARCHITECTURE.md names, and read every committed
-## BENCH_*.json trajectory point back through `go run ./bench -compare`.
+## scenario set docs/ARCHITECTURE.md names and cmd/ with its Entry points
+## table, and read every committed BENCH_*.json trajectory point back
+## through `go run ./bench -compare`.
 docs-check:
 	./scripts/docs-check.sh
 

@@ -16,12 +16,12 @@
 //   - A live, concurrent peer implementation of the protocol over in-memory
 //     or TCP transports, including the trusted-mediator defense against
 //     middleman cheating (Section III-B): internal/node, internal/mediator
-//     and internal/medclient (cmd/mediatord) — plus a swarm
-//     harness (internal/swarm, cmd/exchswarm) that runs hundreds of live
-//     peers through declarative scenarios.
+//     and internal/medclient — plus a swarm harness (internal/swarm,
+//     cmd/exchswarm) that runs hundreds of live peers through declarative
+//     scenarios.
 //
 // Every package lives under internal/, so the module exports no Go API:
-// its public surface is the three commands plus the workload-spec and trace
+// its public surface is the two commands plus the workload-spec and trace
 // formats.
 //
 // Peer behavior and demand are declarative and shared across layers:
@@ -40,6 +40,5 @@
 // docs/ARCHITECTURE.md maps the packages to the paper's sections,
 // docs/DETERMINISM.md states the determinism rules, docs/WORKLOADS.md
 // documents the spec and trace formats, and docs/PERF.md records the
-// benchmark (BENCHMARK.json, bench/). The examples directory demonstrates
-// all three layers.
+// benchmark (BENCHMARK.json, bench/).
 package barter

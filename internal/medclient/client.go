@@ -60,9 +60,8 @@ var (
 type Config struct {
 	// Transport carries the protocol; required.
 	Transport transport.Transport
-	// Seeds is every shard's address in shard-index order (Cluster.Addrs,
-	// or mediatord's -shardmap), or the one address of a standalone
-	// mediator.
+	// Seeds is every shard's address in shard-index order (Cluster.Addrs),
+	// or the one address of a single Mediator.
 	Seeds []string
 	// Attempts bounds how many times one operation is tried before
 	// ErrUnavailable; attempts alternate between the owning shard and its
@@ -71,8 +70,6 @@ type Config struct {
 	// Backoff is the delay before the second attempt, doubling per attempt
 	// (default 8ms).
 	Backoff time.Duration
-	// Logf, when set, receives debug lines.
-	Logf func(format string, args ...any)
 }
 
 // Client is a shard-aware mediator client, safe for concurrent use.
@@ -215,12 +212,6 @@ func (c *Client) Close() {
 	}
 	// Wait for every read loop so Close leaves no goroutine behind.
 	c.wg.Wait()
-}
-
-func (c *Client) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf("medclient: "+format, args...)
-	}
 }
 
 // sleep waits d unless the client closes first.
@@ -369,7 +360,6 @@ func (c *Client) op(obj catalog.ObjectID, req protocol.Message, handle func(prot
 		if !done {
 			c.dropConn(addr, sc)
 			lastErr = opErr
-			c.logf("attempt %d for object %d via %s failed: %v", attempt, obj, addr, opErr)
 			continue
 		}
 		if errors.Is(opErr, ErrNoKey) && replica != primary {

@@ -108,8 +108,8 @@ func TestShardRecoveryMidEscrow(t *testing.T) {
 }
 
 // TestClusterRestartRecoversFromLog tears the whole cluster down and builds
-// a new one over the same data dir — the library-level equivalent of a
-// mediatord process restart. Detection history must carry over.
+// a new one over the same data dir, as a process restart would. Detection
+// history must carry over.
 func TestClusterRestartRecoversFromLog(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t, 0)
 	dir := t.TempDir()

@@ -25,8 +25,8 @@
 //
 // # The tier
 //
-// A tier is a fixed set of shards (Cluster in-process, `mediatord -shard i/N`
-// over TCP) whose addresses are fixed at start: a restart re-binds its own.
+// A tier is a fixed set of shards (a Cluster, over the in-memory transport
+// or TCP) whose addresses are fixed at start: a restart re-binds its own.
 // ShardFor places every object on a primary and a replica, and a shard
 // refuses what it does not own with protocol.MedRejectBadRequest. Every
 // request, a client's or a sibling shard's, arrives in a protocol.Envelope; a
@@ -110,7 +110,7 @@ func Seal(key [16]byte, origin, recipient core.PeerID, obj catalog.ObjectID, ind
 // plaintext payload. sealed is left untouched and the plaintext is a fresh
 // buffer; Crypt is the in-place form for a caller that owns the block.
 //
-//barter:allow deadcode bench/probes.go's mediator.open_us and examples/middleman; item 13
+//barter:allow deadcode bench/probes.go's mediator.open_us until item 7(b); it stays as the reference that TestAuditSampleMatchesOpen and receipt_test.go compare the in-place path against
 func Open(key [16]byte, obj catalog.ObjectID, index uint32, sealed []byte) (origin, recipient core.PeerID, payload []byte, err error) {
 	if len(sealed) < headerLen {
 		return 0, 0, nil, errShortBlock
@@ -193,9 +193,9 @@ type ShardOpts struct {
 	DataDir string
 }
 
-// Mediator is the trusted audit-and-escrow service: one standalone process,
-// or one shard of a Cluster. It listens on a transport and serves MedDeposit
-// and MedVerify messages, refusing those for objects outside its partition.
+// Mediator is the trusted audit-and-escrow service: a lone mediator or one
+// shard of a Cluster. It listens on a transport and serves MedDeposit and
+// MedVerify messages, refusing those for objects outside its partition.
 type Mediator struct {
 	oracle DigestOracle
 	shard  ShardOpts
@@ -235,7 +235,7 @@ type escrow struct {
 }
 
 // NewShard starts a mediator listening on addr: one member of a sharded
-// tier, or a standalone mediator under the zero ShardOpts.
+// tier, or a single mediator that owns every object under the zero ShardOpts.
 func NewShard(tr transport.Transport, addr string, oracle DigestOracle, shard ShardOpts) (*Mediator, error) {
 	if oracle == nil {
 		return nil, errors.New("mediator: digest oracle is required")

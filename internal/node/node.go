@@ -106,8 +106,8 @@ type Config struct {
 	// until one of the asked leaves or a lane stalls. The default of 1 is a
 	// single-origin transfer: one lane, carried by the one provider asked.
 	Stripe int
-	// Corrupt makes this node a cheater that serves junk payloads. Used by
-	// tests and the middleman example to exercise the defenses.
+	// Corrupt makes this node a cheater that serves junk payloads. The
+	// swarm's corrupt class and tests use it to exercise the defenses.
 	Corrupt bool
 	// Logf, when set, receives debug lines.
 	Logf func(format string, args ...any)
@@ -328,7 +328,7 @@ func (n *Node) Addr() string { return n.ln.Addr() }
 
 // ID returns the peer id.
 //
-//barter:allow deadcode bench/liveslice.go and examples/livenetwork name peers by it; item 13
+//barter:allow deadcode bench/liveslice.go names peers by it; item 7
 func (n *Node) ID() core.PeerID { return n.cfg.ID }
 
 // Close stops the node and waits for its goroutines: it stops accepting,
@@ -457,7 +457,7 @@ func (n *Node) AddObject(obj catalog.ObjectID, data []byte) {
 // copy assembled from the stored blocks — the one place an object is copied —
 // so the caller may do anything with it.
 //
-//barter:allow deadcode bench/liveslice.go checks every download's bytes with it; item 13
+//barter:allow deadcode bench/liveslice.go checks every download's bytes with it; item 7
 func (n *Node) Object(obj catalog.ObjectID) []byte {
 	var blocks [][]byte
 	if !n.call(func() { blocks = n.store[obj] }) || len(blocks) == 0 {
@@ -494,7 +494,7 @@ func (n *Node) Download(obj catalog.ObjectID, providers map[core.PeerID]string) 
 // timer per call until it fires, which at swarm scale is thousands of stale
 // timers.
 //
-//barter:allow deadcode bench/liveslice.go and examples/livenetwork wait on downloads with it; item 13
+//barter:allow deadcode bench/liveslice.go waits on downloads with it; item 7
 func WaitFor(ch <-chan error, timeout time.Duration) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()

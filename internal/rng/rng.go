@@ -54,7 +54,7 @@ func DeriveSeed(base uint64, labels ...uint64) uint64 {
 // many draws any other stream made, so independent consumers of one seed
 // (per object, per role) draw the same sequences in whatever order they run.
 //
-//barter:allow deadcode bench/liveslice.go, medslice.go and probes.go draw their op orders from it; item 13
+//barter:allow deadcode bench/liveslice.go, medslice.go and probes.go draw their op orders from it; item 7
 func Stream(base uint64, labels ...uint64) *RNG {
 	return New(DeriveSeed(base, labels...))
 }

@@ -186,7 +186,7 @@ func TestDeterministicPackagesAreClean(t *testing.T) {
 	} else if len(got) > 0 {
 		t.Errorf("internal/ packages without an importer or exports without a non-test user:\n%s", strings.Join(got, "\n"))
 	}
-	docArgs := append(progArgs, filepath.Join(root, "examples"), root)
+	docArgs := append(progArgs, root)
 	if got, err := run(l, []string{"doc"}, docArgs); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if len(got) > 0 {

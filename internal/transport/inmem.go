@@ -9,7 +9,7 @@ import (
 
 // Mem is an in-process transport: listeners are registered in a shared
 // registry by name, and connections are paired message channels. It gives
-// tests and examples real concurrency with zero syscalls.
+// tests and in-process swarms real concurrency with zero syscalls.
 type Mem struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener

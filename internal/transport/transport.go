@@ -1,6 +1,6 @@
 // Package transport abstracts the byte transport under the live peer
-// protocol: an in-memory implementation for tests and examples, and a TCP
-// implementation for real deployments. Both carry protocol.Message frames.
+// protocol: an in-memory implementation for tests and in-process swarms, and
+// a TCP implementation for real sockets. Both carry protocol.Message frames.
 package transport
 
 import (

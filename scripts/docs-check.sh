@@ -4,11 +4,11 @@
 # distinct command, plus every `-list` line verbatim — and must exit 0;
 # every -flag such a line passes must be one the command's -h defines;
 # the scenarios docs/ARCHITECTURE.md lists must be the ones `exchswarm -list`
-# prints; every program under examples/ must run to completion; and every
-# committed BENCH_*.json trajectory point must still be readable by the
-# harness; a golden figure the last commit moved must be named in the
-# first line of CHANGES.md; and so must the non-test line total outside
-# bench/, before and after, if the last commit grew it.
+# prints, and the commands its Entry points table lists the directories
+# under cmd/; every committed BENCH_*.json trajectory point must still be
+# readable by the harness; a golden figure the last commit moved must be
+# named in the first line of CHANGES.md; and so must the non-test line
+# total outside bench/, before and after, if the last commit grew it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,15 +62,16 @@ else
 	status=1
 fi
 
-# The examples are documentation too, and nothing else executes them.
-for d in examples/*/; do
-	if go run "./$d" >/dev/null 2>&1; then
-		echo "ok   ./$d"
-	else
-		echo "FAIL ./$d (example exits nonzero)"
-		status=1
-	fi
-done
+# The Entry points table names every command; a command added or deleted
+# without its row following is the same drift.
+commands=$(ls -d cmd/*/ | sed 's:/$::' | sort | tr '\n' ' ')
+rows=$(awk '/^## /{ in_table = ($0 == "## Entry points") } in_table' docs/ARCHITECTURE.md | grep -o '^| `cmd/[^`]*`' | tr -d '|` ' | sort | tr '\n' ' ')
+if [ "$commands" = "$rows" ]; then
+	echo "ok   docs/ARCHITECTURE.md entry points = cmd/*"
+else
+	echo "FAIL docs/ARCHITECTURE.md's Entry points table lists [ $rows] but cmd/ holds [ $commands]"
+	status=1
+fi
 
 # A trajectory point the harness cannot read is not a point. Comparing a
 # file with itself exits 0 exactly when it parses and names a workload.
